@@ -42,7 +42,7 @@ use exacml_xacml::{Policy, Request};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -499,11 +499,6 @@ impl ReplicatedFabric {
         if !self.host_is_alive(slot.host) {
             return;
         }
-        if slot.server.flush_journal().is_err() {
-            // A sticky journal failure: the primary cannot even flush; its
-            // mirrors keep whatever they acknowledged last.
-            return;
-        }
         let from = NodeId::Server(slot.host as u16);
         let mut shipper = self.shippers[logical].lock();
         shipper.unshipped_ingest = 0;
@@ -517,9 +512,12 @@ impl ReplicatedFabric {
                 self.batches_retried.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            // Shipping copies journal bytes — real I/O, timed on the wall
-            // clock like WAL appends (the *round trip* charged below for
-            // sync ships stays on the virtual clock).
+            // Shipping flushes the primary's journal and copies its new
+            // bytes — real I/O, timed on the wall clock like WAL appends
+            // (the *round trip* charged below for sync ships stays on the
+            // virtual clock). A primary whose journal failed cannot even
+            // flush: the ship fails and its mirrors keep whatever they
+            // acknowledged last.
             let started = self.telemetry.is_enabled().then(Instant::now);
             let shipped = mirror.ship_from(&slot.server);
             if let Some(started) = started {
@@ -663,29 +661,32 @@ impl ReplicatedFabric {
     /// failing one stay applied (and journaled) exactly as separate calls
     /// would have left them.
     pub fn push_batches(&self, batches: Vec<StreamBatch>) -> Result<usize, ExacmlError> {
-        let mut per_node: HashMap<usize, Vec<StreamBatch>> = HashMap::new();
+        let mut per_node: BTreeMap<usize, Vec<StreamBatch>> = BTreeMap::new();
         for batch in batches {
             if batch.tuples.is_empty() {
                 continue;
             }
             per_node.entry(self.owner_index(&batch.stream)).or_default().push(batch);
         }
-        let mut owners: Vec<usize> = per_node.keys().copied().collect();
-        owners.sort_unstable();
         let mut emitted = 0;
-        for &owner in &owners {
-            let group = per_node.remove(&owner).expect("grouped above");
+        for (owner, group) in per_node {
             let server = self.server_of(owner)?;
-            for batch in group {
+            // One journal record per stream batch: count the ones that
+            // landed even when a later batch of the group fails.
+            let mut appended = 0;
+            let pushed = group.into_iter().try_for_each(|batch| -> Result<(), ExacmlError> {
                 emitted += DurableServer::push_batch(&server, &batch.stream, batch.tuples)?;
-            }
-            self.note_ingest(owner, 1);
+                appended += 1;
+                Ok(())
+            });
+            self.note_ingest(owner, appended);
+            pushed?;
         }
         Ok(emitted)
     }
 
-    /// Count an ingest append and ship the batch once the threshold is
-    /// reached.
+    /// Count ingest records appended to a node's journal and ship them once
+    /// the threshold is reached.
     fn note_ingest(&self, logical: usize, appends: u64) {
         let due = {
             let mut shipper = self.shippers[logical].lock();
@@ -1129,8 +1130,30 @@ mod tests {
                 .finish_with_defaults();
             fabric.push("weather", tuple).unwrap();
         }
-        // Lag never exceeds the threshold per mirror, and settling clears it.
+        // Lag never exceeds the threshold per mirror.
         assert!(fabric.replication_lag() < 4 * 2);
+
+        // Multi-stream frames append one record per stream batch; each one
+        // counts towards the threshold, not each call.
+        let streams: Vec<String> = (0..6).map(|i| format!("district{i}")).collect();
+        for stream in &streams {
+            fabric.register_stream(stream, Schema::weather_example()).unwrap();
+        }
+        for frame in 0..5i64 {
+            let batches = streams
+                .iter()
+                .map(|stream| {
+                    let tuple = Tuple::builder_shared(&schema)
+                        .set("samplingtime", exacml_dsms::Value::Timestamp(frame * 30_000))
+                        .finish_with_defaults();
+                    StreamBatch::new(stream, vec![tuple])
+                })
+                .collect();
+            fabric.push_batches(batches).unwrap();
+            assert!(fabric.replication_lag() < 4 * 2, "lag after frame {frame}");
+        }
+
+        // Settling clears it.
         fabric.settle_replication();
         assert_eq!(fabric.replication_lag(), 0);
         assert!(fabric.robustness().replication_batches_acked > 0);

@@ -50,7 +50,7 @@ pub mod wal;
 pub use fabric::{ReplicatedConfig, ReplicatedFabric};
 pub use record::{GrantRecord, Record};
 pub use replication::{ReplicaMirror, ShipOutcome};
-pub use server::{DurableConfig, DurableServer, RecoveryReport, TopologyPreset};
+pub use server::{DurableConfig, DurableServer, JournalMark, RecoveryReport, TopologyPreset};
 pub use snapshot::Snapshot;
 pub use wal::{FailMode, WalFailpoint};
 

@@ -200,6 +200,21 @@ pub struct RecoveryReport {
     pub torn_tail: Option<String>,
 }
 
+/// Where the journal stood at one instant ([`DurableServer::flush_journal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalMark {
+    /// How many times this server instance has compacted (folded the WAL
+    /// into a snapshot and emptied it). `wal_len` is an offset into *this*
+    /// generation's log only: a compaction followed by regrowth can pass an
+    /// older offset again with entirely different bytes underneath.
+    pub wal_generation: u64,
+    /// Length in bytes of the flushed WAL file.
+    pub wal_len: u64,
+    /// The sequence number the next record will carry: everything below it
+    /// is inside `wal_len` (or the snapshot the generation started from).
+    pub seq: u64,
+}
+
 /// Journal-side state, guarded by one mutex so records land in the WAL in
 /// the order their operations were applied.
 struct Journal {
@@ -679,15 +694,25 @@ impl DurableServer {
     }
 
     /// Drain the group-commit buffer to the OS, making every acknowledged
-    /// ingest record visible in the WAL file (replication shippers call
-    /// this before reading the file).
+    /// ingest record visible in the WAL file, and report where the journal
+    /// then stands — all under the journal lock, so the three readings of
+    /// the [`JournalMark`] belong to the same instant (replication shippers
+    /// copy up to exactly this mark).
     ///
     /// # Errors
     /// Propagates (sticky) journaling failures.
-    pub fn flush_journal(&self) -> Result<(), ExacmlError> {
+    pub fn flush_journal(&self) -> Result<JournalMark, ExacmlError> {
         let mut journal = self.journal.lock();
         Self::check_health(&journal)?;
-        self.commit(&mut journal)
+        self.commit(&mut journal)?;
+        let wal_len = journal.wal.file_len().map_err(|e| durability("stat WAL", e))?;
+        Ok(JournalMark { wal_generation: journal.wal.generation(), wal_len, seq: journal.next_seq })
+    }
+
+    /// The WAL's current generation (see [`JournalMark::wal_generation`]).
+    #[must_use]
+    pub fn wal_generation(&self) -> u64 {
+        self.journal.lock().wal.generation()
     }
 
     /// A shared handle to the WAL writer's error-injecting shim (see

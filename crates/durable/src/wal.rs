@@ -279,6 +279,11 @@ pub struct WalWriter {
     /// The error-injecting shim. Disarmed in production: one relaxed load
     /// per append.
     failpoint: Arc<WalFailpoint>,
+    /// How many times this writer emptied the log ([`WalWriter::reset`]).
+    /// Byte offsets into the file only mean something within one generation,
+    /// which is what a replication shipper compares before trusting its
+    /// acknowledged offset.
+    generation: u64,
 }
 
 impl WalWriter {
@@ -294,6 +299,7 @@ impl WalWriter {
             file: BufWriter::with_capacity(256 * 1024, file),
             sync_writes,
             failpoint: Arc::new(WalFailpoint::default()),
+            generation: 0,
         })
     }
 
@@ -386,13 +392,29 @@ impl WalWriter {
         Ok(())
     }
 
+    /// How many times [`WalWriter::reset`] has emptied this log.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The file's current length. Buffered records are not in the file yet:
+    /// call after [`WalWriter::flush`] for the length of everything appended.
+    ///
+    /// # Errors
+    /// Propagates I/O errors.
+    pub fn file_len(&self) -> std::io::Result<u64> {
+        Ok(self.file.get_ref().metadata()?.len())
+    }
+
     /// Reset the log to empty (after its contents were folded into a
-    /// snapshot).
+    /// snapshot) and start a new generation.
     ///
     /// # Errors
     /// Propagates I/O errors.
     pub fn reset(&mut self) -> std::io::Result<()> {
         self.file.flush()?;
+        self.generation += 1;
         self.file.get_ref().set_len(0)?;
         self.file.get_ref().sync_all()
     }
@@ -556,7 +578,9 @@ mod tests {
         let path = temp_wal("reset");
         let mut writer = WalWriter::open(&path, false).unwrap();
         writer.append(r#"{"seq":0,"op":"x"}"#).unwrap();
+        assert_eq!(writer.generation(), 0);
         writer.reset().unwrap();
+        assert_eq!((writer.generation(), writer.file_len().unwrap()), (1, 0));
         assert!(read_wal(&path).unwrap().records.is_empty());
         writer.append(r#"{"seq":1,"op":"y"}"#).unwrap();
         let contents = read_wal(&path).unwrap();

@@ -4,8 +4,9 @@
 //! an in-memory server reaches by executing the same sequence, with or
 //! without snapshot compaction in between.
 
-use exacml::exacml_dsms::{Schema, StreamHandle, Tuple, Value};
-use exacml::exacml_durable::DurableServer;
+use exacml::exacml_dsms::{DataType, Schema, StreamHandle, Tuple, Value};
+use exacml::exacml_durable::record::{decode, decode_row, encode_ingest};
+use exacml::exacml_durable::{DurableServer, Record};
 use exacml::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -389,6 +390,90 @@ fn torn_write_mid_record_is_cut_on_recovery() {
     assert_eq!(recovered.policy_count(), 0, "the torn policy record must not replay");
     // The stream registration before the torn record survived.
     assert!(recovered.inner().engine().catalog().contains("weather"));
+}
+
+// ---------------------------------------------------------------------------
+// The ingest encoder: byte-identical output, bit-exact round trip
+// ---------------------------------------------------------------------------
+
+/// Finite doubles of every shape the encoder treats differently: integral
+/// (small and ≥ 1e15), fixed-point with 1–4 decimals of either sign, large
+/// with decimals (≥ 1e9), subnormal, and arbitrary bit patterns.
+fn arb_double() -> impl Strategy<Value = f64> {
+    let finite = |f: f64| if f.is_finite() { f } else { 0.5 };
+    prop_oneof![
+        (-2_000_000_000i64..2_000_000_000).prop_map(|i| i as f64),
+        (0u64..u64::MAX).prop_map(|u| u as f64),
+        (-9_999_999_999_999i64..9_999_999_999_999, 1i32..=4)
+            .prop_map(|(digits, places)| digits as f64 / 10f64.powi(places)),
+        (1e9..1e13f64, proptest::bool::ANY).prop_map(|(f, neg)| if neg { -f } else { f }),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        (0u64..u64::MAX).prop_map(move |bits| finite(f64::from_bits(bits))),
+    ]
+}
+
+/// One ingest record holding `row` in a stream of that shape, decoded back
+/// through the journal's own reader.
+fn through_the_journal(schema: &Arc<Schema>, row: Vec<Value>) -> (String, Vec<Value>) {
+    let tuple = Tuple::new(schema.clone(), row).unwrap();
+    let payload = encode_ingest(3, "s", std::slice::from_ref(&tuple)).unwrap();
+    let parsed = serde_json::from_str(&payload).unwrap();
+    let Record::Ingest { rows, .. } = decode(&parsed).unwrap() else { panic!("expected ingest") };
+    (payload, decode_row(schema, &rows[0]).unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The fixed-point fast path is an optimisation, not a format change:
+    /// every double is journaled as exactly the bytes `{f}` prints
+    /// (integral values below 1e15 in the `N.0` form the journal has always
+    /// used) and is read back as exactly the same bits.
+    #[test]
+    fn push_f64_is_byte_identical_to_display(f in arb_double()) {
+        let schema = Schema::from_pairs([("d", DataType::Double)]).shared();
+        let (payload, back) = through_the_journal(&schema, vec![Value::Double(f)]);
+        let expected = if f == f.trunc() && f.abs() < 1e15 {
+            format!("{}.0", f as i64)
+        } else {
+            format!("{f}")
+        };
+        prop_assert_eq!(
+            payload,
+            format!(r#"{{"seq":3,"op":"ingest","stream":"s","rows":[[{expected}]]}}"#)
+        );
+        let Value::Double(g) = back[0] else { panic!("expected a double, got {:?}", back[0]) };
+        prop_assert_eq!(g.to_bits(), (f + 0.0).to_bits(), "{} came back as {}", f, g);
+    }
+}
+
+#[test]
+fn unencodable_floats_and_awkward_text_through_the_ingest_encoder() {
+    let doubles = Schema::from_pairs([("d", DataType::Double)]).shared();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let tuple = Tuple::new(doubles.clone(), vec![Value::Double(bad)]).unwrap();
+        let err = encode_ingest(0, "s", std::slice::from_ref(&tuple)).unwrap_err();
+        let canonical = serde_json::to_string(&bad).unwrap_err();
+        assert_eq!(err.to_string(), canonical.to_string());
+    }
+
+    // Escapes at the start, the end, back to back and between multi-byte
+    // characters; DEL (0x7f) and everything above pass through unescaped.
+    let text = Schema::from_pairs([("t", DataType::Text)]).shared();
+    for awkward in [
+        "",
+        "plain",
+        "\"quoted\" and back\\slashed",
+        "\n\r\tleading, trailing\u{1}\u{1f}",
+        "☂\"雨\\\u{0}é\u{7f}\u{80}𝄞",
+        "\\\\\"\"",
+    ] {
+        let (payload, back) = through_the_journal(&text, vec![Value::Text(awkward.into())]);
+        assert_eq!(back, vec![Value::Text(awkward.into())], "payload {payload}");
+        // Byte for byte what the shared serializer writes for the string.
+        let canonical = serde_json::to_string(&awkward.to_string()).unwrap();
+        assert!(payload.ends_with(&format!("[[{canonical}]]}}")), "{payload} vs {canonical}");
+    }
 }
 
 // ---------------------------------------------------------------------------
