@@ -24,7 +24,7 @@
 
 use exacml_bench::report::{write_json, CliOptions};
 use exacml_dsms::{Schema, StreamHandle, Tuple, Value};
-use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, ReplicatedFabric};
+use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, Replication};
 use exacml_plus::StreamPolicyBuilder;
 use exacml_simnet::NodeId;
 use exacml_xacml::Request;
@@ -92,9 +92,10 @@ fn weather_tuples(n: usize) -> Vec<Tuple> {
 /// of its grants come back alive at their recorded URIs.
 fn measure_failover(streams: usize) -> FailoverRow {
     let root = temp_root("recovery");
-    let fabric =
-        ReplicatedFabric::create(ReplicatedConfig::new(3, &root).with_replication(1).with_seed(42))
-            .expect("create replicated fabric");
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root).with_replication(1).with_fabric(|f| f.with_seed(42)),
+    )
+    .expect("create replicated fabric");
 
     let mut held = Vec::new(); // (owning logical node, handle URI)
     for i in 0..streams {
@@ -110,22 +111,24 @@ fn measure_failover(streams: usize) -> FailoverRow {
         let NodeId::Server(owner) = fabric.owner_of(&stream) else { unreachable!() };
         held.push((owner as usize, granted.handle().uri().to_string()));
     }
-    fabric.settle_replication();
+    fabric.layer().settle_replication();
 
     // Kill the host with the most owned grants — the worst single loss.
     let victim = (0..3)
-        .max_by_key(|&host| held.iter().filter(|(owner, _)| fabric.host_of(*owner) == host).count())
+        .max_by_key(|&host| {
+            held.iter().filter(|(owner, _)| fabric.layer().host_of(*owner) == host).count()
+        })
         .unwrap();
     let owned: Vec<&String> = held
         .iter()
-        .filter(|(owner, _)| fabric.host_of(*owner) == victim)
+        .filter(|(owner, _)| fabric.layer().host_of(*owner) == victim)
         .map(|(_, uri)| uri)
         .collect();
     fabric.kill_node(victim);
 
     let started = Instant::now();
     for logical in 0..3 {
-        let _ = fabric.node_server(logical); // touch → failover where needed
+        let _ = fabric.layer().node_server(logical); // touch → failover where needed
     }
     let failover_seconds = started.elapsed().as_secs_f64();
     let recovered = owned
@@ -165,15 +168,16 @@ fn measure_durable_ingest(tuples: &[Tuple], batch: usize) -> IngestRow {
 
 fn measure_replicated_ingest(tuples: &[Tuple], batch: usize) -> IngestRow {
     let root = temp_root("replicated");
-    let fabric =
-        ReplicatedFabric::create(ReplicatedConfig::new(3, &root).with_replication(1).with_seed(42))
-            .expect("create replicated fabric");
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root).with_replication(1).with_fabric(|f| f.with_seed(42)),
+    )
+    .expect("create replicated fabric");
     fabric.register_stream("weather", Schema::weather_example()).unwrap();
     let started = Instant::now();
     for chunk in tuples.chunks(batch) {
         fabric.push_batch("weather", chunk.to_vec()).unwrap();
     }
-    fabric.settle_replication();
+    fabric.layer().settle_replication();
     let seconds = started.elapsed().as_secs_f64();
     let _ = std::fs::remove_dir_all(&root);
     IngestRow {

@@ -24,7 +24,7 @@
 //! ```
 
 use exacml_bench::report::{write_json, CliOptions};
-use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, ReplicatedFabric};
+use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, Replication};
 use exacml_plus::Backend;
 use exacml_workload::packs;
 use exacml_workload::runner::{run_pack_checked, PackOutcome};
@@ -123,7 +123,7 @@ fn shapes(pack: &str) -> Vec<(Arc<dyn Backend>, Option<PathBuf>)> {
             Some(durable_dir),
         ),
         (
-            Arc::new(ReplicatedFabric::create(ReplicatedConfig::new(3, &replicated_dir)).unwrap()),
+            Arc::new(Replication::create(ReplicatedConfig::new(3, &replicated_dir)).unwrap()),
             Some(replicated_dir),
         ),
     ]

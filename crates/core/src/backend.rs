@@ -30,7 +30,7 @@
 
 use crate::audit::AuditEvent;
 use crate::error::ExacmlError;
-use crate::fabric::{DeliveredTuple, Fabric, FabricConfig, FabricSubscription};
+use crate::fabric::{DeliveredTuple, Fabric, FabricConfig, FabricSubscription, Placement};
 use crate::metrics::RobustnessStats;
 use crate::server::{AccessResponse, DataServer, ServerConfig};
 use crate::user_query::UserQuery;
@@ -512,9 +512,9 @@ impl Backend for DataServer {
     }
 }
 
-// --- Fabric: the N-node backend --------------------------------------------
+// --- Fabric: the N-node backend, over any placement layer -------------------
 
-impl StreamBackend for Fabric {
+impl<L: Placement> StreamBackend for Fabric<L> {
     fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
         Fabric::register_stream(self, name, schema)
     }
@@ -540,7 +540,7 @@ impl StreamBackend for Fabric {
     }
 }
 
-impl AccessControl for Fabric {
+impl<L: Placement> AccessControl for Fabric<L> {
     fn handle_request(
         &self,
         request: &Request,
@@ -554,7 +554,7 @@ impl AccessControl for Fabric {
     }
 }
 
-impl PolicyAdmin for Fabric {
+impl<L: Placement> PolicyAdmin for Fabric<L> {
     fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
         Fabric::load_policy(self, policy)
     }
@@ -576,9 +576,9 @@ impl PolicyAdmin for Fabric {
     }
 }
 
-impl Backend for Fabric {
+impl<L: Placement> Backend for Fabric<L> {
     fn backend_kind(&self) -> String {
-        format!("fabric-{}", self.nodes().len())
+        self.layer().backend_kind()
     }
 
     fn live_deployments(&self) -> usize {
@@ -598,12 +598,7 @@ impl Backend for Fabric {
     }
 
     fn health(&self) -> BackendHealth {
-        BackendHealth {
-            degraded_nodes: self.degraded_nodes(),
-            journal_failure: None,
-            replication_lag_records: 0,
-            robustness: self.robustness(),
-        }
+        Fabric::health(self)
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {

@@ -1,15 +1,15 @@
-//! The distributed brokering fabric (PR 3).
+//! The distributed brokering fabric: **one** broker for every multi-node
+//! shape.
 //!
 //! The paper deploys eXACML+ on a coordinator/broker/server testbed; this
-//! module is the first scale-out step beyond the single in-process
-//! [`DataServer`]: N server nodes — each hosting its **own** PDP, policy
-//! store and stream engine — run behind a routing [`Fabric`] broker over
+//! module is that broker. N logical nodes — each running its **own** PDP,
+//! policy store and stream engine — sit behind a routing [`Fabric`] over
 //! `exacml-simnet` links with a virtual clock.
 //!
 //! * **Stream placement** is consistent: every stream is owned by exactly
-//!   one node, chosen by rendezvous (highest-random-weight) hashing, so the
-//!   mapping is stable, independent of registration order, and moves only
-//!   `~1/(N+1)` of the streams when a node is added to a fresh fabric.
+//!   one logical node, chosen by rendezvous (highest-random-weight) hashing,
+//!   so the mapping is stable, independent of registration order, and moves
+//!   only `~1/(N+1)` of the streams when a node is added to a fresh fabric.
 //! * **Request routing**: an access request is routed to the node owning the
 //!   target stream, charging the broker → node hop on top of the node's own
 //!   Section 3.2 workflow cost.
@@ -24,22 +24,36 @@
 //!   are only handed to the consumer once the fabric's virtual clock passes
 //!   it, FIFO per link — end-to-end latency therefore includes the network,
 //!   as two thirds of the paper's measured latency did.
+//!
+//! How logical node `i` *keeps answering* is not the broker's business: it
+//! asks a [`Placement`] layer. The plain fabric's layer ([`Direct`]) pins
+//! node `i` to host `i` — dead means unavailable until restarted, commits
+//! are no-ops. The replicated durable fabric (`exacml-durable`) supplies a
+//! layer that ships each node's journal to mirrors and answers `resolve`
+//! with a failover. The broker is generic over the layer (static dispatch),
+//! never branches on which one it serves, and is the only implementation of
+//! routing, handle tables, frame grouping, policy fan-out and audit /
+//! telemetry aggregation in the repository.
 
-use crate::backend::{BackendResponse, StreamBatch, TaggedAuditEvent};
+use crate::audit::AuditEvent;
+use crate::backend::{
+    AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
+    StreamBatch, TaggedAuditEvent,
+};
 use crate::error::ExacmlError;
 use crate::metrics::RobustnessStats;
 use crate::router::ShardedMap;
 use crate::server::{DataServer, ServerConfig};
 use crate::user_query::UserQuery;
 use exacml_dsms::{Schema, StreamHandle, Tuple};
-use exacml_simnet::{Clock, FaultPlan, LinkSpec, ManualClock, NodeId, SimLink, Topology};
+use exacml_simnet::{Clock, FaultPlan, ManualClock, NodeId, SimLink, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry, TelemetrySnapshot};
 use exacml_xacml::{Policy, Request};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,10 +91,13 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Configuration of the brokering fabric.
+/// Configuration of a brokering fabric, whatever server type `T` configures
+/// sits behind each node: [`ServerConfig`] for the plain fabric, the durable
+/// store's configuration for the replicated one. Every field a fabric shape
+/// shares is declared here, once.
 #[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// Number of data-server nodes behind the broker (at least 1).
+pub struct FabricConfig<T = ServerConfig> {
+    /// Number of logical nodes behind the broker (at least 1).
     pub nodes: usize,
     /// Topology the broker and nodes communicate over. Per-node links
     /// default to the topology's default link unless overridden for
@@ -88,9 +105,9 @@ pub struct FabricConfig {
     pub topology: Topology,
     /// Base seed; each node and link derives its own deterministic seed.
     pub seed: u64,
-    /// Per-node server configuration template (`topology`, `seed` and
-    /// `dsms_host` are overridden per node).
-    pub server_template: ServerConfig,
+    /// Per-node server configuration template (the seed and the DSMS host
+    /// name are overridden per node).
+    pub server_template: T,
     /// Injected-fault schedule consulted (against the fabric's virtual
     /// clock) before every broker→node hop. `None` means a fault-free
     /// network.
@@ -131,7 +148,9 @@ impl FabricConfig {
     pub fn local(nodes: usize) -> Self {
         FabricConfig::new(nodes, Topology::local())
     }
+}
 
+impl<T> FabricConfig<T> {
     /// Override the base seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -139,11 +158,18 @@ impl FabricConfig {
         self
     }
 
-    /// Override the per-node server template.
+    /// Override the per-node server template (possibly changing the kind of
+    /// server the fabric is configured for).
     #[must_use]
-    pub fn with_server_template(mut self, template: ServerConfig) -> Self {
-        self.server_template = template;
-        self
+    pub fn with_server_template<U>(self, server_template: U) -> FabricConfig<U> {
+        FabricConfig {
+            nodes: self.nodes,
+            topology: self.topology,
+            seed: self.seed,
+            server_template,
+            fault_plan: self.fault_plan,
+            retry: self.retry,
+        }
     }
 
     /// Install an injected-fault schedule (consulted before every
@@ -162,25 +188,233 @@ impl FabricConfig {
     }
 }
 
-/// The broker→node ingest side of one node: a [`SimLink`] carrying whole
-/// [`StreamBatch`] frames plus the node's single-threaded apply loop. The
-/// surrounding `Mutex` **is** the apply loop — a real node applies its
-/// ingest RPCs in arrival order, one at a time, while other nodes' pipelines
-/// drain concurrently.
-struct IngestPipeline {
-    link: SimLink<StreamBatch>,
+/// The simulated network a fabric lives on — topology, fault schedule, retry
+/// budget, virtual clock and the broker-level telemetry registry — shared
+/// between the broker and its [`Placement`] layer so both wait out faults
+/// and scale latency spikes with the same code.
+pub struct FabricNet {
+    topology: Topology,
+    fault_plan: Option<Arc<FaultPlan>>,
+    retry: RetryPolicy,
+    clock: ManualClock,
+    /// Broker-level registry: request round trips ([`Stage::BrokerRoute`]),
+    /// subscription delivery latency and replica shipping. Per-node stages
+    /// live in each node server's own registry; [`Fabric::telemetry`]
+    /// aggregates.
+    telemetry: Arc<Telemetry>,
+    broker_retries: AtomicU64,
 }
 
-/// One data-server node of the fabric.
+impl FabricNet {
+    /// The network a fabric built from `config` runs on, clock at zero.
+    #[must_use]
+    pub fn new<T>(config: &FabricConfig<T>) -> Arc<Self> {
+        Arc::new(FabricNet {
+            topology: config.topology.clone(),
+            fault_plan: config.fault_plan.clone(),
+            retry: config.retry,
+            clock: ManualClock::new(),
+            telemetry: Arc::new(Telemetry::new()),
+            broker_retries: AtomicU64::new(0),
+        })
+    }
+
+    /// The fabric's virtual clock (shared with subscriptions).
+    #[must_use]
+    pub fn clock(&self) -> &ManualClock {
+        &self.clock
+    }
+
+    /// The injected-fault schedule, if any.
+    #[must_use]
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.fault_plan.as_deref()
+    }
+
+    /// The broker-level telemetry registry.
+    #[must_use]
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
+    }
+
+    /// Whether an active fault window currently drops messages between `a`
+    /// and `b`.
+    #[must_use]
+    pub fn link_down(&self, a: NodeId, b: NodeId) -> bool {
+        self.fault_plan.as_ref().is_some_and(|plan| plan.link_down(a, b, self.clock.now_nanos()))
+    }
+
+    /// The one backoff loop: wait out fault windows on the `a` ↔ `b` link,
+    /// retrying with exponential backoff *in virtual time* up to the retry
+    /// budget, so a transient window the retries outlive degrades to a
+    /// slower hop, not an error. Returns the retries spent and whether the
+    /// link came up.
+    pub fn await_link(&self, a: NodeId, b: NodeId) -> (u32, bool) {
+        if self.fault_plan.is_none() {
+            return (0, true);
+        }
+        let attempts = self.retry.max_attempts.max(1);
+        for retries in 0..attempts {
+            if retries > 0 {
+                self.clock.advance(self.retry.backoff * 2u32.pow(retries - 1));
+            }
+            if !self.link_down(a, b) {
+                return (retries, true);
+            }
+        }
+        (attempts - 1, false)
+    }
+
+    /// Sample the simulated `a` → `b` → `a` round trip on the caller's RNG,
+    /// multiplied by any latency spike the fault plan has active on the
+    /// link.
+    pub fn round_trip(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        request_bytes: usize,
+        reply_bytes: usize,
+        rng: &mut StdRng,
+    ) -> Duration {
+        let sampled = self.topology.round_trip(a, b, request_bytes, reply_bytes, rng);
+        match &self.fault_plan {
+            Some(plan) => {
+                sampled.mul_f64(plan.latency_factor(a, b, self.clock.now_nanos()).max(0.0))
+            }
+            None => sampled,
+        }
+    }
+}
+
+/// The server behind a fabric node: any full [`Backend`] (mutations go
+/// through the trait, so a durable node journals them) that can show the
+/// in-memory [`DataServer`] doing the work (reads — liveness, delivery
+/// channels, audit, telemetry — go straight to it).
+pub trait NodeServer: Backend {
+    /// The in-memory server this node runs.
+    fn data_server(&self) -> &DataServer;
+}
+
+impl NodeServer for DataServer {
+    fn data_server(&self) -> &DataServer {
+        self
+    }
+}
+
+/// The typed error for a logical node that cannot answer: `node` names the
+/// *logical* node, `detail` says what happened to its host.
+#[must_use]
+pub fn node_unavailable(logical: usize, detail: String) -> ExacmlError {
+    ExacmlError::NodeUnavailable { node: NodeId::Server(logical as u16).to_string(), detail }
+}
+
+/// The placement layer under the broker: where logical node `i` lives and
+/// how it keeps answering. The default methods are the plain fabric's
+/// answers — a dead host makes its node unavailable, commits need no
+/// follow-up, health has nothing to add.
+pub trait Placement: Send + Sync {
+    /// The server type behind every node.
+    type Server: NodeServer;
+
+    /// The backend's diagnostic name.
+    fn backend_kind(&self) -> String;
+
+    /// The server currently backing a logical node and the physical host it
+    /// runs on — no probe, no failover: what observability reads use.
+    fn current(&self, logical: usize) -> (Arc<Self::Server>, usize);
+
+    /// Whether a physical host is alive.
+    fn host_is_alive(&self, host: usize) -> bool;
+
+    /// Resolve a logical node for an operation: its server and host, or a
+    /// typed [`ExacmlError::NodeUnavailable`].
+    ///
+    /// # Errors
+    /// When the node has no live host to answer from.
+    fn resolve(&self, logical: usize) -> Result<(Arc<Self::Server>, usize), ExacmlError> {
+        let (server, host) = self.current(logical);
+        if self.host_is_alive(host) {
+            Ok((server, host))
+        } else {
+            Err(node_unavailable(logical, format!("host {host} is declared dead")))
+        }
+    }
+
+    /// A control-plane operation on the node just ran (whether it returned
+    /// `Ok` or `Err` — a denial journals an audit record too).
+    fn control_committed(&self, _logical: usize) {}
+
+    /// `records` ingest batches were just applied on the node.
+    fn ingest_committed(&self, _logical: usize, _records: u64) {}
+
+    /// Declare a physical host dead.
+    fn kill_host(&self, host: usize);
+
+    /// Bring a physical host back.
+    fn restart_host(&self, host: usize);
+
+    /// Add the layer's part (replication lag, failover counters) to a
+    /// health report.
+    fn report(&self, _health: &mut BackendHealth) {}
+}
+
+/// The plain fabric's placement: logical node `i` lives on host `i`, for
+/// good. A killed host's in-memory state survives (there is no journal to
+/// rebuild it from) and answers again after a restart.
+pub struct Direct {
+    servers: Vec<Arc<DataServer>>,
+    alive: Vec<AtomicBool>,
+}
+
+impl Direct {
+    /// The node servers, by node index.
+    #[must_use]
+    pub fn servers(&self) -> &[Arc<DataServer>] {
+        &self.servers
+    }
+}
+
+impl Placement for Direct {
+    type Server = DataServer;
+
+    fn backend_kind(&self) -> String {
+        format!("fabric-{}", self.servers.len())
+    }
+
+    fn current(&self, logical: usize) -> (Arc<DataServer>, usize) {
+        (Arc::clone(&self.servers[logical]), logical)
+    }
+
+    fn host_is_alive(&self, host: usize) -> bool {
+        self.alive.get(host).is_some_and(|alive| alive.load(Ordering::Relaxed))
+    }
+
+    fn kill_host(&self, host: usize) {
+        if let Some(alive) = self.alive.get(host) {
+            alive.store(false, Ordering::Relaxed);
+        }
+    }
+
+    fn restart_host(&self, host: usize) {
+        if let Some(alive) = self.alive.get(host) {
+            alive.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The broker's side of one logical node: its identity, its broker→node
+/// ingest pipeline and its routing counters. The server lives in the
+/// [`Placement`] layer, because which server answers can change.
 pub struct FabricNode {
     id: NodeId,
-    server: Arc<DataServer>,
-    alive: AtomicBool,
     /// Samples this node's broker ↔ node request/response delays. Per-node,
     /// so routing to different nodes never serialises on a shared RNG.
     rng: Mutex<StdRng>,
-    /// The node's ingest queue (broker→node link + FIFO apply loop).
-    ingest: Mutex<IngestPipeline>,
+    /// The node's ingest queue: a [`SimLink`] carrying whole [`StreamBatch`]
+    /// frames. The `Mutex` **is** the node's single-threaded apply loop — a
+    /// real node applies its ingest RPCs in arrival order, one at a time,
+    /// while other nodes' pipelines drain concurrently.
+    ingest: Mutex<SimLink<StreamBatch>>,
     requests_routed: AtomicU64,
     tuples_routed: AtomicU64,
     ingest_hops: AtomicU64,
@@ -192,12 +426,6 @@ impl FabricNode {
     #[must_use]
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The node's data server (own PDP, policy store and engine).
-    #[must_use]
-    pub fn server(&self) -> &Arc<DataServer> {
-        &self.server
     }
 
     /// Access requests the broker routed to this node.
@@ -235,35 +463,41 @@ impl FabricNode {
     /// bounded by, and what the scaling bench divides tuple counts by.
     #[must_use]
     pub fn ingest_frontier_nanos(&self) -> u64 {
-        self.ingest.lock().link.service_frontier_nanos()
+        self.ingest.lock().service_frontier_nanos()
     }
 
     /// Ship a group of stream batches to this node as **one frame** on its
     /// ingest link (a single sampled propagation delay for the group,
     /// serialisation per batch, the frame queueing behind the pipe's
-    /// in-progress service), then apply the node's queue in arrival (FIFO)
-    /// order under the pipeline lock — the node's single-threaded apply
-    /// loop. Returns the number of derived tuples the node's engine
-    /// emitted.
+    /// in-progress service), then apply the node's queue on `server` in
+    /// arrival (FIFO) order under the pipeline lock — the node's
+    /// single-threaded apply loop. Returns how many batches were applied
+    /// and the number of derived tuples the node's engine emitted.
     ///
     /// On error (unknown stream, malformed tuple) the remaining batches of
     /// the frame are **not** applied and the queue is left empty — a frame
     /// either lands whole or fails typed partway with nothing lingering.
-    fn apply_ingest_frame(
+    fn apply_ingest_frame<S: NodeServer>(
         &self,
+        server: &S,
         now_nanos: u64,
         batches: Vec<StreamBatch>,
-    ) -> Result<usize, ExacmlError> {
-        let mut pipeline = self.ingest.lock();
+    ) -> (u64, Result<usize, ExacmlError>) {
+        let mut link = self.ingest.lock();
         let items: Vec<(usize, StreamBatch)> =
             batches.into_iter().map(|batch| (batch.wire_bytes(), batch)).collect();
-        pipeline.link.send_batch_queued(now_nanos, items);
-        let queued = pipeline.link.drain_ready(u64::MAX);
+        link.send_batch_queued(now_nanos, items);
+        let queued = link.drain_ready(u64::MAX);
+        let mut applied = 0;
         let mut emitted = 0;
         let mut last_arrival = now_nanos;
         for (arrival, batch) in queued {
             let count = batch.tuples.len() as u64;
-            emitted += self.server.push_batch(&batch.stream, batch.tuples)?;
+            match server.push_batch(&batch.stream, batch.tuples) {
+                Ok(derived) => emitted += derived,
+                Err(error) => return (applied, Err(error)),
+            }
+            applied += 1;
             self.tuples_routed.fetch_add(count, Ordering::Relaxed);
             last_arrival = last_arrival.max(arrival);
         }
@@ -273,26 +507,12 @@ impl FabricNode {
         // Frame time is *virtual* (sampled propagation + serialisation), so
         // it is recorded as a duration, never measured with a wall clock —
         // the node's snapshot stays deterministic per seed.
-        let telemetry = self.server.telemetry_registry();
+        let telemetry = server.data_server().telemetry_registry();
         telemetry.record_nanos(Stage::BrokerRoute, frame_nanos);
         telemetry.incr(Metric::BrokerFrames);
-        Ok(emitted)
-    }
-
-    /// Whether the broker currently considers this node alive. Dead nodes
-    /// reject every routed operation with
-    /// [`ExacmlError::NodeUnavailable`] until
-    /// [`Fabric::restart_node`] brings them back.
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Relaxed)
+        (applied, Ok(emitted))
     }
 }
-
-/// The answer for an access request routed through the fabric — since the
-/// unified backend API (PR 4) this is the [`BackendResponse`] every backend
-/// returns; the alias remains for code written against the PR 3 surface.
-pub type FabricResponse = BackendResponse;
 
 /// A derived tuple delivered through a simulated link.
 #[derive(Debug, Clone)]
@@ -331,37 +551,13 @@ pub struct FabricSubscription {
     link: SimLink<(u64, Tuple)>,
     clock: ManualClock,
     delivered: u64,
-    /// When attached, per-tuple virtual delivery latency is recorded here
-    /// under [`Stage::Delivery`].
-    telemetry: Option<Arc<Telemetry>>,
+    /// The broker's registry: per-tuple virtual delivery latency is recorded
+    /// here under [`Stage::Delivery`].
+    telemetry: Arc<Telemetry>,
 }
 
 impl FabricSubscription {
-    /// Assemble a subscription from its transport parts: the node-local
-    /// delivery channel, the node → subscriber [`SimLink`] and the shared
-    /// virtual clock. Used by brokers living outside this crate (the
-    /// replicated durable fabric) so their subscribers get the same
-    /// latency-ordered, FIFO-per-link delivery semantics.
-    #[must_use]
-    pub fn attach(
-        node: NodeId,
-        rx: crossbeam::channel::Receiver<Tuple>,
-        link: SimLink<(u64, Tuple)>,
-        clock: ManualClock,
-    ) -> Self {
-        FabricSubscription { node, rx, link, clock, delivered: 0, telemetry: None }
-    }
-
-    /// Record each delivered tuple's virtual latency into `telemetry` under
-    /// [`Stage::Delivery`] (brokers pass their registry so fan-back latency
-    /// shows up in the fabric snapshot).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The node the subscribed stream lives on.
+    /// The logical node the subscribed stream lives on.
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
@@ -386,23 +582,14 @@ impl FabricSubscription {
         }
         let ready = self.link.drain_ready(now);
         self.delivered += ready.len() as u64;
-        let delivered: Vec<DeliveredTuple> = ready
+        ready
             .into_iter()
-            .map(|(arrived_at_nanos, (sent_at_nanos, tuple))| DeliveredTuple {
-                tuple,
-                sent_at_nanos,
-                arrived_at_nanos,
+            .map(|(arrived_at_nanos, (sent_at_nanos, tuple))| {
+                self.telemetry
+                    .record_nanos(Stage::Delivery, arrived_at_nanos.saturating_sub(sent_at_nanos));
+                DeliveredTuple { tuple, sent_at_nanos, arrived_at_nanos }
             })
-            .collect();
-        if let Some(telemetry) = &self.telemetry {
-            for d in &delivered {
-                telemetry.record_nanos(
-                    Stage::Delivery,
-                    d.arrived_at_nanos.saturating_sub(d.sent_at_nanos),
-                );
-            }
-        }
-        delivered
+            .collect()
     }
 
     /// Drain **everything** derived so far: pull the node-local channel into
@@ -457,68 +644,82 @@ pub struct FabricStats {
     pub policy_propagations: u64,
 }
 
-/// The routing broker plus its server nodes.
+/// The routing broker plus its logical nodes, over a [`Placement`] layer
+/// `L` that owns the node servers.
 ///
 /// The broker itself sits at [`NodeId::DataServer`] of the topology (it is
-/// the entity clients and the proxy reach); the shards sit at
-/// [`NodeId::Server`]`(i)`.
-pub struct Fabric {
-    config: FabricConfig,
+/// the entity clients and the proxy reach); logical node `i` is tagged
+/// [`NodeId::Server`]`(i)` everywhere — responses, audit events, telemetry
+/// sub-snapshots, errors — whatever physical host currently runs it.
+pub struct Fabric<L: Placement = Direct> {
+    net: Arc<FabricNet>,
+    layer: L,
     nodes: Vec<FabricNode>,
-    clock: ManualClock,
     /// Stream → owning node index, recorded at registration and consulted
     /// first by every routing decision; unregistered streams fall back to
     /// the rendezvous hash (which registration also used). Sharded so
     /// concurrent lookups for different streams touch different locks.
     placements: ShardedMap<String, usize>,
-    /// Granted handle → owning node index (populated on grant, consulted by
-    /// subscribe/release). Sharded like the placement table.
+    /// Granted handle → owning *logical* node index (populated on grant,
+    /// consulted by subscribe/release; stable across any host change).
+    /// Sharded like the placement table.
     handles: ShardedMap<StreamHandle, usize>,
     /// Seeds handed to per-subscription links, derived deterministically.
     next_link_seed: AtomicU64,
     streams_placed: AtomicU64,
     policy_propagations: AtomicU64,
-    broker_retries: AtomicU64,
-    /// Broker-level registry: request round-trips ([`Stage::BrokerRoute`]),
-    /// frame counts, and subscription delivery latency. Per-node stages live
-    /// in each node server's own registry; [`Fabric::telemetry`] aggregates.
-    telemetry: Arc<Telemetry>,
 }
 
 impl Fabric {
-    /// Build a fabric: one `DataServer` per node, each with its own policy
-    /// store, PDP, engine (minting handles under a distinct host) and a
-    /// node-specific seed.
+    /// Build a plain fabric: one `DataServer` per node, each with its own
+    /// policy store, PDP, engine (minting handles under a distinct host) and
+    /// a node-specific seed, pinned to its host by the [`Direct`] layer.
     #[must_use]
     pub fn new(config: FabricConfig) -> Self {
-        // Derived seeds mix in the node count, so two fabrics sharing a base
-        // seed but differing in shape sample *different* delay sequences —
-        // identical-looking delivery stats across scale-out scenarios were
-        // a measurement artifact of sharing the seed stream.
-        let shape_salt = (config.nodes as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let nodes = (0..config.nodes)
+        let servers = (0..config.nodes)
             .map(|i| {
-                let node_id = NodeId::Server(i as u16);
-                let node_config = ServerConfig {
+                Arc::new(DataServer::new(ServerConfig {
                     topology: config.topology.clone(),
                     seed: config.seed.wrapping_add(1 + i as u64),
                     dsms_host: format!("node{i}"),
                     ..config.server_template.clone()
-                };
-                let ingest_spec: LinkSpec = config.topology.link(NodeId::DataServer, node_id);
+                }))
+            })
+            .collect();
+        let alive = (0..config.nodes).map(|_| AtomicBool::new(true)).collect();
+        Fabric::assemble(
+            config.nodes,
+            config.seed,
+            FabricNet::new(&config),
+            Direct { servers, alive },
+        )
+    }
+}
+
+impl<L: Placement> Fabric<L> {
+    /// Put a broker in front of `layer`'s `nodes` logical nodes on `net` (the
+    /// network the layer was built with); `seed` is the configuration's base
+    /// seed.
+    #[must_use]
+    pub fn assemble(nodes: usize, seed: u64, net: Arc<FabricNet>, layer: L) -> Self {
+        // Derived seeds mix in the node count, so two fabrics sharing a base
+        // seed but differing in shape sample *different* delay sequences —
+        // identical-looking delivery stats across scale-out scenarios were
+        // a measurement artifact of sharing the seed stream.
+        let shape_salt = (nodes as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let salted = seed.wrapping_add(shape_salt);
+        let nodes = (0..nodes)
+            .map(|i| {
+                let id = NodeId::Server(i as u16);
                 FabricNode {
-                    id: node_id,
-                    server: Arc::new(DataServer::new(node_config)),
-                    alive: AtomicBool::new(true),
+                    id,
                     rng: Mutex::new(StdRng::seed_from_u64(
-                        config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(shape_salt) ^ i as u64,
+                        seed.wrapping_mul(0x9e37_79b9).wrapping_add(shape_salt) ^ i as u64,
                     )),
-                    ingest: Mutex::new(IngestPipeline {
-                        link: SimLink::new(
-                            ingest_spec,
-                            config.seed.wrapping_add(shape_salt).wrapping_add(0xbeef + i as u64),
-                        ),
-                    }),
+                    ingest: Mutex::new(SimLink::new(
+                        net.topology.link(NodeId::DataServer, id),
+                        salted.wrapping_add(0xbeef + i as u64),
+                    )),
                     requests_routed: AtomicU64::new(0),
                     tuples_routed: AtomicU64::new(0),
                     ingest_hops: AtomicU64::new(0),
@@ -527,28 +728,26 @@ impl Fabric {
             })
             .collect();
         Fabric {
-            clock: ManualClock::new(),
+            net,
+            layer,
             nodes,
             placements: ShardedMap::new(),
             handles: ShardedMap::new(),
-            next_link_seed: AtomicU64::new(
-                config.seed.wrapping_add(0xf00d).wrapping_add(shape_salt),
-            ),
+            next_link_seed: AtomicU64::new(salted.wrapping_add(0xf00d)),
             streams_placed: AtomicU64::new(0),
             policy_propagations: AtomicU64::new(0),
-            broker_retries: AtomicU64::new(0),
-            telemetry: Arc::new(Telemetry::new()),
-            config,
         }
     }
 
-    /// The fabric's configuration.
+    /// The placement layer (and with it the layer's own accessors — the
+    /// plain fabric's node servers, the replicated fabric's hosts, mirrors
+    /// and lag).
     #[must_use]
-    pub fn config(&self) -> &FabricConfig {
-        &self.config
+    pub fn layer(&self) -> &L {
+        &self.layer
     }
 
-    /// The nodes behind the broker.
+    /// The broker's side of the logical nodes.
     #[must_use]
     pub fn nodes(&self) -> &[FabricNode] {
         &self.nodes
@@ -557,13 +756,13 @@ impl Fabric {
     /// The fabric's virtual clock (shared with subscriptions).
     #[must_use]
     pub fn clock(&self) -> &ManualClock {
-        &self.clock
+        &self.net.clock
     }
 
     /// Advance the virtual clock, making in-flight deliveries whose arrival
     /// time has passed available to [`FabricSubscription::poll`].
     pub fn advance(&self, by: Duration) {
-        self.clock.advance(by);
+        self.net.clock.advance(by);
     }
 
     /// Fabric-wide counters.
@@ -581,9 +780,10 @@ impl Fabric {
 
     // --- placement ---------------------------------------------------------
 
-    /// The node that owns a stream, by rendezvous hashing: the owner is the
-    /// node whose `hash(stream, node)` weight is highest. Deterministic,
-    /// uniform, and independent of registration order.
+    /// The logical node that owns a stream, by rendezvous hashing: the owner
+    /// is the node whose `hash(stream, node)` weight is highest.
+    /// Deterministic, uniform, independent of registration order — and of
+    /// which host runs the node, so ownership survives any failover.
     #[must_use]
     pub fn owner_of(&self, stream: &str) -> NodeId {
         self.nodes[self.owner_index(stream)].id
@@ -600,157 +800,112 @@ impl Fabric {
         rendezvous_owner(&canonical, self.nodes.len())
     }
 
-    fn node_for_stream(&self, stream: &str) -> &FabricNode {
-        &self.nodes[self.owner_index(stream)]
-    }
-
-    fn node_for_handle(&self, handle: &StreamHandle) -> Result<&FabricNode, ExacmlError> {
-        let index = self
-            .handles
-            .get(handle)
-            .ok_or_else(|| ExacmlError::UnknownHandle(handle.uri().to_string()))?;
-        Ok(&self.nodes[index])
-    }
-
-    /// Sample the simulated broker → node → broker round trip on the node's
-    /// own RNG (routing to different nodes never serialises on a shared
-    /// RNG). Active latency spikes from the fault plan multiply the sample.
-    fn broker_round_trip(
-        &self,
-        node: &FabricNode,
-        request_bytes: usize,
-        reply_bytes: usize,
-    ) -> Duration {
-        let mut rng = node.rng.lock();
-        let sampled = self.config.topology.round_trip(
-            NodeId::DataServer,
-            node.id,
-            request_bytes,
-            reply_bytes,
-            &mut *rng,
-        );
-        match &self.config.fault_plan {
-            Some(plan) => {
-                let factor =
-                    plan.latency_factor(NodeId::DataServer, node.id, self.clock.now_nanos());
-                sampled.mul_f64(factor.max(0.0))
-            }
-            None => sampled,
-        }
+    /// Every node's current server, by node index — no probe, no failover.
+    fn servers(&self) -> impl Iterator<Item = Arc<L::Server>> + '_ {
+        (0..self.nodes.len()).map(|index| self.layer.current(index).0)
     }
 
     // --- liveness + fault handling ------------------------------------------
 
-    /// Declare a node dead. Every subsequent broker→node operation targeting
-    /// it fails with [`ExacmlError::NodeUnavailable`] instead of silently
-    /// touching state the rest of the system believes unreachable. The
-    /// node's in-memory state survives (the plain fabric has no journal to
-    /// rebuild it from); [`Fabric::restart_node`] makes the node answer
-    /// again — state-replaying failover is the replicated durable fabric's
-    /// job.
-    pub fn kill_node(&self, index: usize) {
-        if let Some(node) = self.nodes.get(index) {
-            node.alive.store(false, Ordering::Relaxed);
-        }
+    /// Declare a physical host dead. What that means for the logical nodes
+    /// it runs is the layer's answer: on the plain fabric every operation
+    /// routed to the node fails with [`ExacmlError::NodeUnavailable`] until
+    /// [`Fabric::restart_node`]; on the replicated fabric the node fails
+    /// over to a mirror on its next touch.
+    pub fn kill_node(&self, host: usize) {
+        self.layer.kill_host(host);
     }
 
-    /// Bring a dead node back.
-    pub fn restart_node(&self, index: usize) {
-        if let Some(node) = self.nodes.get(index) {
-            node.alive.store(true, Ordering::Relaxed);
-        }
+    /// Bring a dead physical host back.
+    pub fn restart_node(&self, host: usize) {
+        self.layer.restart_host(host);
     }
 
-    /// The nodes the broker currently cannot reach: declared dead, or
-    /// covered by an active fault-plan window at the current virtual time.
+    /// The logical nodes the broker currently cannot serve from: their host
+    /// is dead (awaiting restart or failover), or an active fault-plan
+    /// window covers the broker→host link at the current virtual time.
     #[must_use]
     pub fn degraded_nodes(&self) -> Vec<NodeId> {
-        let now = self.clock.now_nanos();
         self.nodes
             .iter()
-            .filter(|node| {
-                !node.is_alive()
-                    || self
-                        .config
-                        .fault_plan
-                        .as_ref()
-                        .is_some_and(|plan| plan.link_down(NodeId::DataServer, node.id, now))
+            .enumerate()
+            .filter(|(index, _)| {
+                let host = self.layer.current(*index).1;
+                !self.layer.host_is_alive(host)
+                    || self.net.link_down(NodeId::DataServer, NodeId::Server(host as u16))
             })
-            .map(|node| node.id)
+            .map(|(_, node)| node.id)
             .collect()
     }
 
     /// Aggregated telemetry: the broker's own registry (request routing,
-    /// frame counts, delivery latency — all virtual durations) merged with
-    /// every node server's registry, each kept as a node-tagged sub-snapshot
-    /// under `nodes`.
+    /// delivery latency, replica shipping) merged with every node server's
+    /// registry, each kept as a sub-snapshot under `nodes` tagged with its
+    /// *logical* [`NodeId`] — the tag survives a failover, so pre- and
+    /// post-failover snapshots stay diffable.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut parts = vec![self.telemetry.snapshot_tagged("broker")];
-        parts.extend(
-            self.nodes
-                .iter()
-                .map(|node| node.server.telemetry_registry().snapshot_tagged(&node.id.to_string())),
-        );
-        TelemetrySnapshot::aggregate(&format!("fabric-{}", self.nodes.len()), parts)
+        let mut parts = vec![self.net.telemetry.snapshot_tagged("broker")];
+        parts.extend(self.servers().zip(&self.nodes).map(|(server, node)| {
+            server.data_server().telemetry_registry().snapshot_tagged(&node.id.to_string())
+        }));
+        TelemetrySnapshot::aggregate(&self.layer.backend_kind(), parts)
     }
 
-    /// Fault-tolerance counters (broker retries; the plain fabric neither
-    /// replicates nor fails over, so those counters stay zero here).
+    /// The health report: degraded nodes, the first node's sticky journal
+    /// failure, broker retries — plus whatever the layer adds (replication
+    /// lag, failover and shipping counters).
+    #[must_use]
+    pub fn health(&self) -> BackendHealth {
+        let mut health = BackendHealth {
+            degraded_nodes: self.degraded_nodes(),
+            journal_failure: self.servers().find_map(|server| server.health().journal_failure),
+            replication_lag_records: 0,
+            robustness: RobustnessStats {
+                broker_retries: self.net.broker_retries.load(Ordering::Relaxed),
+                ..RobustnessStats::default()
+            },
+        };
+        self.layer.report(&mut health);
+        health
+    }
+
+    /// Fault-tolerance counters (the `robustness` part of
+    /// [`Fabric::health`]).
     #[must_use]
     pub fn robustness(&self) -> RobustnessStats {
-        RobustnessStats {
-            broker_retries: self.broker_retries.load(Ordering::Relaxed),
-            ..RobustnessStats::default()
-        }
+        self.health().robustness
     }
 
-    /// Probe the broker→node hop before routing an operation: a dead node
-    /// fails immediately; an active link fault is retried with exponential
-    /// backoff *in virtual time* (so a transient window the retry outlives
-    /// degrades to a slower hop, not an error) up to the configured attempt
-    /// budget.
-    fn ensure_reachable(&self, index: usize) -> Result<(), ExacmlError> {
-        let node = &self.nodes[index];
-        if !node.is_alive() {
-            return Err(ExacmlError::NodeUnavailable {
-                node: node.id.to_string(),
-                detail: "node is declared dead".into(),
-            });
+    /// Resolve a logical node for an operation and probe the broker→host
+    /// hop: the layer answers with the node's server (failing over first if
+    /// that is what it does) or a typed error; an active link fault is then
+    /// waited out with [`FabricNet::await_link`].
+    fn reach(&self, index: usize) -> Result<(Arc<L::Server>, usize), ExacmlError> {
+        let (server, host) = self.layer.resolve(index)?;
+        let (retries, up) = self.net.await_link(NodeId::DataServer, NodeId::Server(host as u16));
+        if retries > 0 {
+            self.net.broker_retries.fetch_add(u64::from(retries), Ordering::Relaxed);
         }
-        let Some(plan) = &self.config.fault_plan else { return Ok(()) };
-        let retry = self.config.retry;
-        let mut attempt: u32 = 0;
-        loop {
-            if !plan.link_down(NodeId::DataServer, node.id, self.clock.now_nanos()) {
-                if attempt > 0 {
-                    self.broker_retries.fetch_add(u64::from(attempt), Ordering::Relaxed);
-                }
-                return Ok(());
-            }
-            attempt += 1;
-            if attempt >= retry.max_attempts.max(1) {
-                self.broker_retries.fetch_add(u64::from(attempt - 1), Ordering::Relaxed);
-                return Err(ExacmlError::NodeUnavailable {
-                    node: node.id.to_string(),
-                    detail: format!(
-                        "broker hop still faulted after {attempt} attempt(s) over {:?}",
-                        retry.worst_case_delay()
-                    ),
-                });
-            }
-            self.clock.advance(retry.backoff * 2u32.pow(attempt - 1));
+        if !up {
+            return Err(node_unavailable(
+                index,
+                format!(
+                    "broker hop to host {host} still faulted after {} attempt(s) over {:?}",
+                    retries + 1,
+                    self.net.retry.worst_case_delay()
+                ),
+            ));
         }
+        Ok((server, host))
     }
 
-    /// Probe every node before a fabric-wide operation (policy
-    /// propagation), so a fan-out either reaches all nodes or fails typed
-    /// before mutating any of them.
-    fn ensure_all_reachable(&self) -> Result<(), ExacmlError> {
-        for index in 0..self.nodes.len() {
-            self.ensure_reachable(index)?;
-        }
-        Ok(())
+    /// Tell the layer a control-plane operation ran on a node — whatever its
+    /// outcome: a refused operation leaves journal records (audit) behind
+    /// just like a granted one.
+    fn committed<T>(&self, index: usize, outcome: T) -> T {
+        self.layer.control_committed(index);
+        outcome
     }
 
     // --- stream + data plane ----------------------------------------------
@@ -762,8 +917,8 @@ impl Fabric {
     /// the owner node unreachable ([`ExacmlError::NodeUnavailable`]).
     pub fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
         let index = self.owner_index(name);
-        self.ensure_reachable(index)?;
-        self.nodes[index].server.register_stream(name, schema)?;
+        let (server, _) = self.reach(index)?;
+        self.committed(index, server.register_stream(name, schema))?;
         self.placements.insert(name.to_ascii_lowercase(), index);
         self.streams_placed.fetch_add(1, Ordering::Relaxed);
         Ok(self.nodes[index].id)
@@ -787,12 +942,8 @@ impl Fabric {
     /// # Errors
     /// Fails when the stream is unknown on its owner, any tuple malformed,
     /// or the owner node unreachable ([`ExacmlError::NodeUnavailable`]).
-    pub fn push_batch(
-        &self,
-        stream: &str,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> Result<usize, ExacmlError> {
-        self.push_batches(vec![StreamBatch::new(stream, tuples.into_iter().collect())])
+    pub fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
+        self.push_batches(vec![StreamBatch::new(stream, tuples)])
     }
 
     /// Route a multi-stream ingest call: group the batches by their
@@ -803,10 +954,10 @@ impl Fabric {
     /// drain concurrently — this is the batched routing that makes fabric
     /// ingest scale monotonically with the node count.
     ///
-    /// Every targeted owner is probed *before* anything is applied, so a
-    /// multi-node call either starts landing or fails typed with no node
-    /// touched. Returns the total number of derived tuples emitted by the
-    /// nodes' engines.
+    /// Every targeted owner is resolved and probed *before* anything is
+    /// applied, so a multi-node call either starts landing or fails typed
+    /// with no node touched. Returns the total number of derived tuples
+    /// emitted by the nodes' engines.
     ///
     /// # Errors
     /// Fails when any targeted owner is unreachable
@@ -816,23 +967,22 @@ impl Fabric {
     /// (exactly as separate `push_batch` calls would have), and the error
     /// propagates.
     pub fn push_batches(&self, batches: Vec<StreamBatch>) -> Result<usize, ExacmlError> {
-        let mut per_node: HashMap<usize, Vec<StreamBatch>> = HashMap::new();
+        let mut per_node: BTreeMap<usize, Vec<StreamBatch>> = BTreeMap::new();
         for batch in batches {
-            if batch.tuples.is_empty() {
-                continue;
+            if !batch.tuples.is_empty() {
+                per_node.entry(self.owner_index(&batch.stream)).or_default().push(batch);
             }
-            per_node.entry(self.owner_index(&batch.stream)).or_default().push(batch);
         }
-        let mut owners: Vec<usize> = per_node.keys().copied().collect();
-        owners.sort_unstable();
-        for &index in &owners {
-            self.ensure_reachable(index)?;
+        let mut frames = Vec::with_capacity(per_node.len());
+        for (index, group) in per_node {
+            frames.push((index, self.reach(index)?.0, group));
         }
-        let now = self.clock.now_nanos();
+        let now = self.net.clock.now_nanos();
         let mut emitted = 0;
-        for &index in &owners {
-            let group = per_node.remove(&index).expect("grouped above");
-            emitted += self.nodes[index].apply_ingest_frame(now, group)?;
+        for (index, server, group) in frames {
+            let (applied, derived) = self.nodes[index].apply_ingest_frame(&*server, now, group);
+            self.layer.ingest_committed(index, applied);
+            emitted += derived?;
         }
         Ok(emitted)
     }
@@ -849,22 +999,28 @@ impl Fabric {
         &self,
         request: &Request,
         user_query: Option<&UserQuery>,
-    ) -> Result<FabricResponse, ExacmlError> {
+    ) -> Result<BackendResponse, ExacmlError> {
         let stream = request
             .resource_id()
             .ok_or_else(|| ExacmlError::IncompleteRequest("missing resource-id".into()))?;
         let index = self.owner_index(stream);
-        self.ensure_reachable(index)?;
+        let (server, host) = self.reach(index)?;
         let node = &self.nodes[index];
         let request_bytes = exacml_xacml::xml::write_request(request).len()
             + user_query.map_or(0, |q| q.to_xml().len());
-        let broker_network = self.broker_round_trip(node, request_bytes, 128);
-        self.telemetry.record(Stage::BrokerRoute, broker_network);
-        self.telemetry.incr(Metric::BrokerFrames);
+        let broker_network = self.net.round_trip(
+            NodeId::DataServer,
+            NodeId::Server(host as u16),
+            request_bytes,
+            128,
+            &mut node.rng.lock(),
+        );
+        self.net.telemetry.record(Stage::BrokerRoute, broker_network);
+        self.net.telemetry.incr(Metric::BrokerFrames);
         node.requests_routed.fetch_add(1, Ordering::Relaxed);
-        let response = node.server.handle_request(request, user_query)?;
+        let response = self.committed(index, server.handle_request(request, user_query))?.response;
         self.handles.insert(response.handle.clone(), index);
-        Ok(FabricResponse { node: node.id, response, broker_network })
+        Ok(BackendResponse { node: node.id, response, broker_network })
     }
 
     /// Release the access a subject holds on a stream at its owner node.
@@ -874,71 +1030,104 @@ impl Fabric {
     /// channel, and "nothing was released" is the truthful report; the
     /// grant stays held until the node returns.
     pub fn release_access(&self, subject: &str, stream: &str) -> bool {
-        if self.ensure_reachable(self.owner_index(stream)).is_err() {
-            return false;
-        }
-        let released = self.node_for_stream(stream).server.release_access(subject, stream);
+        let index = self.owner_index(stream);
+        let Ok((server, _)) = self.reach(index) else { return false };
+        let released = self.committed(index, server.release_access(subject, stream));
         if released {
-            self.prune_dead_handles();
+            self.handles.retain(|handle, owner| {
+                *owner != index || server.data_server().handle_is_live(handle)
+            });
         }
         released
     }
 
-    /// Drop routing entries whose deployment is gone, so grant/release and
-    /// policy churn do not grow the handle map without bound.
-    fn prune_dead_handles(&self) {
-        self.handles.retain(|handle, index| self.nodes[*index].server.handle_is_live(handle));
-    }
-
     /// Whether a granted handle still points at a live deployment on its
-    /// node. Unknown handles are simply not live, and neither is anything
-    /// on a node declared dead (its deployments are unreachable).
+    /// node — *including* after a failover re-minted it on another host.
+    /// Unknown handles are simply not live, and neither is anything on a
+    /// node with no live host. A read: it resolves the node (so a failover
+    /// layer fails over) but never waits on the virtual clock.
     #[must_use]
     pub fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        self.node_for_handle(handle)
-            .is_ok_and(|node| node.is_alive() && node.server.handle_is_live(handle))
+        self.handles.get(handle).is_some_and(|index| {
+            self.layer
+                .resolve(index)
+                .is_ok_and(|(server, _)| server.data_server().handle_is_live(handle))
+        })
     }
 
     /// Subscribe to a granted handle. Deliveries travel the node → broker
     /// link of the topology: poll the subscription after advancing the
-    /// fabric's virtual clock.
+    /// fabric's virtual clock. After a failover, re-subscribing with the
+    /// same handle attaches to the node's new host.
     ///
     /// # Errors
     /// Fails when the handle was not granted through this fabric, the
     /// deployment behind it is gone, or the owning node is unreachable
     /// ([`ExacmlError::NodeUnavailable`]).
     pub fn subscribe(&self, handle: &StreamHandle) -> Result<FabricSubscription, ExacmlError> {
-        let node = self.node_for_handle(handle)?;
-        let NodeId::Server(index) = node.id else {
-            return Err(ExacmlError::UnknownHandle(handle.uri().to_string()));
-        };
-        self.ensure_reachable(index as usize)?;
-        let rx = match node.server.subscribe(handle) {
-            Ok(rx) => rx,
-            Err(error) => {
-                // The deployment is gone (released or withdrawn by a policy
-                // change): evict the routing entry and report the handle as
-                // unknown, exactly as for a handle never granted here.
-                if matches!(error, ExacmlError::Dsms(exacml_dsms::DsmsError::UnknownHandle(_))) {
-                    self.handles.remove(handle);
-                    return Err(ExacmlError::UnknownHandle(handle.uri().to_string()));
-                }
-                return Err(error);
+        let unknown = || ExacmlError::UnknownHandle(handle.uri().to_string());
+        let index = self.handles.get(handle).ok_or_else(unknown)?;
+        let (server, _) = self.reach(index)?;
+        let rx = server.data_server().subscribe(handle).map_err(|error| match error {
+            // The deployment is gone (released or withdrawn by a policy
+            // change): evict the routing entry and report the handle as
+            // unknown, exactly as for a handle never granted here.
+            ExacmlError::Dsms(exacml_dsms::DsmsError::UnknownHandle(_)) => {
+                self.handles.remove(handle);
+                unknown()
             }
-        };
-        let link_spec: LinkSpec = self.config.topology.link(node.id, NodeId::DataServer);
+            other => other,
+        })?;
+        let node = self.nodes[index].id;
         let seed = self.next_link_seed.fetch_add(1, Ordering::Relaxed);
         Ok(FabricSubscription {
-            node: node.id,
+            node,
             rx,
-            link: SimLink::new(link_spec, seed),
-            clock: self.clock.clone(),
+            link: SimLink::new(self.net.topology.link(node, NodeId::DataServer), seed),
+            clock: self.net.clock.clone(),
             delivered: 0,
-            telemetry: Some(Arc::clone(&self.telemetry)),
+            telemetry: Arc::clone(&self.net.telemetry),
         })
     }
 
     // --- policy plane (fabric-wide propagation) ----------------------------
+
+    /// Run one policy-store operation on **every** node, returning each
+    /// node's answer. Every node is resolved and probed first, so a fan-out
+    /// either reaches all nodes or fails typed before mutating any of them;
+    /// after that the first refusing node stops it (earlier nodes keep the
+    /// change — policy ids make a retry idempotent per node).
+    fn propagate<T>(
+        &self,
+        op: impl Fn(&L::Server) -> Result<T, ExacmlError>,
+    ) -> Result<Vec<T>, ExacmlError> {
+        let servers = (0..self.nodes.len())
+            .map(|index| self.reach(index).map(|(server, _)| server))
+            .collect::<Result<Vec<_>, _>>()?;
+        let answers = servers
+            .iter()
+            .enumerate()
+            .map(|(index, server)| self.committed(index, op(server)))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.policy_propagations.fetch_add(self.nodes.len() as u64, Ordering::Relaxed);
+        Ok(answers)
+    }
+
+    /// A propagated policy change that withdraws deployments: sum the
+    /// per-node counts and drop the routing entries of withdrawn handles, so
+    /// policy churn does not grow the handle map without bound.
+    fn withdraw(
+        &self,
+        op: impl Fn(&L::Server) -> Result<usize, ExacmlError>,
+    ) -> Result<usize, ExacmlError> {
+        let withdrawn = self.propagate(op)?.into_iter().sum();
+        if withdrawn > 0 {
+            let servers: Vec<_> = self.servers().collect();
+            self.handles
+                .retain(|handle, owner| servers[*owner].data_server().handle_is_live(handle));
+        }
+        Ok(withdrawn)
+    }
 
     /// Load a policy on **every** node. Each node's store revision advances,
     /// invalidating its PDP decision cache. Returns the slowest node's load
@@ -951,14 +1140,8 @@ impl Fabric {
     /// node — when a node is unreachable, so propagation is never silently
     /// partial.
     pub fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        self.ensure_all_reachable()?;
-        let mut slowest = Duration::ZERO;
-        for node in &self.nodes {
-            let elapsed = node.server.load_policy(policy.clone())?;
-            slowest = slowest.max(elapsed);
-        }
-        self.policy_propagations.fetch_add(self.nodes.len() as u64, Ordering::Relaxed);
-        Ok(slowest)
+        let times = self.propagate(|server| server.load_policy(policy.clone()))?;
+        Ok(times.into_iter().max().unwrap_or_default())
     }
 
     /// Remove a policy on **every** node; query graphs it spawned are
@@ -971,16 +1154,7 @@ impl Fabric {
     /// with [`ExacmlError::NodeUnavailable`] before touching any node when
     /// one is unreachable.
     pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        self.ensure_all_reachable()?;
-        let mut withdrawn = 0;
-        for node in &self.nodes {
-            withdrawn += node.server.remove_policy(policy_id)?;
-        }
-        self.policy_propagations.fetch_add(self.nodes.len() as u64, Ordering::Relaxed);
-        if withdrawn > 0 {
-            self.prune_dead_handles();
-        }
-        Ok(withdrawn)
+        self.withdraw(|server| server.remove_policy(policy_id))
     }
 
     /// Replace a policy on **every** node; as with removal, existing query
@@ -992,16 +1166,7 @@ impl Fabric {
     /// before touching any node — a node is unreachable
     /// ([`ExacmlError::NodeUnavailable`]).
     pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        self.ensure_all_reachable()?;
-        let mut withdrawn = 0;
-        for node in &self.nodes {
-            withdrawn += node.server.update_policy(policy.clone())?;
-        }
-        self.policy_propagations.fetch_add(self.nodes.len() as u64, Ordering::Relaxed);
-        if withdrawn > 0 {
-            self.prune_dead_handles();
-        }
-        Ok(withdrawn)
+        self.withdraw(|server| server.update_policy(policy.clone()))
     }
 
     /// Load a policy from its XACML XML document on **every** node.
@@ -1009,31 +1174,31 @@ impl Fabric {
     /// # Errors
     /// Fails when the document does not parse or the policy is invalid.
     pub fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
-        let policy = exacml_xacml::xml::parse_policy(xml)?;
-        self.load_policy(policy)
+        self.load_policy(exacml_xacml::xml::parse_policy(xml)?)
     }
 
     /// Number of loaded policies per node (propagation keeps every node's
     /// store identical, so any node answers for the fabric).
     #[must_use]
     pub fn policy_count(&self) -> usize {
-        self.nodes[0].server.policy_count()
+        self.layer.current(0).0.data_server().policy_count()
     }
 
     // --- audit plane (aggregated across nodes) ------------------------------
 
-    /// Aggregate node-local audit events, tag each with its shard's
-    /// [`NodeId`], and interleave by wall-clock timestamp (sequence numbers
-    /// only order events *within* a node).
+    /// Aggregate node-local audit events, tag each with its *logical*
+    /// [`NodeId`] (a failover preserves the tags because the journal
+    /// preserves the events), and interleave by wall-clock timestamp
+    /// (sequence numbers only order events *within* a node).
     fn tagged_audit_events(
         &self,
-        fetch: impl Fn(&DataServer) -> Vec<crate::audit::AuditEvent>,
+        fetch: impl Fn(&DataServer) -> Vec<AuditEvent>,
     ) -> Vec<TaggedAuditEvent> {
         let mut events: Vec<TaggedAuditEvent> = self
-            .nodes
-            .iter()
-            .flat_map(|node| {
-                fetch(&node.server)
+            .servers()
+            .zip(&self.nodes)
+            .flat_map(|(server, node)| {
+                fetch(server.data_server())
                     .into_iter()
                     .map(move |event| TaggedAuditEvent { node: node.id, event })
             })
@@ -1043,8 +1208,8 @@ impl Fabric {
     }
 
     /// The fabric-wide audit trail: every node-local log, each event tagged
-    /// with the [`NodeId`] of the shard that recorded it, interleaved by
-    /// wall-clock timestamp.
+    /// with the [`NodeId`] of the logical node that recorded it, interleaved
+    /// by wall-clock timestamp.
     #[must_use]
     pub fn audit_events(&self) -> Vec<TaggedAuditEvent> {
         self.tagged_audit_events(DataServer::audit_events)
@@ -1059,7 +1224,7 @@ impl Fabric {
     /// Number of live deployments across all nodes.
     #[must_use]
     pub fn live_deployments(&self) -> usize {
-        self.nodes.iter().map(|n| n.server.live_deployments()).sum()
+        self.servers().map(|server| server.data_server().live_deployments()).sum()
     }
 
     /// Number of live shared plans across all nodes. Plan identity is the
@@ -1069,7 +1234,7 @@ impl Fabric {
     /// applies to.
     #[must_use]
     pub fn live_plans(&self) -> usize {
-        self.nodes.iter().map(|n| n.server.plan_count()).sum()
+        self.servers().map(|server| server.data_server().plan_count()).sum()
     }
 
     /// Number of handle → node routing entries currently tracked. Dead
@@ -1083,9 +1248,7 @@ impl Fabric {
 
 /// The rendezvous-hash (highest-random-weight) owner of `stream` among
 /// `nodes` nodes: the index whose FNV-1a weight over `(stream, index)` is
-/// highest. Case-insensitive over the stream name, deterministic, and
-/// shared with the replicated durable fabric so both brokers agree on
-/// ownership for the same node count.
+/// highest. Case-insensitive over the stream name and deterministic.
 #[must_use]
 pub fn rendezvous_owner(stream: &str, nodes: usize) -> usize {
     let canonical = stream.to_ascii_lowercase();
@@ -1139,8 +1302,8 @@ mod tests {
             let NodeId::Server(i) = owner else { panic!("owner must be a server shard") };
             per_node[i as usize] += 1;
             // The stream exists exactly on its owner.
-            for node in fabric.nodes() {
-                let has = node.server.engine().stream_schema(name).is_ok();
+            for (node, server) in fabric.nodes().iter().zip(fabric.layer().servers()) {
+                let has = server.engine().stream_schema(name).is_ok();
                 assert_eq!(has, node.id() == owner, "stream {name} misplaced on {}", node.id());
             }
         }
@@ -1210,10 +1373,10 @@ mod tests {
         }
         assert_eq!(fabric.stats().tuples_routed, 6 * 11);
         let per_node_ingested: u64 =
-            fabric.nodes().iter().map(|n| n.server.engine_stats().tuples_ingested).sum();
+            fabric.layer().servers().iter().map(|s| s.engine_stats().tuples_ingested).sum();
         assert_eq!(per_node_ingested, 6 * 11);
-        for node in fabric.nodes() {
-            assert_eq!(node.tuples_routed(), node.server.engine_stats().tuples_ingested);
+        for (node, server) in fabric.nodes().iter().zip(fabric.layer().servers()) {
+            assert_eq!(node.tuples_routed(), server.engine_stats().tuples_ingested);
         }
         assert!(fabric.push("unregistered", weather_tuple(&schema, 0, 1.0)).is_err());
     }
@@ -1225,11 +1388,11 @@ mod tests {
         let policy =
             StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate > 5").build();
         let before: Vec<u64> =
-            fabric.nodes().iter().map(|n| n.server.policy_store().revision()).collect();
+            fabric.layer().servers().iter().map(|s| s.policy_store().revision()).collect();
         fabric.load_policy(policy).unwrap();
-        for (node, revision) in fabric.nodes().iter().zip(&before) {
-            assert_eq!(node.server.policy_count(), 1);
-            assert!(node.server.policy_store().revision() > *revision);
+        for (server, revision) in fabric.layer().servers().iter().zip(&before) {
+            assert_eq!(server.policy_count(), 1);
+            assert!(server.policy_store().revision() > *revision);
         }
         assert_eq!(fabric.stats().policy_propagations, 3);
 
@@ -1237,8 +1400,8 @@ mod tests {
             StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate > 50").build();
         fabric.update_policy(updated).unwrap();
         fabric.remove_policy("p").unwrap();
-        for node in fabric.nodes() {
-            assert_eq!(node.server.policy_count(), 0);
+        for server in fabric.layer().servers() {
+            assert_eq!(server.policy_count(), 0);
         }
         assert_eq!(fabric.stats().policy_propagations, 9);
         assert!(fabric.remove_policy("p").is_err());
@@ -1284,29 +1447,6 @@ mod tests {
         // Exactly-once: nothing more arrives.
         fabric.advance(Duration::from_secs(1));
         assert!(subscription.poll().is_empty());
-    }
-
-    #[test]
-    fn handle_routing_entries_do_not_grow_with_grant_release_churn() {
-        let fabric = Fabric::new(FabricConfig::local(2));
-        fabric.register_stream("weather", Schema::weather_example()).unwrap();
-        let policy =
-            StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate > 5").build();
-        fabric.load_policy(policy).unwrap();
-        for _ in 0..10 {
-            let granted =
-                fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-            assert_eq!(fabric.routed_handles(), 1);
-            assert!(fabric.release_access("LTA", "weather"));
-            assert_eq!(fabric.routed_handles(), 0, "released handles must be pruned");
-            let _ = granted;
-        }
-        // Policy withdrawal prunes too.
-        let granted = fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-        assert_eq!(fabric.routed_handles(), 1);
-        assert_eq!(fabric.remove_policy("p").unwrap(), 1);
-        assert_eq!(fabric.routed_handles(), 0);
-        assert!(!fabric.handle_is_live(&granted.response.handle));
     }
 
     #[test]
@@ -1357,8 +1497,8 @@ mod tests {
         let p2 =
             StreamPolicyBuilder::new("p2", "weather").subject("EMA").filter("rainrate > 1").build();
         assert!(matches!(fabric.load_policy(p2), Err(ExacmlError::NodeUnavailable { .. })));
-        for node in fabric.nodes() {
-            assert_eq!(node.server().policy_count(), 1, "partial propagation");
+        for server in fabric.layer().servers() {
+            assert_eq!(server.policy_count(), 1, "partial propagation");
         }
         // Release has no error channel: nothing is released, grant survives.
         assert!(!fabric.release_access("LTA", "weather"));
@@ -1368,68 +1508,6 @@ mod tests {
         assert!(fabric.degraded_nodes().is_empty());
         assert!(fabric.handle_is_live(&granted.response.handle));
         assert!(fabric.release_access("LTA", "weather"));
-    }
-
-    #[test]
-    fn transient_link_faults_degrade_to_retries() {
-        use exacml_simnet::{Fault, FaultPlan};
-        // The link to every server node drops during [0, 3ms); the default
-        // retry policy backs off 2ms + 4ms, outliving the window.
-        let plan = FaultPlan::new()
-            .inject(
-                Fault::NodeDown { node: NodeId::Server(0) },
-                Duration::ZERO,
-                Duration::from_millis(3),
-            )
-            .inject(
-                Fault::NodeDown { node: NodeId::Server(1) },
-                Duration::ZERO,
-                Duration::from_millis(3),
-            );
-        let config = FabricConfig::local(2).with_fault_plan(Arc::new(plan));
-        let fabric = Fabric::new(config);
-        fabric.register_stream("weather", Schema::weather_example()).unwrap();
-        assert!(fabric.robustness().broker_retries > 0);
-        assert!(fabric.clock().now_nanos() >= 3_000_000, "retries consumed virtual time");
-
-        // A permanent fault exhausts the budget and reports typed failure.
-        let forever = FaultPlan::new()
-            .inject_forever(Fault::NodeDown { node: NodeId::Server(0) }, Duration::ZERO)
-            .inject_forever(Fault::NodeDown { node: NodeId::Server(1) }, Duration::ZERO);
-        let fabric = Fabric::new(FabricConfig::local(2).with_fault_plan(Arc::new(forever)));
-        assert!(matches!(
-            fabric.register_stream("weather", Schema::weather_example()),
-            Err(ExacmlError::NodeUnavailable { .. })
-        ));
-    }
-
-    #[test]
-    fn latency_spikes_inflate_the_broker_hop() {
-        use exacml_simnet::{Fault, FaultPlan};
-        let spike = FaultPlan::new().inject_forever(
-            Fault::LatencySpike { a: NodeId::DataServer, b: NodeId::Server(0), factor: 50.0 },
-            Duration::ZERO,
-        );
-        let slow = Fabric::new(
-            FabricConfig::new(1, Topology::uniform(LinkSpec::constant(300.0, 100.0)))
-                .with_fault_plan(Arc::new(spike)),
-        );
-        let fast =
-            Fabric::new(FabricConfig::new(1, Topology::uniform(LinkSpec::constant(300.0, 100.0))));
-        for fabric in [&slow, &fast] {
-            fabric.register_stream("weather", Schema::weather_example()).unwrap();
-            fabric
-                .load_policy(
-                    StreamPolicyBuilder::new("p", "weather")
-                        .subject("LTA")
-                        .filter("rainrate > 5")
-                        .build(),
-                )
-                .unwrap();
-        }
-        let spiked = slow.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-        let normal = fast.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-        assert!(spiked.broker_network > normal.broker_network * 10);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use backend::{
 pub use client::{ClientInterface, RequestResult};
 pub use error::ExacmlError;
 pub use fabric::{
-    rendezvous_owner, DeliveredTuple, Fabric, FabricConfig, FabricNode, FabricResponse,
-    FabricStats, FabricSubscription, RetryPolicy,
+    node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,
+    FabricNode, FabricStats, FabricSubscription, NodeServer, Placement, RetryPolicy,
 };
 pub use merge::{merge_graphs, MergeOptions, MergeOutcome};
 pub use metrics::{RequestTiming, RobustnessStats, TimingBreakdown};
@@ -89,8 +89,8 @@ pub mod prelude {
     pub use crate::client::{ClientInterface, RequestResult};
     pub use crate::error::ExacmlError;
     pub use crate::fabric::{
-        rendezvous_owner, DeliveredTuple, Fabric, FabricConfig, FabricNode, FabricResponse,
-        FabricStats, FabricSubscription, RetryPolicy,
+        rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet, FabricNode,
+        FabricStats, FabricSubscription, NodeServer, Placement, RetryPolicy,
     };
     pub use crate::merge::{merge_graphs, MergeOptions, MergeOutcome};
     pub use crate::metrics::{RequestTiming, RobustnessStats, TimingBreakdown};

@@ -47,7 +47,7 @@ pub mod server;
 pub mod snapshot;
 pub mod wal;
 
-pub use fabric::{ReplicatedConfig, ReplicatedFabric};
+pub use fabric::{ReplicatedConfig, ReplicatedFabric, Replication};
 pub use record::{GrantRecord, Record};
 pub use replication::{ReplicaMirror, ShipOutcome};
 pub use server::{DurableConfig, DurableServer, JournalMark, RecoveryReport, TopologyPreset};

@@ -48,8 +48,8 @@ use crate::wal::{read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWrit
 use exacml_dsms::{DsmsError, Schema, StreamHandle, Tuple};
 use exacml_plus::{
     AccessControl, AuditEvent, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError,
-    MergeOptions, PolicyAdmin, RobustnessStats, ServerConfig, StreamBackend, Subscription,
-    TaggedAuditEvent, UserQuery,
+    MergeOptions, NodeServer, PolicyAdmin, RobustnessStats, ServerConfig, StreamBackend,
+    Subscription, TaggedAuditEvent, UserQuery,
 };
 use exacml_simnet::{NodeId, Topology};
 use exacml_telemetry::{Metric, Stage, TelemetrySnapshot};
@@ -1087,6 +1087,12 @@ impl DurableServer {
 }
 
 // --- the unified backend API -----------------------------------------------
+
+impl NodeServer for DurableServer {
+    fn data_server(&self) -> &DataServer {
+        &self.inner
+    }
+}
 
 impl StreamBackend for DurableServer {
     fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {

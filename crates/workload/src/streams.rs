@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(gps.pump_into(&fabric, "gps", 10).unwrap(), 0);
         assert_eq!(fabric.stats().tuples_routed, 6 * 20 + 10);
         let ingested: u64 =
-            fabric.nodes().iter().map(|n| n.server().engine_stats().tuples_ingested).sum();
+            fabric.layer().servers().iter().map(|s| s.engine_stats().tuples_ingested).sum();
         assert_eq!(ingested, 6 * 20 + 10);
         assert!(weather.pump_into(&fabric, "nosuch", 1).is_err());
     }

@@ -19,9 +19,7 @@
 //! For the unconfigured cases, `exacml_plus` also ships
 //! `<dyn Backend>::local()` / `<dyn Backend>::fabric(n)` shorthands.
 
-use exacml_durable::{
-    DurableConfig, DurableServer, ReplicatedConfig, ReplicatedFabric, TopologyPreset,
-};
+use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, Replication, TopologyPreset};
 use exacml_plus::{
     Backend, DataServer, ExacmlError, Fabric, FabricConfig, MergeOptions, ServerConfig,
 };
@@ -40,8 +38,8 @@ enum Shape {
     Fabric(usize),
     /// One data server wrapped in WAL + snapshot persistence at this path.
     Durable(PathBuf),
-    /// N durable nodes behind the broker, with WAL shipping and failover,
-    /// rooted at this path.
+    /// N durable nodes behind the same broker, over the replication layer
+    /// (WAL shipping and failover), rooted at this path.
     Replicated(usize, PathBuf),
 }
 
@@ -86,33 +84,10 @@ impl BackendBuilder {
         BackendBuilder::new(Shape::Single, TopologyPreset::Local)
     }
 
-    /// A single data server on the paper's coordinator/broker/server
-    /// testbed links.
-    #[deprecated(note = "use `BackendBuilder::local().topology(TopologyPreset::PaperTestbed)`")]
-    #[must_use]
-    pub fn server() -> Self {
-        BackendBuilder::local().topology(TopologyPreset::PaperTestbed)
-    }
-
     /// An N-node brokering fabric on loopback links.
     #[must_use]
     pub fn fabric(nodes: usize) -> Self {
         BackendBuilder::new(Shape::Fabric(nodes.max(1)), TopologyPreset::Local)
-    }
-
-    /// An N-node fabric on the paper's testbed links.
-    #[deprecated(note = "use `BackendBuilder::fabric(n).topology(TopologyPreset::PaperTestbed)`")]
-    #[must_use]
-    pub fn paper_testbed(nodes: usize) -> Self {
-        BackendBuilder::fabric(nodes).topology(TopologyPreset::PaperTestbed)
-    }
-
-    /// An N-node fabric whose client-facing hop crosses a WAN (the paper's
-    /// "migrate to a commercial cloud" what-if).
-    #[deprecated(note = "use `BackendBuilder::fabric(n).topology(TopologyPreset::PublicCloud)`")]
-    #[must_use]
-    pub fn public_cloud(nodes: usize) -> Self {
-        BackendBuilder::fabric(nodes).topology(TopologyPreset::PublicCloud)
     }
 
     /// Pick the deployment topology by its named preset — **the** way to
@@ -128,12 +103,9 @@ impl BackendBuilder {
     /// assert_eq!(cloud.backend_kind(), "fabric-3");
     /// ```
     ///
-    /// This replaces the old per-preset constructor fan
-    /// (`server()` / `paper_testbed(n)` / `public_cloud(n)`), which survive
-    /// as deprecated wrappers. Unlike
-    /// [`with_topology`](BackendBuilder::with_topology) (a raw link-table
-    /// override), the preset has a *name*, so durable stores can persist it
-    /// and recover onto the same topology.
+    /// Unlike [`with_topology`](BackendBuilder::with_topology) (a raw
+    /// link-table override), the preset has a *name*, so durable stores can
+    /// persist it and recover onto the same topology.
     #[must_use]
     pub fn topology(mut self, preset: TopologyPreset) -> Self {
         self.topology = preset.topology();
@@ -310,12 +282,13 @@ impl BackendBuilder {
                 Arc::new(DurableServer::open(path, config)?)
             }
             Shape::Replicated(nodes, ref path) => {
-                let config = ReplicatedConfig::new(nodes, path)
-                    .with_topology(self.topology.clone())
+                let fabric = FabricConfig::new(nodes, self.topology.clone())
                     .with_seed(self.seed)
+                    .with_server_template(self.durable_config());
+                let config = ReplicatedConfig::new(nodes, path)
                     .with_replication(self.replication)
-                    .with_durable_template(self.durable_config());
-                Arc::new(ReplicatedFabric::create(config)?)
+                    .with_fabric(|_| fabric);
+                Arc::new(Replication::create(config)?)
             }
         })
     }
@@ -363,15 +336,6 @@ mod tests {
         );
         // A zero-node fabric is clamped to one node rather than panicking.
         assert_eq!(BackendBuilder::fabric(0).build().backend_kind(), "fabric-1");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_preset_constructors_still_build_the_same_backends() {
-        // The old method fan survives as thin wrappers over `.topology()`.
-        assert_eq!(BackendBuilder::server().build().backend_kind(), "data-server");
-        assert_eq!(BackendBuilder::paper_testbed(2).build().backend_kind(), "fabric-2");
-        assert_eq!(BackendBuilder::public_cloud(2).build().backend_kind(), "fabric-2");
     }
 
     #[test]

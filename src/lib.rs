@@ -74,7 +74,9 @@
 //! a fabric of N durable nodes whose journals ship to K peer hosts, so a
 //! *node loss* (not just a restart) keeps every acknowledged grant — a
 //! surviving peer replays the shipped journal and re-mints the dead node's
-//! handles at their recorded URIs ([`exacml_durable::ReplicatedFabric`]).
+//! handles at their recorded URIs. It is the same [`Fabric`](exacml_plus::Fabric)
+//! broker as `fabric(n)`, over the [`exacml_durable::Replication`] placement
+//! layer ([`exacml_durable::ReplicatedFabric`]).
 //! The record format and crash-consistency guarantees are specified in
 //! `docs/RECOVERY.md`; where every layer sits is mapped in
 //! `docs/ARCHITECTURE.md`.
@@ -107,14 +109,7 @@
 //!   transport;
 //! * `feed.pump_into(&engine, …)` / `feed.pump_into_fabric(&fabric, …)` →
 //!   one generic `feed.pump_into(&backend, …)` accepting any
-//!   [`StreamBackend`](exacml_plus::StreamBackend);
-//! * the per-preset builder constructors `BackendBuilder::server()`,
-//!   `BackendBuilder::paper_testbed(n)` and
-//!   `BackendBuilder::public_cloud(n)` are `#[deprecated]`: the topology is
-//!   an orthogonal axis now, picked by name on any shape —
-//!   `BackendBuilder::local().topology(TopologyPreset::PaperTestbed)`,
-//!   `BackendBuilder::fabric(n).topology(TopologyPreset::PublicCloud)`,
-//!   and so on (see [`BackendBuilder::topology`]).
+//!   [`StreamBackend`](exacml_plus::StreamBackend).
 //!
 //! # Workspace map
 //!
@@ -189,13 +184,13 @@ pub mod prelude {
     pub use exacml_dsms::{AggFunc, AggSpec, WindowSpec};
     pub use exacml_durable::{
         DurableConfig, DurableServer, FailMode, RecoveryReport, ReplicatedConfig, ReplicatedFabric,
-        TopologyPreset, WalFailpoint,
+        Replication, TopologyPreset, WalFailpoint,
     };
     pub use exacml_plus::{
         AccessControl, AccessResponse, Backend, BackendHealth, BackendResponse, DataServer,
-        ExacmlError, Fabric, FabricConfig, MergeOptions, PlanId, PolicyAdmin, RetryPolicy,
-        RobustnessStats, ServerConfig, StreamBackend, StreamBatch, StreamPolicyBuilder,
-        Subscription, TaggedAuditEvent, UserQuery, Warning, WarningKind,
+        ExacmlError, Fabric, FabricConfig, MergeOptions, Placement, PlanId, PolicyAdmin,
+        RetryPolicy, RobustnessStats, ServerConfig, StreamBackend, StreamBatch,
+        StreamPolicyBuilder, Subscription, TaggedAuditEvent, UserQuery, Warning, WarningKind,
     };
     pub use exacml_simnet::{Fault, FaultPlan, NodeId, TimedFault, Topology};
     pub use exacml_telemetry::{Metric, Stage, StageSnapshot, Telemetry, TelemetrySnapshot};

@@ -397,11 +397,13 @@ fn telemetry_snapshots_reconcile_on_every_shape() {
         let schema = Schema::weather_example().shared();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         backend.load_policy(rain_policy("p", "weather", "LTA")).unwrap();
-        backend.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        let granted = backend.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        let mut subscription = backend.subscribe(granted.handle()).unwrap();
         // A denied request records into the same registry.
         assert!(backend.handle_request(&Request::subscribe("EMA", "weather"), None).is_err());
         let batch: Vec<Tuple> = (0..20).map(|k| weather_tuple(&schema, k, 10.0)).collect();
         assert_eq!(backend.push_batch("weather", batch).unwrap(), 20, "{kind}");
+        assert_eq!(subscription.drain().len(), 20, "{kind}");
 
         let snapshot = backend.telemetry();
         assert_eq!(snapshot.node, kind, "{kind}: snapshot carries the backend kind");
@@ -420,6 +422,12 @@ fn telemetry_snapshots_reconcile_on_every_shape() {
                 snapshot.nodes.iter().map(|part| part.counter(Metric::TuplesIngested)).sum();
             assert_eq!(node_ingest, 20, "{kind}: sub-snapshots reconcile with the aggregate");
             assert!(snapshot.counter(Metric::BrokerFrames) > 0, "{kind}");
+            // One assembly path, one tag scheme: the broker part, then each
+            // part under its logical node id; a drained subscription shows
+            // as delivery latency whatever layer the fabric runs over.
+            let tags: Vec<&str> = snapshot.nodes.iter().map(|part| part.node.as_str()).collect();
+            assert_eq!(tags, ["broker", "server-0", "server-1", "server-2"], "{kind}");
+            assert_eq!(snapshot.stage(Stage::Delivery).map(|s| s.count), Some(20), "{kind}");
         } else {
             assert!(snapshot.nodes.is_empty(), "{kind}: single-node snapshots are flat");
         }

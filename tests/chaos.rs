@@ -23,7 +23,8 @@
 //! telemetry snapshot there as JSON so the nightly workflow can upload it
 //! as a build artifact.
 
-use exacml::exacml_durable::{ReplicatedConfig, ReplicatedFabric};
+use exacml::exacml_durable::{ReplicatedConfig, Replication};
+use exacml::exacml_plus::AuditEventKind;
 use exacml::prelude::*;
 use exacml_dsms::{Schema, StreamHandle, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,8 +75,10 @@ fn killing_a_host_mid_churn_loses_no_grants() {
 
     let root = fresh_root("kill");
     let fabric = Arc::new(
-        ReplicatedFabric::create(ReplicatedConfig::new(3, &root).with_replication(1).with_seed(7))
-            .unwrap(),
+        Replication::create(
+            ReplicatedConfig::new(3, &root).with_replication(1).with_fabric(|f| f.with_seed(7)),
+        )
+        .unwrap(),
     );
     let schema = Schema::weather_example().shared();
 
@@ -111,9 +114,9 @@ fn killing_a_host_mid_churn_loses_no_grants() {
         .collect();
     // The victim: the host currently backing s1's owner (s1 is never
     // released, so the victim holds at least one live grant).
-    let victim = fabric.host_of(owner_of["s1"] as usize);
+    let victim = fabric.layer().host_of(owner_of["s1"] as usize);
     let victim_grants = (0..streams)
-        .filter(|i| fabric.host_of(owner_of[&format!("s{i}")] as usize) == victim)
+        .filter(|i| fabric.layer().host_of(owner_of[&format!("s{i}")] as usize) == victim)
         .count();
     let audit_before: BTreeSet<(NodeId, u64, String)> = fabric
         .audit_events()
@@ -154,7 +157,7 @@ fn killing_a_host_mid_churn_loses_no_grants() {
             fabric.handle_is_live(&StreamHandle::from_uri(uri.clone())),
             "{stream}'s grant must survive the kill at its recorded URI"
         );
-        assert_ne!(fabric.host_of(owner_of[stream] as usize), victim);
+        assert_ne!(fabric.layer().host_of(owner_of[stream] as usize), victim);
     }
     // The released grant stays released — failover must not resurrect it.
     assert!(!fabric.handle_is_live(&StreamHandle::from_uri(released_uri)));
@@ -217,9 +220,10 @@ fn killing_a_host_mid_churn_loses_no_grants() {
 #[test]
 fn subscription_to_a_failed_over_handle_keeps_delivering() {
     let root = fresh_root("deliver");
-    let fabric =
-        ReplicatedFabric::create(ReplicatedConfig::new(3, &root).with_replication(2).with_seed(3))
-            .unwrap();
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root).with_replication(2).with_fabric(|f| f.with_seed(3)),
+    )
+    .unwrap();
     let schema = Schema::weather_example().shared();
     fabric.register_stream("weather", Schema::weather_example()).unwrap();
     fabric
@@ -229,7 +233,7 @@ fn subscription_to_a_failed_over_handle_keeps_delivering() {
     let held = StreamHandle::from_uri(granted.handle().uri().to_string());
 
     let NodeId::Server(owner) = fabric.owner_of("weather") else { unreachable!() };
-    fabric.kill_node(fabric.host_of(owner as usize));
+    fabric.kill_node(fabric.layer().host_of(owner as usize));
 
     // The old subscription's node is gone; attaching to the held URI again
     // reaches the adopted deployment.
@@ -270,8 +274,10 @@ fn crash_and_fault_windows_from_a_plan_degrade_to_retries() {
                 Duration::from_millis(100),
             ),
     );
-    let fabric = ReplicatedFabric::create(
-        ReplicatedConfig::new(3, &root).with_replication(1).with_seed(5).with_fault_plan(plan),
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root)
+            .with_replication(1)
+            .with_fabric(|f| f.with_seed(5).with_fault_plan(plan)),
     )
     .unwrap();
     let schema = Schema::weather_example().shared();
@@ -291,11 +297,11 @@ fn crash_and_fault_windows_from_a_plan_degrade_to_retries() {
     fabric
         .push_batch("weather", (0..6).map(|i| weather_tuple(&schema, i, 10.0)).collect())
         .unwrap();
-    assert!(!fabric.host_is_alive(2), "the Crash window must have killed host 2");
+    assert!(!fabric.layer().host_is_alive(2), "the Crash window must have killed host 2");
     // Touch every node so any that lived on host 2 adopts a survivor.
     for logical in 0..3 {
-        fabric.node_server(logical).unwrap();
-        assert_ne!(fabric.host_of(logical), 2);
+        fabric.layer().node_server(logical).unwrap();
+        assert_ne!(fabric.layer().host_of(logical), 2);
     }
     assert!(fabric.handle_is_live(&StreamHandle::from_uri(granted.handle().uri().to_string())));
     assert!(fabric.robustness().failovers_completed >= 1);
@@ -304,8 +310,8 @@ fn crash_and_fault_windows_from_a_plan_degrade_to_retries() {
     // and replication settles back to zero lag.
     fabric.advance(Duration::from_millis(60));
     fabric.restart_node(2);
-    fabric.settle_replication();
-    assert_eq!(fabric.replication_lag(), 0);
+    fabric.layer().settle_replication();
+    assert_eq!(fabric.layer().replication_lag(), 0);
     assert!(fabric.degraded_nodes().is_empty());
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -332,8 +338,10 @@ fn batched_push_is_exactly_once_under_fault_windows() {
                 Duration::from_millis(200),
             ),
     );
-    let fabric = ReplicatedFabric::create(
-        ReplicatedConfig::new(3, &root).with_replication(1).with_seed(11).with_fault_plan(plan),
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root)
+            .with_replication(1)
+            .with_fabric(|f| f.with_seed(11).with_fault_plan(plan)),
     )
     .unwrap();
     let schema = Schema::weather_example().shared();
@@ -382,8 +390,8 @@ fn batched_push_is_exactly_once_under_fault_windows() {
 
     // WAL shipping amortises per frame, not per tuple; the mirrors settle
     // back to zero lag once replication catches up.
-    fabric.settle_replication();
-    assert_eq!(fabric.replication_lag(), 0);
+    fabric.layer().settle_replication();
+    assert_eq!(fabric.layer().replication_lag(), 0);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -392,14 +400,59 @@ fn batched_push_is_exactly_once_under_fault_windows() {
 #[test]
 fn losing_every_host_of_a_node_is_a_typed_error() {
     let root = fresh_root("total");
-    let fabric =
-        ReplicatedFabric::create(ReplicatedConfig::new(2, &root).with_replication(1).with_seed(9))
-            .unwrap();
+    let fabric = Replication::create(
+        ReplicatedConfig::new(2, &root).with_replication(1).with_fabric(|f| f.with_seed(9)),
+    )
+    .unwrap();
     fabric.register_stream("weather", Schema::weather_example()).unwrap();
     let NodeId::Server(owner) = fabric.owner_of("weather") else { unreachable!() };
     fabric.kill_node(0);
     fabric.kill_node(1);
-    let err = fabric.node_server(owner as usize).err().expect("must fail");
+    let err = fabric.layer().node_server(owner as usize).err().expect("must fail");
     assert!(matches!(err, ExacmlError::NodeUnavailable { .. }), "got {err:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A refusal journals too. The denial's audit record must reach the mirrors
+/// exactly like a grant's: no replication lag left behind, no degraded
+/// health, and the event still there — under the same logical node tag —
+/// after the owner's host dies.
+#[test]
+fn a_denied_request_is_shipped_and_survives_its_owner() {
+    let root = fresh_root("denial");
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root).with_replication(1).with_fabric(|f| f.with_seed(13)),
+    )
+    .unwrap();
+    fabric.register_stream("weather", Schema::weather_example()).unwrap();
+    fabric
+        .load_policy(
+            StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate > 5").build(),
+        )
+        .unwrap();
+    let owner = fabric.owner_of("weather");
+    let NodeId::Server(logical) = owner else { unreachable!() };
+    let owner_events = |fabric: &ReplicatedFabric| -> Vec<(u64, AuditEventKind)> {
+        fabric
+            .audit_events()
+            .iter()
+            .filter(|t| t.node == owner)
+            .map(|t| (t.event.sequence, t.event.kind))
+            .collect()
+    };
+
+    // No policy names this subject: the PDP refuses and the node journals
+    // the refusal.
+    let denied = fabric.handle_request(&Request::subscribe("mallory", "weather"), None);
+    assert!(matches!(denied, Err(ExacmlError::AccessDenied { .. })), "got {denied:?}");
+    assert_eq!(fabric.layer().replication_lag(), 0, "the denial must ship before the answer");
+    assert!(!fabric.health().is_degraded());
+    let before = owner_events(&fabric);
+    assert!(before.iter().any(|(_, kind)| *kind == AuditEventKind::Denied));
+
+    fabric.kill_node(fabric.layer().host_of(logical as usize));
+    fabric.layer().node_server(logical as usize).unwrap(); // touch → failover
+    assert_eq!(fabric.robustness().failovers_completed, 1);
+    assert_eq!(owner_events(&fabric), before, "the adopter must replay the denial too");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -3,18 +3,24 @@
 //! through the facade crate. Backend-agnostic semantics (grant/release,
 //! policy churn, audit) are pinned by `tests/backend_conformance.rs`; this
 //! suite covers what is *specific* to the fabric — routing exactness,
-//! fabric-wide cache invalidation, and virtual-clock delivery.
+//! fabric-wide cache invalidation, virtual-clock delivery, and (on the plain
+//! *and* the replicated shape, one body each) the broker's failure paths.
 
 use exacml::exacml_dsms::{Schema, Tuple, Value};
+use exacml::exacml_durable::{DurableConfig, ReplicatedConfig, Replication};
+use exacml::exacml_plus::{rendezvous_owner, Direct};
+use exacml::exacml_simnet::{Clock, LinkSpec};
 use exacml::exacml_xacml::Decision;
 use exacml::prelude::*;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const NODES: usize = 3;
 const STREAMS: usize = 12;
 
-fn marker_tuple(schema: &std::sync::Arc<Schema>, stream_index: usize, sequence: usize) -> Tuple {
+fn marker_tuple(schema: &Arc<Schema>, stream_index: usize, sequence: usize) -> Tuple {
     let marker = (stream_index as i64) * 1_000_000_000 + sequence as i64;
     Tuple::builder_shared(schema)
         .set("samplingtime", Value::Timestamp(marker))
@@ -50,8 +56,9 @@ fn stream_ownership_routing_is_exact() {
         let hosting: Vec<NodeId> = fabric
             .nodes()
             .iter()
-            .filter(|n| n.server().engine().stream_schema(name).is_ok())
-            .map(|n| n.id())
+            .zip(fabric.layer().servers())
+            .filter(|(_, server)| server.engine().stream_schema(name).is_ok())
+            .map(|(node, _)| node.id())
             .collect();
         assert_eq!(hosting, vec![owner], "stream {name} must live exactly on its owner");
     }
@@ -65,10 +72,10 @@ fn stream_ownership_routing_is_exact() {
         assert!(fabric.handle_is_live(&response.response.handle));
         assert!(handles.insert(response.response.handle.uri().to_string()));
     }
-    for node in fabric.nodes() {
+    for (node, server) in fabric.nodes().iter().zip(fabric.layer().servers()) {
         let owned = names.iter().filter(|n| fabric.owner_of(n) == node.id()).count();
         assert_eq!(node.requests_routed(), owned as u64);
-        assert_eq!(node.server().live_deployments(), owned);
+        assert_eq!(server.live_deployments(), owned);
     }
     assert_eq!(fabric.live_deployments(), STREAMS);
 }
@@ -84,13 +91,13 @@ fn policy_update_invalidates_every_nodes_pdp_cache() {
 
     // Warm every node's decision cache with a direct PDP evaluation.
     let request = Request::subscribe("LTA", "stream0");
-    for node in fabric.nodes() {
-        let decision = node.server().pdp().evaluate(&request);
+    for server in fabric.layer().servers() {
+        let decision = server.pdp().evaluate(&request);
         assert!(decision.is_permit());
-        assert!(node.server().pdp().cached_decisions() >= 1, "cache must be warm");
+        assert!(server.pdp().cached_decisions() >= 1, "cache must be warm");
     }
     let revisions: Vec<u64> =
-        fabric.nodes().iter().map(|n| n.server().policy_store().revision()).collect();
+        fabric.layer().servers().iter().map(|s| s.policy_store().revision()).collect();
 
     // A policy update at the broker must advance every node's revision
     // counter and produce the *new* decision on every node (cache miss →
@@ -100,13 +107,14 @@ fn policy_update_invalidates_every_nodes_pdp_cache() {
         .filter("rainrate > 50")
         .build();
     fabric.update_policy(updated).unwrap();
-    for (node, old_revision) in fabric.nodes().iter().zip(&revisions) {
+    let servers = fabric.nodes().iter().zip(fabric.layer().servers());
+    for ((node, server), old_revision) in servers.clone().zip(&revisions) {
         assert!(
-            node.server().policy_store().revision() > *old_revision,
+            server.policy_store().revision() > *old_revision,
             "node {} revision did not advance",
             node.id()
         );
-        let fresh = node.server().pdp().evaluate(&request);
+        let fresh = server.pdp().evaluate(&request);
         assert!(fresh.is_permit());
         let obligations = format!("{:?}", fresh.obligations);
         assert!(
@@ -118,8 +126,8 @@ fn policy_update_invalidates_every_nodes_pdp_cache() {
 
     // Removal: no node may keep serving the cached permit.
     fabric.remove_policy("shared-policy").unwrap();
-    for node in fabric.nodes() {
-        let gone = node.server().pdp().evaluate(&request);
+    for (node, server) in servers {
+        let gone = server.pdp().evaluate(&request);
         assert_eq!(
             gone.decision,
             Decision::NotApplicable,
@@ -237,7 +245,6 @@ fn delivery_is_exactly_once_with_latency_ordered_timestamps() {
 /// `Subscription::drain_settled`.
 #[test]
 fn batched_routing_survives_fault_windows_exactly_once() {
-    use std::sync::Arc;
     const PER_STREAM: usize = 50;
     // The broker→node0 link drops during [50ms, 56ms) of virtual time (the
     // default retry budget of 2+4+8ms outlives the window) and node1's link
@@ -349,4 +356,189 @@ fn fabric_release_access_edge_cases_match_single_server_semantics() {
         fabric.subscribe(&response.response.handle),
         Err(ExacmlError::UnknownHandle(_))
     ));
+}
+
+// --- failure paths, on both fabric shapes -------------------------------------
+//
+// There is one broker, so each failure-path test below is written once,
+// generically over the placement layer, and run on the plain fabric and on
+// the replicated one. The shapes differ in exactly one expected answer: what
+// happens to a node after its host is killed.
+
+/// One fabric shape, built from the configuration every shape shares.
+trait Shape {
+    type Layer: Placement;
+    /// Whether a node whose host was killed answers again on its next touch
+    /// (failover) rather than with a typed error until the host restarts.
+    const FAILS_OVER: bool;
+    fn build(config: FabricConfig) -> Fabric<Self::Layer>;
+}
+
+struct Plain;
+struct Replicated;
+
+impl Shape for Plain {
+    type Layer = Direct;
+    const FAILS_OVER: bool = false;
+    fn build(config: FabricConfig) -> Fabric {
+        Fabric::new(config)
+    }
+}
+
+impl Shape for Replicated {
+    type Layer = Replication;
+    const FAILS_OVER: bool = true;
+    fn build(config: FabricConfig) -> ReplicatedFabric {
+        static STORES: AtomicUsize = AtomicUsize::new(0);
+        let n = STORES.fetch_add(1, Ordering::Relaxed);
+        let root =
+            std::env::temp_dir().join(format!("exacml-fabric-it-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = ReplicatedConfig::new(config.nodes, root)
+            .with_fabric(|_| config.with_server_template(DurableConfig::local()));
+        Replication::create(config).unwrap()
+    }
+}
+
+fn rain_policy(id: &str, stream: &str) -> Policy {
+    StreamPolicyBuilder::new(id, stream).subject("LTA").filter("rainrate > 5").build()
+}
+
+#[test]
+fn transient_link_faults_degrade_to_retries() {
+    fn on<S: Shape>() {
+        // Every broker→node link drops during [50ms, 53ms); the default
+        // retry policy backs off 2ms + 4ms, outliving the window.
+        let window = (Duration::from_millis(50), Duration::from_millis(53));
+        let plan = FaultPlan::new()
+            .inject(Fault::NodeDown { node: NodeId::Server(0) }, window.0, window.1)
+            .inject(Fault::NodeDown { node: NodeId::Server(1) }, window.0, window.1);
+        let fabric = S::build(FabricConfig::local(2).with_fault_plan(Arc::new(plan)));
+        assert_eq!(fabric.robustness().broker_retries, 0);
+        let now = || Duration::from_nanos(fabric.clock().now_nanos());
+        fabric.advance(window.0 - now());
+        fabric.register_stream("weather", Schema::weather_example()).unwrap();
+        assert!(fabric.robustness().broker_retries > 0);
+        assert!(now() >= window.1, "retries consumed virtual time");
+
+        // A permanent fault exhausts the budget and reports typed failure,
+        // naming the logical node and, in the detail, its host.
+        let forever = FaultPlan::new()
+            .inject_forever(Fault::NodeDown { node: NodeId::Server(0) }, Duration::ZERO)
+            .inject_forever(Fault::NodeDown { node: NodeId::Server(1) }, Duration::ZERO);
+        let fabric = S::build(FabricConfig::local(2).with_fault_plan(Arc::new(forever)));
+        let owner = fabric.owner_of("weather");
+        match fabric.register_stream("weather", Schema::weather_example()) {
+            Err(ExacmlError::NodeUnavailable { node, detail }) => {
+                assert_eq!(node, owner.to_string());
+                assert!(detail.contains("host"), "detail: {detail}");
+            }
+            other => panic!("expected NodeUnavailable, got {other:?}"),
+        }
+    }
+    on::<Plain>();
+    on::<Replicated>();
+}
+
+#[test]
+fn latency_spikes_inflate_the_broker_hop() {
+    fn on<S: Shape>() {
+        let spike = FaultPlan::new().inject_forever(
+            Fault::LatencySpike { a: NodeId::DataServer, b: NodeId::Server(0), factor: 50.0 },
+            Duration::ZERO,
+        );
+        let constant = || FabricConfig::new(1, Topology::uniform(LinkSpec::constant(300.0, 100.0)));
+        let slow = S::build(constant().with_fault_plan(Arc::new(spike)));
+        let fast = S::build(constant());
+        for fabric in [&slow, &fast] {
+            fabric.register_stream("weather", Schema::weather_example()).unwrap();
+            fabric.load_policy(rain_policy("p", "weather")).unwrap();
+        }
+        let spiked = slow.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        let normal = fast.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        assert!(spiked.broker_network > normal.broker_network * 10);
+    }
+    on::<Plain>();
+    on::<Replicated>();
+}
+
+#[test]
+fn handle_routing_entries_do_not_grow_with_grant_release_churn() {
+    fn on<S: Shape>() {
+        let fabric = S::build(FabricConfig::local(2));
+        fabric.register_stream("weather", Schema::weather_example()).unwrap();
+        fabric.load_policy(rain_policy("p", "weather")).unwrap();
+        for _ in 0..10 {
+            fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+            assert_eq!(fabric.routed_handles(), 1);
+            assert!(fabric.release_access("LTA", "weather"));
+            assert_eq!(fabric.routed_handles(), 0, "released handles must be pruned");
+        }
+        // Policy withdrawal prunes too.
+        let granted = fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        assert_eq!(fabric.routed_handles(), 1);
+        assert_eq!(fabric.remove_policy("p").unwrap(), 1);
+        assert_eq!(fabric.routed_handles(), 0);
+        assert!(!fabric.handle_is_live(&granted.response.handle));
+    }
+    on::<Plain>();
+    on::<Replicated>();
+}
+
+#[test]
+fn multi_node_push_touches_no_node_when_one_owner_is_unreachable() {
+    const PER_STREAM: usize = 4;
+    fn streams<L: Placement>(fabric: &Fabric<L>) -> Vec<String> {
+        let names: Vec<String> = (0..STREAMS).map(|i| format!("stream{i}")).collect();
+        for name in &names {
+            fabric.register_stream(name, Schema::weather_example()).unwrap();
+        }
+        let owners: HashSet<NodeId> = names.iter().map(|name| fabric.owner_of(name)).collect();
+        assert!(owners.len() > 1, "the call below must target more than one node");
+        names
+    }
+    fn frame(names: &[String]) -> Vec<StreamBatch> {
+        let schema = Schema::weather_example().shared();
+        let batch = |i| (0..PER_STREAM).map(|k| marker_tuple(&schema, i, k)).collect();
+        names.iter().enumerate().map(|(i, name)| StreamBatch::new(name, batch(i))).collect()
+    }
+    fn assert_untouched<L: Placement>(fabric: &Fabric<L>, outcome: Result<usize, ExacmlError>) {
+        assert!(matches!(outcome, Err(ExacmlError::NodeUnavailable { .. })), "got {outcome:?}");
+        assert_eq!(fabric.stats().tuples_routed, 0);
+        assert_eq!(fabric.stats().ingest_hops, 0);
+        assert_eq!(fabric.telemetry().counter(Metric::TuplesIngested), 0);
+    }
+    fn on<S: Shape>() {
+        let all = (STREAMS * PER_STREAM) as u64;
+        // Unreachable behind a fault that outlasts the retry budget: a typed
+        // error on every shape, with no node touched — not even the owners
+        // the broker could have reached.
+        let victim = rendezvous_owner("stream0", NODES) as u16;
+        let cut = FaultPlan::new().inject_forever(
+            Fault::NodeDown { node: NodeId::Server(victim) },
+            Duration::from_secs(1),
+        );
+        let fabric = S::build(FabricConfig::local(NODES).with_fault_plan(Arc::new(cut)));
+        let names = streams(&fabric);
+        fabric.advance(Duration::from_secs(1));
+        assert_untouched(&fabric, fabric.push_batches(frame(&names)));
+
+        // Unreachable because its host was killed: the one answer the layers
+        // give differently.
+        let fabric = S::build(FabricConfig::local(NODES));
+        let names = streams(&fabric);
+        fabric.kill_node(victim as usize);
+        if S::FAILS_OVER {
+            assert_eq!(fabric.push_batches(frame(&names)).unwrap(), 0);
+            assert_eq!(fabric.robustness().failovers_completed, 1);
+        } else {
+            assert_untouched(&fabric, fabric.push_batches(frame(&names)));
+            fabric.restart_node(victim as usize);
+            assert_eq!(fabric.push_batches(frame(&names)).unwrap(), 0);
+        }
+        assert_eq!(fabric.stats().tuples_routed, all);
+        assert_eq!(fabric.telemetry().counter(Metric::TuplesIngested), all);
+    }
+    on::<Plain>();
+    on::<Replicated>();
 }

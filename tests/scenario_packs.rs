@@ -18,7 +18,7 @@
 //! * the nightly chaos soak (`#[ignore]`d): the adversarial pack on a
 //!   replicated fabric inside a `FaultPlan` crash window.
 
-use exacml::exacml_durable::{ReplicatedConfig, ReplicatedFabric};
+use exacml::exacml_durable::{ReplicatedConfig, Replication};
 use exacml::exacml_workload::packs;
 use exacml::exacml_workload::runner::{normalized_audit_json, run_pack_checked, PackRun};
 use exacml::exacml_workload::scenario::ScenarioPack;
@@ -299,8 +299,10 @@ fn adversarial_pack_survives_fault_plan_crash() {
         Duration::from_millis(40),
         Duration::from_millis(100),
     ));
-    let fabric = ReplicatedFabric::create(
-        ReplicatedConfig::new(3, &root).with_replication(1).with_seed(7).with_fault_plan(plan),
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root)
+            .with_replication(1)
+            .with_fabric(|f| f.with_seed(7).with_fault_plan(plan)),
     )
     .unwrap();
     let pack = packs::adversarial();
@@ -314,7 +316,7 @@ fn adversarial_pack_survives_fault_plan_crash() {
     // Ship the pre-crash journal to the mirrors — the guard's refusal events
     // and the attacker's window state must be durable *before* the host
     // dies, or the crash (legitimately) takes the unshipped tail with it.
-    fabric.settle_replication();
+    fabric.layer().settle_replication();
     // Cross the crash instant; the next touches fail the dead host's nodes
     // over to survivors, and the taps re-attach at their recorded URIs.
     fabric.advance(Duration::from_millis(50));
@@ -328,6 +330,6 @@ fn adversarial_pack_survives_fault_plan_crash() {
         "adversarial oracles must hold through the crash window:\n  {}",
         violations.join("\n  ")
     );
-    assert!(!fabric.host_is_alive(2), "the crash window must have fired");
+    assert!(!fabric.layer().host_is_alive(2), "the crash window must have fired");
     let _ = std::fs::remove_dir_all(&root);
 }

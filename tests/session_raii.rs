@@ -61,7 +61,7 @@ fn dropping_a_session_releases_fabric_handles_and_prunes_routing_entries() {
         assert_eq!(fabric.live_deployments(), 6);
         // The grants landed on more than one node (rendezvous placement).
         let busy_nodes =
-            fabric.nodes().iter().filter(|n| n.server().live_deployments() > 0).count();
+            fabric.layer().servers().iter().filter(|s| s.live_deployments() > 0).count();
         assert!(busy_nodes > 1, "6 streams on 3 nodes should use more than one node");
     }
     // RAII fabric-wide: deployments withdrawn on every node *and* the
