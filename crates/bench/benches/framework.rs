@@ -48,14 +48,14 @@ fn bench_framework(c: &mut Criterion) {
     }
 
     let server = server_with_policies(100);
-    let proxy_cached = Proxy::with_cache(Arc::clone(&server), true);
+    let proxy_cached = Proxy::with_cache(server.clone(), Topology::local(), 42, true);
     let request = Request::subscribe("user1", "weather");
     proxy_cached.request(&request, None).unwrap();
     group.bench_function("proxy_cache_hit", |b| {
         b.iter(|| proxy_cached.request(&request, None).unwrap());
     });
 
-    let proxy_uncached = Proxy::with_cache(Arc::clone(&server), false);
+    let proxy_uncached = Proxy::with_cache(server.clone(), Topology::local(), 42, false);
     let request = Request::subscribe("user2", "weather");
     group.bench_function("proxy_cache_miss", |b| {
         b.iter(|| proxy_uncached.request(&request, None).unwrap());

@@ -10,8 +10,8 @@
 //!   `DataServer` shipped before this PR) against the new one (batched
 //!   pushes into the internally-sharded engine).
 //! * **PDP** — decisions/second for one request against 1000 loaded
-//!   policies: cold linear scan (the old evaluation path), target-indexed
-//!   evaluation, and decision-cache hits.
+//!   policies: cold linear scan (the old evaluation path) and
+//!   target-indexed evaluation.
 //! * **Backend abstraction** — the same batched `DataServer` ingest driven
 //!   once through concrete calls and once through `&dyn Backend` (the
 //!   unified backend API every scenario now uses). The `dyn_vs_direct`
@@ -63,10 +63,7 @@ struct PdpResult {
     decisions: usize,
     cold_linear_per_sec: f64,
     indexed_per_sec: f64,
-    cached_per_sec: f64,
-    /// cached vs. cold linear scan.
-    cached_speedup: f64,
-    /// indexed (uncached) vs. cold linear scan.
+    /// indexed vs. cold linear scan.
     indexed_speedup: f64,
 }
 
@@ -419,17 +416,13 @@ fn run_pdp(policies: usize, decisions: usize) -> PdpResult {
     };
 
     let cold_linear_per_sec = time(&|| pdp.evaluate_linear(&request).is_permit());
-    let indexed_per_sec = time(&|| pdp.evaluate_uncached(&request).is_permit());
-    assert!(pdp.evaluate(&request).is_permit()); // warm the cache
-    let cached_per_sec = time(&|| pdp.evaluate(&request).is_permit());
+    let indexed_per_sec = time(&|| pdp.evaluate(&request).is_permit());
 
     PdpResult {
         policies,
         decisions,
         cold_linear_per_sec,
         indexed_per_sec,
-        cached_per_sec,
-        cached_speedup: cached_per_sec / cold_linear_per_sec,
         indexed_speedup: indexed_per_sec / cold_linear_per_sec,
     }
 }
@@ -438,7 +431,7 @@ fn main() {
     let options = CliOptions::parse(std::env::args().skip(1));
     // `--small` cuts the tuple count but keeps the policy count (the PDP
     // speedup ratios scale with store size) and keeps the decision count
-    // high enough that the cached/indexed loops span tens of milliseconds —
+    // high enough that the indexed loop spans tens of milliseconds —
     // sub-ms timing windows would let one scheduler preemption on a noisy
     // CI runner swing a ratio past the perf gate's tolerance.
     let (per_thread, batch_size, pdp_policies, pdp_decisions) =
@@ -478,13 +471,8 @@ fn main() {
 
     let pdp = run_pdp(pdp_policies, pdp_decisions);
     println!(
-        "  pdp ({} policies): linear {:>10.0}/s | indexed {:>10.0}/s ({:.0}x) | cached {:>10.0}/s ({:.0}x)",
-        pdp.policies,
-        pdp.cold_linear_per_sec,
-        pdp.indexed_per_sec,
-        pdp.indexed_speedup,
-        pdp.cached_per_sec,
-        pdp.cached_speedup,
+        "  pdp ({} policies): linear {:>10.0}/s | indexed {:>10.0}/s ({:.0}x)",
+        pdp.policies, pdp.cold_linear_per_sec, pdp.indexed_per_sec, pdp.indexed_speedup,
     );
 
     // Abstraction overhead at the highest thread count: identical batched

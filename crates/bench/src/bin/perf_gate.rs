@@ -5,11 +5,11 @@
 //! tuples/sec numbers cannot be compared across machines. What *is*
 //! machine-portable are the **relative speedups** the architecture buys —
 //! sharded+batched vs. global-lock ingest at each thread count, and
-//! indexed/cached vs. linear-scan PDP — because both sides of each ratio
+//! indexed vs. linear-scan PDP — because both sides of each ratio
 //! run on the same machine in the same process. The gate therefore compares
 //! those ratios: a real regression in the concurrent hot path (a new lock,
-//! a lost batch path, a cache that stopped hitting) collapses the ratio on
-//! every machine.
+//! a lost batch path, an index that stopped narrowing) collapses the ratio
+//! on every machine.
 //!
 //! ```text
 //! cargo run --release -p exacml-bench --bin perf_gate -- \
@@ -93,12 +93,10 @@ fn speedup_metrics(report: &Value) -> Vec<(String, f64)> {
             }
         }
     }
-    if let Some(pdp) = report.get("pdp") {
-        for key in ["indexed_speedup", "cached_speedup"] {
-            if let Some(value) = pdp.get(key).and_then(Value::as_f64) {
-                metrics.push((format!("pdp_{key}"), value));
-            }
-        }
+    if let Some(value) =
+        report.get("pdp").and_then(|p| p.get("indexed_speedup")).and_then(Value::as_f64)
+    {
+        metrics.push(("pdp_indexed_speedup".to_string(), value));
     }
     // The unified-backend overhead ratio (PR 4): `&dyn Backend` ingest vs.
     // concrete `DataServer` calls on the same workload. Baseline ~1.0; a

@@ -1,12 +1,13 @@
 //! The Section 4.2 experiments.
 //!
-//! Each experiment builds a fresh deployment (data server + proxy + client
+//! Each experiment builds a fresh deployment (data server behind the proxy,
 //! over the simulated 100 Mbps testbed), loads the workload policies, replays
 //! a request sequence and records the per-request timing decomposition.
 
 use exacml_durable::TopologyPreset;
-use exacml_plus::{ClientInterface, DataServer, Proxy, ServerConfig, TimingBreakdown};
+use exacml_plus::{DataServer, Proxy, ServerConfig, TimingBreakdown};
 use exacml_workload::{ContinuousQuery, RequestSequence, WorkloadGenerator, WorkloadSpec};
+use exacml_xacml::Request;
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,10 +16,8 @@ use std::time::Duration;
 pub struct Environment {
     /// The data server (PDP + PEP + DSMS host).
     pub server: Arc<DataServer>,
-    /// The proxy in front of it.
-    pub proxy: Arc<Proxy>,
-    /// The client interface.
-    pub client: ClientInterface,
+    /// The proxy in front of it: the consumers' way in.
+    pub proxy: Proxy,
     /// The continuous-query corpus (policies already loaded).
     pub queries: Vec<ContinuousQuery>,
     /// The generator (for sequences and direct-query scripts).
@@ -34,8 +33,9 @@ pub struct Environment {
 ///   policies onto the data servers").
 #[must_use]
 pub fn build_environment(spec: &WorkloadSpec, cache: bool) -> Environment {
+    let topology = TopologyPreset::PaperTestbed.topology();
     let server = Arc::new(DataServer::new(ServerConfig {
-        topology: TopologyPreset::PaperTestbed.topology(),
+        topology: topology.clone(),
         seed: spec.seed,
         ..ServerConfig::default()
     }));
@@ -47,9 +47,8 @@ pub fn build_environment(spec: &WorkloadSpec, cache: bool) -> Environment {
     for q in &queries {
         server.load_policy(q.policy.clone()).expect("policy loading");
     }
-    let proxy = Arc::new(Proxy::with_cache(Arc::clone(&server), cache));
-    let client = ClientInterface::new(Arc::clone(&proxy));
-    Environment { server, proxy, client, queries, generator }
+    let proxy = Proxy::with_cache(server.clone(), topology, spec.seed, cache);
+    Environment { server, proxy, queries, generator }
 }
 
 /// Replay the direct-query baseline: each StreamSQL script is sent straight
@@ -58,7 +57,7 @@ pub fn build_environment(spec: &WorkloadSpec, cache: bool) -> Environment {
 pub fn run_direct_queries(env: &Environment, scripts: &[String]) -> TimingBreakdown {
     let mut breakdown = TimingBreakdown::new();
     for script in scripts {
-        match env.client.direct_query(script) {
+        match env.server.direct_deploy(script) {
             Ok((_handle, timing)) => breakdown.record(&timing),
             Err(e) => panic!("direct query failed: {e}"),
         }
@@ -66,14 +65,15 @@ pub fn run_direct_queries(env: &Environment, scripts: &[String]) -> TimingBreakd
     breakdown
 }
 
-/// Replay an eXACML+ request sequence through client → proxy → server.
+/// Replay an eXACML+ request sequence through the proxy (client ↔ proxy ↔
+/// server hops charged into each response's timing).
 #[must_use]
 pub fn run_exacml_sequence(env: &Environment, sequence: &RequestSequence) -> TimingBreakdown {
     let mut breakdown = TimingBreakdown::new();
     for &index in &sequence.indices {
         let query = &env.queries[index % env.queries.len()];
-        match env.client.request_access(&query.subject, &query.stream, None) {
-            Ok(response) => breakdown.record(&response.timing),
+        match env.proxy.request(&Request::subscribe(&query.subject, &query.stream), None) {
+            Ok(granted) => breakdown.record(&granted.response.timing),
             Err(e) => panic!("request {index} for {} failed: {e}", query.subject),
         }
     }

@@ -23,11 +23,11 @@
 //! 6. the consumer receives a **stream handle** (URI) rather than data, and
 //!    subscribes to the derived stream through it.
 //!
-//! The deployment entities of Figure 3 — data server, proxy with handle
-//! cache and client interface — live in [`server`], [`proxy`] and
-//! [`client`]; per-request timing (PDP / query-graph / DSMS / network) is
-//! collected in [`metrics`], which is what the evaluation figures are built
-//! from. [`fabric`] scales the data server out: N nodes (each with its own
+//! The deployment entities of Figure 3 live in [`server`] (the data
+//! server) and [`proxy`] (the proxy with its handle cache, which fronts any
+//! [`Backend`] and charges the consumer's two network hops); per-request
+//! timing (PDP / query-graph / DSMS / network) is collected in [`metrics`],
+//! which is what the evaluation figures are built from. [`fabric`] scales the data server out: N nodes (each with its own
 //! PDP, policy store and engine) behind a routing broker over simulated
 //! links, with consistent stream placement, fabric-wide policy propagation
 //! and virtual-clock-driven subscriber delivery.
@@ -43,7 +43,6 @@ pub mod access_guard;
 pub mod attack;
 pub mod audit;
 pub mod backend;
-pub mod client;
 pub mod error;
 pub mod fabric;
 pub mod graph_mgmt;
@@ -63,7 +62,6 @@ pub use backend::{
     AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
     StreamBatch, Subscription, TaggedAuditEvent,
 };
-pub use client::{ClientInterface, RequestResult};
 pub use error::ExacmlError;
 pub use fabric::{
     node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,
@@ -86,7 +84,6 @@ pub mod prelude {
         AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
         StreamBatch, Subscription, TaggedAuditEvent,
     };
-    pub use crate::client::{ClientInterface, RequestResult};
     pub use crate::error::ExacmlError;
     pub use crate::fabric::{
         rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet, FabricNode,

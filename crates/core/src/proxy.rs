@@ -6,13 +6,19 @@
 //! smaller", so the improvement is less dramatic — but under a heavy-tailed
 //! (Zipf) request distribution the paper still measures a substantial gain
 //! (Figure 6b). [`Proxy::request`] answers repeated identical requests from
-//! its cache without touching the PDP at all.
+//! its cache without touching the PDP at all, so the cache is keyed on
+//! everything the PDP would have decided on: the whole request
+//! ([`Request::canonical_key`]) plus the customised query.
+//!
+//! The proxy fronts any [`Backend`] shape and charges the two simulated hops
+//! of the paper's client path into the response timing: client ↔ proxy on
+//! every request, proxy ↔ data server on a miss.
 
+use crate::backend::{Backend, BackendResponse};
 use crate::error::ExacmlError;
 use crate::metrics::RequestTiming;
-use crate::server::{AccessResponse, DataServer};
 use crate::user_query::UserQuery;
-use exacml_simnet::NodeId;
+use exacml_simnet::{NodeId, Topology};
 use exacml_xacml::Request;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -47,38 +53,46 @@ impl ProxyStats {
 
 /// The proxy entity.
 pub struct Proxy {
-    server: Arc<DataServer>,
+    backend: Arc<dyn Backend>,
+    topology: Topology,
     cache_enabled: bool,
-    cache: Mutex<HashMap<String, AccessResponse>>,
+    cache: Mutex<HashMap<String, BackendResponse>>,
     rng: Mutex<StdRng>,
     stats: Mutex<ProxyStats>,
 }
 
 impl Proxy {
-    /// A proxy in front of a data server, with the handle cache enabled.
+    /// A proxy in front of a backend, with the handle cache enabled. The
+    /// client ↔ proxy and proxy ↔ server links are drawn from `topology`,
+    /// their jitter from `seed`.
     #[must_use]
-    pub fn new(server: Arc<DataServer>) -> Self {
-        Proxy::with_cache(server, true)
+    pub fn new(backend: Arc<dyn Backend>, topology: Topology, seed: u64) -> Self {
+        Proxy::with_cache(backend, topology, seed, true)
     }
 
     /// A proxy with the cache explicitly enabled or disabled (the Figure 6b
     /// comparison).
     #[must_use]
-    pub fn with_cache(server: Arc<DataServer>, cache_enabled: bool) -> Self {
-        let seed = server.config().seed.wrapping_add(1);
+    pub fn with_cache(
+        backend: Arc<dyn Backend>,
+        topology: Topology,
+        seed: u64,
+        cache_enabled: bool,
+    ) -> Self {
         Proxy {
-            server,
+            backend,
+            topology,
             cache_enabled,
             cache: Mutex::new(HashMap::new()),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            rng: Mutex::new(StdRng::seed_from_u64(seed.wrapping_add(1))),
             stats: Mutex::new(ProxyStats::default()),
         }
     }
 
-    /// The data server behind the proxy.
+    /// The backend behind the proxy.
     #[must_use]
-    pub fn server(&self) -> &Arc<DataServer> {
-        &self.server
+    pub fn backend(&self) -> &Arc<dyn Backend> {
+        &self.backend
     }
 
     /// Whether the handle cache is enabled.
@@ -104,73 +118,65 @@ impl Proxy {
         self.cache.lock().len()
     }
 
-    fn cache_key(request: &Request, user_query: Option<&UserQuery>) -> String {
-        let subject = request.subject_id().unwrap_or("<none>").to_ascii_lowercase();
-        let stream = request.resource_id().unwrap_or("<none>").to_ascii_lowercase();
-        let action = request.action_id().unwrap_or("subscribe").to_ascii_lowercase();
-        let query = user_query.map_or_else(|| "<identity>".to_string(), UserQuery::fingerprint);
-        format!("{subject}|{stream}|{action}|{query}")
+    /// One sampled request/response round trip between two entities: the
+    /// request document (plus the user query) out, the handle back.
+    fn hop(&self, from: NodeId, to: NodeId, request_bytes: usize) -> Duration {
+        self.topology.round_trip(from, to, request_bytes, 128, &mut *self.rng.lock())
     }
 
-    /// Handle one request at the proxy: answer from the cache when possible,
-    /// otherwise forward to the data server (charging the proxy↔server
-    /// network hop) and cache the resulting handle.
+    /// Handle one request at the proxy: answer from the cache when the same
+    /// request was granted before and its handle is still live, otherwise
+    /// forward to the backend and cache the resulting handle. The returned
+    /// timing includes every hop: client ↔ proxy always, proxy ↔ data server
+    /// on a miss, on top of whatever the backend charged itself.
     ///
     /// # Errors
-    /// Propagates every server-side error on a cache miss.
+    /// Propagates every backend error on a cache miss; refusals are never
+    /// cached.
     pub fn request(
         &self,
         request: &Request,
         user_query: Option<&UserQuery>,
-    ) -> Result<AccessResponse, ExacmlError> {
+    ) -> Result<BackendResponse, ExacmlError> {
         let started = Instant::now();
         self.stats.lock().requests += 1;
-        let key = Self::cache_key(request, user_query);
+        let request_bytes = exacml_xacml::xml::write_request(request).len()
+            + user_query.map_or(0, |q| q.to_xml().len());
+        let mut network = self.hop(NodeId::Client, NodeId::Proxy, request_bytes);
+        let query = user_query.map_or_else(|| "<identity>".to_string(), UserQuery::fingerprint);
+        let key = format!("{}\x1d{query}", request.canonical_key());
 
         if self.cache_enabled {
             let cached = self.cache.lock().get(&key).cloned();
-            if let Some(mut response) = cached {
-                // A cached handle may have been withdrawn by a policy change;
-                // verify liveness before serving it.
-                if self.server.handle_is_live(&response.handle) {
+            if let Some(mut hit) = cached {
+                // A cached handle may have been withdrawn by a policy change
+                // or released; verify liveness before serving it.
+                if self.backend.handle_is_live(hit.handle()) {
                     self.stats.lock().hits += 1;
-                    response.reused = true;
-                    response.timing = RequestTiming {
-                        pdp: Duration::ZERO,
-                        query_graph: Duration::ZERO,
-                        dsms: Duration::ZERO,
-                        network: Duration::ZERO,
-                        total: started.elapsed(),
+                    hit.response.reused = true;
+                    hit.broker_network = Duration::ZERO;
+                    hit.response.timing = RequestTiming {
+                        network,
+                        total: started.elapsed() + network,
+                        ..RequestTiming::default()
                     };
-                    return Ok(response);
+                    return Ok(hit);
                 }
                 self.cache.lock().remove(&key);
             }
         }
 
         self.stats.lock().misses += 1;
-        // Charge the proxy → data-server hop: the request document plus the
-        // user query go out, the handle comes back.
-        let request_bytes = exacml_xacml::xml::write_request(request).len()
-            + user_query.map_or(0, |q| q.to_xml().len());
-        let network = {
-            let mut rng = self.rng.lock();
-            self.server.topology().round_trip(
-                NodeId::Proxy,
-                NodeId::DataServer,
-                request_bytes,
-                128,
-                &mut *rng,
-            )
-        };
-        let mut response = self.server.handle_request(request, user_query)?;
-        response.timing.network += network;
-        response.timing.total = started.elapsed() + response.timing.network;
+        network += self.hop(NodeId::Proxy, NodeId::DataServer, request_bytes);
+        let mut granted = self.backend.handle_request(request, user_query)?;
+        let timing = &mut granted.response.timing;
+        timing.network += network;
+        timing.total = started.elapsed() + timing.network;
 
         if self.cache_enabled {
-            self.cache.lock().insert(key, response.clone());
+            self.cache.lock().insert(key, granted.clone());
         }
-        Ok(response)
+        Ok(granted)
     }
 }
 
@@ -178,11 +184,11 @@ impl Proxy {
 mod tests {
     use super::*;
     use crate::obligations::StreamPolicyBuilder;
-    use crate::server::ServerConfig;
+    use crate::server::{DataServer, ServerConfig};
     use exacml_dsms::Schema;
 
-    fn proxy_setup(cache: bool) -> Proxy {
-        let server = Arc::new(DataServer::new(ServerConfig::local()));
+    fn proxy_over(topology: Topology, cache: bool) -> Proxy {
+        let server = DataServer::new(ServerConfig::local());
         server.register_stream("weather", Schema::weather_example()).unwrap();
         for subject in ["LTA", "EMA", "PUB"] {
             let policy = StreamPolicyBuilder::new(format!("weather-{subject}"), "weather")
@@ -191,7 +197,11 @@ mod tests {
                 .build();
             server.load_policy(policy).unwrap();
         }
-        Proxy::with_cache(server, cache)
+        Proxy::with_cache(Arc::new(server), topology, 42, cache)
+    }
+
+    fn proxy_setup(cache: bool) -> Proxy {
+        proxy_over(Topology::local(), cache)
     }
 
     #[test]
@@ -199,18 +209,29 @@ mod tests {
         let proxy = proxy_setup(true);
         let request = Request::subscribe("LTA", "weather");
         let first = proxy.request(&request, None).unwrap();
-        assert!(!first.reused);
+        assert!(!first.response.reused);
         let second = proxy.request(&request, None).unwrap();
-        assert!(second.reused);
-        assert_eq!(first.handle, second.handle);
+        assert!(second.response.reused);
+        assert_eq!(first.handle(), second.handle());
         let stats = proxy.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // Cache hits skip the PDP entirely.
-        assert_eq!(second.timing.pdp, Duration::ZERO);
+        assert_eq!(second.response.timing.pdp, Duration::ZERO);
         assert_eq!(proxy.cached_entries(), 1);
+    }
+
+    #[test]
+    fn every_request_pays_the_client_hop_and_a_miss_pays_the_server_hop_too() {
+        let proxy = proxy_over(Topology::paper_testbed(), true);
+        let request = Request::subscribe("LTA", "weather");
+        let miss = proxy.request(&request, None).unwrap().response.timing;
+        let hit = proxy.request(&request, None).unwrap().response.timing;
+        assert!(hit.network > Duration::ZERO, "a hit still crosses client ↔ proxy");
+        assert!(miss.network > hit.network, "a miss also crosses proxy ↔ server");
+        assert!(miss.total >= miss.network && hit.total >= hit.network);
     }
 
     #[test]
@@ -223,7 +244,7 @@ mod tests {
         // proxy cache hit.
         assert_eq!(proxy.stats().hits, 0);
         assert_eq!(proxy.stats().misses, 2);
-        assert!(second.reused); // served by the server's access guard
+        assert!(second.response.reused); // served by the server's access guard
         assert_eq!(proxy.cached_entries(), 0);
     }
 
@@ -242,18 +263,37 @@ mod tests {
         let request = Request::subscribe("LTA", "weather");
         let first = proxy.request(&request, None).unwrap();
         // The owner removes and re-creates the policy; the cached handle dies.
-        proxy.server().remove_policy("weather-LTA").unwrap();
+        proxy.backend().remove_policy("weather-LTA").unwrap();
         let policy = StreamPolicyBuilder::new("weather-LTA", "weather")
             .subject("LTA")
             .filter("rainrate > 50")
             .build();
-        proxy.server().load_policy(policy).unwrap();
+        proxy.backend().load_policy(policy).unwrap();
 
         let second = proxy.request(&request, None).unwrap();
-        assert_ne!(first.handle, second.handle);
-        assert!(!second.reused);
-        assert!(second.streamsql.contains("rainrate > 50"));
+        assert_ne!(first.handle(), second.handle());
+        assert!(!second.response.reused);
+        assert!(second.response.streamsql.contains("rainrate > 50"));
         // The stale entry counted as a miss, not a hit.
+        assert_eq!(proxy.stats().hits, 0);
+    }
+
+    #[test]
+    fn release_lets_a_new_customised_query_through_the_cache() {
+        let proxy = proxy_setup(true);
+        let request = Request::subscribe("LTA", "weather");
+        proxy.request(&request, None).unwrap();
+        let query = UserQuery::for_stream("weather").with_filter("rainrate > 50");
+        assert!(matches!(
+            proxy.request(&request, Some(&query)),
+            Err(ExacmlError::MultipleAccess { .. })
+        ));
+        assert!(proxy.backend().release_access("LTA", "weather"));
+        let refined = proxy.request(&request, Some(&query)).unwrap();
+        assert!(!refined.response.reused);
+        // The released identity-query handle is dead: asking for it again is
+        // a miss that meets the guard, not a hit on the stale entry.
+        assert!(matches!(proxy.request(&request, None), Err(ExacmlError::MultipleAccess { .. })));
         assert_eq!(proxy.stats().hits, 0);
     }
 
@@ -261,7 +301,7 @@ mod tests {
     fn denied_requests_are_not_cached() {
         let proxy = proxy_setup(true);
         let request = Request::subscribe("UNKNOWN", "weather");
-        assert!(proxy.request(&request, None).is_err());
+        assert!(matches!(proxy.request(&request, None), Err(ExacmlError::AccessDenied { .. })));
         assert_eq!(proxy.cached_entries(), 0);
     }
 

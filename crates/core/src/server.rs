@@ -155,18 +155,6 @@ impl DataServer {
         DataServer::new(ServerConfig::default())
     }
 
-    /// The server's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// The deployment topology (shared with proxy and client wrappers).
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.config.topology
-    }
-
     /// The policy store (for inspection in tests and tools).
     #[must_use]
     pub fn policy_store(&self) -> &Arc<PolicyStore> {
@@ -415,8 +403,8 @@ impl DataServer {
     // --- the Section 3.2 workflow -------------------------------------------
 
     /// Handle one access request, optionally refined by a customised query.
-    /// This is the server-side cost only; the proxy and client wrappers add
-    /// their own network hops on top.
+    /// This is the server-side cost only; a [`crate::proxy::Proxy`] in front
+    /// adds the consumer's network hops on top.
     ///
     /// # Errors
     /// * [`ExacmlError::AccessDenied`] when the PDP does not permit,

@@ -24,7 +24,7 @@
 //! * [`runner`] — executes any pack against any [`Backend`] shape and checks
 //!   its oracles;
 //! * [`packs`] — the four built-in packs (`smart-city`, `financial-ticks`,
-//!   `iot-fleet`, `adversarial`), also shipped as `packs/*.json`.
+//!   `iot-fleet`, `adversarial`): the `packs/*.json` documents, embedded.
 //!
 //! [`Backend`]: exacml_plus::Backend
 

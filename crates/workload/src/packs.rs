@@ -1,530 +1,52 @@
 //! The built-in scenario packs: four worlds, one harness.
 //!
-//! * [`smart_city`] — the paper's Section 4.2 world (weather/GPS feeds,
+//! * `smart-city` — the paper's Section 4.2 world (weather/GPS feeds,
 //!   per-agency policies, a Zipf-skewed citizen population on an open
-//!   air-quality stream), ported from `examples/smart_city.rs`;
-//! * [`financial_ticks`] — per-desk policies over a tick stream with bursty
+//!   air-quality stream);
+//! * `financial-ticks` — per-desk policies over a tick stream with bursty
 //!   ingest and policy churn;
-//! * [`iot_fleet`] — geo-scoped fleet access with a wide fan-out heartbeat
+//! * `iot-fleet` — geo-scoped fleet access with a wide fan-out heartbeat
 //!   stream (plan sharing under many subscribers);
-//! * [`adversarial`] — the Section 3.4 multi-window reconstruction attack,
+//! * `adversarial` — the Section 3.4 multi-window reconstruction attack,
 //!   privilege escalation via policy churn, and replayed requests; every
 //!   attack must be *blocked* and audited.
 //!
-//! Each pack also ships as committed JSON under `crates/workload/packs/`;
-//! the `pack_files_match_builtins` test keeps files and constants in sync
-//! (rewrite with `PACKS_REWRITE=1 cargo test -p exacml-workload`).
+//! The committed JSON documents under `crates/workload/packs/` are the packs:
+//! they are embedded at compile time and parsed on demand, so a world exists
+//! in exactly one place and adding one is a JSON file plus a line here.
 
-use crate::scenario::{
-    AuditExpectation, DeliveryExpectation, Expectations, FieldGen, FieldSpec, PolicySpec,
-    QuerySpec, ScenarioPack, ScriptStep, StreamSpec, WindowData,
-};
+use crate::scenario::ScenarioPack;
 
-fn field(name: &str, data_type: &str, gen: FieldGen) -> FieldSpec {
-    FieldSpec { name: name.into(), data_type: data_type.into(), gen }
-}
-
-fn choice(options: &[&str]) -> FieldGen {
-    FieldGen {
-        kind: "choice".into(),
-        a: 0.0,
-        b: 0.0,
-        p: 0.0,
-        options: options.iter().map(|s| (*s).to_string()).collect(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn policy(
-    id: &str,
-    stream: &str,
-    subject: &str,
-    description: &str,
-    filter: &str,
-    visible: &[&str],
-    window: Option<WindowData>,
-) -> PolicySpec {
-    PolicySpec {
-        id: id.into(),
-        stream: stream.into(),
-        subject: subject.into(),
-        description: description.into(),
-        filter: filter.into(),
-        visible: visible.iter().map(|s| (*s).to_string()).collect(),
-        window,
-    }
-}
-
-fn deliver(tap: &str, min: u64, max: Option<u64>) -> DeliveryExpectation {
-    DeliveryExpectation { tap: tap.into(), min, max }
-}
-
-fn audit(kind: &str, min: u64) -> AuditExpectation {
-    AuditExpectation { kind: kind.into(), min }
-}
-
-/// The paper's smart-city world: weather and GPS feeds, per-agency policies
-/// (health sees aggregate climate windows, transport sees heavy-rain rows,
-/// the urban lab sees slow-traffic GPS), cross-agency denials, a policy
-/// revocation mid-run, and a Zipf-skewed citizen population sharing one
-/// air-quality plan.
-#[must_use]
-pub fn smart_city() -> ScenarioPack {
-    ScenarioPack {
-        name: "smart-city".into(),
-        description: "Section 4.2's weather/GPS world with per-agency policies, revocation, \
-                      and a Zipf citizen population on an open air-quality stream"
-            .into(),
-        seed: 42,
-        fanout_stream: "airquality".into(),
-        streams: vec![
-            StreamSpec {
-                name: "weather".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(30_000.0)),
-                    field("temperature", "double", FieldGen::uniform(24.0, 34.0)),
-                    field("humidity", "double", FieldGen::uniform(60.0, 95.0)),
-                    field("solarradiation", "double", FieldGen::uniform(0.0, 1000.0)),
-                    field("rainrate", "double", FieldGen::burst(5.0, 25.0, 0.3)),
-                    field("windspeed", "double", FieldGen::uniform(0.0, 15.0)),
-                    field("winddirection", "double", FieldGen::uniform(0.0, 360.0)),
-                    field("barometer", "double", FieldGen::uniform(990.0, 1030.0)),
-                ],
-            },
-            StreamSpec {
-                name: "gps".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(5_000.0)),
-                    field("deviceid", "int", FieldGen::serial(1.0)),
-                    field("latitude", "double", FieldGen::walk(1.3521, 0.001)),
-                    field("longitude", "double", FieldGen::walk(103.8198, 0.001)),
-                    field("speed", "double", FieldGen::uniform(0.0, 90.0)),
-                    field("heading", "double", FieldGen::uniform(0.0, 360.0)),
-                ],
-            },
-            StreamSpec {
-                name: "airquality".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(60_000.0)),
-                    field("pm25", "double", FieldGen::burst(35.0, 150.0, 0.1)),
-                    field("ozone", "double", FieldGen::uniform(10.0, 80.0)),
-                ],
-            },
-        ],
-        policies: vec![
-            policy(
-                "weather-for-health",
-                "weather",
-                "HealthAgency",
-                "aggregate climate windows for heat-stress monitoring",
-                "",
-                &["samplingtime", "temperature", "humidity"],
-                Some(WindowData::tuples(
-                    120,
-                    60,
-                    ["samplingtime:lastval", "temperature:avg", "humidity:avg"],
-                )),
-            ),
-            policy(
-                "weather-for-transport",
-                "weather",
-                "TransportAuthority",
-                "heavy-rain rows for the traffic warning system",
-                "rainrate > 5",
-                &["samplingtime", "rainrate", "windspeed"],
-                Some(WindowData::tuples(
-                    5,
-                    2,
-                    ["samplingtime:lastval", "rainrate:avg", "windspeed:max"],
-                )),
-            ),
-            policy(
-                "gps-for-research",
-                "gps",
-                "UrbanLab",
-                "slow-traffic GPS rows for congestion research",
-                "speed < 60",
-                &["samplingtime", "latitude", "longitude", "speed"],
-                None,
-            ),
-            policy(
-                "airquality-open",
-                "airquality",
-                "",
-                "public air-quality windows for any citizen",
-                "",
-                &["samplingtime", "pm25"],
-                Some(WindowData::tuples(20, 10, ["samplingtime:lastval", "pm25:avg"])),
-            ),
-        ],
-        script: vec![
-            ScriptStep::request("HealthAgency", "weather", "grant").with_tap("health"),
-            ScriptStep::request("TransportAuthority", "weather", "grant").with_tap("transport"),
-            ScriptStep::request("UrbanLab", "gps", "grant").with_tap("research"),
-            // Cross-agency access is denied: no policy lets transport read GPS.
-            ScriptStep::request("TransportAuthority", "gps", "deny"),
-            // A replayed request reuses the live handle instead of deploying twice.
-            ScriptStep::request("HealthAgency", "weather", "reuse"),
-            ScriptStep::zipf_requests("airquality", "citizen-", 40, 0.223, 80),
-            ScriptStep::ingest("weather", 600),
-            ScriptStep::ingest("gps", 200),
-            ScriptStep::ingest("airquality", 200),
-            // The NEA revokes the transport feed mid-run; the live handle dies.
-            ScriptStep::remove_policy("weather-for-transport"),
-            ScriptStep::request("TransportAuthority", "weather", "deny"),
-        ],
-        expect: Expectations {
-            // 3 named agency grants + 35 distinct Zipf citizens; the replayed
-            // health request plus 45 repeat citizens ride live handles.
-            grants: Some(38),
-            reuses: Some(46),
-            denials: Some(2),
-            blocked: Some(0),
-            max_live_plans: Some(4),
-            final_policies: Some(3),
-            deliveries: vec![
-                // 600 tuples through a (120, 60) tuple window: exactly 9 emissions.
-                deliver("health", 9, Some(9)),
-                deliver("transport", 10, None),
-                deliver("research", 50, None),
-            ],
-            audit_min: vec![audit("granted", 4), audit("denied", 2), audit("policy-removed", 1)],
-            no_grants_for: Vec::new(),
-        },
-    }
-}
-
-/// Per-desk tick policies with bursty ingest: each desk sees only its
-/// instrument class, a risk population shares one market-depth plan, and the
-/// equities policy is tightened mid-run (update withdraws the old grant).
-#[must_use]
-pub fn financial_ticks() -> ScenarioPack {
-    ScenarioPack {
-        name: "financial-ticks".into(),
-        description: "per-desk tick visibility with bursty ingest, policy churn and a \
-                      Zipf analyst population on an open market-depth stream"
-            .into(),
-        seed: 77,
-        fanout_stream: "marketdepth".into(),
-        streams: vec![
-            StreamSpec {
-                name: "ticks".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(1_000.0)),
-                    field("instclass", "int", FieldGen::uniform(1.0, 5.0)),
-                    field("symbol", "text", choice(&["AAA", "BBB", "CCC", "DDD", "EEE"])),
-                    field("price", "double", FieldGen::walk(100.0, 2.0)),
-                    field("size", "double", FieldGen::burst(100.0, 5000.0, 0.1)),
-                ],
-            },
-            StreamSpec {
-                name: "marketdepth".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(2_000.0)),
-                    field("depth", "double", FieldGen::uniform(1000.0, 50_000.0)),
-                    field("spread", "double", FieldGen::uniform(0.01, 0.5)),
-                ],
-            },
-        ],
-        policies: vec![
-            policy(
-                "ticks-desk-equities",
-                "ticks",
-                "desk-equities",
-                "equities desk sees class-1 rows",
-                "instclass = 1",
-                &["samplingtime", "instclass", "price"],
-                None,
-            ),
-            policy(
-                "ticks-desk-rates",
-                "ticks",
-                "desk-rates",
-                "rates desk sees class-2 price windows",
-                "instclass = 2",
-                &["samplingtime", "instclass", "price"],
-                Some(WindowData::tuples(10, 5, ["samplingtime:lastval", "price:avg"])),
-            ),
-            policy(
-                "marketdepth-open",
-                "marketdepth",
-                "",
-                "firm-wide depth windows for any analyst",
-                "",
-                &["samplingtime", "depth"],
-                Some(WindowData::tuples(50, 25, ["samplingtime:lastval", "depth:max"])),
-            ),
-        ],
-        script: vec![
-            // A quiet pre-open trickle lands before any desk subscribes.
-            ScriptStep::ingest("ticks", 40),
-            ScriptStep::request("desk-equities", "ticks", "grant").with_tap("equities"),
-            ScriptStep::request("desk-rates", "ticks", "grant").with_tap("rates"),
-            // A desk without a policy is denied.
-            ScriptStep::request("desk-bonds", "ticks", "deny"),
-            ScriptStep::zipf_requests("marketdepth", "analyst-", 25, 0.5, 60),
-            ScriptStep::ingest("marketdepth", 300),
-            // The open burst: a small batch, then the spike.
-            ScriptStep::ingest("ticks", 40),
-            ScriptStep::ingest("ticks", 400),
-            // A replayed desk request reuses the live handle.
-            ScriptStep::request("desk-equities", "ticks", "reuse"),
-            ScriptStep::release("desk-rates", "ticks"),
-            // Compliance tightens the equities policy; the update withdraws
-            // the desk's live grant, and the re-request deploys the new graph.
-            ScriptStep::update_policy(policy(
-                "ticks-desk-equities",
-                "ticks",
-                "desk-equities",
-                "equities desk sees positive-price class-1 rows only",
-                "instclass = 1 AND price > 0",
-                &["samplingtime", "instclass", "price"],
-                None,
-            )),
-            ScriptStep::request("desk-equities", "ticks", "grant"),
-        ],
-        expect: Expectations {
-            // 2 desk grants + the post-churn re-grant + 23 distinct Zipf
-            // analysts; the replayed desk request and 37 repeat analysts
-            // reuse live handles.
-            grants: Some(26),
-            reuses: Some(38),
-            denials: Some(1),
-            blocked: Some(0),
-            max_live_plans: Some(3),
-            final_policies: Some(3),
-            deliveries: vec![deliver("equities", 20, None), deliver("rates", 1, None)],
-            audit_min: vec![
-                audit("granted", 4),
-                audit("denied", 1),
-                audit("policy-updated", 1),
-                audit("access-released", 1),
-            ],
-            no_grants_for: vec!["desk-bonds".into()],
-        },
-    }
-}
-
-/// Geo-scoped fleet access: regional operators see only their region's rows,
-/// an outsider is denied, and a wide Zipf technician population shares one
-/// battery-watch plan on the heartbeat stream.
-#[must_use]
-pub fn iot_fleet() -> ScenarioPack {
-    ScenarioPack {
-        name: "iot-fleet".into(),
-        description: "geo-scoped fleet telemetry with regional operator policies and a \
-                      wide-fan-out heartbeat stream shared by a Zipf technician population"
-            .into(),
-        seed: 1312,
-        fanout_stream: "heartbeat".into(),
-        streams: vec![
-            StreamSpec {
-                name: "fleet".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(5_000.0)),
-                    field("deviceid", "int", FieldGen::serial(1.0)),
-                    field("region", "int", FieldGen::uniform(1.0, 5.0)),
-                    field("battery", "double", FieldGen::uniform(0.0, 100.0)),
-                    field("temp", "double", FieldGen::walk(20.0, 0.5)),
-                ],
-            },
-            StreamSpec {
-                name: "heartbeat".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(10_000.0)),
-                    field("deviceid", "int", FieldGen::serial(1.0)),
-                    field("battery", "double", FieldGen::uniform(0.0, 100.0)),
-                ],
-            },
-        ],
-        policies: vec![
-            policy(
-                "fleet-ops-east",
-                "fleet",
-                "ops-east",
-                "east operators see region-1 devices",
-                "region = 1",
-                &["samplingtime", "deviceid", "region", "battery"],
-                None,
-            ),
-            policy(
-                "fleet-ops-west",
-                "fleet",
-                "ops-west",
-                "west operators see region-2 devices",
-                "region = 2",
-                &["samplingtime", "deviceid", "region", "battery"],
-                None,
-            ),
-            policy(
-                "heartbeat-open",
-                "heartbeat",
-                "",
-                "fleet-wide battery-low windows for any technician",
-                "",
-                &["samplingtime", "deviceid", "battery"],
-                Some(WindowData::tuples(30, 15, ["samplingtime:lastval", "battery:min"])),
-            ),
-        ],
-        script: vec![
-            ScriptStep::request("ops-east", "fleet", "grant").with_tap("east"),
-            ScriptStep::request("ops-west", "fleet", "grant").with_tap("west"),
-            ScriptStep::request("outsider", "fleet", "deny"),
-            ScriptStep::zipf_requests("heartbeat", "tech-", 60, 0.9, 150),
-            ScriptStep::ingest("fleet", 500),
-            ScriptStep::ingest("heartbeat", 450),
-            // East shift change: release, then re-grant for the next crew.
-            ScriptStep::release("ops-east", "fleet"),
-            ScriptStep::request("ops-east", "fleet", "grant").with_tap("east-regrant"),
-            ScriptStep::ingest("fleet", 100),
-        ],
-        expect: Expectations {
-            // 2 regional grants + the shift-change re-grant + 43 distinct
-            // Zipf technicians; 107 repeat technicians reuse live handles.
-            grants: Some(46),
-            reuses: Some(107),
-            denials: Some(1),
-            blocked: Some(0),
-            max_live_plans: Some(4),
-            final_policies: Some(3),
-            deliveries: vec![
-                deliver("east", 50, None),
-                deliver("west", 50, None),
-                deliver("east-regrant", 5, None),
-            ],
-            audit_min: vec![audit("granted", 4), audit("denied", 1), audit("access-released", 1)],
-            no_grants_for: vec!["outsider".into()],
-        },
-    }
-}
-
-/// The adversarial world: every scripted attack must be *blocked* and leave
-/// an audit trace.
-///
-/// * multi-window leak (Section 3.4 / Example 2): the attacker holds a sum
-///   window of size 3 and asks for sizes 4 and 5 — the single-access guard
-///   rejects both (`multiple-access-blocked` audited), so
-///   `reconstruct_from_sums` never gets the second series it needs;
-/// * privilege escalation via churn: a subject with no policy is denied,
-///   stays denied after the vault policy is updated, and never appears in a
-///   `granted` audit event;
-/// * replayed requests: re-issuing a granted request reuses the live handle
-///   instead of deploying a second query.
-#[must_use]
-pub fn adversarial() -> ScenarioPack {
-    let sum_window = |size: u64| {
-        QuerySpec::window_only(WindowData::tuples(size, 2, ["samplingtime:lastval", "a:sum"]))
-    };
-    ScenarioPack {
-        name: "adversarial".into(),
-        description: "multi-window reconstruction, privilege-escalation-via-churn and \
-                      replayed requests — every attack blocked and audited"
-            .into(),
-        seed: 666,
-        fanout_stream: "s".into(),
-        streams: vec![
-            StreamSpec {
-                name: "s".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(1_000.0)),
-                    field("a", "double", FieldGen::serial(0.0)),
-                ],
-            },
-            StreamSpec {
-                name: "vault".into(),
-                fields: vec![
-                    field("samplingtime", "timestamp", FieldGen::time(1_000.0)),
-                    field("balance", "double", FieldGen::walk(1_000_000.0, 50.0)),
-                ],
-            },
-        ],
-        policies: vec![
-            policy(
-                "sums-open",
-                "s",
-                "",
-                "anyone may read sum windows over the sensor stream",
-                "",
-                &["samplingtime", "a"],
-                Some(WindowData::tuples(3, 2, ["samplingtime:lastval", "a:sum"])),
-            ),
-            policy(
-                "vault-admin",
-                "vault",
-                "admin",
-                "only the administrator reads the vault stream",
-                "",
-                &["samplingtime", "balance"],
-                None,
-            ),
-        ],
-        script: vec![
-            ScriptStep::request("attacker", "s", "grant")
-                .with_query(sum_window(3))
-                .with_tap("attacker"),
-            ScriptStep::ingest("s", 40),
-            // The Example 2 reconstruction needs overlapping window sizes 4
-            // and 5 on the same stream; the guard blocks both.
-            ScriptStep::request("attacker", "s", "blocked").with_query(sum_window(4)),
-            ScriptStep::request("attacker", "s", "blocked").with_query(sum_window(5)),
-            // No policy covers mallory on the vault stream.
-            ScriptStep::request("mallory", "vault", "deny"),
-            // Policy churn does not open a window for escalation: the updated
-            // vault policy is still admin-only, and mallory stays denied.
-            ScriptStep::update_policy(policy(
-                "vault-admin",
-                "vault",
-                "admin",
-                "rotated: only the administrator reads the vault stream",
-                "balance > 0",
-                &["samplingtime", "balance"],
-                None,
-            )),
-            ScriptStep::request("mallory", "vault", "deny"),
-            ScriptStep::request("admin", "vault", "grant"),
-            // A replayed request rides the live handle — no second deployment.
-            ScriptStep::request("attacker", "s", "reuse").with_query(sum_window(3)),
-            ScriptStep::ingest("s", 20),
-        ],
-        expect: Expectations {
-            grants: Some(2),
-            reuses: Some(1),
-            denials: Some(2),
-            blocked: Some(2),
-            max_live_plans: Some(3),
-            final_policies: Some(2),
-            deliveries: vec![
-                // 60 tuples through a (3, 2) tuple window: exactly 29 sums.
-                deliver("attacker", 29, Some(29)),
-            ],
-            audit_min: vec![
-                audit("multiple-access-blocked", 2),
-                audit("denied", 2),
-                audit("policy-updated", 1),
-                audit("granted", 2),
-                audit("reused", 1),
-            ],
-            no_grants_for: vec!["mallory".into()],
-        },
-    }
-}
+/// `(name, document)` of every built-in pack, in presentation order.
+const BUILTIN: [(&str, &str); 4] = [
+    ("smart-city", include_str!("../packs/smart-city.json")),
+    ("financial-ticks", include_str!("../packs/financial-ticks.json")),
+    ("iot-fleet", include_str!("../packs/iot-fleet.json")),
+    ("adversarial", include_str!("../packs/adversarial.json")),
+];
 
 /// Every built-in pack, in presentation order.
 #[must_use]
 pub fn all() -> Vec<ScenarioPack> {
-    vec![smart_city(), financial_ticks(), iot_fleet(), adversarial()]
+    BUILTIN.iter().map(|(name, _)| by_name(name).expect("name taken from BUILTIN")).collect()
 }
 
 /// Look a built-in pack up by name.
+///
+/// # Panics
+/// Panics when the embedded document is not a valid pack — a defect in this
+/// repository's own data, which `builtin_packs_validate` keeps out.
 #[must_use]
 pub fn by_name(name: &str) -> Option<ScenarioPack> {
-    all().into_iter().find(|pack| pack.name == name)
+    let (_, document) = BUILTIN.iter().find(|(builtin, _)| *builtin == name)?;
+    let pack = ScenarioPack::from_json_str(document)
+        .unwrap_or_else(|problem| panic!("built-in pack '{name}' is invalid: {problem}"));
+    Some(pack)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioPack;
     use std::path::PathBuf;
 
     #[test]
@@ -536,32 +58,25 @@ mod tests {
         }
     }
 
-    fn pack_path(name: &str) -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("packs").join(format!("{name}.json"))
-    }
-
-    /// The committed `packs/*.json` files are the constants, byte for byte.
-    /// Regenerate with `PACKS_REWRITE=1 cargo test -p exacml-workload`.
+    /// The registry and the `packs/` directory agree: every JSON file is
+    /// registered (a world nobody registered would silently never run), under
+    /// the name its document declares.
     #[test]
-    fn pack_files_match_builtins() {
-        for pack in all() {
-            let path = pack_path(&pack.name);
-            let rendered = pack.to_json_string().unwrap() + "\n";
-            if std::env::var_os("PACKS_REWRITE").is_some() {
-                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-                std::fs::write(&path, &rendered).unwrap();
-                continue;
-            }
-            let committed = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-            assert_eq!(
-                committed,
-                rendered,
-                "pack file {} is stale — regenerate with PACKS_REWRITE=1",
-                path.display()
-            );
-            // And the committed file loads back to the same pack.
-            assert_eq!(ScenarioPack::from_json_str(&committed).unwrap(), pack);
+    fn registry_names_equal_the_pack_file_stems() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("packs");
+        let mut stems: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        stems.sort();
+        let mut registered: Vec<String> = all().into_iter().map(|pack| pack.name).collect();
+        registered.sort();
+        assert_eq!(registered, stems);
+        for (name, _) in BUILTIN {
+            assert_eq!(by_name(name).unwrap().name, name);
         }
+        assert!(by_name("no-such-world").is_none());
     }
 }

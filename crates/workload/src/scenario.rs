@@ -5,10 +5,10 @@
 //! that world into *data*: streams and their schemas, a policy corpus, a
 //! subject population with Zipf access skew (via [`crate::zipf`]), a scripted
 //! request/ingest sequence, and expected-outcome oracles (grants allowed and
-//! denied, delivery counts, audit invariants). Packs are plain serde structs;
-//! the built-in worlds live in [`crate::packs`] and every pack round-trips
-//! through JSON ([`ScenarioPack::to_json_string`] /
-//! [`ScenarioPack::from_json_str`]), so a new world is a data file, not code.
+//! denied, delivery counts, audit invariants). Packs are plain serde structs
+//! that round-trip through JSON ([`ScenarioPack::to_json_string`] /
+//! [`ScenarioPack::from_json_str`]); the built-in worlds are JSON documents
+//! embedded by [`crate::packs`], so a new world is a data file, not code.
 //!
 //! The runner that executes a pack against any `Backend` shape is
 //! [`crate::runner`]; `docs/SCENARIOS.md` in the repository root documents
@@ -99,38 +99,6 @@ pub struct FieldGen {
     pub options: Vec<String>,
 }
 
-impl FieldGen {
-    /// A monotone event-time column advancing `interval_ms` per tuple.
-    #[must_use]
-    pub fn time(interval_ms: f64) -> Self {
-        FieldGen { kind: "time".into(), a: interval_ms, b: 0.0, p: 0.0, options: Vec::new() }
-    }
-
-    /// A per-field counter `start, start+1, …`.
-    #[must_use]
-    pub fn serial(start: f64) -> Self {
-        FieldGen { kind: "serial".into(), a: start, b: 0.0, p: 0.0, options: Vec::new() }
-    }
-
-    /// A uniform draw from `[lo, hi)`.
-    #[must_use]
-    pub fn uniform(lo: f64, hi: f64) -> Self {
-        FieldGen { kind: "uniform".into(), a: lo, b: hi, p: 0.0, options: Vec::new() }
-    }
-
-    /// A random walk from `start` with per-tuple step in `[-step, step]`.
-    #[must_use]
-    pub fn walk(start: f64, step: f64) -> Self {
-        FieldGen { kind: "walk".into(), a: start, b: step, p: 0.0, options: Vec::new() }
-    }
-
-    /// Uniform `[0, base)`, spiking into `[base, spike)` with probability `p`.
-    #[must_use]
-    pub fn burst(base: f64, spike: f64, p: f64) -> Self {
-        FieldGen { kind: "burst".into(), a: base, b: spike, p, options: Vec::new() }
-    }
-}
-
 /// One policy of the pack's corpus, in [`StreamPolicyBuilder`] vocabulary.
 ///
 /// An empty `subject` makes the policy *open*: any subject asking for the
@@ -193,21 +161,6 @@ pub struct WindowData {
 }
 
 impl WindowData {
-    /// A tuple-based window.
-    #[must_use]
-    pub fn tuples<I, S>(size: u64, advance: u64, aggs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        WindowData {
-            kind: "tuple".into(),
-            size,
-            advance,
-            aggs: aggs.into_iter().map(Into::into).collect(),
-        }
-    }
-
     /// Decode into the engine's window spec and aggregation list.
     ///
     /// # Errors
@@ -236,12 +189,6 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// A query that only customises the aggregation window.
-    #[must_use]
-    pub fn window_only(window: WindowData) -> Self {
-        QuerySpec { filter: String::new(), select: Vec::new(), window: Some(window) }
-    }
-
     /// Build the typed [`UserQuery`] for `stream`.
     ///
     /// # Errors
@@ -306,13 +253,16 @@ pub struct ScriptStep {
 }
 
 impl ScriptStep {
-    fn blank(op: &str) -> Self {
+    /// An access request with an expected outcome (what the runner expands
+    /// a `zipf-requests` step into).
+    #[must_use]
+    pub fn request(subject: &str, stream: &str, expect: &str) -> Self {
         ScriptStep {
-            op: op.into(),
-            stream: String::new(),
-            subject: String::new(),
+            op: "request".into(),
+            stream: stream.into(),
+            subject: subject.into(),
             count: 0,
-            expect: String::new(),
+            expect: expect.into(),
             tap: String::new(),
             query: None,
             policy: None,
@@ -322,90 +272,12 @@ impl ScriptStep {
             prefix: String::new(),
         }
     }
-
-    /// An access request with an expected outcome.
-    #[must_use]
-    pub fn request(subject: &str, stream: &str, expect: &str) -> Self {
-        let mut step = ScriptStep::blank("request");
-        step.subject = subject.into();
-        step.stream = stream.into();
-        step.expect = expect.into();
-        step
-    }
-
-    /// Attach a customised user query to a request step.
-    #[must_use]
-    pub fn with_query(mut self, query: QuerySpec) -> Self {
-        self.query = Some(query);
-        self
-    }
-
-    /// Record the grant's deliveries under a tap label.
-    #[must_use]
-    pub fn with_tap(mut self, tap: &str) -> Self {
-        self.tap = tap.into();
-        self
-    }
-
-    /// Ingest `count` synthesised tuples into `stream`.
-    #[must_use]
-    pub fn ingest(stream: &str, count: u64) -> Self {
-        let mut step = ScriptStep::blank("ingest");
-        step.stream = stream.into();
-        step.count = count;
-        step
-    }
-
-    /// Release the subject's live access on `stream`.
-    #[must_use]
-    pub fn release(subject: &str, stream: &str) -> Self {
-        let mut step = ScriptStep::blank("release");
-        step.subject = subject.into();
-        step.stream = stream.into();
-        step
-    }
-
-    /// Replace a loaded policy (withdrawing its deployments).
-    #[must_use]
-    pub fn update_policy(policy: PolicySpec) -> Self {
-        let mut step = ScriptStep::blank("update-policy");
-        step.policy = Some(policy);
-        step
-    }
-
-    /// Remove a loaded policy (withdrawing its deployments).
-    #[must_use]
-    pub fn remove_policy(policy_id: &str) -> Self {
-        let mut step = ScriptStep::blank("remove-policy");
-        step.policy_id = policy_id.into();
-        step
-    }
-
-    /// `count` requests on `stream` from a Zipf-skewed population of
-    /// `subjects` subjects named `{prefix}{rank}` (skew `alpha`).
-    #[must_use]
-    pub fn zipf_requests(
-        stream: &str,
-        prefix: &str,
-        subjects: u64,
-        alpha: f64,
-        count: u64,
-    ) -> Self {
-        let mut step = ScriptStep::blank("zipf-requests");
-        step.stream = stream.into();
-        step.prefix = prefix.into();
-        step.subjects = subjects;
-        step.alpha = alpha;
-        step.count = count;
-        step.expect = "open".into();
-        step
-    }
 }
 
 /// A delivery-count oracle for one tap.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeliveryExpectation {
-    /// The tap label (see [`ScriptStep::with_tap`]).
+    /// The tap label (see [`ScriptStep::tap`]).
     pub tap: String,
     /// Minimum derived tuples the tap must have received.
     pub min: u64,
@@ -612,6 +484,20 @@ impl ScenarioPack {
                         stream.name, field.name
                     ));
                 }
+                // The feed samples `[a, b)` (and `[0, a)` with probability
+                // `p` for bursts); an empty range would panic mid-run.
+                let FieldGen { a, b, p, .. } = field.gen;
+                let samplable = match field.gen.kind.as_str() {
+                    "uniform" => a < b,
+                    "burst" => 0.0 < a && a < b && (0.0..=1.0).contains(&p),
+                    _ => true,
+                };
+                if !samplable {
+                    problems.push(format!(
+                        "{}.{}: generator '{}' cannot sample a={a}, b={b}, p={p}",
+                        stream.name, field.name, field.gen.kind
+                    ));
+                }
             }
         }
         for policy in &self.policies {
@@ -645,6 +531,9 @@ impl ScenarioPack {
             }
             if step.op == "zipf-requests" && step.subjects == 0 {
                 problems.push(format!("step {index}: zipf population is empty"));
+            }
+            if step.op == "zipf-requests" && (step.alpha < 0.0 || step.alpha.is_nan()) {
+                problems.push(format!("step {index}: zipf alpha {} is negative", step.alpha));
             }
             if let Some(query) = &step.query {
                 if let Some(window) = &query.window {
@@ -915,61 +804,89 @@ impl ScenarioPack {
 mod tests {
     use super::*;
 
+    /// A minimal well-formed pack document; the malformed-input table below
+    /// breaks it one key at a time.
+    const TINY: &str = r#"{
+        "name": "tiny",
+        "description": "unit-test world",
+        "seed": 7,
+        "fanout_stream": "s",
+        "streams": [{"name": "s", "fields": [
+            {"name": "samplingtime", "data_type": "timestamp", "gen": {"kind": "time", "a": 1000}},
+            {"name": "a", "data_type": "double", "gen": {"kind": "uniform", "a": 0, "b": 10}}
+        ]}],
+        "policies": [{"id": "open", "stream": "s", "filter": "a > 2",
+                      "visible": ["samplingtime", "a"]}],
+        "script": [
+            {"op": "request", "subject": "alice", "stream": "s", "expect": "grant", "tap": "alice"},
+            {"op": "ingest", "stream": "s", "count": 20}
+        ],
+        "expect": {"grants": 1, "deliveries": [{"tap": "alice", "min": 1}]}
+    }"#;
+
     fn tiny_pack() -> ScenarioPack {
-        ScenarioPack {
-            name: "tiny".into(),
-            description: "unit-test world".into(),
-            seed: 7,
-            fanout_stream: "s".into(),
-            streams: vec![StreamSpec {
-                name: "s".into(),
-                fields: vec![
-                    FieldSpec {
-                        name: "samplingtime".into(),
-                        data_type: "timestamp".into(),
-                        gen: FieldGen::time(1000.0),
-                    },
-                    FieldSpec {
-                        name: "a".into(),
-                        data_type: "double".into(),
-                        gen: FieldGen::uniform(0.0, 10.0),
-                    },
-                ],
-            }],
-            policies: vec![PolicySpec {
-                id: "open".into(),
-                stream: "s".into(),
-                subject: String::new(),
-                description: String::new(),
-                filter: "a > 2".into(),
-                visible: vec!["samplingtime".into(), "a".into()],
-                window: None,
-            }],
-            script: vec![
-                ScriptStep::request("alice", "s", "grant").with_tap("alice"),
-                ScriptStep::ingest("s", 20),
-            ],
-            expect: Expectations {
-                grants: Some(1),
-                deliveries: vec![DeliveryExpectation { tap: "alice".into(), min: 1, max: None }],
-                ..Expectations::default()
-            },
-        }
+        ScenarioPack::from_json_str(TINY).unwrap()
     }
 
     #[test]
     fn packs_round_trip_through_json() {
         let pack = tiny_pack();
+        assert_eq!(pack.streams[0].fields[1].gen.b, 10.0);
+        assert_eq!(pack.script[0].tap, "alice");
+        assert_eq!(pack.expect.grants, Some(1));
         let text = pack.to_json_string().unwrap();
         let reloaded = ScenarioPack::from_json_str(&text).unwrap();
         assert_eq!(reloaded, pack);
+    }
+
+    /// Pack documents come from outside the program: every malformed one is
+    /// an `Err` that names the offending key or value, never a panic.
+    #[test]
+    fn malformed_documents_are_errors_naming_the_offender() {
+        let cases: [(&str, &str, &str, &str); 10] = [
+            ("unknown op", r#""op": "ingest""#, r#""op": "teleport""#, "teleport"),
+            ("unknown generator", r#""kind": "uniform""#, r#""kind": "gaussian""#, "gaussian"),
+            (
+                "unknown data type",
+                r#""data_type": "double""#,
+                r#""data_type": "decimal""#,
+                "decimal",
+            ),
+            ("unknown expect", r#""expect": "grant""#, r#""expect": "maybe""#, "maybe"),
+            ("empty range", r#""a": 0, "b": 10"#, r#""a": 10, "b": 10"#, "cannot sample"),
+            ("missing generator", r#", "gen": {"kind": "time", "a": 1000}"#, "", "'gen'"),
+            ("missing name", r#""name": "tiny","#, "", "no name"),
+            ("wrong type: number", r#""seed": 7"#, r#""seed": "seven""#, "'seed'"),
+            (
+                "wrong type: array",
+                r#""visible": ["samplingtime", "a"]"#,
+                r#""visible": 3"#,
+                "'visible'",
+            ),
+            (
+                "wrong type: string",
+                r#""stream": "s", "count""#,
+                r#""stream": 5, "count""#,
+                "'stream'",
+            ),
+        ];
+        for (what, from, to, names) in cases {
+            assert!(TINY.contains(from), "{what}: the fixture lost `{from}`");
+            let problem = ScenarioPack::from_json_str(&TINY.replacen(from, to, 1))
+                .expect_err(&format!("{what}: accepted"));
+            assert!(problem.contains(names), "{what}: `{problem}` does not name {names}");
+        }
+        // Not JSON at all, and JSON that is not a pack.
+        assert!(ScenarioPack::from_json_str("{\"name\": ").is_err());
+        assert!(ScenarioPack::from_json_str("[1, 2, 3]").is_err());
+        assert!(ScenarioPack::from_json_str("null").is_err());
     }
 
     #[test]
     fn validation_catches_typos() {
         let mut pack = tiny_pack();
         pack.script.push(ScriptStep::request("bob", "nosuch", "grant"));
-        pack.script.push(ScriptStep::blank("teleport"));
+        pack.script.push(ScriptStep { op: "teleport".into(), ..ScriptStep::request("", "", "") });
         pack.streams[0].fields[1].data_type = "decimal".into();
         let problems = pack.validate().unwrap_err();
         assert!(problems.iter().any(|p| p.contains("nosuch")));

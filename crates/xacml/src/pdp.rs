@@ -17,11 +17,11 @@
 //! first-applicable combining is preserved bit-for-bit. Requests that don't
 //! fit the triple shape fall back to the full linear scan.
 //!
-//! On top of the index, each [`Pdp`] carries a **decision cache** keyed by
-//! the canonicalized request. The cache is coupled to the store's revision
-//! counter, which every add / remove / update bumps — the same Section 3.3
-//! events that withdraw deployed query graphs also invalidate cached
-//! decisions, so a cached decision is never served across a policy change.
+//! Every request is decided against the store as it is at the call, so a
+//! policy change (Section 3.3) is visible to the very next request. Nothing
+//! caches decisions in front of the index: a lock, a per-request string key
+//! and a cloned obligation list per hit measured slower than the indexed
+//! evaluation they would save.
 //!
 //! Policies are stored behind `Arc`s: [`PolicyStore::snapshot`] and
 //! [`PolicyStore::get`] hand out shared references instead of deep-cloning
@@ -145,8 +145,8 @@ struct StoreInner {
     order: Vec<String>,
     policies: HashMap<String, Arc<Policy>>,
     index: TargetIndex,
-    /// Bumped by every add / remove / update; decision caches compare it to
-    /// decide whether their entries are still valid.
+    /// Bumped by every add / remove / update; the id-list snapshot compares
+    /// it to decide whether it is stale, and recovery persists it.
     revision: u64,
 }
 
@@ -310,7 +310,6 @@ impl PolicyStore {
     }
 
     /// The store's revision counter; bumped by every add / remove / update.
-    /// Decision caches use it to detect staleness.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.inner.read().revision
@@ -321,8 +320,7 @@ impl PolicyStore {
     /// compacted journal has seen fewer add/remove/update events than the
     /// original, so replay alone would leave the counter behind the value
     /// persisted at the last snapshot; jumping forward restores the
-    /// pre-crash revision and conservatively invalidates every coupled
-    /// decision cache.
+    /// pre-crash revision.
     pub fn resume_revision_at(&self, revision: u64) {
         let mut inner = self.inner.write();
         inner.revision = inner.revision.max(revision);
@@ -365,7 +363,7 @@ impl PolicyStore {
             (Some(s), Some(r), Some(a)) => {
                 // Borrow the key parts without building owned Strings unless
                 // the bucket exists is not possible with a tuple key; the
-                // three small allocations happen once per (uncached) request.
+                // three small allocations happen once per request.
                 let key = (s.to_string(), r.to_string(), a.to_string());
                 inner.index.by_triple.get(&key).map_or(&[][..], Vec::as_slice)
             }
@@ -392,42 +390,11 @@ impl PolicyStore {
     }
 }
 
-/// A revision-coupled cache of PDP decisions keyed by canonicalized request.
-#[derive(Debug, Default)]
-struct DecisionCache {
-    inner: Mutex<DecisionCacheInner>,
-}
-
-#[derive(Debug, Default)]
-struct DecisionCacheInner {
-    /// Store revision the cached entries were computed against.
-    revision: u64,
-    map: HashMap<String, DecisionResponse>,
-}
-
-/// Upper bound on cached decisions; the map is cleared wholesale when it is
-/// reached (the workload's request population is far smaller).
-const DECISION_CACHE_CAPACITY: usize = 8192;
-
-/// Canonical text form of a request: category/id/value triples, sorted, so
-/// attribute order in the request document does not fragment the cache.
-fn canonical_request_key(request: &Request) -> String {
-    let mut parts: Vec<String> = request
-        .attributes
-        .iter()
-        .map(|a| format!("{:?}\x1f{}\x1f{}", a.category, a.attribute_id, a.value.text))
-        .collect();
-    parts.sort_unstable();
-    parts.join("\x1e")
-}
-
 /// The Policy Decision Point.
 #[derive(Debug, Clone)]
 pub struct Pdp {
     store: Arc<PolicyStore>,
     combining: PolicyCombiningAlg,
-    /// Shared across clones of this PDP (same store, same combining).
-    cache: Arc<DecisionCache>,
 }
 
 impl Pdp {
@@ -436,20 +403,13 @@ impl Pdp {
     /// dedicated policy per request).
     #[must_use]
     pub fn new(store: Arc<PolicyStore>) -> Self {
-        Pdp {
-            store,
-            combining: PolicyCombiningAlg::FirstApplicable,
-            cache: Arc::new(DecisionCache::default()),
-        }
+        Pdp { store, combining: PolicyCombiningAlg::FirstApplicable }
     }
 
-    /// Override the policy combining algorithm. The decision cache is
-    /// replaced: cached decisions depend on the combining algorithm, so they
-    /// must not leak between a PDP and a re-combined copy of it.
+    /// Override the policy combining algorithm.
     #[must_use]
     pub fn with_combining(mut self, combining: PolicyCombiningAlg) -> Self {
         self.combining = combining;
-        self.cache = Arc::new(DecisionCache::default());
         self
     }
 
@@ -459,61 +419,11 @@ impl Pdp {
         &self.store
     }
 
-    /// Number of decisions currently cached (observability for tests and
-    /// benches).
-    #[must_use]
-    pub fn cached_decisions(&self) -> usize {
-        self.cache.inner.lock().map.len()
-    }
-
-    /// Evaluate a request against the loaded policies, serving repeated
-    /// requests from the decision cache. Cached entries are invalidated by
-    /// the store's add / remove / update events (via the revision counter),
-    /// so a decision is never served across a policy change.
+    /// Evaluate a request against the loaded policies, using the target
+    /// index to narrow the candidate set. The store is read as it is at the
+    /// call, so a decision is never served across a policy change.
     #[must_use]
     pub fn evaluate(&self, request: &Request) -> DecisionResponse {
-        if request.validate().is_err() {
-            return DecisionResponse {
-                decision: Decision::Indeterminate,
-                obligations: Vec::new(),
-                policy_id: None,
-            };
-        }
-
-        let key = canonical_request_key(request);
-        let revision = self.store.revision();
-        {
-            let mut cache = self.cache.inner.lock();
-            if cache.revision == revision {
-                if let Some(hit) = cache.map.get(&key) {
-                    return hit.clone();
-                }
-            } else {
-                cache.map.clear();
-                cache.revision = revision;
-            }
-        }
-
-        let response = self.evaluate_uncached(request);
-
-        // Only cache when the store has not changed underneath the
-        // evaluation; otherwise the entry might reflect either revision.
-        if self.store.revision() == revision {
-            let mut cache = self.cache.inner.lock();
-            if cache.revision == revision {
-                if cache.map.len() >= DECISION_CACHE_CAPACITY {
-                    cache.map.clear();
-                }
-                cache.map.insert(key, response.clone());
-            }
-        }
-        response
-    }
-
-    /// Evaluate without consulting or filling the decision cache, using the
-    /// target index to narrow the candidate set.
-    #[must_use]
-    pub fn evaluate_uncached(&self, request: &Request) -> DecisionResponse {
         if request.validate().is_err() {
             return DecisionResponse {
                 decision: Decision::Indeterminate,
@@ -529,9 +439,16 @@ impl Pdp {
         }
     }
 
+    /// Alias of [`Pdp::evaluate`], kept because the benchmark ladder times
+    /// both names.
+    #[must_use]
+    pub fn evaluate_uncached(&self, request: &Request) -> DecisionResponse {
+        self.evaluate(request)
+    }
+
     /// Reference implementation: a full linear scan over the store in
-    /// insertion order, bypassing both the target index and the cache. The
-    /// property tests assert [`Pdp::evaluate`] agrees with this bit for bit.
+    /// insertion order, bypassing the target index. The property tests
+    /// assert [`Pdp::evaluate`] agrees with this bit for bit.
     #[must_use]
     pub fn evaluate_linear(&self, request: &Request) -> DecisionResponse {
         if request.validate().is_err() {
@@ -803,53 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeated_requests_and_survives_reordering() {
-        let pdp = Pdp::new(store_with(vec![permit_policy("p1", "LTA", "weather")]));
-        let request = Request::subscribe("LTA", "weather");
-        assert_eq!(pdp.cached_decisions(), 0);
-        let first = pdp.evaluate(&request);
-        assert_eq!(pdp.cached_decisions(), 1);
-        let second = pdp.evaluate(&request);
-        assert_eq!(first, second);
-        assert_eq!(pdp.cached_decisions(), 1);
-
-        // The same attributes in a different document order hit the same
-        // canonical key.
-        use crate::attribute::AttributeValue;
-        let reordered = Request::new()
-            .with_action(ids::ACTION_ID, AttributeValue::string("subscribe"))
-            .with_resource(ids::RESOURCE_ID, AttributeValue::string("weather"))
-            .with_subject(ids::SUBJECT_ID, AttributeValue::string("LTA"));
-        assert_eq!(pdp.evaluate(&reordered), first);
-        assert_eq!(pdp.cached_decisions(), 1);
-    }
-
-    #[test]
-    fn cache_invalidates_on_add_remove_update() {
-        let store = store_with(vec![permit_policy("p1", "LTA", "weather")]);
-        let pdp = Pdp::new(Arc::clone(&store));
-        let request = Request::subscribe("LTA", "weather");
-        assert!(pdp.evaluate(&request).is_permit());
-        assert_eq!(pdp.cached_decisions(), 1);
-
-        // Remove: the cached Permit must not survive.
-        store.remove("p1").unwrap();
-        let response = pdp.evaluate(&request);
-        assert_eq!(response.decision, Decision::NotApplicable);
-
-        // Add: the cached NotApplicable must not survive.
-        store.add(permit_policy("p1", "LTA", "weather")).unwrap();
-        assert!(pdp.evaluate(&request).is_permit());
-
-        // Update: the decision must reflect the new document.
-        let deny = Policy::new("p1")
-            .with_target(Target::subject_resource_action("LTA", "weather", "subscribe"))
-            .with_rule(Rule::deny_all("d"));
-        store.update(deny).unwrap();
-        assert_eq!(pdp.evaluate(&request).decision, Decision::Deny);
-    }
-
-    #[test]
     fn indexed_evaluation_matches_linear_reference() {
         // Mixed store: triple-indexed policies, generic policies, deny
         // rules, multiple policies per triple.
@@ -875,7 +745,7 @@ mod tests {
                 Request::new(),
             ] {
                 assert_eq!(
-                    pdp.evaluate_uncached(&request),
+                    pdp.evaluate(&request),
                     pdp.evaluate_linear(&request),
                     "index/linear divergence under {combining:?} for {request}"
                 );

@@ -135,6 +135,22 @@ impl Request {
         self.first_value(AttributeCategory::Action, ids::ACTION_ID)
     }
 
+    /// Canonical text form of the **whole** request: every attribute of every
+    /// category as a category/id/value triple, sorted, so two documents that
+    /// list the same attributes in a different order share a key and two
+    /// requests the PDP could tell apart never do. This is what anything
+    /// that answers a request without asking the PDP must key on.
+    #[must_use]
+    pub fn canonical_key(&self) -> String {
+        let mut parts: Vec<String> = self
+            .attributes
+            .iter()
+            .map(|a| format!("{:?}\x1f{}\x1f{}", a.category, a.attribute_id, a.value.text))
+            .collect();
+        parts.sort_unstable();
+        parts.join("\x1e")
+    }
+
     /// Basic structural validation: every attribute id non-empty.
     ///
     /// # Errors
@@ -189,6 +205,22 @@ mod tests {
     fn validation_rejects_empty_ids() {
         let r = Request::new().with_subject("", AttributeValue::string("x"));
         assert!(r.validate().is_err());
+    }
+
+    #[test]
+    fn canonical_key_ignores_order_and_separates_every_attribute() {
+        let request = Request::subscribe("LTA", "weather");
+        let reordered = Request::new()
+            .with_action(ids::ACTION_ID, AttributeValue::string("subscribe"))
+            .with_resource(ids::RESOURCE_ID, AttributeValue::string("weather"))
+            .with_subject(ids::SUBJECT_ID, AttributeValue::string("LTA"));
+        assert_eq!(request.canonical_key(), reordered.canonical_key());
+        // An attribute outside the subject/resource/action triple is part of
+        // the key, and so is its value.
+        let on = request.clone().with_environment("duty", AttributeValue::string("on"));
+        let off = request.clone().with_environment("duty", AttributeValue::string("off"));
+        assert_ne!(on.canonical_key(), request.canonical_key());
+        assert_ne!(on.canonical_key(), off.canonical_key());
     }
 
     #[test]

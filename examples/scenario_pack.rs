@@ -16,7 +16,7 @@ use exacml::exacml_workload::scenario::ScenarioPack;
 use exacml::prelude::*;
 
 fn main() {
-    let pack = packs::adversarial();
+    let pack = packs::by_name("adversarial").expect("built-in pack");
     println!("pack '{}': {}\n", pack.name, pack.description);
 
     // The JSON round trip is lossless — what ships in packs/*.json is the

@@ -20,10 +20,7 @@
 //! `<dyn Backend>::local()` / `<dyn Backend>::fabric(n)` shorthands.
 
 use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, Replication, TopologyPreset};
-use exacml_plus::{
-    Backend, DataServer, ExacmlError, Fabric, FabricConfig, MergeOptions, ServerConfig,
-};
-use exacml_simnet::Topology;
+use exacml_plus::{Backend, DataServer, ExacmlError, Fabric, FabricConfig, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -45,36 +42,25 @@ enum Shape {
 
 /// Builds any eXACML+ backend behind one API.
 ///
-/// Constructors pick the deployment shape and a sensible topology; the
-/// `with_*` methods refine seeds, link topology and merge behaviour; and
-/// [`BackendBuilder::build`] returns the backend as an `Arc<dyn Backend>`
-/// ready for scenario code, [`Session`]s, feeds and benches.
+/// Constructors pick the deployment shape on loopback links; the setters
+/// refine the topology preset, the seed, the replication factor and the
+/// partial-result rule; and [`BackendBuilder::build`] returns the backend
+/// as an `Arc<dyn Backend>` ready for scenario code, [`Session`]s, feeds
+/// and benches.
 #[derive(Debug, Clone)]
 pub struct BackendBuilder {
     shape: Shape,
-    topology: Topology,
-    /// The named preset `topology` was constructed from — what a durable
-    /// store persists, since an arbitrary link table has no name on disk.
+    /// The named preset every simulated link is drawn from; a durable store
+    /// persists the name and recovers onto the same topology.
     preset: TopologyPreset,
     seed: u64,
     deploy_on_partial_result: bool,
-    merge: MergeOptions,
-    share_plans: bool,
     replication: usize,
 }
 
 impl BackendBuilder {
     fn new(shape: Shape, preset: TopologyPreset) -> Self {
-        BackendBuilder {
-            shape,
-            topology: preset.topology(),
-            preset,
-            seed: 42,
-            deploy_on_partial_result: false,
-            merge: MergeOptions::default(),
-            share_plans: true,
-            replication: 1,
-        }
+        BackendBuilder { shape, preset, seed: 42, deploy_on_partial_result: false, replication: 1 }
     }
 
     /// A single in-process data server on loopback links (unit tests,
@@ -103,12 +89,10 @@ impl BackendBuilder {
     /// assert_eq!(cloud.backend_kind(), "fabric-3");
     /// ```
     ///
-    /// Unlike [`with_topology`](BackendBuilder::with_topology) (a raw
-    /// link-table override), the preset has a *name*, so durable stores can
-    /// persist it and recover onto the same topology.
+    /// The preset has a *name*, so durable stores can persist it and
+    /// recover onto the same topology.
     #[must_use]
     pub fn topology(mut self, preset: TopologyPreset) -> Self {
-        self.topology = preset.topology();
         self.preset = preset;
         self
     }
@@ -145,10 +129,9 @@ impl BackendBuilder {
     /// **recovery uses the configuration persisted in its `meta.json`** —
     /// the builder's [`with_seed`](BackendBuilder::with_seed),
     /// [`deploy_on_partial_result`](BackendBuilder::deploy_on_partial_result)
-    /// and [`with_topology`](BackendBuilder::with_topology) settings apply
-    /// only when the store is being *created* (and a custom `with_topology`
-    /// link table is never persisted — the store records the builder's
-    /// named preset). To reopen a store under different knobs, use
+    /// and [`topology`](BackendBuilder::topology) settings apply only when
+    /// the store is being *created*. To reopen a store under different
+    /// knobs, use
     /// [`DurableServer::recover_with`](exacml_durable::DurableServer::recover_with)
     /// directly.
     #[must_use]
@@ -180,13 +163,6 @@ impl BackendBuilder {
         self
     }
 
-    /// Override the deployment topology the simulated links are drawn from.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Override the base seed (node and link seeds derive from it).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -202,50 +178,11 @@ impl BackendBuilder {
         self
     }
 
-    /// How the PEP merges the policy graph with a user's customised query
-    /// (Section 3.1). The default is the *safe* combination:
-    ///
-    /// * **Projections — safe intersection vs literal union.** With
-    ///   `map_union: false` (default) merged map operators keep only the
-    ///   attributes *both* sides project — the user never sees an attribute
-    ///   the policy withheld, and asking for one raises a PR warning
-    ///   instead of leaking it. `map_union: true` applies the paper's
-    ///   literal `S3 = S1 ∪ S2` rule, which reproduces the paper's algebra
-    ///   verbatim but widens a projection past what one side declared —
-    ///   use it only for fidelity experiments, never where the policy's
-    ///   projection is the enforcement boundary.
-    /// * **Filters** are always conjoined (an intersection, inherently
-    ///   safe); `simplify_filters: false` keeps the raw concatenation the
-    ///   paper's baseline measures.
-    ///
-    /// Merge options shape the merged graph and therefore its canonical
-    /// signature: backends only share a compiled plan between grants whose
-    /// *merged* graphs agree, so the safety of plan sharing is independent
-    /// of the options chosen here.
-    #[must_use]
-    pub fn merge_options(mut self, merge: MergeOptions) -> Self {
-        self.merge = merge;
-        self
-    }
-
-    /// Share compiled operator subgraphs across overlapping grants
-    /// (default `true`): grants whose core graphs canonicalize identically
-    /// ride one deployment and each pays only a per-grant residual at
-    /// fan-out. `false` deploys one graph per grant — the unmerged
-    /// baseline the `merge_scale` benchmark measures against.
-    #[must_use]
-    pub fn share_plans(mut self, share: bool) -> Self {
-        self.share_plans = share;
-        self
-    }
-
     fn server_config(&self) -> ServerConfig {
         ServerConfig {
-            merge: self.merge,
             deploy_on_partial_result: self.deploy_on_partial_result,
-            topology: self.topology.clone(),
+            topology: self.preset.topology(),
             seed: self.seed,
-            share_plans: self.share_plans,
             ..ServerConfig::default()
         }
     }
@@ -255,9 +192,6 @@ impl BackendBuilder {
             topology: self.preset,
             deploy_on_partial_result: self.deploy_on_partial_result,
             seed: self.seed,
-            map_union: self.merge.map_union,
-            simplify_filters: self.merge.simplify_filters,
-            share_plans: self.share_plans,
             ..DurableConfig::default()
         }
     }
@@ -272,7 +206,7 @@ impl BackendBuilder {
         Ok(match self.shape {
             Shape::Single => Arc::new(DataServer::new(self.server_config())),
             Shape::Fabric(nodes) => {
-                let config = FabricConfig::new(nodes, self.topology.clone())
+                let config = FabricConfig::new(nodes, self.preset.topology())
                     .with_seed(self.seed)
                     .with_server_template(self.server_config());
                 Arc::new(Fabric::new(config))
@@ -282,7 +216,7 @@ impl BackendBuilder {
                 Arc::new(DurableServer::open(path, config)?)
             }
             Shape::Replicated(nodes, ref path) => {
-                let fabric = FabricConfig::new(nodes, self.topology.clone())
+                let fabric = FabricConfig::new(nodes, self.preset.topology())
                     .with_seed(self.seed)
                     .with_server_template(self.durable_config());
                 let config = ReplicatedConfig::new(nodes, path)
@@ -414,40 +348,6 @@ mod tests {
         assert!(backend.handle_is_live(granted.handle()));
         assert!(backend.health().degraded_nodes.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_and_sharing_knobs_reach_every_shape() {
-        use exacml_plus::MergeOptions;
-        // share_plans(false): each overlapping grant deploys its own graph.
-        for builder in [BackendBuilder::local(), BackendBuilder::fabric(1)] {
-            let backend = builder
-                .merge_options(MergeOptions { map_union: false, simplify_filters: false })
-                .share_plans(false)
-                .build();
-            backend.register_stream("weather", Schema::weather_example()).unwrap();
-            backend
-                .load_policy(
-                    StreamPolicyBuilder::new("open", "weather").filter("rainrate > 5").build(),
-                )
-                .unwrap();
-            for subject in ["a", "b", "c"] {
-                backend.handle_request(&Request::subscribe(subject, "weather"), None).unwrap();
-            }
-            assert_eq!(backend.live_plans(), 3);
-            assert_eq!(backend.live_deployments(), 3);
-        }
-        // The default shares: same scenario, one compiled plan.
-        let shared = BackendBuilder::local().build();
-        shared.register_stream("weather", Schema::weather_example()).unwrap();
-        shared
-            .load_policy(StreamPolicyBuilder::new("open", "weather").filter("rainrate > 5").build())
-            .unwrap();
-        for subject in ["a", "b", "c"] {
-            shared.handle_request(&Request::subscribe(subject, "weather"), None).unwrap();
-        }
-        assert_eq!(shared.live_plans(), 1);
-        assert_eq!(shared.live_deployments(), 1);
     }
 
     #[test]

@@ -81,35 +81,25 @@
 //! `docs/RECOVERY.md`; where every layer sits is mapped in
 //! `docs/ARCHITECTURE.md`.
 //!
-//! # Migrating from the `ClientInterface` entry point
+//! # One way in
 //!
-//! Before the unified API the entry point was the paper-faithful chain
-//! `ClientInterface → Proxy → DataServer` (and, separately, `Fabric` with
-//! its own near-duplicate method surface). That chain still exists — it
-//! models the Figure 3 deployment entities and their network hops, and the
-//! evaluation figures are measured through it — but it is no longer the
-//! recommended way to *use* the system:
+//! Consumer code holds a [`Session`]: it carries the subject,
+//! [`Session::request_access`] / [`Session::subscribe`] (any
+//! `impl Into<Query>`: a bare stream name attaches to an existing grant, a
+//! typed [`Query`] requests and attaches, returning a [`QuerySubscription`]
+//! with the shared [plan id](exacml_plus::PlanId) and the NR/PR warnings),
+//! [`Session::release`] or simply dropping it. Raw wire-form XML is
+//! accepted only through [`Query::from_xml`].
 //!
-//! * `ClientInterface::request_access(subject, stream, query)` →
-//!   [`Session::request_access`] (the session carries the subject) — or,
-//!   in one step with the subscription, `session.subscribe(Query::on(…))`;
-//! * hand-written `<Query>` XML documents → the typed [`Query`] builder
-//!   (`Query::on("weather").filter("rainrate > 30").select([…])`). Raw
-//!   wire-form XML is accepted only through [`Query::from_xml`]; every
-//!   other path is typed;
-//! * `ClientInterface::release(subject, stream)` → [`Session::release`]
-//!   (or just drop the session);
-//! * `server.subscribe(&handle)` / `fabric.subscribe(&handle)` →
-//!   [`Session::subscribe`] (any `impl Into<Query>`: a bare stream name
-//!   attaches to an existing grant, a structured [`Query`] requests and
-//!   attaches) returning a [`QuerySubscription`] that carries the shared
-//!   [plan id](exacml_plus::PlanId) and the NR/PR warnings on top of the
-//!   transport [`Subscription`](exacml_plus::Subscription) it derefs to —
-//!   or `backend.subscribe(&handle)` through the trait for the raw
-//!   transport;
-//! * `feed.pump_into(&engine, …)` / `feed.pump_into_fabric(&fabric, …)` →
-//!   one generic `feed.pump_into(&backend, …)` accepting any
-//!   [`StreamBackend`](exacml_plus::StreamBackend).
+//! The paper's Figure 3 proxy — the handle cache Figure 6b measures — is
+//! [`exacml_plus::Proxy`]. It fronts any `Arc<dyn Backend>`, charges the
+//! client ↔ proxy hop on every request and the proxy ↔ server hop on a miss
+//! into the response timing, and keys its cache on the whole request
+//! ([`Request::canonical_key`](exacml_xacml::Request::canonical_key)) plus
+//! the query, so it never answers a request the PDP would refuse. The
+//! Figure 6/7 experiments in [`exacml_bench`] replay their subjects through
+//! it; the direct-query baseline is
+//! [`DataServer::direct_deploy`](exacml_plus::DataServer::direct_deploy).
 //!
 //! # Workspace map
 //!

@@ -5,8 +5,9 @@
 //! brokering `Fabric` (the backend is one builder line).
 
 use exacml::exacml_dsms::{streamsql, AggFunc, AggSpec, Schema, Value, WindowSpec};
-use exacml::exacml_plus::{ClientInterface, DataServer, Proxy, ServerConfig};
+use exacml::exacml_plus::Proxy;
 use exacml::exacml_workload::{WorkloadGenerator, WorkloadSpec};
+use exacml::exacml_xacml::{AttributeCategory, AttributeMatch, AttributeValue};
 use exacml::prelude::*;
 use std::sync::Arc;
 
@@ -187,7 +188,7 @@ fn multi_consumer_isolation_across_streams() {
 
 #[test]
 fn direct_query_scripts_from_the_workload_deploy_and_run() {
-    let server = Arc::new(DataServer::new(ServerConfig::local()));
+    let server = DataServer::new(ServerConfig::local());
     for (name, schema) in WorkloadGenerator::streams() {
         server.register_stream(name, schema).unwrap();
     }
@@ -196,13 +197,87 @@ fn direct_query_scripts_from_the_workload_deploy_and_run() {
     spec.n_direct_queries = 20;
     let generator = WorkloadGenerator::new(spec);
     let queries = generator.generate_queries();
-    let client = ClientInterface::new(Arc::new(Proxy::new(Arc::clone(&server))));
     for script in generator.direct_query_scripts(&queries) {
-        let (handle, timing) = client.direct_query(&script).unwrap();
+        let (handle, timing) = server.direct_deploy(&script).unwrap();
         assert!(server.handle_is_live(&handle));
         assert!(timing.total >= timing.dsms);
     }
     assert_eq!(server.live_deployments(), 20);
+}
+
+/// A caching proxy in front of `backend`, on the paper's testbed links.
+fn caching_proxy(backend: Arc<dyn Backend>) -> Proxy {
+    Proxy::new(backend, TopologyPreset::PaperTestbed.topology(), 7)
+}
+
+/// The handle cache answers without asking the PDP, so it must key on every
+/// attribute the PDP decides on — not just subject, resource and action.
+#[test]
+fn proxy_cache_never_answers_a_request_the_pdp_would_refuse() {
+    for backend in [BackendBuilder::local().build(), BackendBuilder::fabric(3).build()] {
+        let kind = backend.backend_kind();
+        backend.register_stream("weather", Schema::weather_example()).unwrap();
+        let mut policy = StreamPolicyBuilder::new("lta-on-duty", "weather").subject("LTA").build();
+        policy.target.matches.push(AttributeMatch::new(
+            AttributeCategory::Environment,
+            "duty",
+            "on",
+        ));
+        backend.load_policy(policy).unwrap();
+        let proxy = caching_proxy(backend.clone());
+        let duty = |state: &str| {
+            Request::subscribe("LTA", "weather")
+                .with_environment("duty", AttributeValue::string(state))
+        };
+
+        let granted = proxy.request(&duty("on"), None).unwrap();
+        assert!(backend.handle_is_live(granted.handle()), "{kind}");
+        assert!(proxy.request(&duty("on"), None).unwrap().response.reused, "{kind}");
+        assert_eq!(proxy.stats().hits, 1, "{kind}");
+
+        // Same subject, stream and action; the PDP refuses, so must the proxy.
+        assert!(
+            matches!(proxy.request(&duty("off"), None), Err(ExacmlError::AccessDenied { .. })),
+            "{kind}: the cache answered an off-duty request"
+        );
+        assert_eq!(proxy.stats().hits, 1, "{kind}");
+        assert_eq!(backend.audit_kind_counts().get("denied"), Some(&1), "{kind}");
+    }
+}
+
+/// Section 3.3 through the proxy, on the multi-node shapes: a policy update
+/// withdraws the cached handle wherever it lives, and the proxy never serves
+/// it again.
+#[test]
+fn proxy_never_serves_a_handle_a_policy_update_withdrew() {
+    let dir = std::env::temp_dir().join(format!("exacml-e2e-proxy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for backend in [BackendBuilder::fabric(3).build(), BackendBuilder::replicated(3, &dir).build()]
+    {
+        let kind = backend.backend_kind();
+        backend.register_stream("weather", Schema::weather_example()).unwrap();
+        backend.load_policy(example1_policy()).unwrap();
+        let proxy = caching_proxy(backend.clone());
+        let request = Request::subscribe("LTA", "weather");
+
+        let first = proxy.request(&request, None).unwrap();
+        assert_eq!(proxy.request(&request, None).unwrap().handle(), first.handle(), "{kind}");
+        assert_eq!(proxy.stats().hits, 1, "{kind}");
+
+        let updated = StreamPolicyBuilder::new("nea-weather-for-lta", "weather")
+            .subject("LTA")
+            .filter("rainrate > 50")
+            .build();
+        assert_eq!(backend.update_policy(updated).unwrap(), 1, "{kind}");
+        assert!(!backend.handle_is_live(first.handle()), "{kind}");
+
+        let second = proxy.request(&request, None).unwrap();
+        assert_ne!(second.handle(), first.handle(), "{kind}");
+        assert!(!second.response.reused, "{kind}");
+        assert!(second.response.streamsql.contains("rainrate > 50"), "{kind}");
+        assert_eq!(proxy.stats().hits, 1, "{kind}: the withdrawn handle was a miss");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -540,9 +540,9 @@ mod pdp_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The indexed PDP (with and without its decision cache) returns
-        /// bit-identical decisions and obligations to the linear-scan
-        /// reference on random stores, under every combining algorithm.
+        /// The indexed PDP returns bit-identical decisions and obligations
+        /// to the linear-scan reference on random stores, under every
+        /// combining algorithm.
         #[test]
         fn indexed_pdp_matches_linear_reference(
             specs in proptest::collection::vec(arb_policy_spec(), 0..24),
@@ -560,18 +560,14 @@ mod pdp_equivalence {
                 let pdp = Pdp::new(Arc::clone(&store)).with_combining(combining);
                 for request in &requests {
                     let reference = pdp.evaluate_linear(request);
-                    prop_assert_eq!(&pdp.evaluate_uncached(request), &reference,
+                    prop_assert_eq!(&pdp.evaluate(request), &reference,
                         "index diverged under {:?} for {}", combining, request);
-                    // Cold (cache-filling) and warm (cache-served) paths.
-                    prop_assert_eq!(&pdp.evaluate(request), &reference);
-                    prop_assert_eq!(&pdp.evaluate(request), &reference);
                 }
             }
         }
 
         /// Removing a random policy keeps the indexed PDP aligned with the
-        /// reference (the index rebuild and cache invalidation are exercised
-        /// mid-sequence).
+        /// reference (the index rebuild is exercised mid-sequence).
         #[test]
         fn indexed_pdp_stays_aligned_across_mutations(
             specs in proptest::collection::vec(arb_policy_spec(), 2..16),

@@ -73,28 +73,32 @@ fn pack_matrix(pack: &ScenarioPack) {
     }
 }
 
+fn builtin(name: &str) -> ScenarioPack {
+    packs::by_name(name).unwrap_or_else(|| panic!("no built-in pack '{name}'"))
+}
+
 #[test]
 fn smart_city_pack_on_all_shapes() {
-    pack_matrix(&packs::smart_city());
+    pack_matrix(&builtin("smart-city"));
 }
 
 #[test]
 fn financial_ticks_pack_on_all_shapes() {
-    pack_matrix(&packs::financial_ticks());
+    pack_matrix(&builtin("financial-ticks"));
 }
 
 #[test]
 fn iot_fleet_pack_on_all_shapes() {
-    pack_matrix(&packs::iot_fleet());
+    pack_matrix(&builtin("iot-fleet"));
 }
 
 #[test]
 fn adversarial_pack_on_all_shapes() {
-    pack_matrix(&packs::adversarial());
+    pack_matrix(&builtin("adversarial"));
 }
 
-/// The committed pack files drive the exact same matrix — what CI's
-/// `scenario_packs` job executes is the JSON on disk, not the constants.
+/// The committed pack files, read from disk at run time, drive the exact
+/// same matrix as the copies `packs` embedded at compile time.
 #[test]
 fn pack_files_run_green_on_local_shape() {
     for pack in packs::all() {
@@ -252,7 +256,7 @@ proptest! {
 #[test]
 fn durable_pack_survives_crash_and_recovery() {
     let dir = durable_store_dir();
-    let pack = packs::smart_city();
+    let pack = builtin("smart-city");
 
     let backend = BackendBuilder::durable(&dir).build();
     let mut run = PackRun::setup(backend.as_ref(), &pack).unwrap();
@@ -305,7 +309,7 @@ fn adversarial_pack_survives_fault_plan_crash() {
             .with_fabric(|f| f.with_seed(7).with_fault_plan(plan)),
     )
     .unwrap();
-    let pack = packs::adversarial();
+    let pack = builtin("adversarial");
 
     let mut run = PackRun::setup(&fabric, &pack).unwrap();
     let halfway = run.script_len() / 2;
