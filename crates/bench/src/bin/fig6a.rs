@@ -6,7 +6,7 @@ use exacml_bench::{cdf_table, fig6a_result, write_json};
 use exacml_workload::WorkloadSpec;
 
 fn main() {
-    let options = CliOptions::parse(std::env::args().skip(1));
+    let options = CliOptions::from_env();
     let spec = if options.small { WorkloadSpec::small() } else { WorkloadSpec::table3() };
     println!(
         "Figure 6(a): unique sequence, {} requests over {} policies",

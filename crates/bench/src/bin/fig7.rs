@@ -6,7 +6,7 @@ use exacml_bench::report::CliOptions;
 use exacml_bench::{fig7_result, series_table, write_json};
 
 fn main() {
-    let options = CliOptions::parse(std::env::args().skip(1));
+    let options = CliOptions::from_env();
     let (requests, policies) = if options.small {
         (options.requests.unwrap_or(100), options.policies.unwrap_or(50))
     } else {

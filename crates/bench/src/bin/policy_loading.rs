@@ -6,7 +6,7 @@ use exacml_bench::report::CliOptions;
 use exacml_bench::{policy_loading_experiment, write_json};
 
 fn main() {
-    let options = CliOptions::parse(std::env::args().skip(1));
+    let options = CliOptions::from_env();
     let policies = options.policies.unwrap_or(if options.small { 100 } else { 1000 });
     println!("Policy loading: {policies} policies");
     let result = policy_loading_experiment(policies, 2012);

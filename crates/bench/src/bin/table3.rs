@@ -6,7 +6,7 @@ use exacml_workload::{WorkloadGenerator, WorkloadSpec};
 use std::collections::BTreeMap;
 
 fn main() {
-    let options = CliOptions::parse(std::env::args().skip(1));
+    let options = CliOptions::from_env();
     let spec = if options.small { WorkloadSpec::small() } else { WorkloadSpec::table3() };
 
     println!("Table 3: summary of parameters used in experiments\n");

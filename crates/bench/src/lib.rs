@@ -11,15 +11,15 @@
 //! | Figure 6(b) — response-time CDF, Zipf sequence, cache on/off | `cargo run -p exacml-bench --release --bin fig6b` |
 //! | Figure 7(a)/(b) — per-request time decomposition | `cargo run -p exacml-bench --release --bin fig7` |
 //!
-//! The Criterion micro-benchmarks in `benches/` back the per-component
-//! claims (PDP cost vs. policy count, query-graph manipulation, NR/PR
-//! analysis cost, DSMS throughput, proxy cache effect).
+//! That is all this crate holds. Per-component costs (PDP, query-graph
+//! manipulation, NR/PR analysis, DSMS ingest, the WAL) are rungs of the
+//! repo's one benchmark, `benchmark/` (see `BENCHMARK.json`).
 //!
-//! All experiment binaries accept `--small` to run a ~10% scaled workload and
-//! `--json <path>` to dump the raw series for EXPERIMENTS.md.
+//! All five binaries accept `--small` to run a ~10% scaled workload and
+//! `--json <path>` to dump the raw series; `fig7` and `policy_loading` also
+//! take `--requests N` / `--policies N`. Anything else is an error.
 
 pub mod experiments;
-pub mod legacy;
 pub mod report;
 
 pub use experiments::{

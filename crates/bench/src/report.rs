@@ -60,9 +60,8 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     file.write_all(json.as_bytes())
 }
 
-/// Parse the common experiment CLI flags: `--small`, `--json <path>`,
-/// `--requests N`, `--policies N`. Unknown flags are ignored so binaries can
-/// add their own.
+/// The experiment binaries' CLI flags: `--small`, `--json <path>`,
+/// `--requests N`, `--policies N`. Anything else is an error.
 #[derive(Debug, Clone, Default)]
 pub struct CliOptions {
     /// Run the ~10% workload instead of the full Table 3 parameters.
@@ -71,26 +70,47 @@ pub struct CliOptions {
     pub json: Option<std::path::PathBuf>,
     /// Override for the number of requests (fig7).
     pub requests: Option<usize>,
-    /// Override for the number of policies (fig7).
+    /// Override for the number of policies (fig7, policy_loading).
     pub policies: Option<usize>,
 }
 
 impl CliOptions {
     /// Parse from `std::env::args`-style strings.
-    #[must_use]
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    ///
+    /// # Errors
+    /// Names the offending flag or value: an unknown flag, a flag missing
+    /// its value, or a count that is not a number.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut options = CliOptions::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
+            let mut value = || iter.next().ok_or_else(|| format!("{arg} needs a value"));
+            let count = |v: String| {
+                v.parse::<usize>().map_err(|_| format!("{arg} takes a number, got '{v}'"))
+            };
             match arg.as_str() {
                 "--small" => options.small = true,
-                "--json" => options.json = iter.next().map(Into::into),
-                "--requests" => options.requests = iter.next().and_then(|v| v.parse().ok()),
-                "--policies" => options.policies = iter.next().and_then(|v| v.parse().ok()),
-                _ => {}
+                "--json" => options.json = Some(value()?.into()),
+                "--requests" => options.requests = Some(count(value()?)?),
+                "--policies" => options.policies = Some(count(value()?)?),
+                _ => return Err(format!("unknown flag '{arg}'")),
             }
         }
-        options
+        Ok(options)
+    }
+
+    /// Parse the process arguments; on an error print it with the usage
+    /// line to standard error and exit with status 2.
+    #[must_use]
+    pub fn from_env() -> Self {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        CliOptions::parse(args).unwrap_or_else(|error| {
+            eprintln!(
+                "{program}: {error}\nusage: {program} [--small] [--json <path>] [--requests N] [--policies N]"
+            );
+            std::process::exit(2)
+        })
     }
 }
 
@@ -123,18 +143,31 @@ mod tests {
 
     #[test]
     fn cli_parsing() {
-        let options = CliOptions::parse(
-            ["--small", "--json", "/tmp/x.json", "--requests", "100", "--policies", "50"]
-                .into_iter()
-                .map(String::from),
-        );
+        let parse = |args: &[&str]| CliOptions::parse(args.iter().map(|a| (*a).to_string()));
+        let options =
+            parse(&["--small", "--json", "/tmp/x.json", "--requests", "100", "--policies", "50"])
+                .unwrap();
         assert!(options.small);
         assert_eq!(options.json.as_deref(), Some(std::path::Path::new("/tmp/x.json")));
         assert_eq!(options.requests, Some(100));
         assert_eq!(options.policies, Some(50));
-        let default = CliOptions::parse(Vec::<String>::new());
+        let default = parse(&[]).unwrap();
         assert!(!default.small);
         assert!(default.json.is_none());
+        // Bad input is an error naming the offender, never a silent default.
+        for (args, names) in [
+            (&["--smal"][..], "--smal"),
+            (&["--small", "--pack", "adversarial"], "--pack"),
+            (&["--json"], "--json"),
+            (&["--requests"], "--requests"),
+            (&["--requests", "abc"], "abc"),
+            (&["--policies", "-3"], "-3"),
+            (&["--policies", "1.5"], "--policies"),
+            (&["extra"], "extra"),
+        ] {
+            let error = parse(args).expect_err(&format!("{args:?} must be refused"));
+            assert!(error.contains(names), "{args:?}: '{error}' does not name '{names}'");
+        }
     }
 
     #[test]
@@ -143,7 +176,8 @@ mod tests {
         struct Tiny {
             x: u32,
         }
-        let path = std::env::temp_dir().join("exacml_bench_report_test.json");
+        let path = std::env::temp_dir()
+            .join(format!("exacml_bench_report_test_{}.json", std::process::id()));
         write_json(&path, &Tiny { x: 7 }).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"x\": 7"));

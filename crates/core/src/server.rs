@@ -55,8 +55,8 @@ pub struct ServerConfig {
     /// Share compiled operator subgraphs across overlapping grants (default
     /// `true`): grants whose core graphs canonicalize identically ride one
     /// deployment, each paying only a per-grant residual at fan-out. Turning
-    /// this off deploys one graph per grant — the unmerged baseline the
-    /// `merge_scale` benchmark compares against.
+    /// this off deploys one graph per grant — the unmerged reference
+    /// `tests/properties.rs::plan_sharing_equivalence` compares against.
     pub share_plans: bool,
 }
 

@@ -510,6 +510,38 @@ mod tests {
         assert!(residual.apply(&tuple(9.0, 9, "x")).is_none());
     }
 
+    /// A filter→map chain, compiled and fused the way `StreamEngine::deploy`
+    /// does it, emits tuple for tuple what the name-resolving
+    /// `FilterOp::apply` / `MapOp::apply` pair emits.
+    #[test]
+    fn compiled_filter_map_chain_matches_interpreted_apply() {
+        let filter = FilterOp::new(parse_expr("a > 50").unwrap());
+        let map = MapOp::new(["s", "a"]);
+        let out_schema = map.output_schema(&schema()).unwrap().shared();
+        let mut stages = fuse_stages(vec![
+            CompiledStage::compile(&Operator::Filter(filter.clone()), &schema(), schema().shared()),
+            CompiledStage::compile(&Operator::Map(map.clone()), &schema(), Arc::clone(&out_schema)),
+        ]);
+
+        let mut emitted = 0;
+        for i in 0..200 {
+            let t = tuple(f64::from(i % 100), i64::from(i), "x");
+            let mut compiled_out = vec![t.clone()];
+            for stage in &mut stages {
+                let mut next = Vec::new();
+                for t in &compiled_out {
+                    stage.process(t, &mut next);
+                }
+                compiled_out = next;
+            }
+            let interpreted_out: Vec<Tuple> =
+                filter.apply(t).map(|t| map.apply(&t, &out_schema)).into_iter().collect();
+            assert_eq!(compiled_out, interpreted_out, "divergence at tuple {i}");
+            emitted += compiled_out.len();
+        }
+        assert_eq!(emitted, 98, "49 of every 100 tuples pass `a > 50`");
+    }
+
     #[test]
     fn compiled_aggregate_matches_interpreted_apply() {
         use crate::ops::aggregate::{AggFunc, AggSpec};

@@ -359,8 +359,7 @@ impl<C: SpanClock> Drop for ClockSpan<'_, C> {
 /// [`Metric`], one log2 histogram per [`Stage`], and an enable switch.
 ///
 /// Components own (or share) one behind an `Arc`; a disabled registry turns
-/// every recording call into a single relaxed load — the uninstrumented
-/// side of the `telemetry_overhead` perf gate.
+/// every recording call into a single relaxed load.
 pub struct Telemetry {
     enabled: AtomicBool,
     counters: [ShardedCounter; Metric::ALL.len()],

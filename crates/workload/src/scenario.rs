@@ -16,10 +16,9 @@
 //!
 //! The vendored serde stand-in derives `Serialize` only (there is no typed
 //! deserialization in this build environment), so loading is implemented by
-//! hand over [`serde_json::Value`] — the same idiom the perf gate uses for
-//! bench reports. To keep that parser honest, every spec struct is flat and
-//! enum-free: discriminators are strings (`op`, `kind`) validated by
-//! [`ScenarioPack::validate`].
+//! hand over [`serde_json::Value`]. To keep that parser honest, every spec
+//! struct is flat and enum-free: discriminators are strings (`op`, `kind`)
+//! validated by [`ScenarioPack::validate`].
 
 use exacml_dsms::{AggSpec, DataType, Schema, Tuple, Value as DsmsValue, WindowKind, WindowSpec};
 use exacml_plus::{StreamPolicyBuilder, UserQuery};

@@ -122,8 +122,10 @@
 //!   (package `exacml-simnet`).
 //! * [`exacml_workload`] — Section 4.2 workload generation (package
 //!   `exacml-workload`).
-//! * [`exacml_bench`] — experiment harnesses for the paper's figures and
-//!   tables (package `exacml-bench`).
+//! * [`exacml_bench`] — the harness for the paper's Section 4.2 figures and
+//!   tables, and nothing else (package `exacml-bench`). Performance is
+//!   measured by the standalone `benchmark/` package (`BENCHMARK.json`),
+//!   which the workspace never builds.
 //!
 //! Package names are hyphenated; the re-exports use the underscore form
 //! rustc gives each library target.

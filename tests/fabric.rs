@@ -12,7 +12,7 @@ use exacml::exacml_plus::{rendezvous_owner, Direct};
 use exacml::exacml_simnet::{Clock, LinkSpec};
 use exacml::exacml_xacml::Decision;
 use exacml::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -395,6 +395,86 @@ impl Shape for Replicated {
         let config = ReplicatedConfig::new(config.nodes, root)
             .with_fabric(|_| config.with_server_template(DurableConfig::local()));
         Replication::create(config).unwrap()
+    }
+}
+
+/// What the simnet *model* charges one fixed workload on an `nodes`-node
+/// fabric: 64 one-subscriber streams, two rounds of reuse requests and four
+/// `push_batches` calls of 64 tuples per stream, all from this one thread.
+/// Returns the ingest makespan (the slowest node's pipe-busy time — node
+/// pipelines serialise their own frames and drain concurrently) and the
+/// busiest node's summed broker→node round trips, both in virtual
+/// nanoseconds. Deterministic: no wall clock is read.
+fn modelled_load(preset: TopologyPreset, seed: u64, nodes: usize) -> (u64, u64) {
+    let fabric = Fabric::new(FabricConfig::new(nodes, preset.topology()).with_seed(seed));
+    let schema = Schema::weather_example().shared();
+    let names: Vec<String> = (0..64).map(|i| format!("stream{i}")).collect();
+    let mut requests = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        fabric.register_stream(name, Schema::weather_example()).unwrap();
+        let policy = StreamPolicyBuilder::new(format!("p{i}"), name)
+            .subject(format!("user{i}"))
+            .filter("rainrate > 5")
+            .build();
+        fabric.load_policy(policy).unwrap();
+        let request = Request::subscribe(&format!("user{i}"), name);
+        fabric.handle_request(&request, None).unwrap();
+        requests.push(request);
+    }
+
+    let mut trips: HashMap<NodeId, u64> = HashMap::new();
+    for request in requests.iter().cycle().take(2 * requests.len()) {
+        let response = fabric.handle_request(request, None).unwrap();
+        *trips.entry(response.node).or_default() += response.broker_network.as_nanos() as u64;
+    }
+
+    let before: Vec<u64> = fabric.nodes().iter().map(|n| n.ingest_frontier_nanos()).collect();
+    for round in 0..4 {
+        let batches = names.iter().enumerate().map(|(i, name)| {
+            let tuples = (0..64).map(|k| marker_tuple(&schema, i, round * 64 + k)).collect();
+            StreamBatch::new(name, tuples)
+        });
+        fabric.push_batches(batches.collect()).unwrap();
+    }
+    let makespan = fabric
+        .nodes()
+        .iter()
+        .zip(before)
+        .map(|(node, before)| node.ingest_frontier_nanos() - before)
+        .max()
+        .unwrap();
+    (makespan, trips.into_values().max().unwrap())
+}
+
+/// Doubling the fabric never makes the *modelled* system slower: with the
+/// same seed and the same frames and requests offered to 1, 2, 4 and 8
+/// nodes, neither the ingest makespan nor the busiest node's request load
+/// grows, on either topology (the two presets differ on the client's links
+/// only, which broker→node traffic never crosses, so each gets its own seed
+/// and the second leg is a second sample of the link delays). This is a
+/// property of the simnet model in virtual time, not a wall-clock claim —
+/// measured ingest is the benchmark's
+/// `core.fabric.push_batches_{1n,4n}_ns_per_tuple`.
+#[test]
+fn doubling_the_fabric_never_slows_the_simnet_model() {
+    for (preset, seed) in [(TopologyPreset::PaperTestbed, 7), (TopologyPreset::PublicCloud, 107)] {
+        let loads: Vec<(usize, (u64, u64))> =
+            [1, 2, 4, 8].into_iter().map(|n| (n, modelled_load(preset, seed, n))).collect();
+        for pair in loads.windows(2) {
+            let ((low, (low_ingest, low_requests)), (high, (high_ingest, high_requests))) =
+                (pair[0], pair[1]);
+            assert!(
+                high_ingest <= low_ingest,
+                "{}: ingest makespan grew {low} → {high} nodes: {low_ingest} → {high_ingest} ns",
+                preset.name()
+            );
+            assert!(
+                high_requests <= low_requests,
+                "{}: busiest node's round trips grew {low} → {high} nodes: \
+                 {low_requests} → {high_requests} ns",
+                preset.name()
+            );
+        }
     }
 }
 

@@ -15,8 +15,9 @@
 //! * the durability story — half a pack on a `DurableServer`, a simulated
 //!   crash, recovery from the store, and the oracles still pass with the
 //!   pre-crash audit prefix preserved verbatim;
-//! * the nightly chaos soak (`#[ignore]`d): the adversarial pack on a
-//!   replicated fabric inside a `FaultPlan` crash window.
+//! * the nightly soak (`#[ignore]`d): every pack at 8× ingest volume on all
+//!   four shapes, and the adversarial pack on a replicated fabric inside a
+//!   `FaultPlan` crash window.
 
 use exacml::exacml_durable::{ReplicatedConfig, Replication};
 use exacml::exacml_workload::packs;
@@ -287,8 +288,22 @@ fn durable_pack_survives_crash_and_recovery() {
 }
 
 // ---------------------------------------------------------------------------
-// Nightly: the adversarial pack under a fault-plan crash window.
+// Nightly: full-scale packs, and the adversarial pack under a fault-plan
+// crash window.
 // ---------------------------------------------------------------------------
+
+/// Every pack with each ingest step at 8× its committed volume, on all four
+/// shapes: decision pins and delivery minimums still hold (`scaled` lifts
+/// only the exact delivery ceilings — window emissions grow with volume)
+/// and the fingerprints still agree across shapes. `#[ignore]`d on PRs; the
+/// nightly soak runs it with `-- --ignored`.
+#[test]
+#[ignore = "nightly soak: every pack at 8x ingest volume"]
+fn packs_at_eight_times_volume_on_all_shapes() {
+    for pack in packs::all() {
+        pack_matrix(&pack.scaled(8));
+    }
+}
 
 /// The adversarial pack on a replicated fabric while a `FaultPlan` kills a
 /// host mid-script: every attack stays blocked and audited, and the
