@@ -12,7 +12,7 @@
 //! step `M` recover the original stream from the `N`-th tuple on), and
 //! [`simulate_attack`] runs the whole attack end-to-end against the DSMS to
 //! demonstrate the leak that the single-access guard
-//! ([`crate::access_guard`]) prevents. The `leak_reconstruction` example and
+//! ([`crate::grant_table`]) prevents. The `leak_reconstruction` example and
 //! the integration tests use it as the paper's Example 2 evidence.
 
 use exacml_dsms::{

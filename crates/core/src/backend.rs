@@ -34,7 +34,7 @@ use crate::fabric::{DeliveredTuple, Fabric, FabricConfig, FabricSubscription, Pl
 use crate::metrics::RobustnessStats;
 use crate::server::{AccessResponse, DataServer, ServerConfig};
 use crate::user_query::UserQuery;
-use exacml_dsms::{DsmsError, Schema, StreamEngine, StreamHandle, Tuple};
+use exacml_dsms::{Schema, StreamEngine, StreamHandle, Tuple};
 use exacml_simnet::NodeId;
 use exacml_telemetry::TelemetrySnapshot;
 use exacml_xacml::{Policy, Request};
@@ -405,17 +405,6 @@ impl dyn Backend {
     }
 }
 
-/// Map the engine's "unknown handle" to the unified error variant so every
-/// backend reports a dead or foreign handle the same way.
-fn unify_unknown_handle(error: ExacmlError, handle: &StreamHandle) -> ExacmlError {
-    match error {
-        ExacmlError::Dsms(DsmsError::UnknownHandle(_)) => {
-            ExacmlError::UnknownHandle(handle.uri().to_string())
-        }
-        other => other,
-    }
-}
-
 // --- DataServer: the single-node backend ----------------------------------
 
 impl StreamBackend for DataServer {
@@ -433,9 +422,7 @@ impl StreamBackend for DataServer {
     }
 
     fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        DataServer::subscribe(self, handle)
-            .map(Subscription::Local)
-            .map_err(|e| unify_unknown_handle(e, handle))
+        DataServer::subscribe(self, handle).map(Subscription::Local)
     }
 
     fn handle_is_live(&self, handle: &StreamHandle) -> bool {
@@ -623,9 +610,7 @@ impl StreamBackend for StreamEngine {
     }
 
     fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        StreamEngine::subscribe(self, handle)
-            .map(Subscription::Local)
-            .map_err(|e| unify_unknown_handle(ExacmlError::from(e), handle))
+        Ok(Subscription::Local(StreamEngine::subscribe(self, handle)?))
     }
 
     fn handle_is_live(&self, handle: &StreamHandle) -> bool {

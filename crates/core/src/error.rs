@@ -89,8 +89,13 @@ impl fmt::Display for ExacmlError {
 impl std::error::Error for ExacmlError {}
 
 impl From<DsmsError> for ExacmlError {
+    /// A dead or foreign handle is [`ExacmlError::UnknownHandle`] on every
+    /// backend, whichever layer noticed.
     fn from(e: DsmsError) -> Self {
-        ExacmlError::Dsms(e)
+        match e {
+            DsmsError::UnknownHandle(uri) => ExacmlError::UnknownHandle(uri),
+            other => ExacmlError::Dsms(other),
+        }
     }
 }
 

@@ -14,10 +14,9 @@
 //!   target stream, charging the broker → node hop on top of the node's own
 //!   Section 3.2 workflow cost.
 //! * **Policy propagation**: add / remove / update at the broker fans out to
-//!   *every* node. Each node's store revision counter advances, so each
-//!   node-local PDP decision cache is invalidated fabric-wide — the
-//!   Section 3.3 coupling between policy-change events and withdrawn state
-//!   holds on every shard.
+//!   *every* node, and each node withdraws the grants it recorded for the
+//!   policy — the Section 3.3 coupling between policy-change events and
+//!   withdrawn state holds on every shard.
 //! * **Subscriber delivery** fans back through a per-subscription
 //!   [`SimLink`]: derived tuples are stamped with a simulated arrival time
 //!   (propagation + jitter + serialisation for the tuple's wire size) and
@@ -32,8 +31,14 @@
 //! layer that ships each node's journal to mirrors and answers `resolve`
 //! with a failover. The broker is generic over the layer (static dispatch),
 //! never branches on which one it serves, and is the only implementation of
-//! routing, handle tables, frame grouping, policy fan-out and audit /
-//! telemetry aggregation in the repository.
+//! routing, frame grouping, policy fan-out and audit / telemetry aggregation
+//! in the repository.
+//!
+//! The broker stores no ownership: a stream's owner is a pure function of
+//! its name and the node count ([`rendezvous_owner`]), and a handle's owner
+//! is the `node{i}` host its node minted into the URI — both fixed for the
+//! fabric's lifetime and stable across any failover, so there is no routing
+//! table to populate, prune or bound.
 
 use crate::audit::AuditEvent;
 use crate::backend::{
@@ -42,7 +47,6 @@ use crate::backend::{
 };
 use crate::error::ExacmlError;
 use crate::metrics::RobustnessStats;
-use crate::router::ShardedMap;
 use crate::server::{DataServer, ServerConfig};
 use crate::user_query::UserQuery;
 use exacml_dsms::{Schema, StreamHandle, Tuple};
@@ -655,15 +659,6 @@ pub struct Fabric<L: Placement = Direct> {
     net: Arc<FabricNet>,
     layer: L,
     nodes: Vec<FabricNode>,
-    /// Stream → owning node index, recorded at registration and consulted
-    /// first by every routing decision; unregistered streams fall back to
-    /// the rendezvous hash (which registration also used). Sharded so
-    /// concurrent lookups for different streams touch different locks.
-    placements: ShardedMap<String, usize>,
-    /// Granted handle → owning *logical* node index (populated on grant,
-    /// consulted by subscribe/release; stable across any host change).
-    /// Sharded like the placement table.
-    handles: ShardedMap<StreamHandle, usize>,
     /// Seeds handed to per-subscription links, derived deterministically.
     next_link_seed: AtomicU64,
     streams_placed: AtomicU64,
@@ -731,8 +726,6 @@ impl<L: Placement> Fabric<L> {
             net,
             layer,
             nodes,
-            placements: ShardedMap::new(),
-            handles: ShardedMap::new(),
             next_link_seed: AtomicU64::new(salted.wrapping_add(0xf00d)),
             streams_placed: AtomicU64::new(0),
             policy_propagations: AtomicU64::new(0),
@@ -790,14 +783,15 @@ impl<L: Placement> Fabric<L> {
     }
 
     fn owner_index(&self, stream: &str) -> usize {
-        let canonical = stream.to_ascii_lowercase();
-        // The placement recorded at registration is authoritative; the
-        // rendezvous hash (identical at registration time) covers streams
-        // that were never registered, so owner prediction still works.
-        if let Some(index) = self.placements.get(&canonical) {
-            return index;
-        }
-        rendezvous_owner(&canonical, self.nodes.len())
+        rendezvous_owner(stream, self.nodes.len())
+    }
+
+    /// The logical node that minted a handle: node `i` mints every URI under
+    /// the host `node{i}`, whatever physical host runs it. `None` for URIs
+    /// of another shape or naming a node this fabric does not have.
+    fn handle_owner(&self, handle: &StreamHandle) -> Option<usize> {
+        let host = handle.uri().strip_prefix("exacml://node")?.split('/').next()?;
+        host.parse().ok().filter(|&index| index < self.nodes.len())
     }
 
     /// Every node's current server, by node index — no probe, no failover.
@@ -919,7 +913,6 @@ impl<L: Placement> Fabric<L> {
         let index = self.owner_index(name);
         let (server, _) = self.reach(index)?;
         self.committed(index, server.register_stream(name, schema))?;
-        self.placements.insert(name.to_ascii_lowercase(), index);
         self.streams_placed.fetch_add(1, Ordering::Relaxed);
         Ok(self.nodes[index].id)
     }
@@ -1019,7 +1012,6 @@ impl<L: Placement> Fabric<L> {
         self.net.telemetry.incr(Metric::BrokerFrames);
         node.requests_routed.fetch_add(1, Ordering::Relaxed);
         let response = self.committed(index, server.handle_request(request, user_query))?.response;
-        self.handles.insert(response.handle.clone(), index);
         Ok(BackendResponse { node: node.id, response, broker_network })
     }
 
@@ -1032,13 +1024,7 @@ impl<L: Placement> Fabric<L> {
     pub fn release_access(&self, subject: &str, stream: &str) -> bool {
         let index = self.owner_index(stream);
         let Ok((server, _)) = self.reach(index) else { return false };
-        let released = self.committed(index, server.release_access(subject, stream));
-        if released {
-            self.handles.retain(|handle, owner| {
-                *owner != index || server.data_server().handle_is_live(handle)
-            });
-        }
-        released
+        self.committed(index, server.release_access(subject, stream))
     }
 
     /// Whether a granted handle still points at a live deployment on its
@@ -1048,7 +1034,7 @@ impl<L: Placement> Fabric<L> {
     /// layer fails over) but never waits on the virtual clock.
     #[must_use]
     pub fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        self.handles.get(handle).is_some_and(|index| {
+        self.handle_owner(handle).is_some_and(|index| {
             self.layer
                 .resolve(index)
                 .is_ok_and(|(server, _)| server.data_server().handle_is_live(handle))
@@ -1061,23 +1047,17 @@ impl<L: Placement> Fabric<L> {
     /// same handle attaches to the node's new host.
     ///
     /// # Errors
-    /// Fails when the handle was not granted through this fabric, the
-    /// deployment behind it is gone, or the owning node is unreachable
-    /// ([`ExacmlError::NodeUnavailable`]).
+    /// Fails with [`ExacmlError::UnknownHandle`] when no node of this fabric
+    /// minted the handle or the grant behind it is gone, and with
+    /// [`ExacmlError::NodeUnavailable`] when the owning node is unreachable.
     pub fn subscribe(&self, handle: &StreamHandle) -> Result<FabricSubscription, ExacmlError> {
-        let unknown = || ExacmlError::UnknownHandle(handle.uri().to_string());
-        let index = self.handles.get(handle).ok_or_else(unknown)?;
+        let index = self
+            .handle_owner(handle)
+            .ok_or_else(|| ExacmlError::UnknownHandle(handle.uri().to_string()))?;
         let (server, _) = self.reach(index)?;
-        let rx = server.data_server().subscribe(handle).map_err(|error| match error {
-            // The deployment is gone (released or withdrawn by a policy
-            // change): evict the routing entry and report the handle as
-            // unknown, exactly as for a handle never granted here.
-            ExacmlError::Dsms(exacml_dsms::DsmsError::UnknownHandle(_)) => {
-                self.handles.remove(handle);
-                unknown()
-            }
-            other => other,
-        })?;
+        // A released or policy-withdrawn handle fails here, reported exactly
+        // as a handle no node minted.
+        let rx = server.data_server().subscribe(handle)?;
         let node = self.nodes[index].id;
         let seed = self.next_link_seed.fetch_add(1, Ordering::Relaxed);
         Ok(FabricSubscription {
@@ -1113,25 +1093,8 @@ impl<L: Placement> Fabric<L> {
         Ok(answers)
     }
 
-    /// A propagated policy change that withdraws deployments: sum the
-    /// per-node counts and drop the routing entries of withdrawn handles, so
-    /// policy churn does not grow the handle map without bound.
-    fn withdraw(
-        &self,
-        op: impl Fn(&L::Server) -> Result<usize, ExacmlError>,
-    ) -> Result<usize, ExacmlError> {
-        let withdrawn = self.propagate(op)?.into_iter().sum();
-        if withdrawn > 0 {
-            let servers: Vec<_> = self.servers().collect();
-            self.handles
-                .retain(|handle, owner| servers[*owner].data_server().handle_is_live(handle));
-        }
-        Ok(withdrawn)
-    }
-
-    /// Load a policy on **every** node. Each node's store revision advances,
-    /// invalidating its PDP decision cache. Returns the slowest node's load
-    /// time (the broker waits for full propagation).
+    /// Load a policy on **every** node. Returns the slowest node's load time
+    /// (the broker waits for full propagation).
     ///
     /// # Errors
     /// Fails if any node rejects the policy; earlier nodes keep it (the
@@ -1154,7 +1117,7 @@ impl<L: Placement> Fabric<L> {
     /// with [`ExacmlError::NodeUnavailable`] before touching any node when
     /// one is unreachable.
     pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        self.withdraw(|server| server.remove_policy(policy_id))
+        Ok(self.propagate(|server| server.remove_policy(policy_id))?.into_iter().sum())
     }
 
     /// Replace a policy on **every** node; as with removal, existing query
@@ -1166,7 +1129,7 @@ impl<L: Placement> Fabric<L> {
     /// before touching any node — a node is unreachable
     /// ([`ExacmlError::NodeUnavailable`]).
     pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        self.withdraw(|server| server.update_policy(policy.clone()))
+        Ok(self.propagate(|server| server.update_policy(policy.clone()))?.into_iter().sum())
     }
 
     /// Load a policy from its XACML XML document on **every** node.
@@ -1236,34 +1199,27 @@ impl<L: Placement> Fabric<L> {
     pub fn live_plans(&self) -> usize {
         self.servers().map(|server| server.data_server().plan_count()).sum()
     }
-
-    /// Number of handle → node routing entries currently tracked. Dead
-    /// entries are pruned on release and on policy withdrawal, so this
-    /// tracks the live-handle population rather than growing with churn.
-    #[must_use]
-    pub fn routed_handles(&self) -> usize {
-        self.handles.len()
-    }
 }
 
 /// The rendezvous-hash (highest-random-weight) owner of `stream` among
 /// `nodes` nodes: the index whose FNV-1a weight over `(stream, index)` is
-/// highest. Case-insensitive over the stream name and deterministic.
+/// highest. Case-insensitive over the stream name, deterministic, and
+/// allocation-free (the broker calls it per stream per ingest frame).
 #[must_use]
 pub fn rendezvous_owner(stream: &str, nodes: usize) -> usize {
-    let canonical = stream.to_ascii_lowercase();
     (0..nodes.max(1))
-        .max_by_key(|&i| rendezvous_weight(&canonical, i))
+        .max_by_key(|&i| rendezvous_weight(stream, i))
         .expect("at least one node participates")
 }
 
-/// FNV-1a over the stream name and node index — the per-node weight of
-/// rendezvous hashing.
+/// FNV-1a over the ASCII-lower-cased stream name and the node index — the
+/// per-node weight of rendezvous hashing.
 fn rendezvous_weight(stream: &str, node_index: usize) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = FNV_OFFSET;
-    for byte in stream.bytes().chain(node_index.to_le_bytes()) {
+    let name = stream.bytes().map(|byte| byte.to_ascii_lowercase());
+    for byte in name.chain(node_index.to_le_bytes()) {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(FNV_PRIME);
     }

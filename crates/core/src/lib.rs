@@ -16,10 +16,10 @@
 //!    two ([`merge`], Section 3.1) while checking for **empty / partial
 //!    result conflicts** ([`warnings`], Section 3.5);
 //! 4. a **single-access guard** blocks the multi-window reconstruction
-//!    attack ([`access_guard`], [`attack`], Section 3.4);
+//!    attack ([`grant_table`], [`attack`], Section 3.4);
 //! 5. the merged graph is converted to StreamSQL, deployed on the DSMS and
-//!    tracked per policy so that removing or modifying a policy withdraws
-//!    every graph it spawned ([`graph_mgmt`], Section 3.3);
+//!    recorded in the same [`grant_table`] so that removing or modifying a
+//!    policy withdraws every graph it spawned (Section 3.3);
 //! 6. the consumer receives a **stream handle** (URI) rather than data, and
 //!    subscribes to the derived stream through it.
 //!
@@ -39,24 +39,20 @@
 //! ([`Subscription`]) and errors — scenario code written against
 //! `&dyn Backend` runs unchanged on one node or N.
 
-pub mod access_guard;
 pub mod attack;
 pub mod audit;
 pub mod backend;
 pub mod error;
 pub mod fabric;
-pub mod graph_mgmt;
+pub mod grant_table;
 pub mod merge;
 pub mod metrics;
 pub mod obligations;
 pub mod proxy;
-pub mod router;
 pub mod server;
-pub mod shared_plan;
 pub mod user_query;
 pub mod warnings;
 
-pub use access_guard::AccessGuard;
 pub use audit::{AuditEvent, AuditEventKind, AuditLog};
 pub use backend::{
     AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
@@ -67,19 +63,17 @@ pub use fabric::{
     node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,
     FabricNode, FabricStats, FabricSubscription, NodeServer, Placement, RetryPolicy,
 };
+pub use grant_table::{Grant, GrantTable, PlanId};
 pub use merge::{merge_graphs, MergeOptions, MergeOutcome};
 pub use metrics::{RequestTiming, RobustnessStats, TimingBreakdown};
 pub use obligations::{graph_from_obligations, obligations_from_graph, StreamPolicyBuilder};
 pub use proxy::{Proxy, ProxyStats};
-pub use router::ShardedMap;
 pub use server::{AccessResponse, DataServer, ServerConfig};
-pub use shared_plan::{PlanCache, PlanId};
 pub use user_query::{UserAggregation, UserQuery};
 pub use warnings::{Warning, WarningKind, WarningSource};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::access_guard::AccessGuard;
     pub use crate::backend::{
         AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
         StreamBatch, Subscription, TaggedAuditEvent,
@@ -89,6 +83,7 @@ pub mod prelude {
         rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet, FabricNode,
         FabricStats, FabricSubscription, NodeServer, Placement, RetryPolicy,
     };
+    pub use crate::grant_table::{Grant, GrantTable, PlanId};
     pub use crate::merge::{merge_graphs, MergeOptions, MergeOutcome};
     pub use crate::metrics::{RequestTiming, RobustnessStats, TimingBreakdown};
     pub use crate::obligations::{
@@ -96,7 +91,6 @@ pub mod prelude {
     };
     pub use crate::proxy::{Proxy, ProxyStats};
     pub use crate::server::{AccessResponse, DataServer, ServerConfig};
-    pub use crate::shared_plan::{PlanCache, PlanId};
     pub use crate::user_query::{UserAggregation, UserQuery};
     pub use crate::warnings::{Warning, WarningKind, WarningSource};
 }

@@ -14,7 +14,8 @@
 //!   would expose attributes the policy hides, and the paper's own NR/PR
 //!   rule for map is based on the intersection, so the default here is
 //!   `S3 = S1 ∩ S2` and the literal union is available behind
-//!   [`MergeOptions::map_union`] (documented in DESIGN.md);
+//!   [`MergeOptions::map_union`] (see "Query merging & shared plans" in
+//!   `docs/ARCHITECTURE.md`);
 //! * **window aggregation** — only allowed when the window types match and
 //!   the user's window is at least as coarse as the policy's (size and
 //!   advance step no smaller); the merged operator takes the user's window

@@ -1,8 +1,9 @@
 //! The cloud data server.
 //!
 //! The data server of Figure 3 hosts the policy store, the PDP, the PEP
-//! logic (obligation translation, query-graph merging, NR/PR checking, the
-//! single-access guard and the query-graph manager) and talks to the DSMS.
+//! logic (obligation translation, query-graph merging, NR/PR checking, and
+//! the grant table behind the single-access guard and policy withdrawal) and
+//! talks to the DSMS.
 //! Its entry point, [`DataServer::handle_request`], implements the five-step
 //! workflow of Section 3.2:
 //!
@@ -13,15 +14,21 @@
 //! 4. merge the obligation graph with the user-query graph, checking NR/PR;
 //! 5. if no warning blocks deployment, convert the merged graph to StreamSQL,
 //!    send it to the DSMS and return the output-stream handle (URI).
+//!
+//! Steps 2–5 run under the one lock over the [`GrantTable`], and so do
+//! release and the withdrawal a policy change triggers: check → deploy →
+//! record is a single step with respect to other requests and to policy
+//! changes, so a subject never ends up holding two different live windows on
+//! a stream (Section 3.4) and no grant outlives the policy revision that
+//! authorised it (Section 3.3). Lock order: grant table → engine shard; the
+//! audit log and the delay-sampling RNG are leaf locks.
 
-use crate::access_guard::{AccessGuard, GuardOutcome};
 use crate::audit::{AuditEventKind, AuditLog};
 use crate::error::ExacmlError;
-use crate::graph_mgmt::{QueryGraphManager, TrackedGraph};
+use crate::grant_table::{Grant, GrantTable, PlanId};
 use crate::merge::{merge_graphs, MergeOptions};
 use crate::metrics::RequestTiming;
 use crate::obligations::graph_from_obligations;
-use crate::shared_plan::{PlanCache, PlanId};
 use crate::user_query::UserQuery;
 use crate::warnings::{has_empty_result, has_partial_result, Warning};
 use exacml_dsms::{
@@ -29,7 +36,7 @@ use exacml_dsms::{
 };
 use exacml_simnet::{NodeId, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry};
-use exacml_xacml::{Decision, Pdp, Policy, PolicyStore, Request};
+use exacml_xacml::{Decision, Pdp, Policy, PolicyStore, Request, XacmlError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,9 +126,10 @@ pub struct DataServer {
     /// different streams run concurrently with each other and with the
     /// request workflow.
     engine: Arc<StreamEngine>,
-    graphs: Mutex<QueryGraphManager>,
-    plans: Mutex<PlanCache>,
-    guard: Mutex<AccessGuard>,
+    /// Who holds what, and the shared plans the grants ride on. Held from
+    /// the PDP decision through recording the grant, and across release and
+    /// policy changes (see the module docs).
+    grants: Mutex<GrantTable>,
     rng: Mutex<StdRng>,
     policy_load_times: Mutex<Vec<Duration>>,
     audit: Mutex<AuditLog>,
@@ -140,9 +148,7 @@ impl DataServer {
             store,
             pdp,
             engine,
-            graphs: Mutex::new(QueryGraphManager::new()),
-            plans: Mutex::new(PlanCache::new()),
-            guard: Mutex::new(AccessGuard::new()),
+            grants: Mutex::new(GrantTable::default()),
             rng: Mutex::new(rng),
             policy_load_times: Mutex::new(Vec::new()),
             audit: Mutex::new(AuditLog::default()),
@@ -161,8 +167,8 @@ impl DataServer {
         &self.store
     }
 
-    /// The server's PDP (read-only access for observability: cache size,
-    /// direct evaluation in tests, fabric propagation checks).
+    /// The server's PDP (read-only access: direct evaluation in tests,
+    /// fabric propagation checks).
     #[must_use]
     pub fn pdp(&self) -> &Pdp {
         &self.pdp
@@ -314,16 +320,9 @@ impl DataServer {
     /// # Errors
     /// Fails when the policy is unknown.
     pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        self.store.remove(policy_id)?;
-        let withdrawn = self.withdraw_policy_graphs(policy_id);
-        self.audit.lock().record(
-            AuditEventKind::PolicyRemoved,
-            None,
-            None,
-            Some(policy_id),
-            format!("{withdrawn} query graph(s) withdrawn"),
-        );
-        Ok(withdrawn)
+        self.withdraw_policy_graphs(policy_id, AuditEventKind::PolicyRemoved, || {
+            self.store.remove(policy_id).map(drop)
+        })
     }
 
     /// Replace a policy; as with removal, existing grants spawned by the old
@@ -334,50 +333,49 @@ impl DataServer {
     /// Fails when the policy is unknown or the new version invalid.
     pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
         let policy_id = policy.id.clone();
-        self.store.update(policy)?;
-        let withdrawn = self.withdraw_policy_graphs(&policy_id);
+        self.withdraw_policy_graphs(&policy_id, AuditEventKind::PolicyUpdated, || {
+            self.store.update(policy)
+        })
+    }
+
+    /// Apply `change` to the policy store and withdraw every grant
+    /// `policy_id` authorised, both under the table lock: a request either
+    /// decided before the change (and is withdrawn here) or decides after
+    /// it. Per-grant, not per-deployment: under cross-policy sharing a
+    /// deployment may also serve grants of *other* policies, which survive
+    /// untouched.
+    fn withdraw_policy_graphs(
+        &self,
+        policy_id: &str,
+        kind: AuditEventKind,
+        change: impl FnOnce() -> Result<(), XacmlError>,
+    ) -> Result<usize, ExacmlError> {
+        let withdrawn = {
+            let mut grants = self.grants.lock();
+            change()?;
+            let evicted = grants.evict_policy(policy_id);
+            for (grant, last) in &evicted {
+                self.retire(grant, *last);
+            }
+            evicted.len()
+        };
         self.audit.lock().record(
-            AuditEventKind::PolicyUpdated,
+            kind,
             None,
             None,
-            Some(&policy_id),
+            Some(policy_id),
             format!("{withdrawn} query graph(s) withdrawn"),
         );
         Ok(withdrawn)
     }
 
-    fn withdraw_policy_graphs(&self, policy_id: &str) -> usize {
-        let evicted = self.graphs.lock().evict_policy(policy_id);
-        {
-            // Per-grant eviction, not per-deployment: under cross-policy
-            // sharing a deployment may also serve grants of *other* policies,
-            // which must survive this withdrawal untouched.
-            let mut guard = self.guard.lock();
-            for grant in &evicted {
-                guard.release(&grant.subject, &grant.stream);
-            }
-        }
-        for grant in &evicted {
-            self.release_grant(&grant.handle, grant.plan);
-        }
-        evicted.len()
-    }
-
-    /// Retire one grant's handle and drop its plan reference, withdrawing
-    /// the shared deployment when this was the last grant. Races with other
-    /// release paths are benign: the engine calls are idempotent no-ops on
-    /// already-gone handles/deployments.
-    fn release_grant(&self, handle: &StreamHandle, plan: PlanId) {
-        let _ = self.engine.retire_handle(handle);
-        let withdraw = {
-            let mut plans = self.plans.lock();
-            match plans.release(plan) {
-                Some((deployment, true)) => Some(deployment),
-                _ => None,
-            }
-        };
-        if let Some(deployment) = withdraw {
-            let _ = self.engine.withdraw(deployment);
+    /// Retire a removed grant's handle, withdrawing the shared deployment
+    /// when the grant was its plan's last rider. Runs under the table lock,
+    /// so the engine never shows a handle the table no longer records.
+    fn retire(&self, grant: &Grant, last: bool) {
+        let _ = self.engine.retire_handle(&grant.handle);
+        if last {
+            let _ = self.engine.withdraw(grant.deployment);
         }
     }
 
@@ -469,12 +467,13 @@ impl DataServer {
 
     /// Recovery hook: re-run a granted request through the normal workflow,
     /// pinning the per-grant handle to the exact URI the consumer held
-    /// before the crash. A durable wrapper journals each grant's handle URI;
-    /// replaying through minting arithmetic cannot reproduce pre-crash
-    /// serials once released grants have been pruned from the journal, so
-    /// the recorded URI is adopted verbatim instead. Unaudited — recovery
-    /// restores the journaled audit trail afterwards via
-    /// [`DataServer::restore_audit`].
+    /// before the crash and the grant to its original position in grant
+    /// order (`None`: after every grant recorded so far). A durable wrapper
+    /// journals each grant's handle URI; replaying through minting
+    /// arithmetic cannot reproduce pre-crash serials once released grants
+    /// have been pruned from the journal, so the recorded URI is adopted
+    /// verbatim instead. Unaudited — recovery restores the journaled audit
+    /// trail afterwards via [`DataServer::restore_audit`].
     ///
     /// # Errors
     /// As [`DataServer::handle_request`], plus when the pinned URI is
@@ -484,15 +483,16 @@ impl DataServer {
         request: &Request,
         user_query: Option<&UserQuery>,
         handle: &StreamHandle,
+        sequence: Option<u64>,
     ) -> Result<AccessResponse, ExacmlError> {
-        self.handle_request_inner(request, user_query, Some(handle))
+        self.handle_request_inner(request, user_query, Some((handle, sequence)))
     }
 
     fn handle_request_inner(
         &self,
         request: &Request,
         user_query: Option<&UserQuery>,
-        restore: Option<&StreamHandle>,
+        restore: Option<(&StreamHandle, Option<u64>)>,
     ) -> Result<AccessResponse, ExacmlError> {
         let started = Instant::now();
         let mut network = Duration::ZERO;
@@ -505,6 +505,13 @@ impl DataServer {
             .resource_id()
             .ok_or_else(|| ExacmlError::IncompleteRequest("missing resource-id".into()))?
             .to_string();
+        let fingerprint = user_query.map_or_else(
+            || format!("stream={};<identity>", stream.to_ascii_lowercase()),
+            UserQuery::fingerprint,
+        );
+
+        // From the decision to the recorded grant, one step (module docs).
+        let mut grants = self.grants.lock();
 
         // Step 2: PDP decision.
         let pdp_started = Instant::now();
@@ -521,34 +528,27 @@ impl DataServer {
             decision.policy_id.clone().unwrap_or_else(|| "<unknown-policy>".to_string());
 
         // Step 3: single-access check.
-        let fingerprint = user_query.map_or_else(
-            || format!("stream={};<identity>", stream.to_ascii_lowercase()),
-            UserQuery::fingerprint,
-        );
-        match self.guard.lock().check(&subject, &stream, &fingerprint)? {
-            GuardOutcome::Allowed => {}
-            GuardOutcome::Reuse { handle, deployment, plan } => {
-                // Identical re-request: hand back the existing live handle.
-                let output_schema = self.engine.output_schema(&handle)?;
-                let total = started.elapsed();
-                return Ok(AccessResponse {
-                    handle,
-                    output_schema,
-                    deployment,
-                    plan,
-                    policy_id,
-                    warnings: Vec::new(),
-                    streamsql: String::new(),
-                    reused: true,
-                    timing: RequestTiming {
-                        pdp: pdp_time,
-                        query_graph: Duration::ZERO,
-                        dsms: Duration::ZERO,
-                        network,
-                        total,
-                    },
-                });
-            }
+        if let Some(held) = grants.check(&subject, &stream, &fingerprint)? {
+            // Identical re-request: hand back the existing live handle.
+            let output_schema = self.engine.output_schema(&held.handle)?;
+            let total = started.elapsed();
+            return Ok(AccessResponse {
+                handle: held.handle.clone(),
+                output_schema,
+                deployment: held.deployment,
+                plan: held.plan,
+                policy_id,
+                warnings: Vec::new(),
+                streamsql: String::new(),
+                reused: true,
+                timing: RequestTiming {
+                    pdp: pdp_time,
+                    query_graph: Duration::ZERO,
+                    dsms: Duration::ZERO,
+                    network,
+                    total,
+                },
+            });
         }
 
         // Steps 2 (obligations → graph) and 4 (merge + NR/PR).
@@ -577,8 +577,9 @@ impl DataServer {
         let query_graph_time = graph_started.elapsed();
         self.telemetry_registry().record(Stage::QueryGraph, query_graph_time);
 
-        // Step 5: ship the StreamSQL to the DSMS and deploy — through the
-        // plan cache, so overlapping grants share one compiled subgraph.
+        // Step 5: ship the StreamSQL to the DSMS and deploy — onto the live
+        // plan for the same core, so overlapping grants share one compiled
+        // subgraph.
         network += {
             let mut rng = self.rng.lock();
             self.config.topology.round_trip(
@@ -590,30 +591,34 @@ impl DataServer {
             )
         };
         let dsms_started = Instant::now();
-        let (plan, deployment, handle) =
-            self.deploy_grant(&policy_graph, &user_graph, &outcome.graph, &input_schema, restore)?;
+        let (plan_key, deployment, handle) = self.deploy_grant(
+            &grants,
+            &policy_graph,
+            &user_graph,
+            &outcome.graph,
+            &input_schema,
+            restore.map(|(uri, _)| uri),
+        )?;
         let output_schema = self.engine.output_schema(&handle)?;
         let dsms_time = dsms_started.elapsed();
         self.telemetry_registry().record(Stage::DsmsDeploy, dsms_time);
         self.telemetry_registry().record(Stage::Network, network);
 
-        self.graphs.lock().track(TrackedGraph {
-            deployment,
-            plan,
-            handle: handle.clone(),
-            policy_id: policy_id.clone(),
-            subject: subject.clone(),
-            stream: stream.clone(),
-            graph: outcome.graph.clone(),
-        });
-        self.guard.lock().register(
-            &subject,
-            &stream,
+        let plan = grants.join_plan(plan_key, deployment);
+        let pinned = restore.and_then(|(_, sequence)| sequence);
+        let sequence = pinned.unwrap_or_else(|| grants.next_sequence());
+        grants.record(Grant {
+            sequence,
+            subject,
+            stream,
             fingerprint,
-            handle.clone(),
+            user_query: user_query.cloned(),
+            handle: handle.clone(),
             deployment,
             plan,
-        );
+            policy_id: policy_id.clone(),
+            graph: outcome.graph,
+        });
 
         let total = started.elapsed() + network;
         Ok(AccessResponse {
@@ -635,64 +640,58 @@ impl DataServer {
         })
     }
 
-    /// Deploy one grant through the plan cache: decide the core graph and
-    /// per-grant residual, reuse a cached deployment of the same core when
-    /// plan sharing is on (deploying otherwise), and attach the per-grant
-    /// handle. Every grant — shared or not — gets its own attached handle,
-    /// so release, liveness and recovery follow one scheme.
+    /// Deploy one grant: decide the core graph and per-grant residual, ride
+    /// the live plan of the same core when plan sharing is on (deploying
+    /// otherwise), and attach the per-grant handle. Every grant — shared or
+    /// not — gets its own attached handle, so release, liveness and recovery
+    /// follow one scheme. Returns the plan key to join, the deployment and
+    /// the handle; the caller holds the table lock, so concurrent identical
+    /// grants serialize here instead of racing into double deployments.
     fn deploy_grant(
         &self,
+        grants: &GrantTable,
         policy_graph: &QueryGraph,
         user_graph: &QueryGraph,
         merged: &QueryGraph,
         input_schema: &Schema,
-        restore: Option<&StreamHandle>,
-    ) -> Result<(PlanId, DeploymentId, StreamHandle), ExacmlError> {
+        pinned: Option<&StreamHandle>,
+    ) -> Result<(String, DeploymentId, StreamHandle), ExacmlError> {
+        let telemetry = self.telemetry_registry();
         let (core, residual) = if self.config.share_plans {
             plan_core(policy_graph, user_graph, merged, input_schema)
         } else {
             (merged.clone(), None)
         };
-        // The cache lock is held across the deploy: concurrent identical
-        // grants serialize here instead of racing into double deployments.
+        // The lookup span covers canonicalisation + probe, not the deploy a
+        // miss goes on to pay (that is DsmsDeploy).
         let lookup_started = Instant::now();
-        let mut plans = self.plans.lock();
-        let (plan, deployment) = if self.config.share_plans {
-            let key = core.canonical_signature();
-            let hit = plans.acquire(&key);
-            // The lookup span covers lock wait + canonicalisation + probe,
-            // not the deploy a miss goes on to pay (that is DsmsDeploy).
-            self.telemetry_registry().record(Stage::PlanCacheLookup, lookup_started.elapsed());
-            match hit {
-                Some(hit) => {
-                    self.telemetry_registry().incr(Metric::PlanCacheHits);
-                    hit
-                }
-                None => {
-                    self.telemetry_registry().incr(Metric::PlanCacheMisses);
-                    let deployment = self.engine.deploy(&core)?;
-                    (plans.insert(key, deployment.id), deployment.id)
-                }
+        let key = self.config.share_plans.then(|| core.canonical_signature());
+        let live = key.as_deref().and_then(|key| grants.plan(key));
+        telemetry.record(Stage::PlanCacheLookup, lookup_started.elapsed());
+        let deployment = match live {
+            Some((_, deployment)) => {
+                telemetry.incr(Metric::PlanCacheHits);
+                deployment
             }
-        } else {
-            // Unshared mode: every grant gets a private plan under a key no
-            // canonical signature can collide with.
-            self.telemetry_registry().record(Stage::PlanCacheLookup, lookup_started.elapsed());
-            self.telemetry_registry().incr(Metric::PlanCacheMisses);
-            let deployment = self.engine.deploy(&core)?;
-            (plans.insert(format!("#unshared/{}", deployment.id), deployment.id), deployment.id)
+            None => {
+                telemetry.incr(Metric::PlanCacheMisses);
+                self.engine.deploy(&core)?.id
+            }
         };
-        let attached = match restore {
+        let attached = match pinned {
             Some(uri) => self.engine.attach_handle_as(deployment, residual.as_ref(), uri.clone()),
             None => self.engine.attach_handle(deployment, residual.as_ref()),
         };
         match attached {
-            Ok(handle) => Ok((plan, deployment, handle)),
+            // Unshared mode: every grant gets a private plan under a key no
+            // canonical signature can collide with.
+            Ok(handle) => {
+                Ok((key.unwrap_or_else(|| format!("#unshared/{deployment}")), deployment, handle))
+            }
             Err(err) => {
-                // Roll the refcount back; withdraw the deployment if this
-                // grant was the only (or first) rider.
-                if let Some((id, true)) = plans.release(plan) {
-                    let _ = self.engine.withdraw(id);
+                // Nothing rides a deployment this grant just created.
+                if live.is_none() {
+                    let _ = self.engine.withdraw(deployment);
                 }
                 Err(err.into())
             }
@@ -703,17 +702,20 @@ impl DataServer {
     /// is retired immediately; the backing deployment is withdrawn only when
     /// this was its last grant. Returns `true` when something was released.
     pub fn release_access(&self, subject: &str, stream: &str) -> bool {
-        let Some(released) = self.guard.lock().release(subject, stream) else {
-            return false;
+        let handle = {
+            let mut grants = self.grants.lock();
+            let Some((grant, last)) = grants.release(subject, stream) else {
+                return false;
+            };
+            self.retire(&grant, last);
+            grant.handle
         };
-        self.graphs.lock().untrack(subject, stream);
-        self.release_grant(&released.handle, released.plan);
         self.audit.lock().record(
             AuditEventKind::AccessReleased,
             Some(subject),
             Some(stream),
             None,
-            format!("handle {} retired", released.handle),
+            format!("handle {handle} retired"),
         );
         true
     }
@@ -780,13 +782,26 @@ impl DataServer {
     /// sharing on, this stays flat while grants multiply.
     #[must_use]
     pub fn plan_count(&self) -> usize {
-        self.plans.lock().plan_count()
+        self.grants.lock().plan_count()
     }
 
     /// Total live grants across all plans.
     #[must_use]
     pub fn grant_count(&self) -> usize {
-        self.plans.lock().grant_count()
+        self.grants.lock().grant_count()
+    }
+
+    /// The live grants in grant order (what a journal snapshots and a
+    /// recovery replays).
+    #[must_use]
+    pub fn live_grants(&self) -> Vec<Grant> {
+        self.grants.lock().live()
+    }
+
+    /// Whether `subject` holds a live grant on `stream`.
+    #[must_use]
+    pub fn holds_grant(&self, subject: &str, stream: &str) -> bool {
+        self.grants.lock().holds(subject, stream)
     }
 
     /// Engine-level counters.

@@ -30,7 +30,6 @@
 //! fabric; `Fault::Crash` windows go further and kill the scheduled host at
 //! their virtual-clock instant, which is what the chaos tests drive.
 
-use crate::record::GrantRecord;
 use crate::replication::ReplicaMirror;
 use crate::server::{DurableConfig, DurableServer};
 use exacml_plus::{
@@ -210,12 +209,6 @@ impl Replication {
         self.resolve(logical).map(|(server, _)| server)
     }
 
-    /// Live grants across the fabric, in grant order per node.
-    #[must_use]
-    pub fn live_grants(&self) -> Vec<GrantRecord> {
-        self.slots.iter().flat_map(|slot| slot.read().server.live_grants()).collect()
-    }
-
     /// Journal records appended on primaries but not yet acknowledged by
     /// every mirror, summed across the fabric.
     #[must_use]
@@ -282,7 +275,7 @@ impl Replication {
             })?;
         let recovered = DurableServer::recover_with(replica, node_config(&self.config, logical))?;
         self.failovers_completed.fetch_add(1, Ordering::Relaxed);
-        self.handles_reminted.fetch_add(recovered.live_grants().len() as u64, Ordering::Relaxed);
+        self.handles_reminted.fetch_add(recovered.inner().grant_count() as u64, Ordering::Relaxed);
         slot.server = Arc::new(recovered);
         slot.host = adopter;
         // The adopter's former mirror directory is now the primary store;

@@ -45,7 +45,7 @@
 use crate::record::{decode_row, encode_ingest_into, GrantRecord, Record};
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot, StreamEntry};
 use crate::wal::{read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
-use exacml_dsms::{DsmsError, Schema, StreamHandle, Tuple};
+use exacml_dsms::{Schema, StreamHandle, Tuple};
 use exacml_plus::{
     AccessControl, AuditEvent, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError,
     MergeOptions, NodeServer, PolicyAdmin, RobustnessStats, ServerConfig, StreamBackend,
@@ -58,7 +58,6 @@ use exacml_xacml::{Policy, Request};
 use parking_lot::Mutex;
 use serde::Content;
 use serde_json::Value;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -223,12 +222,6 @@ struct Journal {
     records_since_snapshot: u64,
     /// The first audit sequence number not yet journaled.
     next_audit_seq: u64,
-    /// Live grants in grant order — the snapshot's replay set. Keyed by a
-    /// monotone per-grant counter, *not* by deployment id: under plan
-    /// sharing several grants ride one deployment.
-    grants: BTreeMap<u64, GrantRecord>,
-    /// The next key for `grants` (monotone so replay order is grant order).
-    next_grant_key: u64,
     /// One past the largest deployment id ever minted.
     next_deployment_id: u64,
     /// One past the largest handle serial ever journaled, including grants
@@ -352,8 +345,6 @@ impl DurableServer {
                 next_seq: 0,
                 records_since_snapshot: 0,
                 next_audit_seq: 0,
-                grants: BTreeMap::new(),
-                next_grant_key: 0,
                 next_deployment_id: 0,
                 next_handle_serial: 0,
                 scratch: String::new(),
@@ -402,8 +393,6 @@ impl DurableServer {
         }
 
         let inner = DataServer::new(config.server_config());
-        let mut grants: BTreeMap<u64, GrantRecord> = BTreeMap::new();
-        let mut next_grant_key = 0u64;
         let mut audit: Vec<AuditEvent> = Vec::new();
         let mut next_deployment_id = 0u64;
         let mut next_handle_serial = 0u64;
@@ -460,16 +449,12 @@ impl DurableServer {
             // (deployer released, sharer kept). Replay in deployment order —
             // stable, so grant order within a deployment is preserved — and
             // each plan's first live grant re-mints its deployment id while
-            // the counter is still below it. The journal itself keeps the
-            // original grant order.
-            let mut by_deployment: Vec<&GrantRecord> = snapshot.grants.iter().collect();
-            by_deployment.sort_by_key(|g| g.deployment);
-            for grant in by_deployment {
-                Self::replay_grant(&inner, grant)?;
-            }
-            for grant in &snapshot.grants {
-                grants.insert(next_grant_key, grant.clone());
-                next_grant_key += 1;
+            // the counter is still below it. Each grant is restored under
+            // its position in the snapshot, so grant order survives.
+            let mut by_deployment: Vec<(u64, &GrantRecord)> = (0..).zip(&snapshot.grants).collect();
+            by_deployment.sort_by_key(|(_, g)| g.deployment);
+            for (sequence, grant) in by_deployment {
+                Self::replay_grant(&inner, grant, Some(sequence))?;
             }
         }
 
@@ -483,28 +468,16 @@ impl DurableServer {
                 }
                 Record::RemovePolicy { id } => {
                     inner.remove_policy(&id)?;
-                    grants.retain(|_, g| {
-                        inner.handle_is_live(&StreamHandle::from_uri(g.handle.clone()))
-                    });
                 }
                 Record::UpdatePolicy { xml } => {
                     inner.update_policy(parse_policy(&xml)?)?;
-                    grants.retain(|_, g| {
-                        inner.handle_is_live(&StreamHandle::from_uri(g.handle.clone()))
-                    });
                 }
                 Record::Grant(grant) => {
-                    Self::replay_grant(&inner, &grant)?;
+                    Self::replay_grant(&inner, &grant, None)?;
                     next_deployment_id = next_deployment_id.max(grant.deployment + 1);
-                    grants.insert(next_grant_key, grant);
-                    next_grant_key += 1;
                 }
                 Record::Release { subject, stream } => {
                     inner.release_access(&subject, &stream);
-                    grants.retain(|_, g| {
-                        !(g.subject.eq_ignore_ascii_case(&subject)
-                            && g.stream.eq_ignore_ascii_case(&stream))
-                    });
                 }
                 Record::Audit(event) => audit.push(event),
                 Record::Ingest { stream, rows } => {
@@ -543,8 +516,6 @@ impl DurableServer {
                 next_seq,
                 records_since_snapshot: report.wal_records_replayed as u64,
                 next_audit_seq,
-                grants,
-                next_grant_key,
                 next_deployment_id,
                 next_handle_serial,
                 scratch: String::new(),
@@ -581,7 +552,11 @@ impl DurableServer {
     /// sharer simply cache-hits the live plan. Divergence on
     /// either the URI or the deployment id means the journal and the
     /// workflow disagree and the store cannot be trusted.
-    fn replay_grant(inner: &DataServer, grant: &GrantRecord) -> Result<(), ExacmlError> {
+    fn replay_grant(
+        inner: &DataServer,
+        grant: &GrantRecord,
+        sequence: Option<u64>,
+    ) -> Result<(), ExacmlError> {
         inner.engine().resume_ids_at(grant.deployment);
         let query = grant.query_xml.as_deref().map(UserQuery::from_xml).transpose()?;
         let handle = StreamHandle::from_uri(grant.handle.clone());
@@ -590,6 +565,7 @@ impl DurableServer {
                 &Request::subscribe(&grant.subject, &grant.stream),
                 query.as_ref(),
                 &handle,
+                sequence,
             )
             .map_err(|e| {
                 durability(&format!("replay grant {} on '{}'", grant.subject, grant.stream), e)
@@ -650,7 +626,17 @@ impl DurableServer {
     /// entries may carry the same deployment id.
     #[must_use]
     pub fn live_grants(&self) -> Vec<GrantRecord> {
-        self.journal.lock().grants.values().cloned().collect()
+        self.inner
+            .live_grants()
+            .into_iter()
+            .map(|grant| GrantRecord {
+                subject: grant.subject,
+                stream: grant.stream,
+                query_xml: grant.user_query.as_ref().map(UserQuery::to_xml),
+                deployment: grant.deployment.0,
+                handle: grant.handle.uri().to_string(),
+            })
+            .collect()
     }
 
     /// Journal records appended since the last snapshot (the WAL tail a
@@ -861,7 +847,7 @@ impl DurableServer {
                 .iter()
                 .map(|p| write_policy(p))
                 .collect(),
-            grants: journal.grants.values().cloned().collect(),
+            grants: self.live_grants(),
             audit: self.inner.audit_events(),
         };
         if let Err(e) = write_snapshot(&self.path.join(SNAPSHOT_FILE), &snapshot) {
@@ -879,17 +865,34 @@ impl DurableServer {
 
     // --- the journaled operations ------------------------------------------
 
+    /// Run one control-plane operation as a record group under the journal
+    /// lock: the operation itself, the record it leaves behind when it
+    /// succeeded (`record` may also advance the journal's counters), the
+    /// audit events it caused — a refusal leaves those too — and one flush.
+    fn control<T>(
+        &self,
+        op: impl FnOnce() -> Result<T, ExacmlError>,
+        record: impl FnOnce(&T, &mut Journal) -> Option<Record>,
+    ) -> Result<T, ExacmlError> {
+        let mut journal = self.journal.lock();
+        self.begin_control(&mut journal)?;
+        let result = op();
+        if let Some(record) = result.as_ref().ok().and_then(|done| record(done, &mut journal)) {
+            self.append(&mut journal, &record)?;
+        }
+        self.journal_audit(&mut journal)?;
+        self.commit(&mut journal)?;
+        self.maybe_compact(&mut journal)?;
+        result
+    }
+
     /// Register an input stream (journaled).
     ///
     /// # Errors
     /// As [`DataServer::register_stream`], plus journaling failures.
     pub fn register_stream(&self, name: &str, schema: Schema) -> Result<(), ExacmlError> {
-        let mut journal = self.journal.lock();
-        self.begin_control(&mut journal)?;
-        self.inner.register_stream(name, schema.clone())?;
-        self.append(&mut journal, &Record::RegisterStream { name: name.to_string(), schema })?;
-        self.commit(&mut journal)?;
-        self.maybe_compact(&mut journal)
+        let record = Record::RegisterStream { name: name.to_string(), schema: schema.clone() };
+        self.control(|| self.inner.register_stream(name, schema), |(), _| Some(record))
     }
 
     /// Load a policy (journaled as its XACML document).
@@ -897,17 +900,8 @@ impl DurableServer {
     /// # Errors
     /// As [`DataServer::load_policy`], plus journaling failures.
     pub fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        let mut journal = self.journal.lock();
-        self.begin_control(&mut journal)?;
-        let xml = write_policy(&policy);
-        let result = self.inner.load_policy(policy);
-        if result.is_ok() {
-            self.append(&mut journal, &Record::LoadPolicy { xml })?;
-        }
-        self.journal_audit(&mut journal)?;
-        self.commit(&mut journal)?;
-        self.maybe_compact(&mut journal)?;
-        result
+        let record = Record::LoadPolicy { xml: write_policy(&policy) };
+        self.control(|| self.inner.load_policy(policy), |_, _| Some(record))
     }
 
     /// Load a policy from its XML document (journaled).
@@ -923,17 +917,8 @@ impl DurableServer {
     /// # Errors
     /// As [`DataServer::remove_policy`], plus journaling failures.
     pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        let mut journal = self.journal.lock();
-        self.begin_control(&mut journal)?;
-        let result = self.inner.remove_policy(policy_id);
-        if result.is_ok() {
-            self.append(&mut journal, &Record::RemovePolicy { id: policy_id.to_string() })?;
-            self.prune_dead_grants(&mut journal);
-        }
-        self.journal_audit(&mut journal)?;
-        self.commit(&mut journal)?;
-        self.maybe_compact(&mut journal)?;
-        result
+        let record = Record::RemovePolicy { id: policy_id.to_string() };
+        self.control(|| self.inner.remove_policy(policy_id), |_, _| Some(record))
     }
 
     /// Replace a policy, withdrawing the old version's graphs (journaled).
@@ -941,25 +926,8 @@ impl DurableServer {
     /// # Errors
     /// As [`DataServer::update_policy`], plus journaling failures.
     pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        let mut journal = self.journal.lock();
-        self.begin_control(&mut journal)?;
-        let xml = write_policy(&policy);
-        let result = self.inner.update_policy(policy);
-        if result.is_ok() {
-            self.append(&mut journal, &Record::UpdatePolicy { xml })?;
-            self.prune_dead_grants(&mut journal);
-        }
-        self.journal_audit(&mut journal)?;
-        self.commit(&mut journal)?;
-        self.maybe_compact(&mut journal)?;
-        result
-    }
-
-    /// Drop tracked grants whose deployments a policy change just withdrew.
-    fn prune_dead_grants(&self, journal: &mut Journal) {
-        journal
-            .grants
-            .retain(|_, g| self.inner.handle_is_live(&StreamHandle::from_uri(g.handle.clone())));
+        let record = Record::UpdatePolicy { xml: write_policy(&policy) };
+        self.control(|| self.inner.update_policy(policy), |_, _| Some(record))
     }
 
     /// Handle one access request (grants and every audit outcome are
@@ -973,36 +941,25 @@ impl DurableServer {
         request: &Request,
         user_query: Option<&UserQuery>,
     ) -> Result<BackendResponse, ExacmlError> {
-        let mut journal = self.journal.lock();
-        self.begin_control(&mut journal)?;
-        let result = self.inner.handle_request(request, user_query);
-        if let Ok(response) = &result {
-            if !response.reused {
-                let grant = GrantRecord {
-                    subject: request.subject_id().unwrap_or_default().to_string(),
-                    stream: request.resource_id().unwrap_or_default().to_string(),
-                    query_xml: user_query.map(UserQuery::to_xml),
-                    deployment: response.deployment.0,
-                    handle: response.handle.uri().to_string(),
-                };
-                self.append(&mut journal, &Record::Grant(grant.clone()))?;
-                journal.next_deployment_id = journal.next_deployment_id.max(grant.deployment + 1);
-                if let Some(serial) = response.handle.serial() {
-                    journal.next_handle_serial = journal.next_handle_serial.max(serial + 1);
-                }
-                let key = journal.next_grant_key;
-                journal.next_grant_key += 1;
-                journal.grants.insert(key, grant);
+        let op = || self.inner.handle_request(request, user_query);
+        let response = self.control(op, |response, journal| {
+            if response.reused {
+                return None;
             }
-        }
-        self.journal_audit(&mut journal)?;
-        self.commit(&mut journal)?;
-        self.maybe_compact(&mut journal)?;
-        result.map(|response| BackendResponse {
-            node: NodeId::DataServer,
-            response,
-            broker_network: Duration::ZERO,
-        })
+            let deployment = response.deployment.0;
+            journal.next_deployment_id = journal.next_deployment_id.max(deployment + 1);
+            if let Some(serial) = response.handle.serial() {
+                journal.next_handle_serial = journal.next_handle_serial.max(serial + 1);
+            }
+            Some(Record::Grant(GrantRecord {
+                subject: request.subject_id().unwrap_or_default().to_string(),
+                stream: request.resource_id().unwrap_or_default().to_string(),
+                query_xml: user_query.map(UserQuery::to_xml),
+                deployment,
+                handle: response.handle.uri().to_string(),
+            }))
+        })?;
+        Ok(BackendResponse { node: NodeId::DataServer, response, broker_network: Duration::ZERO })
     }
 
     /// Release a subject's access on a stream (journaled when something is
@@ -1017,23 +974,18 @@ impl DurableServer {
         if self.begin_control(&mut journal).is_err() {
             return false;
         }
-        // The grant map mirrors the guard's live state; a release that
-        // cannot withdraw anything is a no-op on every backend and needs no
-        // journal record.
-        let holds = journal.grants.values().any(|g| {
-            g.subject.eq_ignore_ascii_case(subject) && g.stream.eq_ignore_ascii_case(stream)
-        });
-        if !holds {
-            return self.inner.release_access(subject, stream);
+        // A release that cannot withdraw anything is a no-op on every
+        // backend and needs no journal record. (Every grant and release goes
+        // through the journal lock held here, so the answer cannot change
+        // before the release below.)
+        if !self.inner.holds_grant(subject, stream) {
+            return false;
         }
         let record = Record::Release { subject: subject.to_string(), stream: stream.to_string() };
         if self.append(&mut journal, &record).is_err() {
             return false;
         }
         let released = self.inner.release_access(subject, stream);
-        journal.grants.retain(|_, g| {
-            !(g.subject.eq_ignore_ascii_case(subject) && g.stream.eq_ignore_ascii_case(stream))
-        });
         let _ = self.journal_audit(&mut journal);
         let _ = self.commit(&mut journal);
         let _ = self.maybe_compact(&mut journal);
@@ -1109,13 +1061,7 @@ impl StreamBackend for DurableServer {
     }
 
     fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        match self.inner.subscribe(handle) {
-            Ok(rx) => Ok(Subscription::Local(rx)),
-            Err(ExacmlError::Dsms(DsmsError::UnknownHandle(_))) => {
-                Err(ExacmlError::UnknownHandle(handle.uri().to_string()))
-            }
-            Err(other) => Err(other),
-        }
+        self.inner.subscribe(handle).map(Subscription::Local)
     }
 
     fn handle_is_live(&self, handle: &StreamHandle) -> bool {

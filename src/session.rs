@@ -4,9 +4,8 @@
 //! releasing them to the caller; [`Session`] replaces that bookkeeping. It
 //! owns the requesting subject's identity and every handle the subject was
 //! granted through it, releases them all when dropped (so a crashed or
-//! finished consumer never leaks live query graphs — on a fabric the
-//! handle's routing entry is pruned too), and works against **any**
-//! backend because it only speaks `dyn Backend`.
+//! finished consumer never leaks live query graphs), and works against
+//! **any** backend because it only speaks `dyn Backend`.
 
 use exacml_plus::{Backend, BackendResponse, ExacmlError, PlanId, UserQuery, Warning};
 use exacml_xacml::Request;
@@ -180,8 +179,7 @@ impl Session {
 
 impl Drop for Session {
     /// RAII: a finished consumer releases everything it held, withdrawing
-    /// the backing deployments (and, on a fabric, pruning their routing
-    /// entries).
+    /// the backing deployments.
     fn drop(&mut self) {
         self.release_all();
     }

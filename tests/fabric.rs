@@ -6,7 +6,7 @@
 //! fabric-wide cache invalidation, virtual-clock delivery, and (on the plain
 //! *and* the replicated shape, one body each) the broker's failure paths.
 
-use exacml::exacml_dsms::{Schema, Tuple, Value};
+use exacml::exacml_dsms::{Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::{DurableConfig, ReplicatedConfig, Replication};
 use exacml::exacml_plus::{rendezvous_owner, Direct};
 use exacml::exacml_simnet::{Clock, LinkSpec};
@@ -540,24 +540,46 @@ fn latency_spikes_inflate_the_broker_hop() {
     on::<Replicated>();
 }
 
+/// The broker keeps no handle table: a handle's owner is read off its URI,
+/// so a dead handle is simply unknown — as on every other shape — however
+/// much grant/release churn preceded it.
 #[test]
-fn handle_routing_entries_do_not_grow_with_grant_release_churn() {
+fn released_and_withdrawn_handles_are_unknown_to_the_broker() {
     fn on<S: Shape>() {
         let fabric = S::build(FabricConfig::local(2));
+        let unknown = |handle: &StreamHandle| {
+            !fabric.handle_is_live(handle)
+                && matches!(fabric.subscribe(handle), Err(ExacmlError::UnknownHandle(_)))
+        };
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
         fabric.load_policy(rain_policy("p", "weather")).unwrap();
         for _ in 0..10 {
-            fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-            assert_eq!(fabric.routed_handles(), 1);
+            let granted =
+                fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+            let handle = &granted.response.handle;
+            assert!(fabric.handle_is_live(handle) && fabric.subscribe(handle).is_ok());
             assert!(fabric.release_access("LTA", "weather"));
-            assert_eq!(fabric.routed_handles(), 0, "released handles must be pruned");
+            assert!(unknown(handle), "a released handle is unknown");
         }
-        // Policy withdrawal prunes too.
+        // Policy withdrawal kills the handle the same way.
         let granted = fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-        assert_eq!(fabric.routed_handles(), 1);
         assert_eq!(fabric.remove_policy("p").unwrap(), 1);
-        assert_eq!(fabric.routed_handles(), 0);
-        assert!(!fabric.handle_is_live(&granted.response.handle));
+        assert!(unknown(&granted.response.handle), "a withdrawn handle is unknown");
+        assert_eq!(fabric.live_deployments(), 0);
+
+        // URIs no node of this fabric minted: a node index it does not have
+        // (well-formed otherwise), a foreign host, and junk after the prefix.
+        for uri in [
+            "exacml://node2/streams/0",
+            "exacml://node18446744073709551615/streams/0",
+            "exacml://node99999999999999999999999/streams/0",
+            "exacml://elsewhere/streams/0",
+            "exacml://node/streams/0",
+            "exacml://node-1/streams/0",
+            "exacml://node",
+        ] {
+            assert!(unknown(&StreamHandle::from_uri(uri)), "{uri}");
+        }
     }
     on::<Plain>();
     on::<Replicated>();

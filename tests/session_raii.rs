@@ -1,9 +1,8 @@
 //! `Session` RAII coverage: dropping a session releases every handle it
-//! holds — on a single server and on a fabric — and a released handle's
-//! routing entry is pruned from the fabric's handle map
-//! (`Fabric::routed_handles()` observes it).
+//! holds — on a single server and on a fabric — and the fabric's broker
+//! answers for a released handle as for one it never granted.
 
-use exacml::exacml_dsms::Schema;
+use exacml::exacml_dsms::{Schema, StreamHandle};
 use exacml::prelude::*;
 use std::sync::Arc;
 
@@ -43,47 +42,54 @@ fn dropping_a_session_releases_all_local_handles() {
     assert!(session.request_access(&names[0], Some(&query)).is_ok());
 }
 
+/// A dead handle on the fabric: not live, and unknown to `subscribe`.
+fn is_unknown(fabric: &Fabric, handle: &StreamHandle) -> bool {
+    !fabric.handle_is_live(handle)
+        && matches!(fabric.subscribe(handle), Err(ExacmlError::UnknownHandle(_)))
+}
+
 #[test]
-fn dropping_a_session_releases_fabric_handles_and_prunes_routing_entries() {
+fn dropping_a_session_releases_fabric_handles_on_every_node() {
     // Keep a concrete view of the fabric next to the trait-object view the
-    // session uses, so the routing table is observable.
+    // session uses, so the per-node servers are observable.
     let fabric = Arc::new(Fabric::new(FabricConfig::local(3)));
     let backend: Arc<dyn Backend> = fabric.clone();
     let names = policies_and_streams(backend.as_ref(), 6);
 
-    {
+    let held = {
         let session = Session::new(backend.clone(), "LTA");
         for name in &names {
             session.request_access(name, None).unwrap();
         }
-        assert_eq!(session.live_handles().len(), 6);
-        assert_eq!(fabric.routed_handles(), 6);
+        let held = session.live_handles();
+        assert_eq!(held.len(), 6);
+        assert!(held.iter().all(|handle| fabric.subscribe(handle).is_ok()));
         assert_eq!(fabric.live_deployments(), 6);
         // The grants landed on more than one node (rendezvous placement).
         let busy_nodes =
             fabric.layer().servers().iter().filter(|s| s.live_deployments() > 0).count();
         assert!(busy_nodes > 1, "6 streams on 3 nodes should use more than one node");
-    }
-    // RAII fabric-wide: deployments withdrawn on every node *and* the
-    // broker's handle → node routing entries pruned.
+        held
+    };
+    // RAII fabric-wide: deployments withdrawn on every node, and the broker
+    // no longer knows any of the handles.
     assert_eq!(fabric.live_deployments(), 0);
-    assert_eq!(fabric.routed_handles(), 0, "dead handles must not linger in the routing map");
+    assert!(held.iter().all(|handle| is_unknown(&fabric, handle)), "dead handles must be unknown");
 }
 
 #[test]
-fn explicit_release_prunes_the_routing_entry_too() {
+fn explicit_release_makes_the_handle_unknown_to_the_broker() {
     let fabric = Arc::new(Fabric::new(FabricConfig::local(2)));
     let backend: Arc<dyn Backend> = fabric.clone();
     let names = policies_and_streams(backend.as_ref(), 2);
 
     let session = Session::new(backend, "LTA");
     let granted = session.request_access(&names[0], None).unwrap();
-    session.request_access(&names[1], None).unwrap();
-    assert_eq!(fabric.routed_handles(), 2);
+    let kept = session.request_access(&names[1], None).unwrap();
+    assert!(fabric.subscribe(granted.handle()).is_ok());
 
     assert!(session.release(&names[0]));
-    assert_eq!(fabric.routed_handles(), 1, "released handle's routing entry must be pruned");
-    assert!(!fabric.handle_is_live(granted.handle()));
+    assert!(is_unknown(&fabric, granted.handle()), "a released handle must be unknown");
     assert!(session.handle_for(&names[0]).is_none());
     // The other grant is untouched.
     assert_eq!(session.live_handles().len(), 1);
@@ -91,7 +97,7 @@ fn explicit_release_prunes_the_routing_entry_too() {
 
     // Double release through the session is a no-op, like on the backend.
     assert!(!session.release(&names[0]));
-    assert_eq!(fabric.routed_handles(), 1);
+    assert!(fabric.subscribe(kept.handle()).is_ok());
 }
 
 #[test]
