@@ -18,6 +18,12 @@
 # spread is narrower than that bound. A cell the parent's spread can explain
 # reads `unresolved`. Nothing else may run meanwhile: the benchmark pins its
 # lanes to the CPUs it finds.
+#
+# `sync` runs before every run: a replicated_mixed run journals about half a
+# gigabyte and deletes it on exit, and the kernel writes that back during
+# whatever runs next. Its set-up is several hundred fsynced control records,
+# so without the sync `setup_s` bills the previous run's dirty pages to this
+# one (0.15 to 1.12 s was read on identical code).
 set -euo pipefail
 
 [ "$#" -eq 1 ] || { echo "usage: ci/bench_ab.sh <base-ref>" >&2; exit 2; }
@@ -46,6 +52,7 @@ for workload in $workloads; do
         if [ $((seed % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             echo "bench_ab: $workload seed $seed $side" >&2
+            sync
             line="$(run "$side" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)" || true
             echo "$workload $side $seed $line" >> "$tmp/results"
         done

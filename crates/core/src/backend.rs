@@ -34,7 +34,7 @@ use crate::fabric::{DeliveredTuple, Fabric, FabricConfig, FabricSubscription, Pl
 use crate::metrics::RobustnessStats;
 use crate::server::{AccessResponse, DataServer, ServerConfig};
 use crate::user_query::UserQuery;
-use exacml_dsms::{Schema, StreamEngine, StreamHandle, Tuple};
+use exacml_dsms::{Schema, StreamEngine, StreamHandle, Tuple, TupleReceiver};
 use exacml_simnet::NodeId;
 use exacml_telemetry::TelemetrySnapshot;
 use exacml_xacml::{Policy, Request};
@@ -136,8 +136,8 @@ impl BackendHealth {
 /// it returns every tuple derived so far, advancing the fabric's virtual
 /// clock until nothing remains in flight.
 pub enum Subscription {
-    /// In-process delivery straight off the engine's fan-out channel.
-    Local(crossbeam::channel::Receiver<Tuple>),
+    /// In-process delivery straight off the engine's fan-out queue.
+    Local(TupleReceiver),
     /// Delivery through the fabric's simulated links and virtual clock.
     Fabric(FabricSubscription),
 }
@@ -158,7 +158,9 @@ impl Subscription {
     /// of matching on the enum to find a fabric.
     pub fn drain_settled(&mut self) -> Vec<DeliveredTuple> {
         match self {
-            Subscription::Local(rx) => rx.try_iter().map(DeliveredTuple::in_process).collect(),
+            Subscription::Local(rx) => {
+                rx.take_all().into_iter().map(DeliveredTuple::in_process).collect()
+            }
             Subscription::Fabric(sub) => sub.drain_settled(),
         }
     }
@@ -167,7 +169,7 @@ impl Subscription {
     /// fabric tuples stay in flight).
     pub fn poll_now(&mut self) -> Vec<Tuple> {
         match self {
-            Subscription::Local(rx) => rx.try_iter().collect(),
+            Subscription::Local(rx) => rx.take_all(),
             Subscription::Fabric(sub) => sub.poll().into_iter().map(|d| d.tuple).collect(),
         }
     }

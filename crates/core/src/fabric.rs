@@ -49,7 +49,7 @@ use crate::error::ExacmlError;
 use crate::metrics::RobustnessStats;
 use crate::server::{DataServer, ServerConfig};
 use crate::user_query::UserQuery;
-use exacml_dsms::{Schema, StreamHandle, Tuple};
+use exacml_dsms::{Schema, StreamHandle, Tuple, TupleReceiver};
 use exacml_simnet::{Clock, FaultPlan, ManualClock, NodeId, SimLink, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry, TelemetrySnapshot};
 use exacml_xacml::{Policy, Request};
@@ -551,7 +551,7 @@ impl DeliveredTuple {
 /// fabric's virtual clock.
 pub struct FabricSubscription {
     node: NodeId,
-    rx: crossbeam::channel::Receiver<Tuple>,
+    rx: TupleReceiver,
     link: SimLink<(u64, Tuple)>,
     clock: ManualClock,
     delivered: u64,
@@ -579,8 +579,12 @@ impl FabricSubscription {
         // frame: a single sampled propagation delay for the group, each
         // tuple paying its own serialisation on top (batched fan-back,
         // mirroring the broker→node ingest frames).
-        let pending: Vec<(usize, (u64, Tuple))> =
-            self.rx.try_iter().map(|tuple| (tuple.approx_size_bytes(), (now, tuple))).collect();
+        let pending: Vec<(usize, (u64, Tuple))> = self
+            .rx
+            .take_all()
+            .into_iter()
+            .map(|tuple| (tuple.approx_size_bytes(), (now, tuple)))
+            .collect();
         if !pending.is_empty() {
             self.link.send_batch(now, pending);
         }

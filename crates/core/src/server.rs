@@ -33,6 +33,7 @@ use crate::user_query::UserQuery;
 use crate::warnings::{has_empty_result, has_partial_result, Warning};
 use exacml_dsms::{
     streamsql, DeploymentId, QueryGraph, ResidualSpec, Schema, StreamEngine, StreamHandle, Tuple,
+    TupleReceiver,
 };
 use exacml_simnet::{NodeId, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry};
@@ -257,10 +258,7 @@ impl DataServer {
     ///
     /// # Errors
     /// Fails when the handle is unknown or already withdrawn.
-    pub fn subscribe(
-        &self,
-        handle: &StreamHandle,
-    ) -> Result<crossbeam::channel::Receiver<Tuple>, ExacmlError> {
+    pub fn subscribe(&self, handle: &StreamHandle) -> Result<TupleReceiver, ExacmlError> {
         self.engine.subscribe(handle).map_err(ExacmlError::from)
     }
 

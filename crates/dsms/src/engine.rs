@@ -21,10 +21,23 @@
 //! atomics. [`StreamEngine::push_batch`] amortizes the shard lookup and lock
 //! acquisition over a whole batch of tuples.
 //!
+//! # The batch is the unit of work
+//!
+//! A push — one tuple or a batch — runs each deployment **stage-at-a-time**
+//! over the whole input slice, then hands every subscriber **one**
+//! `Vec<Tuple>` holding what its residual let through (nothing at all when
+//! that is empty): one channel send per subscriber per batch, not per tuple.
+//! The consumer's half is a [`TupleReceiver`], which reads tuple by tuple
+//! ([`TupleReceiver::try_recv`], [`TupleReceiver::try_iter`]) or takes
+//! everything queued in one move ([`TupleReceiver::take_all`]). A linear
+//! chain's output sequence depends only on its input sequence, so how a
+//! stream is cut into batches never changes what a subscriber receives.
+//!
 //! Per-tuple work is allocation-light: operator chains are compiled at
 //! deploy time (`compiled.rs`) so attribute positions are resolved
 //! once, and [`Tuple`] rows are `Arc`-backed so fan-out to N deployments and
-//! M subscribers costs reference-count bumps, not copies.
+//! M subscribers costs one reference-count bump per tuple a subscriber
+//! actually receives, not copies.
 
 use crate::catalog::{StreamCatalog, StreamHandle};
 use crate::compiled::{CompiledResidual, CompiledStage, ResidualSpec};
@@ -38,6 +51,7 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::TryRecvError;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,29 +89,63 @@ pub struct EngineStats {
     pub deployments_withdrawn: u64,
 }
 
+/// The receiving half of a subscription: derived tuples in emission order.
+///
+/// The engine queues one `Vec<Tuple>` per batch it processed; this type
+/// hides the batching from callers that read tuple by tuple and offers
+/// [`TupleReceiver::take_all`] to those that want everything at once.
+/// Dropping it unsubscribes: the engine prunes the slot on the next push.
+pub struct TupleReceiver {
+    batches: Receiver<Vec<Tuple>>,
+    /// The unread rest of a batch [`TupleReceiver::try_recv`] has started on.
+    front: Mutex<std::vec::IntoIter<Tuple>>,
+}
+
+impl TupleReceiver {
+    /// The next derived tuple, if one is queued.
+    ///
+    /// # Errors
+    /// `Empty` when nothing is queued; `Disconnected` when nothing is queued
+    /// *and* the handle was withdrawn or retired (what was queued before
+    /// that stays readable).
+    pub fn try_recv(&self) -> Result<Tuple, TryRecvError> {
+        let mut front = self.front.lock();
+        loop {
+            if let Some(tuple) = front.next() {
+                return Ok(tuple);
+            }
+            *front = self.batches.try_recv()?.into_iter();
+        }
+    }
+
+    /// Every tuple that is immediately available, one at a time.
+    pub fn try_iter(&self) -> impl Iterator<Item = Tuple> + '_ {
+        std::iter::from_fn(|| self.try_recv().ok())
+    }
+
+    /// Everything queued, in order. A lone queued batch is moved out as the
+    /// engine built it, without touching its tuples.
+    pub fn take_all(&self) -> Vec<Tuple> {
+        let mut front = self.front.lock();
+        let mut all: Vec<Tuple> = std::mem::take(&mut *front).collect();
+        for batch in self.batches.try_iter() {
+            if all.is_empty() {
+                all = batch;
+            } else {
+                all.extend(batch);
+            }
+        }
+        all
+    }
+}
+
 /// One subscriber of a deployment's output: the handle it subscribed
 /// through, the delivery channel, and the per-grant residual (if the handle
 /// was attached with one) applied to each tuple before sending.
 struct SubscriberSlot {
     handle: StreamHandle,
-    tx: Sender<Tuple>,
+    tx: Sender<Vec<Tuple>>,
     residual: Option<Arc<CompiledResidual>>,
-}
-
-impl SubscriberSlot {
-    /// Deliver one core output tuple through the residual, by move.
-    fn send(&self, out: Tuple) {
-        match &self.residual {
-            None => {
-                let _ = self.tx.send(out);
-            }
-            Some(residual) => {
-                if let Some(t) = residual.apply(&out) {
-                    let _ = self.tx.send(t);
-                }
-            }
-        }
-    }
 }
 
 /// Runtime state of one deployed query graph.
@@ -111,52 +159,62 @@ struct DeploymentState {
     attached: Vec<StreamHandle>,
     subscribers: Vec<SubscriberSlot>,
     emitted: u64,
-    /// Reusable stage buffers: the per-tuple working set allocates nothing
-    /// once the deployment has warmed up.
+    /// Reusable stage buffers, empty between batches: the working set
+    /// allocates nothing once the deployment has warmed up.
     scratch_current: Vec<Tuple>,
     scratch_next: Vec<Tuple>,
 }
 
 impl DeploymentState {
-    /// Push one source tuple through the compiled chain, deliver the derived
-    /// tuples to the live subscribers, and return how many were emitted.
+    /// Push a slice of source tuples through the compiled chain, one stage
+    /// at a time, deliver the derived tuples to the live subscribers, and
+    /// return how many were emitted.
     ///
-    /// Disconnected receivers are dropped *before* any tuple is cloned for
-    /// them, and the last subscriber receives each tuple by move rather than
-    /// by clone. Subscribers attached with a residual see the tuple filtered
-    /// and projected by it; the shared chain above runs once either way.
-    fn process_and_fan_out(&mut self, tuple: &Tuple) -> usize {
-        let mut current = std::mem::take(&mut self.scratch_current);
-        let mut next = std::mem::take(&mut self.scratch_next);
-        current.clear();
-        next.clear();
-        current.push(tuple.clone());
-        for stage in &mut self.stages {
-            if current.is_empty() {
-                break;
+    /// Disconnected receivers are dropped first, on every batch whether it
+    /// emits or not. Each remaining subscriber is sent one `Vec` per batch:
+    /// the outputs its residual passes (filtered and projected by it), or a
+    /// clone of every output when it has none — one reference-count bump per
+    /// tuple it receives, none for a tuple its residual rejects, and no send
+    /// at all when nothing is left. The shared chain above runs once either
+    /// way.
+    fn process_and_fan_out(&mut self, tuples: &[Tuple]) -> usize {
+        self.subscribers.retain(|slot| !slot.tx.is_disconnected());
+
+        let (current, next) = (&mut self.scratch_current, &mut self.scratch_next);
+        // The first stage reads the caller's slice; later ones ping-pong the
+        // scratch vectors. A chain with no stage emits its input as it is.
+        let outputs: &[Tuple] = match self.stages.split_first_mut() {
+            None => tuples,
+            Some((first, rest)) => {
+                for tuple in tuples {
+                    first.process(tuple, current);
+                }
+                for stage in rest {
+                    if current.is_empty() {
+                        break;
+                    }
+                    for tuple in current.iter() {
+                        stage.process(tuple, next);
+                    }
+                    current.clear();
+                    std::mem::swap(current, next);
+                }
+                current
             }
-            next.clear();
-            for t in &current {
-                stage.process(t, &mut next);
-            }
-            std::mem::swap(&mut current, &mut next);
-        }
-        let emitted = current.len();
+        };
+        let emitted = outputs.len();
         self.emitted += emitted as u64;
 
-        if emitted > 0 {
-            self.subscribers.retain(|slot| !slot.tx.is_disconnected());
-            if let Some(fan_out) = self.subscribers.len().checked_sub(1) {
-                for out in current.drain(..) {
-                    for slot in &self.subscribers[..fan_out] {
-                        slot.send(out.clone());
-                    }
-                    self.subscribers[fan_out].send(out);
-                }
+        for slot in &self.subscribers {
+            let batch: Vec<Tuple> = match &slot.residual {
+                None => outputs.to_vec(),
+                Some(residual) => outputs.iter().filter_map(|t| residual.apply(t)).collect(),
+            };
+            if !batch.is_empty() {
+                let _ = slot.tx.send(batch);
             }
         }
-        self.scratch_current = current;
-        self.scratch_next = next;
+        self.scratch_current.clear();
         emitted
     }
 }
@@ -472,11 +530,11 @@ impl StreamEngine {
 
     /// Subscribe to the derived tuples of an output stream. Subscribing
     /// through a per-grant handle attaches that handle's residual to the
-    /// returned channel.
+    /// returned receiver.
     ///
     /// # Errors
     /// Fails when the handle does not correspond to a live deployment.
-    pub fn subscribe(&self, handle: &StreamHandle) -> Result<Receiver<Tuple>, DsmsError> {
+    pub fn subscribe(&self, handle: &StreamHandle) -> Result<TupleReceiver, DsmsError> {
         let unknown = || DsmsError::UnknownHandle(handle.uri().to_string());
         let (id, residual) = {
             let by_handle = self.by_handle.read();
@@ -487,9 +545,9 @@ impl StreamEngine {
         let shard = self.shard(&stream)?;
         let mut deployments = shard.deployments.lock();
         let state = deployments.iter_mut().find(|d| d.id == id).ok_or_else(unknown)?;
-        let (tx, rx) = unbounded();
+        let (tx, batches) = unbounded();
         state.subscribers.push(SubscriberSlot { handle: handle.clone(), tx, residual });
-        Ok(rx)
+        Ok(TupleReceiver { batches, front: Mutex::new(Vec::new().into_iter()) })
     }
 
     /// Schema of the output stream behind a handle: the deployment's output
@@ -540,9 +598,7 @@ impl StreamEngine {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let mut emitted = 0usize;
         for state in deployments {
-            for tuple in tuples {
-                emitted += state.process_and_fan_out(tuple);
-            }
+            emitted += state.process_and_fan_out(tuples);
         }
         self.tuples_ingested.fetch_add(tuples.len() as u64, Ordering::Relaxed);
         self.tuples_emitted.fetch_add(emitted as u64, Ordering::Relaxed);
@@ -655,6 +711,14 @@ impl StreamEngine {
     #[must_use]
     pub fn stream_of(&self, id: DeploymentId) -> Option<String> {
         self.routes.read().get(&id).cloned()
+    }
+
+    /// Subscriber slots a deployment currently holds, dead ones included.
+    #[cfg(test)]
+    fn subscriber_slots(&self, id: DeploymentId) -> usize {
+        let shard = self.shard(&self.stream_of(id).expect("live deployment")).expect("shard");
+        let deployments = shard.deployments.lock();
+        deployments.iter().find(|d| d.id == id).expect("live deployment").subscribers.len()
     }
 }
 
@@ -1056,5 +1120,104 @@ mod tests {
         // The engine still delivers to live subscribers after pruning.
         engine.push("weather", weather_tuple(&schema, 1, 2.0, 2.0)).unwrap();
         assert_eq!(rx1.try_iter().count(), 1);
+    }
+
+    fn timestamps(tuples: &[Tuple]) -> Vec<i64> {
+        tuples.iter().map(|t| t.event_time().expect("samplingtime is set")).collect()
+    }
+
+    #[test]
+    fn tuple_receiver_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TupleReceiver>();
+    }
+
+    #[test]
+    fn tuple_wise_and_whole_batch_reads_interleave_in_order() {
+        let (engine, schema) = engine_with_weather();
+        let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
+        let rx = engine.subscribe(&d.output_handle).unwrap();
+        let batch = |range: std::ops::Range<i64>| -> Vec<Tuple> {
+            range.map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect()
+        };
+
+        // `try_recv` part-way into a batch, then `take_all` across the rest
+        // of it and the next batch.
+        engine.push_batch("weather", batch(0..4)).unwrap();
+        engine.push_batch("weather", batch(4..6)).unwrap();
+        assert_eq!(timestamps(&[rx.try_recv().unwrap()]), vec![0]);
+        assert_eq!(timestamps(&rx.take_all()), vec![30_000, 60_000, 90_000, 120_000, 150_000]);
+        assert!(rx.take_all().is_empty());
+
+        // The reverse: `take_all`, then tuple-wise reads of later batches.
+        engine.push_batch("weather", batch(6..8)).unwrap();
+        assert_eq!(timestamps(&rx.take_all()), vec![180_000, 210_000]);
+        engine.push_batch("weather", batch(8..10)).unwrap();
+        engine.push("weather", weather_tuple(&schema, 10, 1.0, 1.0)).unwrap();
+        assert_eq!(timestamps(&[rx.try_recv().unwrap()]), vec![240_000]);
+        assert_eq!(timestamps(&rx.try_iter().collect::<Vec<_>>()), vec![270_000, 300_000]);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    fn a_batch_the_residual_rejects_entirely_queues_nothing() {
+        use crate::compiled::ResidualSpec;
+        use exacml_expr::parse_expr;
+
+        let (engine, schema) = engine_with_weather();
+        let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
+        let spec = ResidualSpec {
+            predicate: Some(parse_expr("windspeed > 3").unwrap()),
+            projection: None,
+        };
+        let handle = engine.attach_handle(d.id, Some(&spec)).unwrap();
+        let rx = engine.subscribe(&handle).unwrap();
+
+        let calm: Vec<Tuple> = (0..8).map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect();
+        assert_eq!(engine.push_batch("weather", calm).unwrap(), 8);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert!(rx.take_all().is_empty());
+        // Nothing was queued, not an empty batch: the next batch is the
+        // first thing the receiver holds.
+        engine.push("weather", weather_tuple(&schema, 8, 1.0, 9.0)).unwrap();
+        assert_eq!(timestamps(&rx.take_all()), vec![240_000]);
+    }
+
+    #[test]
+    fn queued_tuples_outlive_withdrawal_then_the_receiver_disconnects() {
+        let (engine, schema) = engine_with_weather();
+        let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
+        let attached = engine.attach_handle(d.id, None).unwrap();
+        let rx_attached = engine.subscribe(&attached).unwrap();
+        let rx_primary = engine.subscribe(&d.output_handle).unwrap();
+        let batch: Vec<Tuple> = (0..3).map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect();
+        engine.push_batch("weather", batch).unwrap();
+
+        // Start reading a batch, then retire the handle under the reader.
+        assert_eq!(timestamps(&[rx_attached.try_recv().unwrap()]), vec![0]);
+        engine.retire_handle(&attached).unwrap();
+        engine.push("weather", weather_tuple(&schema, 3, 1.0, 1.0)).unwrap();
+        assert_eq!(timestamps(&rx_attached.try_iter().collect::<Vec<_>>()), vec![30_000, 60_000]);
+        assert_eq!(rx_attached.try_recv(), Err(TryRecvError::Disconnected));
+        assert!(rx_attached.take_all().is_empty());
+
+        engine.withdraw(d.id).unwrap();
+        assert_eq!(timestamps(&rx_primary.take_all()), vec![0, 30_000, 60_000, 90_000]);
+        assert_eq!(rx_primary.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn dropped_subscribers_do_not_pile_up_on_a_silent_deployment() {
+        let (engine, schema) = engine_with_weather();
+        let silent =
+            QueryGraphBuilder::on_stream("weather").filter_str("rainrate > 1000").unwrap().build();
+        let d = engine.deploy(&silent).unwrap();
+        for _ in 0..100 {
+            drop(engine.subscribe(&d.output_handle).unwrap());
+        }
+        assert_eq!(engine.subscriber_slots(d.id), 100);
+        let batch: Vec<Tuple> = (0..4).map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect();
+        assert_eq!(engine.push_batch("weather", batch).unwrap(), 0);
+        assert_eq!(engine.subscriber_slots(d.id), 0);
     }
 }

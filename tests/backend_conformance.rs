@@ -371,6 +371,59 @@ fn overlapping_subscribers_share_one_plan_on_every_shape() {
     }
 }
 
+/// Section 3.3 at batch grain: a policy change withdraws exactly its own
+/// grant between two batches. The withdrawn subscription keeps what the
+/// first batch queued (still readable after withdrawal) and sees nothing of
+/// the second; its co-rider on the shared plan and a grant on another plan
+/// see both batches, in order.
+#[test]
+fn a_policy_update_between_two_batches_cuts_only_its_own_grant() {
+    for backend in backends() {
+        let kind = backend.backend_kind();
+        let schema = Schema::weather_example().shared();
+        backend.register_stream("weather", Schema::weather_example()).unwrap();
+        // LTA and EMA: the same mandated filter under two policies, so both
+        // ride one plan. PUB: its own filter, its own plan.
+        backend.load_policy(rain_policy("p-lta", "weather", "LTA")).unwrap();
+        backend.load_policy(rain_policy("p-ema", "weather", "EMA")).unwrap();
+        backend
+            .load_policy(
+                StreamPolicyBuilder::new("p-pub", "weather")
+                    .subject("PUB")
+                    .filter("rainrate > 8")
+                    .build(),
+            )
+            .unwrap();
+        let grant = |subject: &str| {
+            let granted =
+                backend.handle_request(&Request::subscribe(subject, "weather"), None).unwrap();
+            let subscription = backend.subscribe(granted.handle()).unwrap();
+            (granted, subscription)
+        };
+        let (_lta, mut lta_sub) = grant("LTA");
+        let (ema, mut ema_sub) = grant("EMA");
+        let (_pub, mut pub_sub) = grant("PUB");
+        assert_eq!(backend.live_plans(), 2, "{kind}: LTA and EMA share a plan");
+
+        let batch = |markers: std::ops::Range<i64>| -> Vec<Tuple> {
+            markers.map(|k| weather_tuple(&schema, k, 10.0)).collect()
+        };
+        let markers = |sub: &mut Subscription| -> Vec<i64> {
+            sub.drain().iter().map(|t| t.event_time().unwrap() / 30_000).collect()
+        };
+        backend.push_batch("weather", batch(0..6)).unwrap();
+        let tightened =
+            StreamPolicyBuilder::new("p-ema", "weather").subject("EMA").filter("rainrate > 50");
+        assert_eq!(backend.update_policy(tightened.build()).unwrap(), 1, "{kind}");
+        assert!(!backend.handle_is_live(ema.handle()), "{kind}: withdrawn when the update returns");
+        backend.push_batch("weather", batch(6..12)).unwrap();
+
+        assert_eq!(markers(&mut ema_sub), (0..6).collect::<Vec<_>>(), "{kind}: withdrawn grant");
+        assert_eq!(markers(&mut lta_sub), (0..12).collect::<Vec<_>>(), "{kind}: co-rider");
+        assert_eq!(markers(&mut pub_sub), (0..12).collect::<Vec<_>>(), "{kind}: other plan");
+    }
+}
+
 #[test]
 fn policy_xml_round_trips_through_the_trait() {
     for backend in backends() {

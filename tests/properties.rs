@@ -411,6 +411,83 @@ mod plan_sharing_equivalence {
                 );
             }
         }
+
+        /// The batch is a unit of work, never of meaning: however one row
+        /// sequence is cut into pushes — singletons through `push`, one
+        /// whole `push_batch`, or an arbitrary split that tuple windows
+        /// straddle — every subscriber of a sharing server receives the
+        /// same tuples in the same order, and they are what a server
+        /// deploying one graph per subscriber derives from single pushes.
+        #[test]
+        fn delivery_is_invariant_under_batch_partition(
+            subs in proptest::collection::vec(arb_subscriber(), 1..5),
+            policy_threshold in 0u32..20,
+            rows in proptest::collection::vec((0u32..60, 0u32..60), 0..40),
+            cuts in proptest::collection::vec(1usize..9, 1..8),
+        ) {
+            // The first spec twice: one plan always carries two exact
+            // sharers beside whatever riders the generator produced.
+            let mut subs = subs;
+            subs.push(subs[0].clone());
+            let schema = Schema::weather_example().shared();
+            let tuples: Vec<Tuple> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, (rain, wind))| {
+                    weather_tuple(&schema, i as i64, f64::from(*rain), f64::from(*wind))
+                })
+                .collect();
+
+            // Feed `tuples` cut into batches of the cycled `sizes` and
+            // return what each admitted subscriber received.
+            let deliveries = |share_plans: bool, sizes: &[usize]| {
+                let backend = server(share_plans);
+                backend.register_stream("weather", Schema::weather_example()).unwrap();
+                backend
+                    .load_policy(
+                        StreamPolicyBuilder::new("open", "weather")
+                            .filter(format!("rainrate > {policy_threshold}"))
+                            .build(),
+                    )
+                    .unwrap();
+                let receivers: Vec<_> = subs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, spec)| {
+                        let request = Request::subscribe(&format!("user{i}"), "weather");
+                        let granted = backend.handle_request(&request, spec.to_query().as_ref());
+                        granted.ok().map(|g| backend.subscribe(&g.handle).unwrap())
+                    })
+                    .collect();
+                let mut rest = tuples.as_slice();
+                for &size in sizes.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (batch, tail) = rest.split_at(size.min(rest.len()));
+                    match batch {
+                        [only] => backend.push("weather", only.clone()).unwrap(),
+                        _ => backend.push_batch("weather", batch.to_vec()).unwrap(),
+                    };
+                    rest = tail;
+                }
+                receivers
+                    .iter()
+                    .map(|rx| rx.as_ref().map(|rx| rx.try_iter().collect::<Vec<Tuple>>()))
+                    .collect::<Vec<_>>()
+            };
+
+            let reference = deliveries(false, &[1]);
+            for sizes in [&[1][..], &[tuples.len().max(1)][..], &cuts[..]] {
+                let shared = deliveries(true, sizes);
+                for (i, (got, expected)) in shared.iter().zip(&reference).enumerate() {
+                    prop_assert_eq!(
+                        got, expected,
+                        "subscriber {} ({:?}) diverged with batches of {:?}", i, subs[i], sizes
+                    );
+                }
+            }
+        }
     }
 }
 
