@@ -31,7 +31,6 @@
 use crate::audit::AuditEvent;
 use crate::error::ExacmlError;
 use crate::fabric::{DeliveredTuple, Fabric, FabricConfig, FabricSubscription, Placement};
-use crate::metrics::RobustnessStats;
 use crate::server::{AccessResponse, DataServer, ServerConfig};
 use crate::user_query::UserQuery;
 use exacml_dsms::{Schema, StreamEngine, StreamHandle, Tuple, TupleReceiver};
@@ -90,7 +89,8 @@ pub struct TaggedAuditEvent {
 /// [`Backend::health`] so callers observe degradation *before* a mutation
 /// fails — a sticky journal failure, replication falling behind, or dead
 /// fabric nodes used to be discoverable only by tripping over the resulting
-/// errors.
+/// errors. What the fault-tolerance machinery has *done* (retries,
+/// failovers, re-minted handles) is counted in [`Backend::telemetry`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct BackendHealth {
     /// Nodes the backend currently cannot serve from: declared dead,
@@ -105,9 +105,6 @@ pub struct BackendHealth {
     /// Journal records appended locally but not yet acknowledged by every
     /// replication peer (0 without replication).
     pub replication_lag_records: u64,
-    /// Fault-tolerance counters: failovers, re-minted handles, replication
-    /// batch acks/retries, broker retries.
-    pub robustness: RobustnessStats,
 }
 
 impl BackendHealth {
@@ -366,7 +363,7 @@ pub trait Backend: StreamBackend + AccessControl + PolicyAdmin {
     }
 
     /// A point-in-time health report: degraded nodes, sticky journal
-    /// failures, replication lag and the fault-tolerance counters. The
+    /// failures and replication lag. The
     /// default implementation reports a perfectly healthy backend, which is
     /// correct for the in-memory single-node shapes; backends with a
     /// durability or replication story override it.

@@ -46,7 +46,6 @@ use crate::backend::{
     StreamBatch, TaggedAuditEvent,
 };
 use crate::error::ExacmlError;
-use crate::metrics::RobustnessStats;
 use crate::server::{DataServer, ServerConfig};
 use crate::user_query::UserQuery;
 use exacml_dsms::{Schema, StreamHandle, Tuple, TupleReceiver};
@@ -56,7 +55,6 @@ use exacml_xacml::{Policy, Request};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -202,11 +200,11 @@ pub struct FabricNet {
     retry: RetryPolicy,
     clock: ManualClock,
     /// Broker-level registry: request round trips ([`Stage::BrokerRoute`]),
-    /// subscription delivery latency and replica shipping. Per-node stages
-    /// live in each node server's own registry; [`Fabric::telemetry`]
-    /// aggregates.
+    /// subscription delivery latency, replica shipping and the
+    /// fault-tolerance counters (retries, failovers, re-minted handles) —
+    /// the part that survives a failover. Per-node stages live in each node
+    /// server's own registry; [`Fabric::telemetry`] aggregates.
     telemetry: Arc<Telemetry>,
-    broker_retries: AtomicU64,
 }
 
 impl FabricNet {
@@ -219,7 +217,6 @@ impl FabricNet {
             retry: config.retry,
             clock: ManualClock::new(),
             telemetry: Arc::new(Telemetry::new()),
-            broker_retries: AtomicU64::new(0),
         })
     }
 
@@ -315,7 +312,7 @@ pub fn node_unavailable(logical: usize, detail: String) -> ExacmlError {
 /// The placement layer under the broker: where logical node `i` lives and
 /// how it keeps answering. The default methods are the plain fabric's
 /// answers — a dead host makes its node unavailable, commits need no
-/// follow-up, health has nothing to add.
+/// follow-up, nothing lags.
 pub trait Placement: Send + Sync {
     /// The server type behind every node.
     type Server: NodeServer;
@@ -357,9 +354,12 @@ pub trait Placement: Send + Sync {
     /// Bring a physical host back.
     fn restart_host(&self, host: usize);
 
-    /// Add the layer's part (replication lag, failover counters) to a
-    /// health report.
-    fn report(&self, _health: &mut BackendHealth) {}
+    /// Journal records appended on primaries but not yet acknowledged by
+    /// every mirror, summed across the fabric (the health report's
+    /// replication-lag gauge).
+    fn replication_lag(&self) -> u64 {
+        0
+    }
 }
 
 /// The plain fabric's placement: logical node `i` lives on host `i`, for
@@ -406,9 +406,11 @@ impl Placement for Direct {
     }
 }
 
-/// The broker's side of one logical node: its identity, its broker→node
-/// ingest pipeline and its routing counters. The server lives in the
-/// [`Placement`] layer, because which server answers can change.
+/// The broker's side of one logical node: its identity and its broker→node
+/// ingest pipeline. The server lives in the [`Placement`] layer, because
+/// which server answers can change; what the node did is counted in the
+/// node server's own telemetry registry (the node's part of
+/// [`Fabric::telemetry`]).
 pub struct FabricNode {
     id: NodeId,
     /// Samples this node's broker ↔ node request/response delays. Per-node,
@@ -419,10 +421,6 @@ pub struct FabricNode {
     /// real node applies its ingest RPCs in arrival order, one at a time,
     /// while other nodes' pipelines drain concurrently.
     ingest: Mutex<SimLink<StreamBatch>>,
-    requests_routed: AtomicU64,
-    tuples_routed: AtomicU64,
-    ingest_hops: AtomicU64,
-    ingest_network_nanos: AtomicU64,
 }
 
 impl FabricNode {
@@ -430,33 +428,6 @@ impl FabricNode {
     #[must_use]
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Access requests the broker routed to this node.
-    #[must_use]
-    pub fn requests_routed(&self) -> u64 {
-        self.requests_routed.load(Ordering::Relaxed)
-    }
-
-    /// Source tuples the broker routed to this node.
-    #[must_use]
-    pub fn tuples_routed(&self) -> u64 {
-        self.tuples_routed.load(Ordering::Relaxed)
-    }
-
-    /// Broker→node ingest frames shipped to this node — one per routed
-    /// `(node, batch-call)` group, however many tuples the frame carried.
-    /// `tuples_routed / ingest_hops` is therefore the amortisation factor
-    /// batched routing achieves over per-tuple shipping.
-    #[must_use]
-    pub fn ingest_hops(&self) -> u64 {
-        self.ingest_hops.load(Ordering::Relaxed)
-    }
-
-    /// Simulated network time the node's ingest frames spent on the wire.
-    #[must_use]
-    pub fn ingest_network(&self) -> Duration {
-        Duration::from_nanos(self.ingest_network_nanos.load(Ordering::Relaxed))
     }
 
     /// The virtual instant this node's ingest pipe goes idle (the
@@ -478,6 +449,11 @@ impl FabricNode {
     /// single-threaded apply loop. Returns how many batches were applied
     /// and the number of derived tuples the node's engine emitted.
     ///
+    /// The frame is counted on the node's registry: one `broker_frames`,
+    /// however many tuples it carried (so the node part's
+    /// `tuples_ingested / broker_frames` is the amortisation batched routing
+    /// buys), and its virtual wire time under [`Stage::BrokerRoute`].
+    ///
     /// On error (unknown stream, malformed tuple) the remaining batches of
     /// the frame are **not** applied and the queue is left empty — a frame
     /// either lands whole or fails typed partway with nothing lingering.
@@ -496,18 +472,14 @@ impl FabricNode {
         let mut emitted = 0;
         let mut last_arrival = now_nanos;
         for (arrival, batch) in queued {
-            let count = batch.tuples.len() as u64;
             match server.push_batch(&batch.stream, batch.tuples) {
                 Ok(derived) => emitted += derived,
                 Err(error) => return (applied, Err(error)),
             }
             applied += 1;
-            self.tuples_routed.fetch_add(count, Ordering::Relaxed);
             last_arrival = last_arrival.max(arrival);
         }
-        self.ingest_hops.fetch_add(1, Ordering::Relaxed);
         let frame_nanos = last_arrival.saturating_sub(now_nanos);
-        self.ingest_network_nanos.fetch_add(frame_nanos, Ordering::Relaxed);
         // Frame time is *virtual* (sampled propagation + serialisation), so
         // it is recorded as a duration, never measured with a wall clock —
         // the node's snapshot stays deterministic per seed.
@@ -632,26 +604,6 @@ impl FabricSubscription {
     }
 }
 
-/// Fabric-wide counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct FabricStats {
-    /// Nodes behind the broker.
-    pub nodes: usize,
-    /// Streams placed across the fabric.
-    pub streams_placed: u64,
-    /// Access requests routed to owner nodes.
-    pub requests_routed: u64,
-    /// Source tuples routed to owner nodes.
-    pub tuples_routed: u64,
-    /// Broker→node ingest frames shipped (one per routed `(node, batch)`
-    /// group). `tuples_routed / ingest_hops` is the batching amortisation
-    /// factor — per-tuple shipping would make the two counters equal.
-    pub ingest_hops: u64,
-    /// Per-node policy-store operations fanned out by the broker
-    /// (`nodes × (adds + removes + updates)`).
-    pub policy_propagations: u64,
-}
-
 /// The routing broker plus its logical nodes, over a [`Placement`] layer
 /// `L` that owns the node servers.
 ///
@@ -665,8 +617,6 @@ pub struct Fabric<L: Placement = Direct> {
     nodes: Vec<FabricNode>,
     /// Seeds handed to per-subscription links, derived deterministically.
     next_link_seed: AtomicU64,
-    streams_placed: AtomicU64,
-    policy_propagations: AtomicU64,
 }
 
 impl Fabric {
@@ -719,21 +669,10 @@ impl<L: Placement> Fabric<L> {
                         net.topology.link(NodeId::DataServer, id),
                         salted.wrapping_add(0xbeef + i as u64),
                     )),
-                    requests_routed: AtomicU64::new(0),
-                    tuples_routed: AtomicU64::new(0),
-                    ingest_hops: AtomicU64::new(0),
-                    ingest_network_nanos: AtomicU64::new(0),
                 }
             })
             .collect();
-        Fabric {
-            net,
-            layer,
-            nodes,
-            next_link_seed: AtomicU64::new(salted.wrapping_add(0xf00d)),
-            streams_placed: AtomicU64::new(0),
-            policy_propagations: AtomicU64::new(0),
-        }
+        Fabric { net, layer, nodes, next_link_seed: AtomicU64::new(salted.wrapping_add(0xf00d)) }
     }
 
     /// The placement layer (and with it the layer's own accessors — the
@@ -760,19 +699,6 @@ impl<L: Placement> Fabric<L> {
     /// time has passed available to [`FabricSubscription::poll`].
     pub fn advance(&self, by: Duration) {
         self.net.clock.advance(by);
-    }
-
-    /// Fabric-wide counters.
-    #[must_use]
-    pub fn stats(&self) -> FabricStats {
-        FabricStats {
-            nodes: self.nodes.len(),
-            streams_placed: self.streams_placed.load(Ordering::Relaxed),
-            requests_routed: self.nodes.iter().map(FabricNode::requests_routed).sum(),
-            tuples_routed: self.nodes.iter().map(FabricNode::tuples_routed).sum(),
-            ingest_hops: self.nodes.iter().map(FabricNode::ingest_hops).sum(),
-            policy_propagations: self.policy_propagations.load(Ordering::Relaxed),
-        }
     }
 
     // --- placement ---------------------------------------------------------
@@ -837,7 +763,8 @@ impl<L: Placement> Fabric<L> {
     }
 
     /// Aggregated telemetry: the broker's own registry (request routing,
-    /// delivery latency, replica shipping) merged with every node server's
+    /// delivery latency, replica shipping, fault-tolerance counters) merged
+    /// with every node server's
     /// registry, each kept as a sub-snapshot under `nodes` tagged with its
     /// *logical* [`NodeId`] — the tag survives a failover, so pre- and
     /// post-failover snapshots stay diffable.
@@ -851,39 +778,26 @@ impl<L: Placement> Fabric<L> {
     }
 
     /// The health report: degraded nodes, the first node's sticky journal
-    /// failure, broker retries — plus whatever the layer adds (replication
-    /// lag, failover and shipping counters).
+    /// failure and the layer's replication lag.
     #[must_use]
     pub fn health(&self) -> BackendHealth {
-        let mut health = BackendHealth {
+        BackendHealth {
             degraded_nodes: self.degraded_nodes(),
             journal_failure: self.servers().find_map(|server| server.health().journal_failure),
-            replication_lag_records: 0,
-            robustness: RobustnessStats {
-                broker_retries: self.net.broker_retries.load(Ordering::Relaxed),
-                ..RobustnessStats::default()
-            },
-        };
-        self.layer.report(&mut health);
-        health
-    }
-
-    /// Fault-tolerance counters (the `robustness` part of
-    /// [`Fabric::health`]).
-    #[must_use]
-    pub fn robustness(&self) -> RobustnessStats {
-        self.health().robustness
+            replication_lag_records: self.layer.replication_lag(),
+        }
     }
 
     /// Resolve a logical node for an operation and probe the broker→host
     /// hop: the layer answers with the node's server (failing over first if
     /// that is what it does) or a typed error; an active link fault is then
-    /// waited out with [`FabricNet::await_link`].
+    /// waited out with [`FabricNet::await_link`], its retries counted as
+    /// `broker_retries` on the broker's registry.
     fn reach(&self, index: usize) -> Result<(Arc<L::Server>, usize), ExacmlError> {
         let (server, host) = self.layer.resolve(index)?;
         let (retries, up) = self.net.await_link(NodeId::DataServer, NodeId::Server(host as u16));
         if retries > 0 {
-            self.net.broker_retries.fetch_add(u64::from(retries), Ordering::Relaxed);
+            self.net.telemetry.add(Metric::BrokerRetries, u64::from(retries));
         }
         if !up {
             return Err(node_unavailable(
@@ -917,7 +831,6 @@ impl<L: Placement> Fabric<L> {
         let index = self.owner_index(name);
         let (server, _) = self.reach(index)?;
         self.committed(index, server.register_stream(name, schema))?;
-        self.streams_placed.fetch_add(1, Ordering::Relaxed);
         Ok(self.nodes[index].id)
     }
 
@@ -1014,7 +927,6 @@ impl<L: Placement> Fabric<L> {
         );
         self.net.telemetry.record(Stage::BrokerRoute, broker_network);
         self.net.telemetry.incr(Metric::BrokerFrames);
-        node.requests_routed.fetch_add(1, Ordering::Relaxed);
         let response = self.committed(index, server.handle_request(request, user_query))?.response;
         Ok(BackendResponse { node: node.id, response, broker_network })
     }
@@ -1080,7 +992,9 @@ impl<L: Placement> Fabric<L> {
     /// node's answer. Every node is resolved and probed first, so a fan-out
     /// either reaches all nodes or fails typed before mutating any of them;
     /// after that the first refusing node stops it (earlier nodes keep the
-    /// change — policy ids make a retry idempotent per node).
+    /// change — policy ids make a retry idempotent per node). Each node's
+    /// audit log records the change, so the fabric's policy-kind audit
+    /// counts are its propagations.
     fn propagate<T>(
         &self,
         op: impl Fn(&L::Server) -> Result<T, ExacmlError>,
@@ -1088,13 +1002,11 @@ impl<L: Placement> Fabric<L> {
         let servers = (0..self.nodes.len())
             .map(|index| self.reach(index).map(|(server, _)| server))
             .collect::<Result<Vec<_>, _>>()?;
-        let answers = servers
+        servers
             .iter()
             .enumerate()
             .map(|(index, server)| self.committed(index, op(server)))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.policy_propagations.fetch_add(self.nodes.len() as u64, Ordering::Relaxed);
-        Ok(answers)
+            .collect()
     }
 
     /// Load a policy on **every** node. Returns the slowest node's load time
@@ -1243,6 +1155,12 @@ mod tests {
             .finish_with_defaults()
     }
 
+    /// The node parts of a fabric's telemetry (the broker part excluded), in
+    /// node order.
+    fn node_parts(fabric: &Fabric) -> Vec<TelemetrySnapshot> {
+        fabric.telemetry().nodes.split_off(1)
+    }
+
     fn fabric_with_streams(nodes: usize, streams: usize) -> (Fabric, Vec<String>) {
         let fabric = Fabric::new(FabricConfig::local(nodes));
         let names: Vec<String> = (0..streams).map(|i| format!("stream{i}")).collect();
@@ -1268,7 +1186,13 @@ mod tests {
             }
         }
         assert!(per_node.iter().all(|&c| c > 0), "rendezvous spread: {per_node:?}");
-        assert_eq!(fabric.stats().streams_placed, 64);
+        let placed: usize = fabric
+            .layer()
+            .servers()
+            .iter()
+            .map(|s| s.engine().catalog().stream_names().len())
+            .sum();
+        assert_eq!(placed, 64);
         // Case-insensitive, like the rest of the stack's stream handling.
         assert_eq!(fabric.owner_of("STREAM7"), fabric.owner_of("stream7"));
     }
@@ -1313,13 +1237,15 @@ mod tests {
             assert!(fabric.handle_is_live(&response.response.handle));
             assert!(response.total_latency() >= response.broker_network);
         }
-        let stats = fabric.stats();
-        assert_eq!(stats.requests_routed, 9);
+        let parts = node_parts(&fabric);
+        assert_eq!(parts.iter().map(|part| part.counter(Metric::Requests)).sum::<u64>(), 9);
         // Requests landed where the streams live.
-        for node in fabric.nodes() {
+        for (node, part) in fabric.nodes().iter().zip(&parts) {
             let owned = names.iter().filter(|n| fabric.owner_of(n) == node.id()).count() as u64;
-            assert_eq!(node.requests_routed(), owned);
+            assert_eq!(part.counter(Metric::Requests), owned);
         }
+        // The broker part counts the request hops.
+        assert_eq!(fabric.telemetry().nodes[0].counter(Metric::BrokerFrames), 9);
     }
 
     #[test]
@@ -1331,12 +1257,15 @@ mod tests {
             fabric.push_batch(name, batch).unwrap();
             fabric.push(name, weather_tuple(&schema, 10, 1.0)).unwrap();
         }
-        assert_eq!(fabric.stats().tuples_routed, 6 * 11);
+        let parts = node_parts(&fabric);
         let per_node_ingested: u64 =
-            fabric.layer().servers().iter().map(|s| s.engine_stats().tuples_ingested).sum();
+            parts.iter().map(|part| part.counter(Metric::TuplesIngested)).sum();
         assert_eq!(per_node_ingested, 6 * 11);
-        for (node, server) in fabric.nodes().iter().zip(fabric.layer().servers()) {
-            assert_eq!(node.tuples_routed(), server.engine_stats().tuples_ingested);
+        // Twelve frames, one per push call, each on the stream's owner.
+        assert_eq!(parts.iter().map(|part| part.counter(Metric::BrokerFrames)).sum::<u64>(), 12);
+        for (node, part) in fabric.nodes().iter().zip(&parts) {
+            let owned = names.iter().filter(|n| fabric.owner_of(n) == node.id()).count() as u64;
+            assert_eq!(part.counter(Metric::TuplesIngested), owned * 11);
         }
         assert!(fabric.push("unregistered", weather_tuple(&schema, 0, 1.0)).is_err());
     }
@@ -1354,7 +1283,14 @@ mod tests {
             assert_eq!(server.policy_count(), 1);
             assert!(server.policy_store().revision() > *revision);
         }
-        assert_eq!(fabric.stats().policy_propagations, 3);
+        let propagations = |fabric: &Fabric| -> u64 {
+            let counts = fabric.audit_kind_counts();
+            ["policy-loaded", "policy-removed", "policy-updated"]
+                .iter()
+                .map(|kind| counts.get(*kind).copied().unwrap_or(0))
+                .sum()
+        };
+        assert_eq!(propagations(&fabric), 3);
 
         let updated =
             StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate > 50").build();
@@ -1363,7 +1299,7 @@ mod tests {
         for server in fabric.layer().servers() {
             assert_eq!(server.policy_count(), 0);
         }
-        assert_eq!(fabric.stats().policy_propagations, 9);
+        assert_eq!(propagations(&fabric), 9);
         assert!(fabric.remove_policy("p").is_err());
     }
 

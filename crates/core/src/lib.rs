@@ -61,11 +61,11 @@ pub use backend::{
 pub use error::ExacmlError;
 pub use fabric::{
     node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,
-    FabricNode, FabricStats, FabricSubscription, NodeServer, Placement, RetryPolicy,
+    FabricNode, FabricSubscription, NodeServer, Placement, RetryPolicy,
 };
 pub use grant_table::{Grant, GrantTable, PlanId};
 pub use merge::{merge_graphs, MergeOptions, MergeOutcome};
-pub use metrics::{RequestTiming, RobustnessStats, TimingBreakdown};
+pub use metrics::{RequestTiming, TimingBreakdown};
 pub use obligations::{graph_from_obligations, obligations_from_graph, StreamPolicyBuilder};
 pub use proxy::{Proxy, ProxyStats};
 pub use server::{AccessResponse, DataServer, ServerConfig};
@@ -81,11 +81,11 @@ pub mod prelude {
     pub use crate::error::ExacmlError;
     pub use crate::fabric::{
         rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet, FabricNode,
-        FabricStats, FabricSubscription, NodeServer, Placement, RetryPolicy,
+        FabricSubscription, NodeServer, Placement, RetryPolicy,
     };
     pub use crate::grant_table::{Grant, GrantTable, PlanId};
     pub use crate::merge::{merge_graphs, MergeOptions, MergeOutcome};
-    pub use crate::metrics::{RequestTiming, RobustnessStats, TimingBreakdown};
+    pub use crate::metrics::{RequestTiming, TimingBreakdown};
     pub use crate::obligations::{
         graph_from_obligations, obligations_from_graph, StreamPolicyBuilder,
     };

@@ -67,46 +67,6 @@ impl RequestTiming {
     }
 }
 
-/// Counters of the fault-tolerance machinery: how often the fabric broker
-/// retried an unreachable node, how the WAL-shipping pipeline is keeping up,
-/// and what failover has re-built so far. Snapshot-style (a point-in-time
-/// copy of atomic counters), so it is `Copy` and cheap to report through
-/// `Backend::health()` or a bench JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RobustnessStats {
-    /// Dead-node ownership transfers completed (journal replayed on a peer).
-    pub failovers_completed: u64,
-    /// Handles re-minted at their recorded URIs during failovers.
-    pub handles_reminted: u64,
-    /// Replication batches shipped and acknowledged by a peer.
-    pub replication_batches_acked: u64,
-    /// Replication batch sends that hit a dropped link and were retried
-    /// (or deferred to the next shipping round).
-    pub replication_batches_retried: u64,
-    /// Journal records appended locally but not yet acknowledged by every
-    /// replication peer — the replication lag the shipping protocol bounds.
-    pub replication_lag_records: u64,
-    /// Broker→node hops that needed at least one retry before succeeding.
-    pub broker_retries: u64,
-}
-
-impl RobustnessStats {
-    /// Element-wise sum (used to aggregate per-node shippers fabric-wide).
-    #[must_use]
-    pub fn merged_with(&self, other: &RobustnessStats) -> RobustnessStats {
-        RobustnessStats {
-            failovers_completed: self.failovers_completed + other.failovers_completed,
-            handles_reminted: self.handles_reminted + other.handles_reminted,
-            replication_batches_acked: self.replication_batches_acked
-                + other.replication_batches_acked,
-            replication_batches_retried: self.replication_batches_retried
-                + other.replication_batches_retried,
-            replication_lag_records: self.replication_lag_records + other.replication_lag_records,
-            broker_retries: self.broker_retries + other.broker_retries,
-        }
-    }
-}
-
 /// Aggregated statistics over many request timings.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimingBreakdown {

@@ -132,7 +132,6 @@ pub struct DataServer {
     /// policy changes (see the module docs).
     grants: Mutex<GrantTable>,
     rng: Mutex<StdRng>,
-    policy_load_times: Mutex<Vec<Duration>>,
     audit: Mutex<AuditLog>,
 }
 
@@ -151,7 +150,6 @@ impl DataServer {
             engine,
             grants: Mutex::new(GrantTable::default()),
             rng: Mutex::new(rng),
-            policy_load_times: Mutex::new(Vec::new()),
             audit: Mutex::new(AuditLog::default()),
         }
     }
@@ -292,7 +290,6 @@ impl DataServer {
         let policy_id = policy.id.clone();
         self.store.add(policy)?;
         let elapsed = started.elapsed() + network;
-        self.policy_load_times.lock().push(elapsed);
         self.audit.lock().record(
             AuditEventKind::PolicyLoaded,
             None,
@@ -381,19 +378,6 @@ impl DataServer {
     #[must_use]
     pub fn policy_count(&self) -> usize {
         self.store.len()
-    }
-
-    /// Mean and standard deviation of policy load times, in seconds.
-    #[must_use]
-    pub fn policy_load_stats(&self) -> (f64, f64) {
-        let times = self.policy_load_times.lock();
-        if times.is_empty() {
-            return (0.0, 0.0);
-        }
-        let secs: Vec<f64> = times.iter().map(Duration::as_secs_f64).collect();
-        let mean = secs.iter().sum::<f64>() / secs.len() as f64;
-        let var = secs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / secs.len() as f64;
-        (mean, var.sqrt())
     }
 
     // --- the Section 3.2 workflow -------------------------------------------
@@ -801,12 +785,6 @@ impl DataServer {
     pub fn holds_grant(&self, subject: &str, stream: &str) -> bool {
         self.grants.lock().holds(subject, stream)
     }
-
-    /// Engine-level counters.
-    #[must_use]
-    pub fn engine_stats(&self) -> exacml_dsms::EngineStats {
-        self.engine.stats()
-    }
 }
 
 /// Decide what to deploy for a grant: the **core** graph that runs on the
@@ -1083,9 +1061,9 @@ mod tests {
             assert!(elapsed > Duration::ZERO);
         }
         assert_eq!(server.policy_count(), 20);
-        let (mean, stddev) = server.policy_load_stats();
-        assert!(mean > 0.0);
-        assert!(stddev >= 0.0);
+        let loaded =
+            server.audit_events().into_iter().filter(|e| e.kind == AuditEventKind::PolicyLoaded);
+        assert_eq!(loaded.count(), 20);
     }
 
     #[test]
@@ -1110,28 +1088,28 @@ mod tests {
         let server = server_with_weather();
         let request = Request::subscribe("LTA", "weather");
         let response = server.handle_request(&request, None).unwrap();
-        let stats_before = server.engine_stats();
+        let stats_before = server.telemetry_registry().snapshot();
         let audit_before = server.audit_events().len();
 
         // Unknown subject, unknown stream, unknown both: all no-ops.
         assert!(!server.release_access("EMA", "weather"));
         assert!(!server.release_access("LTA", "gps"));
         assert!(!server.release_access("nobody", "nothing"));
-        assert_eq!(server.engine_stats(), stats_before);
+        assert_eq!(server.telemetry_registry().snapshot(), stats_before);
         assert_eq!(server.audit_events().len(), audit_before);
         assert!(server.handle_is_live(&response.handle));
         assert_eq!(server.live_deployments(), 1);
 
         // A real release withdraws exactly one deployment...
         assert!(server.release_access("LTA", "weather"));
-        let stats_released = server.engine_stats();
-        assert_eq!(stats_released.deployments_withdrawn, stats_before.deployments_withdrawn + 1);
+        let stats_released = server.telemetry_registry().snapshot();
+        assert_eq!(server.live_deployments(), 0);
         assert!(!server.handle_is_live(&response.handle));
 
         // ...and the double release is a no-op with stable stats again.
         assert!(!server.release_access("LTA", "weather"));
         assert!(!server.release_access("lta", "WEATHER")); // case-insensitive key
-        assert_eq!(server.engine_stats(), stats_released);
+        assert_eq!(server.telemetry_registry().snapshot(), stats_released);
         assert_eq!(server.live_deployments(), 0);
     }
 
@@ -1143,9 +1121,9 @@ mod tests {
         // The policy removal already withdrew the graph and freed the guard
         // slot; a subsequent client release must be a clean no-op.
         server.remove_policy("nea-weather-for-lta").unwrap();
-        let stats = server.engine_stats();
+        let stats = server.telemetry_registry().snapshot();
         assert!(!server.release_access("LTA", "weather"));
-        assert_eq!(server.engine_stats(), stats);
+        assert_eq!(server.telemetry_registry().snapshot(), stats);
         assert!(!server.handle_is_live(&response.handle));
     }
 

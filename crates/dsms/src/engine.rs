@@ -17,9 +17,10 @@
 //! different streams proceed in parallel and only pushes to the *same*
 //! stream serialize (they must: window buffers are order-sensitive).
 //! Cross-shard indexes (handle → deployment, deployment → stream) live in
-//! `RwLock`ed maps that pushes only ever read-lock briefly, and counters are
-//! atomics. [`StreamEngine::push_batch`] amortizes the shard lookup and lock
-//! acquisition over a whole batch of tuples.
+//! `RwLock`ed maps that pushes only ever read-lock briefly, and counters live
+//! in the engine's sharded telemetry registry. [`StreamEngine::push_batch`]
+//! amortizes the shard lookup and lock acquisition over a whole batch of
+//! tuples.
 //!
 //! # The batch is the unit of work
 //!
@@ -74,19 +75,6 @@ pub struct Deployment {
     pub output_handle: StreamHandle,
     /// Schema of the derived output stream.
     pub output_schema: Arc<Schema>,
-}
-
-/// Counters exposed for the evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Source tuples pushed into the engine.
-    pub tuples_ingested: u64,
-    /// Derived tuples emitted to output streams.
-    pub tuples_emitted: u64,
-    /// Query graphs deployed over the engine's lifetime.
-    pub deployments_created: u64,
-    /// Query graphs withdrawn over the engine's lifetime.
-    pub deployments_withdrawn: u64,
 }
 
 /// The receiving half of a subscription: derived tuples in emission order.
@@ -243,10 +231,6 @@ pub struct StreamEngine {
     routes: RwLock<HashMap<DeploymentId, String>>,
     by_handle: RwLock<HashMap<StreamHandle, HandleEntry>>,
     next_id: AtomicU64,
-    tuples_ingested: AtomicU64,
-    tuples_emitted: AtomicU64,
-    deployments_created: AtomicU64,
-    deployments_withdrawn: AtomicU64,
     telemetry: Arc<Telemetry>,
 }
 
@@ -280,10 +264,6 @@ impl StreamEngine {
             routes: RwLock::new(HashMap::new()),
             by_handle: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(0),
-            tuples_ingested: AtomicU64::new(0),
-            tuples_emitted: AtomicU64::new(0),
-            deployments_created: AtomicU64::new(0),
-            deployments_withdrawn: AtomicU64::new(0),
             telemetry,
         }
     }
@@ -298,17 +278,6 @@ impl StreamEngine {
     #[must_use]
     pub fn telemetry_handle(&self) -> &Arc<Telemetry> {
         &self.telemetry
-    }
-
-    /// Engine-wide counters.
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            tuples_ingested: self.tuples_ingested.load(Ordering::Relaxed),
-            tuples_emitted: self.tuples_emitted.load(Ordering::Relaxed),
-            deployments_created: self.deployments_created.load(Ordering::Relaxed),
-            deployments_withdrawn: self.deployments_withdrawn.load(Ordering::Relaxed),
-        }
     }
 
     /// Register an input stream.
@@ -381,7 +350,6 @@ impl StreamEngine {
         self.routes.write().insert(id, graph.stream.clone());
         self.by_handle.write().insert(output_handle.clone(), HandleEntry { id, residual: None });
         shard.deployments.lock().push(state);
-        self.deployments_created.fetch_add(1, Ordering::Relaxed);
 
         Ok(Deployment { id, output_handle, output_schema })
     }
@@ -414,7 +382,6 @@ impl StreamEngine {
             self.catalog.release_handle(handle);
             by_handle.remove(handle);
         }
-        self.deployments_withdrawn.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -592,21 +559,20 @@ impl StreamEngine {
     /// Run a slice of tuples through every deployment of a locked shard;
     /// returns the number of derived tuples emitted.
     fn process_locked(&self, deployments: &mut [DeploymentState], tuples: &[Tuple]) -> usize {
-        // Telemetry is batch-grained on purpose: one wall-clock read pair
-        // and four sharded-counter adds per ingest call, not per tuple, so
-        // instrumentation costs the hot path next to nothing.
+        // Telemetry is batch-grained on purpose: three sharded-counter adds
+        // and, when stage recording is on, one wall-clock read pair per
+        // ingest call, not per tuple — instrumentation costs the hot path
+        // next to nothing.
         let started = self.telemetry.is_enabled().then(Instant::now);
         let mut emitted = 0usize;
         for state in deployments {
             emitted += state.process_and_fan_out(tuples);
         }
-        self.tuples_ingested.fetch_add(tuples.len() as u64, Ordering::Relaxed);
-        self.tuples_emitted.fetch_add(emitted as u64, Ordering::Relaxed);
+        self.telemetry.incr(Metric::BatchesIngested);
+        self.telemetry.add(Metric::TuplesIngested, tuples.len() as u64);
+        self.telemetry.add(Metric::TuplesDelivered, emitted as u64);
         if let Some(started) = started {
             self.telemetry.record(Stage::Ingest, started.elapsed());
-            self.telemetry.incr(Metric::BatchesIngested);
-            self.telemetry.add(Metric::TuplesIngested, tuples.len() as u64);
-            self.telemetry.add(Metric::TuplesDelivered, emitted as u64);
         }
         emitted
     }
@@ -858,23 +824,27 @@ mod tests {
         assert!(matches!(engine.deploy(&g), Err(DsmsError::UnknownAttribute { .. })));
     }
 
+    /// The engine's counters, read from its telemetry registry.
+    fn counter(engine: &StreamEngine, metric: Metric) -> u64 {
+        engine.telemetry_handle().counter(metric)
+    }
+
     #[test]
     fn stats_are_accumulated() {
         let (engine, schema) = engine_with_weather();
         let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
+        assert_eq!(engine.deployment_count(), 1);
         engine.push("weather", weather_tuple(&schema, 0, 1.0, 1.0)).unwrap();
         engine.push("weather", weather_tuple(&schema, 1, 2.0, 1.0)).unwrap();
         engine.withdraw(d.id).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.tuples_ingested, 2);
-        assert_eq!(stats.tuples_emitted, 2);
-        assert_eq!(stats.deployments_created, 1);
-        assert_eq!(stats.deployments_withdrawn, 1);
+        assert_eq!(counter(&engine, Metric::TuplesIngested), 2);
+        assert_eq!(counter(&engine, Metric::TuplesDelivered), 2);
+        assert_eq!(engine.deployment_count(), 0);
         assert_eq!(engine.emitted_by(d.id), None);
     }
 
     #[test]
-    fn telemetry_reconciles_with_engine_stats() {
+    fn telemetry_counts_every_batch_and_times_only_when_enabled() {
         let (engine, schema) = engine_with_weather();
         let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
         let _rx = engine.subscribe(&d.output_handle).unwrap();
@@ -883,16 +853,17 @@ mod tests {
         engine.push_batch("weather", batch).unwrap();
 
         let snapshot = engine.telemetry_handle().snapshot();
-        assert_eq!(snapshot.counter(Metric::TuplesIngested), engine.stats().tuples_ingested);
-        assert_eq!(snapshot.counter(Metric::TuplesDelivered), engine.stats().tuples_emitted);
+        assert_eq!(snapshot.counter(Metric::TuplesIngested), 5);
+        assert_eq!(snapshot.counter(Metric::TuplesDelivered), 5);
         assert_eq!(snapshot.counter(Metric::BatchesIngested), 2);
         assert_eq!(snapshot.stage(Stage::Ingest).unwrap().count, 2);
 
-        // A disabled registry leaves the hot path silent but functional.
+        // A disabled registry reads no clock, but its counters keep counting.
         engine.telemetry_handle().set_enabled(false);
         engine.push("weather", weather_tuple(&schema, 9, 1.0, 1.0)).unwrap();
-        assert_eq!(engine.telemetry_handle().counter(Metric::BatchesIngested), 2);
-        assert_eq!(engine.stats().tuples_ingested, 6);
+        assert_eq!(counter(&engine, Metric::TuplesIngested), 6);
+        assert_eq!(counter(&engine, Metric::BatchesIngested), 3);
+        assert_eq!(engine.telemetry_handle().stage_count(Stage::Ingest), 2);
     }
 
     #[test]
@@ -918,7 +889,7 @@ mod tests {
         let emitted = engine.push_batch("weather", batch).unwrap();
         assert_eq!(emitted, 10);
         assert_eq!(rx.try_iter().count(), 10);
-        assert_eq!(engine.stats().tuples_ingested, 20);
+        assert_eq!(counter(&engine, Metric::TuplesIngested), 20);
         assert_eq!(engine.emitted_by(d.id), Some(10));
 
         // Empty batches are a no-op.
@@ -926,7 +897,7 @@ mod tests {
         // A batch with a mismatched tuple is rejected atomically.
         let bad = Tuple::builder(&Schema::gps_example()).finish_with_defaults();
         assert!(engine.push_batch("weather", vec![bad]).is_err());
-        assert_eq!(engine.stats().tuples_ingested, 20);
+        assert_eq!(counter(&engine, Metric::TuplesIngested), 20);
     }
 
     #[test]
@@ -957,9 +928,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = engine.stats();
-        assert_eq!(stats.tuples_ingested, (4 * PER_THREAD) as u64);
-        assert_eq!(stats.tuples_emitted, (4 * PER_THREAD) as u64);
+        assert_eq!(counter(&engine, Metric::TuplesIngested), (4 * PER_THREAD) as u64);
+        assert_eq!(counter(&engine, Metric::TuplesDelivered), (4 * PER_THREAD) as u64);
     }
 
     #[test]

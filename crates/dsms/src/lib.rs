@@ -64,7 +64,7 @@ pub mod window;
 
 pub use catalog::{StreamCatalog, StreamHandle};
 pub use compiled::ResidualSpec;
-pub use engine::{Deployment, DeploymentId, EngineStats, StreamEngine, TupleReceiver};
+pub use engine::{Deployment, DeploymentId, StreamEngine, TupleReceiver};
 pub use error::DsmsError;
 pub use graph::{GraphNode, QueryGraph, QueryGraphBuilder};
 pub use ops::aggregate::{AggFunc, AggSpec, AggregateOp};

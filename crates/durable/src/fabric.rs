@@ -16,13 +16,17 @@
 //!   control-plane operation synchronously (the broker waits for the ack in
 //!   virtual time, so an acknowledged grant *and* a journaled denial are
 //!   always on K+1 disks), ingest records in batches (bounded lag, surfaced
-//!   as [`RobustnessStats::replication_lag_records`]);
+//!   as `BackendHealth::replication_lag_records`);
 //! * when the broker resolves a node whose host is **dead**, the layer
 //!   *fails over*: the first surviving peer holding a replica replays the
 //!   shipped journal through the ordinary recovery workflow
 //!   ([`DurableServer::recover_with`]), re-minting the dead node's handles
 //!   at their recorded URIs — the logical node keeps its identity,
 //!   rendezvous ownership and audit trail, only its physical host changes.
+//!
+//! What the layer does is counted on the broker's registry, the part of the
+//! fabric's telemetry that outlives any host: `replica_batches_shipped`,
+//! `replica_ship_retries`, `failovers` and `handles_reminted`.
 //!
 //! Subscribers whose node failed over re-subscribe with their (unchanged)
 //! handle and are re-attached to the adopter. Transient faults from an
@@ -32,10 +36,7 @@
 
 use crate::replication::ReplicaMirror;
 use crate::server::{DurableConfig, DurableServer};
-use exacml_plus::{
-    node_unavailable, BackendHealth, ExacmlError, Fabric, FabricConfig, FabricNet, Placement,
-    RobustnessStats,
-};
+use exacml_plus::{node_unavailable, ExacmlError, Fabric, FabricConfig, FabricNet, Placement};
 use exacml_simnet::{Clock, NodeId};
 use exacml_telemetry::{Metric, Stage};
 use parking_lot::{Mutex, RwLock};
@@ -43,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -147,10 +148,6 @@ pub struct Replication {
     hosts_alive: Vec<AtomicBool>,
     /// `Fault::Crash` windows already applied (edge-triggered kills).
     crashes_applied: Mutex<HashSet<usize>>,
-    failovers_completed: AtomicU64,
-    handles_reminted: AtomicU64,
-    batches_acked: AtomicU64,
-    batches_retried: AtomicU64,
 }
 
 impl Replication {
@@ -181,10 +178,6 @@ impl Replication {
             shippers,
             hosts_alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
             crashes_applied: Mutex::new(HashSet::new()),
-            failovers_completed: AtomicU64::new(0),
-            handles_reminted: AtomicU64::new(0),
-            batches_acked: AtomicU64::new(0),
-            batches_retried: AtomicU64::new(0),
             config,
         };
         // Attach every mirror now: a node that dies before its first
@@ -207,20 +200,6 @@ impl Replication {
     /// live replica exists.
     pub fn node_server(&self, logical: usize) -> Result<Arc<DurableServer>, ExacmlError> {
         self.resolve(logical).map(|(server, _)| server)
-    }
-
-    /// Journal records appended on primaries but not yet acknowledged by
-    /// every mirror, summed across the fabric.
-    #[must_use]
-    pub fn replication_lag(&self) -> u64 {
-        let mut lag = 0u64;
-        for (slot, shipper) in self.slots.iter().zip(&self.shippers) {
-            let seq = slot.read().server.journal_seq();
-            for mirror in &shipper.lock().mirrors {
-                lag += seq.saturating_sub(mirror.acked_seq());
-            }
-        }
-        lag
     }
 
     /// Ship every node's outstanding journal bytes now (tests and benches
@@ -274,8 +253,9 @@ impl Replication {
                 )
             })?;
         let recovered = DurableServer::recover_with(replica, node_config(&self.config, logical))?;
-        self.failovers_completed.fetch_add(1, Ordering::Relaxed);
-        self.handles_reminted.fetch_add(recovered.inner().grant_count() as u64, Ordering::Relaxed);
+        let telemetry = self.net.telemetry();
+        telemetry.incr(Metric::Failovers);
+        telemetry.add(Metric::HandlesReminted, recovered.inner().grant_count() as u64);
         slot.server = Arc::new(recovered);
         slot.host = adopter;
         // The adopter's former mirror directory is now the primary store;
@@ -293,7 +273,8 @@ impl Replication {
     /// the link's round trip on the virtual clock (the broker waits for the
     /// ack); batched ingest ships do not (they model a background pipe).
     /// A mirror behind a dead host or an exhausted fault window is skipped
-    /// — the batch stays pending and the lag metric grows.
+    /// — the batch stays pending, the lag gauge grows and the skip counts as
+    /// a `replica_ship_retries`, like a failed ship.
     fn ship_node(&self, logical: usize, sync: bool) {
         let slot = self.slots[logical].read();
         if !self.host_is_alive(slot.host) {
@@ -307,7 +288,7 @@ impl Replication {
         for mirror in mirrors {
             let to = NodeId::Server(mirror.host() as u16);
             if !self.host_is_alive(mirror.host()) || !self.net.await_link(from, to).1 {
-                self.batches_retried.fetch_add(1, Ordering::Relaxed);
+                telemetry.incr(Metric::ReplicaShipRetries);
                 continue;
             }
             // Shipping flushes the primary's journal and copies its new
@@ -324,16 +305,13 @@ impl Replication {
             match shipped {
                 Ok(outcome) if outcome.shipped_anything() => {
                     telemetry.incr(Metric::ReplicaBatchesShipped);
-                    self.batches_acked.fetch_add(1, Ordering::Relaxed);
                     if sync {
                         let bytes = outcome.wal_bytes as usize;
                         self.net.clock().advance(self.net.round_trip(from, to, bytes, 64, rng));
                     }
                 }
                 Ok(_) => {}
-                Err(_) => {
-                    self.batches_retried.fetch_add(1, Ordering::Relaxed);
-                }
+                Err(_) => telemetry.incr(Metric::ReplicaShipRetries),
             }
         }
     }
@@ -409,16 +387,15 @@ impl Placement for Replication {
         }
     }
 
-    fn report(&self, health: &mut BackendHealth) {
-        health.replication_lag_records = self.replication_lag();
-        health.robustness = RobustnessStats {
-            failovers_completed: self.failovers_completed.load(Ordering::Relaxed),
-            handles_reminted: self.handles_reminted.load(Ordering::Relaxed),
-            replication_batches_acked: self.batches_acked.load(Ordering::Relaxed),
-            replication_batches_retried: self.batches_retried.load(Ordering::Relaxed),
-            replication_lag_records: health.replication_lag_records,
-            ..health.robustness
-        };
+    fn replication_lag(&self) -> u64 {
+        let mut lag = 0u64;
+        for (slot, shipper) in self.slots.iter().zip(&self.shippers) {
+            let seq = slot.read().server.journal_seq();
+            for mirror in &shipper.lock().mirrors {
+                lag += seq.saturating_sub(mirror.acked_seq());
+            }
+        }
+        lag
     }
 }
 
@@ -468,6 +445,11 @@ mod tests {
         StreamPolicyBuilder::new(id, "weather").subject("LTA").filter("rainrate > 5").build()
     }
 
+    /// The broker's part of the fabric's telemetry.
+    fn broker_part(fabric: &ReplicatedFabric) -> exacml_telemetry::TelemetrySnapshot {
+        fabric.telemetry().nodes.swap_remove(0)
+    }
+
     fn owner_index(fabric: &ReplicatedFabric, stream: &str) -> usize {
         let NodeId::Server(owner) = fabric.owner_of(stream) else {
             panic!("expected a server node")
@@ -491,9 +473,9 @@ mod tests {
         fabric.kill_node(owner);
         assert!(fabric.handle_is_live(&StreamHandle::from_uri(uri.clone())));
         assert_ne!(fabric.layer().host_of(owner), owner, "the logical node moved hosts");
-        let stats = fabric.robustness();
-        assert_eq!(stats.failovers_completed, 1);
-        assert_eq!(stats.handles_reminted, 1);
+        let broker = broker_part(&fabric);
+        assert_eq!(broker.counter(Metric::Failovers), 1);
+        assert_eq!(broker.counter(Metric::HandlesReminted), 1);
 
         // The audit trail kept the logical node's tags, and the grant is
         // still in force: a second request for the held stream is refused.
@@ -576,7 +558,7 @@ mod tests {
         // Settling clears it.
         fabric.layer().settle_replication();
         assert_eq!(fabric.layer().replication_lag(), 0);
-        assert!(fabric.robustness().replication_batches_acked > 0);
+        assert!(broker_part(&fabric).counter(Metric::ReplicaBatchesShipped) > 0);
     }
 
     #[test]
@@ -589,7 +571,7 @@ mod tests {
         let owner = owner_index(&fabric, "weather");
         fabric.kill_node(owner);
         fabric.load_policy(weather_policy("p")).unwrap(); // triggers failover of the owner
-        assert_eq!(fabric.robustness().failovers_completed, 1);
+        assert_eq!(broker_part(&fabric).counter(Metric::Failovers), 1);
 
         fabric.restart_node(owner);
         fabric.load_policy(weather_policy("p2")).unwrap();

@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use exacml_dsms::{Schema, Tuple, Value};
     use exacml_plus::{AuditEventKind, StreamPolicyBuilder};
+    use exacml_telemetry::Metric;
     use exacml_xacml::Request;
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -140,7 +141,8 @@ mod tests {
         assert!(again.live_grants().is_empty());
         assert_eq!(again.inner().live_deployments(), 0);
         // Ingest replay restored the engine's view of the stream.
-        assert_eq!(again.inner().engine_stats().tuples_ingested, 8);
+        let ingested = again.inner().telemetry_registry().counter(Metric::TuplesIngested);
+        assert_eq!(ingested, 8);
         let released = again
             .inner()
             .audit_events()

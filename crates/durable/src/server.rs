@@ -48,8 +48,8 @@ use crate::wal::{read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWrit
 use exacml_dsms::{Schema, StreamHandle, Tuple};
 use exacml_plus::{
     AccessControl, AuditEvent, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError,
-    MergeOptions, NodeServer, PolicyAdmin, RobustnessStats, ServerConfig, StreamBackend,
-    Subscription, TaggedAuditEvent, UserQuery,
+    MergeOptions, NodeServer, PolicyAdmin, ServerConfig, StreamBackend, Subscription,
+    TaggedAuditEvent, UserQuery,
 };
 use exacml_simnet::{NodeId, Topology};
 use exacml_telemetry::{Metric, Stage, TelemetrySnapshot};
@@ -743,9 +743,9 @@ impl DurableServer {
         let telemetry = self.inner.telemetry_registry();
         let started = telemetry.is_enabled().then(Instant::now);
         let appended = journal.wal.append_buffered(payload);
+        telemetry.incr(Metric::WalRecords);
         if let Some(started) = started {
             telemetry.record(Stage::WalAppend, started.elapsed());
-            telemetry.incr(Metric::WalRecords);
         }
         if let Err(e) = appended {
             let failure = e.to_string();
@@ -766,9 +766,9 @@ impl DurableServer {
         let telemetry = self.inner.telemetry_registry();
         let started = telemetry.is_enabled().then(Instant::now);
         let flushed = journal.wal.flush();
+        telemetry.incr(Metric::WalFlushes);
         if let Some(started) = started {
             telemetry.record(Stage::WalFlush, started.elapsed());
-            telemetry.incr(Metric::WalFlushes);
         }
         if let Err(e) = flushed {
             let failure = e.to_string();
@@ -1139,7 +1139,6 @@ impl Backend for DurableServer {
             degraded_nodes: Vec::new(),
             journal_failure: self.journal_failure(),
             replication_lag_records: 0,
-            robustness: RobustnessStats::default(),
         }
     }
 

@@ -139,11 +139,20 @@ pub enum Metric {
     PlanCacheHits,
     /// Grant workflow calls that compiled a fresh plan.
     PlanCacheMisses,
+    /// Extra broker→node attempts spent waiting out fault windows.
+    BrokerRetries,
+    /// Logical nodes moved onto a surviving replica.
+    Failovers,
+    /// Handles re-minted at their recorded URIs by failovers.
+    HandlesReminted,
+    /// Journal ships to a mirror that was skipped or failed (retried on the
+    /// next ship).
+    ReplicaShipRetries,
 }
 
 impl Metric {
     /// Every metric, in declaration order (also the counter index order).
-    pub const ALL: [Metric; 12] = [
+    pub const ALL: [Metric; 16] = [
         Metric::TuplesIngested,
         Metric::BatchesIngested,
         Metric::TuplesDelivered,
@@ -156,6 +165,10 @@ impl Metric {
         Metric::BrokerFrames,
         Metric::PlanCacheHits,
         Metric::PlanCacheMisses,
+        Metric::BrokerRetries,
+        Metric::Failovers,
+        Metric::HandlesReminted,
+        Metric::ReplicaShipRetries,
     ];
 
     /// The metric's stable snake_case name (snapshot key, exporter label).
@@ -174,6 +187,10 @@ impl Metric {
             Metric::BrokerFrames => "broker_frames",
             Metric::PlanCacheHits => "plan_cache_hits",
             Metric::PlanCacheMisses => "plan_cache_misses",
+            Metric::BrokerRetries => "broker_retries",
+            Metric::Failovers => "failovers",
+            Metric::HandlesReminted => "handles_reminted",
+            Metric::ReplicaShipRetries => "replica_ship_retries",
         }
     }
 
@@ -358,8 +375,9 @@ impl<C: SpanClock> Drop for ClockSpan<'_, C> {
 /// The per-component instrumentation registry: one sharded counter per
 /// [`Metric`], one log2 histogram per [`Stage`], and an enable switch.
 ///
-/// Components own (or share) one behind an `Arc`; a disabled registry turns
-/// every recording call into a single relaxed load.
+/// Components own (or share) one behind an `Arc`. Counters always count;
+/// the switch gates only what reads a clock — a disabled registry records
+/// no stage observation, and instrumented paths skip their `Instant` reads.
 pub struct Telemetry {
     enabled: AtomicBool,
     counters: [ShardedCounter; Metric::ALL.len()],
@@ -383,7 +401,7 @@ impl Telemetry {
         }
     }
 
-    /// A registry whose recording calls are all no-ops until
+    /// A registry that counts but records no stage observation until
     /// [`Telemetry::set_enabled`] turns it on.
     #[must_use]
     pub fn disabled() -> Self {
@@ -392,12 +410,12 @@ impl Telemetry {
         telemetry
     }
 
-    /// Turn recording on or off (reads stay available either way).
+    /// Turn stage recording on or off (counters and reads are unaffected).
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether recording is on.
+    /// Whether stage recording is on: callers read a clock only when it is.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
@@ -405,9 +423,7 @@ impl Telemetry {
 
     /// Add `n` to a metric's counter.
     pub fn add(&self, metric: Metric, n: u64) {
-        if self.is_enabled() {
-            self.counters[metric.index()].add(n);
-        }
+        self.counters[metric.index()].add(n);
     }
 
     /// Add 1 to a metric's counter.
@@ -802,14 +818,21 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
+    fn disabled_registry_counts_but_records_no_stage() {
         let telemetry = Telemetry::disabled();
         telemetry.incr(Metric::Requests);
         telemetry.record(Stage::Pdp, Duration::from_micros(5));
-        assert!(telemetry.snapshot().is_empty());
+        {
+            let _span = telemetry.span(Stage::Pdp);
+        }
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter(Metric::Requests), 1);
+        assert!(snapshot.stages.is_empty());
         telemetry.set_enabled(true);
         telemetry.incr(Metric::Requests);
-        assert_eq!(telemetry.counter(Metric::Requests), 1);
+        telemetry.record(Stage::Pdp, Duration::from_micros(5));
+        assert_eq!(telemetry.counter(Metric::Requests), 2);
+        assert_eq!(telemetry.stage_count(Stage::Pdp), 1);
     }
 
     #[test]

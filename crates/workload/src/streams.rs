@@ -234,9 +234,10 @@ mod tests {
             assert_eq!(weather.pump_into(&fabric, &format!("weather{i}"), 20).unwrap(), 0);
         }
         assert_eq!(gps.pump_into(&fabric, "gps", 10).unwrap(), 0);
-        assert_eq!(fabric.stats().tuples_routed, 6 * 20 + 10);
-        let ingested: u64 =
-            fabric.layer().servers().iter().map(|s| s.engine_stats().tuples_ingested).sum();
+        let ingested: u64 = fabric.telemetry().nodes[1..]
+            .iter()
+            .map(|part| part.counter(exacml_telemetry::Metric::TuplesIngested))
+            .sum();
         assert_eq!(ingested, 6 * 20 + 10);
         assert!(weather.pump_into(&fabric, "nosuch", 1).is_err());
     }
@@ -263,7 +264,8 @@ mod tests {
         let emitted = weather.pump_into(&engine, "weather", 50).unwrap();
         assert_eq!(emitted, 50);
         assert_eq!(gps.pump_into(&engine, "gps", 10).unwrap(), 0);
-        assert_eq!(engine.stats().tuples_ingested, 60);
+        let ingested = engine.telemetry_handle().counter(exacml_telemetry::Metric::TuplesIngested);
+        assert_eq!(ingested, 60);
         assert!(weather.pump_into(&engine, "nosuch", 1).is_err());
     }
 }

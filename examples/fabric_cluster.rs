@@ -33,12 +33,7 @@ fn main() {
             .build();
         fabric.load_policy(policy).unwrap();
     }
-    println!(
-        "loaded {} policies x {} nodes = {} propagations",
-        stations.len(),
-        fabric.nodes().len(),
-        fabric.stats().policy_propagations
-    );
+    println!("loaded {} policies on {} nodes", stations.len(), fabric.nodes().len());
 
     // The LTA requests access to every station; the broker routes each
     // request to the station's owner node.
@@ -80,9 +75,21 @@ fn main() {
         println!("first delivery latency (simulated): {latency:?}");
     }
 
-    let stats = fabric.stats();
-    println!(
-        "stats: {} streams placed, {} requests routed, {} tuples routed across {} nodes",
-        stats.streams_placed, stats.requests_routed, stats.tuples_routed, stats.nodes
-    );
+    // Per node: streams from its catalog, requests and tuples from its part
+    // of the fabric's telemetry; propagations from the fabric-wide audit.
+    let telemetry = fabric.telemetry();
+    for ((node, server), part) in
+        fabric.nodes().iter().zip(fabric.layer().servers()).zip(&telemetry.nodes[1..])
+    {
+        println!(
+            "  {}: {} streams, {} requests, {} tuples in {} frames",
+            node.id(),
+            server.engine().catalog().stream_names().len(),
+            part.counter(Metric::Requests),
+            part.counter(Metric::TuplesIngested),
+            part.counter(Metric::BrokerFrames),
+        );
+    }
+    let propagations = fabric.audit_kind_counts().get("policy-loaded").copied().unwrap_or(0);
+    println!("policy propagations: {propagations}");
 }

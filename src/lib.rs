@@ -181,8 +181,8 @@ pub mod prelude {
     pub use exacml_plus::{
         AccessControl, AccessResponse, Backend, BackendHealth, BackendResponse, DataServer,
         ExacmlError, Fabric, FabricConfig, MergeOptions, Placement, PlanId, PolicyAdmin,
-        RetryPolicy, RobustnessStats, ServerConfig, StreamBackend, StreamBatch,
-        StreamPolicyBuilder, Subscription, TaggedAuditEvent, UserQuery, Warning, WarningKind,
+        RetryPolicy, ServerConfig, StreamBackend, StreamBatch, StreamPolicyBuilder, Subscription,
+        TaggedAuditEvent, UserQuery, Warning, WarningKind,
     };
     pub use exacml_simnet::{Fault, FaultPlan, NodeId, TimedFault, Topology};
     pub use exacml_telemetry::{Metric, Stage, StageSnapshot, Telemetry, TelemetrySnapshot};

@@ -495,5 +495,29 @@ fn telemetry_snapshots_reconcile_on_every_shape() {
                 "{kind}: journal shipping recorded"
             );
         }
+
+        // What the fabric's own counters used to answer, on one path for
+        // every shape: per-node work lives in the node parts, propagations
+        // in the audit trail, and a fault-free run counts no fault.
+        let node_parts = snapshot.nodes.get(1..).unwrap_or_default();
+        if kind.starts_with("fabric") {
+            let node_sum = |metric| node_parts.iter().map(|part| part.counter(metric)).sum::<u64>();
+            assert_eq!(node_sum(Metric::Requests), 2, "{kind}: requests on the owner's part");
+            // One push_batch call is one ingest frame; the broker part
+            // counts the two request hops.
+            assert_eq!(node_sum(Metric::BrokerFrames), 1, "{kind}: ingest frames on node parts");
+            assert_eq!(snapshot.nodes[0].counter(Metric::BrokerFrames), 2, "{kind}");
+        }
+        let node_count = node_parts.len().max(1) as u64;
+        let loaded = backend.audit_kind_counts().get("policy-loaded").copied();
+        assert_eq!(loaded, Some(node_count), "{kind}: one policy-loaded per node");
+        for metric in [
+            Metric::BrokerRetries,
+            Metric::Failovers,
+            Metric::HandlesReminted,
+            Metric::ReplicaShipRetries,
+        ] {
+            assert!(!snapshot.counters.contains_key(metric.name()), "{kind}: {metric:?}");
+        }
     }
 }

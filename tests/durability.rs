@@ -30,6 +30,12 @@ fn weather_tuple(schema: &Arc<Schema>, i: i64, rain: f64) -> Tuple {
         .finish_with_defaults()
 }
 
+/// Source tuples the server's engine has ingested (replay included), read
+/// from its telemetry registry.
+fn tuples_ingested(server: &DurableServer) -> u64 {
+    server.inner().telemetry_registry().counter(Metric::TuplesIngested)
+}
+
 fn rain_policy(id: &str, stream: &str, subject: &str, threshold: f64) -> Policy {
     StreamPolicyBuilder::new(id, stream)
         .subject(subject)
@@ -119,7 +125,7 @@ fn truncated_final_wal_record_loses_only_the_last_operation() {
     assert_eq!(recovered.inner().live_deployments(), 1);
     assert_eq!(recovered.live_grants().len(), 1);
     // ...and the unacknowledged ingest batch is gone.
-    assert_eq!(recovered.inner().engine_stats().tuples_ingested, 0);
+    assert_eq!(tuples_ingested(&recovered), 0);
 
     // The torn bytes were truncated away: the store accepts new appends and
     // a later recovery sees them (nothing is shadowed by garbage).
@@ -130,7 +136,34 @@ fn truncated_final_wal_record_loses_only_the_last_operation() {
     drop(recovered);
     let again = DurableServer::recover(&store).unwrap();
     assert!(again.recovery_report().torn_tail.is_none());
-    assert_eq!(again.inner().engine_stats().tuples_ingested, 5);
+    assert_eq!(tuples_ingested(&again), 5);
+}
+
+/// The fsync path: a store created with `sync_writes` journals through
+/// `sync_data`, persists the setting in `meta.json`, and recovers with it
+/// still on — every journaled operation replayed.
+#[test]
+fn a_sync_writes_store_journals_and_recovers_with_the_setting_kept() {
+    let store = fresh_store("sync");
+    let schema = Schema::weather_example().shared();
+    let handle_uri = {
+        let config = DurableConfig { sync_writes: true, ..DurableConfig::local() };
+        let server = DurableServer::create(&store, config).unwrap();
+        server.register_stream("weather", Schema::weather_example()).unwrap();
+        server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+        let granted = server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        server
+            .push_batch("weather", (0..7).map(|i| weather_tuple(&schema, i, 10.0)).collect())
+            .unwrap();
+        granted.handle().uri().to_string()
+    };
+
+    let recovered = DurableServer::recover(&store).unwrap();
+    assert!(recovered.config().sync_writes, "meta.json must keep the fsync setting");
+    assert_eq!(recovered.policy_count(), 1);
+    assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(handle_uri)));
+    assert_eq!(tuples_ingested(&recovered), 7, "the journaled batch is replayed");
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Recovery writes nothing, so recovering twice (or N times) yields the
@@ -329,7 +362,7 @@ fn disk_full_mid_append_refuses_mutations_and_recovery_keeps_the_prefix() {
     assert_eq!(recovered.policy_count(), 1);
     assert_eq!(recovered.live_grants().len(), 1);
     assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(handle_uri)));
-    assert_eq!(recovered.inner().engine_stats().tuples_ingested, 0);
+    assert_eq!(tuples_ingested(&recovered), 0);
     // The recovered store is healthy and journals again.
     assert!(recovered.journal_failure().is_none());
     recovered.push("weather", weather_tuple(&schema, 0, 10.0)).unwrap();
@@ -612,7 +645,7 @@ proptest! {
         prop_assert_eq!(footprint(&durable), footprint(shadow.as_ref()));
         let live_before = durable.live_grants();
         let audit_before = durable.inner().audit_events();
-        let ingested = durable.inner().engine_stats().tuples_ingested;
+        let ingested = tuples_ingested(&durable);
         drop(durable);
 
         // ...and recovery rebuilds the same world: counts, audit (verbatim,
@@ -624,11 +657,11 @@ proptest! {
         if snapshot_every == 0 {
             // Without compaction every ingest record is still in the WAL, so
             // the engine's ingest counter (and window state) replays exactly.
-            prop_assert_eq!(recovered.inner().engine_stats().tuples_ingested, ingested);
+            prop_assert_eq!(tuples_ingested(&recovered), ingested);
         } else {
             // Compaction seals ingest folded into the snapshot (documented in
             // docs/RECOVERY.md): only the WAL tail re-ingests.
-            prop_assert!(recovered.inner().engine_stats().tuples_ingested <= ingested);
+            prop_assert!(tuples_ingested(&recovered) <= ingested);
         }
         for grant in &live_before {
             prop_assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(grant.handle.clone())));

@@ -28,6 +28,23 @@ fn marker_tuple(schema: &Arc<Schema>, stream_index: usize, sequence: usize) -> T
         .finish_with_defaults()
 }
 
+/// The node parts of a fabric's telemetry (the broker part excluded), in
+/// node order.
+fn node_parts<L: Placement>(fabric: &Fabric<L>) -> Vec<TelemetrySnapshot> {
+    fabric.telemetry().nodes.split_off(1)
+}
+
+/// One counter summed over a fabric's node parts.
+fn node_sum<L: Placement>(fabric: &Fabric<L>, metric: Metric) -> u64 {
+    node_parts(fabric).iter().map(|part| part.counter(metric)).sum()
+}
+
+/// One counter of a fabric's broker part, where the fault-tolerance
+/// counters live.
+fn broker_counter<L: Placement>(fabric: &Fabric<L>, metric: Metric) -> u64 {
+    fabric.telemetry().nodes[0].counter(metric)
+}
+
 fn testbed_fabric() -> (Fabric, Vec<String>) {
     let fabric = Fabric::new(FabricConfig::new(NODES, TopologyPreset::PaperTestbed.topology()));
     let names: Vec<String> = (0..STREAMS).map(|i| format!("stream{i}")).collect();
@@ -72,9 +89,10 @@ fn stream_ownership_routing_is_exact() {
         assert!(fabric.handle_is_live(&response.response.handle));
         assert!(handles.insert(response.response.handle.uri().to_string()));
     }
-    for (node, server) in fabric.nodes().iter().zip(fabric.layer().servers()) {
+    let parts = node_parts(&fabric);
+    for ((node, server), part) in fabric.nodes().iter().zip(fabric.layer().servers()).zip(&parts) {
         let owned = names.iter().filter(|n| fabric.owner_of(n) == node.id()).count();
-        assert_eq!(node.requests_routed(), owned as u64);
+        assert_eq!(part.counter(Metric::Requests), owned as u64);
         assert_eq!(server.live_deployments(), owned);
     }
     assert_eq!(fabric.live_deployments(), STREAMS);
@@ -231,9 +249,8 @@ fn delivery_is_exactly_once_with_latency_ordered_timestamps() {
         assert!(subscription.poll().is_empty());
         assert_eq!(subscription.delivered(), PER_STREAM as u64);
     }
-    let stats = fabric.stats();
-    assert_eq!(stats.nodes, NODES);
-    assert_eq!(stats.tuples_routed, (STREAMS * PER_STREAM) as u64);
+    assert_eq!(fabric.nodes().len(), NODES);
+    assert_eq!(node_sum(&fabric, Metric::TuplesIngested), (STREAMS * PER_STREAM) as u64);
 }
 
 /// Batched routing under injected faults: one `push_batches` call spanning
@@ -283,7 +300,7 @@ fn batched_routing_survives_fault_windows_exactly_once() {
     // the broker groups by rendezvous-hashed owner and ships one frame per
     // node instead of one hop per tuple.
     fabric.advance(Duration::from_millis(51));
-    let hops_before = fabric.stats().ingest_hops;
+    let hops_before = node_sum(&fabric, Metric::BrokerFrames);
     let batches: Vec<StreamBatch> = names
         .iter()
         .enumerate()
@@ -293,9 +310,8 @@ fn batched_routing_survives_fault_windows_exactly_once() {
         .collect();
     assert_eq!(fabric.push_batches(batches).unwrap(), STREAMS * PER_STREAM);
 
-    let stats = fabric.stats();
-    assert_eq!(stats.tuples_routed, (STREAMS * PER_STREAM) as u64);
-    let hops = stats.ingest_hops - hops_before;
+    assert_eq!(node_sum(&fabric, Metric::TuplesIngested), (STREAMS * PER_STREAM) as u64);
+    let hops = node_sum(&fabric, Metric::BrokerFrames) - hops_before;
     assert!(
         hops <= NODES as u64,
         "one fan-out must cost at most one frame per node, not per tuple (cost {hops} hops \
@@ -303,7 +319,10 @@ fn batched_routing_survives_fault_windows_exactly_once() {
         STREAMS * PER_STREAM
     );
     // Riding out the drop window cost virtual-time retries, never an error.
-    assert!(fabric.robustness().broker_retries > 0, "the drop window must degrade to retries");
+    assert!(
+        broker_counter(&fabric, Metric::BrokerRetries) > 0,
+        "the drop window must degrade to retries"
+    );
 
     for (i, subscription) in &mut subscriptions {
         let received = subscription.drain_settled();
@@ -492,11 +511,11 @@ fn transient_link_faults_degrade_to_retries() {
             .inject(Fault::NodeDown { node: NodeId::Server(0) }, window.0, window.1)
             .inject(Fault::NodeDown { node: NodeId::Server(1) }, window.0, window.1);
         let fabric = S::build(FabricConfig::local(2).with_fault_plan(Arc::new(plan)));
-        assert_eq!(fabric.robustness().broker_retries, 0);
+        assert_eq!(broker_counter(&fabric, Metric::BrokerRetries), 0);
         let now = || Duration::from_nanos(fabric.clock().now_nanos());
         fabric.advance(window.0 - now());
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
-        assert!(fabric.robustness().broker_retries > 0);
+        assert!(broker_counter(&fabric, Metric::BrokerRetries) > 0);
         assert!(now() >= window.1, "retries consumed virtual time");
 
         // A permanent fault exhausts the budget and reports typed failure,
@@ -604,8 +623,8 @@ fn multi_node_push_touches_no_node_when_one_owner_is_unreachable() {
     }
     fn assert_untouched<L: Placement>(fabric: &Fabric<L>, outcome: Result<usize, ExacmlError>) {
         assert!(matches!(outcome, Err(ExacmlError::NodeUnavailable { .. })), "got {outcome:?}");
-        assert_eq!(fabric.stats().tuples_routed, 0);
-        assert_eq!(fabric.stats().ingest_hops, 0);
+        assert_eq!(node_sum(fabric, Metric::TuplesIngested), 0);
+        assert_eq!(node_sum(fabric, Metric::BrokerFrames), 0);
         assert_eq!(fabric.telemetry().counter(Metric::TuplesIngested), 0);
     }
     fn on<S: Shape>() {
@@ -630,13 +649,13 @@ fn multi_node_push_touches_no_node_when_one_owner_is_unreachable() {
         fabric.kill_node(victim as usize);
         if S::FAILS_OVER {
             assert_eq!(fabric.push_batches(frame(&names)).unwrap(), 0);
-            assert_eq!(fabric.robustness().failovers_completed, 1);
+            assert_eq!(broker_counter(&fabric, Metric::Failovers), 1);
         } else {
             assert_untouched(&fabric, fabric.push_batches(frame(&names)));
             fabric.restart_node(victim as usize);
             assert_eq!(fabric.push_batches(frame(&names)).unwrap(), 0);
         }
-        assert_eq!(fabric.stats().tuples_routed, all);
+        assert_eq!(node_sum(&fabric, Metric::TuplesIngested), all);
         assert_eq!(fabric.telemetry().counter(Metric::TuplesIngested), all);
     }
     on::<Plain>();
