@@ -60,38 +60,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the broker treats an unreachable node before giving up with
-/// [`ExacmlError::NodeUnavailable`]: up to `max_attempts` tries, the gap
-/// between consecutive tries doubling from `backoff` — all in *virtual*
-/// time, so a transient fault window (a dropped link that heals) degrades
-/// to a retried hop rather than an error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included) before the hop fails.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub backoff: Duration,
-}
+/// Attempts (first try included) a faulted broker→node hop gets before it
+/// fails with [`ExacmlError::NodeUnavailable`]. The waits are *virtual*
+/// time, so a transient fault window (a dropped link that heals) degrades to
+/// a retried hop rather than an error.
+const HOP_ATTEMPTS: u32 = 4;
 
-impl RetryPolicy {
-    /// No retries at all: the first unreachable probe is final.
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO }
-    }
-
-    /// The virtual time consumed when every attempt fails.
-    #[must_use]
-    pub fn worst_case_delay(&self) -> Duration {
-        (0..self.max_attempts.saturating_sub(1)).map(|i| self.backoff * 2u32.pow(i)).sum()
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, backoff: Duration::from_millis(2) }
-    }
-}
+/// Backoff before the first retry of a faulted hop; it doubles on each
+/// further retry, so an exhausted budget waits 2 + 4 + 8 = 14 ms.
+const HOP_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Configuration of a brokering fabric, whatever server type `T` configures
 /// sits behind each node: [`ServerConfig`] for the plain fabric, the durable
@@ -114,8 +91,6 @@ pub struct FabricConfig<T = ServerConfig> {
     /// clock) before every broker→node hop. `None` means a fault-free
     /// network.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Retry/backoff policy for broker→node hops that hit an active fault.
-    pub retry: RetryPolicy,
 }
 
 impl FabricConfig {
@@ -128,7 +103,6 @@ impl FabricConfig {
             seed: 42,
             server_template: ServerConfig::default(),
             fault_plan: None,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -170,7 +144,6 @@ impl<T> FabricConfig<T> {
             seed: self.seed,
             server_template,
             fault_plan: self.fault_plan,
-            retry: self.retry,
         }
     }
 
@@ -181,23 +154,15 @@ impl<T> FabricConfig<T> {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// Override the broker→node retry/backoff policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
-/// The simulated network a fabric lives on — topology, fault schedule, retry
-/// budget, virtual clock and the broker-level telemetry registry — shared
+/// The simulated network a fabric lives on — topology, fault schedule,
+/// virtual clock and the broker-level telemetry registry — shared
 /// between the broker and its [`Placement`] layer so both wait out faults
 /// and scale latency spikes with the same code.
 pub struct FabricNet {
     topology: Topology,
     fault_plan: Option<Arc<FaultPlan>>,
-    retry: RetryPolicy,
     clock: ManualClock,
     /// Broker-level registry: request round trips ([`Stage::BrokerRoute`]),
     /// subscription delivery latency, replica shipping and the
@@ -214,7 +179,6 @@ impl FabricNet {
         Arc::new(FabricNet {
             topology: config.topology.clone(),
             fault_plan: config.fault_plan.clone(),
-            retry: config.retry,
             clock: ManualClock::new(),
             telemetry: Arc::new(Telemetry::new()),
         })
@@ -246,24 +210,23 @@ impl FabricNet {
     }
 
     /// The one backoff loop: wait out fault windows on the `a` ↔ `b` link,
-    /// retrying with exponential backoff *in virtual time* up to the retry
-    /// budget, so a transient window the retries outlive degrades to a
-    /// slower hop, not an error. Returns the retries spent and whether the
-    /// link came up.
+    /// retrying with exponential backoff *in virtual time* up to
+    /// `HOP_ATTEMPTS` tries, so a transient window the retries outlive
+    /// degrades to a slower hop, not an error. Returns the retries spent and
+    /// whether the link came up.
     pub fn await_link(&self, a: NodeId, b: NodeId) -> (u32, bool) {
         if self.fault_plan.is_none() {
             return (0, true);
         }
-        let attempts = self.retry.max_attempts.max(1);
-        for retries in 0..attempts {
+        for retries in 0..HOP_ATTEMPTS {
             if retries > 0 {
-                self.clock.advance(self.retry.backoff * 2u32.pow(retries - 1));
+                self.clock.advance(HOP_BACKOFF * 2u32.pow(retries - 1));
             }
             if !self.link_down(a, b) {
                 return (retries, true);
             }
         }
-        (attempts - 1, false)
+        (HOP_ATTEMPTS - 1, false)
     }
 
     /// Sample the simulated `a` → `b` → `a` round trip on the caller's RNG,
@@ -802,11 +765,7 @@ impl<L: Placement> Fabric<L> {
         if !up {
             return Err(node_unavailable(
                 index,
-                format!(
-                    "broker hop to host {host} still faulted after {} attempt(s) over {:?}",
-                    retries + 1,
-                    self.net.retry.worst_case_delay()
-                ),
+                format!("broker hop to host {host} still faulted after {} attempt(s)", retries + 1),
             ));
         }
         Ok((server, host))

@@ -61,7 +61,7 @@ pub use backend::{
 pub use error::ExacmlError;
 pub use fabric::{
     node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,
-    FabricNode, FabricSubscription, NodeServer, Placement, RetryPolicy,
+    FabricNode, FabricSubscription, NodeServer, Placement,
 };
 pub use grant_table::{Grant, GrantTable, PlanId};
 pub use merge::{merge_graphs, MergeOptions, MergeOutcome};
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::error::ExacmlError;
     pub use crate::fabric::{
         rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet, FabricNode,
-        FabricSubscription, NodeServer, Placement, RetryPolicy,
+        FabricSubscription, NodeServer, Placement,
     };
     pub use crate::grant_table::{Grant, GrantTable, PlanId};
     pub use crate::merge::{merge_graphs, MergeOptions, MergeOutcome};

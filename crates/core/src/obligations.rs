@@ -18,8 +18,6 @@
 //! policies.
 
 use crate::error::ExacmlError;
-#[cfg(test)]
-use exacml_dsms::AggFunc;
 use exacml_dsms::{
     AggSpec, AggregateOp, FilterOp, MapOp, Operator, QueryGraph, WindowKind, WindowSpec,
 };
@@ -74,12 +72,7 @@ pub fn obligations_from_graph(graph: &QueryGraph) -> Vec<Obligation> {
     let mut obligations = Vec::with_capacity(graph.len());
     for node in &graph.nodes {
         match &node.operator {
-            Operator::Filter(op) => {
-                obligations.push(
-                    Obligation::on_permit(ids::STREAM_FILTER)
-                        .with_string(ids::FILTER_CONDITION, op.source()),
-                );
-            }
+            Operator::Filter(op) => obligations.push(filter_obligation(op.source())),
             Operator::Map(op) => {
                 let mut ob = Obligation::on_permit(ids::STREAM_MAP);
                 for attr in op.attributes() {
@@ -100,6 +93,10 @@ pub fn obligations_from_graph(graph: &QueryGraph) -> Vec<Obligation> {
         }
     }
     obligations
+}
+
+fn filter_obligation(condition: &str) -> Obligation {
+    Obligation::on_permit(ids::STREAM_FILTER).with_string(ids::FILTER_CONDITION, condition)
 }
 
 /// Translate a set of obligations back into a query graph over `stream`.
@@ -305,27 +302,14 @@ impl StreamPolicyBuilder {
         self
     }
 
-    /// The query graph the policy's obligations describe.
-    #[must_use]
-    pub fn to_graph(&self) -> QueryGraph {
-        let mut operators = Vec::new();
-        if let Some(cond) = &self.filter {
-            if let Ok(op) = FilterOp::parse(cond) {
-                operators.push(Operator::Filter(op));
-            }
-        }
-        if !self.visible.is_empty() {
-            operators.push(Operator::Map(MapOp::new(self.visible.clone())));
-        }
-        if let Some((window, specs)) = &self.window {
-            operators.push(Operator::Aggregate(AggregateOp::new(*window, specs.clone())));
-        }
-        QueryGraph::from_operators(&self.stream, operators)
-    }
-
     /// Build the XACML policy: the target matches the subject / stream /
     /// action triple, a single Permit rule applies, and the obligations
     /// encode the stream constraints.
+    ///
+    /// The filter condition is written as given (trimmed), whether it parses
+    /// or not: a condition that does not parse fails every request under the
+    /// policy with [`ExacmlError::BadObligation`] rather than granting the
+    /// unfiltered stream.
     #[must_use]
     pub fn build(&self) -> Policy {
         let target = match &self.subject {
@@ -351,7 +335,16 @@ impl StreamPolicyBuilder {
             .with_description(&self.description)
             .with_target(target)
             .with_rule(Rule::permit_all(format!("{}-permit", self.policy_id)));
-        for ob in obligations_from_graph(&self.to_graph()) {
+        let mut operators = Vec::new();
+        if !self.visible.is_empty() {
+            operators.push(Operator::Map(MapOp::new(self.visible.clone())));
+        }
+        if let Some((window, specs)) = &self.window {
+            operators.push(Operator::Aggregate(AggregateOp::new(*window, specs.clone())));
+        }
+        let constraints = QueryGraph::from_operators(&self.stream, operators);
+        let filter = self.filter.as_deref().map(|condition| filter_obligation(condition.trim()));
+        for ob in filter.into_iter().chain(obligations_from_graph(&constraints)) {
             policy = policy.with_obligation(ob);
         }
         policy
@@ -361,7 +354,7 @@ impl StreamPolicyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacml_dsms::Schema;
+    use exacml_dsms::{AggFunc, QueryGraphBuilder, Schema};
 
     fn example1_builder() -> StreamPolicyBuilder {
         StreamPolicyBuilder::new("nea-weather-for-lta", "weather")
@@ -377,6 +370,23 @@ mod tests {
                     AggSpec::new("windspeed", AggFunc::Max),
                 ],
             )
+    }
+
+    /// The Example 1 policy graph (Figure 1) `example1_builder` describes.
+    fn example1_graph() -> QueryGraph {
+        QueryGraphBuilder::on_stream("weather")
+            .filter_str("rainrate > 5")
+            .unwrap()
+            .map(["samplingtime", "rainrate", "windspeed"])
+            .aggregate(
+                WindowSpec::tuples(5, 2),
+                vec![
+                    AggSpec::new("samplingtime", AggFunc::LastValue),
+                    AggSpec::new("rainrate", AggFunc::Avg),
+                    AggSpec::new("windspeed", AggFunc::Max),
+                ],
+            )
+            .build()
     }
 
     #[test]
@@ -398,8 +408,9 @@ mod tests {
 
     #[test]
     fn graph_round_trips_through_obligations() {
-        let graph = example1_builder().to_graph();
+        let graph = example1_graph();
         let obligations = obligations_from_graph(&graph);
+        assert_eq!(example1_builder().build().obligations, obligations);
         let rebuilt = graph_from_obligations("weather", &obligations).unwrap();
         assert_eq!(rebuilt, graph);
         // The rebuilt graph validates against the weather schema and yields
@@ -410,7 +421,7 @@ mod tests {
 
     #[test]
     fn obligation_order_does_not_matter() {
-        let graph = example1_builder().to_graph();
+        let graph = example1_graph();
         let mut obligations = obligations_from_graph(&graph);
         obligations.reverse();
         let rebuilt = graph_from_obligations("weather", &obligations).unwrap();
@@ -509,6 +520,6 @@ mod tests {
         assert_eq!(parsed, policy);
         // And the obligations still translate to the same graph.
         let graph = graph_from_obligations("weather", &parsed.obligations).unwrap();
-        assert_eq!(graph, example1_builder().to_graph());
+        assert_eq!(graph, example1_graph());
     }
 }

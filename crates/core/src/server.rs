@@ -47,8 +47,6 @@ use std::time::{Duration, Instant};
 /// Configuration of the data server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Options for merging policy and user-query graphs.
-    pub merge: MergeOptions,
     /// Deploy anyway when only partial-result warnings were raised (the
     /// paper's workflow deploys only when *no* warning was detected, which is
     /// the default here; the warnings are returned to the caller either way).
@@ -71,7 +69,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            merge: MergeOptions::default(),
             deploy_on_partial_result: false,
             topology: Topology::paper_testbed(),
             seed: 42,
@@ -548,7 +545,7 @@ impl DataServer {
             }
             None => QueryGraph::identity(&stream),
         };
-        let outcome = merge_graphs(&policy_graph, &user_graph, self.config.merge)?;
+        let outcome = merge_graphs(&policy_graph, &user_graph, MergeOptions::default())?;
         if has_empty_result(&outcome.warnings)
             || (has_partial_result(&outcome.warnings) && !self.config.deploy_on_partial_result)
         {

@@ -58,7 +58,7 @@ pub type ReplicatedFabric = Fabric<Replication>;
 /// every shape shares, plus what only replication needs.
 #[derive(Debug, Clone)]
 pub struct ReplicatedConfig {
-    /// Nodes, topology, seed, fault plan, retry budget, and the per-node
+    /// Nodes, topology, seed, fault plan, and the per-node
     /// durable-store template (`dsms_host` and `seed` are overridden per
     /// node so URIs stay stable across failover).
     pub fabric: FabricConfig<DurableConfig>,
@@ -69,10 +69,12 @@ pub struct ReplicatedConfig {
     /// Root directory; host `p` stores its primary under `node{p}/store`
     /// and its mirror of logical node `i` under `node{p}/replica-of-{i}`.
     pub root: PathBuf,
-    /// Ship buffered ingest records after this many unshipped journal
-    /// appends (control-plane records always ship immediately).
-    pub ingest_ship_every: u64,
 }
+
+/// Ship buffered ingest records after this many unshipped journal appends
+/// (control-plane records always ship immediately), so a node's mirrors lag
+/// it by fewer than this many ingest records.
+const INGEST_SHIP_EVERY: u64 = 256;
 
 impl ReplicatedConfig {
     /// A replicated fabric of `nodes` nodes under `root`, loopback links,
@@ -83,12 +85,11 @@ impl ReplicatedConfig {
             fabric: FabricConfig::local(nodes).with_server_template(DurableConfig::local()),
             replication: 1,
             root: root.into(),
-            ingest_ship_every: 256,
         }
     }
 
     /// Adjust the shared fabric configuration (topology, seed, durable
-    /// template, fault plan, retry).
+    /// template, fault plan).
     #[must_use]
     pub fn with_fabric(
         mut self,
@@ -102,13 +103,6 @@ impl ReplicatedConfig {
     #[must_use]
     pub fn with_replication(mut self, k: usize) -> Self {
         self.replication = k;
-        self
-    }
-
-    /// Override the ingest shipping batch threshold.
-    #[must_use]
-    pub fn with_ingest_ship_every(mut self, records: u64) -> Self {
-        self.ingest_ship_every = records.max(1);
         self
     }
 
@@ -357,7 +351,7 @@ impl Placement for Replication {
         let due = {
             let mut shipper = self.shippers[logical].lock();
             shipper.unshipped_ingest += records;
-            shipper.unshipped_ingest >= self.config.ingest_ship_every
+            shipper.unshipped_ingest >= INGEST_SHIP_EVERY
         };
         if due {
             self.ship_node(logical, false);
@@ -521,27 +515,29 @@ mod tests {
     #[test]
     fn replication_lag_is_bounded_by_the_ship_threshold() {
         let root = temp_root("lag");
-        let config = ReplicatedConfig::new(2, &root).with_ingest_ship_every(4);
-        let fabric = Replication::create(config).unwrap();
+        let fabric = Replication::create(ReplicatedConfig::new(2, &root)).unwrap();
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
         let schema = Schema::weather_example().shared();
-        for i in 0..10i64 {
+        // Two nodes with one mirror each: the summed lag stays below twice
+        // the threshold. 600 pushes cross it twice.
+        let bound = 2 * INGEST_SHIP_EVERY;
+        for i in 0..600i64 {
             let tuple = Tuple::builder_shared(&schema)
                 .set("samplingtime", exacml_dsms::Value::Timestamp(i * 30_000))
                 .set("rainrate", 10.0)
                 .finish_with_defaults();
             fabric.push("weather", tuple).unwrap();
+            assert!(fabric.layer().replication_lag() < bound, "lag after push {i}");
         }
-        // Lag never exceeds the threshold per mirror.
-        assert!(fabric.layer().replication_lag() < 4 * 2);
 
         // Multi-stream frames append one record per stream batch; each one
-        // counts towards the threshold, not each call.
+        // counts towards the threshold, not each call: counted per call, 100
+        // frames of 600 records would never reach it.
         let streams: Vec<String> = (0..6).map(|i| format!("district{i}")).collect();
         for stream in &streams {
             fabric.register_stream(stream, Schema::weather_example()).unwrap();
         }
-        for frame in 0..5i64 {
+        for frame in 0..100i64 {
             let batches = streams
                 .iter()
                 .map(|stream| {
@@ -552,7 +548,7 @@ mod tests {
                 })
                 .collect();
             fabric.push_batches(batches).unwrap();
-            assert!(fabric.layer().replication_lag() < 4 * 2, "lag after frame {frame}");
+            assert!(fabric.layer().replication_lag() < bound, "lag after frame {frame}");
         }
 
         // Settling clears it.

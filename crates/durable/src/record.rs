@@ -77,8 +77,7 @@ pub enum Record {
     /// with its original timestamps and sequence numbers (replaying the
     /// operations would regenerate it with fresh ones).
     Audit(AuditEvent),
-    /// A batch of source tuples pushed into a stream (journaled only when
-    /// ingest journaling is enabled — see `DurableConfig::journal_ingest`).
+    /// A batch of source tuples pushed into a stream.
     ///
     /// Rows are journaled *positionally and untagged*: each cell is a plain
     /// JSON scalar, typed during replay by the stream's schema (see

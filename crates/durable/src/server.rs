@@ -3,7 +3,7 @@
 //!
 //! The wrapper journals every state-mutating operation — policy load /
 //! remove / update, stream registration, access grants and releases, the
-//! audit trail, and (optionally) tuple ingest — into a write-ahead log
+//! audit trail, and tuple ingest — into a write-ahead log
 //! ([`crate::wal`]) and periodically folds the journal into a compacted
 //! snapshot ([`crate::snapshot`]). [`DurableServer::recover`] rebuilds the
 //! full server — PDP store revision, live handles (with the *same* URIs),
@@ -48,8 +48,8 @@ use crate::wal::{read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWrit
 use exacml_dsms::{Schema, StreamHandle, Tuple};
 use exacml_plus::{
     AccessControl, AuditEvent, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError,
-    MergeOptions, NodeServer, PolicyAdmin, ServerConfig, StreamBackend, Subscription,
-    TaggedAuditEvent, UserQuery,
+    NodeServer, PolicyAdmin, ServerConfig, StreamBackend, Subscription, TaggedAuditEvent,
+    UserQuery,
 };
 use exacml_simnet::{NodeId, Topology};
 use exacml_telemetry::{Metric, Stage, TelemetrySnapshot};
@@ -123,18 +123,10 @@ pub struct DurableConfig {
     /// Host name minted into stream-handle URIs. Recovery re-mints handles
     /// under the same host, which is what lets them survive verbatim.
     pub dsms_host: String,
-    /// `MergeOptions::map_union` of the wrapped server.
-    pub map_union: bool,
-    /// `MergeOptions::simplify_filters` of the wrapped server.
-    pub simplify_filters: bool,
     /// `ServerConfig::share_plans` of the wrapped server: overlapping
     /// grants ride one compiled subgraph. Persisted because recovery must
     /// rebuild the same plan topology the journal was written under.
     pub share_plans: bool,
-    /// Journal tuple batches too, so window state and engine ingest survive
-    /// up to the last acknowledged push (control-plane state is journaled
-    /// regardless). Costs one WAL append per push/push_batch.
-    pub journal_ingest: bool,
     /// fsync every record instead of only flushing to the OS. Survives
     /// power loss, not just process crashes; much slower.
     pub sync_writes: bool,
@@ -151,10 +143,7 @@ impl Default for DurableConfig {
             deploy_on_partial_result: false,
             seed: 42,
             dsms_host: "dsms".to_string(),
-            map_union: false,
-            simplify_filters: true,
             share_plans: true,
-            journal_ingest: true,
             sync_writes: false,
             snapshot_every: 50_000,
         }
@@ -172,10 +161,6 @@ impl DurableConfig {
     #[must_use]
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig {
-            merge: MergeOptions {
-                map_union: self.map_union,
-                simplify_filters: self.simplify_filters,
-            },
             deploy_on_partial_result: self.deploy_on_partial_result,
             topology: self.topology.topology(),
             seed: self.seed,
@@ -261,10 +246,7 @@ fn write_meta(path: &Path, config: &DurableConfig) -> Result<(), ExacmlError> {
         ("deploy_on_partial_result".to_string(), Content::Bool(config.deploy_on_partial_result)),
         ("seed".to_string(), Content::U64(config.seed)),
         ("dsms_host".to_string(), Content::Str(config.dsms_host.clone())),
-        ("map_union".to_string(), Content::Bool(config.map_union)),
-        ("simplify_filters".to_string(), Content::Bool(config.simplify_filters)),
         ("share_plans".to_string(), Content::Bool(config.share_plans)),
-        ("journal_ingest".to_string(), Content::Bool(config.journal_ingest)),
         ("sync_writes".to_string(), Content::Bool(config.sync_writes)),
         ("snapshot_every".to_string(), Content::U64(config.snapshot_every)),
     ]);
@@ -292,6 +274,19 @@ fn read_meta(path: &Path) -> Result<DurableConfig, ExacmlError> {
             .and_then(Value::as_bool)
             .ok_or_else(|| durability("parse meta", format!("missing boolean '{key}'")))
     };
+    // Stores written while these were settings carry them as keys. The code
+    // now fixes each to one value, so a store that ran with another value is
+    // refused rather than recovered under a merge rule or ingest journaling
+    // that would change what its grants deliver.
+    for (key, fixed) in [("map_union", false), ("simplify_filters", true), ("journal_ingest", true)]
+    {
+        if value.get(key).is_some_and(|found| found.as_bool() != Some(fixed)) {
+            return Err(durability(
+                "parse meta",
+                format!("'{key}' is not {fixed}: this version supports no other value"),
+            ));
+        }
+    }
     let topology_name = value
         .get("topology")
         .and_then(Value::as_str)
@@ -303,13 +298,10 @@ fn read_meta(path: &Path) -> Result<DurableConfig, ExacmlError> {
         deploy_on_partial_result: bool_of("deploy_on_partial_result")?,
         seed: value.get("seed").and_then(Value::as_f64).unwrap_or(42.0) as u64,
         dsms_host: value.get("dsms_host").and_then(Value::as_str).unwrap_or("dsms").to_string(),
-        map_union: bool_of("map_union")?,
-        simplify_filters: bool_of("simplify_filters")?,
         // Default-tolerant, and deliberately *off* for stores written
         // before plan sharing: their journals minted one deployment per
         // grant, and replay must reproduce those deployment ids exactly.
         share_plans: value.get("share_plans").and_then(Value::as_bool).unwrap_or(false),
-        journal_ingest: bool_of("journal_ingest")?,
         sync_writes: bool_of("sync_writes")?,
         snapshot_every: value.get("snapshot_every").and_then(Value::as_f64).unwrap_or(0.0) as u64,
     })
@@ -1013,15 +1005,11 @@ impl DurableServer {
         Ok(emitted)
     }
 
-    /// Push one source tuple (journaled as a one-row ingest record when
-    /// [`DurableConfig::journal_ingest`] is set).
+    /// Push one source tuple, journaled as a one-row ingest record.
     ///
     /// # Errors
     /// As [`DataServer::push`], plus journaling failures.
     pub fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        if !self.config.journal_ingest {
-            return self.inner.push(stream, tuple);
-        }
         self.push_journaled(stream, vec![tuple])
     }
 
@@ -1031,7 +1019,7 @@ impl DurableServer {
     /// # Errors
     /// As [`DataServer::push_batch`], plus journaling failures.
     pub fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        if !self.config.journal_ingest || tuples.is_empty() {
+        if tuples.is_empty() {
             return self.inner.push_batch(stream, tuples);
         }
         self.push_journaled(stream, tuples)

@@ -16,8 +16,7 @@
 //! * the attribute / target / rule / policy model ([`attribute`], [`policy`]),
 //! * requests carrying subject, resource and action attributes ([`request`]),
 //! * obligations with attribute assignments ([`obligation`]),
-//! * a PDP with a thread-safe policy store and the standard combining
-//!   algorithms ([`pdp`]),
+//! * a first-applicable PDP with a thread-safe policy store ([`pdp`]),
 //! * an XML reader/writer for policy and request documents in the same shape
 //!   as the paper's Figure 2 ([`xml`]).
 
@@ -34,9 +33,7 @@ pub use attribute::{AttributeCategory, AttributeValue, XmlDataType};
 pub use error::XacmlError;
 pub use obligation::{AttributeAssignment, Obligation};
 pub use pdp::{Decision, DecisionResponse, Pdp, PolicyStore};
-pub use policy::{
-    AttributeMatch, Effect, Policy, PolicyCombiningAlg, Rule, RuleCombiningAlg, Target,
-};
+pub use policy::{AttributeMatch, Effect, Policy, Rule, RuleCombiningAlg, Target};
 pub use repository::{PolicyRepository, RepositoryError};
 pub use request::Request;
 
@@ -46,8 +43,6 @@ pub mod prelude {
     pub use crate::error::XacmlError;
     pub use crate::obligation::{AttributeAssignment, Obligation};
     pub use crate::pdp::{Decision, DecisionResponse, Pdp, PolicyStore};
-    pub use crate::policy::{
-        AttributeMatch, Effect, Policy, PolicyCombiningAlg, Rule, RuleCombiningAlg, Target,
-    };
+    pub use crate::policy::{AttributeMatch, Effect, Policy, Rule, RuleCombiningAlg, Target};
     pub use crate::request::Request;
 }

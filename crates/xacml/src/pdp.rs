@@ -2,9 +2,13 @@
 //!
 //! The PDP "manages policies and evaluates user requests against the stored
 //! policies, the result of which are permit or deny decisions" together with
-//! the obligations of the matching policy (Section 2.1). The store supports
-//! the add / remove / update operations the query-graph management layer of
-//! eXACML+ reacts to (Section 3.3).
+//! the obligations of the matching policy (Section 2.1). Policies combine
+//! first-applicable, the one algorithm the paper's PDP uses: the first policy
+//! in load order that applies decides, and a request no policy applies to is
+//! Not Applicable. (Rule combining *within* a policy is part of the policy
+//! document and stays selectable, see [`crate::RuleCombiningAlg`].) The
+//! store supports the add / remove / update operations the query-graph
+//! management layer of eXACML+ reacts to (Section 3.3).
 //!
 //! # Hot-path structure
 //!
@@ -29,7 +33,7 @@
 
 use crate::attribute::AttributeCategory;
 use crate::obligation::Obligation;
-use crate::policy::{Effect, Policy, PolicyCombiningAlg, Target};
+use crate::policy::{Effect, Policy, Target};
 use crate::request::{ids, Request};
 use crate::XacmlError;
 use parking_lot::{Mutex, RwLock};
@@ -351,8 +355,8 @@ impl PolicyStore {
     /// `(subject, resource, action)` values to be present in the request, so
     /// for a request carrying at most one value per triple attribute, every
     /// policy outside the request's bucket and the generic list evaluates to
-    /// Not&nbsp;Applicable and can be skipped without changing the combined
-    /// outcome under any combining algorithm.
+    /// Not&nbsp;Applicable and can be skipped without changing which policy
+    /// applies first.
     fn indexed_candidates(&self, request: &Request) -> Option<Vec<Arc<Policy>>> {
         let subject = single_value(request, AttributeCategory::Subject, ids::SUBJECT_ID).ok()?;
         let resource = single_value(request, AttributeCategory::Resource, ids::RESOURCE_ID).ok()?;
@@ -390,27 +394,17 @@ impl PolicyStore {
     }
 }
 
-/// The Policy Decision Point.
+/// The Policy Decision Point (first-applicable, see the module docs).
 #[derive(Debug, Clone)]
 pub struct Pdp {
     store: Arc<PolicyStore>,
-    combining: PolicyCombiningAlg,
 }
 
 impl Pdp {
-    /// A PDP over a shared policy store with first-applicable combining
-    /// (the behaviour of the paper's prototype, whose workload generates a
-    /// dedicated policy per request).
+    /// A PDP over a shared policy store.
     #[must_use]
     pub fn new(store: Arc<PolicyStore>) -> Self {
-        Pdp { store, combining: PolicyCombiningAlg::FirstApplicable }
-    }
-
-    /// Override the policy combining algorithm.
-    #[must_use]
-    pub fn with_combining(mut self, combining: PolicyCombiningAlg) -> Self {
-        self.combining = combining;
-        self
+        Pdp { store }
     }
 
     /// The underlying store.
@@ -433,7 +427,7 @@ impl Pdp {
         }
         match self.store.indexed_candidates(request) {
             Some(candidates) => {
-                self.combine(request, candidates.iter().map(std::convert::AsRef::as_ref))
+                Self::combine(request, candidates.iter().map(std::convert::AsRef::as_ref))
             }
             None => self.evaluate_linear(request),
         }
@@ -458,99 +452,32 @@ impl Pdp {
                 policy_id: None,
             };
         }
-        let mut permit: Option<DecisionResponse> = None;
-        let mut deny: Option<DecisionResponse> = None;
-
-        let first = self.store.scan(|policy| match policy.evaluate(request) {
-            Some(effect @ Effect::Permit) => {
-                let response = Self::respond(policy, effect);
-                if self.combining == PolicyCombiningAlg::FirstApplicable {
-                    Some(response)
-                } else {
-                    if permit.is_none() {
-                        permit = Some(response);
-                    }
-                    None
-                }
-            }
-            Some(effect @ Effect::Deny) => {
-                let response = Self::respond(policy, effect);
-                if self.combining == PolicyCombiningAlg::FirstApplicable {
-                    Some(response)
-                } else {
-                    if deny.is_none() {
-                        deny = Some(response);
-                    }
-                    None
-                }
-            }
-            None => None,
-        });
-        if let Some(response) = first {
-            return response;
-        }
-        self.combined_fallback(permit, deny)
+        self.store
+            .scan(|policy| Self::respond(policy, request))
+            .unwrap_or_else(DecisionResponse::not_applicable)
     }
 
-    /// Run the combining algorithm over an ordered candidate iterator.
+    /// First-applicable combining over an ordered candidate iterator.
     fn combine<'p>(
-        &self,
         request: &Request,
-        policies: impl Iterator<Item = &'p Policy>,
+        mut policies: impl Iterator<Item = &'p Policy>,
     ) -> DecisionResponse {
-        let mut permit: Option<DecisionResponse> = None;
-        let mut deny: Option<DecisionResponse> = None;
-        for policy in policies {
-            match policy.evaluate(request) {
-                Some(effect @ Effect::Permit) => {
-                    let response = Self::respond(policy, effect);
-                    if self.combining == PolicyCombiningAlg::FirstApplicable {
-                        return response;
-                    }
-                    if permit.is_none() {
-                        permit = Some(response);
-                    }
-                }
-                Some(effect @ Effect::Deny) => {
-                    let response = Self::respond(policy, effect);
-                    if self.combining == PolicyCombiningAlg::FirstApplicable {
-                        return response;
-                    }
-                    if deny.is_none() {
-                        deny = Some(response);
-                    }
-                }
-                None => {}
-            }
-        }
-        self.combined_fallback(permit, deny)
+        policies
+            .find_map(|policy| Self::respond(policy, request))
+            .unwrap_or_else(DecisionResponse::not_applicable)
     }
 
-    fn combined_fallback(
-        &self,
-        permit: Option<DecisionResponse>,
-        deny: Option<DecisionResponse>,
-    ) -> DecisionResponse {
-        match self.combining {
-            PolicyCombiningAlg::FirstApplicable => DecisionResponse::not_applicable(),
-            PolicyCombiningAlg::PermitOverrides => {
-                permit.or(deny).unwrap_or_else(DecisionResponse::not_applicable)
-            }
-            PolicyCombiningAlg::DenyOverrides => {
-                deny.or(permit).unwrap_or_else(DecisionResponse::not_applicable)
-            }
-        }
-    }
-
-    fn respond(policy: &Policy, effect: Effect) -> DecisionResponse {
-        DecisionResponse {
+    /// The policy's decision on `request`, when the policy applies.
+    fn respond(policy: &Policy, request: &Request) -> Option<DecisionResponse> {
+        let effect = policy.evaluate(request)?;
+        Some(DecisionResponse {
             decision: match effect {
                 Effect::Permit => Decision::Permit,
                 Effect::Deny => Decision::Deny,
             },
             obligations: policy.obligations_for(effect),
             policy_id: Some(policy.id.clone()),
-        }
+        })
     }
 }
 
@@ -684,17 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn pdp_permit_and_deny_overrides() {
-        let deny = Policy::new("deny-all").with_rule(Rule::deny_all("d"));
-        let permit = Policy::new("permit-all").with_rule(Rule::permit_all("p"));
-        let store = store_with(vec![deny, permit]);
-        let pdp = Pdp::new(Arc::clone(&store)).with_combining(PolicyCombiningAlg::PermitOverrides);
-        assert_eq!(pdp.evaluate(&Request::new()).decision, Decision::Permit);
-        let pdp = Pdp::new(store).with_combining(PolicyCombiningAlg::DenyOverrides);
-        assert_eq!(pdp.evaluate(&Request::new()).decision, Decision::Deny);
-    }
-
-    #[test]
     fn pdp_indeterminate_on_malformed_request() {
         let pdp = Pdp::new(store_with(vec![permit_policy("p", "a", "b")]));
         let bad = Request::new().with_subject("", crate::attribute::AttributeValue::string("x"));
@@ -732,24 +648,18 @@ mod tests {
                 .with_rule(Rule::deny_all("d")),
             Policy::new("g1").with_rule(Rule::permit_all("p")),
         ];
-        for combining in [
-            PolicyCombiningAlg::FirstApplicable,
-            PolicyCombiningAlg::PermitOverrides,
-            PolicyCombiningAlg::DenyOverrides,
+        let pdp = Pdp::new(store_with(policies));
+        for request in [
+            Request::subscribe("LTA", "weather"),
+            Request::subscribe("EMA", "weather"),
+            Request::subscribe("nobody", "nothing"),
+            Request::new(),
         ] {
-            let pdp = Pdp::new(store_with(policies.clone())).with_combining(combining);
-            for request in [
-                Request::subscribe("LTA", "weather"),
-                Request::subscribe("EMA", "weather"),
-                Request::subscribe("nobody", "nothing"),
-                Request::new(),
-            ] {
-                assert_eq!(
-                    pdp.evaluate(&request),
-                    pdp.evaluate_linear(&request),
-                    "index/linear divergence under {combining:?} for {request}"
-                );
-            }
+            assert_eq!(
+                pdp.evaluate(&request),
+                pdp.evaluate_linear(&request),
+                "index/linear divergence for {request}"
+            );
         }
     }
 

@@ -172,18 +172,6 @@ impl RuleCombiningAlg {
     }
 }
 
-/// Policy combining algorithms (across policies in the PDP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum PolicyCombiningAlg {
-    /// The first policy whose target matches decides.
-    #[default]
-    FirstApplicable,
-    /// A Permit from any matching policy wins.
-    PermitOverrides,
-    /// A Deny from any matching policy wins.
-    DenyOverrides,
-}
-
 /// An access-control policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Policy {

@@ -181,7 +181,7 @@ pub mod prelude {
     pub use exacml_plus::{
         AccessControl, AccessResponse, Backend, BackendHealth, BackendResponse, DataServer,
         ExacmlError, Fabric, FabricConfig, MergeOptions, Placement, PlanId, PolicyAdmin,
-        RetryPolicy, ServerConfig, StreamBackend, StreamBatch, StreamPolicyBuilder, Subscription,
+        ServerConfig, StreamBackend, StreamBatch, StreamPolicyBuilder, Subscription,
         TaggedAuditEvent, UserQuery, Warning, WarningKind,
     };
     pub use exacml_simnet::{Fault, FaultPlan, NodeId, TimedFault, Topology};

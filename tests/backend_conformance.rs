@@ -171,6 +171,25 @@ fn policy_churn_withdraws_graphs_and_serves_fresh_obligations() {
     }
 }
 
+/// A policy whose filter does not parse fails closed: its filter obligation
+/// carries the condition as written, so every request under it is refused
+/// and audited instead of being granted the unfiltered stream.
+#[test]
+fn an_unparsable_policy_filter_refuses_every_request() {
+    for backend in backends() {
+        let kind = backend.backend_kind();
+        backend.register_stream("weather", Schema::weather_example()).unwrap();
+        let policy =
+            StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate >").build();
+        backend.load_policy(policy).unwrap();
+        let refused = backend.handle_request(&Request::subscribe("LTA", "weather"), None);
+        assert!(matches!(refused, Err(ExacmlError::BadObligation { .. })), "{kind}: {refused:?}");
+        assert_eq!(backend.audit_kind_counts().get("denied").copied(), Some(1), "{kind}");
+        assert_eq!(backend.live_deployments(), 0, "{kind}");
+        assert!(!backend.release_access("LTA", "weather"), "{kind}");
+    }
+}
+
 #[test]
 fn release_edge_cases_are_noops_on_every_shape() {
     for backend in backends() {

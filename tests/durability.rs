@@ -6,6 +6,7 @@
 
 use exacml::exacml_dsms::{DataType, Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::record::{decode, decode_row, encode_ingest};
+use exacml::exacml_durable::wal;
 use exacml::exacml_durable::{DurableServer, Record};
 use exacml::prelude::*;
 use proptest::prelude::*;
@@ -163,6 +164,66 @@ fn a_sync_writes_store_journals_and_recovers_with_the_setting_kept() {
     assert_eq!(recovered.policy_count(), 1);
     assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(handle_uri)));
     assert_eq!(tuples_ingested(&recovered), 7, "the journaled batch is replayed");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Overwrite a store's `meta.json` with one in the eleven-key format stores
+/// were written in while the merge rule and ingest journaling were settings,
+/// framed as the store frames it.
+fn write_eleven_key_meta(
+    store: &std::path::Path,
+    map_union: bool,
+    simplify_filters: bool,
+    journal_ingest: bool,
+) {
+    let payload = format!(
+        "{{\"version\":1,\"topology\":\"local\",\"deploy_on_partial_result\":false,\
+         \"seed\":42,\"dsms_host\":\"dsms\",\"map_union\":{map_union},\
+         \"simplify_filters\":{simplify_filters},\"share_plans\":true,\
+         \"journal_ingest\":{journal_ingest},\"sync_writes\":false,\"snapshot_every\":50000}}"
+    );
+    std::fs::write(store.join("meta.json"), wal::frame(&payload)).unwrap();
+}
+
+/// A store whose `meta.json` still carries `map_union`, `simplify_filters`
+/// and `journal_ingest` recovers when they hold the values the code now
+/// fixes, and is refused, naming the key, when any holds another: recovering
+/// it under the fixed values would change what its grants deliver.
+#[test]
+fn a_store_with_the_retired_meta_keys_recovers_only_at_their_fixed_values() {
+    let store = fresh_store("retired-keys");
+    let schema = Schema::weather_example().shared();
+    let handle_uri = {
+        let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+        server.register_stream("weather", Schema::weather_example()).unwrap();
+        server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+        let granted = server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        server
+            .push_batch("weather", (0..3).map(|i| weather_tuple(&schema, i, 10.0)).collect())
+            .unwrap();
+        granted.handle().uri().to_string()
+    };
+
+    write_eleven_key_meta(&store, false, true, true);
+    let recovered = DurableServer::recover(&store).unwrap();
+    assert_eq!(recovered.policy_count(), 1);
+    assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(handle_uri)));
+    assert_eq!(tuples_ingested(&recovered), 3);
+    drop(recovered);
+
+    for (key, map_union, simplify_filters, journal_ingest) in [
+        ("map_union", true, true, true),
+        ("simplify_filters", false, false, true),
+        ("journal_ingest", false, true, false),
+    ] {
+        write_eleven_key_meta(&store, map_union, simplify_filters, journal_ingest);
+        match DurableServer::recover(&store).err() {
+            Some(ExacmlError::Durability(detail)) => {
+                assert!(detail.contains(key), "{key}: {detail}");
+            }
+            other => panic!("{key}: expected a Durability error, got {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&store);
 }
 

@@ -262,7 +262,7 @@ fn delivery_is_exactly_once_with_latency_ordered_timestamps() {
 fn batched_routing_survives_fault_windows_exactly_once() {
     const PER_STREAM: usize = 50;
     // The broker→node0 link drops during [50ms, 56ms) of virtual time (the
-    // default retry budget of 2+4+8ms outlives the window) and node1's link
+    // retry budget of 2+4+8ms outlives the window) and node1's link
     // runs an 8× latency spike; the batched fan-out lands inside both.
     let plan = FaultPlan::new()
         .inject(
@@ -504,8 +504,8 @@ fn rain_policy(id: &str, stream: &str) -> Policy {
 #[test]
 fn transient_link_faults_degrade_to_retries() {
     fn on<S: Shape>() {
-        // Every broker→node link drops during [50ms, 53ms); the default
-        // retry policy backs off 2ms + 4ms, outliving the window.
+        // Every broker→node link drops during [50ms, 53ms); the broker backs
+        // off 2ms + 4ms, outliving the window.
         let window = (Duration::from_millis(50), Duration::from_millis(53));
         let plan = FaultPlan::new()
             .inject(Fault::NodeDown { node: NodeId::Server(0) }, window.0, window.1)
@@ -519,19 +519,28 @@ fn transient_link_faults_degrade_to_retries() {
         assert!(now() >= window.1, "retries consumed virtual time");
 
         // A permanent fault exhausts the budget and reports typed failure,
-        // naming the logical node and, in the detail, its host.
+        // naming the logical node and, in the detail, its host. The budget
+        // is 4 attempts: 3 retries after backoffs of 2, 4 and 8 ms.
         let forever = FaultPlan::new()
             .inject_forever(Fault::NodeDown { node: NodeId::Server(0) }, Duration::ZERO)
             .inject_forever(Fault::NodeDown { node: NodeId::Server(1) }, Duration::ZERO);
         let fabric = S::build(FabricConfig::local(2).with_fault_plan(Arc::new(forever)));
         let owner = fabric.owner_of("weather");
+        let retries_before = broker_counter(&fabric, Metric::BrokerRetries);
+        let clock_before = fabric.clock().now_nanos();
         match fabric.register_stream("weather", Schema::weather_example()) {
             Err(ExacmlError::NodeUnavailable { node, detail }) => {
                 assert_eq!(node, owner.to_string());
                 assert!(detail.contains("host"), "detail: {detail}");
+                assert!(detail.contains("4 attempt(s)"), "detail: {detail}");
             }
             other => panic!("expected NodeUnavailable, got {other:?}"),
         }
+        assert_eq!(broker_counter(&fabric, Metric::BrokerRetries) - retries_before, 3);
+        assert_eq!(
+            Duration::from_nanos(fabric.clock().now_nanos() - clock_before),
+            Duration::from_millis(14)
+        );
     }
     on::<Plain>();
     on::<Replicated>();

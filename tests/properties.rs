@@ -498,8 +498,8 @@ mod plan_sharing_equivalence {
 mod pdp_equivalence {
     use super::*;
     use exacml_xacml::{
-        AttributeCategory, AttributeMatch, AttributeValue, Pdp, Policy, PolicyCombiningAlg,
-        PolicyStore, Request, Rule, Target,
+        AttributeCategory, AttributeMatch, AttributeValue, Pdp, Policy, PolicyStore, Request, Rule,
+        Target,
     };
     use std::sync::Arc;
 
@@ -618,8 +618,7 @@ mod pdp_equivalence {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The indexed PDP returns bit-identical decisions and obligations
-        /// to the linear-scan reference on random stores, under every
-        /// combining algorithm.
+        /// to the linear-scan reference on random stores.
         #[test]
         fn indexed_pdp_matches_linear_reference(
             specs in proptest::collection::vec(arb_policy_spec(), 0..24),
@@ -629,17 +628,11 @@ mod pdp_equivalence {
             for (i, spec) in specs.iter().enumerate() {
                 store.add(build_policy(i, spec)).unwrap();
             }
-            for combining in [
-                PolicyCombiningAlg::FirstApplicable,
-                PolicyCombiningAlg::PermitOverrides,
-                PolicyCombiningAlg::DenyOverrides,
-            ] {
-                let pdp = Pdp::new(Arc::clone(&store)).with_combining(combining);
-                for request in &requests {
-                    let reference = pdp.evaluate_linear(request);
-                    prop_assert_eq!(&pdp.evaluate(request), &reference,
-                        "index diverged under {:?} for {}", combining, request);
-                }
+            let pdp = Pdp::new(store);
+            for request in &requests {
+                let reference = pdp.evaluate_linear(request);
+                prop_assert_eq!(&pdp.evaluate(request), &reference,
+                    "index diverged for {}", request);
             }
         }
 
