@@ -2,11 +2,11 @@
 # The repo's one performance gate: the benchmark (BENCHMARK.json, benchmark/)
 # on a base commit and on this checkout, side by side.
 #
-#   ci/bench_ab.sh <base-ref>
+#   ci/bench_ab.sh <base-ref> [pairs]
 #
 # Checks the base out as a git worktree under a temporary directory, builds
 # each side's benchmark/ offline into its own CARGO_TARGET_DIR, then for every
-# workload the manifest lists runs 5 pairs of
+# workload the manifest lists runs `pairs` (default 5) pairs of
 # `--workload W --seed S --seconds <run_seconds> --trace 0` through each side's
 # own benchmark/run.sh, alternating which side goes first. Prints, per
 # workload x end-to-end metric, `parent median [q1, q3] -> change median
@@ -16,8 +16,12 @@
 # operations than the parent, or when the change's median is worse than the
 # parent's by more than the metric's bound *and* the parent's own quartile
 # spread is narrower than that bound. A cell the parent's spread can explain
-# reads `unresolved`. Nothing else may run meanwhile: the benchmark pins its
-# lanes to the CPUs it finds.
+# reads `unresolved`. A cell reads `GAIN` instead when the change's median is
+# better, the change won at least 9 in 10 of the pairs, and the medians differ
+# by more than the parent's interquartile range: the rule for claiming a
+# gain (at the default 5 pairs it takes all five).
+# Nothing else may run meanwhile: the benchmark pins its lanes to the CPUs it
+# finds.
 #
 # `sync` runs before every run: a replicated_mixed run journals about half a
 # gigabyte and deletes it on exit, and the kernel writes that back during
@@ -26,8 +30,10 @@
 # one (0.15 to 1.12 s was read on identical code).
 set -euo pipefail
 
-[ "$#" -eq 1 ] || { echo "usage: ci/bench_ab.sh <base-ref>" >&2; exit 2; }
-pairs=5
+usage() { echo "usage: ci/bench_ab.sh <base-ref> [pairs]" >&2; exit 2; }
+[ "$#" -eq 1 ] || [ "$#" -eq 2 ] || usage
+pairs="${2:-5}"
+[[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 change="$(git rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
 parent="$tmp/parent"
@@ -112,6 +118,8 @@ END {
             moved = cm > pm ? cm - pm : pm - cm
             if (worse > bound[name]) verdict = spread < bound[name] ? "REGRESSION" : "unresolved"
             else verdict = (moved > 0 && moved <= p3 - p1) || spread >= bound[name] ? "unresolved" : "within bound"
+            better = higher[name] ? cm > pm : cm < pm
+            if (better && wins * 10 >= 9 * pairs && moved > p3 - p1) verdict = "GAIN"
             if (verdict == "REGRESSION") bad = 1
             printf "%-17s %-24s parent %.6g [%.6g, %.6g] -> change %.6g [%.6g, %.6g]  x%.3f  change ahead %d/%d  %s\n", \
                 w, name, pm, p1, p3, cm, c1, c3, pm ? cm / pm : 1, wins, pairs, verdict

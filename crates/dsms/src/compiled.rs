@@ -7,7 +7,9 @@
 //! the hot path touches values by position only:
 //!
 //! * filter conditions become [`CompiledPredicate`] trees whose leaves carry
-//!   the value-row index of their attribute;
+//!   the value-row index of their attribute, evaluated a whole batch at a
+//!   time ([`CompiledPredicate::select`]) over per-batch numeric column
+//!   views ([`Columns`]);
 //! * map projections become a plain `Vec<usize>` of source positions;
 //! * aggregation specs carry the source position of their input attribute.
 //!
@@ -104,22 +106,68 @@ impl CompiledResidual {
         self.mask.as_ref().map(|(_, schema)| schema)
     }
 
-    /// Apply the residual to one core output tuple: `None` when the
-    /// predicate rejects it, otherwise the (possibly projected) tuple.
-    pub(crate) fn apply(&self, tuple: &Tuple) -> Option<Tuple> {
-        if let Some(pred) = &self.predicate {
-            if !pred.matches(tuple.values()) {
-                return None;
-            }
-        }
+    /// What this rider receives of one batch of core output tuples: the
+    /// rows its predicate selects (one pass over the batch, reading the
+    /// batch's shared column cache), each cloned or projected, in order.
+    pub(crate) fn apply(&self, columns: &mut Columns<'_>) -> Vec<Tuple> {
+        let rows = columns.rows;
+        let Some(predicate) = &self.predicate else {
+            return rows.iter().map(|tuple| self.project(tuple)).collect();
+        };
+        let keep = predicate.select(columns);
+        let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+        out.extend(selected(rows, &keep).map(|tuple| self.project(tuple)));
+        out
+    }
+
+    /// One selected row as this rider sees it.
+    fn project(&self, tuple: &Tuple) -> Tuple {
         match &self.mask {
             Some((indices, schema)) => {
-                let values: Arc<[Value]> =
-                    indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-                Some(Tuple::from_trusted_parts(Arc::clone(schema), values))
+                let values = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
+                Tuple::from_trusted_parts(Arc::clone(schema), values)
             }
-            None => Some(tuple.clone()),
+            None => tuple.clone(),
         }
+    }
+}
+
+/// The rows of a batch that a selection keeps, in order.
+fn selected<'a>(rows: &'a [Tuple], keep: &'a [bool]) -> impl Iterator<Item = &'a Tuple> + 'a {
+    rows.iter().zip(keep).filter_map(|(tuple, &k)| k.then_some(tuple))
+}
+
+/// One batch seen column-wise: a lazily filled `f64` view of every
+/// attribute position a predicate over the batch compares with a number
+/// (`NaN` where the value is `Text` or `Null`, which no comparison
+/// accepts). Every predicate evaluated over the same batch — a deployment's
+/// residual riders — shares one cache, so each column is read once per
+/// batch.
+pub(crate) struct Columns<'a> {
+    rows: &'a [Tuple],
+    numeric: Vec<(usize, Vec<f64>)>,
+}
+
+impl<'a> Columns<'a> {
+    pub(crate) fn new(rows: &'a [Tuple]) -> Self {
+        Columns { rows, numeric: Vec::new() }
+    }
+
+    /// The numeric view of the values at `index`, built on first use.
+    fn numeric(&mut self, index: usize) -> &[f64] {
+        let at = match self.numeric.iter().position(|(i, _)| *i == index) {
+            Some(at) => at,
+            None => {
+                let column = self
+                    .rows
+                    .iter()
+                    .map(|tuple| tuple.values()[index].as_f64().unwrap_or(f64::NAN))
+                    .collect();
+                self.numeric.push((index, column));
+                self.numeric.len() - 1
+            }
+        };
+        &self.numeric[at].1
     }
 }
 
@@ -166,6 +214,37 @@ impl CompiledPredicate {
         }
     }
 
+    /// Evaluate over a whole batch: one flag per row of `columns`, `true`
+    /// where [`CompiledPredicate::matches`] would accept the row. Number
+    /// leaves are one tight loop over the cached column; text leaves, which
+    /// no numeric view can answer, fall back to `matches` row by row.
+    pub(crate) fn select(&self, columns: &mut Columns<'_>) -> Vec<bool> {
+        match self {
+            CompiledPredicate::Const(b) => vec![*b; columns.rows.len()],
+            CompiledPredicate::Cmp { index, op, literal: Scalar::Number(n) } => {
+                select_numeric(columns.numeric(*index), *op, *n)
+            }
+            CompiledPredicate::Cmp { .. } => {
+                columns.rows.iter().map(|tuple| self.matches(tuple.values())).collect()
+            }
+            CompiledPredicate::Not(inner) => {
+                let mut keep = inner.select(columns);
+                keep.iter_mut().for_each(|k| *k = !*k);
+                keep
+            }
+            CompiledPredicate::And(a, b) => {
+                let mut keep = a.select(columns);
+                keep.iter_mut().zip(b.select(columns)).for_each(|(k, r)| *k &= r);
+                keep
+            }
+            CompiledPredicate::Or(a, b) => {
+                let mut keep = a.select(columns);
+                keep.iter_mut().zip(b.select(columns)).for_each(|(k, r)| *k |= r);
+                keep
+            }
+        }
+    }
+
     /// Evaluate against a value row, without name lookups or allocation.
     pub(crate) fn matches(&self, values: &[Value]) -> bool {
         match self {
@@ -177,6 +256,20 @@ impl CompiledPredicate {
             CompiledPredicate::And(a, b) => a.matches(values) && b.matches(values),
             CompiledPredicate::Or(a, b) => a.matches(values) || b.matches(values),
         }
+    }
+}
+
+/// One number leaf over a column. A `NaN` on either side fails every
+/// operator, as `partial_cmp` does in [`compare_value`]; for `!=` that
+/// takes the explicit guard, since `NaN != n` is `true` in IEEE arithmetic.
+fn select_numeric(column: &[f64], op: CmpOp, n: f64) -> Vec<bool> {
+    match op {
+        CmpOp::Lt => column.iter().map(|&x| x < n).collect(),
+        CmpOp::Gt => column.iter().map(|&x| x > n).collect(),
+        CmpOp::Le => column.iter().map(|&x| x <= n).collect(),
+        CmpOp::Ge => column.iter().map(|&x| x >= n).collect(),
+        CmpOp::Eq => column.iter().map(|&x| x == n).collect(),
+        CmpOp::Ne => column.iter().map(|&x| !x.is_nan() && !n.is_nan() && x != n).collect(),
     }
 }
 
@@ -241,35 +334,39 @@ impl CompiledStage {
         CompiledStage { op, output_schema, window }
     }
 
-    /// Run one input tuple through the stage, appending derived tuples to
-    /// `out`. Filters forward the tuple untouched (a cheap `Arc` clone);
-    /// maps build a new row by position; aggregations feed the window buffer
-    /// and emit one tuple per closed window.
-    pub(crate) fn process(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
+    /// Run a batch of input tuples through the stage, appending derived
+    /// tuples to `out` in order. A filter evaluates its predicate once over
+    /// the whole batch ([`CompiledPredicate::select`]) and forwards the
+    /// selected tuples untouched (one reference-count bump each); a map
+    /// builds a new row by position per tuple; an aggregation feeds the
+    /// window buffer tuple by tuple and emits one tuple per closed window.
+    pub(crate) fn process_batch(&mut self, input: &[Tuple], out: &mut Vec<Tuple>) {
         match &self.op {
             CompiledOp::Filter(pred) => {
-                if pred.matches(tuple.values()) {
-                    out.push(tuple.clone());
-                }
+                let keep = pred.select(&mut Columns::new(input));
+                out.extend(selected(input, &keep).cloned());
             }
             CompiledOp::Map(indices) => {
-                let values: Arc<[Value]> =
-                    indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-                out.push(Tuple::from_trusted_parts(Arc::clone(&self.output_schema), values));
+                out.extend(input.iter().map(|tuple| {
+                    let values = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
+                    Tuple::from_trusted_parts(Arc::clone(&self.output_schema), values)
+                }));
             }
             CompiledOp::Aggregate { op, source_indices } => {
                 let buffer =
                     self.window.as_mut().expect("aggregate stages always carry a window buffer");
                 let output_schema = &self.output_schema;
-                buffer.push_visit(tuple.clone(), |window| {
-                    let values: Arc<[Value]> = op
-                        .specs
-                        .iter()
-                        .zip(source_indices.iter())
-                        .map(|(spec, &idx)| compute_indexed(spec.function, window, idx))
-                        .collect();
-                    out.push(Tuple::from_trusted_parts(Arc::clone(output_schema), values));
-                });
+                for tuple in input {
+                    buffer.push_visit(tuple.clone(), |window| {
+                        let values = op
+                            .specs
+                            .iter()
+                            .zip(source_indices.iter())
+                            .map(|(spec, &idx)| compute_indexed(spec.function, window, idx))
+                            .collect();
+                        out.push(Tuple::from_trusted_parts(Arc::clone(output_schema), values));
+                    });
+                }
             }
         }
     }
@@ -426,6 +523,20 @@ mod tests {
         Tuple::builder(&schema()).set("a", a).set("b", b).set("s", s).finish().unwrap()
     }
 
+    impl CompiledStage {
+        /// One tuple through the stage, as a batch of one.
+        fn process(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
+            self.process_batch(std::slice::from_ref(tuple), out);
+        }
+    }
+
+    impl CompiledResidual {
+        /// What the rider receives of a batch of one.
+        fn apply_one(&self, tuple: &Tuple) -> Option<Tuple> {
+            self.apply(&mut Columns::new(std::slice::from_ref(tuple))).pop()
+        }
+    }
+
     #[test]
     fn compiled_predicate_agrees_with_interpreted_eval() {
         let conditions = [
@@ -455,6 +566,67 @@ mod tests {
         }
     }
 
+    /// The batch evaluator and the row evaluator agree on every leaf kind
+    /// the numeric column view cannot answer alone: text literals, constant
+    /// leaves, leaves over a missing attribute, and `!=` against a `NaN` or
+    /// `Null` value (which `matches` rejects but IEEE `!=` would accept).
+    #[test]
+    fn select_agrees_with_matches_row_by_row() {
+        let shared = schema().shared();
+        let null_row = Tuple::new(Arc::clone(&shared), vec![Value::Null; 3]).unwrap();
+        let rows = [
+            tuple(0.5, 3, "x"),
+            tuple(f64::NAN, 1, "y"),
+            tuple(1.0, 5, ""),
+            null_row,
+            tuple(-2.0, 0, "x"),
+        ];
+        let conditions = [
+            "s = 'x'",
+            "s != 'x'",
+            "NOT (s = 'y') AND a > 0",
+            "TRUE",
+            "FALSE",
+            "NOT FALSE",
+            "missing > 3",
+            "missing != 3",
+            "NOT (missing = 3) OR s = 'x'",
+            "a != 1",
+            "b != 3",
+            "NOT (a != 0.5)",
+            "nosuch != 1 OR b != 5",
+            "s != 2",
+            "a != 'x'",
+            "a >= -2 AND a <= 1",
+        ];
+        for cond in conditions {
+            let Ok(expr) = parse_expr(cond) else { panic!("`{cond}` does not parse") };
+            let compiled = CompiledPredicate::compile(&expr, &schema());
+            let keep = compiled.select(&mut Columns::new(&rows));
+            let by_row: Vec<bool> = rows.iter().map(|t| compiled.matches(t.values())).collect();
+            let interpreted: Vec<bool> = rows.iter().map(|t| eval(&expr, t)).collect();
+            assert_eq!(keep, by_row, "select and matches disagree on `{cond}`");
+            assert_eq!(keep, interpreted, "select and eval disagree on `{cond}`");
+        }
+    }
+
+    #[test]
+    fn riders_of_one_batch_share_its_column_cache() {
+        let rows: Vec<Tuple> = (0..6).map(|i| tuple(f64::from(i), i64::from(i), "x")).collect();
+        let mut columns = Columns::new(&rows);
+        let over = |cond: &str| {
+            let spec =
+                ResidualSpec { predicate: Some(parse_expr(cond).unwrap()), projection: None };
+            CompiledResidual::compile(&spec, &schema()).unwrap()
+        };
+        assert_eq!(over("a > 3").apply(&mut columns), rows[4..].to_vec());
+        assert_eq!(
+            over("a < 2 OR b = 5").apply(&mut columns),
+            vec![rows[0].clone(), rows[1].clone(), rows[5].clone()]
+        );
+        assert_eq!(columns.numeric.len(), 2, "one cached view per column read");
+    }
+
     #[test]
     fn compiled_map_projects_by_position() {
         let op = MapOp::new(["s", "a"]);
@@ -478,8 +650,8 @@ mod tests {
         let residual = CompiledResidual::compile(&spec, &schema()).unwrap();
         assert_eq!(residual.masked_schema().unwrap().field_names(), vec!["s", "b"]);
 
-        assert!(residual.apply(&tuple(0.5, 3, "x")).is_none());
-        let out = residual.apply(&tuple(2.0, 7, "y")).unwrap();
+        assert!(residual.apply_one(&tuple(0.5, 3, "x")).is_none());
+        let out = residual.apply_one(&tuple(2.0, 7, "y")).unwrap();
         assert_eq!(out.schema().field_names(), vec!["s", "b"]);
         assert_eq!(out.get("s").unwrap().as_str(), Some("y"));
         assert_eq!(out.get_f64("b"), Some(7.0));
@@ -492,7 +664,7 @@ mod tests {
         let residual = CompiledResidual::compile(&spec, &schema()).unwrap();
         assert!(residual.masked_schema().is_none());
         let t = tuple(1.0, 2, "z");
-        assert_eq!(residual.apply(&t), Some(t));
+        assert_eq!(residual.apply_one(&t), Some(t));
     }
 
     #[test]
@@ -507,7 +679,7 @@ mod tests {
         let spec =
             ResidualSpec { predicate: Some(parse_expr("bogus > 1").unwrap()), projection: None };
         let residual = CompiledResidual::compile(&spec, &schema()).unwrap();
-        assert!(residual.apply(&tuple(9.0, 9, "x")).is_none());
+        assert!(residual.apply_one(&tuple(9.0, 9, "x")).is_none());
     }
 
     /// A filter→map chain, compiled and fused the way `StreamEngine::deploy`

@@ -36,12 +36,13 @@
 //!
 //! Per-tuple work is allocation-light: operator chains are compiled at
 //! deploy time (`compiled.rs`) so attribute positions are resolved
-//! once, and [`Tuple`] rows are `Arc`-backed so fan-out to N deployments and
-//! M subscribers costs one reference-count bump per tuple a subscriber
-//! actually receives, not copies.
+//! once, and filter stages and per-grant residuals evaluate their predicate
+//! over the whole batch in one pass. A [`Tuple`] is a single `Arc` pointer,
+//! so fan-out to N deployments and M subscribers costs one reference-count
+//! operation per tuple a subscriber actually receives, not copies.
 
 use crate::catalog::{StreamCatalog, StreamHandle};
-use crate::compiled::{CompiledResidual, CompiledStage, ResidualSpec};
+use crate::compiled::{Columns, CompiledResidual, CompiledStage, ResidualSpec};
 use crate::error::DsmsError;
 use crate::graph::QueryGraph;
 use crate::schema::Schema;
@@ -159,12 +160,14 @@ impl DeploymentState {
     /// return how many were emitted.
     ///
     /// Disconnected receivers are dropped first, on every batch whether it
-    /// emits or not. Each remaining subscriber is sent one `Vec` per batch:
-    /// the outputs its residual passes (filtered and projected by it), or a
-    /// clone of every output when it has none — one reference-count bump per
-    /// tuple it receives, none for a tuple its residual rejects, and no send
-    /// at all when nothing is left. The shared chain above runs once either
-    /// way.
+    /// emits or not. Each remaining subscriber is sent one `Vec` per batch,
+    /// sized to what it receives: a clone of every output when it has no
+    /// residual, otherwise the outputs its residual's predicate selects in
+    /// one pass over the batch (reading numeric column views built once per
+    /// batch and shared by all riders), cloned or projected. A delivered
+    /// tuple costs one reference-count bump (or one projected row), a
+    /// rejected one nothing beyond its predicate flag, and an empty batch no
+    /// send at all. The shared chain above runs once either way.
     fn process_and_fan_out(&mut self, tuples: &[Tuple]) -> usize {
         self.subscribers.retain(|slot| !slot.tx.is_disconnected());
 
@@ -174,16 +177,12 @@ impl DeploymentState {
         let outputs: &[Tuple] = match self.stages.split_first_mut() {
             None => tuples,
             Some((first, rest)) => {
-                for tuple in tuples {
-                    first.process(tuple, current);
-                }
+                first.process_batch(tuples, current);
                 for stage in rest {
                     if current.is_empty() {
                         break;
                     }
-                    for tuple in current.iter() {
-                        stage.process(tuple, next);
-                    }
+                    stage.process_batch(current, next);
                     current.clear();
                     std::mem::swap(current, next);
                 }
@@ -193,10 +192,11 @@ impl DeploymentState {
         let emitted = outputs.len();
         self.emitted += emitted as u64;
 
+        let mut columns = Columns::new(outputs);
         for slot in &self.subscribers {
             let batch: Vec<Tuple> = match &slot.residual {
                 None => outputs.to_vec(),
-                Some(residual) => outputs.iter().filter_map(|t| residual.apply(t)).collect(),
+                Some(residual) => residual.apply(&mut columns),
             };
             if !batch.is_empty() {
                 let _ = slot.tx.send(batch);

@@ -76,7 +76,7 @@ impl MapOp {
     /// Apply the projection to one tuple.
     #[must_use]
     pub fn apply(&self, tuple: &Tuple, output_schema: &Arc<Schema>) -> Tuple {
-        tuple.project(&self.attributes, Arc::clone(output_schema))
+        tuple.project(Arc::clone(output_schema))
     }
 }
 

@@ -13,14 +13,18 @@ use std::sync::Arc;
 
 /// One tuple of a data stream.
 ///
-/// Both the schema and the value row live behind `Arc`s, so cloning a tuple
-/// costs two reference-count increments regardless of arity — the engine
-/// fans one source tuple out to many deployments and subscribers without
-/// copying the payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tuple {
+/// A tuple is one pointer to a shared, immutable row holding its schema and
+/// values, so cloning or dropping it costs one reference-count operation
+/// regardless of arity — the engine fans one source tuple out to many
+/// deployments and subscribers without copying the payload.
+#[derive(Clone, PartialEq)]
+pub struct Tuple(Arc<Row>);
+
+/// The shared payload behind a [`Tuple`].
+#[derive(PartialEq)]
+struct Row {
     schema: Arc<Schema>,
-    values: Arc<[Value]>,
+    values: Box<[Value]>,
 }
 
 impl Tuple {
@@ -46,21 +50,19 @@ impl Tuple {
                 ));
             }
         }
-        Ok(Tuple { schema, values: values.into() })
+        Ok(Tuple::from_trusted_parts(schema, values.into()))
     }
 
     /// Create a tuple without re-validating values against the schema.
     ///
     /// For engine-internal producers (compiled operators) whose output is
     /// correct by construction; offers the derived-tuple hot path a way to
-    /// skip the per-field compatibility scan. Accepts the row as anything
-    /// that converts into the shared `Arc<[Value]>` form — collecting an
-    /// iterator straight into `Arc<[Value]>` saves the intermediate `Vec`.
+    /// skip the per-field compatibility scan. Collecting an iterator straight
+    /// into `Box<[Value]>` saves the intermediate `Vec`.
     #[must_use]
-    pub(crate) fn from_trusted_parts(schema: Arc<Schema>, values: impl Into<Arc<[Value]>>) -> Self {
-        let values = values.into();
+    pub(crate) fn from_trusted_parts(schema: Arc<Schema>, values: Box<[Value]>) -> Self {
         debug_assert_eq!(schema.len(), values.len());
-        Tuple { schema, values }
+        Tuple(Arc::new(Row { schema, values }))
     }
 
     /// Start building a tuple field-by-field.
@@ -78,19 +80,19 @@ impl Tuple {
     /// The tuple's schema.
     #[must_use]
     pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        &self.0.schema
     }
 
     /// All values in schema order.
     #[must_use]
     pub fn values(&self) -> &[Value] {
-        &self.values
+        &self.0.values
     }
 
     /// Value of the named attribute.
     #[must_use]
     pub fn get(&self, attr: &str) -> Option<&Value> {
-        self.schema.index_of(attr).map(|i| &self.values[i])
+        self.schema().index_of(attr).map(|i| &self.values()[i])
     }
 
     /// Numeric value of the named attribute (ints, doubles, timestamps).
@@ -104,7 +106,7 @@ impl Tuple {
     /// windows.
     #[must_use]
     pub fn event_time(&self) -> Option<i64> {
-        let field = self.schema.timestamp_field()?;
+        let field = self.schema().timestamp_field()?;
         match self.get(&field.name) {
             Some(Value::Timestamp(t)) => Some(*t),
             Some(Value::Int(t)) => Some(*t),
@@ -112,24 +114,23 @@ impl Tuple {
         }
     }
 
-    /// Project the tuple onto a subset of attributes (unknown names are
-    /// skipped), producing a tuple over the projected schema.
+    /// Project the tuple onto the attributes of `projected_schema`, in its
+    /// order (one the tuple lacks reads `Null`).
     #[must_use]
-    pub fn project(&self, attrs: &[String], projected_schema: Arc<Schema>) -> Tuple {
-        let values: Vec<Value> = projected_schema
+    pub fn project(&self, projected_schema: Arc<Schema>) -> Tuple {
+        let values = projected_schema
             .fields()
             .iter()
             .map(|f| self.get(&f.name).cloned().unwrap_or(Value::Null))
             .collect();
-        let _ = attrs; // the projected schema already encodes the attribute list
-        Tuple { schema: projected_schema, values: values.into() }
+        Tuple::from_trusted_parts(projected_schema, values)
     }
 
     /// Rough serialized size in bytes, used by the simulated network to model
     /// transfer cost.
     #[must_use]
     pub fn approx_size_bytes(&self) -> usize {
-        self.values
+        self.values()
             .iter()
             .map(|v| match v {
                 Value::Text(s) => 8 + s.len(),
@@ -146,13 +147,22 @@ impl Bindings for Tuple {
     }
 }
 
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tuple")
+            .field("schema", self.schema())
+            .field("values", &self.values())
+            .finish()
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let parts: Vec<String> = self
-            .schema
+            .schema()
             .fields()
             .iter()
-            .zip(self.values.iter())
+            .zip(self.values())
             .map(|(field, value)| format!("{}={}", field.name, value))
             .collect();
         write!(f, "{{{}}}", parts.join(", "))
@@ -282,10 +292,15 @@ mod tests {
         let t = weather_tuple(1.0, 2.0);
         let attrs = vec!["samplingtime".to_string(), "rainrate".to_string()];
         let projected_schema = t.schema().project(&attrs).shared();
-        let p = t.project(&attrs, projected_schema);
+        let p = t.project(projected_schema);
         assert_eq!(p.schema().len(), 2);
         assert_eq!(p.get_f64("rainrate"), Some(1.0));
         assert!(p.get("windspeed").is_none());
+    }
+
+    #[test]
+    fn a_tuple_is_one_pointer() {
+        assert_eq!(std::mem::size_of::<Tuple>(), std::mem::size_of::<usize>());
     }
 
     #[test]

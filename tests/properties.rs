@@ -8,9 +8,11 @@
 //! * sliding-window buffering emits exactly the windows the specification
 //!   prescribes;
 //! * the Section 3.4 reconstruction always succeeds against unconstrained
-//!   multi-window access (which is why the guard exists).
+//!   multi-window access (which is why the guard exists);
+//! * filters and residuals evaluated a batch at a time deliver exactly the
+//!   rows the row-at-a-time interpreter accepts.
 
-use exacml_dsms::{AggFunc, AggSpec, QueryGraph, QueryGraphBuilder, WindowSpec};
+use exacml_dsms::{AggFunc, AggSpec, FilterOp, QueryGraph, QueryGraphBuilder, WindowSpec};
 use exacml_expr::{
     check_two_simple, eval::eval, normalize::eliminate_not, normalize::is_not_free, parse_expr,
     simplify, CmpOp, Dnf, Expr, MapBindings, SimpleExpr, Verdict,
@@ -487,6 +489,99 @@ mod plan_sharing_equivalence {
                     );
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batch predicate evaluation vs. the row-at-a-time reference
+// ---------------------------------------------------------------------------
+
+mod batch_predicate_equivalence {
+    use super::*;
+    use exacml_dsms::{DataType, ResidualSpec, Schema, StreamEngine, Tuple, Value};
+    use std::sync::Arc;
+
+    /// The column types `a`, `b` and `c` are drawn from: every one of them
+    /// meets `arb_expr`'s numeric literals, `Text` included.
+    const KINDS: [DataType; 4] = [DataType::Double, DataType::Int, DataType::Bool, DataType::Text];
+
+    /// One cell of a column of type `kind`: `Null` one time in eight, a
+    /// `NaN` in a `Double` column as often, otherwise a value around the
+    /// literals `arb_expr` draws (`-5..15`).
+    fn cell(kind: DataType, code: u32) -> Value {
+        let n = i64::from(code) - 6;
+        match (kind, code % 8) {
+            (_, 0) => Value::Null,
+            (DataType::Double, 1) => Value::Double(f64::NAN),
+            (DataType::Double, 2) => Value::Double(n as f64 + 0.5),
+            (DataType::Double, _) => Value::Double(n as f64),
+            (DataType::Int, _) => Value::Int(n),
+            (DataType::Bool, _) => Value::Bool(code % 2 == 1),
+            (_, _) => Value::Text(if code % 2 == 1 { "7".into() } else { "x".into() }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A condition evaluated over whole batches — once as a filter plan,
+        /// once as the residual of a rider on an identity plan — delivers,
+        /// in order, exactly the rows the row-at-a-time interpreter accepts,
+        /// however the rows are cut into pushes.
+        #[test]
+        fn filter_and_residual_deliver_exactly_what_eval_accepts(
+            condition in arb_expr(),
+            kinds in (0usize..4, 0usize..4, 0usize..4),
+            rows in proptest::collection::vec((0u32..24, 0u32..24, 0u32..24), 0..40),
+            cuts in proptest::collection::vec(1usize..9, 1..8),
+        ) {
+            let (ka, kb, kc) = (KINDS[kinds.0], KINDS[kinds.1], KINDS[kinds.2]);
+            let schema = Schema::from_pairs([("a", ka), ("b", kb), ("c", kc)]);
+            let shared = schema.clone().shared();
+            let tuples: Vec<Tuple> = rows
+                .iter()
+                .map(|&(a, b, c)| {
+                    Tuple::new(Arc::clone(&shared), vec![cell(ka, a), cell(kb, b), cell(kc, c)])
+                        .unwrap()
+                })
+                .collect();
+            // Rows are compared as displayed: a row holding `NaN` is not
+            // `==` to itself.
+            let shown = |rows: Vec<Tuple>| rows.iter().map(Tuple::to_string).collect::<Vec<_>>();
+            let expected = shown(tuples.iter().filter(|t| eval(&condition, *t)).cloned().collect());
+
+            let engine = StreamEngine::new();
+            engine.register_stream("s", schema).unwrap();
+            let filter_plan = engine
+                .deploy(&QueryGraphBuilder::on_stream("s").filter(FilterOp::new(condition.clone())).build())
+                .unwrap();
+            let identity = engine.deploy(&QueryGraph::identity("s")).unwrap();
+            let residual = ResidualSpec { predicate: Some(condition.clone()), projection: None };
+            let rider = engine.attach_handle(identity.id, Some(&residual)).unwrap();
+            let via_filter = engine.subscribe(&filter_plan.output_handle).unwrap();
+            let via_residual = engine.subscribe(&rider).unwrap();
+
+            let mut rest = tuples.as_slice();
+            for &size in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(size.min(rest.len()));
+                match batch {
+                    [only] => engine.push("s", only.clone()).unwrap(),
+                    _ => engine.push_batch("s", batch.to_vec()).unwrap(),
+                };
+                rest = tail;
+            }
+            prop_assert_eq!(
+                shown(via_filter.take_all()), expected.clone(),
+                "filter plan `{}` over {:?}", condition, (ka, kb, kc)
+            );
+            prop_assert_eq!(
+                shown(via_residual.take_all()), expected,
+                "residual `{}` over {:?}", condition, (ka, kb, kc)
+            );
         }
     }
 }
