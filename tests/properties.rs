@@ -553,9 +553,8 @@ mod batch_predicate_equivalence {
 
             let engine = StreamEngine::new();
             engine.register_stream("s", schema).unwrap();
-            let filter_plan = engine
-                .deploy(&QueryGraphBuilder::on_stream("s").filter(FilterOp::new(condition.clone())).build())
-                .unwrap();
+            let filter = QueryGraphBuilder::on_stream("s").filter(FilterOp::new(condition.clone()));
+            let filter_plan = engine.deploy(&filter.build()).unwrap();
             let identity = engine.deploy(&QueryGraph::identity("s")).unwrap();
             let residual = ResidualSpec { predicate: Some(condition.clone()), projection: None };
             let rider = engine.attach_handle(identity.id, Some(&residual)).unwrap();
