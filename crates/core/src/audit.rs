@@ -8,12 +8,11 @@
 //! life-cycle events — that owners can query per subject, per stream or per
 //! policy.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The kind of event recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditEventKind {
     /// A request was granted and a new query graph deployed.
     Granted,
@@ -36,9 +35,9 @@ pub enum AuditEventKind {
 }
 
 impl AuditEventKind {
-    /// Every kind, in declaration order. A journal that serializes kinds by
-    /// name (the serde derive uses the *variant* names, e.g. `"Granted"`)
-    /// can parse them back by scanning this list.
+    /// Every kind, in declaration order. A journal that writes kinds by
+    /// name (the durable store writes the *variant* names, e.g.
+    /// `"Granted"`) can parse them back by scanning this list.
     pub const ALL: [AuditEventKind; 9] = [
         AuditEventKind::Granted,
         AuditEventKind::Reused,
@@ -80,7 +79,7 @@ impl std::fmt::Display for AuditEventKind {
 }
 
 /// One audit record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEvent {
     /// Monotonically increasing sequence number.
     pub sequence: u64,

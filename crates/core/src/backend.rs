@@ -37,7 +37,6 @@ use exacml_dsms::{Schema, StreamEngine, StreamHandle, Tuple, TupleReceiver};
 use exacml_simnet::NodeId;
 use exacml_telemetry::TelemetrySnapshot;
 use exacml_xacml::{Policy, Request};
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,7 +76,7 @@ impl BackendResponse {
 /// A single server tags everything with [`NodeId::DataServer`]; a fabric
 /// aggregates its node-local logs and tags each event with the owning
 /// shard's [`NodeId::Server`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaggedAuditEvent {
     /// The node whose audit log recorded the event.
     pub node: NodeId,
@@ -91,7 +90,7 @@ pub struct TaggedAuditEvent {
 /// fabric nodes used to be discoverable only by tripping over the resulting
 /// errors. What the fault-tolerance machinery has *done* (retries,
 /// failovers, re-minted handles) is counted in [`Backend::telemetry`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackendHealth {
     /// Nodes the backend currently cannot serve from: declared dead,
     /// crashed and awaiting failover, or behind an active fault window.

@@ -27,10 +27,9 @@ use crate::error::ExacmlError;
 use crate::warnings::{check_aggregate_merge, check_map_merge, Warning, WarningSource};
 use exacml_dsms::{AggregateOp, FilterOp, MapOp, Operator, QueryGraph};
 use exacml_expr::{analyze_merge, simplify, ConflictReport, Expr, Origin};
-use serde::{Deserialize, Serialize};
 
 /// Options controlling the merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeOptions {
     /// Use the paper's literal `S3 = S1 ∪ S2` rule for map operators instead
     /// of the safe intersection (default `false`).

@@ -8,11 +8,10 @@
 //! decomposition for one request; [`TimingBreakdown`] aggregates many of
 //! them into the statistics the figures plot (CDFs, means, percentiles).
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The timing decomposition of one fulfilled request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestTiming {
     /// Time spent in the PDP (policy evaluation).
     pub pdp: Duration,
@@ -68,7 +67,7 @@ impl RequestTiming {
 }
 
 /// Aggregated statistics over many request timings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimingBreakdown {
     totals: Vec<f64>,
     pdp: Vec<f64>,

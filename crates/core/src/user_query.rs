@@ -26,10 +26,9 @@
 use crate::error::ExacmlError;
 use exacml_dsms::{AggFunc, AggSpec, QueryGraph, QueryGraphBuilder, WindowKind, WindowSpec};
 use exacml_xacml::xml::{parse_document, XmlElement};
-use serde::{Deserialize, Serialize};
 
 /// The aggregation part of a user query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserAggregation {
     /// Requested sliding window.
     pub window: WindowSpec,
@@ -38,7 +37,7 @@ pub struct UserAggregation {
 }
 
 /// A customised continuous query attached to an access request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserQuery {
     /// The stream the query targets.
     pub stream: String,

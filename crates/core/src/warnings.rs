@@ -13,11 +13,10 @@
 
 use exacml_dsms::{AggregateOp, MapOp};
 use exacml_expr::Verdict;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which operator pair produced the warning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WarningSource {
     /// Filter vs filter condition conflict.
     Filter,
@@ -38,7 +37,7 @@ impl fmt::Display for WarningSource {
 }
 
 /// The severity of a warning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WarningKind {
     /// Partial result: some tuples matching the user query are withheld.
     PartialResult,
@@ -56,7 +55,7 @@ impl fmt::Display for WarningKind {
 }
 
 /// A warning raised while merging the policy and user query graphs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Warning {
     /// PR or NR.
     pub kind: WarningKind,

@@ -9,7 +9,6 @@
 use crate::error::DsmsError;
 use crate::schema::Schema;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +16,7 @@ use std::sync::Arc;
 
 /// A unique resource identifier for a (derived) data stream,
 /// e.g. `exacml://dsms-host/streams/42`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StreamHandle(String);
 
 impl StreamHandle {

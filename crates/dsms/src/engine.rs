@@ -50,7 +50,6 @@ use crate::tuple::Tuple;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use exacml_telemetry::{Metric, Stage, Telemetry};
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::TryRecvError;
@@ -58,7 +57,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Identifier of one deployed query graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeploymentId(pub u64);
 
 impl std::fmt::Display for DeploymentId {

@@ -14,11 +14,10 @@ use crate::ops::map::MapOp;
 use crate::ops::Operator;
 use crate::schema::Schema;
 use crate::window::WindowSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One node (box) of a query graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphNode {
     /// Position of the node in the chain (0-based).
     pub id: usize,
@@ -27,7 +26,7 @@ pub struct GraphNode {
 }
 
 /// A continuous query: a chain of operator boxes over one input stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryGraph {
     /// Name of the input stream the query is applied to.
     pub stream: String,

@@ -12,7 +12,6 @@ use crate::schema::{Field, Schema};
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use crate::window::{SlidingBuffer, WindowSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use std::sync::Arc;
 /// (`{Avg, Max, Min, Count, LastValue, FirstValue, ...}` in Section 2.2 —
 /// we additionally support `Sum` and `Stddev`, which StreamBase provides and
 /// the Section 3.4 reconstruction example uses `Sum`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Arithmetic mean.
     Avg,
@@ -163,7 +162,7 @@ impl fmt::Display for AggFunc {
 
 /// One `attribute:function` pair of an aggregation operator, e.g.
 /// `rainrate:avg` in the paper's obligation encoding.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// Attribute to aggregate.
     pub attribute: String,
@@ -210,7 +209,7 @@ impl fmt::Display for AggSpec {
 }
 
 /// The window-based aggregation operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateOp {
     /// Sliding window parameters.
     pub window: WindowSpec,

@@ -4,14 +4,13 @@ use crate::error::DsmsError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use exacml_expr::{eval::eval, parse_expr, Expr};
-use serde::{Deserialize, Serialize};
 
 /// A filter operator: tuples pass through only when the condition holds.
 ///
 /// The condition is a boolean expression over the stream's attributes
 /// composed of the comparison operators `<, >, <=, >=, =, !=` and the
 /// connectives `AND`, `OR`, `NOT` (Section 2.1 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterOp {
     condition: Expr,
     /// The original textual form, preserved for StreamSQL generation and

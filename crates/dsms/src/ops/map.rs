@@ -3,12 +3,11 @@
 use crate::error::DsmsError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A map operator: projects each tuple onto a subset of attributes
 /// (Section 2.1 — "a map operator contains a set of projected attributes").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapOp {
     attributes: Vec<String>,
 }

@@ -15,11 +15,10 @@ use crate::schema::Schema;
 use aggregate::AggregateOp;
 use filter::FilterOp;
 use map::MapOp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One operator box of a query graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operator {
     /// Selection on a boolean condition.
     Filter(FilterOp),

@@ -7,12 +7,11 @@
 //! windspeed, winddirection, barometer)`.
 
 use crate::value::DataType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A named, typed column of a stream schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Attribute name (lower-case by convention).
     pub name: String,
@@ -34,7 +33,7 @@ impl fmt::Display for Field {
 }
 
 /// An ordered collection of fields describing the tuples of one stream.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -1,14 +1,13 @@
 //! Typed values carried by stream tuples.
 
 use exacml_expr::Scalar;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The data types supported by stream schemas.
 ///
 /// These mirror the StreamSQL column types the paper's Figure 4(b) uses
 /// (`timestamp`, `double`, `int`) plus `bool` and `string` for completeness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -63,7 +62,7 @@ impl fmt::Display for DataType {
 }
 
 /// A single typed value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),

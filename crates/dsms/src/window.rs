@@ -9,13 +9,12 @@
 //! time units) per emission.
 
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Whether the window size/advance are counted in tuples or time units
 /// (milliseconds of the stream's timestamp attribute).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowKind {
     /// Window boundaries are counted in number of tuples.
     Tuple,
@@ -52,7 +51,7 @@ impl fmt::Display for WindowKind {
 }
 
 /// A sliding-window specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowSpec {
     /// Tuple-based or time-based.
     pub kind: WindowKind,

@@ -54,6 +54,28 @@ pub use server::{DurableConfig, DurableServer, JournalMark, RecoveryReport, Topo
 pub use snapshot::Snapshot;
 pub use wal::{FailMode, WalFailpoint};
 
+use serde_json::Value;
+
+/// The version of the store format this build writes and the only one it
+/// recovers. [`DurableServer::create`] stamps it into `meta.json`, every
+/// snapshot carries it, and [`DurableServer::recover`] refuses a store whose
+/// `meta.json` or snapshot holds any other value. The encoders that define
+/// the format live in [`record`] and [`snapshot`]; `meta.json`'s is in
+/// [`server`].
+pub const FORMAT_VERSION: u64 = 1;
+
+/// Refuse a `meta.json` or snapshot document not stamped [`FORMAT_VERSION`].
+fn check_format_version(document: &Value) -> Result<(), String> {
+    match document.get("version").and_then(Value::as_f64) {
+        Some(found) if found == FORMAT_VERSION as f64 => Ok(()),
+        Some(found) => Err(format!(
+            "format version {found} is not supported: this build reads only version \
+             {FORMAT_VERSION}"
+        )),
+        None => Err("missing numeric 'version'".to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,10 +6,12 @@
 //! operation. Policies and user queries are journaled in their *wire*
 //! forms — the XACML policy document and the Figure 4(a) user-query XML —
 //! so the journal depends only on formats the system already round-trips,
-//! not on Rust struct layouts. Stream schemas and audit events use the
-//! workspace's `serde` encoding; ingest rows are positional JSON scalars
-//! typed by the stream schema at replay time ([`decode_row`]).
-//! `docs/RECOVERY.md` documents every shape with examples.
+//! not on Rust struct layouts. Stream schemas, grants and audit events are
+//! written by the hand encoders in this module, each next to its decoder,
+//! so renaming a Rust field never changes what a store holds; ingest rows
+//! are positional JSON scalars typed by the stream schema at replay time
+//! ([`decode_row`]). `docs/RECOVERY.md` documents every shape with
+//! examples, and this crate's `tests/golden.rs` pins the bytes.
 //!
 //! Decoding is defensive: a record that does not match the vocabulary is
 //! reported as an error string (recovery treats it like a corrupt tail)
@@ -17,11 +19,11 @@
 
 use exacml_dsms::{DataType, Field, Schema, Tuple, Value as DsmsValue};
 use exacml_plus::{AuditEvent, AuditEventKind};
-use serde::{Content, Serialize};
+use serde::Content;
 use serde_json::Value;
 
 /// A live access grant, as journaled and as carried in snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrantRecord {
     /// The requesting subject.
     pub subject: String,
@@ -116,21 +118,19 @@ impl Record {
         let mut push = |key: &str, content: Content| entries.push((key.to_string(), content));
         match self {
             Record::RegisterStream { name, schema } => {
-                push("name", name.to_content());
-                push("schema", schema.to_content());
+                push("name", text(name));
+                push("schema", schema_content(schema));
             }
-            Record::LoadPolicy { xml } | Record::UpdatePolicy { xml } => {
-                push("xml", xml.to_content());
-            }
-            Record::RemovePolicy { id } => push("id", id.to_content()),
-            Record::Grant(grant) => push("grant", grant.to_content()),
+            Record::LoadPolicy { xml } | Record::UpdatePolicy { xml } => push("xml", text(xml)),
+            Record::RemovePolicy { id } => push("id", text(id)),
+            Record::Grant(grant) => push("grant", grant_content(grant)),
             Record::Release { subject, stream } => {
-                push("subject", subject.to_content());
-                push("stream", stream.to_content());
+                push("subject", text(subject));
+                push("stream", text(stream));
             }
-            Record::Audit(event) => push("event", event.to_content()),
+            Record::Audit(event) => push("event", audit_event_content(event)),
             Record::Ingest { stream, rows } => {
-                push("stream", stream.to_content());
+                push("stream", text(stream));
                 push(
                     "rows",
                     Content::Seq(
@@ -155,6 +155,68 @@ impl Record {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Encoding: the store's own shapes, each the mirror of its decoder below
+// ---------------------------------------------------------------------------
+
+/// A JSON object with its keys in the given order.
+pub(crate) fn object<const N: usize>(entries: [(&str, Content); N]) -> Content {
+    Content::Map(entries.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
+}
+
+pub(crate) fn text(s: &str) -> Content {
+    Content::Str(s.to_string())
+}
+
+fn opt_text(s: Option<&str>) -> Content {
+    s.map_or(Content::Null, text)
+}
+
+/// The journal's name for a data type: its variant name, which
+/// [`decode_data_type`] reads back. Exhaustive, so a new type must be named
+/// here before a store can hold it.
+fn data_type_name(data_type: DataType) -> &'static str {
+    match data_type {
+        DataType::Int => "Int",
+        DataType::Double => "Double",
+        DataType::Bool => "Bool",
+        DataType::Text => "Text",
+        DataType::Timestamp => "Timestamp",
+    }
+}
+
+/// Encode a schema as `{"fields":[{"name":…,"data_type":…},…]}`.
+pub fn schema_content(schema: &Schema) -> Content {
+    let fields = schema.fields().iter().map(|f| {
+        object([("name", text(&f.name)), ("data_type", text(data_type_name(f.data_type)))])
+    });
+    object([("fields", Content::Seq(fields.collect()))])
+}
+
+/// Encode an audit event, its fields in declaration order.
+pub fn audit_event_content(event: &AuditEvent) -> Content {
+    object([
+        ("sequence", Content::U64(event.sequence)),
+        ("timestamp_ms", Content::U64(event.timestamp_ms)),
+        ("kind", text(audit_kind_name(event.kind))),
+        ("subject", opt_text(event.subject.as_deref())),
+        ("stream", opt_text(event.stream.as_deref())),
+        ("policy_id", opt_text(event.policy_id.as_deref())),
+        ("detail", text(&event.detail)),
+    ])
+}
+
+/// Encode a grant; an absent user query is written as `null`.
+pub fn grant_content(grant: &GrantRecord) -> Content {
+    object([
+        ("subject", text(&grant.subject)),
+        ("stream", text(&grant.stream)),
+        ("query_xml", opt_text(grant.query_xml.as_deref())),
+        ("deployment", Content::U64(grant.deployment)),
+        ("handle", text(&grant.handle)),
+    ])
+}
+
 /// A raw ingest cell (as parsed back from the journal) rendered as
 /// [`Content`] for the generic record encoder.
 fn raw_cell_content(cell: &Value) -> Content {
@@ -163,7 +225,8 @@ fn raw_cell_content(cell: &Value) -> Content {
         Value::Bool(b) => Content::Bool(*b),
         Value::Number(n) => Content::F64(*n),
         Value::String(s) => Content::Str(s.clone()),
-        // Rows never carry containers; encode defensively as null.
+        // Rows never carry containers and `decode` refuses them; encode
+        // defensively as null.
         Value::Array(_) | Value::Object(_) => Content::Null,
     }
 }
@@ -397,8 +460,7 @@ fn decode_data_type(name: &str) -> Result<DataType, String> {
     }
 }
 
-/// Decode a schema from its serde encoding
-/// (`{"fields":[{"name":…,"data_type":…},…]}`).
+/// Decode a schema written by [`schema_content`].
 pub fn decode_schema(value: &Value) -> Result<Schema, String> {
     let fields =
         field(value, "fields")?.as_array().ok_or_else(|| "'fields' is not an array".to_string())?;
@@ -411,11 +473,11 @@ pub fn decode_schema(value: &Value) -> Result<Schema, String> {
     Ok(Schema::new(decoded))
 }
 
-/// The journal's name for an audit-event kind — the serde derive's
-/// unit-variant encoding (the variant name). Exhaustive on purpose: adding
-/// a kind fails compilation here, forcing the decode match below (and the
-/// recovery path with it) to learn the new name *before* a live server can
-/// journal events an older `recover()` would choke on.
+/// The journal's name for an audit-event kind: its variant name. Exhaustive
+/// on purpose: adding a kind fails compilation here, forcing the decode
+/// match below (and the recovery path with it) to learn the new name
+/// *before* a live server can journal events an older `recover()` would
+/// choke on.
 fn audit_kind_name(kind: AuditEventKind) -> &'static str {
     match kind {
         AuditEventKind::Granted => "Granted",
@@ -437,7 +499,7 @@ fn decode_audit_kind(name: &str) -> Result<AuditEventKind, String> {
         .ok_or_else(|| format!("unknown audit event kind '{name}'"))
 }
 
-/// Decode an audit event from its serde encoding.
+/// Decode an audit event written by [`audit_event_content`].
 pub fn decode_audit_event(value: &Value) -> Result<AuditEvent, String> {
     Ok(AuditEvent {
         sequence: u64_field(value, "sequence")?,
@@ -450,7 +512,7 @@ pub fn decode_audit_event(value: &Value) -> Result<AuditEvent, String> {
     })
 }
 
-/// Decode a grant from its serde encoding.
+/// Decode a grant written by [`grant_content`].
 pub fn decode_grant(value: &Value) -> Result<GrantRecord, String> {
     Ok(GrantRecord {
         subject: str_field(value, "subject")?,
@@ -490,6 +552,9 @@ pub fn decode(value: &Value) -> Result<Record, String> {
             for row in rows {
                 let cells =
                     row.as_array().ok_or_else(|| "ingest row is not an array".to_string())?;
+                if cells.iter().any(|cell| matches!(cell, Value::Array(_) | Value::Object(_))) {
+                    return Err("ingest cell is not a scalar".to_string());
+                }
                 decoded.push(cells.to_vec());
             }
             Ok(Record::Ingest { stream, rows: decoded })
@@ -631,8 +696,8 @@ mod tests {
 
     #[test]
     fn every_audit_kind_survives_the_journal() {
-        // The name table must agree with the serde derive's encoding for
-        // every kind, or recovery would reject valid journals.
+        // Stores hold each kind under its variant name; the table must keep
+        // writing those names, or recovery would reject valid journals.
         for kind in AuditEventKind::ALL {
             assert_eq!(audit_kind_name(kind), format!("{kind:?}"), "name table drifted");
             let event = AuditEvent {
@@ -660,6 +725,8 @@ mod tests {
             r#"{"seq":0,"op":"grant","grant":{"subject":"s"}}"#,
             r#"{"seq":0,"op":"register_stream","name":"s","schema":{"fields":[{"name":"a","data_type":"Quat"}]}}"#,
             r#"{"seq":0,"op":"ingest","stream":"s","rows":[7]}"#,
+            r#"{"seq":0,"op":"ingest","stream":"s","rows":[[[1]]]}"#,
+            r#"{"seq":0,"op":"ingest","stream":"s","rows":[[{"a":1}]]}"#,
             r#"{"seq":0,"op":"audit","event":{"sequence":1,"timestamp_ms":2,"kind":"Nope","detail":""}}"#,
         ] {
             let value = serde_json::from_str(bad).unwrap();

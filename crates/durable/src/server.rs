@@ -42,9 +42,10 @@
 //! restored only while their ingest records are still in the WAL tail —
 //! compaction seals them, which the recovery document spells out.
 
-use crate::record::{decode_row, encode_ingest_into, GrantRecord, Record};
+use crate::record::{decode_row, encode_ingest_into, object, text, GrantRecord, Record};
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot, StreamEntry};
 use crate::wal::{read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
+use crate::{check_format_version, FORMAT_VERSION};
 use exacml_dsms::{Schema, StreamHandle, Tuple};
 use exacml_plus::{
     AccessControl, AuditEvent, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError,
@@ -112,7 +113,7 @@ impl TopologyPreset {
 /// Configuration of a durable server: the wrapped server's behaviour plus
 /// the journaling knobs. Persisted to `meta.json` when the store is
 /// created, so [`DurableServer::recover`] needs only the path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableConfig {
     /// The simulated deployment topology (persisted by preset name).
     pub topology: TopologyPreset,
@@ -239,62 +240,48 @@ fn durability(context: &str, error: impl std::fmt::Display) -> ExacmlError {
     ExacmlError::Durability(format!("{context}: {error}"))
 }
 
-fn write_meta(path: &Path, config: &DurableConfig) -> Result<(), ExacmlError> {
-    let content = Content::Map(vec![
-        ("version".to_string(), Content::U64(1)),
-        ("topology".to_string(), Content::Str(config.topology.name().to_string())),
-        ("deploy_on_partial_result".to_string(), Content::Bool(config.deploy_on_partial_result)),
-        ("seed".to_string(), Content::U64(config.seed)),
-        ("dsms_host".to_string(), Content::Str(config.dsms_host.clone())),
-        ("share_plans".to_string(), Content::Bool(config.share_plans)),
-        ("sync_writes".to_string(), Content::Bool(config.sync_writes)),
-        ("snapshot_every".to_string(), Content::U64(config.snapshot_every)),
+/// Encode a configuration as the `meta.json` payload (framing is the
+/// WAL's), stamped with [`FORMAT_VERSION`].
+#[must_use]
+pub fn encode_meta(config: &DurableConfig) -> String {
+    let content = object([
+        ("version", Content::U64(FORMAT_VERSION)),
+        ("topology", text(config.topology.name())),
+        ("deploy_on_partial_result", Content::Bool(config.deploy_on_partial_result)),
+        ("seed", Content::U64(config.seed)),
+        ("dsms_host", text(&config.dsms_host)),
+        ("share_plans", Content::Bool(config.share_plans)),
+        ("sync_writes", Content::Bool(config.sync_writes)),
+        ("snapshot_every", Content::U64(config.snapshot_every)),
     ]);
-    let payload =
-        serde_json::content_to_string(&content).map_err(|e| durability("encode meta", e))?;
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, crate::wal::frame(&payload)).map_err(|e| durability("write meta", e))?;
-    // fsync before the rename (like the snapshot writer): a power loss must
-    // not leave a durable rename pointing at un-persisted data blocks —
-    // a torn meta.json would brick every later `recover(path)`.
-    let file = std::fs::File::open(&tmp).map_err(|e| durability("reopen meta", e))?;
-    file.sync_all().map_err(|e| durability("sync meta", e))?;
-    std::fs::rename(&tmp, path).map_err(|e| durability("commit meta", e))
+    serde_json::content_to_string(&content).expect("meta.json holds no floats")
 }
 
-fn read_meta(path: &Path) -> Result<DurableConfig, ExacmlError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| durability(&format!("read {}", path.display()), e))?;
-    let payload = unframe(text.trim_end_matches('\n'))
-        .ok_or_else(|| durability("read meta", "frame or checksum mismatch"))?;
-    let value: Value = serde_json::from_str(payload).map_err(|e| durability("parse meta", e))?;
-    let bool_of = |key: &str| {
-        value
-            .get(key)
-            .and_then(Value::as_bool)
-            .ok_or_else(|| durability("parse meta", format!("missing boolean '{key}'")))
-    };
-    // Stores written while these were settings carry them as keys. The code
-    // now fixes each to one value, so a store that ran with another value is
-    // refused rather than recovered under a merge rule or ingest journaling
-    // that would change what its grants deliver.
+/// Decode a parsed `meta.json` payload written by [`encode_meta`].
+///
+/// # Errors
+/// Refuses what this build cannot recover before reading anything: another
+/// format version, and the keys of retired settings at any value but the
+/// one the code now fixes. Stores written while the merge rule and ingest
+/// journaling were settings carry those keys; recovering a store that ran
+/// with another value would change what its grants deliver. Otherwise
+/// describes the first missing or mistyped key.
+pub fn decode_meta(value: &Value) -> Result<DurableConfig, String> {
+    check_format_version(value)?;
     for (key, fixed) in [("map_union", false), ("simplify_filters", true), ("journal_ingest", true)]
     {
         if value.get(key).is_some_and(|found| found.as_bool() != Some(fixed)) {
-            return Err(durability(
-                "parse meta",
-                format!("'{key}' is not {fixed}: this version supports no other value"),
-            ));
+            return Err(format!("'{key}' is not {fixed}: this version supports no other value"));
         }
     }
-    let topology_name = value
-        .get("topology")
-        .and_then(Value::as_str)
-        .ok_or_else(|| durability("parse meta", "missing 'topology'"))?;
+    let bool_of = |key: &str| {
+        value.get(key).and_then(Value::as_bool).ok_or_else(|| format!("missing boolean '{key}'"))
+    };
+    let topology_name =
+        value.get("topology").and_then(Value::as_str).ok_or("missing 'topology'")?;
     Ok(DurableConfig {
-        topology: TopologyPreset::from_name(topology_name).ok_or_else(|| {
-            durability("parse meta", format!("unknown topology preset '{topology_name}'"))
-        })?,
+        topology: TopologyPreset::from_name(topology_name)
+            .ok_or_else(|| format!("unknown topology preset '{topology_name}'"))?,
         deploy_on_partial_result: bool_of("deploy_on_partial_result")?,
         seed: value.get("seed").and_then(Value::as_f64).unwrap_or(42.0) as u64,
         dsms_host: value.get("dsms_host").and_then(Value::as_str).unwrap_or("dsms").to_string(),
@@ -305,6 +292,30 @@ fn read_meta(path: &Path) -> Result<DurableConfig, ExacmlError> {
         sync_writes: bool_of("sync_writes")?,
         snapshot_every: value.get("snapshot_every").and_then(Value::as_f64).unwrap_or(0.0) as u64,
     })
+}
+
+fn write_meta(path: &Path, config: &DurableConfig) -> Result<(), ExacmlError> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, crate::wal::frame(&encode_meta(config)))
+        .map_err(|e| durability("write meta", e))?;
+    // fsync before the rename (like the snapshot writer): a power loss must
+    // not leave a durable rename pointing at un-persisted data blocks —
+    // a torn meta.json would brick every later `recover(path)`.
+    let file = std::fs::File::open(&tmp).map_err(|e| durability("reopen meta", e))?;
+    file.sync_all().map_err(|e| durability("sync meta", e))?;
+    std::fs::rename(&tmp, path).map_err(|e| durability("commit meta", e))
+}
+
+/// Read `meta.json`; every failure is a `Durability` error naming the file.
+fn read_meta(path: &Path) -> Result<DurableConfig, ExacmlError> {
+    let file = format!("read {}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| durability(&file, e))?;
+    let payload = unframe(text.trim_end_matches('\n'))
+        .ok_or_else(|| durability(&file, "frame or checksum mismatch"))?;
+    serde_json::from_str(payload)
+        .map_err(|e| e.to_string())
+        .and_then(|value| decode_meta(&value))
+        .map_err(|e| durability(&file, e))
 }
 
 impl DurableServer {
@@ -826,7 +837,6 @@ impl DurableServer {
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| durability("snapshot streams", e))?;
         let snapshot = Snapshot {
-            version: 1,
             wal_horizon: journal.next_seq,
             store_revision: self.inner.policy_store().revision(),
             next_deployment_id: journal.next_deployment_id,

@@ -16,17 +16,26 @@
 //! because every WAL record's sequence number is compared against the
 //! snapshot's [`Snapshot::wal_horizon`] during replay, so already-folded
 //! records are skipped, not applied twice.
+//!
+//! [`encode_snapshot`] and [`decode_snapshot`] define the snapshot's bytes,
+//! from the same per-type encoders and decoders the WAL records use
+//! ([`crate::record`]). The payload carries the store's
+//! [`FORMAT_VERSION`], and a snapshot at any other version is refused.
 
-use crate::record::{decode_audit_event, decode_grant, decode_schema, GrantRecord};
+use crate::record::{
+    audit_event_content, decode_audit_event, decode_grant, decode_schema, grant_content, object,
+    schema_content, text, GrantRecord,
+};
 use crate::wal::{frame, unframe};
+use crate::{check_format_version, FORMAT_VERSION};
 use exacml_dsms::Schema;
 use exacml_plus::AuditEvent;
-use serde::Serialize;
+use serde::Content;
 use serde_json::Value;
 use std::path::Path;
 
 /// A registered input stream, as carried in snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamEntry {
     /// The stream name.
     pub name: String,
@@ -35,10 +44,8 @@ pub struct StreamEntry {
 }
 
 /// The compacted logical state of a durable server.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// Snapshot format version.
-    pub version: u64,
     /// The journal horizon: every WAL record with `seq < wal_horizon` is
     /// already folded into this snapshot and is skipped during replay.
     pub wal_horizon: u64,
@@ -65,12 +72,33 @@ pub struct Snapshot {
     pub audit: Vec<AuditEvent>,
 }
 
+/// Encode a snapshot as its JSON payload (framing is the WAL's), stamped
+/// with [`FORMAT_VERSION`].
+#[must_use]
+pub fn encode_snapshot(snapshot: &Snapshot) -> String {
+    let streams = snapshot.streams.iter().map(|entry| {
+        object([("name", text(&entry.name)), ("schema", schema_content(&entry.schema))])
+    });
+    serde_json::content_to_string(&object([
+        ("version", Content::U64(FORMAT_VERSION)),
+        ("wal_horizon", Content::U64(snapshot.wal_horizon)),
+        ("store_revision", Content::U64(snapshot.store_revision)),
+        ("next_deployment_id", Content::U64(snapshot.next_deployment_id)),
+        ("next_handle_serial", Content::U64(snapshot.next_handle_serial)),
+        ("streams", Content::Seq(streams.collect())),
+        ("policies", Content::Seq(snapshot.policies.iter().map(|xml| text(xml)).collect())),
+        ("grants", Content::Seq(snapshot.grants.iter().map(grant_content).collect())),
+        ("audit", Content::Seq(snapshot.audit.iter().map(audit_event_content).collect())),
+    ]))
+    .expect("a snapshot holds no floats")
+}
+
 /// Write a snapshot atomically: temporary file, fsync, rename.
 ///
 /// # Errors
-/// Propagates I/O errors and unencodable floats.
+/// Propagates I/O errors.
 pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
-    let payload = serde_json::to_string(snapshot).map_err(|e| e.to_string())?;
+    let payload = encode_snapshot(snapshot);
     let tmp = path.with_extension("json.tmp");
     std::fs::write(&tmp, frame(&payload)).map_err(|e| e.to_string())?;
     let file = std::fs::File::open(&tmp).map_err(|e| e.to_string())?;
@@ -84,7 +112,8 @@ pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
 /// the durability promise.
 ///
 /// # Errors
-/// Fails on I/O errors, checksum mismatches and vocabulary mismatches.
+/// Fails on I/O errors, checksum mismatches, vocabulary mismatches and any
+/// format version but [`FORMAT_VERSION`], naming the file.
 pub fn read_snapshot(path: &Path) -> Result<Option<Snapshot>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -93,8 +122,11 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Snapshot>, String> {
     };
     let payload = unframe(text.trim_end_matches('\n'))
         .ok_or_else(|| format!("{}: snapshot frame or checksum mismatch", path.display()))?;
-    let value = serde_json::from_str(payload).map_err(|e| e.to_string())?;
-    decode_snapshot(&value).map(Some)
+    serde_json::from_str(payload)
+        .map_err(|e| e.to_string())
+        .and_then(|value| decode_snapshot(&value))
+        .map(Some)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn u64_of(value: &Value, key: &str) -> Result<u64, String> {
@@ -112,7 +144,13 @@ fn seq_of<'v>(value: &'v Value, key: &str) -> Result<&'v [Value], String> {
         .ok_or_else(|| format!("snapshot is missing array '{key}'"))
 }
 
-fn decode_snapshot(value: &Value) -> Result<Snapshot, String> {
+/// Decode a parsed snapshot payload written by [`encode_snapshot`].
+///
+/// # Errors
+/// Refuses a payload at any format version but [`FORMAT_VERSION`], and
+/// describes the first other mismatch against the vocabulary.
+pub fn decode_snapshot(value: &Value) -> Result<Snapshot, String> {
+    check_format_version(value)?;
     let mut streams = Vec::new();
     for entry in seq_of(value, "streams")? {
         let name = entry
@@ -140,7 +178,6 @@ fn decode_snapshot(value: &Value) -> Result<Snapshot, String> {
         .and_then(Value::as_f64)
         .map_or(next_deployment_id, |f| f as u64);
     Ok(Snapshot {
-        version: u64_of(value, "version")?,
         wal_horizon: u64_of(value, "wal_horizon")?,
         store_revision: u64_of(value, "store_revision")?,
         next_deployment_id,
@@ -167,7 +204,6 @@ mod tests {
 
     fn sample() -> Snapshot {
         Snapshot {
-            version: 1,
             wal_horizon: 42,
             store_revision: 7,
             next_deployment_id: 12,
@@ -202,15 +238,7 @@ mod tests {
         assert!(read_snapshot(&path).unwrap().is_none());
         let snapshot = sample();
         write_snapshot(&path, &snapshot).unwrap();
-        let read = read_snapshot(&path).unwrap().unwrap();
-        assert_eq!(read.wal_horizon, snapshot.wal_horizon);
-        assert_eq!(read.store_revision, snapshot.store_revision);
-        assert_eq!(read.next_deployment_id, snapshot.next_deployment_id);
-        assert_eq!(read.next_handle_serial, snapshot.next_handle_serial);
-        assert_eq!(read.streams, snapshot.streams);
-        assert_eq!(read.policies, snapshot.policies);
-        assert_eq!(read.grants, snapshot.grants);
-        assert_eq!(read.audit, snapshot.audit);
+        assert_eq!(read_snapshot(&path).unwrap(), Some(snapshot));
         // No leftover temporary file.
         assert!(!path.with_extension("json.tmp").exists());
     }

@@ -10,11 +10,10 @@
 //!
 //! [`Expr`] models complex expressions, [`SimpleExpr`] the leaves.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A comparison operator of a simple expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -89,7 +88,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// The constant side of a simple expression: a number or a string.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scalar {
     /// A numeric constant. All numerics are carried as `f64`, matching the
     /// DSMS `double` columns the paper's weather example uses.
@@ -180,7 +179,7 @@ impl From<String> for Scalar {
 /// Where a simple expression came from. The PR/NR analysis is asymmetric:
 /// a *policy* predicate narrowing a *user* predicate is a partial-result
 /// situation, while the reverse is perfectly fine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Origin {
     /// Derived from a policy obligation.
     Policy,
@@ -192,7 +191,7 @@ pub enum Origin {
 }
 
 /// A simple expression `attr op value`, optionally tagged with its origin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimpleExpr {
     /// Attribute name (a column of the stream schema).
     pub attr: String,
@@ -256,7 +255,7 @@ impl fmt::Display for SimpleExpr {
 }
 
 /// A complex expression: the boolean combination of simple expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Constant true (the neutral element for AND; an absent filter).
     True,

@@ -19,11 +19,10 @@
 
 use crate::ast::{CmpOp, Expr, Origin, Scalar, SimpleExpr};
 use crate::dnf::{Conjunct, Dnf};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Outcome of a conflict check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Verdict {
     /// No conflict: the user receives everything their query asks for.
     Compatible,
@@ -53,7 +52,7 @@ impl fmt::Display for Verdict {
 }
 
 /// Detailed outcome of [`analyze_merge`] / [`check_dnf`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConflictReport {
     /// The overall alert raised to the user.
     pub verdict: Verdict,

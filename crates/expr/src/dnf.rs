@@ -10,11 +10,10 @@
 use crate::ast::{Expr, SimpleExpr};
 use crate::normalize::eliminate_not;
 use crate::postfix::{to_postfix, PostfixTok};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A conjunction of simple expressions (one "clause" of the DNF).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Conjunct {
     /// The conjoined simple expressions.
     pub terms: Vec<SimpleExpr>,
@@ -77,7 +76,7 @@ impl fmt::Display for Conjunct {
 }
 
 /// A condition in disjunctive normal form.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dnf {
     /// The disjuncts. An empty list is the constant FALSE; a list containing
     /// one empty conjunct is the constant TRUE.

@@ -6,11 +6,10 @@
 //! deterministic given the caller's RNG, so experiment runs are reproducible.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// How the per-message latency is drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// A constant latency.
     Constant,
@@ -30,7 +29,7 @@ pub enum LatencyModel {
 }
 
 /// One directed network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Base one-way propagation latency in microseconds.
     pub base_latency_us: f64,

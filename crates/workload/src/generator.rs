@@ -22,7 +22,6 @@ use exacml_plus::StreamPolicyBuilder;
 use exacml_xacml::{Policy, Request};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One continuous query of the workload, in its three forms.
 #[derive(Debug, Clone)]
@@ -61,7 +60,7 @@ impl ContinuousQuery {
 }
 
 /// Which request sequence shape an experiment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SequenceKind {
     /// Every request is distinct (set-up 1 of the evaluation).
     Unique,
@@ -71,7 +70,7 @@ pub enum SequenceKind {
 }
 
 /// A sequence of request indices into the query corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestSequence {
     /// Unique or Zipf.
     pub kind: SequenceKind,

@@ -17,7 +17,7 @@
 
 use crate::scenario::{Expectations, ScenarioPack, ScriptStep, SyntheticFeed};
 use crate::zipf::Zipf;
-use exacml_plus::{AuditEventKind, Backend, ExacmlError, Subscription};
+use exacml_plus::{AuditEventKind, Backend, ExacmlError, Subscription, TaggedAuditEvent};
 use exacml_telemetry::TelemetrySnapshot;
 use exacml_xacml::Request;
 use rand::rngs::StdRng;
@@ -39,7 +39,7 @@ pub struct PackCounts {
 }
 
 /// One stage's telemetry activity (the diff of two registry snapshots).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StageTelemetry {
     /// Stage label (`setup`, `script`, `finish`).
     pub stage: String,
@@ -47,8 +47,8 @@ pub struct StageTelemetry {
     pub telemetry: TelemetrySnapshot,
 }
 
-/// Everything a pack run produced, ready for oracle checks and bench JSON.
-#[derive(Debug, Clone, Serialize)]
+/// Everything a pack run produced, ready for oracle checks.
+#[derive(Debug, Clone)]
 pub struct PackOutcome {
     /// The pack that ran.
     pub pack: String,
@@ -468,13 +468,14 @@ pub fn run_pack_checked(backend: &dyn Backend, pack: &ScenarioPack) -> PackOutco
     outcome
 }
 
-/// Normalize an audit trail for cross-run comparison: wall-clock artifacts
-/// are scrubbed — `timestamp_ms` is zeroed, and the `policy-loaded` detail
-/// (which embeds the measured load duration) is blanked. Node tags,
-/// sequences, subjects, handles and every other detail are kept.
+/// Normalize an audit trail for cross-run comparison with `==`: wall-clock
+/// artifacts are scrubbed — `timestamp_ms` is zeroed, and the
+/// `policy-loaded` detail (which embeds the measured load duration) is
+/// blanked. Node tags, sequences, subjects, handles and every other detail
+/// are kept.
 #[must_use]
-pub fn normalized_audit_json(events: &[exacml_plus::TaggedAuditEvent]) -> String {
-    let normalized: Vec<exacml_plus::TaggedAuditEvent> = events
+pub fn normalized_audit(events: &[TaggedAuditEvent]) -> Vec<TaggedAuditEvent> {
+    events
         .iter()
         .map(|tagged| {
             let mut tagged = tagged.clone();
@@ -484,6 +485,5 @@ pub fn normalized_audit_json(events: &[exacml_plus::TaggedAuditEvent]) -> String
             }
             tagged
         })
-        .collect();
-    serde_json::to_string(&normalized).expect("audit serializes")
+        .collect()
 }

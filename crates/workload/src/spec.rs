@@ -1,11 +1,9 @@
 //! The Table 3 experiment parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// The query-graph composition mix of Table 3: how many direct queries of
 /// each operator combination the workload contains
 /// (`Single FB : Single MB : Single AB : FB+MB : FB+AB : MB+AB : FB+MB+AB`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompositionMix {
     /// Queries with a single filter box.
     pub fb: usize,
@@ -66,7 +64,7 @@ impl CompositionMix {
 }
 
 /// All parameters of the Section 4.2 experiments (Table 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of direct queries (`nDirectQueries` = 1500).
     pub n_direct_queries: usize,

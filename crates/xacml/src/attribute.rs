@@ -4,12 +4,11 @@
 //! (e.g. `http://www.w3.org/2001/XMLSchema#string`) and grouped into the
 //! *subject*, *resource*, *action* and *environment* categories of a request.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The XML Schema data types used by the framework's policies
 /// (Figure 2 uses `#string` and `#integer`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum XmlDataType {
     /// `http://www.w3.org/2001/XMLSchema#string`
     String,
@@ -59,7 +58,7 @@ impl fmt::Display for XmlDataType {
 }
 
 /// A typed attribute value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeValue {
     /// The data type of the value.
     pub data_type: XmlDataType,
@@ -127,7 +126,7 @@ impl fmt::Display for AttributeValue {
 }
 
 /// The category an attribute belongs to inside a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttributeCategory {
     /// The requesting subject (user credentials).
     Subject,

@@ -8,11 +8,10 @@
 
 use crate::attribute::AttributeValue;
 use crate::policy::Effect;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One `<AttributeAssignment>` of an obligation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeAssignment {
     /// The assignment's attribute identifier
     /// (e.g. `pCloud:obligation:stream-filter-condition-id`).
@@ -39,7 +38,7 @@ impl AttributeAssignment {
 }
 
 /// An obligation returned by the PDP on a matching decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Obligation {
     /// The obligation identifier (e.g. `exacml:obligation:stream-filter`).
     pub id: String,

@@ -37,13 +37,12 @@ use crate::policy::{Effect, Policy, Target};
 use crate::request::{ids, Request};
 use crate::XacmlError;
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// The final decision returned to the PEP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Access granted.
     Permit,
@@ -70,7 +69,7 @@ impl fmt::Display for Decision {
 /// The PDP's answer: a decision, the obligations the PEP must fulfil, and the
 /// id of the policy that produced the decision (used by eXACML+ to associate
 /// deployed query graphs with their spawning policy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionResponse {
     /// The decision.
     pub decision: Decision,

@@ -3,11 +3,10 @@
 use crate::attribute::AttributeCategory;
 use crate::obligation::Obligation;
 use crate::request::Request;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The effect of a rule or decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Effect {
     /// Access granted.
     Permit,
@@ -39,7 +38,7 @@ impl Effect {
 /// One attribute matcher of a target: the request must carry an attribute of
 /// the given category and id whose textual value equals `value`
 /// (`string-equal` semantics — the only match function the framework needs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeMatch {
     /// The category the attribute must appear in.
     pub category: AttributeCategory,
@@ -69,7 +68,7 @@ impl AttributeMatch {
 /// A target: the conjunction of attribute matchers that decides whether a
 /// policy or rule applies to a request. An empty target applies to every
 /// request.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Target {
     /// All matchers; every one must be satisfied.
     pub matches: Vec<AttributeMatch>,
@@ -108,7 +107,7 @@ impl Target {
 }
 
 /// A rule inside a policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule identifier.
     pub id: String,
@@ -131,7 +130,7 @@ impl Rule {
 }
 
 /// Rule combining algorithms (within one policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuleCombiningAlg {
     /// The first rule whose target matches decides.
     #[default]
@@ -173,7 +172,7 @@ impl RuleCombiningAlg {
 }
 
 /// An access-control policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     /// Policy identifier (unique within the store).
     pub id: String,

@@ -7,11 +7,10 @@
 //! the PDP always permits it (Section 4.2).
 
 use crate::attribute::{AttributeCategory, AttributeValue};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One attribute of a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestAttribute {
     /// The category (subject / resource / action / environment).
     pub category: AttributeCategory,
@@ -22,7 +21,7 @@ pub struct RequestAttribute {
 }
 
 /// An access request evaluated by the PDP.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Request {
     /// All attributes of the request.
     pub attributes: Vec<RequestAttribute>,

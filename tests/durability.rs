@@ -7,7 +7,7 @@
 use exacml::exacml_dsms::{DataType, Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::record::{decode, decode_row, encode_ingest};
 use exacml::exacml_durable::wal;
-use exacml::exacml_durable::{DurableServer, Record};
+use exacml::exacml_durable::{DurableServer, Record, FORMAT_VERSION};
 use exacml::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -224,6 +224,65 @@ fn a_store_with_the_retired_meta_keys_recovers_only_at_their_fixed_values() {
             other => panic!("{key}: expected a Durability error, got {other:?}"),
         }
     }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Rewrite the `"version":1` stamp of a framed single-line store file
+/// (`meta.json` or `snapshot.json`) to `"version":2`, reframed so only the
+/// version check can object.
+fn stamp_version_2(file: &std::path::Path) {
+    let text = std::fs::read_to_string(file).unwrap();
+    let payload = wal::unframe(text.trim_end_matches('\n')).unwrap();
+    assert!(payload.starts_with("{\"version\":1,"), "{payload}");
+    let stamped = payload.replacen("{\"version\":1,", "{\"version\":2,", 1);
+    std::fs::write(file, wal::frame(&stamped)).unwrap();
+}
+
+/// The refusal of a store at another format version: a `Durability` error
+/// naming the file, the version found and the version supported.
+fn assert_refused_as_version_2(store: &std::path::Path, file: &str) {
+    match DurableServer::recover(store).err() {
+        Some(ExacmlError::Durability(detail)) => {
+            assert!(detail.contains(file), "names {file}: {detail}");
+            assert!(detail.contains("format version 2"), "names the version found: {detail}");
+            assert!(
+                detail.contains(&format!("only version {FORMAT_VERSION}")),
+                "names the version supported: {detail}"
+            );
+        }
+        other => panic!("expected a Durability error, got {other:?}"),
+    }
+}
+
+/// A `meta.json` stamped with a format version this build does not write is
+/// refused, not recovered as if it were this build's format.
+#[test]
+fn a_meta_json_at_another_format_version_is_refused() {
+    let store = fresh_store("meta-v2");
+    {
+        let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+        server.register_stream("weather", Schema::weather_example()).unwrap();
+        server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+    }
+    stamp_version_2(&store.join("meta.json"));
+    assert_refused_as_version_2(&store, "meta.json");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A snapshot stamped with a format version this build does not write is
+/// refused, even though `meta.json` is current.
+#[test]
+fn a_snapshot_at_another_format_version_is_refused() {
+    let store = fresh_store("snapshot-v2");
+    {
+        let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+        server.register_stream("weather", Schema::weather_example()).unwrap();
+        server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+        server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        server.snapshot().unwrap();
+    }
+    stamp_version_2(&store.join("snapshot.json"));
+    assert_refused_as_version_2(&store, "snapshot.json");
     let _ = std::fs::remove_dir_all(&store);
 }
 

@@ -21,7 +21,7 @@
 
 use exacml::exacml_durable::{ReplicatedConfig, Replication};
 use exacml::exacml_workload::packs;
-use exacml::exacml_workload::runner::{normalized_audit_json, run_pack_checked, PackRun};
+use exacml::exacml_workload::runner::{normalized_audit, run_pack_checked, PackRun};
 use exacml::exacml_workload::scenario::ScenarioPack;
 use exacml::prelude::*;
 use exacml_plus::attack::{reconstruct_from_sums, simulate_attack};
@@ -235,7 +235,7 @@ proptest! {
         let run = |p: &ScenarioPack| {
             let backend = BackendBuilder::local().build();
             let outcome = exacml_workload::runner::run_pack(backend.as_ref(), p).unwrap();
-            (outcome.semantic_fingerprint(), normalized_audit_json(&backend.audit_events()))
+            (outcome.semantic_fingerprint(), normalized_audit(&backend.audit_events()))
         };
         let (fingerprint_a, audit_a) = run(&pack);
         let (fingerprint_b, audit_b) = run(&reloaded);
