@@ -2,11 +2,12 @@
 # The repo's one performance gate: the benchmark (BENCHMARK.json, benchmark/)
 # on a base commit and on this checkout, side by side.
 #
-#   ci/bench_ab.sh <base-ref> [pairs]
+#   ci/bench_ab.sh <base-ref> [pairs] [workload,...]
 #
 # Checks the base out as a git worktree under a temporary directory, builds
 # each side's benchmark/ offline into its own CARGO_TARGET_DIR, then for every
-# workload the manifest lists runs `pairs` (default 5) pairs of
+# workload the manifest lists (or only the comma-separated ones given, each
+# checked against the manifest) runs `pairs` (default 5) pairs of
 # `--workload W --seed S --seconds <run_seconds> --trace 0` through each side's
 # own benchmark/run.sh, alternating which side goes first. Prints, per
 # workload x end-to-end metric, `parent median [q1, q3] -> change median
@@ -30,11 +31,34 @@
 # one (0.15 to 1.12 s was read on identical code).
 set -euo pipefail
 
-usage() { echo "usage: ci/bench_ab.sh <base-ref> [pairs]" >&2; exit 2; }
-[ "$#" -eq 1 ] || [ "$#" -eq 2 ] || usage
+usage() { echo "usage: ci/bench_ab.sh <base-ref> [pairs] [workload,...]" >&2; exit 2; }
+[ "$#" -ge 1 ] && [ "$#" -le 3 ] || usage
 pairs="${2:-5}"
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 change="$(git rev-parse --show-toplevel)"
+
+# manifest_workloads <file>: the workload names a manifest lists, one a line.
+manifest_workloads() { awk -F'"' '/"workloads"/ { on = 1; next } /\]/ { on = 0 } on { print $4 }' "$1"; }
+
+# The subset to run, if one is given: every name must be a manifest workload,
+# named once. Checked before anything is built.
+subset=""
+if [ "$#" -eq 3 ]; then
+    known="$(manifest_workloads "$change/BENCHMARK.json")"
+    IFS=, read -ra names <<< "$3"
+    for name in "${names[@]}"; do
+        if ! grep -qxF -- "$name" <<< "$known"; then
+            echo "bench_ab: '$name' is not a workload of BENCHMARK.json:" $known >&2
+            exit 2
+        fi
+        if [[ " $subset " == *" $name "* ]]; then
+            echo "bench_ab: workload '$name' is named twice" >&2
+            exit 2
+        fi
+        subset="$subset $name"
+    done
+    [ -n "$subset" ] || usage
+fi
 tmp="$(mktemp -d)"
 parent="$tmp/parent"
 trap 'git -C "$change" worktree remove --force "$parent" 2>/dev/null; rm -rf "$tmp"' EXIT
@@ -51,7 +75,7 @@ run() {
 run parent manifest > /dev/null
 run change manifest > "$tmp/manifest"
 seconds="$(awk -F'[:,]' '/"run_seconds"/ { print $2 + 0 }' "$tmp/manifest")"
-workloads="$(awk -F'"' '/"workloads"/ { on = 1; next } /\]/ { on = 0 } on { print $4 }' "$tmp/manifest")"
+workloads="${subset:-$(manifest_workloads "$tmp/manifest")}"
 
 for workload in $workloads; do
     for seed in $(seq 1 "$pairs"); do

@@ -143,7 +143,14 @@ impl Subscription {
     /// the shared virtual clock until all in-flight deliveries have arrived,
     /// so the caller never has to know the backend simulates a network.
     pub fn drain(&mut self) -> Vec<Tuple> {
-        self.drain_settled().into_iter().map(|d| d.tuple).collect()
+        match self {
+            Subscription::Local(rx) => rx.take_all(),
+            Subscription::Fabric(sub) => {
+                let mut tuples = Vec::new();
+                sub.drain_settled_into(&mut tuples, |d| d.tuple);
+                tuples
+            }
+        }
     }
 
     /// Every delivery settled so far, **with** its arrival metadata: pull
@@ -166,7 +173,11 @@ impl Subscription {
     pub fn poll_now(&mut self) -> Vec<Tuple> {
         match self {
             Subscription::Local(rx) => rx.take_all(),
-            Subscription::Fabric(sub) => sub.poll().into_iter().map(|d| d.tuple).collect(),
+            Subscription::Fabric(sub) => {
+                let mut tuples = Vec::new();
+                sub.poll_into(&mut tuples, |d| d.tuple);
+                tuples
+            }
         }
     }
 

@@ -509,30 +509,9 @@ impl FabricSubscription {
     /// Tuples whose arrival time is still in the future stay in flight;
     /// advance the fabric clock and poll again to receive them.
     pub fn poll(&mut self) -> Vec<DeliveredTuple> {
-        let now = self.clock.now_nanos();
-        // Everything derived since the last poll leaves the node as one
-        // frame: a single sampled propagation delay for the group, each
-        // tuple paying its own serialisation on top (batched fan-back,
-        // mirroring the broker→node ingest frames).
-        let pending: Vec<(usize, (u64, Tuple))> = self
-            .rx
-            .take_all()
-            .into_iter()
-            .map(|tuple| (tuple.approx_size_bytes(), (now, tuple)))
-            .collect();
-        if !pending.is_empty() {
-            self.link.send_batch(now, pending);
-        }
-        let ready = self.link.drain_ready(now);
-        self.delivered += ready.len() as u64;
-        ready
-            .into_iter()
-            .map(|(arrived_at_nanos, (sent_at_nanos, tuple))| {
-                self.telemetry
-                    .record_nanos(Stage::Delivery, arrived_at_nanos.saturating_sub(sent_at_nanos));
-                DeliveredTuple { tuple, sent_at_nanos, arrived_at_nanos }
-            })
-            .collect()
+        let mut delivered = Vec::new();
+        self.poll_into(&mut delivered, |d| d);
+        delivered
     }
 
     /// Drain **everything** derived so far: pull the node-local channel into
@@ -544,12 +523,48 @@ impl FabricSubscription {
     /// Advancing the clock moves virtual time for the whole fabric (all
     /// subscriptions share it), exactly as waiting on a real network would.
     pub fn drain_settled(&mut self) -> Vec<DeliveredTuple> {
-        let mut delivered = self.poll();
+        let mut delivered = Vec::new();
+        self.drain_settled_into(&mut delivered, |d| d);
+        delivered
+    }
+
+    /// [`FabricSubscription::drain_settled`], appending each delivery to
+    /// `out` as `deliver` shapes it.
+    pub(crate) fn drain_settled_into<D>(
+        &mut self,
+        out: &mut Vec<D>,
+        deliver: impl Fn(DeliveredTuple) -> D + Copy,
+    ) {
+        self.poll_into(out, deliver);
         while self.in_flight() > 0 {
             self.clock.advance(Duration::from_millis(1));
-            delivered.extend(self.poll());
+            self.poll_into(out, deliver);
         }
-        delivered
+    }
+
+    /// [`FabricSubscription::poll`], appending each delivery to `out` as
+    /// `deliver` shapes it: one pass from the node's channel through the
+    /// link, and one histogram update for the frame's latencies.
+    pub(crate) fn poll_into<D>(&mut self, out: &mut Vec<D>, deliver: impl Fn(DeliveredTuple) -> D) {
+        let now = self.clock.now_nanos();
+        // Everything derived since the last poll leaves the node as one
+        // frame: a single sampled propagation delay for the group, each
+        // tuple paying its own serialisation on top (batched fan-back,
+        // mirroring the broker→node ingest frames).
+        let frame = self.rx.take_all();
+        if !frame.is_empty() {
+            let stamped = frame.into_iter().map(|tuple| (tuple.approx_size_bytes(), (now, tuple)));
+            self.link.send_batch(now, stamped);
+        }
+        self.telemetry.record_nanos_all(
+            Stage::Delivery,
+            self.link.peek_ready(now).map(|(arrived, (sent, _))| arrived.saturating_sub(*sent)),
+        );
+        let before = out.len();
+        out.extend(self.link.take_ready(now).map(|(arrived_at_nanos, (sent_at_nanos, tuple))| {
+            deliver(DeliveredTuple { tuple, sent_at_nanos, arrived_at_nanos })
+        }));
+        self.delivered += (out.len() - before) as u64;
     }
 
     /// Tuples queued on the link, not yet past their arrival time. (Tuples

@@ -5,6 +5,7 @@
 //! unit tests use a manual clock so they are instantaneous and deterministic.
 
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,10 +46,14 @@ impl Clock for WallClock {
     }
 }
 
-/// A manually advanced clock for tests.
+/// A manually advanced clock for tests, and the fabric's virtual clock.
+///
+/// One lock-free `u64` shared by every clone: a read is a load and an
+/// advance one atomic add. The value publishes nothing else, so relaxed
+/// ordering suffices.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    nanos: Arc<Mutex<u64>>,
+    nanos: Arc<AtomicU64>,
 }
 
 impl ManualClock {
@@ -60,18 +65,18 @@ impl ManualClock {
 
     /// Advance the clock.
     pub fn advance(&self, by: Duration) {
-        *self.nanos.lock() += by.as_nanos() as u64;
+        self.nanos.fetch_add(by.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Set the absolute time in nanoseconds.
     pub fn set_nanos(&self, nanos: u64) {
-        *self.nanos.lock() = nanos;
+        self.nanos.store(nanos, Ordering::Relaxed);
     }
 }
 
 impl Clock for ManualClock {
     fn now_nanos(&self) -> u64 {
-        *self.nanos.lock()
+        self.nanos.load(Ordering::Relaxed)
     }
 }
 

@@ -28,7 +28,7 @@ pub mod topology;
 pub use clock::{Clock, ManualClock, SimClock, WallClock};
 pub use fault::{Fault, FaultPlan, TimedFault};
 pub use link::{LatencyModel, LinkSpec};
-pub use queue::{DeliveryQueue, SimLink};
+pub use queue::SimLink;
 pub use topology::{NodeId, Topology};
 
 /// Commonly used items, re-exported for convenience.
@@ -36,6 +36,6 @@ pub mod prelude {
     pub use crate::clock::{Clock, ManualClock, SimClock, WallClock};
     pub use crate::fault::{Fault, FaultPlan, TimedFault};
     pub use crate::link::{LatencyModel, LinkSpec};
-    pub use crate::queue::{DeliveryQueue, SimLink};
+    pub use crate::queue::SimLink;
     pub use crate::topology::{NodeId, Topology};
 }

@@ -2,115 +2,37 @@
 //!
 //! The brokering fabric ships messages (tuples, requests) between nodes over
 //! [`LinkSpec`]s. Instead of sleeping for the sampled delay, a sender
-//! enqueues the message with its computed **arrival time** into a
-//! [`DeliveryQueue`]; the receiver drains everything whose arrival time has
-//! passed whenever the virtual clock advances. This keeps experiments
+//! enqueues the message with its computed **arrival time** on the
+//! [`SimLink`]; the receiver drains everything whose arrival time has passed
+//! whenever the virtual clock advances. This keeps experiments
 //! instantaneous and deterministic while still producing end-to-end
 //! latencies that include propagation, jitter and serialisation cost.
 //!
-//! [`SimLink`] bundles one directed link with its queue and RNG and enforces
-//! the FIFO property of a real network link: a message never overtakes one
-//! sent before it on the same link, so arrival timestamps on a link are
-//! non-decreasing even when the sampled jitter would invert them.
+//! A [`SimLink`] is one directed link with its in-flight messages and RNG,
+//! and it enforces the FIFO property of a real network link: a message never
+//! overtakes one sent before it on the same link, so arrival timestamps on a
+//! link are non-decreasing even when the sampled jitter would invert them.
+//! A FIFO link needs no priority queue: messages wait in a deque in send
+//! order, which is already arrival order, and a drain pops the prefix that
+//! has arrived.
 
 use crate::link::LinkSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-/// One queued message: ordered by arrival time, then by send sequence so
-/// simultaneous arrivals drain in send order.
-#[derive(Debug)]
-struct Queued<T> {
-    arrival_nanos: u64,
-    sequence: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Queued<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.arrival_nanos == other.arrival_nanos && self.sequence == other.sequence
-    }
-}
-impl<T> Eq for Queued<T> {}
-impl<T> PartialOrd for Queued<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Queued<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrival_nanos, self.sequence).cmp(&(other.arrival_nanos, other.sequence))
-    }
-}
-
-/// A time-ordered in-flight message queue. Messages are enqueued with an
-/// absolute arrival time and drained once the (virtual) clock reaches it.
-#[derive(Debug)]
-pub struct DeliveryQueue<T> {
-    heap: BinaryHeap<Reverse<Queued<T>>>,
-    next_sequence: u64,
-}
-
-impl<T> Default for DeliveryQueue<T> {
-    fn default() -> Self {
-        DeliveryQueue { heap: BinaryHeap::new(), next_sequence: 0 }
-    }
-}
-
-impl<T> DeliveryQueue<T> {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        DeliveryQueue::default()
-    }
-
-    /// Enqueue a message arriving at the given absolute time.
-    pub fn enqueue(&mut self, arrival_nanos: u64, item: T) {
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        self.heap.push(Reverse(Queued { arrival_nanos, sequence, item }));
-    }
-
-    /// Remove and return every message whose arrival time is `<= now_nanos`,
-    /// in arrival order (ties broken by send order).
-    pub fn drain_ready(&mut self, now_nanos: u64) -> Vec<(u64, T)> {
-        let mut ready = Vec::new();
-        while self.heap.peek().is_some_and(|Reverse(q)| q.arrival_nanos <= now_nanos) {
-            let Reverse(q) = self.heap.pop().expect("peek saw an entry");
-            ready.push((q.arrival_nanos, q.item));
-        }
-        ready
-    }
-
-    /// Arrival time of the earliest in-flight message, if any.
-    #[must_use]
-    pub fn next_arrival(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(q)| q.arrival_nanos)
-    }
-
-    /// Number of in-flight messages.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no messages are in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// One directed network link with its in-flight queue: sending samples the
-/// link's delay model and enqueues the message at `now + delay`, clamped so
-/// arrivals on the link are FIFO (non-decreasing arrival times).
+/// One directed network link with its in-flight messages: sending samples
+/// the link's delay model and enqueues the message at `now + delay`, clamped
+/// so arrivals on the link are FIFO (non-decreasing arrival times).
 #[derive(Debug)]
 pub struct SimLink<T> {
     spec: LinkSpec,
     rng: StdRng,
-    queue: DeliveryQueue<T>,
+    /// In-flight messages with their arrival times, in send order — which
+    /// the clamp makes arrival order, ties in send order.
+    in_flight: VecDeque<(u64, T)>,
+    /// The arrival time of each message of the last frame sent.
+    arrivals: Vec<u64>,
     last_arrival_nanos: u64,
     service_frontier_nanos: u64,
 }
@@ -122,7 +44,8 @@ impl<T> SimLink<T> {
         SimLink {
             spec,
             rng: StdRng::seed_from_u64(seed),
-            queue: DeliveryQueue::new(),
+            in_flight: VecDeque::new(),
+            arrivals: Vec::new(),
             last_arrival_nanos: 0,
             service_frontier_nanos: 0,
         }
@@ -134,14 +57,20 @@ impl<T> SimLink<T> {
         self.spec
     }
 
+    /// Give `item` the arrival time `arrival_nanos`, clamped so it never
+    /// overtakes an earlier message on the link, and put it in flight.
+    fn enqueue(&mut self, arrival_nanos: u64, item: T) -> u64 {
+        let arrival = arrival_nanos.max(self.last_arrival_nanos);
+        self.last_arrival_nanos = arrival;
+        self.in_flight.push_back((arrival, item));
+        arrival
+    }
+
     /// Send a message of `bytes` bytes at (virtual) time `now_nanos`.
     /// Returns the arrival time assigned to it.
     pub fn send(&mut self, now_nanos: u64, bytes: usize, item: T) -> u64 {
         let delay = self.spec.sample_delay(bytes, &mut self.rng);
-        let arrival = (now_nanos + delay.as_nanos() as u64).max(self.last_arrival_nanos);
-        self.last_arrival_nanos = arrival;
-        self.queue.enqueue(arrival, item);
-        arrival
+        self.enqueue(now_nanos + delay.as_nanos() as u64, item)
     }
 
     /// Send a batch of messages as **one frame** at (virtual) time
@@ -149,23 +78,27 @@ impl<T> SimLink<T> {
     /// each message then pays its own serialisation cost *cumulatively* (the
     /// wire transmits the frame back-to-back), so arrivals stay distinct,
     /// strictly ordered within the frame, and FIFO with respect to earlier
-    /// sends. Returns the arrival time of each message, in input order.
+    /// sends. Returns the arrival time of each message, in input order
+    /// (valid until the next frame is sent).
     ///
     /// This is what makes batched broker→node routing cheaper than per-tuple
     /// shipping: `n` tuples in one frame sample the latency model once
     /// instead of `n` times, exactly like one RPC carrying `n` records.
-    pub fn send_batch(&mut self, now_nanos: u64, items: Vec<(usize, T)>) -> Vec<u64> {
-        let frame_latency = self.spec.sample_latency(&mut self.rng);
-        let mut offset = frame_latency;
-        let mut arrivals = Vec::with_capacity(items.len());
+    pub fn send_batch(
+        &mut self,
+        now_nanos: u64,
+        items: impl IntoIterator<Item = (usize, T)>,
+    ) -> &[u64] {
+        let frame_latency = self.spec.sample_latency(&mut self.rng).as_nanos() as u64;
+        let mut serialisation = serialisation_nanos(self.spec);
+        let mut offset = now_nanos + frame_latency;
+        self.arrivals.clear();
         for (bytes, item) in items {
-            offset += self.spec.serialisation_delay(bytes);
-            let arrival = (now_nanos + offset.as_nanos() as u64).max(self.last_arrival_nanos);
-            self.last_arrival_nanos = arrival;
-            self.queue.enqueue(arrival, item);
-            arrivals.push(arrival);
+            offset += serialisation(bytes);
+            let arrival = self.enqueue(offset, item);
+            self.arrivals.push(arrival);
         }
-        arrivals
+        &self.arrivals
     }
 
     /// Send a frame through the link's **serialising queue** model: the
@@ -173,7 +106,8 @@ impl<T> SimLink<T> {
     /// than the pipe's current service frontier (a busy pipe delays the next
     /// frame — service time accumulates across frames), while the single
     /// sampled propagation latency is paid once per frame *after* each
-    /// message leaves the pipe. Returns the arrival times in input order.
+    /// message leaves the pipe. Returns the arrival times in input order
+    /// (valid until the next frame is sent).
     ///
     /// Contrast with [`SimLink::send_batch`], whose frames only FIFO-order
     /// against earlier traffic without queueing behind it: that models an
@@ -182,19 +116,22 @@ impl<T> SimLink<T> {
     /// [`SimLink::service_frontier_nanos`] after a run is the virtual
     /// instant the pipe goes idle, so `frontier − start` is the pipeline's
     /// busy time — the quantity an N-way-sharded deployment divides by N.
-    pub fn send_batch_queued(&mut self, now_nanos: u64, items: Vec<(usize, T)>) -> Vec<u64> {
+    pub fn send_batch_queued(
+        &mut self,
+        now_nanos: u64,
+        items: impl IntoIterator<Item = (usize, T)>,
+    ) -> &[u64] {
         let frame_latency = self.spec.sample_latency(&mut self.rng).as_nanos() as u64;
+        let mut serialisation = serialisation_nanos(self.spec);
         let mut service = now_nanos.max(self.service_frontier_nanos);
-        let mut arrivals = Vec::with_capacity(items.len());
+        self.arrivals.clear();
         for (bytes, item) in items {
-            service += self.spec.serialisation_delay(bytes).as_nanos() as u64;
-            let arrival = (service + frame_latency).max(self.last_arrival_nanos);
-            self.last_arrival_nanos = arrival;
-            self.queue.enqueue(arrival, item);
-            arrivals.push(arrival);
+            service += serialisation(bytes);
+            let arrival = self.enqueue(service + frame_latency, item);
+            self.arrivals.push(arrival);
         }
         self.service_frontier_nanos = service;
-        arrivals
+        &self.arrivals
     }
 
     /// The virtual instant the link's serialising pipe goes idle: the
@@ -205,22 +142,51 @@ impl<T> SimLink<T> {
         self.service_frontier_nanos
     }
 
+    /// The messages that have arrived by `now_nanos`, in arrival order,
+    /// left in flight (a look before [`SimLink::take_ready`]).
+    pub fn peek_ready(&self, now_nanos: u64) -> impl Iterator<Item = &(u64, T)> {
+        self.in_flight.iter().take_while(move |(arrival, _)| *arrival <= now_nanos)
+    }
+
+    /// Remove every message that has arrived by `now_nanos` and yield it
+    /// with its arrival time, in arrival order (ties in send order). The
+    /// messages leave the link even if the iterator is dropped early.
+    pub fn take_ready(&mut self, now_nanos: u64) -> impl Iterator<Item = (u64, T)> + '_ {
+        let ready = self.in_flight.partition_point(|(arrival, _)| *arrival <= now_nanos);
+        self.in_flight.drain(..ready)
+    }
+
     /// Deliver every message that has arrived by `now_nanos`, in arrival
     /// order.
     pub fn drain_ready(&mut self, now_nanos: u64) -> Vec<(u64, T)> {
-        self.queue.drain_ready(now_nanos)
+        self.take_ready(now_nanos).collect()
     }
 
     /// Arrival time of the earliest in-flight message, if any.
     #[must_use]
     pub fn next_arrival(&self) -> Option<u64> {
-        self.queue.next_arrival()
+        self.in_flight.front().map(|(arrival, _)| *arrival)
     }
 
     /// Number of in-flight messages.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.in_flight.len()
+    }
+}
+
+/// [`LinkSpec::serialisation_delay`] in nanoseconds, computed once per run
+/// of equal sizes: a frame's messages are mostly one size, and the delay
+/// is a float division and a `Duration` conversion.
+fn serialisation_nanos(spec: LinkSpec) -> impl FnMut(usize) -> u64 {
+    let mut last: Option<(usize, u64)> = None;
+    move |bytes| match last {
+        Some((size, nanos)) if size == bytes => nanos,
+        _ => {
+            let nanos = spec.serialisation_delay(bytes).as_nanos() as u64;
+            last = Some((bytes, nanos));
+            nanos
+        }
     }
 }
 
@@ -228,27 +194,35 @@ impl<T> SimLink<T> {
 mod tests {
     use super::*;
 
+    /// A link on which a message sent at `t` arrives at exactly `t`.
+    fn instant_link<T>() -> SimLink<T> {
+        SimLink::new(LinkSpec::constant(0.0, 0.0), 1)
+    }
+
     #[test]
-    fn queue_drains_in_arrival_order() {
-        let mut q = DeliveryQueue::new();
-        q.enqueue(300, "c");
-        q.enqueue(100, "a");
-        q.enqueue(200, "b");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.next_arrival(), Some(100));
-        assert_eq!(q.drain_ready(50), Vec::<(u64, &str)>::new());
-        assert_eq!(q.drain_ready(200), vec![(100, "a"), (200, "b")]);
-        assert_eq!(q.drain_ready(1_000), vec![(300, "c")]);
-        assert!(q.is_empty());
+    fn link_drains_in_arrival_order() {
+        let mut link = instant_link();
+        link.send(100, 0, "a");
+        link.send(200, 0, "b");
+        link.send(300, 0, "c");
+        assert_eq!(link.in_flight(), 3);
+        assert_eq!(link.next_arrival(), Some(100));
+        assert_eq!(link.drain_ready(50), Vec::<(u64, &str)>::new());
+        assert_eq!(link.drain_ready(200), vec![(100, "a"), (200, "b")]);
+        assert_eq!(link.drain_ready(1_000), vec![(300, "c")]);
+        assert_eq!(link.in_flight(), 0);
+        assert_eq!(link.next_arrival(), None);
     }
 
     #[test]
     fn simultaneous_arrivals_drain_in_send_order() {
-        let mut q = DeliveryQueue::new();
-        q.enqueue(100, 1);
-        q.enqueue(100, 2);
-        q.enqueue(100, 3);
-        assert_eq!(q.drain_ready(100), vec![(100, 1), (100, 2), (100, 3)]);
+        // Sent at 100, then "earlier" at 50 and 80: the clamp holds the
+        // later sends at 100, and the tie leaves in send order.
+        let mut link = instant_link();
+        link.send(100, 0, 1);
+        link.send(50, 0, 2);
+        link.send(80, 0, 3);
+        assert_eq!(link.drain_ready(100), vec![(100, 1), (100, 2), (100, 3)]);
     }
 
     #[test]
@@ -296,7 +270,7 @@ mod tests {
     fn batched_send_stays_fifo_with_earlier_traffic() {
         let mut link = SimLink::new(LinkSpec::lan_100mbps(), 7);
         let first = link.send(0, 4_096, 0u64);
-        let batch = link.send_batch(1, (1..100).map(|i| (64usize, i)).collect());
+        let batch = link.send_batch(1, (1..100).map(|i| (64usize, i)));
         assert!(batch[0] >= first, "a later frame overtook in-flight traffic");
         // Items clamped behind the in-flight message share its arrival tick;
         // order within the frame is still preserved (non-decreasing).

@@ -306,6 +306,32 @@ impl Log2Histogram {
         self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
+    /// Record every observation of `nanos` as [`Log2Histogram::record`]
+    /// would, one at a time, but with the buckets, sum and max counted
+    /// locally first: one atomic per touched bucket, then one add to the
+    /// total and one max, however many observations there are.
+    pub fn record_all(&self, nanos: impl IntoIterator<Item = u64>) {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        let (mut total, mut max, mut any) = (0u64, 0u64, false);
+        for x in nanos {
+            buckets[bucket_of(x)] += 1;
+            // The atomic total wraps on overflow; so does the local sum.
+            total = total.wrapping_add(x);
+            max = max.max(x);
+            any = true;
+        }
+        if !any {
+            return;
+        }
+        for (bucket, n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.total_nanos.fetch_add(total, Ordering::Relaxed);
+        self.max_nanos.fetch_max(max, Ordering::Relaxed);
+    }
+
     /// Total number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -446,6 +472,15 @@ impl Telemetry {
     pub fn record_nanos(&self, stage: Stage, nanos: u64) {
         if self.is_enabled() {
             self.stages[stage.index()].record(nanos);
+        }
+    }
+
+    /// Record a sequence of observed durations, in nanoseconds, with one
+    /// histogram update ([`Log2Histogram::record_all`]). The sequence is not
+    /// read when stage recording is off.
+    pub fn record_nanos_all(&self, stage: Stage, nanos: impl IntoIterator<Item = u64>) {
+        if self.is_enabled() {
+            self.stages[stage.index()].record_all(nanos);
         }
     }
 
@@ -791,6 +826,41 @@ mod tests {
         // Out-of-range quantiles clamp instead of panicking.
         assert_eq!(snapshot.percentile_nanos(-3.0), snapshot.percentile_nanos(0.0));
         assert_eq!(snapshot.percentile_nanos(7.5), snapshot.percentile_nanos(1.0));
+    }
+
+    #[test]
+    fn record_all_equals_recording_one_at_a_time() {
+        let edges = [0, 1, 2, 3, 4, 1_023, 1_024, 1 << 32, (1 << 63) - 1, 1 << 63, u64::MAX];
+        let inputs: [&[u64]; 5] =
+            [&[], &[0], &edges, &[u64::MAX, u64::MAX, 5], &[700, 900, 700, 1_000_000, 0, 3]];
+        for xs in inputs {
+            let one_at_a_time = Log2Histogram::new();
+            for &x in xs {
+                one_at_a_time.record(x);
+            }
+            let batched = Log2Histogram::new();
+            batched.record_all(xs.iter().copied());
+            assert_eq!(batched.snapshot(), one_at_a_time.snapshot(), "{xs:?}");
+            // A second batch lands on top of the first, as single records do.
+            for &x in xs {
+                one_at_a_time.record(x);
+            }
+            batched.record_all(xs.iter().copied());
+            assert_eq!(batched.snapshot(), one_at_a_time.snapshot(), "{xs:?} twice");
+        }
+    }
+
+    #[test]
+    fn a_disabled_registry_records_no_batch() {
+        let telemetry = Telemetry::disabled();
+        telemetry.record_nanos_all(Stage::Delivery, [5, 50, 500]);
+        assert_eq!(telemetry.stage_count(Stage::Delivery), 0);
+        assert!(telemetry.snapshot().stages.is_empty());
+        telemetry.set_enabled(true);
+        telemetry.record_nanos_all(Stage::Delivery, [5, 50, 500]);
+        telemetry.record_nanos_all(Stage::Delivery, []);
+        let delivery = telemetry.snapshot().stage(Stage::Delivery).cloned().unwrap();
+        assert_eq!((delivery.count, delivery.total_nanos, delivery.max_nanos), (3, 555, 500));
     }
 
     #[test]

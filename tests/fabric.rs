@@ -670,3 +670,112 @@ fn multi_node_push_touches_no_node_when_one_owner_is_unreachable() {
     on::<Plain>();
     on::<Replicated>();
 }
+
+/// FNV-1a over a sequence of `u64`s: a stable fingerprint for golden values
+/// (the standard library's hasher is not specified across releases).
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for value in values {
+        for byte in value.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Virtual-time delivery is pinned bit for bit: a fixed-seed four-node
+/// fabric on the paper testbed, weather and GPS streams (the GPS device ids
+/// vary a tuple's wire size), two subscribers per stream, six multi-stream
+/// frames with the clock stepped and some subscribers polled between them,
+/// then every subscription drained. Each delivery's `(sent, arrived)`
+/// stamps, the broker's `Stage::Delivery` histogram and the final clock must
+/// equal the values this model has always produced, whatever the link and
+/// the histogram do internally.
+#[test]
+fn fabric_delivery_stamps_match_the_golden() {
+    const STREAMS: usize = 8;
+    let fabric =
+        Fabric::new(FabricConfig::new(4, TopologyPreset::PaperTestbed.topology()).with_seed(2012));
+    let weather = Schema::weather_example().shared();
+    let gps = Schema::gps_example().shared();
+    let names: Vec<String> = (0..STREAMS).map(|i| format!("golden{i}")).collect();
+    let mut subscriptions = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        let (schema, filters) = if i % 2 == 0 {
+            (Schema::weather_example(), ["rainrate > 5", "rainrate > 20"])
+        } else {
+            (Schema::gps_example(), ["speed > 10", "speed > 40"])
+        };
+        fabric.register_stream(name, schema).unwrap();
+        for (k, filter) in filters.into_iter().enumerate() {
+            let subject = format!("user{i}-{k}");
+            let policy = StreamPolicyBuilder::new(format!("p{i}-{k}"), name)
+                .subject(&subject)
+                .filter(filter)
+                .build();
+            fabric.load_policy(policy).unwrap();
+            let response =
+                fabric.handle_request(&Request::subscribe(&subject, name), None).unwrap();
+            subscriptions.push(fabric.subscribe(&response.response.handle).unwrap());
+        }
+    }
+
+    let mut delivered = Vec::new();
+    let mut sequence = 0i64;
+    for frame in 0..6u64 {
+        let batches = names.iter().enumerate().map(|(i, name)| {
+            let tuples = (0..40)
+                .map(|k| {
+                    sequence += 1;
+                    let x = (sequence * 7_919 + k * 31) % 100;
+                    if i % 2 == 0 {
+                        Tuple::builder_shared(&weather)
+                            .set("samplingtime", Value::Timestamp(sequence))
+                            .set("rainrate", x as f64)
+                            .finish_with_defaults()
+                    } else {
+                        Tuple::builder_shared(&gps)
+                            .set("samplingtime", Value::Timestamp(sequence))
+                            .set("deviceid", Value::Text("d".repeat(1 + (x % 13) as usize)))
+                            .set("speed", x as f64)
+                            .finish_with_defaults()
+                    }
+                })
+                .collect();
+            StreamBatch::new(name, tuples)
+        });
+        fabric.push_batches(batches.collect()).unwrap();
+        fabric.advance(Duration::from_micros(150 + 110 * frame));
+        for subscription in subscriptions.iter_mut().skip(frame as usize % 2).step_by(2) {
+            delivered.extend(subscription.poll());
+        }
+    }
+    // Half the subscriptions settle with their stamps, the other half
+    // through the unified `Subscription::drain`, which keeps only tuples.
+    let mut drained = Vec::new();
+    for (k, mut subscription) in subscriptions.into_iter().enumerate() {
+        if k < STREAMS {
+            delivered.extend(subscription.drain_settled());
+        } else {
+            drained.extend(Subscription::Fabric(subscription).drain());
+        }
+    }
+
+    let stamps = fnv1a(delivered.iter().flat_map(|d| {
+        [d.tuple.event_time().expect("stamped") as u64, d.sent_at_nanos, d.arrived_at_nanos]
+    }));
+    let tuples = fnv1a(drained.iter().map(|t| t.event_time().expect("stamped") as u64));
+    assert_eq!((delivered.len(), drained.len()), (2_520, 660));
+    assert_eq!(stamps, 0x18f5_bf36_4150_21c3, "(sent, arrived) stamps moved");
+    assert_eq!(tuples, 0x46ae_06ca_b97a_5d0d, "drained tuples or their order moved");
+    let broker = &fabric.telemetry().nodes[0];
+    let latency = broker.stage(Stage::Delivery).expect("delivery recorded");
+    assert_eq!(
+        (latency.count, latency.total_nanos, latency.max_nanos),
+        (3_180, 1_713_802_100, 3_505_822)
+    );
+    let buckets: Vec<(usize, u64)> =
+        latency.buckets.iter().copied().enumerate().filter(|(_, n)| *n > 0).collect();
+    assert_eq!(buckets, vec![(17, 110), (18, 1_887), (19, 1_123), (21, 60)]);
+    assert_eq!(fabric.clock().now_nanos(), 11_550_000);
+}

@@ -10,7 +10,9 @@
 //! * the Section 3.4 reconstruction always succeeds against unconstrained
 //!   multi-window access (which is why the guard exists);
 //! * filters and residuals evaluated a batch at a time deliver exactly the
-//!   rows the row-at-a-time interpreter accepts.
+//!   rows the row-at-a-time interpreter accepts;
+//! * a FIFO simulated link drains exactly what a priority queue over its
+//!   arrivals would.
 
 use exacml_dsms::{AggFunc, AggSpec, FilterOp, QueryGraph, QueryGraphBuilder, WindowSpec};
 use exacml_expr::{
@@ -751,6 +753,103 @@ mod pdp_equivalence {
             // the indexed view must still agree.
             store.add(build_policy(remove_at % specs.len(), &specs[remove_at % specs.len()])).unwrap();
             prop_assert_eq!(pdp.evaluate(&request), pdp.evaluate_linear(&request));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// FIFO link vs. a priority-queue reference
+// ---------------------------------------------------------------------------
+
+mod link_fifo_equivalence {
+    use super::*;
+    use exacml_simnet::{LinkSpec, SimLink};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The priority queue links once kept their in-flight messages in:
+    /// ordered by arrival time, ties by send sequence.
+    #[derive(Default)]
+    struct HeapModel {
+        heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+        next_sequence: u64,
+    }
+
+    impl HeapModel {
+        fn enqueue(&mut self, arrival: u64, item: u64) {
+            self.heap.push(Reverse((arrival, self.next_sequence, item)));
+            self.next_sequence += 1;
+        }
+
+        fn drain_ready(&mut self, now: u64) -> Vec<(u64, u64)> {
+            let mut ready = Vec::new();
+            while self.heap.peek().is_some_and(|Reverse((arrival, _, _))| *arrival <= now) {
+                let Reverse((arrival, _, item)) = self.heap.pop().expect("peeked");
+                ready.push((arrival, item));
+            }
+            ready
+        }
+    }
+
+    const SPECS: [fn() -> LinkSpec; 3] = [LinkSpec::lan_100mbps, LinkSpec::wan, LinkSpec::loopback];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever mix of single sends, frames and queued frames a link
+        /// carries, and wherever its drains cut, the link yields exactly
+        /// the `(arrival, item)` sequence a priority queue over the same
+        /// arrivals would, and a peek shows what the drain then takes: a
+        /// FIFO deque loses nothing by not sorting.
+        #[test]
+        fn a_link_drains_what_a_heap_of_its_arrivals_drains(
+            spec in 0usize..3,
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..3_000_000, proptest::collection::vec(0usize..3_000, 0..24)),
+                1..48,
+            ),
+        ) {
+            let mut link = SimLink::new(SPECS[spec](), seed);
+            let mut model = HeapModel::default();
+            let (mut now, mut next_item) = (0u64, 0u64);
+            for (kind, step, sizes) in ops {
+                now += step / 4;
+                let items: Vec<(usize, u64)> = sizes
+                    .iter()
+                    .map(|&bytes| {
+                        next_item += 1;
+                        (bytes, next_item)
+                    })
+                    .collect();
+                let (arrivals, sent) = match (kind, items.first()) {
+                    (0, Some(&(bytes, item))) => (vec![link.send(now, bytes, item)], &items[..1]),
+                    (0, None) => continue,
+                    (1, _) => (link.send_batch(now, items.iter().copied()).to_vec(), &items[..]),
+                    (2, _) => {
+                        (link.send_batch_queued(now, items.iter().copied()).to_vec(), &items[..])
+                    }
+                    _ => {
+                        let cut = (now + step).saturating_sub(1_500_000);
+                        let peeked: Vec<(u64, u64)> = link.peek_ready(cut).copied().collect();
+                        let drained = link.drain_ready(cut);
+                        prop_assert_eq!(&peeked, &drained);
+                        prop_assert_eq!(drained, model.drain_ready(cut));
+                        continue;
+                    }
+                };
+                prop_assert_eq!(arrivals.len(), sent.len());
+                for (arrival, &(_, item)) in arrivals.into_iter().zip(sent) {
+                    model.enqueue(arrival, item);
+                }
+                prop_assert_eq!(link.in_flight(), model.heap.len());
+                prop_assert_eq!(
+                    link.next_arrival(),
+                    model.heap.peek().map(|Reverse((arrival, _, _))| *arrival)
+                );
+            }
+            prop_assert_eq!(link.drain_ready(u64::MAX), model.drain_ready(u64::MAX));
+            prop_assert_eq!(link.in_flight(), 0);
         }
     }
 }
