@@ -3,6 +3,7 @@
 # on a base commit and on this checkout, side by side.
 #
 #   ci/bench_ab.sh <base-ref> [pairs] [workload,...]
+#   ci/bench_ab.sh --aa [pairs] [workload,...]
 #
 # Checks the base out as a git worktree under a temporary directory, builds
 # each side's benchmark/ offline into its own CARGO_TARGET_DIR, then for every
@@ -21,6 +22,12 @@
 # better, the change won at least 9 in 10 of the pairs, and the medians differ
 # by more than the parent's interquartile range: the rule for claiming a
 # gain (at the default 5 pairs it takes all five).
+#
+# `--aa` compares this checkout with itself: it is built once and run as
+# both sides, with the same pairing, order and verdicts. Every `GAIN` or
+# `REGRESSION` it prints is noise, so it tells how often the host alone
+# produces each verdict for a cell at that pair count.
+#
 # Nothing else may run meanwhile: the benchmark pins its lanes to the CPUs it
 # finds.
 #
@@ -31,8 +38,14 @@
 # one (0.15 to 1.12 s was read on identical code).
 set -euo pipefail
 
-usage() { echo "usage: ci/bench_ab.sh <base-ref> [pairs] [workload,...]" >&2; exit 2; }
+usage() {
+    echo "usage: ci/bench_ab.sh <base-ref> [pairs] [workload,...]" >&2
+    echo "       ci/bench_ab.sh --aa [pairs] [workload,...]" >&2
+    exit 2
+}
 [ "$#" -ge 1 ] && [ "$#" -le 3 ] || usage
+aa=0
+[ "$1" = "--aa" ] && aa=1
 pairs="${2:-5}"
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 change="$(git rev-parse --show-toplevel)"
@@ -60,16 +73,24 @@ if [ "$#" -eq 3 ]; then
     [ -n "$subset" ] || usage
 fi
 tmp="$(mktemp -d)"
-parent="$tmp/parent"
-trap 'git -C "$change" worktree remove --force "$parent" 2>/dev/null; rm -rf "$tmp"' EXIT
-git -C "$change" worktree add --quiet --detach "$parent" "$1"
+if [ "$aa" -eq 1 ]; then
+    parent="$change"
+    trap 'rm -rf "$tmp"' EXIT
+else
+    parent="$tmp/parent"
+    trap 'git -C "$change" worktree remove --force "$parent" 2>/dev/null; rm -rf "$tmp"' EXIT
+    git -C "$change" worktree add --quiet --detach "$parent" "$1"
+fi
 
 # run <parent|change> <benchmark/run.sh arguments>: that side's run.sh, which
 # builds (first call only) and runs the executable from its own checkout.
+# Under --aa both sides are this checkout and share one build.
 run() {
     local side=$1
     shift
-    CARGO_TARGET_DIR="$tmp/target-$side" "${!side}/benchmark/run.sh" "$@"
+    local target="$tmp/target-$side"
+    [ "$aa" -eq 1 ] && target="$tmp/target"
+    CARGO_TARGET_DIR="$target" "${!side}/benchmark/run.sh" "$@"
 }
 
 run parent manifest > /dev/null

@@ -231,38 +231,127 @@ fn raw_cell_content(cell: &Value) -> Content {
     }
 }
 
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+/// `"00"`, `"01"`, …, `"99"`: the encoder writes two decimal digits per
+/// table lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// The two digits of `n` (< 100).
+fn pair(n: u64) -> &'static [u8] {
+    let at = 2 * n as usize;
+    &DIGIT_PAIRS[at..at + 2]
+}
+
+/// Write `v` (< 100) without a leading zero.
+fn push_below_100(out: &mut Vec<u8>, v: u64) {
+    if v < 10 {
+        out.push(b'0' + v as u8);
+    } else {
+        out.extend_from_slice(pair(v));
+    }
+}
+
+/// Write `v` in decimal. Up to four digits go straight from the pair table
+/// into `out`; longer numbers are built backwards on the stack and copied
+/// out once. This and [`push_decimal`] are forced inline into the cell
+/// loop: as calls, they cost the encoder about a tenth of its time.
+#[inline(always)]
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    if v < 100 {
+        push_below_100(out, v);
+    } else if v < 10_000 {
+        push_below_100(out, v / 100);
+        out.extend_from_slice(pair(v % 100));
+    } else {
+        let mut text = [0u8; 18];
+        let mut start = text.len();
+        let mut rest = v;
+        while rest >= 100 {
+            start -= 2;
+            text[start..start + 2].copy_from_slice(pair(rest % 100));
+            rest /= 100;
+        }
+        push_below_100(out, rest);
+        out.extend_from_slice(&text[start..]);
+    }
+}
+
+/// Write `digits / 10^places` in decimal with exactly `places` (0–4)
+/// fraction digits, minus-signed when `negative`. Every arm divides by a
+/// constant, which compiles to a multiply.
+#[inline(always)]
+fn push_decimal(out: &mut Vec<u8>, negative: bool, digits: u64, places: usize) {
+    if negative {
+        out.push(b'-');
+    }
+    match places {
+        0 => push_u64(out, digits),
+        1 => {
+            push_u64(out, digits / 10);
+            out.push(b'.');
+            out.push(b'0' + (digits % 10) as u8);
+        }
+        2 => {
+            push_u64(out, digits / 100);
+            out.push(b'.');
+            out.extend_from_slice(pair(digits % 100));
+        }
+        3 => {
+            push_u64(out, digits / 1_000);
+            out.push(b'.');
+            out.push(b'0' + (digits % 1_000 / 100) as u8);
+            out.extend_from_slice(pair(digits % 100));
+        }
+        _ => {
+            push_u64(out, digits / 10_000);
+            out.push(b'.');
+            out.extend_from_slice(pair(digits % 10_000 / 100));
+            out.extend_from_slice(pair(digits % 100));
         }
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
-fn push_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    push_u64(out, v.unsigned_abs());
-}
-
-/// The decimal digits and place count of `abs` when it is one of the short
-/// fixed-point values sensors emit: below 1e9 with at most four decimals.
-/// `digits / 10^places` is then exactly the decimal the shortest-round-trip
-/// formatter (`{}`) prints: below 1e9 a double's neighbours are < 1e-4
-/// apart, so at most one decimal of `places` digits parses back to `abs`,
-/// and trying the place counts in ascending order finds the shortest.
+/// The decimal digits and place count of `abs` when it is below 1e9 with
+/// at most four decimals, the shape of sensor readings and counters. For a
+/// non-integral `abs`, `digits / 10^places` is exactly the decimal the
+/// shortest-round-trip formatter (`{}`) prints: below 1e9 a double's
+/// neighbours are < 1e-4 apart, so at most one decimal of `places` digits
+/// parses back to `abs`, and trying the place counts in ascending order
+/// finds the shortest. An integral `abs` comes back with one place, which
+/// writes the journal's `N.0` form for it.
+///
+/// One and two places are decided together, by one multiply-add, one
+/// divide and one compare on the hundredths. That is exact: when one
+/// decimal reproduces `abs`, so do its digits with a zero appended, and
+/// hundredths ending in zero are that one decimal; so the check passes
+/// exactly when trying one place, then two, would. The check can only pass
+/// when `abs * 100.0` lies within rounding error of an integer, and there
+/// adding 0.5 and truncating is rounding to nearest. The hundredths go
+/// through `i64` on purpose: `f64::round` is a libm call on the baseline
+/// x86-64 target, and `u64`↔`f64` conversions take several instructions
+/// there. Three and four places, rare in sensor data, keep the plain loop.
 fn fixed_point(abs: f64) -> Option<(u64, usize)> {
     if abs >= 1e9 {
         return None;
     }
-    [10.0, 100.0, 1e3, 1e4].iter().zip(1..).find_map(|(&scale, places)| {
+    let hundredths = (abs * 100.0 + 0.5) as i64;
+    if hundredths as f64 / 100.0 == abs {
+        let hundredths = hundredths as u64;
+        return Some(if hundredths.is_multiple_of(10) {
+            (hundredths / 10, 1)
+        } else {
+            (hundredths, 2)
+        });
+    }
+    [1e3, 1e4].iter().zip(3..).find_map(|(&scale, places)| {
         // Both operations are correctly rounded and `digits` < 2^53, so the
         // division is the value a parser assigns to the printed decimal.
         let digits = (abs * scale).round();
@@ -270,104 +359,108 @@ fn fixed_point(abs: f64) -> Option<(u64, usize)> {
     })
 }
 
-fn push_f64(out: &mut String, f: f64) -> Result<(), serde_json::Error> {
-    if !f.is_finite() {
-        // Delegate to the shared serializer for its canonical error.
-        serde_json::content_to_string(&Content::F64(f))?;
-    }
-    if f == f.trunc() && f.abs() < 1e15 {
-        // The common case (timestamps, counters, sensor defaults) without
-        // the float formatting machinery; matches serde_json's `{f:.1}`.
-        push_i64(out, f as i64);
-        out.push_str(".0");
-    } else if let Some((digits, places)) = fixed_point(f.abs()) {
-        // Sensor readings, byte for byte what `{f}` prints (pinned by
-        // `push_f64_is_byte_identical_to_display`) at a fraction of its cost.
-        const POW10: [u64; 5] = [1, 10, 100, 1_000, 10_000];
-        if f < 0.0 {
-            out.push('-');
-        }
-        push_u64(out, digits / POW10[places]);
-        out.push('.');
-        let fraction = digits % POW10[places];
-        for place in (0..places).rev() {
-            out.push(char::from(b'0' + (fraction / POW10[place] % 10) as u8));
-        }
-    } else {
-        use std::fmt::Write;
+/// Write a double as the journal always has: integral values below 1e15 in
+/// serde_json's `N.0` form (`-0.0` as `0.0`), everything else byte for byte
+/// what `{f}` prints (pinned by `push_f64_is_byte_identical_to_display`).
+/// Values [`fixed_point`] takes, and integral ones up to 1e15, skip the
+/// float formatter and libm alike: integrality is a round trip through
+/// `i64`, because `f64::trunc` is a libm call on the baseline x86-64 target.
+fn push_f64(out: &mut Vec<u8>, f: f64) -> Result<(), serde_json::Error> {
+    let abs = f.abs();
+    if let Some((digits, places)) = fixed_point(abs) {
+        push_decimal(out, f < 0.0, digits, places);
+    } else if abs < 1e15 && (abs as i64) as f64 == abs {
+        // `N.0` is N tenths; `abs` < 1e15, so they fit.
+        push_decimal(out, f < 0.0, 10 * (abs as i64 as u64), 1);
+    } else if f.is_finite() {
+        use std::io::Write;
         let _ = write!(out, "{f}");
+    } else {
+        // The shared serializer's canonical error for NaN and infinities.
+        return Err(serde_json::content_to_string(&Content::F64(f))
+            .expect_err("JSON has no non-finite numbers"));
     }
     Ok(())
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
+fn push_json_string(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
     // Copy escape-free runs whole. Every byte that needs escaping is ASCII,
     // so the cuts always fall on character boundaries.
+    let bytes = s.as_bytes();
     let mut run_start = 0;
-    for (i, byte) in s.bytes().enumerate() {
+    for (i, &byte) in bytes.iter().enumerate() {
         if byte >= 0x20 && byte != b'"' && byte != b'\\' {
             continue;
         }
-        out.push_str(&s[run_start..i]);
+        out.extend_from_slice(&bytes[run_start..i]);
         run_start = i + 1;
         match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
             control => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{control:04x}");
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(control >> 4)]);
+                out.push(HEX[usize::from(control & 0xf)]);
             }
         }
     }
-    out.push_str(&s[run_start..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run_start..]);
+    out.push(b'"');
 }
 
 /// Encode an ingest record straight from the tuple batch into `out`
 /// (cleared first), bypassing the `Content` tree entirely — this runs once
 /// per acknowledged push, concurrent with stream processing, so it is the
-/// one encoder that matters for ingest throughput.
+/// one encoder that matters for ingest throughput. It writes bytes into
+/// `out`'s own buffer and checks them as UTF-8 once, at the end.
 ///
 /// # Errors
-/// Fails only when a tuple carries a NaN or infinite float.
+/// Fails only when a tuple carries a NaN or infinite float; `out` is then
+/// left empty.
 pub fn encode_ingest_into(
     out: &mut String,
     seq: u64,
     stream: &str,
     tuples: &[Tuple],
 ) -> Result<(), serde_json::Error> {
-    out.clear();
+    let mut buf = std::mem::take(out).into_bytes();
+    buf.clear();
     let width = tuples.first().map_or(0, |t| t.values().len());
-    out.reserve(48 + stream.len() + tuples.len() * (2 + 8 * width));
-    out.push_str("{\"seq\":");
-    push_u64(out, seq);
-    out.push_str(",\"op\":\"ingest\",\"stream\":");
-    push_json_string(out, stream);
-    out.push_str(",\"rows\":[");
+    buf.reserve(48 + stream.len() + tuples.len() * (2 + 8 * width));
+    buf.extend_from_slice(b"{\"seq\":");
+    push_u64(&mut buf, seq);
+    buf.extend_from_slice(b",\"op\":\"ingest\",\"stream\":");
+    push_json_string(&mut buf, stream);
+    buf.extend_from_slice(b",\"rows\":[");
     for (i, tuple) in tuples.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            buf.push(b',');
         }
-        out.push('[');
+        buf.push(b'[');
         for (j, value) in tuple.values().iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                buf.push(b',');
             }
             match value {
-                DsmsValue::Null => out.push_str("null"),
-                DsmsValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                DsmsValue::Int(v) | DsmsValue::Timestamp(v) => push_i64(out, *v),
-                DsmsValue::Double(f) => push_f64(out, *f)?,
-                DsmsValue::Text(s) => push_json_string(out, s),
+                DsmsValue::Null => buf.extend_from_slice(b"null"),
+                DsmsValue::Bool(b) => buf.extend_from_slice(if *b { b"true" } else { b"false" }),
+                DsmsValue::Int(v) | DsmsValue::Timestamp(v) => {
+                    push_decimal(&mut buf, *v < 0, v.unsigned_abs(), 0);
+                }
+                DsmsValue::Double(f) => push_f64(&mut buf, *f)?,
+                DsmsValue::Text(s) => push_json_string(&mut buf, s),
             }
         }
-        out.push(']');
+        buf.push(b']');
     }
-    out.push_str("]}");
+    buf.extend_from_slice(b"]}");
+    // Every byte is ASCII or was copied whole from a `&str`.
+    *out = String::from_utf8(buf).expect("the ingest encoder writes UTF-8");
     Ok(())
 }
 
@@ -692,6 +785,18 @@ mod tests {
         )
         .unwrap();
         assert!(encode_ingest(0, "s", std::slice::from_ref(&nan)).is_err());
+    }
+
+    #[test]
+    fn integers_print_as_display_does_across_every_digit_count() {
+        let mut out = Vec::new();
+        let powers = (0..20).map(|e| 10u64.pow(e));
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+        for v in (0..=100_000).chain(edges).chain([u64::MAX - 1, u64::MAX]) {
+            out.clear();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string().as_bytes());
+        }
     }
 
     #[test]

@@ -746,7 +746,6 @@ impl DurableServer {
         let telemetry = self.inner.telemetry_registry();
         let started = telemetry.is_enabled().then(Instant::now);
         let appended = journal.wal.append_buffered(payload);
-        telemetry.incr(Metric::WalRecords);
         if let Some(started) = started {
             telemetry.record(Stage::WalAppend, started.elapsed());
         }
@@ -755,6 +754,7 @@ impl DurableServer {
             journal.failed = Some(failure.clone());
             return Err(durability("append to WAL", failure));
         }
+        telemetry.incr(Metric::WalRecords);
         journal.next_seq += 1;
         journal.records_since_snapshot += 1;
         Ok(())
@@ -769,7 +769,6 @@ impl DurableServer {
         let telemetry = self.inner.telemetry_registry();
         let started = telemetry.is_enabled().then(Instant::now);
         let flushed = journal.wal.flush();
-        telemetry.incr(Metric::WalFlushes);
         if let Some(started) = started {
             telemetry.record(Stage::WalFlush, started.elapsed());
         }
@@ -778,6 +777,7 @@ impl DurableServer {
             journal.failed = Some(failure.clone());
             return Err(durability("flush WAL", failure));
         }
+        telemetry.incr(Metric::WalFlushes);
         Ok(())
     }
 

@@ -1,15 +1,16 @@
 //! Golden byte-identity of the store format.
 //!
-//! `golden/record_payloads.jsonl`, `golden/snapshot_payload.json` and
-//! `golden/meta_payload.json` hold the exact payloads the store writes for
-//! the sample values below. Every encoder must reproduce them byte for byte
-//! and every decoder must read them back to the values they came from: a
-//! change to either side that would alter what an existing store holds on
-//! disk fails here first. The payloads were captured from the encoders that
-//! wrote every store so far, so those stores keep recovering.
+//! `golden/record_payloads.jsonl`, `golden/ingest_payload.json`,
+//! `golden/snapshot_payload.json` and `golden/meta_payload.json` hold the
+//! exact payloads the store writes for the sample values below. Every
+//! encoder must reproduce them byte for byte and every decoder must read
+//! them back to the values they came from: a change to either side that
+//! would alter what an existing store holds on disk fails here first. The
+//! payloads were captured from the encoders that wrote every store so far,
+//! so those stores keep recovering.
 
-use exacml_dsms::{DataType, Schema};
-use exacml_durable::record::{decode, GrantRecord, Record};
+use exacml_dsms::{DataType, Schema, Tuple, Value as DsmsValue};
+use exacml_durable::record::{decode, decode_row, encode_ingest, GrantRecord, Record};
 use exacml_durable::server::{decode_meta, encode_meta};
 use exacml_durable::snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Snapshot, StreamEntry,
@@ -20,6 +21,7 @@ use serde_json::Value;
 use std::path::PathBuf;
 
 const RECORDS: &str = include_str!("golden/record_payloads.jsonl");
+const INGEST: &str = include_str!("golden/ingest_payload.json");
 const SNAPSHOT: &str = include_str!("golden/snapshot_payload.json");
 const META: &str = include_str!("golden/meta_payload.json");
 const RECOVERY_DOC: &str = include_str!("../../../docs/RECOVERY.md");
@@ -117,6 +119,49 @@ fn every_record_encodes_to_its_golden_payload_and_decodes_back() {
     for ((seq, record), line) in (0..).zip(&records).zip(golden) {
         assert_eq!(record.encode(seq).unwrap(), line, "record {seq} ({})", record.op());
         assert_eq!(&decode(&parse(line)).unwrap(), record, "record {seq} ({})", record.op());
+    }
+}
+
+/// A weather batch as sensors send it: timestamps, readings with one and
+/// two decimals, integral, negative and ≥ 1e9 readings, a three- and a
+/// four-decimal one, and a missing one.
+fn sample_weather_batch() -> Vec<Tuple> {
+    use DsmsValue::{Double as D, Int, Null, Timestamp as T};
+    let schema = Schema::weather_example().shared();
+    [
+        [T(1_753_852_800_000), D(29.85), D(84.5), D(0.0), D(12.75), D(3.5), Int(225), D(1009.25)],
+        [
+            T(1_753_852_830_000),
+            D(-0.25),
+            D(100.0),
+            D(1_234_567_890.125),
+            D(0.1),
+            D(-3.5),
+            Int(-45),
+            D(1e9),
+        ],
+        [T(1_753_852_860_000), D(-12.0), D(99.99), D(0.001), D(1.0625), Null, Int(0), D(-1009.9)],
+    ]
+    .into_iter()
+    .map(|row| Tuple::new(schema.clone(), row.to_vec()).unwrap())
+    .collect()
+}
+
+/// The ingest hot path (`encode_ingest`, not the generic `Record::encode`
+/// that the ingest line of `record_payloads.jsonl` pins) writes the golden
+/// payload, and the journal's reader gives back every cell of the batch.
+#[test]
+fn the_ingest_fast_path_encodes_its_golden_payload_and_decodes_back() {
+    let batch = sample_weather_batch();
+    let golden = INGEST.trim_end_matches('\n');
+    assert_eq!(encode_ingest(42, "weather", &batch).unwrap(), golden);
+    let Record::Ingest { stream, rows } = decode(&parse(golden)).unwrap() else {
+        panic!("expected an ingest record");
+    };
+    assert_eq!(stream, "weather");
+    assert_eq!(rows.len(), batch.len());
+    for (row, tuple) in rows.iter().zip(&batch) {
+        assert_eq!(decode_row(tuple.schema(), row).unwrap(), tuple.values());
     }
 }
 

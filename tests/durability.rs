@@ -524,6 +524,37 @@ fn sticky_io_error_keeps_the_readable_prefix_uncorrupted() {
     assert!(recovered.journal_failure().is_none());
 }
 
+/// The WAL counters count what reached the log. A push whose append the
+/// armed failpoint refuses, and a control operation whose flush it
+/// refuses, leave `wal_records` and `wal_flushes` where they were.
+#[test]
+fn refused_writes_leave_the_wal_counters_unchanged() {
+    let wal_counters = |server: &DurableServer| {
+        let telemetry = server.inner().telemetry_registry();
+        (telemetry.counter(Metric::WalRecords), telemetry.counter(Metric::WalFlushes))
+    };
+    let armed_server = |tag: &str| {
+        let server = DurableServer::create(fresh_store(tag), DurableConfig::local()).unwrap();
+        server.register_stream("weather", Schema::weather_example()).unwrap();
+        server.install_wal_failpoint(FailMode::Sticky { message: "I/O error (injected)".into() });
+        server
+    };
+
+    let server = armed_server("counters-push");
+    let before = wal_counters(&server);
+    let tuple = weather_tuple(&Schema::weather_example().shared(), 0, 10.0);
+    assert!(matches!(server.push("weather", tuple), Err(ExacmlError::Durability(_))));
+    assert_eq!(wal_counters(&server), before, "a refused push");
+
+    let server = armed_server("counters-control");
+    let before = wal_counters(&server);
+    assert!(matches!(
+        server.load_policy(rain_policy("p", "weather", "LTA", 5.0)),
+        Err(ExacmlError::Durability(_))
+    ));
+    assert_eq!(wal_counters(&server), before, "a refused control operation");
+}
+
 /// A write torn mid-record (power loss while the page cache drains): the
 /// prefix of the record is on disk, recovery must detect and cut it.
 #[test]
@@ -598,6 +629,112 @@ proptest! {
         let Value::Double(g) = back[0] else { panic!("expected a double, got {:?}", back[0]) };
         prop_assert_eq!(g.to_bits(), (f + 0.0).to_bits(), "{} came back as {}", f, g);
     }
+
+    /// Whole records, not one cell: a batch of 0–8 rows over a random
+    /// schema of all five types is journaled as exactly the bytes a
+    /// per-cell reference model spells out.
+    #[test]
+    fn ingest_records_are_byte_identical_to_a_per_cell_model(
+        (seq, stream) in (0u64..u64::MAX, arb_text()),
+        types in proptest::collection::vec(0usize..5, 1..7),
+        // One seed per row, one cell seed per possible column.
+        seeds in proptest::collection::vec(proptest::collection::vec(arb_cell(), 6..7), 0..9),
+    ) {
+        const TYPES: [DataType; 5] =
+            [DataType::Int, DataType::Double, DataType::Bool, DataType::Text, DataType::Timestamp];
+        let fields = types.iter().enumerate().map(|(i, &t)| (format!("c{i}"), TYPES[t]));
+        let schema = Schema::from_pairs(fields).shared();
+        let mut rows = Vec::new();
+        let mut expected_rows = Vec::new();
+        for seed in &seeds {
+            let (values, cells): (Vec<Value>, Vec<String>) =
+                types.iter().zip(seed).map(|(&t, cell)| cell.as_type(TYPES[t])).unzip();
+            rows.push(Tuple::new(schema.clone(), values).unwrap());
+            expected_rows.push(format!("[{}]", cells.join(",")));
+        }
+        let stream_json = serde_json::to_string(&stream).unwrap();
+        prop_assert_eq!(
+            encode_ingest(seq, &stream, &rows).unwrap(),
+            format!(
+                r#"{{"seq":{seq},"op":"ingest","stream":{stream_json},"rows":[{}]}}"#,
+                expected_rows.join(",")
+            )
+        );
+    }
+}
+
+/// The raw material of one cell, whatever its column's type turns out to
+/// be; one in eight cells is null.
+#[derive(Debug, Clone)]
+struct CellSeed {
+    int: i64,
+    double: f64,
+    flag: bool,
+    text: String,
+    null: bool,
+}
+
+impl CellSeed {
+    /// The cell as a value of type `ty`, and the bytes the journal has
+    /// always written for it: integers via `{v}`, doubles in the `N.0`
+    /// form when integral below 1e15 and via `{f}` otherwise, text via the
+    /// shared serializer, and the three JSON literals.
+    fn as_type(&self, ty: DataType) -> (Value, String) {
+        if self.null {
+            return (Value::Null, "null".to_string());
+        }
+        match ty {
+            DataType::Int => (Value::Int(self.int), format!("{}", self.int)),
+            DataType::Timestamp => (Value::Timestamp(self.int), format!("{}", self.int)),
+            DataType::Double => {
+                let f = self.double;
+                let json = if f == f.trunc() && f.abs() < 1e15 {
+                    format!("{}.0", f as i64)
+                } else {
+                    format!("{f}")
+                };
+                (Value::Double(f), json)
+            }
+            DataType::Bool => (Value::Bool(self.flag), self.flag.to_string()),
+            DataType::Text => {
+                (Value::Text(self.text.clone()), serde_json::to_string(&self.text).unwrap())
+            }
+        }
+    }
+}
+
+/// Integers at both extremes, small, and anywhere in range.
+fn arb_int() -> impl Strategy<Value = i64> {
+    prop_oneof![Just(i64::MIN), Just(i64::MAX), -1_000i64..1_000, i64::MIN..=i64::MAX]
+}
+
+/// [`arb_double`] plus negative zero, negative subnormals, and sensor-sized
+/// readings with 1–4 decimals of either sign.
+fn arb_cell_double() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        arb_double(),
+        Just(-0.0),
+        (1u64..1 << 52).prop_map(|bits| -f64::from_bits(bits)),
+        (-2_000_000i64..2_000_000, 1i32..=4)
+            .prop_map(|(digits, places)| digits as f64 / 10f64.powi(places)),
+    ]
+}
+
+/// Text with escapes, control characters, DEL and multi-byte characters
+/// anywhere, or none of them.
+fn arb_text() -> impl Strategy<Value = String> {
+    const PALETTE: [char; 18] = [
+        'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+        '\u{80}', 'é', '☂', '雨', '𝄞',
+    ];
+    proptest::collection::vec(0usize..PALETTE.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+fn arb_cell() -> impl Strategy<Value = CellSeed> {
+    (arb_int(), arb_cell_double(), proptest::bool::ANY, arb_text(), 0u8..8).prop_map(
+        |(int, double, flag, text, null)| CellSeed { int, double, flag, text, null: null == 0 },
+    )
 }
 
 #[test]
