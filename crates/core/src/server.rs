@@ -292,7 +292,7 @@ impl DataServer {
             None,
             None,
             Some(&policy_id),
-            format!("loaded in {elapsed:?}"),
+            "loaded",
         );
         Ok(elapsed)
     }

@@ -15,8 +15,10 @@
 //!   **physical hosts** over the simulated topology — after every
 //!   control-plane operation synchronously (the broker waits for the ack in
 //!   virtual time, so an acknowledged grant *and* a journaled denial are
-//!   always on K+1 disks), ingest records in batches (bounded lag, surfaced
-//!   as `BackendHealth::replication_lag_records`);
+//!   always on K+1 disks), ingest records continuously from one background
+//!   ship pump, and inline from the ingest call that finds
+//!   `INGEST_SHIP_EVERY` records unshipped (bounded lag, surfaced as
+//!   `BackendHealth::replication_lag_records`);
 //! * when the broker resolves a node whose host is **dead**, the layer
 //!   *fails over*: the first surviving peer holding a replica replays the
 //!   shipped journal through the ordinary recovery workflow
@@ -44,8 +46,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A brokering fabric of [`DurableServer`] nodes with WAL shipping and owner
@@ -71,9 +75,10 @@ pub struct ReplicatedConfig {
     pub root: PathBuf,
 }
 
-/// Ship buffered ingest records after this many unshipped journal appends
-/// (control-plane records always ship immediately), so a node's mirrors lag
-/// it by fewer than this many ingest records.
+/// An ingest call that finds this many of its node's journal appends
+/// unshipped ships them itself (control-plane records always ship
+/// immediately, the pump ships whatever it reaches first), so a node's
+/// reachable mirrors lag it by fewer than this many ingest records.
 const INGEST_SHIP_EVERY: u64 = 256;
 
 impl ReplicatedConfig {
@@ -119,27 +124,63 @@ struct Slot {
     host: usize,
 }
 
-/// The shipping state of one logical node: its peer mirrors, the count of
-/// ingest appends not yet shipped, and the RNG its ship round trips are
-/// sampled on.
+/// The shipping state of one logical node: its peer mirrors and the RNG
+/// its barrier ships sample round trips on.
 struct NodeShipper {
     mirrors: Vec<ReplicaMirror>,
-    unshipped_ingest: u64,
     rng: StdRng,
 }
 
-/// The replicated placement layer: slots (logical node → server + host),
-/// mirrors, shipping, failover and the crash schedule. See the module docs
-/// for the failure model.
-pub struct Replication {
+/// How a ship treats the network.
+#[derive(Debug, Clone, Copy)]
+enum Ship {
+    /// The broker waits for it (a control operation, a failover, a settle)
+    /// until every reachable mirror has acknowledged journal sequence
+    /// `upto`; a mirror the pump already brought that far is not shipped
+    /// to again. Fault windows are waited out in virtual time, a mirror it
+    /// cannot reach counts one `replica_ship_retries`, and each
+    /// acknowledging mirror charges one round trip for `charged` bytes
+    /// (none when 0).
+    Barrier { charged: u64, upto: u64 },
+    /// Ingest bytes moving behind the broker's back (the pump, or an ingest
+    /// call at the threshold): links are checked, never waited on; an
+    /// unreachable mirror is skipped silently; nothing is charged. A
+    /// background ship never touches virtual time.
+    Background,
+}
+
+/// What the broker's calls and the ship pump share.
+struct Shared {
     config: ReplicatedConfig,
     net: Arc<FabricNet>,
     /// Logical node `i` → its current server and physical host.
     slots: Vec<RwLock<Slot>>,
     /// Logical node `i` → its replication state.
     shippers: Vec<Mutex<NodeShipper>>,
+    /// Logical node `i` → ingest records appended but not yet acknowledged
+    /// by every live mirror (an upper bound: records a ship carried after
+    /// it read the count stay counted until the next one).
+    unshipped_ingest: Vec<AtomicU64>,
     /// Physical host `p` → alive?
     hosts_alive: Vec<AtomicBool>,
+}
+
+/// The background ship pump: one thread that ships every node with
+/// unshipped ingest whenever an ingest call rings, so mirrors follow their
+/// primaries continuously and a control operation's barrier ship finds
+/// only its own record group left to move.
+struct Pump {
+    doorbell: SyncSender<()>,
+    thread: JoinHandle<()>,
+}
+
+/// The replicated placement layer: slots (logical node → server + host),
+/// mirrors, shipping, failover and the crash schedule. See the module docs
+/// for the failure model.
+pub struct Replication {
+    shared: Arc<Shared>,
+    /// `None` only while the layer drops.
+    pump: Option<Pump>,
     /// `Fault::Crash` windows already applied (edge-triggered kills).
     crashes_applied: Mutex<HashSet<usize>>,
 }
@@ -147,10 +188,11 @@ pub struct Replication {
 impl Replication {
     /// Create a fresh replicated fabric: one durable store per node under
     /// `config.root`, mirrors attached to each node's K ring successors,
-    /// the broker in front.
+    /// the ship pump started, the broker in front.
     ///
     /// # Errors
-    /// Fails when `root` already holds stores, or on I/O errors.
+    /// Fails when `root` already holds stores, on I/O errors, or when the
+    /// pump thread cannot be started.
     pub fn create(config: ReplicatedConfig) -> Result<ReplicatedFabric, ExacmlError> {
         let nodes = config.fabric.nodes;
         let mut slots = Vec::with_capacity(nodes);
@@ -161,29 +203,32 @@ impl Replication {
             slots.push(RwLock::new(Slot { server: Arc::new(server), host: i }));
             shippers.push(Mutex::new(NodeShipper {
                 mirrors: mirrors_of(&config, i, i),
-                unshipped_ingest: 0,
                 rng: StdRng::seed_from_u64(config.fabric.seed.wrapping_mul(0x9e37_79b9) ^ i as u64),
             }));
         }
         let net = FabricNet::new(&config.fabric);
-        let layer = Replication {
+        let seed = config.fabric.seed;
+        let shared = Arc::new(Shared {
             net: Arc::clone(&net),
             slots,
             shippers,
+            unshipped_ingest: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             hosts_alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
-            crashes_applied: Mutex::new(HashSet::new()),
             config,
-        };
+        });
         // Attach every mirror now: a node that dies before its first
         // control-plane operation must still leave a recoverable replica.
-        layer.settle_replication();
-        Ok(Fabric::assemble(nodes, layer.config.fabric.seed, net, layer))
+        shared.settle();
+        let pump = Pump::start(Arc::clone(&shared))?;
+        let layer =
+            Replication { shared, pump: Some(pump), crashes_applied: Mutex::new(HashSet::new()) };
+        Ok(Fabric::assemble(nodes, seed, net, layer))
     }
 
     /// The physical host a logical node currently lives on.
     #[must_use]
     pub fn host_of(&self, logical: usize) -> usize {
-        self.slots[logical].read().host
+        self.shared.slots[logical].read().host
     }
 
     /// The durable server currently backing a logical node (triggers
@@ -199,17 +244,16 @@ impl Replication {
     /// Ship every node's outstanding journal bytes now (tests and benches
     /// call this to bound ingest lag before measuring or killing).
     pub fn settle_replication(&self) {
-        for logical in 0..self.slots.len() {
-            self.ship_node(logical, false);
-        }
+        self.shared.settle();
     }
 
     /// Apply `Fault::Crash` windows whose start the virtual clock has
     /// passed: each kills its host once (edge-triggered, like pulling the
     /// power at that instant).
     fn apply_crash_schedule(&self) {
-        let Some(plan) = self.net.fault_plan() else { return };
-        let now = self.net.clock().now_nanos();
+        let net = &self.shared.net;
+        let Some(plan) = net.fault_plan() else { return };
+        let now = net.clock().now_nanos();
         let mut applied = self.crashes_applied.lock();
         for (index, node, from, _) in plan.crash_windows() {
             if from <= now && applied.insert(index) {
@@ -225,16 +269,17 @@ impl Replication {
     /// recovery workflow, re-minting every live handle at its recorded URI,
     /// then re-attach fresh mirrors from the adopter.
     fn fail_over(&self, logical: usize) -> Result<(Arc<DurableServer>, usize), ExacmlError> {
-        let mut slot = self.slots[logical].write();
+        let shared = &*self.shared;
+        let mut slot = shared.slots[logical].write();
         // Another thread may have completed the failover while we waited.
-        if self.host_is_alive(slot.host) {
+        if shared.host_is_alive(slot.host) {
             return Ok((Arc::clone(&slot.server), slot.host));
         }
-        let mut shipper = self.shippers[logical].lock();
+        let mut shipper = shared.shippers[logical].lock();
         let (adopter, replica) = shipper
             .mirrors
             .iter()
-            .find(|mirror| self.host_is_alive(mirror.host()))
+            .find(|mirror| shared.host_is_alive(mirror.host()))
             .map(|mirror| (mirror.host(), mirror.dir().to_path_buf()))
             .ok_or_else(|| {
                 node_unavailable(
@@ -242,71 +287,152 @@ impl Replication {
                     format!(
                         "host {} is dead and no live replica remains (K = {})",
                         slot.host,
-                        self.config.effective_replication()
+                        shared.config.effective_replication()
                     ),
                 )
             })?;
-        let recovered = DurableServer::recover_with(replica, node_config(&self.config, logical))?;
-        let telemetry = self.net.telemetry();
+        let recovered = DurableServer::recover_with(replica, node_config(&shared.config, logical))?;
+        let telemetry = shared.net.telemetry();
         telemetry.incr(Metric::Failovers);
         telemetry.add(Metric::HandlesReminted, recovered.inner().grant_count() as u64);
+        // The new mirrors attach with the whole adopted journal.
+        let charged = std::fs::metadata(recovered.wal_path()).map_or(0, |meta| meta.len());
+        let upto = recovered.journal_seq();
         slot.server = Arc::new(recovered);
         slot.host = adopter;
         // The adopter's former mirror directory is now the primary store;
         // re-home the replica set on the adopter's ring successors.
-        shipper.mirrors = mirrors_of(&self.config, logical, adopter);
-        shipper.unshipped_ingest = 0;
+        shipper.mirrors = mirrors_of(&shared.config, logical, adopter);
+        shared.unshipped_ingest[logical].store(0, Ordering::Release);
         let placed = (Arc::clone(&slot.server), adopter);
         drop(slot);
         drop(shipper);
-        self.ship_node(logical, true);
+        shared.ship_node(logical, Ship::Barrier { charged, upto });
         Ok(placed)
     }
+}
 
-    /// Ship a logical node's journal to its mirrors. `sync` ships charge
-    /// the link's round trip on the virtual clock (the broker waits for the
-    /// ack); batched ingest ships do not (they model a background pipe).
-    /// A mirror behind a dead host or an exhausted fault window is skipped
-    /// — the batch stays pending, the lag gauge grows and the skip counts as
-    /// a `replica_ship_retries`, like a failed ship.
-    fn ship_node(&self, logical: usize, sync: bool) {
+impl Drop for Replication {
+    /// Stop the pump: dropping the doorbell ends its loop once the pass in
+    /// progress finishes.
+    fn drop(&mut self) {
+        if let Some(Pump { doorbell, thread }) = self.pump.take() {
+            drop(doorbell);
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Pump {
+    /// Start the pump thread over `shared`.
+    fn start(shared: Arc<Shared>) -> Result<Pump, ExacmlError> {
+        let (doorbell, rings) = sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name("replica-ship-pump".to_string())
+            .spawn(move || {
+                while rings.recv().is_ok() {
+                    for logical in 0..shared.slots.len() {
+                        if shared.unshipped_ingest[logical].load(Ordering::Acquire) > 0 {
+                            shared.ship_node(logical, Ship::Background);
+                        }
+                    }
+                }
+            })
+            .map_err(|e| ExacmlError::Durability(format!("start the replica ship pump: {e}")))?;
+        Ok(Pump { doorbell, thread })
+    }
+}
+
+impl Shared {
+    fn host_is_alive(&self, host: usize) -> bool {
+        self.hosts_alive.get(host).is_some_and(|alive| alive.load(Ordering::Relaxed))
+    }
+
+    /// Ship every node, waiting on its mirrors.
+    fn settle(&self) {
+        for logical in 0..self.slots.len() {
+            let upto = self.slots[logical].read().server.journal_seq();
+            self.ship_node(logical, Ship::Barrier { charged: 0, upto });
+        }
+    }
+
+    /// Ship a logical node's journal to its mirrors, treating the network
+    /// as `ship` says. A mirror on a dead host is skipped. The node's
+    /// unshipped-ingest count drops by what it read before the ship only
+    /// once every mirror on a live host has been shipped to, so a skipped
+    /// or failed ship forgets nothing.
+    fn ship_node(&self, logical: usize, ship: Ship) {
         let slot = self.slots[logical].read();
         if !self.host_is_alive(slot.host) {
             return;
         }
         let from = NodeId::Server(slot.host as u16);
         let mut shipper = self.shippers[logical].lock();
-        let NodeShipper { mirrors, unshipped_ingest, rng } = &mut *shipper;
-        *unshipped_ingest = 0;
+        let NodeShipper { mirrors, rng } = &mut *shipper;
+        // Read before the ship's mark: every record counted so far was
+        // appended before it, so a ship below carries all of them.
+        let counted = self.unshipped_ingest[logical].load(Ordering::Acquire);
         let telemetry = self.net.telemetry();
+        let mut carried = true;
         for mirror in mirrors {
             let to = NodeId::Server(mirror.host() as u16);
-            if !self.host_is_alive(mirror.host()) || !self.net.await_link(from, to).1 {
-                telemetry.incr(Metric::ReplicaShipRetries);
+            let alive = self.host_is_alive(mirror.host());
+            let reachable = alive
+                && match ship {
+                    Ship::Barrier { .. } => self.net.await_link(from, to).1,
+                    Ship::Background => !self.net.link_down(from, to),
+                };
+            if !reachable {
+                if matches!(ship, Ship::Barrier { .. }) {
+                    telemetry.incr(Metric::ReplicaShipRetries);
+                }
+                // A dead mirror host holds nothing back: it re-attaches
+                // from scratch when it restarts.
+                carried &= !alive;
                 continue;
             }
-            // Shipping flushes the primary's journal and copies its new
-            // bytes — real I/O, timed on the wall clock like WAL appends
-            // (the *round trip* charged below for sync ships stays on the
-            // virtual clock). A primary whose journal failed cannot even
-            // flush: the ship fails and its mirrors keep whatever they
-            // acknowledged last.
-            let started = telemetry.is_enabled().then(Instant::now);
-            let shipped = mirror.ship_from(&slot.server);
-            if let Some(started) = started {
-                telemetry.record(Stage::ReplicaShip, started.elapsed());
-            }
-            match shipped {
-                Ok(outcome) if outcome.shipped_anything() => {
-                    telemetry.incr(Metric::ReplicaBatchesShipped);
-                    if sync {
-                        let bytes = outcome.wal_bytes as usize;
-                        self.net.clock().advance(self.net.round_trip(from, to, bytes, 64, rng));
+            let due = match ship {
+                Ship::Barrier { upto, .. } => mirror.acked_seq() < upto,
+                Ship::Background => true,
+            };
+            if due {
+                // Shipping flushes the primary's journal and copies its new
+                // bytes — real I/O, timed on the wall clock like WAL
+                // appends (the *round trip* charged below for barrier ships
+                // stays on the virtual clock). A primary whose journal
+                // failed cannot even flush: the ship fails and its mirrors
+                // keep whatever they acknowledged last.
+                let started = telemetry.is_enabled().then(Instant::now);
+                let shipped = mirror.ship_from(&slot.server);
+                if let Some(started) = started {
+                    telemetry.record(Stage::ReplicaShip, started.elapsed());
+                }
+                match shipped {
+                    Ok(outcome) if outcome.shipped_anything() => {
+                        telemetry.incr(Metric::ReplicaBatchesShipped);
+                    }
+                    Ok(_) => {}
+                    Err(_) => {
+                        telemetry.incr(Metric::ReplicaShipRetries);
+                        carried = false;
+                        continue;
                     }
                 }
-                Ok(_) => {}
-                Err(_) => telemetry.incr(Metric::ReplicaShipRetries),
+            } else {
+                carried = false;
             }
+            // The charge is for the operation's own bytes, whether this ship
+            // or an earlier background one carried them: virtual time never
+            // depends on how far the pump got.
+            if let Ship::Barrier { charged, .. } = ship {
+                if charged > 0 {
+                    let trip = self.net.round_trip(from, to, charged as usize, 64, rng);
+                    self.net.clock().advance(trip);
+                }
+            }
+        }
+        if carried {
+            self.unshipped_ingest[logical].fetch_sub(counted, Ordering::AcqRel);
         }
     }
 }
@@ -319,12 +445,12 @@ impl Placement for Replication {
     }
 
     fn current(&self, logical: usize) -> (Arc<DurableServer>, usize) {
-        let slot = self.slots[logical].read();
+        let slot = self.shared.slots[logical].read();
         (Arc::clone(&slot.server), slot.host)
     }
 
     fn host_is_alive(&self, host: usize) -> bool {
-        self.hosts_alive.get(host).is_some_and(|alive| alive.load(Ordering::Relaxed))
+        self.shared.host_is_alive(host)
     }
 
     /// The node's server, failing over first when its host is dead.
@@ -340,21 +466,27 @@ impl Placement for Replication {
 
     /// Ship synchronously: whatever the operation journaled — a grant, a
     /// policy change, or just the audit record of a refusal — is on K+1
-    /// disks before the broker answers.
+    /// disks before the broker answers. The round trip charged is for the
+    /// operation's own record group.
     fn control_committed(&self, logical: usize) {
-        self.ship_node(logical, true);
+        let group = self.shared.slots[logical].read().server.last_control_group();
+        self.shared.ship_node(logical, Ship::Barrier { charged: group.bytes, upto: group.end_seq });
     }
 
-    /// Count ingest records appended to the node's journal and ship them
-    /// once the threshold is reached.
+    /// Count ingest records appended to the node's journal: ship them inline
+    /// once the threshold is reached, otherwise ring the pump.
     fn ingest_committed(&self, logical: usize, records: u64) {
-        let due = {
-            let mut shipper = self.shippers[logical].lock();
-            shipper.unshipped_ingest += records;
-            shipper.unshipped_ingest >= INGEST_SHIP_EVERY
-        };
-        if due {
-            self.ship_node(logical, false);
+        // A refused ingest call appended nothing and rings nothing.
+        if records == 0 {
+            return;
+        }
+        let unshipped =
+            self.shared.unshipped_ingest[logical].fetch_add(records, Ordering::AcqRel) + records;
+        if unshipped >= INGEST_SHIP_EVERY {
+            self.shared.ship_node(logical, Ship::Background);
+        } else if let Some(pump) = &self.pump {
+            // A full doorbell means a pass is already due.
+            let _ = pump.doorbell.try_send(());
         }
     }
 
@@ -362,7 +494,7 @@ impl Placement for Replication {
     /// node it hosts fails over to a surviving replica on its next touch,
     /// and mirrors it held stop acknowledging ships (lag grows).
     fn kill_host(&self, host: usize) {
-        if let Some(alive) = self.hosts_alive.get(host) {
+        if let Some(alive) = self.shared.hosts_alive.get(host) {
             alive.store(false, Ordering::Relaxed);
         }
     }
@@ -372,9 +504,9 @@ impl Placement for Replication {
     /// on), so every mirror it hosts is re-attached from scratch on the
     /// next ship. The host immediately starts accepting mirrors again.
     fn restart_host(&self, host: usize) {
-        let Some(alive) = self.hosts_alive.get(host) else { return };
+        let Some(alive) = self.shared.hosts_alive.get(host) else { return };
         alive.store(true, Ordering::Relaxed);
-        for shipper in &self.shippers {
+        for shipper in &self.shared.shippers {
             for mirror in shipper.lock().mirrors.iter_mut().filter(|m| m.host() == host) {
                 mirror.detach();
             }
@@ -383,7 +515,7 @@ impl Placement for Replication {
 
     fn replication_lag(&self) -> u64 {
         let mut lag = 0u64;
-        for (slot, shipper) in self.slots.iter().zip(&self.shippers) {
+        for (slot, shipper) in self.shared.slots.iter().zip(&self.shared.shippers) {
             let seq = slot.read().server.journal_seq();
             for mirror in &shipper.lock().mirrors {
                 lag += seq.saturating_sub(mirror.acked_seq());
@@ -555,6 +687,68 @@ mod tests {
         fabric.layer().settle_replication();
         assert_eq!(fabric.layer().replication_lag(), 0);
         assert!(broker_part(&fabric).counter(Metric::ReplicaBatchesShipped) > 0);
+    }
+
+    fn rainy(schema: &Arc<Schema>, i: i64) -> Tuple {
+        Tuple::builder_shared(schema)
+            .set("samplingtime", exacml_dsms::Value::Timestamp(i * 30_000))
+            .set("rainrate", 10.0)
+            .finish_with_defaults()
+    }
+
+    #[test]
+    fn a_skipped_ship_keeps_its_records_pending() {
+        use exacml_simnet::{Fault, FaultPlan};
+        use std::time::Duration;
+        let root = temp_root("skipped");
+        let window = (Duration::from_millis(100), Duration::from_millis(1_100));
+        let plan = FaultPlan::new().inject(
+            Fault::LinkDrop { a: NodeId::Server(0), b: NodeId::Server(1) },
+            window.0,
+            window.1,
+        );
+        let fabric = Replication::create(
+            ReplicatedConfig::new(2, &root).with_fabric(|f| f.with_fault_plan(Arc::new(plan))),
+        )
+        .unwrap();
+        fabric.register_stream("weather", Schema::weather_example()).unwrap();
+        let schema = Schema::weather_example().shared();
+        let now = || Duration::from_nanos(fabric.clock().now_nanos());
+        fabric.advance(window.0 - now());
+        // The only link between the two hosts is down: nothing ships, the
+        // threshold is crossed, and every record stays unshipped.
+        for i in 0..300 {
+            fabric.push("weather", rainy(&schema, i)).unwrap();
+        }
+        assert!(now() < window.1, "the pushes ran inside the window");
+        assert_eq!(fabric.layer().replication_lag(), 300);
+
+        // Once the link is back, the next ingest call finds all 301 records
+        // pending and ships them inline.
+        fabric.advance(window.1 - now());
+        fabric.push("weather", rainy(&schema, 300)).unwrap();
+        assert_eq!(fabric.layer().replication_lag(), 0);
+        // Background ships wait on nothing and count no retries.
+        assert_eq!(broker_part(&fabric).counter(Metric::ReplicaShipRetries), 0);
+    }
+
+    #[test]
+    fn the_pump_drains_the_lag_without_help() {
+        let root = temp_root("pump");
+        let fabric = Replication::create(ReplicatedConfig::new(3, &root)).unwrap();
+        fabric.register_stream("weather", Schema::weather_example()).unwrap();
+        let schema = Schema::weather_example().shared();
+        for i in 0..100 {
+            fabric.push("weather", rainy(&schema, i)).unwrap();
+        }
+        // Below the threshold no ingest call ships; only the pump can.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while fabric.layer().replication_lag() > 0 {
+            assert!(Instant::now() < deadline, "the pump left the lag standing");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(broker_part(&fabric).counter(Metric::ReplicaBatchesShipped) > 0);
+        assert_eq!(broker_part(&fabric).counter(Metric::ReplicaShipRetries), 0);
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! mid-record is indistinguishable from a torn write on the primary.
 //!
 //! The shipper is deliberately **mechanism only**: it moves bytes between
-//! directories and tracks offsets. Scheduling (sync for control-plane,
-//! batched for ingest), link delays, fault windows and retry budgets belong
-//! to the replicated fabric broker in [`crate::fabric`].
+//! directories and tracks offsets. Scheduling (sync for control-plane, a
+//! background pump plus an inline threshold for ingest), link delays, fault
+//! windows and retry budgets belong to the replication layer in
+//! [`crate::fabric`].
 
 use crate::server::{DurableServer, JournalMark};
 use std::fs::{File, OpenOptions};

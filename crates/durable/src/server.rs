@@ -44,7 +44,7 @@
 
 use crate::record::{decode_row, encode_ingest_into, object, text, GrantRecord, Record};
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot, StreamEntry};
-use crate::wal::{read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
+use crate::wal::{framed_len, read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
 use crate::{check_format_version, FORMAT_VERSION};
 use exacml_dsms::{Schema, StreamHandle, Tuple};
 use exacml_plus::{
@@ -200,6 +200,21 @@ pub struct JournalMark {
     pub seq: u64,
 }
 
+/// What one control-plane record group journaled: the records of one
+/// operation, appended under one journal lock hold, so their sequences are
+/// contiguous and end just below `end_seq`. The replicated fabric's barrier
+/// ship waits until every mirror acknowledged `end_seq` and charges its
+/// round trip for `bytes`, whichever ship carried them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ControlGroup {
+    /// WAL bytes the group appended — its operation record and audit
+    /// events; 0 when it journaled nothing.
+    pub(crate) bytes: u64,
+    /// The journal sequence after the group's last record: a mirror that
+    /// acknowledged it holds the whole group.
+    pub(crate) end_seq: u64,
+}
+
 /// Journal-side state, guarded by one mutex so records land in the WAL in
 /// the order their operations were applied.
 struct Journal {
@@ -217,6 +232,8 @@ struct Journal {
     /// Reusable encode buffer for ingest records (the hot path allocates
     /// nothing once warm).
     scratch: String,
+    /// The current (or last) control-plane record group.
+    control_group: ControlGroup,
     /// A journaling failure is sticky: once an append fails, every further
     /// mutating operation is refused so the disk never silently lags memory.
     failed: Option<String>,
@@ -351,6 +368,7 @@ impl DurableServer {
                 next_deployment_id: 0,
                 next_handle_serial: 0,
                 scratch: String::new(),
+                control_group: ControlGroup::default(),
                 failed: None,
             }),
             recovery: RecoveryReport::default(),
@@ -522,6 +540,7 @@ impl DurableServer {
                 next_deployment_id,
                 next_handle_serial,
                 scratch: String::new(),
+                control_group: ControlGroup::default(),
                 failed: None,
             }),
             recovery: report,
@@ -657,6 +676,13 @@ impl DurableServer {
         self.journal.lock().next_seq
     }
 
+    /// What the last control-plane record group journaled (see
+    /// [`ControlGroup`]).
+    #[must_use]
+    pub(crate) fn last_control_group(&self) -> ControlGroup {
+        self.journal.lock().control_group
+    }
+
     /// The sticky journal failure, when one happened: the disk fault that
     /// made the store refuse further mutations. `None` while healthy.
     #[must_use]
@@ -734,7 +760,10 @@ impl DurableServer {
         let payload = record
             .encode(journal.next_seq)
             .map_err(|e| durability(&format!("encode {} record", record.op()), e))?;
-        self.append_payload(journal, &payload)
+        self.append_payload(journal, &payload)?;
+        journal.control_group.bytes += framed_len(&payload);
+        journal.control_group.end_seq = journal.next_seq;
+        Ok(())
     }
 
     /// Buffered append plus sequencing bookkeeping (sticky on failure).
@@ -788,6 +817,7 @@ impl DurableServer {
     /// the whole group fits the empty 256 KiB buffer and reaches the OS in
     /// the single flush [`DurableServer::commit`] performs.
     fn begin_control(&self, journal: &mut Journal) -> Result<(), ExacmlError> {
+        journal.control_group = ControlGroup { bytes: 0, end_seq: journal.next_seq };
         Self::check_health(journal)?;
         self.commit(journal)
     }

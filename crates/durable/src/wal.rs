@@ -71,6 +71,12 @@ pub fn frame(payload: &str) -> String {
     format!("{:016x} {payload}\n", checksum(payload.as_bytes()))
 }
 
+/// The length of `payload`'s WAL line: checksum, space, payload, newline.
+#[must_use]
+pub fn framed_len(payload: &str) -> u64 {
+    payload.len() as u64 + 18
+}
+
 /// Parse one framed line (without its newline) back into its payload.
 /// Returns `None` when the frame is malformed or the checksum mismatches.
 #[must_use]
@@ -437,6 +443,7 @@ mod tests {
         let line = frame(payload);
         assert!(line.ends_with('\n'));
         assert_eq!(unframe(line.trim_end_matches('\n')), Some(payload));
+        assert_eq!(framed_len(payload), line.len() as u64);
         // A flipped payload byte breaks the checksum.
         let tampered = line.replace("release", "rElease");
         assert_eq!(unframe(tampered.trim_end_matches('\n')), None);

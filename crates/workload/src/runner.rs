@@ -468,11 +468,9 @@ pub fn run_pack_checked(backend: &dyn Backend, pack: &ScenarioPack) -> PackOutco
     outcome
 }
 
-/// Normalize an audit trail for cross-run comparison with `==`: wall-clock
-/// artifacts are scrubbed — `timestamp_ms` is zeroed, and the
-/// `policy-loaded` detail (which embeds the measured load duration) is
-/// blanked. Node tags, sequences, subjects, handles and every other detail
-/// are kept.
+/// Normalize an audit trail for cross-run comparison with `==`: the one
+/// wall-clock artifact, `timestamp_ms`, is zeroed. Node tags, sequences,
+/// subjects, handles and every detail are kept.
 #[must_use]
 pub fn normalized_audit(events: &[TaggedAuditEvent]) -> Vec<TaggedAuditEvent> {
     events
@@ -480,9 +478,6 @@ pub fn normalized_audit(events: &[TaggedAuditEvent]) -> Vec<TaggedAuditEvent> {
         .map(|tagged| {
             let mut tagged = tagged.clone();
             tagged.event.timestamp_ms = 0;
-            if tagged.event.kind == AuditEventKind::PolicyLoaded {
-                tagged.event.detail = String::new();
-            }
             tagged
         })
         .collect()

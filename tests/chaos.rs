@@ -468,3 +468,115 @@ fn a_denied_request_is_shipped_and_survives_its_owner() {
     assert_eq!(owner_events(&fabric), before, "the adopter must replay the denial too");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Acknowledged control operations survive their owner while ingest keeps
+/// the mirrors busy: a producer thread pushes frames into every stream
+/// while this thread grants, releases and provokes denials on the victim's
+/// streams. The victim host is killed right after the last control
+/// operation returns — no settling — and every acknowledged answer must
+/// still hold on the adopter: grants live at their URIs, releases
+/// released, denials in the trail.
+#[test]
+fn acknowledged_control_ops_survive_their_owner_under_concurrent_ingest() {
+    let streams = knob("CHAOS_STREAMS", 6);
+    let batches = knob("CHAOS_BATCHES", 4);
+    let batch_size = knob("CHAOS_BATCH_SIZE", 8);
+    let churn_rounds = knob("CHAOS_CHURN_ROUNDS", 3);
+
+    let root = fresh_root("ingest-kill");
+    let fabric = Replication::create(
+        ReplicatedConfig::new(3, &root).with_replication(1).with_fabric(|f| f.with_seed(17)),
+    )
+    .unwrap();
+    let schema = Schema::weather_example().shared();
+    let names: Vec<String> = (0..streams).map(|i| format!("s{i}")).collect();
+    for name in &names {
+        fabric.register_stream(name, Schema::weather_example()).unwrap();
+    }
+    // The victim: the host backing s0's owner; its streams are the ones
+    // whose owner lives there.
+    let logical = |stream: &str| {
+        let NodeId::Server(owner) = fabric.owner_of(stream) else { unreachable!() };
+        owner as usize
+    };
+    let victim = fabric.layer().host_of(logical("s0"));
+    let targets: Vec<&String> =
+        names.iter().filter(|name| fabric.layer().host_of(logical(name)) == victim).collect();
+
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let mut held: Vec<String> = Vec::new();
+    let mut released: Vec<String> = Vec::new();
+    let mut denials = 0;
+    std::thread::scope(|scope| {
+        let producer = scope.spawn(|| {
+            let mut frame = 0;
+            while frame < batches || !stop.load(Ordering::Relaxed) {
+                let batches = names
+                    .iter()
+                    .map(|name| {
+                        let tuples = (0..batch_size)
+                            .map(|k| weather_tuple(&schema, (frame * batch_size + k) as i64, 10.0))
+                            .collect();
+                        StreamBatch::new(name, tuples)
+                    })
+                    .collect();
+                fabric.push_batches(batches).unwrap();
+                frame += 1;
+            }
+            frame
+        });
+        for round in 0..churn_rounds {
+            for stream in &targets {
+                let subject = format!("g{round}");
+                fabric
+                    .load_policy(
+                        StreamPolicyBuilder::new(format!("{stream}-{subject}"), stream.as_str())
+                            .subject(&subject)
+                            .filter("rainrate > 5")
+                            .build(),
+                    )
+                    .unwrap();
+                let granted =
+                    fabric.handle_request(&Request::subscribe(&subject, stream), None).unwrap();
+                let uri = granted.handle().uri().to_string();
+                // Every other grant is given back before the kill.
+                if round % 2 == 1 {
+                    assert!(fabric.release_access(&subject, stream));
+                    released.push(uri);
+                } else {
+                    held.push(uri);
+                }
+                let denied = fabric.handle_request(&Request::subscribe("mallory", stream), None);
+                assert!(matches!(denied, Err(ExacmlError::AccessDenied { .. })), "got {denied:?}");
+                denials += 1;
+            }
+        }
+        fabric.kill_node(victim);
+        stop.store(true, Ordering::Relaxed);
+        assert!(producer.join().unwrap() >= batches);
+    });
+
+    for uri in &held {
+        assert!(
+            fabric.handle_is_live(&StreamHandle::from_uri(uri.clone())),
+            "acknowledged grant {uri} must survive its owner"
+        );
+    }
+    for uri in &released {
+        assert!(
+            !fabric.handle_is_live(&StreamHandle::from_uri(uri.clone())),
+            "released grant {uri} must stay released"
+        );
+    }
+    for stream in &targets {
+        assert_ne!(fabric.layer().host_of(logical(stream)), victim, "{stream} failed over");
+    }
+    let denied = fabric
+        .audit_events_for_subject("mallory")
+        .iter()
+        .filter(|t| t.event.kind == AuditEventKind::Denied)
+        .count();
+    assert_eq!(denied, denials, "every acknowledged denial must be in the trail");
+    assert!(broker_counter(&fabric, Metric::Failovers) >= 1);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -779,3 +779,83 @@ fn fabric_delivery_stamps_match_the_golden() {
     assert_eq!(buckets, vec![(17, 110), (18, 1_887), (19, 1_123), (21, 60)]);
     assert_eq!(fabric.clock().now_nanos(), 11_550_000);
 }
+
+/// One seeded single-threaded script on a 3-node replicated fabric over the
+/// paper testbed, with a latency spike on the ship links for part of the
+/// run: ingest frames interleaved with grants, releases, denials and policy
+/// updates. Returns what virtual time and the broker decided — the final
+/// clock, the audit trail as `(node, sequence, kind)` and the broker's
+/// retries.
+fn replicated_script(seed: u64) -> (u64, Vec<(NodeId, u64, String)>, u64) {
+    let spike = FaultPlan::new()
+        .inject(
+            Fault::LatencySpike { a: NodeId::Server(0), b: NodeId::Server(1), factor: 7.0 },
+            Duration::from_millis(20),
+            Duration::from_millis(90),
+        )
+        .inject(
+            Fault::LatencySpike { a: NodeId::DataServer, b: NodeId::Server(2), factor: 3.0 },
+            Duration::from_millis(40),
+            Duration::from_millis(120),
+        );
+    let config = FabricConfig::new(NODES, TopologyPreset::PaperTestbed.topology())
+        .with_seed(seed)
+        .with_fault_plan(Arc::new(spike));
+    let fabric = Replicated::build(config);
+    let schema = Schema::weather_example().shared();
+    let names: Vec<String> = (0..6).map(|i| format!("det{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        fabric.register_stream(name, Schema::weather_example()).unwrap();
+        fabric.load_policy(rain_policy(&format!("p{i}"), name)).unwrap();
+    }
+    let mut sequence = 0;
+    for round in 0..12 {
+        for _ in 0..16 {
+            let batches = names.iter().enumerate().map(|(i, name)| {
+                let tuples = (0..8)
+                    .map(|_| {
+                        sequence += 1;
+                        marker_tuple(&schema, i, sequence)
+                    })
+                    .collect();
+                StreamBatch::new(name, tuples)
+            });
+            fabric.push_batches(batches.collect()).unwrap();
+        }
+        let stream = &names[round % names.len()];
+        fabric.handle_request(&Request::subscribe("LTA", stream), None).unwrap();
+        let denied = fabric.handle_request(&Request::subscribe("mallory", stream), None);
+        assert!(matches!(denied, Err(ExacmlError::AccessDenied { .. })), "got {denied:?}");
+        assert!(fabric.release_access("LTA", stream));
+        if round % 3 == 2 {
+            fabric
+                .update_policy(rain_policy(&format!("p{}", round % names.len()), stream))
+                .unwrap();
+        }
+        fabric.advance(Duration::from_millis(6));
+    }
+    // The fabric merges node trails by wall-clock timestamp; compare them in
+    // (node, sequence) order.
+    let mut audit: Vec<_> = fabric
+        .audit_events()
+        .iter()
+        .map(|t| (t.node, t.event.sequence, t.event.kind.to_string()))
+        .collect();
+    audit.sort();
+    (fabric.clock().now_nanos(), audit, broker_counter(&fabric, Metric::BrokerRetries))
+}
+
+/// Virtual time is a function of the calls made: whatever the replication
+/// layer does on its own in the background, the same seeded script run
+/// twice ends at the same virtual instant with the same audit trail and the
+/// same broker retries. Repeated to give a race a chance to show.
+#[test]
+fn replicated_virtual_time_is_a_function_of_the_calls() {
+    for seed in 0..20 {
+        let first = replicated_script(seed);
+        let second = replicated_script(seed);
+        assert_eq!(first.0, second.0, "seed {seed}: final virtual clock differs");
+        assert_eq!(first.1, second.1, "seed {seed}: audit trail differs");
+        assert_eq!(first.2, second.2, "seed {seed}: broker retries differ");
+    }
+}
