@@ -2,10 +2,10 @@
 //!
 //! The paper describes a single enforcement model — XACML decisions compiled
 //! into continuous queries on the stream engine — and this crate grows it
-//! across deployment shapes: the in-process [`DataServer`], the N-node
-//! brokering [`Fabric`], and whatever comes next (a persistent store, a real
-//! network). This module is the one API they all speak, split into three
-//! object-safe planes plus an umbrella trait:
+//! across deployment shapes: the in-process [`DataServer`] (durable when a
+//! commit log is attached), the N-node brokering [`Fabric`], and whatever
+//! comes next (a real network). This module is the one API they all speak,
+//! split into three object-safe planes plus an umbrella trait:
 //!
 //! * [`StreamBackend`] — the data plane: register streams, push tuples,
 //!   subscribe to granted handles;
@@ -220,7 +220,7 @@ impl StreamBatch {
 
 /// The data plane: stream registration, ingest and delivery.
 ///
-/// Implemented by [`DataServer`], [`Fabric`] and the bare
+/// Implemented by every [`NodeServer`], [`Fabric`] and the bare
 /// [`StreamEngine`] (for feeds that bypass access control, e.g. benches).
 pub trait StreamBackend: Send + Sync {
     /// Register an input stream; returns the node the stream was placed on
@@ -373,22 +373,15 @@ pub trait Backend: StreamBackend + AccessControl + PolicyAdmin {
     }
 
     /// A point-in-time health report: degraded nodes, sticky journal
-    /// failures and replication lag. The
-    /// default implementation reports a perfectly healthy backend, which is
-    /// correct for the in-memory single-node shapes; backends with a
-    /// durability or replication story override it.
-    fn health(&self) -> BackendHealth {
-        BackendHealth::healthy()
-    }
+    /// failures and replication lag. An in-memory single node is always
+    /// healthy; a journaled one reports its log's sticky failure.
+    fn health(&self) -> BackendHealth;
 
     /// A point-in-time telemetry snapshot: event counters and per-stage
     /// latency histograms (see `docs/OBSERVABILITY.md` for the stage
     /// taxonomy). Multi-node shapes answer an aggregate whose `nodes` list
-    /// carries one tagged sub-snapshot per node. The default is an empty
-    /// snapshot, correct for shapes that carry no registry.
-    fn telemetry(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot::default()
-    }
+    /// carries one tagged sub-snapshot per node.
+    fn telemetry(&self) -> TelemetrySnapshot;
 }
 
 /// Quick constructors so a backend swap is one line:
@@ -414,97 +407,120 @@ impl dyn Backend {
     }
 }
 
-// --- DataServer: the single-node backend ----------------------------------
+// --- NodeServer: a DataServer, journaled or not -----------------------------
 
-impl StreamBackend for DataServer {
+/// A single-node backend: the [`DataServer`] itself, or a wrapper that
+/// manages the store under one (a durable server). Every such server is a
+/// complete [`Backend`] through the one implementation below, and a
+/// fabric runs one per node. Mutations journal at the data server's commit
+/// point when a [`crate::CommitLog`] is attached, which also names the
+/// backend kind and reports a sticky journal failure in
+/// [`Backend::health`].
+pub trait NodeServer: Send + Sync {
+    /// The data server doing the work.
+    fn data_server(&self) -> &DataServer;
+}
+
+impl NodeServer for DataServer {
+    fn data_server(&self) -> &DataServer {
+        self
+    }
+}
+
+/// A single node's audit events, tagged with its identity.
+fn tagged(events: Vec<AuditEvent>) -> Vec<TaggedAuditEvent> {
+    events.into_iter().map(|event| TaggedAuditEvent { node: NodeId::DataServer, event }).collect()
+}
+
+impl<S: NodeServer> StreamBackend for S {
     fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
-        DataServer::register_stream(self, name, schema)?;
+        self.data_server().register_stream(name, schema)?;
         Ok(NodeId::DataServer)
     }
 
     fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        DataServer::push(self, stream, tuple)
+        self.data_server().push(stream, tuple)
     }
 
     fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        DataServer::push_batch(self, stream, tuples)
+        self.data_server().push_batch(stream, tuples)
     }
 
     fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        DataServer::subscribe(self, handle).map(Subscription::Local)
+        self.data_server().subscribe(handle).map(Subscription::Local)
     }
 
     fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        DataServer::handle_is_live(self, handle)
+        self.data_server().handle_is_live(handle)
     }
 }
 
-impl AccessControl for DataServer {
+impl<S: NodeServer> AccessControl for S {
     fn handle_request(
         &self,
         request: &Request,
         user_query: Option<&UserQuery>,
     ) -> Result<BackendResponse, ExacmlError> {
-        let response = DataServer::handle_request(self, request, user_query)?;
+        let response = self.data_server().handle_request(request, user_query)?;
         Ok(BackendResponse { node: NodeId::DataServer, response, broker_network: Duration::ZERO })
     }
 
     fn release_access(&self, subject: &str, stream: &str) -> bool {
-        DataServer::release_access(self, subject, stream)
+        self.data_server().release_access(subject, stream)
     }
 }
 
-impl PolicyAdmin for DataServer {
+impl<S: NodeServer> PolicyAdmin for S {
     fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        DataServer::load_policy(self, policy)
+        self.data_server().load_policy(policy)
     }
 
     fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
-        DataServer::load_policy_xml(self, xml)
+        self.data_server().load_policy_xml(xml)
     }
 
     fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        DataServer::remove_policy(self, policy_id)
+        self.data_server().remove_policy(policy_id)
     }
 
     fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        DataServer::update_policy(self, policy)
+        self.data_server().update_policy(policy)
     }
 
     fn policy_count(&self) -> usize {
-        DataServer::policy_count(self)
+        self.data_server().policy_count()
     }
 }
 
-impl Backend for DataServer {
+impl<S: NodeServer> Backend for S {
     fn backend_kind(&self) -> String {
-        "data-server".to_string()
+        let kind = self.data_server().with_commit_log(|log| log.backend_kind());
+        kind.unwrap_or("data-server").to_string()
     }
 
     fn live_deployments(&self) -> usize {
-        DataServer::live_deployments(self)
+        self.data_server().live_deployments()
     }
 
     fn live_plans(&self) -> usize {
-        DataServer::plan_count(self)
+        self.data_server().plan_count()
     }
 
     fn audit_events(&self) -> Vec<TaggedAuditEvent> {
-        DataServer::audit_events(self)
-            .into_iter()
-            .map(|event| TaggedAuditEvent { node: NodeId::DataServer, event })
-            .collect()
+        tagged(self.data_server().audit_events())
     }
 
     fn audit_events_for_subject(&self, subject: &str) -> Vec<TaggedAuditEvent> {
-        DataServer::audit_events_for_subject(self, subject)
-            .into_iter()
-            .map(|event| TaggedAuditEvent { node: NodeId::DataServer, event })
-            .collect()
+        tagged(self.data_server().audit_events_for_subject(subject))
+    }
+
+    fn health(&self) -> BackendHealth {
+        let journal_failure = self.data_server().with_commit_log(|log| log.failure()).flatten();
+        BackendHealth { journal_failure, ..BackendHealth::healthy() }
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {
-        self.telemetry_registry().snapshot_tagged("data-server")
+        self.data_server().telemetry_registry().snapshot_tagged(&self.backend_kind())
     }
 }
 

@@ -42,7 +42,7 @@
 
 use crate::audit::AuditEvent;
 use crate::backend::{
-    AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
+    AccessControl, Backend, BackendHealth, BackendResponse, NodeServer, PolicyAdmin, StreamBackend,
     StreamBatch, TaggedAuditEvent,
 };
 use crate::error::ExacmlError;
@@ -247,21 +247,6 @@ impl FabricNet {
             }
             None => sampled,
         }
-    }
-}
-
-/// The server behind a fabric node: any full [`Backend`] (mutations go
-/// through the trait, so a durable node journals them) that can show the
-/// in-memory [`DataServer`] doing the work (reads — liveness, delivery
-/// channels, audit, telemetry — go straight to it).
-pub trait NodeServer: Backend {
-    /// The in-memory server this node runs.
-    fn data_server(&self) -> &DataServer;
-}
-
-impl NodeServer for DataServer {
-    fn data_server(&self) -> &DataServer {
-        self
     }
 }
 

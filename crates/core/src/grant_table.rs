@@ -179,11 +179,13 @@ impl GrantTable {
     }
 
     /// Record a grant whose plan was just joined with
-    /// [`GrantTable::join_plan`]. Later fresh grants sequence after it.
-    pub fn record(&mut self, grant: Grant) {
+    /// [`GrantTable::join_plan`], and return it as recorded. Later fresh
+    /// grants sequence after it.
+    pub fn record(&mut self, grant: Grant) -> &Grant {
         self.next_sequence = self.next_sequence.max(grant.sequence + 1);
-        let replaced = self.grants.insert(Self::holder(&grant.subject, &grant.stream), grant);
-        debug_assert!(replaced.is_none(), "check() precedes record()");
+        let holder = Self::holder(&grant.subject, &grant.stream);
+        debug_assert!(!self.grants.contains_key(&holder), "check() precedes record()");
+        self.grants.entry(holder).insert_entry(grant).into_mut()
     }
 
     /// Remove the grant `subject` holds on `stream`, returning it and whether

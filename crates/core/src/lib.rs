@@ -34,14 +34,18 @@
 //!
 //! Every deployment shape speaks **one API**: the object-safe trait stack in
 //! [`backend`] ([`StreamBackend`] / [`AccessControl`] / [`PolicyAdmin`],
-//! composed as [`Backend`]) is implemented by [`DataServer`] and [`Fabric`]
-//! alike, with unified responses ([`BackendResponse`]), subscriptions
+//! composed as [`Backend`]) is implemented once for every [`NodeServer`]
+//! (a [`DataServer`], or a durable store over one) and once for
+//! [`Fabric`], with unified responses ([`BackendResponse`]), subscriptions
 //! ([`Subscription`]) and errors — scenario code written against
-//! `&dyn Backend` runs unchanged on one node or N.
+//! `&dyn Backend` runs unchanged on one node or N. A data server journals
+//! through an optional [`CommitLog`] at one commit point ([`commit`]),
+//! which is all durability adds to it.
 
 pub mod attack;
 pub mod audit;
 pub mod backend;
+pub mod commit;
 pub mod error;
 pub mod fabric;
 pub mod grant_table;
@@ -55,13 +59,14 @@ pub mod warnings;
 
 pub use audit::{AuditEvent, AuditEventKind, AuditLog};
 pub use backend::{
-    AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
+    AccessControl, Backend, BackendHealth, BackendResponse, NodeServer, PolicyAdmin, StreamBackend,
     StreamBatch, Subscription, TaggedAuditEvent,
 };
+pub use commit::{Change, CommitLog, GroupKind};
 pub use error::ExacmlError;
 pub use fabric::{
     node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,
-    FabricNode, FabricSubscription, NodeServer, Placement,
+    FabricNode, FabricSubscription, Placement,
 };
 pub use grant_table::{Grant, GrantTable, PlanId};
 pub use merge::{merge_graphs, MergeOptions, MergeOutcome};
@@ -75,13 +80,13 @@ pub use warnings::{Warning, WarningKind, WarningSource};
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::backend::{
-        AccessControl, Backend, BackendHealth, BackendResponse, PolicyAdmin, StreamBackend,
-        StreamBatch, Subscription, TaggedAuditEvent,
+        AccessControl, Backend, BackendHealth, BackendResponse, NodeServer, PolicyAdmin,
+        StreamBackend, StreamBatch, Subscription, TaggedAuditEvent,
     };
     pub use crate::error::ExacmlError;
     pub use crate::fabric::{
         rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet, FabricNode,
-        FabricSubscription, NodeServer, Placement,
+        FabricSubscription, Placement,
     };
     pub use crate::grant_table::{Grant, GrantTable, PlanId};
     pub use crate::merge::{merge_graphs, MergeOptions, MergeOutcome};

@@ -20,10 +20,16 @@
 //! record is a single step with respect to other requests and to policy
 //! changes, so a subject never ends up holding two different live windows on
 //! a stream (Section 3.4) and no grant outlives the policy revision that
-//! authorised it (Section 3.3). Lock order: grant table → engine shard; the
-//! audit log and the delay-sampling RNG are leaf locks.
+//! authorised it (Section 3.3).
+//!
+//! Every mutating operation passes one commit point ([`crate::commit`]): a
+//! server with a [`CommitLog`] attached journals each change there, so a
+//! durable server is this server with a write-ahead log attached. Lock
+//! order: commit log → grant table → engine shard; the audit log and the
+//! delay-sampling RNG are leaf locks.
 
 use crate::audit::{AuditEventKind, AuditLog};
+use crate::commit::{Change, CommitLog, GroupKind};
 use crate::error::ExacmlError;
 use crate::grant_table::{Grant, GrantTable, PlanId};
 use crate::merge::{merge_graphs, MergeOptions};
@@ -38,7 +44,7 @@ use exacml_dsms::{
 use exacml_simnet::{NodeId, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry};
 use exacml_xacml::{Decision, Pdp, Policy, PolicyStore, Request, XacmlError};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -130,6 +136,32 @@ pub struct DataServer {
     grants: Mutex<GrantTable>,
     rng: Mutex<StdRng>,
     audit: Mutex<AuditLog>,
+    /// Where mutations are journaled, when the server is durable. Held from
+    /// an operation's commit group opening to its close (module docs).
+    log: Option<Mutex<Box<dyn CommitLog>>>,
+}
+
+/// One operation's open record group (see [`crate::commit`]). Without a
+/// log every call is a no-op.
+struct Commit<'a> {
+    server: &'a DataServer,
+    log: Option<MutexGuard<'a, Box<dyn CommitLog>>>,
+}
+
+impl Commit<'_> {
+    fn stage(&mut self, change: Change<'_>) -> Result<(), ExacmlError> {
+        self.log.as_mut().map_or(Ok(()), |log| log.stage(self.server, change))
+    }
+
+    /// Stage and append `change` before the operation applies it.
+    fn write_ahead(&mut self, change: Change<'_>) -> Result<(), ExacmlError> {
+        self.stage(change)?;
+        self.log.as_mut().map_or(Ok(()), |log| log.append(self.server))
+    }
+
+    fn finish(mut self) -> Result<(), ExacmlError> {
+        self.log.as_mut().map_or(Ok(()), |log| log.finish(self.server))
+    }
 }
 
 impl DataServer {
@@ -148,7 +180,47 @@ impl DataServer {
             grants: Mutex::new(GrantTable::default()),
             rng: Mutex::new(rng),
             audit: Mutex::new(AuditLog::default()),
+            log: None,
         }
+    }
+
+    /// Attach a commit log: from now on every mutation is journaled to it
+    /// (see [`crate::commit`]). A recovering server replays its journal
+    /// into a server without a log and attaches the log afterwards.
+    #[must_use]
+    pub fn attach_commit_log(mut self, log: Box<dyn CommitLog>) -> Self {
+        self.log = Some(Mutex::new(log));
+        self
+    }
+
+    /// Run `f` on the attached commit log under its lock (`None` when the
+    /// server has no log).
+    pub fn with_commit_log<R>(&self, f: impl FnOnce(&mut dyn CommitLog) -> R) -> Option<R> {
+        self.log.as_ref().map(|log| f(&mut **log.lock()))
+    }
+
+    /// Open the commit group of one operation.
+    fn begin(&self, kind: GroupKind) -> Result<Commit<'_>, ExacmlError> {
+        let mut log = self.log.as_ref().map(Mutex::lock);
+        log.as_mut().map_or(Ok(()), |log| log.begin(self, kind))?;
+        Ok(Commit { server: self, log })
+    }
+
+    /// Run one control-plane operation at the commit point: open a group,
+    /// act, stage `change` when the operation succeeded, and close the
+    /// group — a refusal closes it too, journaling its audit events.
+    fn committed<T>(
+        &self,
+        change: Change<'_>,
+        op: impl FnOnce() -> Result<T, ExacmlError>,
+    ) -> Result<T, ExacmlError> {
+        let mut commit = self.begin(GroupKind::Control)?;
+        let result = op();
+        if result.is_ok() {
+            commit.stage(change)?;
+        }
+        commit.finish()?;
+        result
     }
 
     /// A server with the default (paper-testbed) configuration.
@@ -181,9 +253,9 @@ impl DataServer {
     /// The telemetry registry this server and its engine record into: the
     /// engine's ingest path and the request workflow's stage decomposition
     /// (PDP / query-graph / DSMS / network — the paper's Figure 6/7 series)
-    /// land in the same counters and histograms. Durable and fabric
-    /// wrappers record their own stages (WAL, shipping, routing) here too,
-    /// so one snapshot covers the whole node.
+    /// land in the same counters and histograms. The commit log, the
+    /// replication layer and the fabric record their own stages (WAL,
+    /// shipping, routing) here too, so one snapshot covers the whole node.
     #[must_use]
     pub fn telemetry_registry(&self) -> &Arc<Telemetry> {
         self.engine.telemetry_handle()
@@ -210,9 +282,9 @@ impl DataServer {
     }
 
     /// Recovery hook: replace the audit trail with journaled events,
-    /// preserving their original sequence numbers and timestamps. A durable
-    /// wrapper replays the journaled operations through the normal workflow
-    /// (which re-records them with fresh timestamps) and then restores the
+    /// preserving their original sequence numbers and timestamps. Recovery
+    /// replays the journaled operations through the normal workflow (which
+    /// re-records them with fresh timestamps) and then restores the
     /// authoritative pre-crash trail with this.
     pub fn restore_audit(&self, events: Vec<crate::audit::AuditEvent>) {
         self.audit.lock().restore(events);
@@ -225,19 +297,28 @@ impl DataServer {
     /// # Errors
     /// Fails when the stream name is taken or the schema invalid.
     pub fn register_stream(&self, name: &str, schema: Schema) -> Result<(), ExacmlError> {
-        self.engine.register_stream(name, schema).map_err(ExacmlError::from)
+        self.committed(Change::RegisterStream(name), || {
+            self.engine.register_stream(name, schema).map_err(ExacmlError::from)
+        })
     }
 
     /// Push one source tuple into a registered stream (the data owner's feed).
+    /// With a commit log attached it is journaled as a one-row batch.
     ///
     /// # Errors
     /// Fails when the stream is unknown or the tuple malformed.
     pub fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
+        if self.log.is_some() {
+            return self.push_batch(stream, [tuple]);
+        }
         self.engine.push(stream, tuple).map_err(ExacmlError::from)
     }
 
     /// Push a batch of source tuples into a registered stream, amortizing
-    /// the engine's shard lookup and locking over the whole batch.
+    /// the engine's shard lookup and locking over the whole batch. With a
+    /// commit log attached the batch is one ingest record: encoded before
+    /// the push, appended once the push succeeded (a rejected batch
+    /// journals nothing), and group-committed rather than flushed.
     ///
     /// # Errors
     /// Fails when the stream is unknown or any tuple malformed.
@@ -246,7 +327,15 @@ impl DataServer {
         stream: &str,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize, ExacmlError> {
-        self.engine.push_batch(stream, tuples).map_err(ExacmlError::from)
+        let tuples: Vec<Tuple> = tuples.into_iter().collect();
+        if self.log.is_none() || tuples.is_empty() {
+            return self.engine.push_batch(stream, tuples).map_err(ExacmlError::from);
+        }
+        let mut commit = self.begin(GroupKind::Ingest)?;
+        commit.stage(Change::Ingest { stream, tuples: &tuples })?;
+        let emitted = self.engine.push_batch(stream, tuples)?;
+        commit.finish()?;
+        Ok(emitted)
     }
 
     /// Subscribe to the derived tuples behind a granted handle.
@@ -271,30 +360,32 @@ impl DataServer {
     /// # Errors
     /// Fails when the policy is invalid or its id already loaded.
     pub fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        let started = Instant::now();
-        // Charge the owner → server upload of the policy document.
-        let document = exacml_xacml::xml::write_policy(&policy);
-        let network = {
-            let mut rng = self.rng.lock();
-            self.config.topology.round_trip(
-                NodeId::Client,
-                NodeId::DataServer,
-                document.len(),
-                64,
-                &mut *rng,
-            )
-        };
         let policy_id = policy.id.clone();
-        self.store.add(policy)?;
-        let elapsed = started.elapsed() + network;
-        self.audit.lock().record(
-            AuditEventKind::PolicyLoaded,
-            None,
-            None,
-            Some(&policy_id),
-            "loaded",
-        );
-        Ok(elapsed)
+        self.committed(Change::LoadPolicy(&policy_id), || {
+            let started = Instant::now();
+            // Charge the owner → server upload of the policy document.
+            let document = exacml_xacml::xml::write_policy(&policy);
+            let network = {
+                let mut rng = self.rng.lock();
+                self.config.topology.round_trip(
+                    NodeId::Client,
+                    NodeId::DataServer,
+                    document.len(),
+                    64,
+                    &mut *rng,
+                )
+            };
+            self.store.add(policy)?;
+            let elapsed = started.elapsed() + network;
+            self.audit.lock().record(
+                AuditEventKind::PolicyLoaded,
+                None,
+                None,
+                Some(&policy_id),
+                "loaded",
+            );
+            Ok(elapsed)
+        })
     }
 
     /// Load a policy from its XML document.
@@ -312,8 +403,10 @@ impl DataServer {
     /// # Errors
     /// Fails when the policy is unknown.
     pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        self.withdraw_policy_graphs(policy_id, AuditEventKind::PolicyRemoved, || {
-            self.store.remove(policy_id).map(drop)
+        self.committed(Change::RemovePolicy(policy_id), || {
+            self.withdraw_policy_graphs(policy_id, AuditEventKind::PolicyRemoved, || {
+                self.store.remove(policy_id).map(drop)
+            })
         })
     }
 
@@ -325,8 +418,10 @@ impl DataServer {
     /// Fails when the policy is unknown or the new version invalid.
     pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
         let policy_id = policy.id.clone();
-        self.withdraw_policy_graphs(&policy_id, AuditEventKind::PolicyUpdated, || {
-            self.store.update(policy)
+        self.committed(Change::UpdatePolicy(&policy_id), || {
+            self.withdraw_policy_graphs(&policy_id, AuditEventKind::PolicyUpdated, || {
+                self.store.update(policy)
+            })
         })
     }
 
@@ -393,7 +488,8 @@ impl DataServer {
         request: &Request,
         user_query: Option<&UserQuery>,
     ) -> Result<AccessResponse, ExacmlError> {
-        let result = self.handle_request_inner(request, user_query, None);
+        let mut commit = self.begin(GroupKind::Control)?;
+        let result = self.handle_request_inner(request, user_query, None, &mut commit);
         let telemetry = self.telemetry_registry();
         telemetry.incr(Metric::Requests);
         telemetry.incr(if result.is_ok() {
@@ -441,18 +537,20 @@ impl DataServer {
                 audit.record(AuditEventKind::Denied, subject, stream, None, other.to_string());
             }
         }
+        drop(audit);
+        commit.finish()?;
         result
     }
 
     /// Recovery hook: re-run a granted request through the normal workflow,
     /// pinning the per-grant handle to the exact URI the consumer held
     /// before the crash and the grant to its original position in grant
-    /// order (`None`: after every grant recorded so far). A durable wrapper
+    /// order (`None`: after every grant recorded so far). A commit log
     /// journals each grant's handle URI; replaying through minting
     /// arithmetic cannot reproduce pre-crash serials once released grants
     /// have been pruned from the journal, so the recorded URI is adopted
-    /// verbatim instead. Unaudited — recovery restores the journaled audit
-    /// trail afterwards via [`DataServer::restore_audit`].
+    /// verbatim instead. Unjournaled and unaudited — recovery restores the
+    /// journaled audit trail afterwards via [`DataServer::restore_audit`].
     ///
     /// # Errors
     /// As [`DataServer::handle_request`], plus when the pinned URI is
@@ -464,7 +562,8 @@ impl DataServer {
         handle: &StreamHandle,
         sequence: Option<u64>,
     ) -> Result<AccessResponse, ExacmlError> {
-        self.handle_request_inner(request, user_query, Some((handle, sequence)))
+        let mut unjournaled = Commit { server: self, log: None };
+        self.handle_request_inner(request, user_query, Some((handle, sequence)), &mut unjournaled)
     }
 
     fn handle_request_inner(
@@ -472,6 +571,7 @@ impl DataServer {
         request: &Request,
         user_query: Option<&UserQuery>,
         restore: Option<(&StreamHandle, Option<u64>)>,
+        commit: &mut Commit<'_>,
     ) -> Result<AccessResponse, ExacmlError> {
         let started = Instant::now();
         let mut network = Duration::ZERO;
@@ -586,7 +686,7 @@ impl DataServer {
         let plan = grants.join_plan(plan_key, deployment);
         let pinned = restore.and_then(|(_, sequence)| sequence);
         let sequence = pinned.unwrap_or_else(|| grants.next_sequence());
-        grants.record(Grant {
+        let grant = grants.record(Grant {
             sequence,
             subject,
             stream,
@@ -598,6 +698,7 @@ impl DataServer {
             policy_id: policy_id.clone(),
             graph: outcome.graph,
         });
+        commit.stage(Change::Grant(grant))?;
 
         let total = started.elapsed() + network;
         Ok(AccessResponse {
@@ -680,12 +781,22 @@ impl DataServer {
     /// Release the access a subject holds on a stream: the per-grant handle
     /// is retired immediately; the backing deployment is withdrawn only when
     /// this was its last grant. Returns `true` when something was released.
+    ///
+    /// With a commit log attached the release is written ahead: its record
+    /// is appended before anything is withdrawn, and when the append fails
+    /// nothing is released and `false` is returned — a revoked access must
+    /// never come back to life on recovery because its record was lost. A
+    /// release of a pair nobody holds journals nothing.
     pub fn release_access(&self, subject: &str, stream: &str) -> bool {
+        let Ok(mut commit) = self.begin(GroupKind::Control) else { return false };
         let handle = {
             let mut grants = self.grants.lock();
-            let Some((grant, last)) = grants.release(subject, stream) else {
+            if !grants.holds(subject, stream)
+                || commit.write_ahead(Change::Release { subject, stream }).is_err()
+            {
                 return false;
-            };
+            }
+            let (grant, last) = grants.release(subject, stream).expect("held under this lock");
             self.retire(&grant, last);
             grant.handle
         };
@@ -696,6 +807,9 @@ impl DataServer {
             None,
             format!("handle {handle} retired"),
         );
+        // The record was written ahead; a failure closing the group (the
+        // audit event or the flush) leaves the release applied.
+        let _ = commit.finish();
         true
     }
 

@@ -10,13 +10,15 @@
 //!   torn and truncated tails are detected and cut, never replayed;
 //! * [`record`] — the record vocabulary: one record per state-mutating
 //!   operation (policy load/remove/update, stream registration, grants,
-//!   releases, audit events, and optionally tuple ingest);
+//!   releases, audit events, and tuple ingest);
 //! * [`snapshot`] — compaction: the journal folds into a snapshot of the
 //!   *live* state, so recovery cost is bounded by what still matters plus
 //!   the WAL tail, not by the server's lifetime;
-//! * [`server`] — [`DurableServer`], a [`DataServer`](exacml_plus::DataServer)
-//!   wrapper that journals on the way in and rebuilds itself via
-//!   [`DurableServer::recover`], re-minting the *same* handle URIs by
+//! * [`server`] — [`DurableServer`]: a [`DataServer`](exacml_plus::DataServer)
+//!   with the WAL attached as its [`CommitLog`](exacml_plus::CommitLog), so
+//!   every operation journals at the data server's one commit point, plus
+//!   the store management around it — create, snapshot, and
+//!   [`DurableServer::recover`], which re-mints the *same* handle URIs by
 //!   replaying grants at their recorded deployment ids;
 //! * [`replication`] — WAL shipping: file-level mirroring of one store onto
 //!   peer hosts, incremental past an acknowledged offset;
@@ -30,9 +32,11 @@
 //! error, torn write) it makes journal writes fail the way real disks do,
 //! which is what the fault-injection tests drive.
 //!
-//! `DurableServer` implements the full unified backend trait stack
-//! ([`Backend`](exacml_plus::Backend) and its three planes), so it is a
-//! drop-in third deployment shape next to `DataServer` and `Fabric`:
+//! `DurableServer` is a [`NodeServer`](exacml_plus::NodeServer), so the one
+//! implementation of the unified backend trait stack
+//! ([`Backend`](exacml_plus::Backend) and its three planes) covers it: it is
+//! a drop-in third deployment shape next to `DataServer` and `Fabric`, and
+//! differs from `DataServer` only in the log it carries:
 //! `exacml::BackendBuilder::durable(path)` builds one, the conformance
 //! suite in `tests/backend_conformance.rs` runs the shared semantics
 //! against it, and `examples/durable_restart.rs` demonstrates the
@@ -80,7 +84,7 @@ fn check_format_version(document: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
     use exacml_dsms::{Schema, Tuple, Value};
-    use exacml_plus::{AuditEventKind, StreamPolicyBuilder};
+    use exacml_plus::{AccessControl, AuditEventKind, StreamBackend, StreamPolicyBuilder};
     use exacml_telemetry::Metric;
     use exacml_xacml::Request;
     use std::path::PathBuf;

@@ -18,7 +18,7 @@
 //! rather than panicking.
 
 use exacml_dsms::{DataType, Field, Schema, Tuple, Value as DsmsValue};
-use exacml_plus::{AuditEvent, AuditEventKind};
+use exacml_plus::{AuditEvent, AuditEventKind, Grant, UserQuery};
 use serde::Content;
 use serde_json::Value;
 
@@ -39,6 +39,20 @@ pub struct GrantRecord {
     /// The handle URI the consumer holds; replay verifies it re-minted
     /// identically.
     pub handle: String,
+}
+
+impl GrantRecord {
+    /// The record of a grant as the grant table holds it.
+    #[must_use]
+    pub fn of(grant: &Grant) -> Self {
+        GrantRecord {
+            subject: grant.subject.clone(),
+            stream: grant.stream.clone(),
+            query_xml: grant.user_query.as_ref().map(UserQuery::to_xml),
+            deployment: grant.deployment.0,
+            handle: grant.handle.uri().to_string(),
+        }
+    }
 }
 
 /// One journaled state-mutating operation.
@@ -528,10 +542,24 @@ fn str_field(value: &Value, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("'{key}' is not a string"))
 }
 
-/// Integers travel as JSON numbers (f64 in the vendored parser); they are
-/// exact up to 2^53, far beyond any sequence or id this store mints.
+/// The largest `u64` a JSON number carries exactly: integers travel as
+/// numbers, which the vendored parser reads as `f64`, and every integer up
+/// to 2^53 survives that — far beyond any sequence or id this store mints.
+pub const MAX_EXACT_U64: u64 = 1 << 53;
+
+/// A JSON number as the `u64` it was written from, or `None` when no `u64`
+/// up to [`MAX_EXACT_U64`] writes it: a non-number, or a negative,
+/// fractional or larger number, is refused instead of cast.
+#[must_use]
+pub fn exact_u64(value: &Value) -> Option<u64> {
+    let number = value.as_f64()?;
+    let exact = number >= 0.0 && number.fract() == 0.0 && number <= MAX_EXACT_U64 as f64;
+    exact.then_some(number as u64)
+}
+
 fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?.as_f64().map(|f| f as u64).ok_or_else(|| format!("'{key}' is not a number"))
+    exact_u64(field(value, key)?)
+        .ok_or_else(|| format!("'{key}' is not a whole number in 0..=2^53"))
 }
 
 fn opt_str_field(value: &Value, key: &str) -> Result<Option<String>, String> {

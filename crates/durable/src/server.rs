@@ -1,16 +1,21 @@
 //! [`DurableServer`]: a [`DataServer`] whose control-plane state survives a
 //! crash.
 //!
-//! The wrapper journals every state-mutating operation — policy load /
-//! remove / update, stream registration, access grants and releases, the
-//! audit trail, and tuple ingest — into a write-ahead log
-//! ([`crate::wal`]) and periodically folds the journal into a compacted
-//! snapshot ([`crate::snapshot`]). [`DurableServer::recover`] rebuilds the
-//! full server — PDP store revision, live handles (with the *same* URIs),
-//! single-access-guard state, routing-relevant stream registrations, and
-//! the audit trail with its original timestamps — by loading the snapshot
-//! and replaying the WAL tail through the ordinary Section 3.2/3.3
-//! workflow.
+//! A durable server is a [`DataServer`] with a write-ahead log attached as
+//! its [`CommitLog`]. The data server runs every operation once and hands
+//! each change to the log at its one commit point
+//! ([`exacml_plus::commit`]): policy load / remove / update, stream
+//! registration, access grants and releases, the audit trail, and tuple
+//! ingest land in the WAL ([`crate::wal`]), which is periodically folded
+//! into a compacted snapshot ([`crate::snapshot`]). [`DurableServer`]
+//! itself only manages the store: creating and recovering it, snapshots,
+//! its files, the failpoint, and the journal marks replication reads.
+//! [`DurableServer::recover`] rebuilds the full server — PDP store
+//! revision, live handles (with the *same* URIs), single-access-guard
+//! state, routing-relevant stream registrations, and the audit trail with
+//! its original timestamps — by loading the snapshot and replaying the WAL
+//! tail through the ordinary Section 3.2/3.3 workflow, then attaching the
+//! log.
 //!
 //! # Consistency contract
 //!
@@ -42,25 +47,27 @@
 //! restored only while their ingest records are still in the WAL tail —
 //! compaction seals them, which the recovery document spells out.
 
-use crate::record::{decode_row, encode_ingest_into, object, text, GrantRecord, Record};
+use crate::record::{
+    decode_row, encode_ingest_into, exact_u64, object, text, GrantRecord, Record, MAX_EXACT_U64,
+};
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot, StreamEntry};
 use crate::wal::{framed_len, read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
 use crate::{check_format_version, FORMAT_VERSION};
-use exacml_dsms::{Schema, StreamHandle, Tuple};
+use exacml_dsms::{StreamHandle, Tuple};
 use exacml_plus::{
-    AccessControl, AuditEvent, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError,
-    NodeServer, PolicyAdmin, ServerConfig, StreamBackend, Subscription, TaggedAuditEvent,
+    AuditEvent, Change, CommitLog, DataServer, ExacmlError, GroupKind, NodeServer, ServerConfig,
     UserQuery,
 };
-use exacml_simnet::{NodeId, Topology};
-use exacml_telemetry::{Metric, Stage, TelemetrySnapshot};
+use exacml_simnet::Topology;
+use exacml_telemetry::{Metric, Stage};
 use exacml_xacml::xml::{parse_policy, write_policy};
-use exacml_xacml::{Policy, Request};
-use parking_lot::Mutex;
+use exacml_xacml::Request;
 use serde::Content;
 use serde_json::Value;
+use std::any::Any;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The deployment topologies a durable store can persist by name.
 ///
@@ -91,12 +98,9 @@ impl TopologyPreset {
     /// Parse a persisted name.
     #[must_use]
     pub fn from_name(name: &str) -> Option<TopologyPreset> {
-        match name {
-            "local" => Some(TopologyPreset::Local),
-            "paper_testbed" => Some(TopologyPreset::PaperTestbed),
-            "public_cloud" => Some(TopologyPreset::PublicCloud),
-            _ => None,
-        }
+        [TopologyPreset::Local, TopologyPreset::PaperTestbed, TopologyPreset::PublicCloud]
+            .into_iter()
+            .find(|preset| preset.name() == name)
     }
 
     /// Materialize the preset.
@@ -110,7 +114,7 @@ impl TopologyPreset {
     }
 }
 
-/// Configuration of a durable server: the wrapped server's behaviour plus
+/// Configuration of a durable server: its data server's behaviour plus
 /// the journaling knobs. Persisted to `meta.json` when the store is
 /// created, so [`DurableServer::recover`] needs only the path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +128,7 @@ pub struct DurableConfig {
     /// Host name minted into stream-handle URIs. Recovery re-mints handles
     /// under the same host, which is what lets them survive verbatim.
     pub dsms_host: String,
-    /// `ServerConfig::share_plans` of the wrapped server: overlapping
+    /// `ServerConfig::share_plans` of the data server: overlapping
     /// grants ride one compiled subgraph. Persisted because recovery must
     /// rebuild the same plan topology the journal was written under.
     pub share_plans: bool,
@@ -158,7 +162,7 @@ impl DurableConfig {
         DurableConfig { topology: TopologyPreset::Local, ..DurableConfig::default() }
     }
 
-    /// The wrapped server's configuration.
+    /// The data server's configuration.
     #[must_use]
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig {
@@ -215,10 +219,16 @@ pub(crate) struct ControlGroup {
     pub(crate) end_seq: u64,
 }
 
-/// Journal-side state, guarded by one mutex so records land in the WAL in
-/// the order their operations were applied.
+/// The write-ahead journal: the [`CommitLog`] a durable server's
+/// [`DataServer`] carries. The server holds it under its commit-log mutex
+/// for a whole record group, so records land in the WAL in the order their
+/// operations were applied.
 struct Journal {
     wal: WalWriter,
+    /// The store directory: compaction writes the snapshot here.
+    store: PathBuf,
+    /// [`DurableConfig::snapshot_every`].
+    snapshot_every: u64,
     next_seq: u64,
     records_since_snapshot: u64,
     /// The first audit sequence number not yet journaled.
@@ -229,9 +239,13 @@ struct Journal {
     /// since released. Recovery adopts live grants' URIs verbatim, so fresh
     /// mints must start above every serial that was ever handed out.
     next_handle_serial: u64,
-    /// Reusable encode buffer for ingest records (the hot path allocates
-    /// nothing once warm).
+    /// The staged record's payload, reused from record to record (the hot
+    /// ingest path allocates nothing once warm).
     scratch: String,
+    /// Whether `scratch` holds a staged record not yet appended.
+    staged: bool,
+    /// The kind of the open (or last) record group.
+    kind: GroupKind,
     /// The current (or last) control-plane record group.
     control_group: ControlGroup,
     /// A journaling failure is sticky: once an append fails, every further
@@ -239,13 +253,231 @@ struct Journal {
     failed: Option<String>,
 }
 
-/// A [`DataServer`] wrapped in WAL + snapshot persistence. See the module
-/// docs for the consistency contract.
+impl Journal {
+    /// A journal appending to the store's WAL, every counter at zero.
+    fn open(store: &Path, config: &DurableConfig) -> Result<Journal, ExacmlError> {
+        let wal = WalWriter::open(store.join(WAL_FILE), config.sync_writes)
+            .map_err(|e| durability("open WAL", e))?;
+        Ok(Journal {
+            wal,
+            store: store.to_path_buf(),
+            snapshot_every: config.snapshot_every,
+            next_seq: 0,
+            records_since_snapshot: 0,
+            next_audit_seq: 0,
+            next_deployment_id: 0,
+            next_handle_serial: 0,
+            scratch: String::new(),
+            staged: false,
+            kind: GroupKind::Control,
+            control_group: ControlGroup::default(),
+            failed: None,
+        })
+    }
+
+    fn check_health(&self) -> Result<(), ExacmlError> {
+        match &self.failed {
+            Some(failure) => Err(ExacmlError::Durability(format!(
+                "journal failed earlier ({failure}); refusing further mutations"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Record a journaling failure: it is sticky.
+    fn fail(&mut self, context: &str, error: impl std::fmt::Display) -> ExacmlError {
+        let failure = error.to_string();
+        self.failed = Some(failure.clone());
+        durability(context, failure)
+    }
+
+    /// Buffered append plus sequencing bookkeeping (sticky on failure).
+    /// Records become durable at the next [`Journal::flush`] (control
+    /// groups) or group-commit drain (ingest).
+    fn write(&mut self, server: &DataServer, payload: &str) -> Result<(), ExacmlError> {
+        // WAL appends are real file I/O, so the wall clock (not the virtual
+        // clock) is the honest measure here.
+        let telemetry = server.telemetry_registry();
+        let started = telemetry.is_enabled().then(Instant::now);
+        let appended = self.wal.append_buffered(payload);
+        if let Some(started) = started {
+            telemetry.record(Stage::WalAppend, started.elapsed());
+        }
+        appended.map_err(|e| self.fail("append to WAL", e))?;
+        telemetry.incr(Metric::WalRecords);
+        self.next_seq += 1;
+        self.records_since_snapshot += 1;
+        if self.kind == GroupKind::Control {
+            self.control_group.bytes += framed_len(payload);
+            self.control_group.end_seq = self.next_seq;
+        }
+        Ok(())
+    }
+
+    /// Drain everything buffered to the OS in one flush — a control group's
+    /// records land together, so a process crash cannot persist half an
+    /// operation's records (e.g. a live grant with no `Granted` audit
+    /// entry). Only sound when the group started with an empty writer
+    /// buffer — see [`CommitLog::begin`].
+    fn flush(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        let telemetry = server.telemetry_registry();
+        let started = telemetry.is_enabled().then(Instant::now);
+        let flushed = self.wal.flush();
+        if let Some(started) = started {
+            telemetry.record(Stage::WalFlush, started.elapsed());
+        }
+        flushed.map_err(|e| self.fail("flush WAL", e))?;
+        telemetry.incr(Metric::WalFlushes);
+        Ok(())
+    }
+
+    /// Journal every audit event the server recorded since the last pull
+    /// (including for denied requests — denials are part of the
+    /// accountable trail even though they mutate nothing else).
+    fn journal_audit(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        for event in server.audit_events_since(self.next_audit_seq) {
+            self.next_audit_seq = event.sequence + 1;
+            let payload = Record::Audit(event)
+                .encode(self.next_seq)
+                .map_err(|e| durability("encode audit record", e))?;
+            self.write(server, &payload)?;
+        }
+        Ok(())
+    }
+
+    /// Fold the journal into a fresh snapshot and reset the WAL. Replay
+    /// cost after a crash is then bounded by the live state plus whatever
+    /// lands in the WAL afterwards.
+    fn snapshot(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        let catalog = server.engine().catalog();
+        let streams = catalog
+            .stream_names()
+            .into_iter()
+            .map(|name| {
+                catalog
+                    .schema_of(&name)
+                    .map(|schema| StreamEntry { name, schema: (*schema).clone() })
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| durability("snapshot streams", e))?;
+        let snapshot = Snapshot {
+            wal_horizon: self.next_seq,
+            store_revision: server.policy_store().revision(),
+            next_deployment_id: self.next_deployment_id,
+            next_handle_serial: self.next_handle_serial,
+            streams,
+            policies: server.policy_store().snapshot().iter().map(|p| write_policy(p)).collect(),
+            grants: server.live_grants().iter().map(GrantRecord::of).collect(),
+            audit: server.audit_events(),
+        };
+        write_snapshot(&self.store.join(SNAPSHOT_FILE), &snapshot)
+            .map_err(|e| self.fail("write snapshot", e))?;
+        self.wal.reset().map_err(|e| self.fail("reset WAL after snapshot", e))?;
+        self.records_since_snapshot = 0;
+        Ok(())
+    }
+}
+
+/// The journaled document of a policy the server holds.
+fn stored_policy(server: &DataServer, policy_id: &str) -> Result<String, ExacmlError> {
+    let policy = server.policy_store().get(policy_id);
+    policy
+        .map(|policy| write_policy(&policy))
+        .ok_or_else(|| durability("journal policy", format!("'{policy_id}' is not loaded")))
+}
+
+impl CommitLog for Journal {
+    fn backend_kind(&self) -> &'static str {
+        "durable-server"
+    }
+
+    fn failure(&self) -> Option<String> {
+        self.failed.clone()
+    }
+
+    /// A control group first drains any group-committed ingest backlog.
+    /// Without this, a nearly full writer buffer could auto-drain *between*
+    /// the group's records (persisting, say, a grant without its audit
+    /// event); with it, the whole group fits the empty 256 KiB buffer and
+    /// reaches the OS in the single flush [`CommitLog::finish`] performs.
+    fn begin(&mut self, server: &DataServer, kind: GroupKind) -> Result<(), ExacmlError> {
+        self.staged = false;
+        self.kind = kind;
+        if kind == GroupKind::Ingest {
+            return self.check_health();
+        }
+        self.control_group = ControlGroup { bytes: 0, end_seq: self.next_seq };
+        self.check_health()?;
+        self.flush(server)
+    }
+
+    fn stage(&mut self, server: &DataServer, change: Change<'_>) -> Result<(), ExacmlError> {
+        let seq = self.next_seq;
+        let record = match change {
+            Change::Ingest { stream, tuples } => {
+                encode_ingest_into(&mut self.scratch, seq, stream, tuples)
+                    .map_err(|e| durability("encode ingest record", e))?;
+                self.staged = true;
+                return Ok(());
+            }
+            Change::RegisterStream(name) => {
+                let schema = server.engine().stream_schema(name)?;
+                Record::RegisterStream { name: name.to_string(), schema: (*schema).clone() }
+            }
+            Change::LoadPolicy(id) => Record::LoadPolicy { xml: stored_policy(server, id)? },
+            Change::UpdatePolicy(id) => Record::UpdatePolicy { xml: stored_policy(server, id)? },
+            Change::RemovePolicy(id) => Record::RemovePolicy { id: id.to_string() },
+            Change::Grant(grant) => {
+                self.next_deployment_id = self.next_deployment_id.max(grant.deployment.0 + 1);
+                if let Some(serial) = grant.handle.serial() {
+                    self.next_handle_serial = self.next_handle_serial.max(serial + 1);
+                }
+                Record::Grant(GrantRecord::of(grant))
+            }
+            Change::Release { subject, stream } => {
+                Record::Release { subject: subject.to_string(), stream: stream.to_string() }
+            }
+        };
+        let payload = record
+            .encode(seq)
+            .map_err(|e| durability(&format!("encode {} record", record.op()), e))?;
+        self.scratch.clear();
+        self.scratch.push_str(&payload);
+        self.staged = true;
+        Ok(())
+    }
+
+    fn append(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        if !std::mem::take(&mut self.staged) {
+            return Ok(());
+        }
+        let payload = std::mem::take(&mut self.scratch);
+        let written = self.write(server, &payload);
+        self.scratch = payload;
+        written
+    }
+
+    fn finish(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        self.append(server)?;
+        if self.kind == GroupKind::Control {
+            self.journal_audit(server)?;
+            self.flush(server)?;
+        }
+        if self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every {
+            self.snapshot(server)?;
+        }
+        Ok(())
+    }
+}
+
+/// A [`DataServer`] with the WAL journal attached as its commit log, plus
+/// the store it journals into. See the module docs for the consistency
+/// contract. It dereferences to the data server, and through
+/// [`NodeServer`] it is a complete [`exacml_plus::Backend`].
 pub struct DurableServer {
-    inner: DataServer,
+    server: DataServer,
     config: DurableConfig,
     path: PathBuf,
-    journal: Mutex<Journal>,
     recovery: RecoveryReport,
 }
 
@@ -282,7 +514,8 @@ pub fn encode_meta(config: &DurableConfig) -> String {
 /// one the code now fixes. Stores written while the merge rule and ingest
 /// journaling were settings carry those keys; recovering a store that ran
 /// with another value would change what its grants deliver. Otherwise
-/// describes the first missing or mistyped key.
+/// describes the first missing or mistyped key, and refuses a seed or
+/// `snapshot_every` no `u64` up to 2^53 writes (see [`exact_u64`]).
 pub fn decode_meta(value: &Value) -> Result<DurableConfig, String> {
     check_format_version(value)?;
     for (key, fixed) in [("map_union", false), ("simplify_filters", true), ("journal_ingest", true)]
@@ -294,20 +527,24 @@ pub fn decode_meta(value: &Value) -> Result<DurableConfig, String> {
     let bool_of = |key: &str| {
         value.get(key).and_then(Value::as_bool).ok_or_else(|| format!("missing boolean '{key}'"))
     };
+    let u64_or = |key: &str, default: u64| {
+        let number = value.get(key).map_or(Some(default), exact_u64);
+        number.ok_or_else(|| format!("'{key}' is not a whole number in 0..=2^53"))
+    };
     let topology_name =
         value.get("topology").and_then(Value::as_str).ok_or("missing 'topology'")?;
     Ok(DurableConfig {
         topology: TopologyPreset::from_name(topology_name)
             .ok_or_else(|| format!("unknown topology preset '{topology_name}'"))?,
         deploy_on_partial_result: bool_of("deploy_on_partial_result")?,
-        seed: value.get("seed").and_then(Value::as_f64).unwrap_or(42.0) as u64,
+        seed: u64_or("seed", 42)?,
         dsms_host: value.get("dsms_host").and_then(Value::as_str).unwrap_or("dsms").to_string(),
         // Default-tolerant, and deliberately *off* for stores written
         // before plan sharing: their journals minted one deployment per
         // grant, and replay must reproduce those deployment ids exactly.
         share_plans: value.get("share_plans").and_then(Value::as_bool).unwrap_or(false),
         sync_writes: bool_of("sync_writes")?,
-        snapshot_every: value.get("snapshot_every").and_then(Value::as_f64).unwrap_or(0.0) as u64,
+        snapshot_every: u64_or("snapshot_every", 0)?,
     })
 }
 
@@ -340,9 +577,20 @@ impl DurableServer {
     /// and the server over it.
     ///
     /// # Errors
-    /// Fails when `path` already holds a store, or on I/O errors.
+    /// Fails when `path` already holds a store, when the seed or
+    /// `snapshot_every` is above 2^53 (`meta.json` could not carry it
+    /// exactly, so a recovered server would run with another value), or on
+    /// I/O errors.
     pub fn create(path: impl Into<PathBuf>, config: DurableConfig) -> Result<Self, ExacmlError> {
         let path = path.into();
+        for (key, number) in [("seed", config.seed), ("snapshot_every", config.snapshot_every)] {
+            if number > MAX_EXACT_U64 {
+                return Err(durability(
+                    key,
+                    format!("{number} is above 2^53, too big for meta.json"),
+                ));
+            }
+        }
         std::fs::create_dir_all(&path).map_err(|e| durability("create store directory", e))?;
         for existing in [META_FILE, WAL_FILE, SNAPSHOT_FILE] {
             if path.join(existing).exists() {
@@ -353,26 +601,8 @@ impl DurableServer {
             }
         }
         write_meta(&path.join(META_FILE), &config)?;
-        let wal = WalWriter::open(path.join(WAL_FILE), config.sync_writes)
-            .map_err(|e| durability("open WAL", e))?;
-        let inner = DataServer::new(config.server_config());
-        Ok(DurableServer {
-            inner,
-            config,
-            path,
-            journal: Mutex::new(Journal {
-                wal,
-                next_seq: 0,
-                records_since_snapshot: 0,
-                next_audit_seq: 0,
-                next_deployment_id: 0,
-                next_handle_serial: 0,
-                scratch: String::new(),
-                control_group: ControlGroup::default(),
-                failed: None,
-            }),
-            recovery: RecoveryReport::default(),
-        })
+        // A fresh store is an empty one: recovering it builds the server.
+        Self::recover_with(path, config)
     }
 
     /// Rebuild the server from the store at `path`: load the snapshot,
@@ -413,10 +643,11 @@ impl DurableServer {
                 .map_err(|e| durability("truncate torn WAL tail", e))?;
         }
 
+        // The journal's counters are rebuilt below; nothing is written to it
+        // until the log is attached after replay.
+        let mut journal = Journal::open(&path, &config)?;
         let inner = DataServer::new(config.server_config());
         let mut audit: Vec<AuditEvent> = Vec::new();
-        let mut next_deployment_id = 0u64;
-        let mut next_handle_serial = 0u64;
         let mut horizon = 0u64;
 
         if let Some(snapshot) = &snapshot {
@@ -430,8 +661,8 @@ impl DurableServer {
             }
             inner.policy_store().resume_revision_at(snapshot.store_revision);
             audit.clone_from(&snapshot.audit);
-            next_deployment_id = snapshot.next_deployment_id;
-            next_handle_serial = snapshot.next_handle_serial;
+            journal.next_deployment_id = snapshot.next_deployment_id;
+            journal.next_handle_serial = snapshot.next_handle_serial;
             horizon = snapshot.wal_horizon;
         }
 
@@ -440,13 +671,13 @@ impl DurableServer {
         // counter must first clear *every* journaled serial — a deploy
         // during replay must never mint a primary handle that collides with
         // a URI a later grant record is about to adopt.
-        let mut next_seq = horizon;
+        journal.next_seq = horizon;
         let mut tail: Vec<Record> = Vec::new();
         for record in &contents.records {
             if record.seq < horizon {
                 continue; // Already folded into the snapshot.
             }
-            next_seq = record.seq + 1;
+            journal.next_seq = record.seq + 1;
             let decoded = crate::record::decode(&record.value)
                 .map_err(|e| durability(&format!("decode WAL record {}", record.seq), e))?;
             tail.push(decoded);
@@ -460,9 +691,9 @@ impl DurableServer {
             }))
             .filter_map(|g| StreamHandle::from_uri(g.handle.clone()).serial());
         for serial in journaled_serials {
-            next_handle_serial = next_handle_serial.max(serial + 1);
+            journal.next_handle_serial = journal.next_handle_serial.max(serial + 1);
         }
-        inner.engine().resume_handle_serial_at(next_handle_serial);
+        inner.engine().resume_handle_serial_at(journal.next_handle_serial);
 
         if let Some(snapshot) = &snapshot {
             // Released grants are pruned from the snapshot, so a plan's
@@ -495,7 +726,8 @@ impl DurableServer {
                 }
                 Record::Grant(grant) => {
                     Self::replay_grant(&inner, &grant, None)?;
-                    next_deployment_id = next_deployment_id.max(grant.deployment + 1);
+                    journal.next_deployment_id =
+                        journal.next_deployment_id.max(grant.deployment + 1);
                 }
                 Record::Release { subject, stream } => {
                     inner.release_access(&subject, &stream);
@@ -518,34 +750,18 @@ impl DurableServer {
                 }
             }
             report.wal_records_replayed += 1;
+            journal.records_since_snapshot += 1;
         }
 
-        // The replay regenerated audit events with fresh timestamps; the
+        // The replay ran without a log attached, so it journaled nothing;
+        // it did regenerate audit events with fresh timestamps, and the
         // journaled trail is authoritative.
-        let next_audit_seq = audit.iter().map(|e| e.sequence + 1).max().unwrap_or(0);
+        journal.next_audit_seq = audit.iter().map(|e| e.sequence + 1).max().unwrap_or(0);
         inner.restore_audit(audit);
-        inner.engine().resume_ids_at(next_deployment_id);
-        inner.engine().resume_handle_serial_at(next_handle_serial);
-
-        let wal = WalWriter::open(&wal_path, config.sync_writes)
-            .map_err(|e| durability("open WAL", e))?;
-        Ok(DurableServer {
-            inner,
-            path,
-            journal: Mutex::new(Journal {
-                wal,
-                next_seq,
-                records_since_snapshot: report.wal_records_replayed as u64,
-                next_audit_seq,
-                next_deployment_id,
-                next_handle_serial,
-                scratch: String::new(),
-                control_group: ControlGroup::default(),
-                failed: None,
-            }),
-            recovery: report,
-            config,
-        })
+        inner.engine().resume_ids_at(journal.next_deployment_id);
+        inner.engine().resume_handle_serial_at(journal.next_handle_serial);
+        let server = inner.attach_commit_log(Box::new(journal));
+        Ok(DurableServer { server, config, path, recovery: report })
     }
 
     /// Open the store at `path`: recover it when it exists, create it with
@@ -613,10 +829,10 @@ impl DurableServer {
 
     // --- observability ------------------------------------------------------
 
-    /// The wrapped in-memory server.
+    /// The data server, with this store's journal attached.
     #[must_use]
     pub fn inner(&self) -> &DataServer {
-        &self.inner
+        &self.server
     }
 
     /// The store's directory.
@@ -637,35 +853,29 @@ impl DurableServer {
         &self.recovery
     }
 
-    /// Number of loaded policies.
-    #[must_use]
-    pub fn policy_count(&self) -> usize {
-        self.inner.policy_count()
-    }
-
     /// The live grants in grant order — exactly what the next snapshot will
     /// carry and the next recovery will replay. Under plan sharing several
     /// entries may carry the same deployment id.
     #[must_use]
     pub fn live_grants(&self) -> Vec<GrantRecord> {
-        self.inner
-            .live_grants()
-            .into_iter()
-            .map(|grant| GrantRecord {
-                subject: grant.subject,
-                stream: grant.stream,
-                query_xml: grant.user_query.as_ref().map(UserQuery::to_xml),
-                deployment: grant.deployment.0,
-                handle: grant.handle.uri().to_string(),
-            })
-            .collect()
+        self.server.live_grants().iter().map(GrantRecord::of).collect()
+    }
+
+    /// Run `f` on the journal under the commit-log lock.
+    fn journal<R>(&self, f: impl FnOnce(&mut Journal, &DataServer) -> R) -> R {
+        let server = &self.server;
+        let journaled = server.with_commit_log(|log| {
+            let journal = (log as &mut dyn Any).downcast_mut::<Journal>();
+            f(journal.expect("a durable server's commit log is its journal"), server)
+        });
+        journaled.expect("a durable server has a commit log")
     }
 
     /// Journal records appended since the last snapshot (the WAL tail a
     /// crash right now would replay).
     #[must_use]
     pub fn wal_tail_len(&self) -> u64 {
-        self.journal.lock().records_since_snapshot
+        self.journal(|journal, _| journal.records_since_snapshot)
     }
 
     /// The journal's sequence number for the *next* record — a monotone
@@ -673,21 +883,21 @@ impl DurableServer {
     /// is a difference of these).
     #[must_use]
     pub fn journal_seq(&self) -> u64 {
-        self.journal.lock().next_seq
+        self.journal(|journal, _| journal.next_seq)
     }
 
     /// What the last control-plane record group journaled (see
     /// [`ControlGroup`]).
     #[must_use]
     pub(crate) fn last_control_group(&self) -> ControlGroup {
-        self.journal.lock().control_group
+        self.journal(|journal, _| journal.control_group)
     }
 
     /// The sticky journal failure, when one happened: the disk fault that
     /// made the store refuse further mutations. `None` while healthy.
     #[must_use]
     pub fn journal_failure(&self) -> Option<String> {
-        self.journal.lock().failed.clone()
+        self.journal(|journal, _| journal.failed.clone())
     }
 
     /// The WAL file of this store.
@@ -717,17 +927,19 @@ impl DurableServer {
     /// # Errors
     /// Propagates (sticky) journaling failures.
     pub fn flush_journal(&self) -> Result<JournalMark, ExacmlError> {
-        let mut journal = self.journal.lock();
-        Self::check_health(&journal)?;
-        self.commit(&mut journal)?;
-        let wal_len = journal.wal.file_len().map_err(|e| durability("stat WAL", e))?;
-        Ok(JournalMark { wal_generation: journal.wal.generation(), wal_len, seq: journal.next_seq })
+        self.journal(|journal, server| {
+            journal.check_health()?;
+            journal.flush(server)?;
+            let wal_len = journal.wal.file_len().map_err(|e| durability("stat WAL", e))?;
+            let wal_generation = journal.wal.generation();
+            Ok(JournalMark { wal_generation, wal_len, seq: journal.next_seq })
+        })
     }
 
     /// The WAL's current generation (see [`JournalMark::wal_generation`]).
     #[must_use]
     pub fn wal_generation(&self) -> u64 {
-        self.journal.lock().wal.generation()
+        self.journal(|journal, _| journal.wal.generation())
     }
 
     /// A shared handle to the WAL writer's error-injecting shim (see
@@ -736,110 +948,13 @@ impl DurableServer {
     /// a real disk fault — sticky refusal of further mutations.
     #[must_use]
     pub fn wal_failpoint(&self) -> std::sync::Arc<WalFailpoint> {
-        self.journal.lock().wal.failpoint()
+        self.journal(|journal, _| journal.wal.failpoint())
     }
 
     /// Arm the WAL failpoint with a failure mode (convenience for
     /// [`DurableServer::wal_failpoint`]`.arm(mode)`).
     pub fn install_wal_failpoint(&self, mode: FailMode) {
         self.wal_failpoint().arm(mode);
-    }
-
-    // --- journaling ---------------------------------------------------------
-
-    fn check_health(journal: &Journal) -> Result<(), ExacmlError> {
-        match &journal.failed {
-            Some(failure) => Err(ExacmlError::Durability(format!(
-                "journal failed earlier ({failure}); refusing further mutations"
-            ))),
-            None => Ok(()),
-        }
-    }
-
-    fn append(&self, journal: &mut Journal, record: &Record) -> Result<(), ExacmlError> {
-        let payload = record
-            .encode(journal.next_seq)
-            .map_err(|e| durability(&format!("encode {} record", record.op()), e))?;
-        self.append_payload(journal, &payload)?;
-        journal.control_group.bytes += framed_len(&payload);
-        journal.control_group.end_seq = journal.next_seq;
-        Ok(())
-    }
-
-    /// Buffered append plus sequencing bookkeeping (sticky on failure).
-    /// Records become durable at the next [`DurableServer::commit`]
-    /// (control-plane operations) or group-commit drain (ingest).
-    fn append_payload(&self, journal: &mut Journal, payload: &str) -> Result<(), ExacmlError> {
-        // WAL appends are real file I/O, so the wall clock (not the virtual
-        // clock) is the honest measure here.
-        let telemetry = self.inner.telemetry_registry();
-        let started = telemetry.is_enabled().then(Instant::now);
-        let appended = journal.wal.append_buffered(payload);
-        if let Some(started) = started {
-            telemetry.record(Stage::WalAppend, started.elapsed());
-        }
-        if let Err(e) = appended {
-            let failure = e.to_string();
-            journal.failed = Some(failure.clone());
-            return Err(durability("append to WAL", failure));
-        }
-        telemetry.incr(Metric::WalRecords);
-        journal.next_seq += 1;
-        journal.records_since_snapshot += 1;
-        Ok(())
-    }
-
-    /// Drain everything this operation appended to the OS in one flush —
-    /// the op record and its audit events land together, so a process
-    /// crash cannot persist half an operation's records (e.g. a live grant
-    /// with no `Granted` audit entry). Only sound when the group started
-    /// with an empty writer buffer — see [`DurableServer::begin_control`].
-    fn commit(&self, journal: &mut Journal) -> Result<(), ExacmlError> {
-        let telemetry = self.inner.telemetry_registry();
-        let started = telemetry.is_enabled().then(Instant::now);
-        let flushed = journal.wal.flush();
-        if let Some(started) = started {
-            telemetry.record(Stage::WalFlush, started.elapsed());
-        }
-        if let Err(e) = flushed {
-            let failure = e.to_string();
-            journal.failed = Some(failure.clone());
-            return Err(durability("flush WAL", failure));
-        }
-        telemetry.incr(Metric::WalFlushes);
-        Ok(())
-    }
-
-    /// Start a control-plane record group: check the journal is healthy and
-    /// drain any group-committed ingest backlog first. Without this, a
-    /// nearly-full writer buffer could auto-drain *between* the group's
-    /// records (persisting, say, a grant without its audit event); with it,
-    /// the whole group fits the empty 256 KiB buffer and reaches the OS in
-    /// the single flush [`DurableServer::commit`] performs.
-    fn begin_control(&self, journal: &mut Journal) -> Result<(), ExacmlError> {
-        journal.control_group = ControlGroup { bytes: 0, end_seq: journal.next_seq };
-        Self::check_health(journal)?;
-        self.commit(journal)
-    }
-
-    /// Journal every audit event the wrapped server recorded since the last
-    /// pull (including for denied requests — denials are part of the
-    /// accountable trail even though they mutate nothing else).
-    fn journal_audit(&self, journal: &mut Journal) -> Result<(), ExacmlError> {
-        for event in self.inner.audit_events_since(journal.next_audit_seq) {
-            journal.next_audit_seq = event.sequence + 1;
-            self.append(journal, &Record::Audit(event))?;
-        }
-        Ok(())
-    }
-
-    fn maybe_compact(&self, journal: &mut Journal) -> Result<(), ExacmlError> {
-        if self.config.snapshot_every > 0
-            && journal.records_since_snapshot >= self.config.snapshot_every
-        {
-            self.snapshot_locked(journal)?;
-        }
-        Ok(())
     }
 
     /// Fold the journal into a fresh snapshot and reset the WAL. Replay
@@ -849,328 +964,23 @@ impl DurableServer {
     /// # Errors
     /// Propagates I/O errors (which are sticky, like append failures).
     pub fn snapshot(&self) -> Result<(), ExacmlError> {
-        let mut journal = self.journal.lock();
-        Self::check_health(&journal)?;
-        self.snapshot_locked(&mut journal)
-    }
-
-    fn snapshot_locked(&self, journal: &mut Journal) -> Result<(), ExacmlError> {
-        let catalog = self.inner.engine().catalog();
-        let streams = catalog
-            .stream_names()
-            .into_iter()
-            .map(|name| {
-                catalog
-                    .schema_of(&name)
-                    .map(|schema| StreamEntry { name, schema: (*schema).clone() })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| durability("snapshot streams", e))?;
-        let snapshot = Snapshot {
-            wal_horizon: journal.next_seq,
-            store_revision: self.inner.policy_store().revision(),
-            next_deployment_id: journal.next_deployment_id,
-            next_handle_serial: journal.next_handle_serial,
-            streams,
-            policies: self
-                .inner
-                .policy_store()
-                .snapshot()
-                .iter()
-                .map(|p| write_policy(p))
-                .collect(),
-            grants: self.live_grants(),
-            audit: self.inner.audit_events(),
-        };
-        if let Err(e) = write_snapshot(&self.path.join(SNAPSHOT_FILE), &snapshot) {
-            journal.failed = Some(e.clone());
-            return Err(durability("write snapshot", e));
-        }
-        if let Err(e) = journal.wal.reset() {
-            let failure = e.to_string();
-            journal.failed = Some(failure.clone());
-            return Err(durability("reset WAL after snapshot", failure));
-        }
-        journal.records_since_snapshot = 0;
-        Ok(())
-    }
-
-    // --- the journaled operations ------------------------------------------
-
-    /// Run one control-plane operation as a record group under the journal
-    /// lock: the operation itself, the record it leaves behind when it
-    /// succeeded (`record` may also advance the journal's counters), the
-    /// audit events it caused — a refusal leaves those too — and one flush.
-    fn control<T>(
-        &self,
-        op: impl FnOnce() -> Result<T, ExacmlError>,
-        record: impl FnOnce(&T, &mut Journal) -> Option<Record>,
-    ) -> Result<T, ExacmlError> {
-        let mut journal = self.journal.lock();
-        self.begin_control(&mut journal)?;
-        let result = op();
-        if let Some(record) = result.as_ref().ok().and_then(|done| record(done, &mut journal)) {
-            self.append(&mut journal, &record)?;
-        }
-        self.journal_audit(&mut journal)?;
-        self.commit(&mut journal)?;
-        self.maybe_compact(&mut journal)?;
-        result
-    }
-
-    /// Register an input stream (journaled).
-    ///
-    /// # Errors
-    /// As [`DataServer::register_stream`], plus journaling failures.
-    pub fn register_stream(&self, name: &str, schema: Schema) -> Result<(), ExacmlError> {
-        let record = Record::RegisterStream { name: name.to_string(), schema: schema.clone() };
-        self.control(|| self.inner.register_stream(name, schema), |(), _| Some(record))
-    }
-
-    /// Load a policy (journaled as its XACML document).
-    ///
-    /// # Errors
-    /// As [`DataServer::load_policy`], plus journaling failures.
-    pub fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        let record = Record::LoadPolicy { xml: write_policy(&policy) };
-        self.control(|| self.inner.load_policy(policy), |_, _| Some(record))
-    }
-
-    /// Load a policy from its XML document (journaled).
-    ///
-    /// # Errors
-    /// As [`DataServer::load_policy_xml`], plus journaling failures.
-    pub fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
-        self.load_policy(parse_policy(xml)?)
-    }
-
-    /// Remove a policy, withdrawing its graphs (journaled).
-    ///
-    /// # Errors
-    /// As [`DataServer::remove_policy`], plus journaling failures.
-    pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        let record = Record::RemovePolicy { id: policy_id.to_string() };
-        self.control(|| self.inner.remove_policy(policy_id), |_, _| Some(record))
-    }
-
-    /// Replace a policy, withdrawing the old version's graphs (journaled).
-    ///
-    /// # Errors
-    /// As [`DataServer::update_policy`], plus journaling failures.
-    pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        let record = Record::UpdatePolicy { xml: write_policy(&policy) };
-        self.control(|| self.inner.update_policy(policy), |_, _| Some(record))
-    }
-
-    /// Handle one access request (grants and every audit outcome are
-    /// journaled; a reused grant journals only its audit event — it minted
-    /// nothing new).
-    ///
-    /// # Errors
-    /// As [`DataServer::handle_request`], plus journaling failures.
-    pub fn handle_request(
-        &self,
-        request: &Request,
-        user_query: Option<&UserQuery>,
-    ) -> Result<BackendResponse, ExacmlError> {
-        let op = || self.inner.handle_request(request, user_query);
-        let response = self.control(op, |response, journal| {
-            if response.reused {
-                return None;
-            }
-            let deployment = response.deployment.0;
-            journal.next_deployment_id = journal.next_deployment_id.max(deployment + 1);
-            if let Some(serial) = response.handle.serial() {
-                journal.next_handle_serial = journal.next_handle_serial.max(serial + 1);
-            }
-            Some(Record::Grant(GrantRecord {
-                subject: request.subject_id().unwrap_or_default().to_string(),
-                stream: request.resource_id().unwrap_or_default().to_string(),
-                query_xml: user_query.map(UserQuery::to_xml),
-                deployment,
-                handle: response.handle.uri().to_string(),
-            }))
-        })?;
-        Ok(BackendResponse { node: NodeId::DataServer, response, broker_network: Duration::ZERO })
-    }
-
-    /// Release a subject's access on a stream (journaled when something is
-    /// actually withdrawn). The release record is appended *before* the
-    /// in-memory release is applied: if journaling fails, nothing is
-    /// released and `false` is returned — a revoked access must never come
-    /// back to life on recovery because its record was silently lost. Once
-    /// the journal has failed, releases are refused like every other
-    /// mutation.
-    pub fn release_access(&self, subject: &str, stream: &str) -> bool {
-        let mut journal = self.journal.lock();
-        if self.begin_control(&mut journal).is_err() {
-            return false;
-        }
-        // A release that cannot withdraw anything is a no-op on every
-        // backend and needs no journal record. (Every grant and release goes
-        // through the journal lock held here, so the answer cannot change
-        // before the release below.)
-        if !self.inner.holds_grant(subject, stream) {
-            return false;
-        }
-        let record = Record::Release { subject: subject.to_string(), stream: stream.to_string() };
-        if self.append(&mut journal, &record).is_err() {
-            return false;
-        }
-        let released = self.inner.release_access(subject, stream);
-        let _ = self.journal_audit(&mut journal);
-        let _ = self.commit(&mut journal);
-        let _ = self.maybe_compact(&mut journal);
-        released
-    }
-
-    fn push_journaled(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        let mut journal = self.journal.lock();
-        Self::check_health(&journal)?;
-        // Encode into the journal's reusable buffer *before* pushing (so a
-        // rejected batch journals nothing), append after the push succeeds.
-        // No flush: ingest records are group-committed (see module docs).
-        let mut scratch = std::mem::take(&mut journal.scratch);
-        let encoded = encode_ingest_into(&mut scratch, journal.next_seq, stream, &tuples);
-        let outcome = match encoded {
-            Err(e) => Err(durability("encode ingest record", e)),
-            Ok(()) => self
-                .inner
-                .push_batch(stream, tuples)
-                .and_then(|emitted| self.append_payload(&mut journal, &scratch).map(|()| emitted)),
-        };
-        journal.scratch = scratch;
-        let emitted = outcome?;
-        self.maybe_compact(&mut journal)?;
-        Ok(emitted)
-    }
-
-    /// Push one source tuple, journaled as a one-row ingest record.
-    ///
-    /// # Errors
-    /// As [`DataServer::push`], plus journaling failures.
-    pub fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        self.push_journaled(stream, vec![tuple])
-    }
-
-    /// Push a batch of source tuples — one WAL record for the whole batch,
-    /// so journaling cost amortizes exactly like the engine's shard locking.
-    ///
-    /// # Errors
-    /// As [`DataServer::push_batch`], plus journaling failures.
-    pub fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        if tuples.is_empty() {
-            return self.inner.push_batch(stream, tuples);
-        }
-        self.push_journaled(stream, tuples)
+        self.journal(|journal, server| {
+            journal.check_health()?;
+            journal.snapshot(server)
+        })
     }
 }
 
-// --- the unified backend API -----------------------------------------------
+impl Deref for DurableServer {
+    type Target = DataServer;
+
+    fn deref(&self) -> &DataServer {
+        &self.server
+    }
+}
 
 impl NodeServer for DurableServer {
     fn data_server(&self) -> &DataServer {
-        &self.inner
-    }
-}
-
-impl StreamBackend for DurableServer {
-    fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
-        DurableServer::register_stream(self, name, schema)?;
-        Ok(NodeId::DataServer)
-    }
-
-    fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        DurableServer::push(self, stream, tuple)
-    }
-
-    fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        DurableServer::push_batch(self, stream, tuples)
-    }
-
-    fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        self.inner.subscribe(handle).map(Subscription::Local)
-    }
-
-    fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        self.inner.handle_is_live(handle)
-    }
-}
-
-impl AccessControl for DurableServer {
-    fn handle_request(
-        &self,
-        request: &Request,
-        user_query: Option<&UserQuery>,
-    ) -> Result<BackendResponse, ExacmlError> {
-        DurableServer::handle_request(self, request, user_query)
-    }
-
-    fn release_access(&self, subject: &str, stream: &str) -> bool {
-        DurableServer::release_access(self, subject, stream)
-    }
-}
-
-impl PolicyAdmin for DurableServer {
-    fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        DurableServer::load_policy(self, policy)
-    }
-
-    fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
-        DurableServer::load_policy_xml(self, xml)
-    }
-
-    fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        DurableServer::remove_policy(self, policy_id)
-    }
-
-    fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        DurableServer::update_policy(self, policy)
-    }
-
-    fn policy_count(&self) -> usize {
-        self.inner.policy_count()
-    }
-}
-
-impl Backend for DurableServer {
-    fn backend_kind(&self) -> String {
-        "durable-server".to_string()
-    }
-
-    fn live_deployments(&self) -> usize {
-        self.inner.live_deployments()
-    }
-
-    fn live_plans(&self) -> usize {
-        self.inner.plan_count()
-    }
-
-    fn audit_events(&self) -> Vec<TaggedAuditEvent> {
-        self.inner
-            .audit_events()
-            .into_iter()
-            .map(|event| TaggedAuditEvent { node: NodeId::DataServer, event })
-            .collect()
-    }
-
-    fn audit_events_for_subject(&self, subject: &str) -> Vec<TaggedAuditEvent> {
-        self.inner
-            .audit_events_for_subject(subject)
-            .into_iter()
-            .map(|event| TaggedAuditEvent { node: NodeId::DataServer, event })
-            .collect()
-    }
-
-    fn health(&self) -> BackendHealth {
-        BackendHealth {
-            degraded_nodes: Vec::new(),
-            journal_failure: self.journal_failure(),
-            replication_lag_records: 0,
-        }
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.inner.telemetry_registry().snapshot_tagged("durable-server")
+        &self.server
     }
 }

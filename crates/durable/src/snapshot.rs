@@ -23,8 +23,8 @@
 //! [`FORMAT_VERSION`], and a snapshot at any other version is refused.
 
 use crate::record::{
-    audit_event_content, decode_audit_event, decode_grant, decode_schema, grant_content, object,
-    schema_content, text, GrantRecord,
+    audit_event_content, decode_audit_event, decode_grant, decode_schema, exact_u64, grant_content,
+    object, schema_content, text, GrantRecord,
 };
 use crate::wal::{frame, unframe};
 use crate::{check_format_version, FORMAT_VERSION};
@@ -132,9 +132,8 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Snapshot>, String> {
 fn u64_of(value: &Value, key: &str) -> Result<u64, String> {
     value
         .get(key)
-        .and_then(Value::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("snapshot is missing numeric '{key}'"))
+        .and_then(exact_u64)
+        .ok_or_else(|| format!("snapshot is missing whole number '{key}' in 0..=2^53"))
 }
 
 fn seq_of<'v>(value: &'v Value, key: &str) -> Result<&'v [Value], String> {
@@ -173,10 +172,10 @@ pub fn decode_snapshot(value: &Value) -> Result<Snapshot, String> {
     let next_deployment_id = u64_of(value, "next_deployment_id")?;
     // Stores written before plan sharing minted handle serials in lockstep
     // with deployment ids, so their implied next serial is that counter.
-    let next_handle_serial = value
-        .get("next_handle_serial")
-        .and_then(Value::as_f64)
-        .map_or(next_deployment_id, |f| f as u64);
+    let next_handle_serial = match value.get("next_handle_serial") {
+        None => next_deployment_id,
+        Some(_) => u64_of(value, "next_handle_serial")?,
+    };
     Ok(Snapshot {
         wal_horizon: u64_of(value, "wal_horizon")?,
         store_revision: u64_of(value, "store_revision")?,

@@ -138,11 +138,11 @@ pub fn read_wal(path: &Path) -> std::io::Result<WalContents> {
                 break;
             }
         };
-        let Some(seq) = parsed.get("seq").and_then(Value::as_f64) else {
-            contents.tail_error = Some(format!("record at byte {offset} carries no seq"));
+        let Some(seq) = parsed.get("seq").and_then(crate::record::exact_u64) else {
+            contents.tail_error = Some(format!("record at byte {offset} carries no whole seq"));
             break;
         };
-        contents.records.push(WalRecord { seq: seq as u64, value: parsed });
+        contents.records.push(WalRecord { seq, value: parsed });
         offset += newline + 1;
         contents.valid_len = offset as u64;
     }

@@ -33,7 +33,7 @@ enum Shape {
     Single,
     /// N data-server nodes behind the routing broker.
     Fabric(usize),
-    /// One data server wrapped in WAL + snapshot persistence at this path.
+    /// One data server journaling to a WAL + snapshot store at this path.
     Durable(PathBuf),
     /// N durable nodes behind the same broker, over the replication layer
     /// (WAL shipping and failover), rooted at this path.
@@ -97,7 +97,7 @@ impl BackendBuilder {
         self
     }
 
-    /// A single data server wrapped in WAL + snapshot persistence rooted at
+    /// A single data server journaling to a WAL + snapshot store rooted at
     /// `path`, on loopback links: the store is created when the directory
     /// holds none, **recovered** when it does — so restarting a process
     /// with the same builder line brings policies, live handles and the

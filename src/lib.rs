@@ -36,7 +36,8 @@
 //! Every backend — [`DataServer`](exacml_plus::DataServer) for one node,
 //! [`Fabric`](exacml_plus::Fabric) for N nodes behind the routing broker,
 //! [`DurableServer`](exacml_durable::DurableServer) for a single node whose
-//! state survives a restart — implements the object-safe trait stack of
+//! state survives a restart (a `DataServer` with a WAL commit log
+//! attached) — implements the object-safe trait stack of
 //! [`exacml_plus::backend`]:
 //!
 //! * [`StreamBackend`](exacml_plus::StreamBackend) — register streams, push
@@ -66,8 +67,9 @@
 //! # Durability
 //!
 //! [`exacml_durable`] adds the persistence layer: `BackendBuilder::
-//! durable(path)` wraps the data server in a write-ahead log + snapshot
-//! store over plain `std::fs`, and the same builder line *recovers* the
+//! durable(path)` builds a data server with a write-ahead log attached at
+//! its one commit point ([`exacml_plus::commit`]), plus a snapshot store
+//! over plain `std::fs`, and the same builder line *recovers* the
 //! store after a crash — policies, live handles (same URIs), guard state
 //! and the audit trail come back; `examples/durable_restart.rs` shows the
 //! kill/recover cycle. `BackendBuilder::replicated(n, path)` goes further:
@@ -110,8 +112,8 @@
 //!   server, the brokering fabric, and the unified backend trait layer
 //!   (package `exacml-plus`, `crates/core`).
 //! * [`exacml_durable`] — the persistence subsystem: WAL, snapshots, and
-//!   the `DurableServer` backend (package `exacml-durable`,
-//!   `crates/durable`).
+//!   `DurableServer`, the store around a data server whose commit log is
+//!   the WAL (package `exacml-durable`, `crates/durable`).
 //! * [`exacml_dsms`] — the from-scratch stream engine: Aurora-style query
 //!   graphs, operators, sliding windows, StreamSQL (package `exacml-dsms`).
 //! * [`exacml_xacml`] — the XACML policy model, repository, XML round-trip,

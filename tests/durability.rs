@@ -167,6 +167,51 @@ fn a_sync_writes_store_journals_and_recovers_with_the_setting_kept() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// `meta.json` carries the seed and `snapshot_every` as JSON numbers, which
+/// read back as `f64`: integers up to 2^53 survive exactly, 2^53 + 1 comes
+/// back as 2^53. A store therefore refuses such a setting at `create`, and
+/// the decoder refuses a number no `u64` setting could have written
+/// (negative, fractional, above 2^53) instead of casting it.
+#[test]
+fn meta_numbers_round_trip_exactly_or_are_refused() {
+    use exacml::exacml_durable::server::{decode_meta, encode_meta};
+    const EXACT: u64 = 1 << 53;
+    let decode = |text: &str| decode_meta(&serde_json::from_str(text).unwrap());
+    for seed in [0, EXACT] {
+        let config = DurableConfig { seed, snapshot_every: seed, ..DurableConfig::local() };
+        assert_eq!(decode(&encode_meta(&config)), Ok(config), "{seed}");
+    }
+    let config = DurableConfig { seed: EXACT + 1, ..DurableConfig::local() };
+    let lossy = decode(&encode_meta(&config)).unwrap();
+    assert_eq!(lossy.seed, EXACT, "JSON numbers carry 53 bits");
+
+    let store = fresh_store("meta-seed");
+    for config in [
+        DurableConfig { seed: EXACT + 1, ..DurableConfig::local() },
+        DurableConfig { snapshot_every: u64::MAX, ..DurableConfig::local() },
+    ] {
+        match DurableServer::create(&store, config) {
+            Err(ExacmlError::Durability(reason)) => assert!(reason.contains("2^53"), "{reason}"),
+            other => panic!("expected a refusal, got {:?}", other.map(|_| ())),
+        }
+        assert!(!store.join("meta.json").exists(), "a refused store writes nothing");
+    }
+
+    let meta = encode_meta(&DurableConfig::local());
+    for (key, bad) in [
+        ("seed", "-1"),
+        ("seed", "0.5"),
+        ("snapshot_every", "18014398509481984"),
+        ("seed", "1e300"),
+    ] {
+        let good = if key == "seed" { "\"seed\":42" } else { "\"snapshot_every\":50000" };
+        let text = meta.replace(good, &format!("\"{key}\":{bad}"));
+        assert_ne!(text, meta);
+        assert!(decode(&text).is_err(), "{key} = {bad} must be refused");
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 /// Overwrite a store's `meta.json` with one in the eleven-key format stores
 /// were written in while the merge rule and ingest journaling were settings,
 /// framed as the store frames it.
@@ -574,6 +619,52 @@ fn torn_write_mid_record_is_cut_on_recovery() {
     assert_eq!(recovered.policy_count(), 0, "the torn policy record must not replay");
     // The stream registration before the torn record survived.
     assert!(recovered.inner().engine().catalog().contains("weather"));
+}
+
+/// Release is write-ahead: its record is appended before the grant is
+/// withdrawn. When the journal cannot take the record (a disk with less
+/// room than the record, a dead device), nothing is released: the grant
+/// stays live in memory and at its URI after recovery. A release of a pair
+/// nobody holds journals nothing at all.
+#[test]
+fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
+    let faults = [
+        ("release-disk-full", FailMode::DiskFull { remaining: 8 }),
+        ("release-sticky", FailMode::Sticky { message: "I/O error (injected)".into() }),
+    ];
+    for (tag, fault) in faults {
+        let store = fresh_store(tag);
+        let held = {
+            let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+            server.register_stream("weather", Schema::weather_example()).unwrap();
+            server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+            let granted =
+                server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+            server.install_wal_failpoint(fault);
+            assert!(!server.release_access("LTA", "weather"), "{tag}: refused release");
+            assert!(server.inner().holds_grant("LTA", "weather"), "{tag}");
+            assert!(server.inner().handle_is_live(granted.handle()), "{tag}");
+            granted.handle().clone()
+        };
+        let recovered = DurableServer::recover(&store).unwrap();
+        assert_eq!(recovered.live_grants().len(), 1, "{tag}");
+        assert!(recovered.inner().handle_is_live(&held), "{tag}: live at its URI");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    let store = fresh_store("release-unheld");
+    let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+    server.register_stream("weather", Schema::weather_example()).unwrap();
+    server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+    server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+    let wal_records = || server.inner().telemetry_registry().counter(Metric::WalRecords);
+    let (seq, records) = (server.journal_seq(), wal_records());
+    assert!(!server.release_access("EMA", "weather"));
+    assert!(!server.release_access("LTA", "wind"));
+    assert_eq!((server.journal_seq(), wal_records()), (seq, records));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 // ---------------------------------------------------------------------------

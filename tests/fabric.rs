@@ -13,6 +13,8 @@ use exacml::exacml_simnet::{Clock, LinkSpec};
 use exacml::exacml_xacml::Decision;
 use exacml::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -388,7 +390,34 @@ trait Shape {
     /// Whether a node whose host was killed answers again on its next touch
     /// (failover) rather than with a typed error until the host restarts.
     const FAILS_OVER: bool;
-    fn build(config: FabricConfig) -> Fabric<Self::Layer>;
+    fn build(config: FabricConfig) -> Built<Self::Layer>;
+}
+
+/// A fabric under test and the directory its stores live in, if any. The
+/// fabric is declared first, so it drops (and stops writing) before the
+/// directory is removed.
+struct Built<L: Placement> {
+    fabric: Fabric<L>,
+    _root: TempRoot,
+}
+
+/// Removes a test's store directory when dropped.
+struct TempRoot(Option<PathBuf>);
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        if let Some(root) = &self.0 {
+            let _ = std::fs::remove_dir_all(root);
+        }
+    }
+}
+
+impl<L: Placement> Deref for Built<L> {
+    type Target = Fabric<L>;
+
+    fn deref(&self) -> &Fabric<L> {
+        &self.fabric
+    }
 }
 
 struct Plain;
@@ -397,23 +426,23 @@ struct Replicated;
 impl Shape for Plain {
     type Layer = Direct;
     const FAILS_OVER: bool = false;
-    fn build(config: FabricConfig) -> Fabric {
-        Fabric::new(config)
+    fn build(config: FabricConfig) -> Built<Direct> {
+        Built { fabric: Fabric::new(config), _root: TempRoot(None) }
     }
 }
 
 impl Shape for Replicated {
     type Layer = Replication;
     const FAILS_OVER: bool = true;
-    fn build(config: FabricConfig) -> ReplicatedFabric {
+    fn build(config: FabricConfig) -> Built<Replication> {
         static STORES: AtomicUsize = AtomicUsize::new(0);
         let n = STORES.fetch_add(1, Ordering::Relaxed);
         let root =
             std::env::temp_dir().join(format!("exacml-fabric-it-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let config = ReplicatedConfig::new(config.nodes, root)
+        let config = ReplicatedConfig::new(config.nodes, root.clone())
             .with_fabric(|_| config.with_server_template(DurableConfig::local()));
-        Replication::create(config).unwrap()
+        Built { fabric: Replication::create(config).unwrap(), _root: TempRoot(Some(root)) }
     }
 }
 
