@@ -3,18 +3,20 @@
 //! The paper describes a single enforcement model — XACML decisions compiled
 //! into continuous queries on the stream engine — and this crate grows it
 //! across deployment shapes: the in-process [`DataServer`] (durable when a
-//! commit log is attached), the N-node brokering [`Fabric`], and whatever
-//! comes next (a real network). This module is the one API they all speak,
-//! split into three object-safe planes plus an umbrella trait:
+//! commit log is attached), the N-node brokering
+//! [`Fabric`](crate::Fabric), and whatever comes next (a real network).
+//! This module holds the one object-safe trait they all speak, [`Backend`],
+//! whose methods fall into four groups:
 //!
-//! * [`StreamBackend`] — the data plane: register streams, push tuples,
-//!   subscribe to granted handles;
-//! * [`AccessControl`] — the request plane: the Section 3.2 workflow
-//!   (`handle_request`) and explicit release;
-//! * [`PolicyAdmin`] — the policy plane of Section 3.3: load / remove /
-//!   update / count;
-//! * [`Backend`] — the composition, adding the audit trail and deployment
-//!   observability every backend must expose.
+//! * the data plane: register streams, push tuples, subscribe to granted
+//!   handles;
+//! * the request plane: the Section 3.2 workflow (`handle_request`) and
+//!   explicit release;
+//! * the policy plane of Section 3.3: load / remove / update / count;
+//! * the audit trail and deployment observability.
+//!
+//! Each shape implements it once: every [`NodeServer`] through the blanket
+//! implementation below, the fabric in `fabric.rs`.
 //!
 //! Responses and errors are unified: every backend answers a request with a
 //! [`BackendResponse`] (node identity + workflow response + brokering cost,
@@ -30,22 +32,21 @@
 
 use crate::audit::AuditEvent;
 use crate::error::ExacmlError;
-use crate::fabric::{DeliveredTuple, Fabric, FabricConfig, FabricSubscription, Placement};
-use crate::server::{AccessResponse, DataServer, ServerConfig};
+use crate::fabric::{DeliveredTuple, FabricSubscription};
+use crate::server::{AccessResponse, DataServer};
 use crate::user_query::UserQuery;
-use exacml_dsms::{Schema, StreamEngine, StreamHandle, Tuple, TupleReceiver};
+use exacml_dsms::{Schema, StreamHandle, Tuple, TupleReceiver};
 use exacml_simnet::NodeId;
 use exacml_telemetry::TelemetrySnapshot;
 use exacml_xacml::{Policy, Request};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The answer every backend returns for a granted access request.
 ///
 /// On a single [`DataServer`] the request is handled in-process:
 /// `node` is [`NodeId::DataServer`] and `broker_network` is zero. Through a
-/// [`Fabric`] the request is routed to the stream's owner shard and the
-/// simulated broker → node round trip is charged on top.
+/// [`Fabric`](crate::Fabric) the request is routed to the stream's owner
+/// shard and the simulated broker → node round trip is charged on top.
 #[derive(Debug, Clone)]
 pub struct BackendResponse {
     /// The node that handled the request.
@@ -192,7 +193,7 @@ impl Subscription {
 }
 
 /// One stream's slice of a multi-stream ingest call: the unit
-/// [`StreamBackend::push_batches`] routes. On a fabric, batches sharing an
+/// [`Backend::push_batches`] routes. On a fabric, batches sharing an
 /// owner node travel as **one** broker→node frame, which is what makes
 /// batched routing amortise the per-hop latency sample.
 #[derive(Debug, Clone)]
@@ -218,14 +219,19 @@ impl StreamBatch {
     }
 }
 
-/// The data plane: stream registration, ingest and delivery.
+/// A complete eXACML+ enforcement backend: the one interface every shape
+/// speaks — the data plane, the Section 3.2 request plane, the Section 3.3
+/// policy plane, and the audit trail with deployment observability.
 ///
-/// Implemented by every [`NodeServer`], [`Fabric`] and the bare
-/// [`StreamEngine`] (for feeds that bypass access control, e.g. benches).
-pub trait StreamBackend: Send + Sync {
+/// Write scenarios against `&dyn Backend` (or a generic `B: Backend + ?Sized`)
+/// and they run unchanged on a single [`DataServer`] or an N-node
+/// [`Fabric`](crate::Fabric); `tests/backend_conformance.rs` pins the
+/// shared semantics.
+pub trait Backend: Send + Sync {
+    // --- data plane: registration, ingest, delivery --------------------------
+
     /// Register an input stream; returns the node the stream was placed on
-    /// ([`NodeId::DataServer`] when the backend is a single server,
-    /// [`NodeId::Dsms`] on a bare engine).
+    /// ([`NodeId::DataServer`] when the backend is a single server).
     ///
     /// # Errors
     /// Fails when the name is taken on the owner or the schema invalid.
@@ -254,7 +260,7 @@ pub trait StreamBackend: Send + Sync {
     /// # Errors
     /// Fails when a stream is unknown or a tuple malformed; batches applied
     /// before the failing one stay applied (identical to issuing the same
-    /// sequence of [`StreamBackend::push_batch`] calls).
+    /// sequence of [`Backend::push_batch`] calls).
     fn push_batches(&self, batches: Vec<StreamBatch>) -> Result<usize, ExacmlError> {
         let mut emitted = 0;
         for batch in batches {
@@ -272,10 +278,9 @@ pub trait StreamBackend: Send + Sync {
 
     /// Whether a handle still points at a live deployment.
     fn handle_is_live(&self, handle: &StreamHandle) -> bool;
-}
 
-/// The request plane: the Section 3.2 workflow and explicit release.
-pub trait AccessControl: Send + Sync {
+    // --- request plane: the Section 3.2 workflow and explicit release -------
+
     /// Handle one access request, optionally refined by a customised query.
     ///
     /// # Errors
@@ -293,10 +298,9 @@ pub trait AccessControl: Send + Sync {
     /// backing deployment. Returns `true` when something was released;
     /// unknown pairs and double releases are no-ops on every backend.
     fn release_access(&self, subject: &str, stream: &str) -> bool;
-}
 
-/// The policy plane of Section 3.3: load / remove / update / count.
-pub trait PolicyAdmin: Send + Sync {
+    // --- policy plane (Section 3.3): load / remove / update / count ---------
+
     /// Load a policy; returns the (simulated-network-inclusive) load time.
     /// On a fabric the policy is propagated to every node and the slowest
     /// node's time is returned.
@@ -328,15 +332,9 @@ pub trait PolicyAdmin: Send + Sync {
     /// Number of loaded policies (per node on a fabric — propagation keeps
     /// every node's store identical).
     fn policy_count(&self) -> usize;
-}
 
-/// A complete eXACML+ enforcement backend: data, request and policy planes
-/// plus the audit trail and deployment observability.
-///
-/// Write scenarios against `&dyn Backend` (or a generic `B: Backend + ?Sized`)
-/// and they run unchanged on a single [`DataServer`] or an N-node
-/// [`Fabric`]; `tests/backend_conformance.rs` pins the shared semantics.
-pub trait Backend: StreamBackend + AccessControl + PolicyAdmin {
+    // --- audit trail and deployment observability ----------------------------
+
     /// A short human-readable name for diagnostics ("data-server",
     /// "fabric-3", …).
     fn backend_kind(&self) -> String;
@@ -384,29 +382,6 @@ pub trait Backend: StreamBackend + AccessControl + PolicyAdmin {
     fn telemetry(&self) -> TelemetrySnapshot;
 }
 
-/// Quick constructors so a backend swap is one line:
-/// `<dyn Backend>::local()` vs `<dyn Backend>::fabric(3)`. The facade
-/// crate's `BackendBuilder` offers the configurable version.
-impl dyn Backend {
-    /// A single in-process data server on loopback links.
-    #[must_use]
-    pub fn local() -> Arc<dyn Backend> {
-        Arc::new(DataServer::new(ServerConfig::local()))
-    }
-
-    /// An N-node brokering fabric on loopback links.
-    #[must_use]
-    pub fn fabric(nodes: usize) -> Arc<dyn Backend> {
-        Arc::new(Fabric::new(FabricConfig::local(nodes)))
-    }
-
-    /// An N-node fabric on the paper's coordinator/broker/server testbed.
-    #[must_use]
-    pub fn paper_testbed(nodes: usize) -> Arc<dyn Backend> {
-        Arc::new(Fabric::new(FabricConfig::paper_testbed(nodes)))
-    }
-}
-
 // --- NodeServer: a DataServer, journaled or not -----------------------------
 
 /// A single-node backend: the [`DataServer`] itself, or a wrapper that
@@ -432,7 +407,7 @@ fn tagged(events: Vec<AuditEvent>) -> Vec<TaggedAuditEvent> {
     events.into_iter().map(|event| TaggedAuditEvent { node: NodeId::DataServer, event }).collect()
 }
 
-impl<S: NodeServer> StreamBackend for S {
+impl<S: NodeServer> Backend for S {
     fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
         self.data_server().register_stream(name, schema)?;
         Ok(NodeId::DataServer)
@@ -453,9 +428,7 @@ impl<S: NodeServer> StreamBackend for S {
     fn handle_is_live(&self, handle: &StreamHandle) -> bool {
         self.data_server().handle_is_live(handle)
     }
-}
 
-impl<S: NodeServer> AccessControl for S {
     fn handle_request(
         &self,
         request: &Request,
@@ -468,9 +441,7 @@ impl<S: NodeServer> AccessControl for S {
     fn release_access(&self, subject: &str, stream: &str) -> bool {
         self.data_server().release_access(subject, stream)
     }
-}
 
-impl<S: NodeServer> PolicyAdmin for S {
     fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
         self.data_server().load_policy(policy)
     }
@@ -490,9 +461,7 @@ impl<S: NodeServer> PolicyAdmin for S {
     fn policy_count(&self) -> usize {
         self.data_server().policy_count()
     }
-}
 
-impl<S: NodeServer> Backend for S {
     fn backend_kind(&self) -> String {
         let kind = self.data_server().with_commit_log(|log| log.backend_kind());
         kind.unwrap_or("data-server").to_string()
@@ -524,130 +493,14 @@ impl<S: NodeServer> Backend for S {
     }
 }
 
-// --- Fabric: the N-node backend, over any placement layer -------------------
-
-impl<L: Placement> StreamBackend for Fabric<L> {
-    fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
-        Fabric::register_stream(self, name, schema)
-    }
-
-    fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        Fabric::push(self, stream, tuple)
-    }
-
-    fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        Fabric::push_batch(self, stream, tuples)
-    }
-
-    fn push_batches(&self, batches: Vec<StreamBatch>) -> Result<usize, ExacmlError> {
-        Fabric::push_batches(self, batches)
-    }
-
-    fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        Fabric::subscribe(self, handle).map(Subscription::Fabric)
-    }
-
-    fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        Fabric::handle_is_live(self, handle)
-    }
-}
-
-impl<L: Placement> AccessControl for Fabric<L> {
-    fn handle_request(
-        &self,
-        request: &Request,
-        user_query: Option<&UserQuery>,
-    ) -> Result<BackendResponse, ExacmlError> {
-        Fabric::handle_request(self, request, user_query)
-    }
-
-    fn release_access(&self, subject: &str, stream: &str) -> bool {
-        Fabric::release_access(self, subject, stream)
-    }
-}
-
-impl<L: Placement> PolicyAdmin for Fabric<L> {
-    fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        Fabric::load_policy(self, policy)
-    }
-
-    fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
-        Fabric::load_policy_xml(self, xml)
-    }
-
-    fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        Fabric::remove_policy(self, policy_id)
-    }
-
-    fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        Fabric::update_policy(self, policy)
-    }
-
-    fn policy_count(&self) -> usize {
-        Fabric::policy_count(self)
-    }
-}
-
-impl<L: Placement> Backend for Fabric<L> {
-    fn backend_kind(&self) -> String {
-        self.layer().backend_kind()
-    }
-
-    fn live_deployments(&self) -> usize {
-        Fabric::live_deployments(self)
-    }
-
-    fn live_plans(&self) -> usize {
-        Fabric::live_plans(self)
-    }
-
-    fn audit_events(&self) -> Vec<TaggedAuditEvent> {
-        Fabric::audit_events(self)
-    }
-
-    fn audit_events_for_subject(&self, subject: &str) -> Vec<TaggedAuditEvent> {
-        Fabric::audit_events_for_subject(self, subject)
-    }
-
-    fn health(&self) -> BackendHealth {
-        Fabric::health(self)
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        Fabric::telemetry(self)
-    }
-}
-
-// --- StreamEngine: the bare data plane (no access control) -----------------
-
-impl StreamBackend for StreamEngine {
-    fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
-        StreamEngine::register_stream(self, name, schema)?;
-        Ok(NodeId::Dsms)
-    }
-
-    fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        StreamEngine::push(self, stream, tuple).map_err(ExacmlError::from)
-    }
-
-    fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        StreamEngine::push_batch(self, stream, tuples).map_err(ExacmlError::from)
-    }
-
-    fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        Ok(Subscription::Local(StreamEngine::subscribe(self, handle)?))
-    }
-
-    fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        self.catalog().handle_is_live(handle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{Fabric, FabricConfig};
     use crate::obligations::StreamPolicyBuilder;
+    use crate::server::ServerConfig;
     use exacml_dsms::Value;
+    use std::sync::Arc;
 
     fn weather_tuple(schema: &Arc<Schema>, i: i64, rain: f64) -> Tuple {
         Tuple::builder_shared(schema)
@@ -693,46 +546,18 @@ mod tests {
 
     #[test]
     fn the_same_scenario_runs_on_both_backend_shapes() {
-        let local = <dyn Backend>::local();
+        let local = DataServer::new(ServerConfig::local());
         assert_eq!(local.backend_kind(), "data-server");
-        grant_stream_release(local.as_ref());
+        grant_stream_release(&local);
 
-        let fabric = <dyn Backend>::fabric(3);
+        let fabric = Fabric::new(FabricConfig::local(3));
         assert_eq!(fabric.backend_kind(), "fabric-3");
-        grant_stream_release(fabric.as_ref());
-    }
-
-    #[test]
-    fn bare_engine_speaks_the_data_plane() {
-        let engine = StreamEngine::new();
-        let backend: &dyn StreamBackend = &engine;
-        assert_eq!(
-            backend.register_stream("weather", Schema::weather_example()).unwrap(),
-            NodeId::Dsms
-        );
-        let deployment = engine.deploy(&exacml_dsms::QueryGraph::identity("weather")).unwrap();
-        let schema = Schema::weather_example().shared();
-        assert_eq!(backend.push("weather", weather_tuple(&schema, 0, 1.0)).unwrap(), 1);
-        assert_eq!(
-            backend
-                .push_batch("weather", (1..5).map(|i| weather_tuple(&schema, i, 2.0)).collect())
-                .unwrap(),
-            4
-        );
-        let mut subscription = backend.subscribe(&deployment.output_handle).unwrap();
-        assert!(backend.handle_is_live(&deployment.output_handle));
-        assert_eq!(backend.push("weather", weather_tuple(&schema, 5, 3.0)).unwrap(), 1);
-        assert_eq!(subscription.drain().len(), 1);
-        engine.withdraw(deployment.id).unwrap();
-        assert!(matches!(
-            backend.subscribe(&deployment.output_handle),
-            Err(ExacmlError::UnknownHandle(_))
-        ));
+        grant_stream_release(&fabric);
     }
 
     #[test]
     fn unified_response_exposes_handle_and_latency() {
-        let backend = <dyn Backend>::paper_testbed(2);
+        let backend = Fabric::new(FabricConfig::paper_testbed(2));
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         backend
             .load_policy(

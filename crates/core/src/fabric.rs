@@ -42,8 +42,8 @@
 
 use crate::audit::AuditEvent;
 use crate::backend::{
-    AccessControl, Backend, BackendHealth, BackendResponse, NodeServer, PolicyAdmin, StreamBackend,
-    StreamBatch, TaggedAuditEvent,
+    Backend, BackendHealth, BackendResponse, NodeServer, StreamBatch, Subscription,
+    TaggedAuditEvent,
 };
 use crate::error::ExacmlError;
 use crate::server::{DataServer, ServerConfig};
@@ -725,32 +725,6 @@ impl<L: Placement> Fabric<L> {
             .collect()
     }
 
-    /// Aggregated telemetry: the broker's own registry (request routing,
-    /// delivery latency, replica shipping, fault-tolerance counters) merged
-    /// with every node server's
-    /// registry, each kept as a sub-snapshot under `nodes` tagged with its
-    /// *logical* [`NodeId`] — the tag survives a failover, so pre- and
-    /// post-failover snapshots stay diffable.
-    #[must_use]
-    pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut parts = vec![self.net.telemetry.snapshot_tagged("broker")];
-        parts.extend(self.servers().zip(&self.nodes).map(|(server, node)| {
-            server.data_server().telemetry_registry().snapshot_tagged(&node.id.to_string())
-        }));
-        TelemetrySnapshot::aggregate(&self.layer.backend_kind(), parts)
-    }
-
-    /// The health report: degraded nodes, the first node's sticky journal
-    /// failure and the layer's replication lag.
-    #[must_use]
-    pub fn health(&self) -> BackendHealth {
-        BackendHealth {
-            degraded_nodes: self.degraded_nodes(),
-            journal_failure: self.servers().find_map(|server| server.health().journal_failure),
-            replication_lag_records: self.layer.replication_lag(),
-        }
-    }
-
     /// Resolve a logical node for an operation and probe the broker→host
     /// hop: the layer answers with the node's server (failing over first if
     /// that is what it does) or a typed error; an active link fault is then
@@ -777,143 +751,6 @@ impl<L: Placement> Fabric<L> {
     fn committed<T>(&self, index: usize, outcome: T) -> T {
         self.layer.control_committed(index);
         outcome
-    }
-
-    // --- stream + data plane ----------------------------------------------
-
-    /// Register an input stream on its owning node.
-    ///
-    /// # Errors
-    /// Fails when the name is taken on the owner, the schema invalid, or
-    /// the owner node unreachable ([`ExacmlError::NodeUnavailable`]).
-    pub fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
-        let index = self.owner_index(name);
-        let (server, _) = self.reach(index)?;
-        self.committed(index, server.register_stream(name, schema))?;
-        Ok(self.nodes[index].id)
-    }
-
-    /// Push one source tuple to the stream's owner node. A lone tuple is a
-    /// one-message frame — it pays the full per-hop latency sample that
-    /// [`Fabric::push_batches`] amortises over a whole group.
-    ///
-    /// # Errors
-    /// Fails when the stream is unknown on its owner, the tuple malformed,
-    /// or the owner node unreachable ([`ExacmlError::NodeUnavailable`]) —
-    /// ingest to a dead node is a typed error, never a silent drop.
-    pub fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
-        self.push_batches(vec![StreamBatch::new(stream, vec![tuple])])
-    }
-
-    /// Push a batch of source tuples to the stream's owner node as one
-    /// broker→node frame.
-    ///
-    /// # Errors
-    /// Fails when the stream is unknown on its owner, any tuple malformed,
-    /// or the owner node unreachable ([`ExacmlError::NodeUnavailable`]).
-    pub fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
-        self.push_batches(vec![StreamBatch::new(stream, tuples)])
-    }
-
-    /// Route a multi-stream ingest call: group the batches by their
-    /// rendezvous-hashed owner and ship **one broker→node frame per
-    /// `(node, call)` group** instead of one hop per tuple. Each targeted
-    /// node samples a single propagation delay for its frame, applies the
-    /// group FIFO under its own ingest lock, and different nodes' pipelines
-    /// drain concurrently — this is the batched routing that makes fabric
-    /// ingest scale monotonically with the node count.
-    ///
-    /// Every targeted owner is resolved and probed *before* anything is
-    /// applied, so a multi-node call either starts landing or fails typed
-    /// with no node touched. Returns the total number of derived tuples
-    /// emitted by the nodes' engines.
-    ///
-    /// # Errors
-    /// Fails when any targeted owner is unreachable
-    /// ([`ExacmlError::NodeUnavailable`]), a stream is unknown on its
-    /// owner, or a tuple is malformed. When a batch inside a frame fails,
-    /// that node's earlier batches in the frame have already been applied
-    /// (exactly as separate `push_batch` calls would have), and the error
-    /// propagates.
-    pub fn push_batches(&self, batches: Vec<StreamBatch>) -> Result<usize, ExacmlError> {
-        let mut per_node: BTreeMap<usize, Vec<StreamBatch>> = BTreeMap::new();
-        for batch in batches {
-            if !batch.tuples.is_empty() {
-                per_node.entry(self.owner_index(&batch.stream)).or_default().push(batch);
-            }
-        }
-        let mut frames = Vec::with_capacity(per_node.len());
-        for (index, group) in per_node {
-            frames.push((index, self.reach(index)?.0, group));
-        }
-        let now = self.net.clock.now_nanos();
-        let mut emitted = 0;
-        for (index, server, group) in frames {
-            let (applied, derived) = self.nodes[index].apply_ingest_frame(&*server, now, group);
-            self.layer.ingest_committed(index, applied);
-            emitted += derived?;
-        }
-        Ok(emitted)
-    }
-
-    // --- control plane -----------------------------------------------------
-
-    /// Route an access request to the node owning the target stream and run
-    /// the Section 3.2 workflow there, charging the broker → node hop.
-    ///
-    /// # Errors
-    /// Propagates the owner node's workflow errors
-    /// ([`ExacmlError::AccessDenied`], [`ExacmlError::MultipleAccess`], …).
-    pub fn handle_request(
-        &self,
-        request: &Request,
-        user_query: Option<&UserQuery>,
-    ) -> Result<BackendResponse, ExacmlError> {
-        let stream = request
-            .resource_id()
-            .ok_or_else(|| ExacmlError::IncompleteRequest("missing resource-id".into()))?;
-        let index = self.owner_index(stream);
-        let (server, host) = self.reach(index)?;
-        let node = &self.nodes[index];
-        let request_bytes = exacml_xacml::xml::write_request(request).len()
-            + user_query.map_or(0, |q| q.to_xml().len());
-        let broker_network = self.net.round_trip(
-            NodeId::DataServer,
-            NodeId::Server(host as u16),
-            request_bytes,
-            128,
-            &mut node.rng.lock(),
-        );
-        self.net.telemetry.record(Stage::BrokerRoute, broker_network);
-        self.net.telemetry.incr(Metric::BrokerFrames);
-        let response = self.committed(index, server.handle_request(request, user_query))?.response;
-        Ok(BackendResponse { node: node.id, response, broker_network })
-    }
-
-    /// Release the access a subject holds on a stream at its owner node.
-    /// Returns `true` when something was released (unknown pairs and double
-    /// releases are no-ops, exactly as on a single server). An unreachable
-    /// owner also answers `false` — the trait signature carries no error
-    /// channel, and "nothing was released" is the truthful report; the
-    /// grant stays held until the node returns.
-    pub fn release_access(&self, subject: &str, stream: &str) -> bool {
-        let index = self.owner_index(stream);
-        let Ok((server, _)) = self.reach(index) else { return false };
-        self.committed(index, server.release_access(subject, stream))
-    }
-
-    /// Whether a granted handle still points at a live deployment on its
-    /// node — *including* after a failover re-minted it on another host.
-    /// Unknown handles are simply not live, and neither is anything on a
-    /// node with no live host. A read: it resolves the node (so a failover
-    /// layer fails over) but never waits on the virtual clock.
-    #[must_use]
-    pub fn handle_is_live(&self, handle: &StreamHandle) -> bool {
-        self.handle_owner(handle).is_some_and(|index| {
-            self.layer
-                .resolve(index)
-                .is_ok_and(|(server, _)| server.data_server().handle_is_live(handle))
-        })
     }
 
     /// Subscribe to a granted handle. Deliveries travel the node → broker
@@ -945,7 +782,7 @@ impl<L: Placement> Fabric<L> {
         })
     }
 
-    // --- policy plane (fabric-wide propagation) ----------------------------
+    // --- fan-out for the policy and audit planes ----------------------------
 
     /// Run one policy-store operation on **every** node, returning each
     /// node's answer. Every node is resolved and probed first, so a fan-out
@@ -968,62 +805,6 @@ impl<L: Placement> Fabric<L> {
             .collect()
     }
 
-    /// Load a policy on **every** node. Returns the slowest node's load time
-    /// (the broker waits for full propagation).
-    ///
-    /// # Errors
-    /// Fails if any node rejects the policy; earlier nodes keep it (the
-    /// caller can retry — ids make the operation idempotent per node).
-    /// Fails with [`ExacmlError::NodeUnavailable`] — before touching *any*
-    /// node — when a node is unreachable, so propagation is never silently
-    /// partial.
-    pub fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
-        let times = self.propagate(|server| server.load_policy(policy.clone()))?;
-        Ok(times.into_iter().max().unwrap_or_default())
-    }
-
-    /// Remove a policy on **every** node; query graphs it spawned are
-    /// withdrawn wherever they live. Returns the total number of withdrawn
-    /// deployments across the fabric.
-    ///
-    /// # Errors
-    /// Fails when the policy is unknown (on the first node — propagation is
-    /// all-or-nothing for a policy that was loaded through the broker), or
-    /// with [`ExacmlError::NodeUnavailable`] before touching any node when
-    /// one is unreachable.
-    pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        Ok(self.propagate(|server| server.remove_policy(policy_id))?.into_iter().sum())
-    }
-
-    /// Replace a policy on **every** node; as with removal, existing query
-    /// graphs spawned by the old version are withdrawn fabric-wide. Returns
-    /// the total number of withdrawn deployments.
-    ///
-    /// # Errors
-    /// Fails when the policy is unknown, the new version invalid, or —
-    /// before touching any node — a node is unreachable
-    /// ([`ExacmlError::NodeUnavailable`]).
-    pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
-        Ok(self.propagate(|server| server.update_policy(policy.clone()))?.into_iter().sum())
-    }
-
-    /// Load a policy from its XACML XML document on **every** node.
-    ///
-    /// # Errors
-    /// Fails when the document does not parse or the policy is invalid.
-    pub fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
-        self.load_policy(exacml_xacml::xml::parse_policy(xml)?)
-    }
-
-    /// Number of loaded policies per node (propagation keeps every node's
-    /// store identical, so any node answers for the fabric).
-    #[must_use]
-    pub fn policy_count(&self) -> usize {
-        self.layer.current(0).0.data_server().policy_count()
-    }
-
-    // --- audit plane (aggregated across nodes) ------------------------------
-
     /// Aggregate node-local audit events, tag each with its *logical*
     /// [`NodeId`] (a failover preserves the tags because the journal
     /// preserves the events), and interleave by wall-clock timestamp
@@ -1044,24 +825,226 @@ impl<L: Placement> Fabric<L> {
         events.sort_by_key(|t| (t.event.timestamp_ms, t.node, t.event.sequence));
         events
     }
+}
+
+/// The fabric's one [`Backend`] implementation: every call is routed to its
+/// owner node, propagated to every node, or aggregated across them.
+impl<L: Placement> Backend for Fabric<L> {
+    // --- data plane: placement-routed ingest and delivery ------------------
+
+    /// Register an input stream on its owning node.
+    ///
+    /// # Errors
+    /// Fails when the name is taken on the owner, the schema invalid, or
+    /// the owner node unreachable ([`ExacmlError::NodeUnavailable`]).
+    fn register_stream(&self, name: &str, schema: Schema) -> Result<NodeId, ExacmlError> {
+        let index = self.owner_index(name);
+        let (server, _) = self.reach(index)?;
+        self.committed(index, server.register_stream(name, schema))?;
+        Ok(self.nodes[index].id)
+    }
+
+    /// Push one source tuple to the stream's owner node. A lone tuple is a
+    /// one-message frame — it pays the full per-hop latency sample that
+    /// [`Backend::push_batches`] amortises over a whole group.
+    ///
+    /// # Errors
+    /// Fails when the stream is unknown on its owner, the tuple malformed,
+    /// or the owner node unreachable ([`ExacmlError::NodeUnavailable`]) —
+    /// ingest to a dead node is a typed error, never a silent drop.
+    fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, ExacmlError> {
+        self.push_batches(vec![StreamBatch::new(stream, vec![tuple])])
+    }
+
+    /// Push a batch of source tuples to the stream's owner node as one
+    /// broker→node frame.
+    ///
+    /// # Errors
+    /// Fails when the stream is unknown on its owner, any tuple malformed,
+    /// or the owner node unreachable ([`ExacmlError::NodeUnavailable`]).
+    fn push_batch(&self, stream: &str, tuples: Vec<Tuple>) -> Result<usize, ExacmlError> {
+        self.push_batches(vec![StreamBatch::new(stream, tuples)])
+    }
+
+    /// Route a multi-stream ingest call: group the batches by their
+    /// rendezvous-hashed owner and ship **one broker→node frame per
+    /// `(node, call)` group** instead of one hop per tuple. Each targeted
+    /// node samples a single propagation delay for its frame, applies the
+    /// group FIFO under its own ingest lock, and different nodes' pipelines
+    /// drain concurrently — this is the batched routing that makes fabric
+    /// ingest scale monotonically with the node count.
+    ///
+    /// Every targeted owner is resolved and probed *before* anything is
+    /// applied, so a multi-node call either starts landing or fails typed
+    /// with no node touched. Returns the total number of derived tuples
+    /// emitted by the nodes' engines.
+    ///
+    /// # Errors
+    /// Fails when any targeted owner is unreachable
+    /// ([`ExacmlError::NodeUnavailable`]), a stream is unknown on its
+    /// owner, or a tuple is malformed. When a batch inside a frame fails,
+    /// that node's earlier batches in the frame have already been applied
+    /// (exactly as separate `push_batch` calls would have), and the error
+    /// propagates.
+    fn push_batches(&self, batches: Vec<StreamBatch>) -> Result<usize, ExacmlError> {
+        let mut per_node: BTreeMap<usize, Vec<StreamBatch>> = BTreeMap::new();
+        for batch in batches {
+            if !batch.tuples.is_empty() {
+                per_node.entry(self.owner_index(&batch.stream)).or_default().push(batch);
+            }
+        }
+        let mut frames = Vec::with_capacity(per_node.len());
+        for (index, group) in per_node {
+            frames.push((index, self.reach(index)?.0, group));
+        }
+        let now = self.net.clock.now_nanos();
+        let mut emitted = 0;
+        for (index, server, group) in frames {
+            let (applied, derived) = self.nodes[index].apply_ingest_frame(&*server, now, group);
+            self.layer.ingest_committed(index, applied);
+            emitted += derived?;
+        }
+        Ok(emitted)
+    }
+
+    /// Whether a granted handle still points at a live deployment on its
+    /// node — *including* after a failover re-minted it on another host.
+    /// Unknown handles are simply not live, and neither is anything on a
+    /// node with no live host. A read: it resolves the node (so a failover
+    /// layer fails over) but never waits on the virtual clock.
+    fn handle_is_live(&self, handle: &StreamHandle) -> bool {
+        self.handle_owner(handle).is_some_and(|index| {
+            self.layer
+                .resolve(index)
+                .is_ok_and(|(server, _)| server.data_server().handle_is_live(handle))
+        })
+    }
+
+    fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
+        Fabric::subscribe(self, handle).map(Subscription::Fabric)
+    }
+
+    // --- request plane: routed to the stream's owner ------------------------
+
+    /// Route an access request to the node owning the target stream and run
+    /// the Section 3.2 workflow there, charging the broker → node hop.
+    ///
+    /// # Errors
+    /// Propagates the owner node's workflow errors
+    /// ([`ExacmlError::AccessDenied`], [`ExacmlError::MultipleAccess`], …).
+    fn handle_request(
+        &self,
+        request: &Request,
+        user_query: Option<&UserQuery>,
+    ) -> Result<BackendResponse, ExacmlError> {
+        let stream = request
+            .resource_id()
+            .ok_or_else(|| ExacmlError::IncompleteRequest("missing resource-id".into()))?;
+        let index = self.owner_index(stream);
+        let (server, host) = self.reach(index)?;
+        let node = &self.nodes[index];
+        let request_bytes = exacml_xacml::xml::write_request(request).len()
+            + user_query.map_or(0, |q| q.to_xml().len());
+        let broker_network = self.net.round_trip(
+            NodeId::DataServer,
+            NodeId::Server(host as u16),
+            request_bytes,
+            128,
+            &mut node.rng.lock(),
+        );
+        self.net.telemetry.record(Stage::BrokerRoute, broker_network);
+        self.net.telemetry.incr(Metric::BrokerFrames);
+        let response = self.committed(index, server.handle_request(request, user_query))?.response;
+        Ok(BackendResponse { node: node.id, response, broker_network })
+    }
+
+    /// Release the access a subject holds on a stream at its owner node.
+    /// Returns `true` when something was released (unknown pairs and double
+    /// releases are no-ops, exactly as on a single server). An unreachable
+    /// owner also answers `false` — the trait signature carries no error
+    /// channel, and "nothing was released" is the truthful report; the
+    /// grant stays held until the node returns.
+    fn release_access(&self, subject: &str, stream: &str) -> bool {
+        let index = self.owner_index(stream);
+        let Ok((server, _)) = self.reach(index) else { return false };
+        self.committed(index, server.release_access(subject, stream))
+    }
+
+    // --- policy plane (fabric-wide propagation) ----------------------------
+
+    /// Load a policy on **every** node. Returns the slowest node's load time
+    /// (the broker waits for full propagation).
+    ///
+    /// # Errors
+    /// Fails if any node rejects the policy; earlier nodes keep it (the
+    /// caller can retry — ids make the operation idempotent per node).
+    /// Fails with [`ExacmlError::NodeUnavailable`] — before touching *any*
+    /// node — when a node is unreachable, so propagation is never silently
+    /// partial.
+    fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
+        let times = self.propagate(|server| server.load_policy(policy.clone()))?;
+        Ok(times.into_iter().max().unwrap_or_default())
+    }
+
+    /// Remove a policy on **every** node; query graphs it spawned are
+    /// withdrawn wherever they live. Returns the total number of withdrawn
+    /// deployments across the fabric.
+    ///
+    /// # Errors
+    /// Fails when the policy is unknown (on the first node — propagation is
+    /// all-or-nothing for a policy that was loaded through the broker), or
+    /// with [`ExacmlError::NodeUnavailable`] before touching any node when
+    /// one is unreachable.
+    fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
+        Ok(self.propagate(|server| server.remove_policy(policy_id))?.into_iter().sum())
+    }
+
+    /// Replace a policy on **every** node; as with removal, existing query
+    /// graphs spawned by the old version are withdrawn fabric-wide. Returns
+    /// the total number of withdrawn deployments.
+    ///
+    /// # Errors
+    /// Fails when the policy is unknown, the new version invalid, or —
+    /// before touching any node — a node is unreachable
+    /// ([`ExacmlError::NodeUnavailable`]).
+    fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
+        Ok(self.propagate(|server| server.update_policy(policy.clone()))?.into_iter().sum())
+    }
+
+    /// Load a policy from its XACML XML document on **every** node.
+    ///
+    /// # Errors
+    /// Fails when the document does not parse or the policy is invalid.
+    fn load_policy_xml(&self, xml: &str) -> Result<Duration, ExacmlError> {
+        self.load_policy(exacml_xacml::xml::parse_policy(xml)?)
+    }
+
+    /// Number of loaded policies per node (propagation keeps every node's
+    /// store identical, so any node answers for the fabric).
+    fn policy_count(&self) -> usize {
+        self.layer.current(0).0.data_server().policy_count()
+    }
+
+    // --- audit + observability (aggregated across nodes) --------------------
+
+    fn backend_kind(&self) -> String {
+        self.layer.backend_kind()
+    }
 
     /// The fabric-wide audit trail: every node-local log, each event tagged
     /// with the [`NodeId`] of the logical node that recorded it, interleaved
     /// by wall-clock timestamp.
-    #[must_use]
-    pub fn audit_events(&self) -> Vec<TaggedAuditEvent> {
+    fn audit_events(&self) -> Vec<TaggedAuditEvent> {
         self.tagged_audit_events(DataServer::audit_events)
     }
 
     /// Fabric-wide audit events involving one subject.
-    #[must_use]
-    pub fn audit_events_for_subject(&self, subject: &str) -> Vec<TaggedAuditEvent> {
+    fn audit_events_for_subject(&self, subject: &str) -> Vec<TaggedAuditEvent> {
         self.tagged_audit_events(|server| server.audit_events_for_subject(subject))
     }
 
     /// Number of live deployments across all nodes.
-    #[must_use]
-    pub fn live_deployments(&self) -> usize {
+    fn live_deployments(&self) -> usize {
         self.servers().map(|server| server.data_server().live_deployments()).sum()
     }
 
@@ -1070,9 +1053,32 @@ impl<L: Placement> Fabric<L> {
     /// plan executes once no matter how many grants ride on it; across nodes
     /// the same signature may appear once per node that owns a stream it
     /// applies to.
-    #[must_use]
-    pub fn live_plans(&self) -> usize {
+    fn live_plans(&self) -> usize {
         self.servers().map(|server| server.data_server().plan_count()).sum()
+    }
+
+    /// Aggregated telemetry: the broker's own registry (request routing,
+    /// delivery latency, replica shipping, fault-tolerance counters) merged
+    /// with every node server's
+    /// registry, each kept as a sub-snapshot under `nodes` tagged with its
+    /// *logical* [`NodeId`] — the tag survives a failover, so pre- and
+    /// post-failover snapshots stay diffable.
+    fn telemetry(&self) -> TelemetrySnapshot {
+        let mut parts = vec![self.net.telemetry.snapshot_tagged("broker")];
+        parts.extend(self.servers().zip(&self.nodes).map(|(server, node)| {
+            server.data_server().telemetry_registry().snapshot_tagged(&node.id.to_string())
+        }));
+        TelemetrySnapshot::aggregate(&self.layer.backend_kind(), parts)
+    }
+
+    /// The health report: degraded nodes, the first node's sticky journal
+    /// failure and the layer's replication lag.
+    fn health(&self) -> BackendHealth {
+        BackendHealth {
+            degraded_nodes: self.degraded_nodes(),
+            journal_failure: self.servers().find_map(|server| server.health().journal_failure),
+            replication_lag_records: self.layer.replication_lag(),
+        }
     }
 }
 

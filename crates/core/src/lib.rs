@@ -32,9 +32,9 @@
 //! links, with consistent stream placement, fabric-wide policy propagation
 //! and virtual-clock-driven subscriber delivery.
 //!
-//! Every deployment shape speaks **one API**: the object-safe trait stack in
-//! [`backend`] ([`StreamBackend`] / [`AccessControl`] / [`PolicyAdmin`],
-//! composed as [`Backend`]) is implemented once for every [`NodeServer`]
+//! Every deployment shape speaks **one API**: the object-safe [`Backend`]
+//! trait in [`backend`] (data, request, policy and audit methods in one
+//! body) is implemented once for every [`NodeServer`]
 //! (a [`DataServer`], or a durable store over one) and once for
 //! [`Fabric`], with unified responses ([`BackendResponse`]), subscriptions
 //! ([`Subscription`]) and errors — scenario code written against
@@ -59,8 +59,8 @@ pub mod warnings;
 
 pub use audit::{AuditEvent, AuditEventKind, AuditLog};
 pub use backend::{
-    AccessControl, Backend, BackendHealth, BackendResponse, NodeServer, PolicyAdmin, StreamBackend,
-    StreamBatch, Subscription, TaggedAuditEvent,
+    Backend, BackendHealth, BackendResponse, NodeServer, StreamBatch, Subscription,
+    TaggedAuditEvent,
 };
 pub use commit::{Change, CommitLog, GroupKind};
 pub use error::ExacmlError;
@@ -80,8 +80,8 @@ pub use warnings::{Warning, WarningKind, WarningSource};
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::backend::{
-        AccessControl, Backend, BackendHealth, BackendResponse, NodeServer, PolicyAdmin,
-        StreamBackend, StreamBatch, Subscription, TaggedAuditEvent,
+        Backend, BackendHealth, BackendResponse, NodeServer, StreamBatch, Subscription,
+        TaggedAuditEvent,
     };
     pub use crate::error::ExacmlError;
     pub use crate::fabric::{

@@ -223,12 +223,6 @@ impl DataServer {
         result
     }
 
-    /// A server with the default (paper-testbed) configuration.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        DataServer::new(ServerConfig::default())
-    }
-
     /// The policy store (for inspection in tests and tools).
     #[must_use]
     pub fn policy_store(&self) -> &Arc<PolicyStore> {

@@ -558,13 +558,11 @@ fn replica_dir(root: &Path, host: usize, logical: usize) -> PathBuf {
 mod tests {
     use super::*;
     use exacml_dsms::{Schema, StreamHandle, Tuple};
-    use exacml_plus::{StreamBatch, StreamPolicyBuilder, UserQuery};
+    use exacml_plus::{Backend, StreamBatch, StreamPolicyBuilder, UserQuery};
     use exacml_xacml::{Policy, Request};
 
-    fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("exacml-repfab-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn temp_root(tag: &str) -> (PathBuf, crate::tests::RemoveOnDrop) {
+        crate::tests::temp_dir(&format!("repfab-{tag}"))
     }
 
     fn weather_policy(id: &str) -> Policy {
@@ -585,7 +583,7 @@ mod tests {
 
     #[test]
     fn grants_survive_killing_their_host() {
-        let root = temp_root("failover");
+        let (root, _guard) = temp_root("failover");
         let fabric = Replication::create(ReplicatedConfig::new(3, &root)).unwrap();
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
         fabric.load_policy(weather_policy("p")).unwrap();
@@ -624,7 +622,7 @@ mod tests {
 
     #[test]
     fn no_replica_means_a_typed_error_not_a_panic() {
-        let root = temp_root("no-replica");
+        let (root, _guard) = temp_root("no-replica");
         let fabric =
             Replication::create(ReplicatedConfig::new(2, &root).with_replication(0)).unwrap();
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
@@ -646,7 +644,7 @@ mod tests {
 
     #[test]
     fn replication_lag_is_bounded_by_the_ship_threshold() {
-        let root = temp_root("lag");
+        let (root, _guard) = temp_root("lag");
         let fabric = Replication::create(ReplicatedConfig::new(2, &root)).unwrap();
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
         let schema = Schema::weather_example().shared();
@@ -700,7 +698,7 @@ mod tests {
     fn a_skipped_ship_keeps_its_records_pending() {
         use exacml_simnet::{Fault, FaultPlan};
         use std::time::Duration;
-        let root = temp_root("skipped");
+        let (root, _guard) = temp_root("skipped");
         let window = (Duration::from_millis(100), Duration::from_millis(1_100));
         let plan = FaultPlan::new().inject(
             Fault::LinkDrop { a: NodeId::Server(0), b: NodeId::Server(1) },
@@ -734,7 +732,7 @@ mod tests {
 
     #[test]
     fn the_pump_drains_the_lag_without_help() {
-        let root = temp_root("pump");
+        let (root, _guard) = temp_root("pump");
         let fabric = Replication::create(ReplicatedConfig::new(3, &root)).unwrap();
         fabric.register_stream("weather", Schema::weather_example()).unwrap();
         let schema = Schema::weather_example().shared();
@@ -753,7 +751,7 @@ mod tests {
 
     #[test]
     fn killed_then_restarted_host_reattaches_as_a_mirror() {
-        let root = temp_root("restart");
+        let (root, _guard) = temp_root("restart");
         let fabric =
             Replication::create(ReplicatedConfig::new(3, &root).with_fabric(|f| f.with_seed(7)))
                 .unwrap();

@@ -84,16 +84,35 @@ fn check_format_version(document: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
     use exacml_dsms::{Schema, Tuple, Value};
-    use exacml_plus::{AccessControl, AuditEventKind, StreamBackend, StreamPolicyBuilder};
+    use exacml_plus::{AuditEventKind, Backend, StreamPolicyBuilder};
     use exacml_telemetry::Metric;
     use exacml_xacml::Request;
     use std::path::PathBuf;
     use std::sync::Arc;
 
-    fn temp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("exacml-durable-{tag}-{}", std::process::id()));
+    /// Removes a unit test's store directory when dropped — unless the
+    /// thread is panicking, so a failing test leaves its store to inspect.
+    pub(crate) struct RemoveOnDrop(PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    /// A fresh, absent path `exacml-{tag}-{pid}` under the temp dir, and the
+    /// guard that removes it. Declare the guard before whatever opens the
+    /// store, so it drops last.
+    pub(crate) fn temp_dir(tag: &str) -> (PathBuf, RemoveOnDrop) {
+        let dir = std::env::temp_dir().join(format!("exacml-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        (dir.clone(), RemoveOnDrop(dir))
+    }
+
+    fn temp_store(tag: &str) -> (PathBuf, RemoveOnDrop) {
+        temp_dir(&format!("durable-{tag}"))
     }
 
     fn weather_tuple(schema: &Arc<Schema>, i: i64, rain: f64) -> Tuple {
@@ -120,7 +139,7 @@ mod tests {
 
     #[test]
     fn crash_and_recover_preserves_control_plane_state() {
-        let path = temp_store("basic");
+        let (path, _guard) = temp_store("basic");
         let handle = {
             let server = populated(&path);
             let granted = &server.live_grants()[0];
@@ -152,7 +171,7 @@ mod tests {
 
     #[test]
     fn recovered_store_keeps_journaling_and_recovers_again() {
-        let path = temp_store("chain");
+        let (path, _guard) = temp_store("chain");
         drop(populated(&path));
 
         let recovered = DurableServer::recover(&path).unwrap();
@@ -180,7 +199,7 @@ mod tests {
 
     #[test]
     fn snapshot_compacts_and_recovery_uses_it() {
-        let path = temp_store("compact");
+        let (path, _guard) = temp_store("compact");
         let server = populated(&path);
         assert!(server.wal_tail_len() > 0);
         server.snapshot().unwrap();
@@ -200,7 +219,7 @@ mod tests {
 
     #[test]
     fn create_refuses_an_existing_store_and_open_recovers_it() {
-        let path = temp_store("open");
+        let (path, _guard) = temp_store("open");
         drop(populated(&path));
         assert!(matches!(
             DurableServer::create(&path, DurableConfig::local()),
@@ -214,7 +233,7 @@ mod tests {
 
     #[test]
     fn released_deployment_ids_are_never_reissued_after_recovery() {
-        let path = temp_store("ids");
+        let (path, _guard) = temp_store("ids");
         let first_handle = {
             let server = populated(&path);
             let handle = server.live_grants()[0].handle.clone();

@@ -221,19 +221,12 @@ fn copy_range(source: &mut File, sink: &mut File, from: u64, len: u64) -> std::i
 mod tests {
     use super::*;
     use crate::server::{DurableConfig, DurableServer};
+    use crate::tests::{temp_dir, RemoveOnDrop};
     use crate::wal::{read_wal, FailMode};
     use exacml_dsms::{Schema, Tuple};
     use exacml_plus::StreamPolicyBuilder;
     use exacml_xacml::Policy;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    fn temp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("exacml-replication-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn policy(id: &str) -> Policy {
         StreamPolicyBuilder::new(id, "weather").subject("LTA").filter("rainrate > 5").build()
@@ -251,12 +244,16 @@ mod tests {
             .collect()
     }
 
-    /// A primary with the weather stream registered, and a detached mirror.
-    fn primary_and_mirror(tag: &str, config: DurableConfig) -> (DurableServer, ReplicaMirror) {
-        let root = temp_root(tag);
+    /// A primary with the weather stream registered, and a detached mirror,
+    /// behind the guard of the directory both live in.
+    fn primary_and_mirror(
+        tag: &str,
+        config: DurableConfig,
+    ) -> (RemoveOnDrop, DurableServer, ReplicaMirror) {
+        let (root, guard) = temp_dir(&format!("replication-{tag}"));
         let primary = DurableServer::create(root.join("primary"), config).unwrap();
         primary.register_stream("weather", Schema::weather_example()).unwrap();
-        (primary, ReplicaMirror::new(1, root.join("mirror")))
+        (guard, primary, ReplicaMirror::new(1, root.join("mirror")))
     }
 
     fn wal_bytes(dir: &Path) -> Vec<u8> {
@@ -270,7 +267,7 @@ mod tests {
     #[test]
     fn attach_then_incremental_then_reattach_on_compaction() {
         let config = DurableConfig::local();
-        let (primary, mut mirror) = primary_and_mirror("ship", config.clone());
+        let (_guard, primary, mut mirror) = primary_and_mirror("ship", config.clone());
 
         // First contact: full attach.
         let outcome = mirror.ship_from(&primary).unwrap();
@@ -304,7 +301,7 @@ mod tests {
     #[test]
     fn compaction_then_regrowth_reattaches_instead_of_gluing_a_tail() {
         let config = DurableConfig::local();
-        let (primary, mut mirror) = primary_and_mirror("regrow", config.clone());
+        let (_guard, primary, mut mirror) = primary_and_mirror("regrow", config.clone());
         assert!(mirror.ship_from(&primary).unwrap().attached);
 
         primary.snapshot().unwrap();
@@ -337,7 +334,7 @@ mod tests {
     #[test]
     fn incremental_ships_keep_the_mirror_byte_identical_to_the_flushed_prefix() {
         let config = DurableConfig { snapshot_every: 0, ..DurableConfig::local() };
-        let (primary, mut mirror) = primary_and_mirror("bytes", config.clone());
+        let (_guard, primary, mut mirror) = primary_and_mirror("bytes", config.clone());
         let mut shipped = 0;
         for round in 0..12i64 {
             // Group-committed ingest (stays in the writer's buffer until the
@@ -376,7 +373,7 @@ mod tests {
     #[test]
     fn a_ship_that_fails_midway_acknowledges_nothing_and_the_retry_completes_the_record() {
         let config = DurableConfig::local();
-        let (primary, mut mirror) = primary_and_mirror("midway", config.clone());
+        let (_guard, primary, mut mirror) = primary_and_mirror("midway", config.clone());
         mirror.ship_from(&primary).unwrap();
         let (offset, acked) = (mirror.wal_offset, mirror.acked_seq());
 
@@ -403,7 +400,7 @@ mod tests {
     #[test]
     fn detach_then_ship_reattaches_with_fresh_handles() {
         let config = DurableConfig::local();
-        let (primary, mut mirror) = primary_and_mirror("detach", config.clone());
+        let (_guard, primary, mut mirror) = primary_and_mirror("detach", config.clone());
         mirror.ship_from(&primary).unwrap();
         primary.load_policy(policy("p1")).unwrap();
 
@@ -429,7 +426,7 @@ mod tests {
     #[test]
     fn ships_racing_a_compacting_primary_always_recover_an_acknowledged_state() {
         let config = DurableConfig { snapshot_every: 7, ..DurableConfig::local() };
-        let (primary, mut mirror) = primary_and_mirror("race", config.clone());
+        let (_guard, primary, mut mirror) = primary_and_mirror("race", config.clone());
         let (loads_started, loads_finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let ingest_done = AtomicBool::new(false);
         let mut acknowledged = 0;

@@ -191,14 +191,14 @@ pub fn decode_snapshot(value: &Value) -> Result<Snapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{temp_dir, RemoveOnDrop};
     use exacml_plus::AuditEventKind;
     use std::path::PathBuf;
 
-    fn temp_snapshot(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("exacml-snap-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn temp_snapshot(tag: &str) -> (PathBuf, RemoveOnDrop) {
+        let (dir, guard) = temp_dir(&format!("snap-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("snapshot.json")
+        (dir.join("snapshot.json"), guard)
     }
 
     fn sample() -> Snapshot {
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips() {
-        let path = temp_snapshot("rt");
+        let (path, _guard) = temp_snapshot("rt");
         assert!(read_snapshot(&path).unwrap().is_none());
         let snapshot = sample();
         write_snapshot(&path, &snapshot).unwrap();
@@ -246,7 +246,7 @@ mod tests {
     fn old_snapshots_without_a_serial_counter_default_to_the_deployment_counter() {
         // Stores written before plan sharing carry no next_handle_serial;
         // their serials ran in lockstep with deployment ids.
-        let path = temp_snapshot("old");
+        let (path, _guard) = temp_snapshot("old");
         let payload = r#"{"version":1,"wal_horizon":0,"store_revision":0,"next_deployment_id":9,"streams":[],"policies":[],"grants":[],"audit":[]}"#;
         std::fs::write(&path, frame(payload)).unwrap();
         let read = read_snapshot(&path).unwrap().unwrap();
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_are_errors_not_empty_stores() {
-        let path = temp_snapshot("bad");
+        let (path, _guard) = temp_snapshot("bad");
         write_snapshot(&path, &sample()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

@@ -429,12 +429,12 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{temp_dir, RemoveOnDrop};
 
-    fn temp_wal(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("exacml-wal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn temp_wal(tag: &str) -> (PathBuf, RemoveOnDrop) {
+        let (dir, guard) = temp_dir(&format!("wal-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+        (dir.join("wal.log"), guard)
     }
 
     #[test]
@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn append_read_and_missing_file() {
-        let path = temp_wal("rt");
+        let (path, _guard) = temp_wal("rt");
         assert!(read_wal(&path).unwrap().records.is_empty());
         let mut writer = WalWriter::open(&path, false).unwrap();
         for seq in 0..5u64 {
@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_truncatable() {
-        let path = temp_wal("torn");
+        let (path, _guard) = temp_wal("torn");
         let mut writer = WalWriter::open(&path, true).unwrap();
         writer.append(r#"{"seq":0,"op":"a"}"#).unwrap();
         writer.append(r#"{"seq":1,"op":"b"}"#).unwrap();
@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn corruption_mid_file_drops_everything_after_it() {
-        let path = temp_wal("mid");
+        let (path, _guard) = temp_wal("mid");
         let mut writer = WalWriter::open(&path, false).unwrap();
         for seq in 0..4u64 {
             writer.append(&format!(r#"{{"seq":{seq},"op":"x"}}"#)).unwrap();
@@ -514,7 +514,7 @@ mod tests {
 
     #[test]
     fn disk_full_failpoint_tears_the_overflowing_record_then_sticks() {
-        let path = temp_wal("full");
+        let (path, _guard) = temp_wal("full");
         let mut writer = WalWriter::open(&path, false).unwrap();
         writer.append(r#"{"seq":0,"op":"a"}"#).unwrap();
         let one_record = std::fs::metadata(&path).unwrap().len() as usize;
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn torn_write_failpoint_then_recovery_truncates_cleanly() {
-        let path = temp_wal("fp-torn");
+        let (path, _guard) = temp_wal("fp-torn");
         let mut writer = WalWriter::open(&path, true).unwrap();
         writer.append(r#"{"seq":0,"op":"a"}"#).unwrap();
         writer.failpoint().arm(FailMode::TornWrite { keep: 7 });
@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn sticky_failpoint_writes_nothing_and_disarm_restores_service() {
-        let path = temp_wal("fp-sticky");
+        let (path, _guard) = temp_wal("fp-sticky");
         let mut writer = WalWriter::open(&path, false).unwrap();
         writer.append(r#"{"seq":0,"op":"a"}"#).unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
@@ -582,7 +582,7 @@ mod tests {
 
     #[test]
     fn reset_empties_the_log() {
-        let path = temp_wal("reset");
+        let (path, _guard) = temp_wal("reset");
         let mut writer = WalWriter::open(&path, false).unwrap();
         writer.append(r#"{"seq":0,"op":"x"}"#).unwrap();
         assert_eq!(writer.generation(), 0);

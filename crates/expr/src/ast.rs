@@ -98,33 +98,6 @@ pub enum Scalar {
 }
 
 impl Scalar {
-    /// Numeric value, if this scalar is a number.
-    #[must_use]
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Scalar::Number(n) => Some(*n),
-            Scalar::Text(_) => None,
-        }
-    }
-
-    /// String value, if this scalar is text.
-    #[must_use]
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Scalar::Number(_) => None,
-            Scalar::Text(s) => Some(s.as_str()),
-        }
-    }
-
-    /// True if both scalars are of the same kind (number vs text).
-    #[must_use]
-    pub fn same_kind(&self, other: &Scalar) -> bool {
-        matches!(
-            (self, other),
-            (Scalar::Number(_), Scalar::Number(_)) | (Scalar::Text(_), Scalar::Text(_))
-        )
-    }
-
     /// Total ordering between scalars of the same kind.
     /// Returns `None` when the kinds differ or a number is NaN.
     #[must_use]

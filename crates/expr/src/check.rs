@@ -67,14 +67,6 @@ pub struct ConflictReport {
     pub max_clause_width: usize,
 }
 
-impl ConflictReport {
-    /// Whether the merged query should be deployed without any warning.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.verdict == Verdict::Compatible
-    }
-}
-
 /// The numeric or string "solution set" of a simple expression, used for
 /// satisfiability and containment reasoning.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,6 +22,8 @@ pub enum ExprError {
     InvalidStringComparison { attribute: String, op: String },
     /// The expression is empty where one was required.
     EmptyExpression,
+    /// `NOT`s and parentheses nest deeper than `max` levels.
+    TooDeep { max: usize, position: usize },
 }
 
 impl fmt::Display for ExprError {
@@ -52,6 +54,9 @@ impl fmt::Display for ExprError {
                 )
             }
             ExprError::EmptyExpression => write!(f, "empty expression"),
+            ExprError::TooDeep { max, position } => {
+                write!(f, "nesting deeper than {max} levels at offset {position}")
+            }
         }
     }
 }

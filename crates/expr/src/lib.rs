@@ -49,7 +49,7 @@ pub use check::{analyze_merge, check_two_simple, ConflictReport, Verdict};
 pub use dnf::{Conjunct, Dnf};
 pub use error::ExprError;
 pub use eval::{Bindings, MapBindings};
-pub use parser::parse_expr;
+pub use parser::{parse_expr, MAX_DEPTH};
 pub use simplify::simplify;
 
 /// Commonly used items, re-exported for convenience.

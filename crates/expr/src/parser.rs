@@ -1,4 +1,4 @@
-//! Recursive-descent parser for filter conditions.
+//! Parser for filter conditions.
 //!
 //! Grammar (standard precedence: `NOT` binds tighter than `AND`, which binds
 //! tighter than `OR`):
@@ -13,31 +13,33 @@
 //! op        := '<' | '>' | '<=' | '>=' | '=' | '!='
 //! literal   := NUMBER | STRING
 //! ```
+//!
+//! The grammar nests, but the parser does not recurse: operators wait on an
+//! explicit stack, so the stack a parse needs does not grow with the input.
 
 use crate::ast::{CmpOp, Expr, Scalar, SimpleExpr};
 use crate::error::ExprError;
 use crate::lexer::{tokenize, Spanned, Token};
 
+/// The deepest nesting any parser of untrusted text accepts: `NOT`s and
+/// parentheses here, elements in the XACML XML parser. What a parse builds
+/// is walked recursively afterwards (evaluation, normalisation, writing,
+/// drop), so the bound keeps a hostile input from overflowing the stack
+/// there; it is the value the vendored `serde_json` refuses past.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a condition string into an [`Expr`].
 ///
 /// # Errors
-/// Returns [`ExprError`] on lexical or syntactic problems, and on
-/// ill-typed simple expressions (ordering operators on strings).
+/// Returns [`ExprError`] on lexical or syntactic problems, on nesting
+/// deeper than [`MAX_DEPTH`], and on ill-typed simple expressions (ordering
+/// operators on strings).
 pub fn parse_expr(input: &str) -> Result<Expr, ExprError> {
     let tokens = tokenize(input)?;
     if tokens.is_empty() {
         return Err(ExprError::EmptyExpression);
     }
-    let mut parser = Parser { tokens, pos: 0 };
-    let expr = parser.parse_or()?;
-    if parser.pos != parser.tokens.len() {
-        let t = &parser.tokens[parser.pos];
-        return Err(ExprError::UnexpectedToken {
-            expected: "end of input".into(),
-            found: format!("{:?}", t.token),
-            position: t.position,
-        });
-    }
+    let expr = Parser { tokens, pos: 0 }.parse()?;
     if !expr.is_well_formed() {
         // Locate the first offending leaf for the error message.
         let mut bad: Option<SimpleExpr> = None;
@@ -57,11 +59,36 @@ struct Parser {
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Spanned> {
-        self.tokens.get(self.pos)
-    }
+/// An operator still waiting for its right operand, innermost last.
+enum Pending {
+    Or,
+    And,
+    Not,
+    Open,
+}
 
+/// Fold waiting binary operators into `right`, innermost first: every `AND`,
+/// and every `OR` too unless `and_only` (an `AND` binds tighter). Stops at
+/// the first `NOT` or `(`.
+fn fold(
+    pending: &mut Vec<Pending>,
+    operands: &mut Vec<Expr>,
+    mut right: Expr,
+    and_only: bool,
+) -> Expr {
+    loop {
+        let combine: fn(Box<Expr>, Box<Expr>) -> Expr = match pending.last() {
+            Some(Pending::And) => Expr::And,
+            Some(Pending::Or) if !and_only => Expr::Or,
+            _ => return right,
+        };
+        pending.pop();
+        let left = operands.pop().expect("a binary operator waits beside its left operand");
+        right = combine(Box::new(left), Box::new(right));
+    }
+}
+
+impl Parser {
     fn advance(&mut self) -> Option<Spanned> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
@@ -70,57 +97,78 @@ impl Parser {
         t
     }
 
-    fn expect(&mut self, expected: &Token, what: &str) -> Result<(), ExprError> {
-        match self.advance() {
-            Some(t) if &t.token == expected => Ok(()),
-            Some(t) => Err(ExprError::UnexpectedToken {
-                expected: what.into(),
-                found: format!("{:?}", t.token),
-                position: t.position,
-            }),
-            None => Err(ExprError::UnexpectedEof { expected: what.into() }),
-        }
-    }
-
-    fn parse_or(&mut self) -> Result<Expr, ExprError> {
-        let mut left = self.parse_and()?;
-        while matches!(self.peek().map(|t| &t.token), Some(Token::Or)) {
-            self.advance();
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, ExprError> {
-        let mut left = self.parse_not()?;
-        while matches!(self.peek().map(|t| &t.token), Some(Token::And)) {
-            self.advance();
-            let right = self.parse_not()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr, ExprError> {
-        if matches!(self.peek().map(|t| &t.token), Some(Token::Not)) {
-            self.advance();
-            let inner = self.parse_not()?;
-            return Ok(Expr::Not(Box::new(inner)));
-        }
-        self.parse_primary()
-    }
-
-    fn parse_primary(&mut self) -> Result<Expr, ExprError> {
-        let spanned = self
-            .advance()
-            .ok_or_else(|| ExprError::UnexpectedEof { expected: "expression".into() })?;
-        match spanned.token {
-            Token::LParen => {
-                let inner = self.parse_or()?;
-                self.expect(&Token::RParen, "')'")?;
-                Ok(inner)
+    /// The whole token list as one expression. Waiting operators live on
+    /// an explicit stack rather than one call frame per nesting level, so a
+    /// hostile input costs heap, not stack; the `NOT`s and `(`s waiting at
+    /// once (the nesting depth) may not pass [`MAX_DEPTH`].
+    fn parse(&mut self) -> Result<Expr, ExprError> {
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut operands: Vec<Expr> = Vec::new();
+        let mut depth = 0;
+        loop {
+            // An operand: `NOT`s and `(`s, then a constant or comparison.
+            let mut operand = loop {
+                let spanned = self
+                    .advance()
+                    .ok_or_else(|| ExprError::UnexpectedEof { expected: "expression".into() })?;
+                let nesting = match spanned.token {
+                    Token::Not => Pending::Not,
+                    Token::LParen => Pending::Open,
+                    _ => break self.parse_atom(spanned)?,
+                };
+                if depth == MAX_DEPTH {
+                    return Err(ExprError::TooDeep { max: MAX_DEPTH, position: spanned.position });
+                }
+                depth += 1;
+                pending.push(nesting);
+            };
+            // What follows it: `NOT`s it completes, `)`s, then `AND`, `OR`
+            // or the end of input.
+            loop {
+                while matches!(pending.last(), Some(Pending::Not)) {
+                    pending.pop();
+                    depth -= 1;
+                    operand = Expr::Not(Box::new(operand));
+                }
+                // Every `NOT` still waiting now waits above a `(`.
+                let inside_parens = depth > 0;
+                match self.advance() {
+                    Some(Spanned { token: Token::And, .. }) => {
+                        let left = fold(&mut pending, &mut operands, operand, true);
+                        operands.push(left);
+                        pending.push(Pending::And);
+                        break;
+                    }
+                    Some(Spanned { token: Token::Or, .. }) => {
+                        let left = fold(&mut pending, &mut operands, operand, false);
+                        operands.push(left);
+                        pending.push(Pending::Or);
+                        break;
+                    }
+                    Some(Spanned { token: Token::RParen, .. }) if inside_parens => {
+                        operand = fold(&mut pending, &mut operands, operand, false);
+                        pending.pop();
+                        depth -= 1;
+                    }
+                    None if !inside_parens => {
+                        return Ok(fold(&mut pending, &mut operands, operand, false));
+                    }
+                    None => return Err(ExprError::UnexpectedEof { expected: "')'".into() }),
+                    Some(t) => {
+                        return Err(ExprError::UnexpectedToken {
+                            expected: if inside_parens { "')'" } else { "end of input" }.into(),
+                            found: format!("{:?}", t.token),
+                            position: t.position,
+                        })
+                    }
+                }
             }
+        }
+    }
+
+    /// A constant or a comparison, starting at `spanned`.
+    fn parse_atom(&mut self, spanned: Spanned) -> Result<Expr, ExprError> {
+        match spanned.token {
             Token::True => Ok(Expr::True),
             Token::False => Ok(Expr::False),
             Token::Ident(attr) => {
@@ -244,6 +292,28 @@ mod tests {
         // NOT a = 1 AND b = 2  ==  (NOT a = 1) AND b = 2
         let e = parse_expr("NOT a = 1 AND b = 2").unwrap();
         assert!(matches!(e, Expr::And(_, _)));
+    }
+
+    #[test]
+    fn binary_operators_associate_to_the_left() {
+        let (a, b, c) = (
+            Expr::simple("a", CmpOp::Gt, 1.0),
+            Expr::simple("b", CmpOp::Gt, 2.0),
+            Expr::simple("c", CmpOp::Gt, 3.0),
+        );
+        let pair = |op: fn(Box<Expr>, Box<Expr>) -> Expr, x: &Expr, y: &Expr| {
+            op(Box::new(x.clone()), Box::new(y.clone()))
+        };
+        let and_ab = pair(Expr::And, &a, &b);
+        assert_eq!(parse_expr("a > 1 AND b > 2 AND c > 3").unwrap(), pair(Expr::And, &and_ab, &c));
+        let or_ab = pair(Expr::Or, &a, &b);
+        assert_eq!(parse_expr("a > 1 OR b > 2 OR c > 3").unwrap(), pair(Expr::Or, &or_ab, &c));
+        assert_eq!(parse_expr("a > 1 AND b > 2 OR c > 3").unwrap(), pair(Expr::Or, &and_ab, &c));
+        let not_or_bc = Expr::Not(Box::new(pair(Expr::Or, &b, &c)));
+        assert_eq!(
+            parse_expr("a > 1 AND NOT (b > 2 OR c > 3)").unwrap(),
+            pair(Expr::And, &a, &not_or_bc)
+        );
     }
 
     #[test]

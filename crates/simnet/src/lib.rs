@@ -9,9 +9,9 @@
 //! We cannot reproduce that LAN, so this crate provides a deterministic
 //! substitute: named nodes connected by [`link::LinkSpec`]s whose latency,
 //! jitter and bandwidth are configurable, a [`topology::Topology`] describing
-//! which entity talks to which over which link, and [`clock::Clock`]
-//! abstractions so unit tests can run on a manual clock while experiment
-//! binaries accumulate simulated network delay on top of real compute time.
+//! which entity talks to which over which link, and a virtual
+//! [`clock::ManualClock`] that simulated delays advance, kept apart from
+//! wall time.
 //!
 //! The default [`topology::Topology::paper_testbed`] is calibrated to a
 //! switched 100 Mbps LAN: sub-millisecond propagation latency, small jitter,
@@ -25,7 +25,7 @@ pub mod link;
 pub mod queue;
 pub mod topology;
 
-pub use clock::{Clock, ManualClock, SimClock, WallClock};
+pub use clock::{Clock, ManualClock};
 pub use fault::{Fault, FaultPlan, TimedFault};
 pub use link::{LatencyModel, LinkSpec};
 pub use queue::SimLink;
@@ -33,7 +33,7 @@ pub use topology::{NodeId, Topology};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::clock::{Clock, ManualClock, SimClock, WallClock};
+    pub use crate::clock::{Clock, ManualClock};
     pub use crate::fault::{Fault, FaultPlan, TimedFault};
     pub use crate::link::{LatencyModel, LinkSpec};
     pub use crate::queue::SimLink;

@@ -10,10 +10,8 @@
 //!   ([`Metric`]) and fixed-bucket **log2 latency histograms** (one per
 //!   [`Stage`]) — recording is a couple of relaxed atomic adds, never an
 //!   allocation or a lock;
-//! * **stage-scoped spans** ([`Telemetry::span`] for wall clocks,
-//!   [`Telemetry::span_with`] for any [`SpanClock`] such as the simnet
-//!   virtual clock, [`Telemetry::record`] for durations measured elsewhere)
-//!   that record into the stage's histogram when dropped;
+//! * **stage recording** ([`Telemetry::record`] for a duration the caller
+//!   measured, [`Telemetry::record_nanos_all`] for a whole frame of them);
 //! * a typed, diffable, serde-serializable [`TelemetrySnapshot`] plus a
 //!   Prometheus-style text exporter
 //!   ([`TelemetrySnapshot::to_prometheus`]).
@@ -26,17 +24,17 @@
 //!
 //! ## Clock discipline
 //!
-//! Wall-clock spans measure real compute (PDP evaluation, WAL flushes);
+//! Wall-clock durations measure real compute (PDP evaluation, WAL flushes);
 //! virtual-clock durations (broker hops, delivery latency on simulated
-//! links) are recorded via [`Telemetry::record`] or [`Telemetry::span_with`]
-//! so fabric timings stay byte-for-byte deterministic per seed. A histogram
-//! never knows which clock fed it — the stage taxonomy documents which
-//! stages are wall and which are virtual (see `docs/OBSERVABILITY.md`).
+//! links) are taken from the virtual clock, so fabric timings stay
+//! byte-for-byte deterministic per seed. A histogram never knows which
+//! clock fed it — the stage taxonomy documents which stages are wall and
+//! which are virtual (see `docs/OBSERVABILITY.md`).
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Stage and metric taxonomies
@@ -351,50 +349,6 @@ impl Log2Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// Clocks and spans
-// ---------------------------------------------------------------------------
-
-/// A monotone nanosecond clock a span can read twice.
-///
-/// `exacml-simnet` implements this for its wall and virtual clocks, so the
-/// same span type measures real compute and deterministic simulated time.
-pub trait SpanClock {
-    /// Nanoseconds since the clock's epoch.
-    fn now_nanos(&self) -> u64;
-}
-
-/// A wall-clock stage span: records `start.elapsed()` into the stage's
-/// histogram when dropped. Obtained from [`Telemetry::span`].
-pub struct Span<'a> {
-    telemetry: &'a Telemetry,
-    stage: Stage,
-    started: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.telemetry.record(self.stage, self.started.elapsed());
-    }
-}
-
-/// A clock-generic stage span over any [`SpanClock`] (typically the simnet
-/// virtual clock): records the clock delta when dropped. Obtained from
-/// [`Telemetry::span_with`].
-pub struct ClockSpan<'a, C: SpanClock> {
-    telemetry: &'a Telemetry,
-    stage: Stage,
-    clock: &'a C,
-    started: u64,
-}
-
-impl<C: SpanClock> Drop for ClockSpan<'_, C> {
-    fn drop(&mut self) {
-        let elapsed = self.clock.now_nanos().saturating_sub(self.started);
-        self.telemetry.record_nanos(self.stage, elapsed);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The registry
 // ---------------------------------------------------------------------------
 
@@ -490,18 +444,6 @@ impl Telemetry {
         self.stages[stage.index()].count()
     }
 
-    /// Open a wall-clock span that records into `stage` on drop.
-    #[must_use]
-    pub fn span(&self, stage: Stage) -> Span<'_> {
-        Span { telemetry: self, stage, started: Instant::now() }
-    }
-
-    /// Open a span over an arbitrary [`SpanClock`] (e.g. the simnet virtual
-    /// clock) that records the clock delta into `stage` on drop.
-    pub fn span_with<'a, C: SpanClock>(&'a self, stage: Stage, clock: &'a C) -> ClockSpan<'a, C> {
-        ClockSpan { telemetry: self, stage, clock, started: clock.now_nanos() }
-    }
-
     /// A consistent-enough point-in-time copy of every counter and
     /// histogram (counters and buckets are read individually; recording
     /// continues concurrently).
@@ -550,12 +492,6 @@ pub struct StageSnapshot {
 }
 
 impl StageSnapshot {
-    /// Mean observed duration in nanoseconds (0 when empty).
-    #[must_use]
-    pub fn mean_nanos(&self) -> u64 {
-        self.total_nanos.checked_div(self.count).unwrap_or(0)
-    }
-
     /// The upper bound of the bucket holding the q-quantile observation
     /// (`q` is clamped to `[0, 1]`; 0 when the snapshot is empty). Log2
     /// buckets bound the answer within 2× of the true quantile — enough to
@@ -583,12 +519,6 @@ impl StageSnapshot {
     #[must_use]
     pub fn p50_nanos(&self) -> u64 {
         self.percentile_nanos(0.50)
-    }
-
-    /// p90 bucket upper bound, nanoseconds.
-    #[must_use]
-    pub fn p90_nanos(&self) -> u64 {
-        self.percentile_nanos(0.90)
     }
 
     /// p99 bucket upper bound, nanoseconds.
@@ -864,37 +794,10 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_on_drop() {
-        let telemetry = Telemetry::new();
-        {
-            let _span = telemetry.span(Stage::Pdp);
-        }
-        assert_eq!(telemetry.stage_count(Stage::Pdp), 1);
-
-        struct FixedClock(std::cell::Cell<u64>);
-        impl SpanClock for FixedClock {
-            fn now_nanos(&self) -> u64 {
-                let now = self.0.get();
-                self.0.set(now + 250);
-                now
-            }
-        }
-        let clock = FixedClock(std::cell::Cell::new(10));
-        {
-            let _span = telemetry.span_with(Stage::BrokerRoute, &clock);
-        }
-        let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.stage(Stage::BrokerRoute).unwrap().total_nanos, 250);
-    }
-
-    #[test]
     fn disabled_registry_counts_but_records_no_stage() {
         let telemetry = Telemetry::disabled();
         telemetry.incr(Metric::Requests);
         telemetry.record(Stage::Pdp, Duration::from_micros(5));
-        {
-            let _span = telemetry.span(Stage::Pdp);
-        }
         let snapshot = telemetry.snapshot();
         assert_eq!(snapshot.counter(Metric::Requests), 1);
         assert!(snapshot.stages.is_empty());

@@ -9,7 +9,7 @@
 //! the actual values.
 
 use exacml_dsms::{Schema, Tuple, Value};
-use exacml_plus::{ExacmlError, StreamBackend};
+use exacml_plus::{Backend, ExacmlError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -77,15 +77,14 @@ impl WeatherFeed {
         (0..count).map(|_| self.next_tuple()).collect()
     }
 
-    /// Generate `count` records and push them into any [`StreamBackend`] —
-    /// a bare `StreamEngine`, a `DataServer`, a `Fabric`, or a
-    /// `&dyn Backend` — as one batch (a single routing decision and shard
+    /// Generate `count` records and push them into any [`Backend`] — a
+    /// `DataServer`, a `Fabric`, or a `&dyn Backend` — as one batch (a single routing decision and shard
     /// lock acquisition). Returns the number of derived tuples emitted.
     ///
     /// # Errors
     /// Fails when the stream is unknown on the backend or its schema
     /// differs from the feed's.
-    pub fn pump_into<B: StreamBackend + ?Sized>(
+    pub fn pump_into<B: Backend + ?Sized>(
         &mut self,
         backend: &B,
         stream: &str,
@@ -151,14 +150,14 @@ impl GpsFeed {
         (0..count).map(|_| self.next_tuple()).collect()
     }
 
-    /// Generate `count` fixes and push them into any [`StreamBackend`] as
+    /// Generate `count` fixes and push them into any [`Backend`] as
     /// one batch (a single routing decision and shard lock acquisition).
     /// Returns the number of derived tuples emitted.
     ///
     /// # Errors
     /// Fails when the stream is unknown on the backend or its schema
     /// differs from the feed's.
-    pub fn pump_into<B: StreamBackend + ?Sized>(
+    pub fn pump_into<B: Backend + ?Sized>(
         &mut self,
         backend: &B,
         stream: &str,
@@ -244,28 +243,14 @@ mod tests {
 
     #[test]
     fn one_feed_pumps_every_backend_shape_through_the_trait() {
-        use exacml_plus::Backend;
+        use exacml_plus::{DataServer, Fabric, FabricConfig, ServerConfig};
         let mut weather = WeatherFeed::paper_default(1);
-        for backend in [<dyn Backend>::local(), <dyn Backend>::fabric(2)] {
+        let local: Arc<dyn Backend> = Arc::new(DataServer::new(ServerConfig::local()));
+        let fabric: Arc<dyn Backend> = Arc::new(Fabric::new(FabricConfig::local(2)));
+        for backend in [local, fabric] {
             backend.register_stream("weather", weather.schema().clone()).unwrap();
             // The very same call drives a single server and a 2-node fabric.
             assert_eq!(weather.pump_into(backend.as_ref(), "weather", 30).unwrap(), 0);
         }
-    }
-
-    #[test]
-    fn feeds_pump_batches_into_the_engine() {
-        let engine = exacml_dsms::StreamEngine::new();
-        let mut weather = WeatherFeed::paper_default(1);
-        let mut gps = GpsFeed::new(2, "d", 1000);
-        engine.register_stream("weather", weather.schema().clone()).unwrap();
-        engine.register_stream("gps", gps.schema().clone()).unwrap();
-        engine.deploy(&exacml_dsms::QueryGraph::identity("weather")).unwrap();
-        let emitted = weather.pump_into(&engine, "weather", 50).unwrap();
-        assert_eq!(emitted, 50);
-        assert_eq!(gps.pump_into(&engine, "gps", 10).unwrap(), 0);
-        let ingested = engine.telemetry_handle().counter(exacml_telemetry::Metric::TuplesIngested);
-        assert_eq!(ingested, 60);
-        assert!(weather.pump_into(&engine, "nosuch", 1).is_err());
     }
 }

@@ -91,11 +91,6 @@ impl AttributeValue {
         AttributeValue { data_type: XmlDataType::Boolean, text: value.to_string() }
     }
 
-    /// A URI value.
-    pub fn any_uri(text: impl Into<String>) -> Self {
-        AttributeValue { data_type: XmlDataType::AnyUri, text: text.into() }
-    }
-
     /// Integer view, if the value parses as one.
     #[must_use]
     pub fn as_integer(&self) -> Option<i64> {

@@ -16,6 +16,7 @@ use crate::error::XacmlError;
 use crate::obligation::{AttributeAssignment, Obligation};
 use crate::policy::{AttributeMatch, Effect, Policy, Rule, RuleCombiningAlg, Target};
 use crate::request::Request;
+use exacml_expr::MAX_DEPTH;
 
 /// A generic XML element.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -153,7 +154,8 @@ pub fn unescape(text: &str) -> String {
 /// Parse an XML document into its root element.
 ///
 /// # Errors
-/// Returns [`XacmlError::XmlParse`] describing the first problem found.
+/// Returns [`XacmlError::XmlParse`] describing the first problem found,
+/// including elements nested deeper than [`exacml_expr::MAX_DEPTH`].
 pub fn parse_document(input: &str) -> Result<XmlElement, XacmlError> {
     let mut parser = XmlParser { input: input.as_bytes(), pos: 0 };
     parser.skip_prolog();
@@ -250,16 +252,85 @@ impl XmlParser<'_> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
+    /// The root element and everything inside it. Open elements wait on an
+    /// explicit stack rather than one call frame per level, so a hostile
+    /// document costs heap, not stack; at most [`MAX_DEPTH`] may be open.
     fn parse_element(&mut self) -> Result<XmlElement, XacmlError> {
+        let mut open: Vec<XmlElement> = Vec::new();
+        loop {
+            // A start tag: the root's, or a child's of the innermost element.
+            if open.len() == MAX_DEPTH {
+                return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+            }
+            let (element, empty) = self.parse_start_tag()?;
+            let mut closed = if empty {
+                Some(element)
+            } else {
+                open.push(element);
+                None
+            };
+            // Content — text, comments, closing tags — until the next child.
+            loop {
+                if let Some(element) = closed.take() {
+                    match open.last_mut() {
+                        Some(parent) => parent.children.push(element),
+                        None => return Ok(element),
+                    }
+                }
+                let current = open.last_mut().expect("an element is open");
+                let start = self.pos;
+                while self.peek().is_some_and(|c| c != b'<') {
+                    self.pos += 1;
+                }
+                if self.pos > start {
+                    let chunk = String::from_utf8_lossy(&self.input[start..self.pos]);
+                    let trimmed = chunk.trim();
+                    if !trimmed.is_empty() {
+                        if !current.text.is_empty() {
+                            current.text.push(' ');
+                        }
+                        current.text.push_str(&unescape(trimmed));
+                    }
+                }
+                if self.peek().is_none() {
+                    return Err(self.err(format!("missing closing tag for <{}>", current.name)));
+                }
+                if self.starts_with("<!--") {
+                    match find_from(self.input, self.pos + 4, "-->") {
+                        Some(end) => self.pos = end + 3,
+                        None => return Err(self.err("unterminated comment")),
+                    }
+                    continue;
+                }
+                if !self.starts_with("</") {
+                    break;
+                }
+                self.pos += 2;
+                let closing = self.parse_name()?;
+                if closing != current.name {
+                    return Err(self.err(format!(
+                        "mismatched closing tag </{closing}> for <{}>",
+                        current.name
+                    )));
+                }
+                self.skip_whitespace();
+                if self.peek() != Some(b'>') {
+                    return Err(self.err("expected '>' in closing tag"));
+                }
+                self.pos += 1;
+                closed = open.pop();
+            }
+        }
+    }
+
+    /// A start tag and its attributes; `true` when it is empty (`<a/>`).
+    fn parse_start_tag(&mut self) -> Result<(XmlElement, bool), XacmlError> {
         self.skip_whitespace_and_comments();
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
         self.pos += 1;
-        let name = self.parse_name()?;
-        let mut element = XmlElement::new(name.clone());
-
-        // Attributes.
+        let mut element = XmlElement::new(self.parse_name()?);
         loop {
             self.skip_whitespace();
             match self.peek() {
@@ -269,11 +340,11 @@ impl XmlParser<'_> {
                         return Err(self.err("expected '>' after '/'"));
                     }
                     self.pos += 1;
-                    return Ok(element);
+                    return Ok((element, true));
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok((element, false));
                 }
                 Some(_) => {
                     let attr_name = self.parse_name()?;
@@ -301,52 +372,6 @@ impl XmlParser<'_> {
                 }
                 None => return Err(self.err("unexpected end of input inside a tag")),
             }
-        }
-
-        // Content: text, children, comments, until the closing tag.
-        loop {
-            // Accumulate text up to the next '<'.
-            let start = self.pos;
-            while self.peek().map(|c| c != b'<').unwrap_or(false) {
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let chunk = String::from_utf8_lossy(&self.input[start..self.pos]);
-                let trimmed = chunk.trim();
-                if !trimmed.is_empty() {
-                    if !element.text.is_empty() {
-                        element.text.push(' ');
-                    }
-                    element.text.push_str(&unescape(trimmed));
-                }
-            }
-            if self.peek().is_none() {
-                return Err(self.err(format!("missing closing tag for <{name}>")));
-            }
-            if self.starts_with("<!--") {
-                match find_from(self.input, self.pos + 4, "-->") {
-                    Some(end) => self.pos = end + 3,
-                    None => return Err(self.err("unterminated comment")),
-                }
-                continue;
-            }
-            if self.starts_with("</") {
-                self.pos += 2;
-                let closing = self.parse_name()?;
-                if closing != name {
-                    return Err(
-                        self.err(format!("mismatched closing tag </{closing}> for <{name}>"))
-                    );
-                }
-                self.skip_whitespace();
-                if self.peek() != Some(b'>') {
-                    return Err(self.err("expected '>' in closing tag"));
-                }
-                self.pos += 1;
-                return Ok(element);
-            }
-            let child = self.parse_element()?;
-            element.children.push(child);
         }
     }
 }

@@ -16,8 +16,9 @@
 //! assert_eq!(cluster.backend_kind(), "fabric-3");
 //! ```
 //!
-//! For the unconfigured cases, `exacml_plus` also ships
-//! `<dyn Backend>::local()` / `<dyn Backend>::fabric(n)` shorthands.
+//! Each shape's own constructor (`DataServer::new`, `Fabric::new`,
+//! `DurableServer::create`, `Replication::create`) builds it unboxed; the
+//! builder is the one place that picks a shape from a value.
 
 use exacml_durable::{DurableConfig, DurableServer, ReplicatedConfig, Replication, TopologyPreset};
 use exacml_plus::{Backend, DataServer, ExacmlError, Fabric, FabricConfig, ServerConfig};

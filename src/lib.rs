@@ -37,19 +37,17 @@
 //! [`Fabric`](exacml_plus::Fabric) for N nodes behind the routing broker,
 //! [`DurableServer`](exacml_durable::DurableServer) for a single node whose
 //! state survives a restart (a `DataServer` with a WAL commit log
-//! attached) — implements the object-safe trait stack of
-//! [`exacml_plus::backend`]:
+//! attached) — implements the one object-safe trait
+//! [`Backend`](exacml_plus::Backend), whose methods cover:
 //!
-//! * [`StreamBackend`](exacml_plus::StreamBackend) — register streams, push
-//!   tuples (single or batched), subscribe to granted handles via the
-//!   backend-agnostic [`Subscription`](exacml_plus::Subscription);
-//! * [`AccessControl`](exacml_plus::AccessControl) — the Section 3.2
-//!   request workflow returning a unified
+//! * the data plane — register streams, push tuples (single or batched),
+//!   subscribe to granted handles via the backend-agnostic
+//!   [`Subscription`](exacml_plus::Subscription);
+//! * the Section 3.2 request workflow returning a unified
 //!   [`BackendResponse`](exacml_plus::BackendResponse), plus release;
-//! * [`PolicyAdmin`](exacml_plus::PolicyAdmin) — Section 3.3 policy
-//!   load/remove/update/count (fabric-wide propagation included);
-//! * [`Backend`](exacml_plus::Backend) — the composition, adding the
-//!   node-tagged audit trail and deployment observability.
+//! * Section 3.3 policy load/remove/update/count (fabric-wide propagation
+//!   included);
+//! * the node-tagged audit trail and deployment observability.
 //!
 //! Scenario code, tests, feeds and benches written against `&dyn Backend`
 //! (or a generic `B: Backend + ?Sized`) run unchanged on any shape —
@@ -181,10 +179,9 @@ pub mod prelude {
         Replication, TopologyPreset, WalFailpoint,
     };
     pub use exacml_plus::{
-        AccessControl, AccessResponse, Backend, BackendHealth, BackendResponse, DataServer,
-        ExacmlError, Fabric, FabricConfig, MergeOptions, Placement, PlanId, PolicyAdmin,
-        ServerConfig, StreamBackend, StreamBatch, StreamPolicyBuilder, Subscription,
-        TaggedAuditEvent, UserQuery, Warning, WarningKind,
+        AccessResponse, Backend, BackendHealth, BackendResponse, DataServer, ExacmlError, Fabric,
+        FabricConfig, MergeOptions, Placement, PlanId, ServerConfig, StreamBatch,
+        StreamPolicyBuilder, Subscription, TaggedAuditEvent, UserQuery, Warning, WarningKind,
     };
     pub use exacml_simnet::{Fault, FaultPlan, NodeId, TimedFault, Topology};
     pub use exacml_telemetry::{Metric, Stage, StageSnapshot, Telemetry, TelemetrySnapshot};

@@ -240,12 +240,6 @@ impl QuerySubscription {
     pub fn drain(&mut self) -> Vec<Tuple> {
         self.inner.drain()
     }
-
-    /// Unwrap the transport subscription, dropping the grant metadata.
-    #[must_use]
-    pub fn into_inner(self) -> Subscription {
-        self.inner
-    }
 }
 
 impl std::ops::Deref for QuerySubscription {

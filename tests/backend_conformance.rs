@@ -12,29 +12,26 @@
 //! unknown-handle errors, reuse semantics, the single-access guard, and
 //! the node-tagged audit trail.
 
+mod common;
+
+use common::{temp_store, RemoveOnDrop};
 use exacml::exacml_dsms::{Schema, Tuple, Value};
 use exacml::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-static STORE_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-/// A fresh store directory for one durable backend under test.
-fn durable_store_dir() -> std::path::PathBuf {
-    let n = STORE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("exacml-conformance-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The four backend shapes every test runs against.
-fn backends() -> Vec<Arc<dyn Backend>> {
-    vec![
+/// The four backend shapes every test runs against, and the guards of the
+/// two stores under them. Bind the guards before the loop so they drop
+/// after every shape.
+fn backends() -> (Vec<Arc<dyn Backend>>, [RemoveOnDrop; 2]) {
+    let (durable, durable_store) = temp_store("conformance");
+    let (replicated, replicated_store) = temp_store("conformance");
+    let shapes = vec![
         BackendBuilder::local().build(),
         BackendBuilder::fabric(3).build(),
-        BackendBuilder::durable(durable_store_dir()).build(),
-        BackendBuilder::replicated(3, durable_store_dir()).build(),
-    ]
+        BackendBuilder::durable(durable).build(),
+        BackendBuilder::replicated(3, replicated).build(),
+    ];
+    (shapes, [durable_store, replicated_store])
 }
 
 fn weather_tuple(schema: &Arc<Schema>, i: i64, rain: f64) -> Tuple {
@@ -50,7 +47,8 @@ fn rain_policy(id: &str, stream: &str, subject: &str) -> Policy {
 
 #[test]
 fn register_push_subscribe_lifecycle() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         // Several streams so a fabric spreads them over more than one node.
         let schema = Schema::weather_example().shared();
@@ -94,7 +92,8 @@ fn register_push_subscribe_lifecycle() {
 /// a simulated link (fabric) or an in-process channel (single server).
 #[test]
 fn batched_fan_out_and_settled_drain_are_uniform() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         let schema = Schema::weather_example().shared();
         let mut subscriptions = Vec::new();
@@ -142,7 +141,8 @@ fn batched_fan_out_and_settled_drain_are_uniform() {
 
 #[test]
 fn policy_churn_withdraws_graphs_and_serves_fresh_obligations() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         backend.load_policy(rain_policy("p", "weather", "LTA")).unwrap();
@@ -176,7 +176,8 @@ fn policy_churn_withdraws_graphs_and_serves_fresh_obligations() {
 /// and audited instead of being granted the unfiltered stream.
 #[test]
 fn an_unparsable_policy_filter_refuses_every_request() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         let policy =
@@ -192,7 +193,8 @@ fn an_unparsable_policy_filter_refuses_every_request() {
 
 #[test]
 fn release_edge_cases_are_noops_on_every_shape() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         backend.load_policy(rain_policy("p", "weather", "LTA")).unwrap();
@@ -223,7 +225,8 @@ fn release_edge_cases_are_noops_on_every_shape() {
 #[test]
 fn unknown_handles_report_the_unified_error() {
     use exacml::exacml_dsms::StreamHandle;
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         backend.load_policy(rain_policy("p", "weather", "LTA")).unwrap();
@@ -256,7 +259,8 @@ fn unknown_handles_report_the_unified_error() {
 
 #[test]
 fn reuse_and_single_access_guard_semantics() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         backend.load_policy(rain_policy("p", "weather", "LTA")).unwrap();
@@ -288,7 +292,8 @@ fn reuse_and_single_access_guard_semantics() {
 
 #[test]
 fn audit_trail_is_node_tagged_on_every_shape() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         let fabric_nodes = if kind.starts_with("fabric") { 3 } else { 1 };
         backend.register_stream("weather", Schema::weather_example()).unwrap();
@@ -335,7 +340,8 @@ fn audit_trail_is_node_tagged_on_every_shape() {
 
 #[test]
 fn overlapping_subscribers_share_one_plan_on_every_shape() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         let schema = Schema::weather_example().shared();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
@@ -397,7 +403,8 @@ fn overlapping_subscribers_share_one_plan_on_every_shape() {
 /// see both batches, in order.
 #[test]
 fn a_policy_update_between_two_batches_cuts_only_its_own_grant() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         let schema = Schema::weather_example().shared();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
@@ -445,7 +452,8 @@ fn a_policy_update_between_two_batches_cuts_only_its_own_grant() {
 
 #[test]
 fn policy_xml_round_trips_through_the_trait() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         backend.register_stream("weather", Schema::weather_example()).unwrap();
         let xml = exacml::exacml_xacml::xml::write_policy(&rain_policy("p", "weather", "LTA"));
@@ -464,7 +472,8 @@ fn policy_xml_round_trips_through_the_trait() {
 /// node-tagged sub-snapshots whose counters sum to the aggregate.
 #[test]
 fn telemetry_snapshots_reconcile_on_every_shape() {
-    for backend in backends() {
+    let (shapes, _stores) = backends();
+    for backend in shapes {
         let kind = backend.backend_kind();
         let schema = Schema::weather_example().shared();
         backend.register_stream("weather", Schema::weather_example()).unwrap();

@@ -4,6 +4,8 @@
 //! an in-memory server reaches by executing the same sequence, with or
 //! without snapshot compaction in between.
 
+mod common;
+
 use exacml::exacml_dsms::{DataType, Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::record::{decode, decode_row, encode_ingest};
 use exacml::exacml_durable::wal;
@@ -11,17 +13,10 @@ use exacml::exacml_durable::{DurableServer, Record, FORMAT_VERSION};
 use exacml::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-static STORE_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-fn fresh_store(tag: &str) -> PathBuf {
-    let n = STORE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("exacml-durability-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn fresh_store(tag: &str) -> (PathBuf, common::RemoveOnDrop) {
+    common::temp_store(&format!("durability-{tag}"))
 }
 
 fn weather_tuple(schema: &Arc<Schema>, i: i64, rain: f64) -> Tuple {
@@ -49,7 +44,7 @@ fn rain_policy(id: &str, stream: &str, subject: &str, threshold: f64) -> Policy 
 /// guard state, the audit trail — is intact.
 #[test]
 fn kill_and_recover_preserves_policies_handles_and_audit() {
-    let store = fresh_store("kill");
+    let (store, _guard) = fresh_store("kill");
     let schema = Schema::weather_example().shared();
 
     let (handle_uri, audit_before) = {
@@ -101,7 +96,7 @@ fn kill_and_recover_preserves_policies_handles_and_audit() {
 /// truncate the torn bytes so the store keeps working.
 #[test]
 fn truncated_final_wal_record_loses_only_the_last_operation() {
-    let store = fresh_store("torn");
+    let (store, _guard) = fresh_store("torn");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -145,7 +140,7 @@ fn truncated_final_wal_record_loses_only_the_last_operation() {
 /// still on — every journaled operation replayed.
 #[test]
 fn a_sync_writes_store_journals_and_recovers_with_the_setting_kept() {
-    let store = fresh_store("sync");
+    let (store, _guard) = fresh_store("sync");
     let schema = Schema::weather_example().shared();
     let handle_uri = {
         let config = DurableConfig { sync_writes: true, ..DurableConfig::local() };
@@ -164,7 +159,6 @@ fn a_sync_writes_store_journals_and_recovers_with_the_setting_kept() {
     assert_eq!(recovered.policy_count(), 1);
     assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(handle_uri)));
     assert_eq!(tuples_ingested(&recovered), 7, "the journaled batch is replayed");
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// `meta.json` carries the seed and `snapshot_every` as JSON numbers, which
@@ -185,7 +179,7 @@ fn meta_numbers_round_trip_exactly_or_are_refused() {
     let lossy = decode(&encode_meta(&config)).unwrap();
     assert_eq!(lossy.seed, EXACT, "JSON numbers carry 53 bits");
 
-    let store = fresh_store("meta-seed");
+    let (store, _guard) = fresh_store("meta-seed");
     for config in [
         DurableConfig { seed: EXACT + 1, ..DurableConfig::local() },
         DurableConfig { snapshot_every: u64::MAX, ..DurableConfig::local() },
@@ -209,7 +203,6 @@ fn meta_numbers_round_trip_exactly_or_are_refused() {
         assert_ne!(text, meta);
         assert!(decode(&text).is_err(), "{key} = {bad} must be refused");
     }
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Overwrite a store's `meta.json` with one in the eleven-key format stores
@@ -236,7 +229,7 @@ fn write_eleven_key_meta(
 /// it under the fixed values would change what its grants deliver.
 #[test]
 fn a_store_with_the_retired_meta_keys_recovers_only_at_their_fixed_values() {
-    let store = fresh_store("retired-keys");
+    let (store, _guard) = fresh_store("retired-keys");
     let schema = Schema::weather_example().shared();
     let handle_uri = {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
@@ -269,7 +262,6 @@ fn a_store_with_the_retired_meta_keys_recovers_only_at_their_fixed_values() {
             other => panic!("{key}: expected a Durability error, got {other:?}"),
         }
     }
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Rewrite the `"version":1` stamp of a framed single-line store file
@@ -303,7 +295,7 @@ fn assert_refused_as_version_2(store: &std::path::Path, file: &str) {
 /// refused, not recovered as if it were this build's format.
 #[test]
 fn a_meta_json_at_another_format_version_is_refused() {
-    let store = fresh_store("meta-v2");
+    let (store, _guard) = fresh_store("meta-v2");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -311,14 +303,13 @@ fn a_meta_json_at_another_format_version_is_refused() {
     }
     stamp_version_2(&store.join("meta.json"));
     assert_refused_as_version_2(&store, "meta.json");
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// A snapshot stamped with a format version this build does not write is
 /// refused, even though `meta.json` is current.
 #[test]
 fn a_snapshot_at_another_format_version_is_refused() {
-    let store = fresh_store("snapshot-v2");
+    let (store, _guard) = fresh_store("snapshot-v2");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -328,14 +319,13 @@ fn a_snapshot_at_another_format_version_is_refused() {
     }
     stamp_version_2(&store.join("snapshot.json"));
     assert_refused_as_version_2(&store, "snapshot.json");
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Recovery writes nothing, so recovering twice (or N times) yields the
 /// same state every time.
 #[test]
 fn double_recovery_is_idempotent() {
-    let store = fresh_store("double");
+    let (store, _guard) = fresh_store("double");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -373,7 +363,7 @@ fn open_policy(id: &str, stream: &str, threshold: f64) -> Policy {
 /// serials never collide with any journaled one (released grants included).
 #[test]
 fn recovery_replays_overlapping_grants_into_shared_plans() {
-    let store = fresh_store("shared");
+    let (store, _guard) = fresh_store("shared");
     let schema = Schema::weather_example().shared();
 
     let (released_uri, wind_uri, weather_uri) = {
@@ -425,7 +415,7 @@ fn recovery_replays_overlapping_grants_into_shared_plans() {
 /// grants replay in deployment order, not grant order).
 #[test]
 fn snapshot_compaction_preserves_shared_plan_replay() {
-    let store = fresh_store("shared-snap");
+    let (store, _guard) = fresh_store("shared-snap");
     let schema = Schema::weather_example().shared();
 
     let (wind_uri, weather_uri, deployments_before) = {
@@ -486,7 +476,7 @@ fn snapshot_compaction_preserves_shared_plan_replay() {
 /// exactly the acknowledged prefix — the torn record never replays.
 #[test]
 fn disk_full_mid_append_refuses_mutations_and_recovery_keeps_the_prefix() {
-    let store = fresh_store("disk-full");
+    let (store, _guard) = fresh_store("disk-full");
     let schema = Schema::weather_example().shared();
     let handle_uri = {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
@@ -538,7 +528,7 @@ fn disk_full_mid_append_refuses_mutations_and_recovery_keeps_the_prefix() {
 /// without corrupting what is already readable.
 #[test]
 fn sticky_io_error_keeps_the_readable_prefix_uncorrupted() {
-    let store = fresh_store("sticky");
+    let (store, _guard) = fresh_store("sticky");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -579,19 +569,20 @@ fn refused_writes_leave_the_wal_counters_unchanged() {
         (telemetry.counter(Metric::WalRecords), telemetry.counter(Metric::WalFlushes))
     };
     let armed_server = |tag: &str| {
-        let server = DurableServer::create(fresh_store(tag), DurableConfig::local()).unwrap();
+        let (store, guard) = fresh_store(tag);
+        let server = DurableServer::create(store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
         server.install_wal_failpoint(FailMode::Sticky { message: "I/O error (injected)".into() });
-        server
+        (server, guard)
     };
 
-    let server = armed_server("counters-push");
+    let (server, _guard) = armed_server("counters-push");
     let before = wal_counters(&server);
     let tuple = weather_tuple(&Schema::weather_example().shared(), 0, 10.0);
     assert!(matches!(server.push("weather", tuple), Err(ExacmlError::Durability(_))));
     assert_eq!(wal_counters(&server), before, "a refused push");
 
-    let server = armed_server("counters-control");
+    let (server, _guard) = armed_server("counters-control");
     let before = wal_counters(&server);
     assert!(matches!(
         server.load_policy(rain_policy("p", "weather", "LTA", 5.0)),
@@ -604,7 +595,7 @@ fn refused_writes_leave_the_wal_counters_unchanged() {
 /// prefix of the record is on disk, recovery must detect and cut it.
 #[test]
 fn torn_write_mid_record_is_cut_on_recovery() {
-    let store = fresh_store("torn-inject");
+    let (store, _guard) = fresh_store("torn-inject");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -633,7 +624,7 @@ fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
         ("release-sticky", FailMode::Sticky { message: "I/O error (injected)".into() }),
     ];
     for (tag, fault) in faults {
-        let store = fresh_store(tag);
+        let (store, _guard) = fresh_store(tag);
         let held = {
             let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
             server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -650,10 +641,9 @@ fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
         assert_eq!(recovered.live_grants().len(), 1, "{tag}");
         assert!(recovered.inner().handle_is_live(&held), "{tag}: live at its URI");
         drop(recovered);
-        let _ = std::fs::remove_dir_all(&store);
     }
 
-    let store = fresh_store("release-unheld");
+    let (store, _guard) = fresh_store("release-unheld");
     let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
     server.register_stream("weather", Schema::weather_example()).unwrap();
     server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
@@ -664,7 +654,6 @@ fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
     assert!(!server.release_access("LTA", "wind"));
     assert_eq!((server.journal_seq(), wal_records()), (seq, records));
     drop(server);
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 // ---------------------------------------------------------------------------
@@ -973,14 +962,14 @@ proptest! {
         compact in proptest::bool::ANY,
     ) {
         let snapshot_every = if compact { 3 } else { 0 };
-        let store = fresh_store("prop");
+        let (store, _guard) = fresh_store("prop");
         let config = DurableConfig { snapshot_every, ..DurableConfig::local() };
         let shadow: Arc<dyn Backend> = Arc::new(DataServer::new(config.server_config()));
         let durable = DurableServer::create(&store, config).unwrap();
         let schema = Schema::weather_example().shared();
 
         for name in ["s0", "s1"] {
-            StreamBackend::register_stream(&durable, name, Schema::weather_example()).unwrap();
+            Backend::register_stream(&durable, name, Schema::weather_example()).unwrap();
             shadow.register_stream(name, Schema::weather_example()).unwrap();
         }
         for op in &ops {
@@ -1021,7 +1010,5 @@ proptest! {
         prop_assert_eq!(footprint(&again), footprint(shadow.as_ref()));
         prop_assert_eq!(again.live_grants(), live_before);
         prop_assert_eq!(again.inner().audit_events(), audit_before);
-
-        let _ = std::fs::remove_dir_all(&store);
     }
 }

@@ -6,6 +6,8 @@
 //! fabric-wide cache invalidation, virtual-clock delivery, and (on the plain
 //! *and* the replicated shape, one body each) the broker's failure paths.
 
+mod common;
+
 use exacml::exacml_dsms::{Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::{DurableConfig, ReplicatedConfig, Replication};
 use exacml::exacml_plus::{rendezvous_owner, Direct};
@@ -14,8 +16,6 @@ use exacml::exacml_xacml::Decision;
 use exacml::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -294,7 +294,7 @@ fn batched_routing_survives_fault_windows_exactly_once() {
         let response = fabric.handle_request(&Request::subscribe("LTA", name), None).unwrap();
         // Subscribe through the trait: delivery is read below through the
         // unified `Subscription` enum, not the concrete fabric type.
-        let subscription = StreamBackend::subscribe(&fabric, &response.response.handle).unwrap();
+        let subscription = Backend::subscribe(&fabric, &response.response.handle).unwrap();
         subscriptions.push((i, subscription));
     }
 
@@ -398,18 +398,7 @@ trait Shape {
 /// directory is removed.
 struct Built<L: Placement> {
     fabric: Fabric<L>,
-    _root: TempRoot,
-}
-
-/// Removes a test's store directory when dropped.
-struct TempRoot(Option<PathBuf>);
-
-impl Drop for TempRoot {
-    fn drop(&mut self) {
-        if let Some(root) = &self.0 {
-            let _ = std::fs::remove_dir_all(root);
-        }
-    }
+    _root: Option<common::RemoveOnDrop>,
 }
 
 impl<L: Placement> Deref for Built<L> {
@@ -427,7 +416,7 @@ impl Shape for Plain {
     type Layer = Direct;
     const FAILS_OVER: bool = false;
     fn build(config: FabricConfig) -> Built<Direct> {
-        Built { fabric: Fabric::new(config), _root: TempRoot(None) }
+        Built { fabric: Fabric::new(config), _root: None }
     }
 }
 
@@ -435,14 +424,10 @@ impl Shape for Replicated {
     type Layer = Replication;
     const FAILS_OVER: bool = true;
     fn build(config: FabricConfig) -> Built<Replication> {
-        static STORES: AtomicUsize = AtomicUsize::new(0);
-        let n = STORES.fetch_add(1, Ordering::Relaxed);
-        let root =
-            std::env::temp_dir().join(format!("exacml-fabric-it-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let config = ReplicatedConfig::new(config.nodes, root.clone())
+        let (root, guard) = common::temp_store("fabric-it");
+        let config = ReplicatedConfig::new(config.nodes, root)
             .with_fabric(|_| config.with_server_template(DurableConfig::local()));
-        Built { fabric: Replication::create(config).unwrap(), _root: TempRoot(Some(root)) }
+        Built { fabric: Replication::create(config).unwrap(), _root: Some(guard) }
     }
 }
 
