@@ -4,9 +4,10 @@
 //! "accountability mechanisms" as the primary next challenge (Section 6).
 //! This module is a first step in that direction: an append-only, bounded
 //! in-memory audit log of every access-control decision the data server
-//! makes — grants, denials, conflicts, reuse of existing handles, and policy
-//! life-cycle events — that owners can query per subject, per stream or per
-//! policy.
+//! makes — grants, denials, conflicts, reuse of existing handles, policy
+//! life-cycle events, releases and stream registrations — that owners can
+//! query per subject, per stream or per policy. A durable server journals
+//! each event as the write-ahead record of the operation that recorded it.
 
 use std::collections::VecDeque;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -32,13 +33,15 @@ pub enum AuditEventKind {
     PolicyUpdated,
     /// A consumer (or the server) released a live access.
     AccessReleased,
+    /// An input stream was registered.
+    StreamRegistered,
 }
 
 impl AuditEventKind {
     /// Every kind, in declaration order. A journal that writes kinds by
     /// name (the durable store writes the *variant* names, e.g.
     /// `"Granted"`) can parse them back by scanning this list.
-    pub const ALL: [AuditEventKind; 9] = [
+    pub const ALL: [AuditEventKind; 10] = [
         AuditEventKind::Granted,
         AuditEventKind::Reused,
         AuditEventKind::Denied,
@@ -48,6 +51,7 @@ impl AuditEventKind {
         AuditEventKind::PolicyRemoved,
         AuditEventKind::PolicyUpdated,
         AuditEventKind::AccessReleased,
+        AuditEventKind::StreamRegistered,
     ];
 }
 
@@ -73,6 +77,7 @@ impl std::fmt::Display for AuditEventKind {
             AuditEventKind::PolicyRemoved => "policy-removed",
             AuditEventKind::PolicyUpdated => "policy-updated",
             AuditEventKind::AccessReleased => "access-released",
+            AuditEventKind::StreamRegistered => "stream-registered",
         };
         f.write_str(s)
     }
@@ -152,6 +157,17 @@ impl AuditLog {
             detail: detail.into(),
         });
         sequence
+    }
+
+    /// Take back the event `sequence` when it is still the newest one and
+    /// forget its sequence number, as if it had never been recorded (an
+    /// event evicted to make room for it stays evicted). A write-ahead
+    /// operation whose record the journal refused retracts its event.
+    pub fn retract(&mut self, sequence: u64) {
+        if self.events.back().is_some_and(|e| e.sequence == sequence) {
+            self.events.pop_back();
+            self.next_sequence = sequence;
+        }
     }
 
     /// Recovery hook: replace the log's contents with journaled events,
@@ -263,6 +279,18 @@ mod tests {
         assert_eq!(tail[0].sequence, 4);
         assert!(log.events_since(6).is_empty());
         assert!(log.events_since(999).is_empty());
+    }
+
+    #[test]
+    fn retract_takes_back_only_the_newest_event() {
+        let mut log = AuditLog::with_capacity(100);
+        let first = log.record(AuditEventKind::Granted, Some("a"), None, None, "");
+        let second = log.record(AuditEventKind::AccessReleased, Some("a"), None, None, "");
+        log.retract(first);
+        assert_eq!(log.len(), 2, "not the newest: kept");
+        log.retract(second);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.record(AuditEventKind::Denied, None, None, None, ""), second);
     }
 
     #[test]

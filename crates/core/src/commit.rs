@@ -4,13 +4,14 @@
 //! Every mutating operation of the data server — stream registration, the
 //! policy plane of Section 3.3, the Section 3.2 workflow, release and
 //! ingest — runs as one *record group* of an optional [`CommitLog`]. The
-//! group opens before the operation acts; the operation stages the
-//! [`Change`] it made; closing the group appends that record, then (for a
-//! control-plane group) the audit events the operation recorded, and
-//! flushes once. Release is the one write-ahead operation: its record is
-//! appended before the grant is withdrawn, so a release the log refuses
-//! withdraws nothing. Ingest stages its batch before the push (the push
-//! consumes the tuples) and appends it only once the push succeeded.
+//! group opens before the operation acts and closes after it. A control
+//! operation's record is its audit event: closing a control group journals
+//! each event the operation recorded, as one record each, and flushes once.
+//! Release is the one write-ahead operation: its event is journaled and
+//! flushed before the grant is withdrawn, so a release the log refuses
+//! withdraws nothing. Ingest hands its batch over before the push (the
+//! push consumes the tuples), and the batch is appended only once the push
+//! succeeded.
 //!
 //! The server holds the log's mutex from the group's opening to its close,
 //! so records reach the log in the order their operations were applied.
@@ -18,7 +19,6 @@
 //! log — every in-memory shape — skips all of this.
 
 use crate::error::ExacmlError;
-use crate::grant_table::Grant;
 use crate::server::DataServer;
 use exacml_dsms::Tuple;
 use std::any::Any;
@@ -32,44 +32,16 @@ pub enum GroupKind {
     Ingest,
 }
 
-/// One state change, as the operation that made it hands it to the log.
-/// Changes name what they touched; the log reads the applied state (a
-/// stream's schema, a policy document) from the server it is given.
-#[derive(Debug, Clone, Copy)]
-pub enum Change<'a> {
-    /// The stream of this name was registered.
-    RegisterStream(&'a str),
-    /// The policy of this id was loaded.
-    LoadPolicy(&'a str),
-    /// The policy of this id was replaced (its grants withdrawn).
-    UpdatePolicy(&'a str),
-    /// The policy of this id was removed (its grants withdrawn).
-    RemovePolicy(&'a str),
-    /// A fresh grant, exactly as the grant table records it.
-    Grant(&'a Grant),
-    /// `subject`'s grant on `stream` is about to be withdrawn.
-    Release {
-        /// The releasing subject.
-        subject: &'a str,
-        /// The released stream.
-        stream: &'a str,
-    },
-    /// A batch about to be pushed into `stream`.
-    Ingest {
-        /// The target stream.
-        stream: &'a str,
-        /// The batch.
-        tuples: &'a [Tuple],
-    },
-}
-
 /// A durability sink attached to a [`DataServer`]
 /// ([`DataServer::attach_commit_log`]). The server calls it under its own
 /// lock, in this order per operation: [`CommitLog::begin`], then
-/// [`CommitLog::stage`] for the operation's change (with
-/// [`CommitLog::append`] at once when the change is written ahead), then
+/// [`CommitLog::stage_ingest`] for an ingest batch or
+/// [`CommitLog::write_ahead`] for a write-ahead event, then
 /// [`CommitLog::finish`]. An operation that fails before `finish` leaves
-/// the group unclosed, and nothing it staged is appended.
+/// the group unclosed, and its staged batch is never appended.
+///
+/// A log reads what replay needs for an event (a stream's schema, a policy
+/// document, a grant) from the server it is given, under its own lock.
 pub trait CommitLog: Any + Send {
     /// The backend kind a server with this log reports.
     fn backend_kind(&self) -> &'static str;
@@ -78,28 +50,30 @@ pub trait CommitLog: Any + Send {
     /// once one happened.
     fn failure(&self) -> Option<String>;
 
-    /// Open a record group, dropping anything a previous unclosed group
+    /// Open a record group, dropping a batch a previous unclosed group
     /// staged.
     ///
     /// # Errors
     /// When the log has failed; the operation must not act.
     fn begin(&mut self, server: &DataServer, kind: GroupKind) -> Result<(), ExacmlError>;
 
-    /// Encode `change` as the group's pending record. Nothing is written.
+    /// Encode the ingest batch about to be pushed into `stream` as the
+    /// group's pending record. Nothing is written.
     ///
     /// # Errors
-    /// When the change cannot be encoded.
-    fn stage(&mut self, server: &DataServer, change: Change<'_>) -> Result<(), ExacmlError>;
+    /// When the batch cannot be encoded.
+    fn stage_ingest(&mut self, stream: &str, tuples: &[Tuple]) -> Result<(), ExacmlError>;
 
-    /// Append the pending record now (write-ahead).
+    /// Journal the audit events recorded since the last group and flush
+    /// them now, before the operation applies what they record.
     ///
     /// # Errors
-    /// When the write fails; the failure is sticky.
-    fn append(&mut self, server: &DataServer) -> Result<(), ExacmlError>;
+    /// When a write or the flush fails; the failure is sticky.
+    fn write_ahead(&mut self, server: &DataServer) -> Result<(), ExacmlError>;
 
-    /// Close the group: append the pending record, if any; for a control
-    /// group, append the audit events recorded since the last group and
-    /// flush once; then compact when due.
+    /// Close the group: append the staged ingest batch, if any; for a
+    /// control group, journal the audit events recorded since the last
+    /// group and flush once; then compact when due.
     ///
     /// # Errors
     /// When a write, the flush or the compaction fails; the failure is

@@ -49,7 +49,7 @@ use crate::error::ExacmlError;
 use crate::server::{DataServer, ServerConfig};
 use crate::user_query::UserQuery;
 use exacml_dsms::{Schema, StreamHandle, Tuple, TupleReceiver};
-use exacml_simnet::{Clock, FaultPlan, ManualClock, NodeId, SimLink, Topology};
+use exacml_simnet::{FaultPlan, ManualClock, NodeId, SimLink, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry, TelemetrySnapshot};
 use exacml_xacml::{Policy, Request};
 use parking_lot::Mutex;
@@ -290,7 +290,7 @@ pub trait Placement: Send + Sync {
     }
 
     /// A control-plane operation on the node just ran (whether it returned
-    /// `Ok` or `Err` — a denial journals an audit record too).
+    /// `Ok` or `Err` — a denial journals its event record too).
     fn control_committed(&self, _logical: usize) {}
 
     /// `records` ingest batches were just applied on the node.

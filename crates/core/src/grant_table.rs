@@ -131,10 +131,10 @@ impl GrantTable {
         }
     }
 
-    /// Whether `subject` holds a live grant on `stream`.
+    /// The live grant `subject` holds on `stream`, if any.
     #[must_use]
-    pub fn holds(&self, subject: &str, stream: &str) -> bool {
-        self.grants.contains_key(&Self::holder(subject, stream))
+    pub fn held(&self, subject: &str, stream: &str) -> Option<&Grant> {
+        self.grants.get(&Self::holder(subject, stream))
     }
 
     /// The live plan deployed for the core signature `key`, if any.
@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(released.handle, lta.handle);
         assert!(!last);
         assert!(table.release("LTA", "weather").is_none(), "double release is a no-op");
-        assert!(table.holds("EMA", "weather") && !table.holds("LTA", "weather"));
+        assert!(table.held("EMA", "weather").is_some() && table.held("LTA", "weather").is_none());
         assert!(table.check("LTA", "weather", "q9").unwrap().is_none(), "the slot is free");
 
         // The last rider takes the plan with it, and the key is free again

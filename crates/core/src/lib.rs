@@ -62,7 +62,7 @@ pub use backend::{
     Backend, BackendHealth, BackendResponse, NodeServer, StreamBatch, Subscription,
     TaggedAuditEvent,
 };
-pub use commit::{Change, CommitLog, GroupKind};
+pub use commit::{CommitLog, GroupKind};
 pub use error::ExacmlError;
 pub use fabric::{
     node_unavailable, rendezvous_owner, DeliveredTuple, Direct, Fabric, FabricConfig, FabricNet,

@@ -23,13 +23,13 @@
 //! authorised it (Section 3.3).
 //!
 //! Every mutating operation passes one commit point ([`crate::commit`]): a
-//! server with a [`CommitLog`] attached journals each change there, so a
-//! durable server is this server with a write-ahead log attached. Lock
-//! order: commit log → grant table → engine shard; the audit log and the
-//! delay-sampling RNG are leaf locks.
+//! server with a [`CommitLog`] attached journals each operation's audit
+//! event there, so a durable server is this server with a write-ahead log
+//! attached. Lock order: commit log → grant table → engine shard; the audit
+//! log and the delay-sampling RNG are leaf locks.
 
 use crate::audit::{AuditEventKind, AuditLog};
-use crate::commit::{Change, CommitLog, GroupKind};
+use crate::commit::{CommitLog, GroupKind};
 use crate::error::ExacmlError;
 use crate::grant_table::{Grant, GrantTable, PlanId};
 use crate::merge::{merge_graphs, MergeOptions};
@@ -149,14 +149,14 @@ struct Commit<'a> {
 }
 
 impl Commit<'_> {
-    fn stage(&mut self, change: Change<'_>) -> Result<(), ExacmlError> {
-        self.log.as_mut().map_or(Ok(()), |log| log.stage(self.server, change))
+    fn stage_ingest(&mut self, stream: &str, tuples: &[Tuple]) -> Result<(), ExacmlError> {
+        self.log.as_mut().map_or(Ok(()), |log| log.stage_ingest(stream, tuples))
     }
 
-    /// Stage and append `change` before the operation applies it.
-    fn write_ahead(&mut self, change: Change<'_>) -> Result<(), ExacmlError> {
-        self.stage(change)?;
-        self.log.as_mut().map_or(Ok(()), |log| log.append(self.server))
+    /// Journal and flush the events recorded so far, before the operation
+    /// applies them.
+    fn write_ahead(&mut self) -> Result<(), ExacmlError> {
+        self.log.as_mut().map_or(Ok(()), |log| log.write_ahead(self.server))
     }
 
     fn finish(mut self) -> Result<(), ExacmlError> {
@@ -207,18 +207,11 @@ impl DataServer {
     }
 
     /// Run one control-plane operation at the commit point: open a group,
-    /// act, stage `change` when the operation succeeded, and close the
-    /// group — a refusal closes it too, journaling its audit events.
-    fn committed<T>(
-        &self,
-        change: Change<'_>,
-        op: impl FnOnce() -> Result<T, ExacmlError>,
-    ) -> Result<T, ExacmlError> {
-        let mut commit = self.begin(GroupKind::Control)?;
+    /// act, and close the group, journaling the audit event the operation
+    /// recorded (a refusal records none).
+    fn committed<T>(&self, op: impl FnOnce() -> Result<T, ExacmlError>) -> Result<T, ExacmlError> {
+        let commit = self.begin(GroupKind::Control)?;
         let result = op();
-        if result.is_ok() {
-            commit.stage(change)?;
-        }
         commit.finish()?;
         result
     }
@@ -291,8 +284,16 @@ impl DataServer {
     /// # Errors
     /// Fails when the stream name is taken or the schema invalid.
     pub fn register_stream(&self, name: &str, schema: Schema) -> Result<(), ExacmlError> {
-        self.committed(Change::RegisterStream(name), || {
-            self.engine.register_stream(name, schema).map_err(ExacmlError::from)
+        self.committed(|| {
+            self.engine.register_stream(name, schema)?;
+            self.audit.lock().record(
+                AuditEventKind::StreamRegistered,
+                None,
+                Some(name),
+                None,
+                "registered",
+            );
+            Ok(())
         })
     }
 
@@ -310,9 +311,10 @@ impl DataServer {
 
     /// Push a batch of source tuples into a registered stream, amortizing
     /// the engine's shard lookup and locking over the whole batch. With a
-    /// commit log attached the batch is one ingest record: encoded before
-    /// the push, appended once the push succeeded (a rejected batch
-    /// journals nothing), and group-committed rather than flushed.
+    /// commit log attached the batch is one ingest record: handed over and
+    /// encoded before the push, appended once the push succeeded (a
+    /// rejected batch journals nothing), and group-committed rather than
+    /// flushed.
     ///
     /// # Errors
     /// Fails when the stream is unknown or any tuple malformed.
@@ -326,7 +328,7 @@ impl DataServer {
             return self.engine.push_batch(stream, tuples).map_err(ExacmlError::from);
         }
         let mut commit = self.begin(GroupKind::Ingest)?;
-        commit.stage(Change::Ingest { stream, tuples: &tuples })?;
+        commit.stage_ingest(stream, &tuples)?;
         let emitted = self.engine.push_batch(stream, tuples)?;
         commit.finish()?;
         Ok(emitted)
@@ -355,7 +357,7 @@ impl DataServer {
     /// Fails when the policy is invalid or its id already loaded.
     pub fn load_policy(&self, policy: Policy) -> Result<Duration, ExacmlError> {
         let policy_id = policy.id.clone();
-        self.committed(Change::LoadPolicy(&policy_id), || {
+        self.committed(|| {
             let started = Instant::now();
             // Charge the owner → server upload of the policy document.
             let document = exacml_xacml::xml::write_policy(&policy);
@@ -397,7 +399,7 @@ impl DataServer {
     /// # Errors
     /// Fails when the policy is unknown.
     pub fn remove_policy(&self, policy_id: &str) -> Result<usize, ExacmlError> {
-        self.committed(Change::RemovePolicy(policy_id), || {
+        self.committed(|| {
             self.withdraw_policy_graphs(policy_id, AuditEventKind::PolicyRemoved, || {
                 self.store.remove(policy_id).map(drop)
             })
@@ -412,7 +414,7 @@ impl DataServer {
     /// Fails when the policy is unknown or the new version invalid.
     pub fn update_policy(&self, policy: Policy) -> Result<usize, ExacmlError> {
         let policy_id = policy.id.clone();
-        self.committed(Change::UpdatePolicy(&policy_id), || {
+        self.committed(|| {
             self.withdraw_policy_graphs(&policy_id, AuditEventKind::PolicyUpdated, || {
                 self.store.update(policy)
             })
@@ -482,8 +484,8 @@ impl DataServer {
         request: &Request,
         user_query: Option<&UserQuery>,
     ) -> Result<AccessResponse, ExacmlError> {
-        let mut commit = self.begin(GroupKind::Control)?;
-        let result = self.handle_request_inner(request, user_query, None, &mut commit);
+        let commit = self.begin(GroupKind::Control)?;
+        let result = self.handle_request_inner(request, user_query, None);
         let telemetry = self.telemetry_registry();
         telemetry.incr(Metric::Requests);
         telemetry.incr(if result.is_ok() {
@@ -540,10 +542,10 @@ impl DataServer {
     /// pinning the per-grant handle to the exact URI the consumer held
     /// before the crash and the grant to its original position in grant
     /// order (`None`: after every grant recorded so far). A commit log
-    /// journals each grant's handle URI; replaying through minting
-    /// arithmetic cannot reproduce pre-crash serials once released grants
-    /// have been pruned from the journal, so the recorded URI is adopted
-    /// verbatim instead. Unjournaled and unaudited — recovery restores the
+    /// journals each grant's handle URI with its `granted` event; replaying
+    /// through minting arithmetic cannot reproduce pre-crash serials once
+    /// released grants have been pruned from the journal, so the recorded
+    /// URI is adopted verbatim instead. Unjournaled and unaudited — recovery restores the
     /// journaled audit trail afterwards via [`DataServer::restore_audit`].
     ///
     /// # Errors
@@ -556,8 +558,7 @@ impl DataServer {
         handle: &StreamHandle,
         sequence: Option<u64>,
     ) -> Result<AccessResponse, ExacmlError> {
-        let mut unjournaled = Commit { server: self, log: None };
-        self.handle_request_inner(request, user_query, Some((handle, sequence)), &mut unjournaled)
+        self.handle_request_inner(request, user_query, Some((handle, sequence)))
     }
 
     fn handle_request_inner(
@@ -565,7 +566,6 @@ impl DataServer {
         request: &Request,
         user_query: Option<&UserQuery>,
         restore: Option<(&StreamHandle, Option<u64>)>,
-        commit: &mut Commit<'_>,
     ) -> Result<AccessResponse, ExacmlError> {
         let started = Instant::now();
         let mut network = Duration::ZERO;
@@ -680,7 +680,7 @@ impl DataServer {
         let plan = grants.join_plan(plan_key, deployment);
         let pinned = restore.and_then(|(_, sequence)| sequence);
         let sequence = pinned.unwrap_or_else(|| grants.next_sequence());
-        let grant = grants.record(Grant {
+        grants.record(Grant {
             sequence,
             subject,
             stream,
@@ -692,7 +692,6 @@ impl DataServer {
             policy_id: policy_id.clone(),
             graph: outcome.graph,
         });
-        commit.stage(Change::Grant(grant))?;
 
         let total = started.elapsed() + network;
         Ok(AccessResponse {
@@ -776,33 +775,33 @@ impl DataServer {
     /// is retired immediately; the backing deployment is withdrawn only when
     /// this was its last grant. Returns `true` when something was released.
     ///
-    /// With a commit log attached the release is written ahead: its record
-    /// is appended before anything is withdrawn, and when the append fails
-    /// nothing is released and `false` is returned — a revoked access must
-    /// never come back to life on recovery because its record was lost. A
-    /// release of a pair nobody holds journals nothing.
+    /// With a commit log attached the release is written ahead: its
+    /// `access-released` event is journaled and flushed before anything is
+    /// withdrawn, and when that write fails the event is retracted, nothing
+    /// is released and `false` is returned — a revoked access must never
+    /// come back to life on recovery because its record was lost. A release
+    /// of a pair nobody holds journals nothing.
     pub fn release_access(&self, subject: &str, stream: &str) -> bool {
         let Ok(mut commit) = self.begin(GroupKind::Control) else { return false };
-        let handle = {
+        {
             let mut grants = self.grants.lock();
-            if !grants.holds(subject, stream)
-                || commit.write_ahead(Change::Release { subject, stream }).is_err()
-            {
+            let Some(held) = grants.held(subject, stream) else { return false };
+            let event = self.audit.lock().record(
+                AuditEventKind::AccessReleased,
+                Some(subject),
+                Some(stream),
+                None,
+                format!("handle {} retired", held.handle),
+            );
+            if commit.write_ahead().is_err() {
+                self.audit.lock().retract(event);
                 return false;
             }
             let (grant, last) = grants.release(subject, stream).expect("held under this lock");
             self.retire(&grant, last);
-            grant.handle
-        };
-        self.audit.lock().record(
-            AuditEventKind::AccessReleased,
-            Some(subject),
-            Some(stream),
-            None,
-            format!("handle {handle} retired"),
-        );
-        // The record was written ahead; a failure closing the group (the
-        // audit event or the flush) leaves the release applied.
+        }
+        // The event was written ahead; a failure closing the group (a due
+        // compaction) leaves the release applied.
         let _ = commit.finish();
         true
     }
@@ -888,7 +887,18 @@ impl DataServer {
     /// Whether `subject` holds a live grant on `stream`.
     #[must_use]
     pub fn holds_grant(&self, subject: &str, stream: &str) -> bool {
-        self.grants.lock().holds(subject, stream)
+        self.grants.lock().held(subject, stream).is_some()
+    }
+
+    /// Run `f` on the live grant `subject` holds on `stream`, if any — how
+    /// a commit log reads what a `granted` event's replay needs.
+    pub fn with_grant<R>(
+        &self,
+        subject: &str,
+        stream: &str,
+        f: impl FnOnce(&Grant) -> R,
+    ) -> Option<R> {
+        self.grants.lock().held(subject, stream).map(f)
     }
 }
 

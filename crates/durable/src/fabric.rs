@@ -39,7 +39,7 @@
 use crate::replication::ReplicaMirror;
 use crate::server::{DurableConfig, DurableServer};
 use exacml_plus::{node_unavailable, ExacmlError, Fabric, FabricConfig, FabricNet, Placement};
-use exacml_simnet::{Clock, NodeId};
+use exacml_simnet::NodeId;
 use exacml_telemetry::{Metric, Stage};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -465,7 +465,7 @@ impl Placement for Replication {
     }
 
     /// Ship synchronously: whatever the operation journaled — a grant, a
-    /// policy change, or just the audit record of a refusal — is on K+1
+    /// policy change, or the event record of a refusal — is on K+1
     /// disks before the broker answers. The round trip charged is for the
     /// operation's own record group.
     fn control_committed(&self, logical: usize) {

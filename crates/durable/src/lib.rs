@@ -9,8 +9,8 @@
 //! * [`wal`] — a write-ahead log of checksummed, line-framed JSON records;
 //!   torn and truncated tails are detected and cut, never replayed;
 //! * [`record`] — the record vocabulary: one record per state-mutating
-//!   operation (policy load/remove/update, stream registration, grants,
-//!   releases, audit events, and tuple ingest);
+//!   operation — a control operation's audit event with what its replay
+//!   needs (a schema, a policy document, a grant), or an ingest batch;
 //! * [`snapshot`] — compaction: the journal folds into a snapshot of the
 //!   *live* state, so recovery cost is bounded by what still matters plus
 //!   the WAL tail, not by the server's lifetime;
@@ -33,8 +33,8 @@
 //! which is what the fault-injection tests drive.
 //!
 //! `DurableServer` is a [`NodeServer`](exacml_plus::NodeServer), so the one
-//! implementation of the unified backend trait stack
-//! ([`Backend`](exacml_plus::Backend) and its three planes) covers it: it is
+//! implementation of the [`Backend`](exacml_plus::Backend) trait for every
+//! node server covers it: it is
 //! a drop-in third deployment shape next to `DataServer` and `Fabric`, and
 //! differs from `DataServer` only in the log it carries:
 //! `exacml::BackendBuilder::durable(path)` builds one, the conformance
@@ -65,8 +65,8 @@ use serde_json::Value;
 /// snapshot carries it, and [`DurableServer::recover`] refuses a store whose
 /// `meta.json` or snapshot holds any other value. The encoders that define
 /// the format live in [`record`] and [`snapshot`]; `meta.json`'s is in
-/// [`server`].
-pub const FORMAT_VERSION: u64 = 1;
+/// [`server`]. Version 2 journals one record per control operation.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Refuse a `meta.json` or snapshot document not stamped [`FORMAT_VERSION`].
 fn check_format_version(document: &Value) -> Result<(), String> {

@@ -2,11 +2,13 @@
 //! server, as a JSON payload that replays deterministically.
 //!
 //! One record is one compact JSON object with a `"seq"` (journal sequence
-//! number) and an `"op"` discriminator; the remaining fields depend on the
-//! operation. Policies and user queries are journaled in their *wire*
-//! forms — the XACML policy document and the Figure 4(a) user-query XML —
-//! so the journal depends only on formats the system already round-trips,
-//! not on Rust struct layouts. Stream schemas, grants and audit events are
+//! number) and an `"op"` discriminator. There are two kinds. A control
+//! operation is one `event` record: its audit event, plus what replay needs
+//! for that event's kind ([`Payload`]). A pushed batch is one `ingest`
+//! record. Policies and user queries are journaled in their *wire* forms —
+//! the XACML policy document and the Figure 4(a) user-query XML — so the
+//! journal depends only on formats the system already round-trips, not on
+//! Rust struct layouts. Stream schemas, grants and audit events are
 //! written by the hand encoders in this module, each next to its decoder,
 //! so renaming a Rust field never changes what a store holds; ingest rows
 //! are positional JSON scalars typed by the stream schema at replay time
@@ -55,44 +57,34 @@ impl GrantRecord {
     }
 }
 
+/// What replay needs beyond an event's own fields, chosen by its kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// Nothing: `policy-removed` and `access-released` replay from the
+    /// event's policy, subject and stream; replay skips the decision kinds.
+    None,
+    /// `stream-registered`: the stream's schema.
+    Schema(Schema),
+    /// `policy-loaded` and `policy-updated`: the XACML document.
+    Policy(String),
+    /// `granted`: the grant. Its subject and stream are the event's and
+    /// are written once, in the event; the record adds the user query, the
+    /// deployment id and the handle URI.
+    Grant(GrantRecord),
+}
+
 /// One journaled state-mutating operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// An input stream was registered.
-    RegisterStream {
-        /// The stream name.
-        name: String,
-        /// Its schema.
-        schema: Schema,
+    /// A control operation: its audit event, verbatim, so the trail
+    /// survives restarts with its original timestamps and sequence
+    /// numbers, plus what replay needs for the event's kind.
+    Event {
+        /// The event the operation recorded.
+        event: AuditEvent,
+        /// What replay needs for `event.kind`.
+        payload: Payload,
     },
-    /// A policy was loaded (journaled as its XACML document).
-    LoadPolicy {
-        /// The policy's XML wire form.
-        xml: String,
-    },
-    /// A policy was removed (its query graphs withdrawn).
-    RemovePolicy {
-        /// The removed policy id.
-        id: String,
-    },
-    /// A policy was replaced (the old version's graphs withdrawn).
-    UpdatePolicy {
-        /// The new version's XML wire form.
-        xml: String,
-    },
-    /// An access request was granted and a query graph deployed.
-    Grant(GrantRecord),
-    /// A live access was explicitly released.
-    Release {
-        /// The releasing subject.
-        subject: String,
-        /// The stream released.
-        stream: String,
-    },
-    /// An audit event, journaled verbatim so the trail survives restarts
-    /// with its original timestamps and sequence numbers (replaying the
-    /// operations would regenerate it with fresh ones).
-    Audit(AuditEvent),
     /// A batch of source tuples pushed into a stream.
     ///
     /// Rows are journaled *positionally and untagged*: each cell is a plain
@@ -113,13 +105,7 @@ impl Record {
     #[must_use]
     pub fn op(&self) -> &'static str {
         match self {
-            Record::RegisterStream { .. } => "register_stream",
-            Record::LoadPolicy { .. } => "load_policy",
-            Record::RemovePolicy { .. } => "remove_policy",
-            Record::UpdatePolicy { .. } => "update_policy",
-            Record::Grant(_) => "grant",
-            Record::Release { .. } => "release",
-            Record::Audit(_) => "audit",
+            Record::Event { .. } => "event",
             Record::Ingest { .. } => "ingest",
         }
     }
@@ -131,18 +117,19 @@ impl Record {
         ];
         let mut push = |key: &str, content: Content| entries.push((key.to_string(), content));
         match self {
-            Record::RegisterStream { name, schema } => {
-                push("name", text(name));
-                push("schema", schema_content(schema));
+            Record::Event { event, payload } => {
+                push("event", audit_event_content(event));
+                match payload {
+                    Payload::None => {}
+                    Payload::Schema(schema) => push("schema", schema_content(schema)),
+                    Payload::Policy(xml) => push("xml", text(xml)),
+                    Payload::Grant(grant) => {
+                        push("query_xml", opt_text(grant.query_xml.as_deref()));
+                        push("deployment", Content::U64(grant.deployment));
+                        push("handle", text(&grant.handle));
+                    }
+                }
             }
-            Record::LoadPolicy { xml } | Record::UpdatePolicy { xml } => push("xml", text(xml)),
-            Record::RemovePolicy { id } => push("id", text(id)),
-            Record::Grant(grant) => push("grant", grant_content(grant)),
-            Record::Release { subject, stream } => {
-                push("subject", text(subject));
-                push("stream", text(stream));
-            }
-            Record::Audit(event) => push("event", audit_event_content(event)),
             Record::Ingest { stream, rows } => {
                 push("stream", text(stream));
                 push(
@@ -610,6 +597,7 @@ fn audit_kind_name(kind: AuditEventKind) -> &'static str {
         AuditEventKind::PolicyRemoved => "PolicyRemoved",
         AuditEventKind::PolicyUpdated => "PolicyUpdated",
         AuditEventKind::AccessReleased => "AccessReleased",
+        AuditEventKind::StreamRegistered => "StreamRegistered",
     }
 }
 
@@ -644,6 +632,35 @@ pub fn decode_grant(value: &Value) -> Result<GrantRecord, String> {
     })
 }
 
+/// Decode the payload an event of `event`'s kind carries in `record`, and
+/// refuse an event without a field its replay reads.
+fn decode_payload(event: &AuditEvent, record: &Value) -> Result<Payload, String> {
+    use AuditEventKind as K;
+    let reads_subject = matches!(event.kind, K::Granted | K::AccessReleased);
+    let reads_stream = reads_subject || event.kind == K::StreamRegistered;
+    if (reads_subject && event.subject.is_none())
+        || (reads_stream && event.stream.is_none())
+        || (event.kind == K::PolicyRemoved && event.policy_id.is_none())
+    {
+        return Err(format!(
+            "'{}' event without the subject, stream or policy it replays",
+            event.kind
+        ));
+    }
+    Ok(match event.kind {
+        K::StreamRegistered => Payload::Schema(decode_schema(field(record, "schema")?)?),
+        K::PolicyLoaded | K::PolicyUpdated => Payload::Policy(str_field(record, "xml")?),
+        K::Granted => Payload::Grant(GrantRecord {
+            subject: event.subject.clone().unwrap_or_default(),
+            stream: event.stream.clone().unwrap_or_default(),
+            query_xml: opt_str_field(record, "query_xml")?,
+            deployment: u64_field(record, "deployment")?,
+            handle: str_field(record, "handle")?,
+        }),
+        _ => Payload::None,
+    })
+}
+
 /// Decode one parsed WAL payload back into its [`Record`].
 ///
 /// # Errors
@@ -651,19 +668,11 @@ pub fn decode_grant(value: &Value) -> Result<GrantRecord, String> {
 pub fn decode(value: &Value) -> Result<Record, String> {
     let op = str_field(value, "op")?;
     match op.as_str() {
-        "register_stream" => Ok(Record::RegisterStream {
-            name: str_field(value, "name")?,
-            schema: decode_schema(field(value, "schema")?)?,
-        }),
-        "load_policy" => Ok(Record::LoadPolicy { xml: str_field(value, "xml")? }),
-        "remove_policy" => Ok(Record::RemovePolicy { id: str_field(value, "id")? }),
-        "update_policy" => Ok(Record::UpdatePolicy { xml: str_field(value, "xml")? }),
-        "grant" => Ok(Record::Grant(decode_grant(field(value, "grant")?)?)),
-        "release" => Ok(Record::Release {
-            subject: str_field(value, "subject")?,
-            stream: str_field(value, "stream")?,
-        }),
-        "audit" => Ok(Record::Audit(decode_audit_event(field(value, "event")?)?)),
+        "event" => {
+            let event = decode_audit_event(field(value, "event")?)?;
+            let payload = decode_payload(&event, value)?;
+            Ok(Record::Event { event, payload })
+        }
         "ingest" => {
             let stream = str_field(value, "stream")?;
             let rows = field(value, "rows")?
@@ -695,37 +704,42 @@ mod tests {
         decode(&value).unwrap()
     }
 
+    fn event(kind: AuditEventKind, payload: Payload) -> Record {
+        let event = AuditEvent {
+            sequence: 17,
+            timestamp_ms: 1_700_000_000_123,
+            kind,
+            subject: Some("LTA".into()),
+            stream: Some("weather".into()),
+            policy_id: Some("p".into()),
+            detail: "detail".into(),
+        };
+        Record::Event { event, payload }
+    }
+
     #[test]
     fn every_record_kind_round_trips() {
+        let grant = |query_xml: Option<&str>, deployment: u64| {
+            Payload::Grant(GrantRecord {
+                subject: "LTA".into(),
+                stream: "weather".into(),
+                query_xml: query_xml.map(str::to_string),
+                deployment,
+                handle: format!("exacml://dsms/streams/{deployment}"),
+            })
+        };
         let records = [
-            Record::RegisterStream { name: "weather".into(), schema: Schema::weather_example() },
-            Record::LoadPolicy { xml: "<Policy PolicyId=\"p\"/>".into() },
-            Record::RemovePolicy { id: "p".into() },
-            Record::UpdatePolicy { xml: "<Policy PolicyId=\"p\"/>".into() },
-            Record::Grant(GrantRecord {
-                subject: "LTA".into(),
-                stream: "weather".into(),
-                query_xml: Some("<UserQuery/>".into()),
-                deployment: 4,
-                handle: "exacml://dsms/streams/4".into(),
-            }),
-            Record::Grant(GrantRecord {
-                subject: "LTA".into(),
-                stream: "weather".into(),
-                query_xml: None,
-                deployment: 5,
-                handle: "exacml://dsms/streams/5".into(),
-            }),
-            Record::Release { subject: "LTA".into(), stream: "weather".into() },
-            Record::Audit(AuditEvent {
-                sequence: 17,
-                timestamp_ms: 1_700_000_000_123,
-                kind: AuditEventKind::MultipleAccessBlocked,
-                subject: Some("LTA".into()),
-                stream: Some("weather".into()),
-                policy_id: None,
-                detail: "blocked".into(),
-            }),
+            event(AuditEventKind::StreamRegistered, Payload::Schema(Schema::weather_example())),
+            event(AuditEventKind::PolicyLoaded, Payload::Policy("<Policy PolicyId=\"p\"/>".into())),
+            event(AuditEventKind::PolicyRemoved, Payload::None),
+            event(
+                AuditEventKind::PolicyUpdated,
+                Payload::Policy("<Policy PolicyId=\"p\"/>".into()),
+            ),
+            event(AuditEventKind::Granted, grant(Some("<UserQuery/>"), 4)),
+            event(AuditEventKind::Granted, grant(None, 5)),
+            event(AuditEventKind::AccessReleased, Payload::None),
+            event(AuditEventKind::MultipleAccessBlocked, Payload::None),
             Record::Ingest {
                 stream: "weather".into(),
                 rows: vec![
@@ -842,11 +856,8 @@ mod tests {
                 policy_id: None,
                 detail: String::new(),
             };
-            let encoded = Record::Audit(event.clone()).encode(0).unwrap();
-            match decode(&serde_json::from_str(&encoded).unwrap()).unwrap() {
-                Record::Audit(decoded) => assert_eq!(decoded, event),
-                other => panic!("expected audit, got {other:?}"),
-            }
+            let encoded = serde_json::content_to_string(&audit_event_content(&event)).unwrap();
+            assert_eq!(decode_audit_event(&serde_json::from_str(&encoded).unwrap()), Ok(event));
         }
     }
 
@@ -856,11 +867,15 @@ mod tests {
             r#"{"seq":0}"#,
             r#"{"seq":0,"op":"warp"}"#,
             r#"{"seq":0,"op":"grant","grant":{"subject":"s"}}"#,
-            r#"{"seq":0,"op":"register_stream","name":"s","schema":{"fields":[{"name":"a","data_type":"Quat"}]}}"#,
+            r#"{"seq":0,"op":"event","event":{"sequence":1,"timestamp_ms":2,"kind":"StreamRegistered","subject":null,"stream":"s","policy_id":null,"detail":""},"schema":{"fields":[{"name":"a","data_type":"Quat"}]}}"#,
+            r#"{"seq":0,"op":"event","event":{"sequence":1,"timestamp_ms":2,"kind":"Granted","subject":null,"stream":"s","policy_id":null,"detail":""},"query_xml":null,"deployment":0,"handle":"h"}"#,
+            r#"{"seq":0,"op":"event","event":{"sequence":1,"timestamp_ms":2,"kind":"Granted","subject":"u","stream":"s","policy_id":null,"detail":""},"query_xml":null,"handle":"h"}"#,
+            r#"{"seq":0,"op":"event","event":{"sequence":1,"timestamp_ms":2,"kind":"PolicyRemoved","subject":null,"stream":null,"policy_id":null,"detail":""}}"#,
+            r#"{"seq":0,"op":"event","event":{"sequence":1,"timestamp_ms":2,"kind":"PolicyLoaded","subject":null,"stream":null,"policy_id":"p","detail":""}}"#,
             r#"{"seq":0,"op":"ingest","stream":"s","rows":[7]}"#,
             r#"{"seq":0,"op":"ingest","stream":"s","rows":[[[1]]]}"#,
             r#"{"seq":0,"op":"ingest","stream":"s","rows":[[{"a":1}]]}"#,
-            r#"{"seq":0,"op":"audit","event":{"sequence":1,"timestamp_ms":2,"kind":"Nope","detail":""}}"#,
+            r#"{"seq":0,"op":"event","event":{"sequence":1,"timestamp_ms":2,"kind":"Nope","detail":""}}"#,
         ] {
             let value = serde_json::from_str(bad).unwrap();
             assert!(decode(&value).is_err(), "accepted {bad}");

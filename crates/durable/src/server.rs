@@ -3,10 +3,11 @@
 //!
 //! A durable server is a [`DataServer`] with a write-ahead log attached as
 //! its [`CommitLog`]. The data server runs every operation once and hands
-//! each change to the log at its one commit point
-//! ([`exacml_plus::commit`]): policy load / remove / update, stream
-//! registration, access grants and releases, the audit trail, and tuple
-//! ingest land in the WAL ([`crate::wal`]), which is periodically folded
+//! it to the log at its one commit point ([`exacml_plus::commit`]). Each
+//! control operation — policy load / remove / update, stream registration,
+//! a request (granted or refused), a release — lands in the WAL
+//! ([`crate::wal`]) as one record, its audit event plus what replay needs;
+//! each ingest batch as one ingest record. The WAL is periodically folded
 //! into a compacted snapshot ([`crate::snapshot`]). [`DurableServer`]
 //! itself only manages the store: creating and recovering it, snapshots,
 //! its files, the failpoint, and the journal marks replication reads.
@@ -14,13 +15,13 @@
 //! revision, live handles (with the *same* URIs), single-access-guard
 //! state, routing-relevant stream registrations, and the audit trail with
 //! its original timestamps — by loading the snapshot and replaying the WAL
-//! tail through the ordinary Section 3.2/3.3 workflow, then attaching the
-//! log.
+//! tail's events, in order, through the ordinary Section 3.2/3.3 workflow,
+//! then attaching the log.
 //!
 //! # Consistency contract
 //!
 //! * A **control-plane** operation (policies, registrations, grants,
-//!   releases, audit) is durable once its call returns: the record is
+//!   refusals, releases) is durable once its call returns: its record is
 //!   framed, checksummed and flushed to the OS before the caller sees `Ok`
 //!   (fsynced too when [`DurableConfig::sync_writes`] is set).
 //! * **Data-plane** (ingest) records are group-committed: they enter the
@@ -48,15 +49,16 @@
 //! compaction seals them, which the recovery document spells out.
 
 use crate::record::{
-    decode_row, encode_ingest_into, exact_u64, object, text, GrantRecord, Record, MAX_EXACT_U64,
+    decode_row, encode_ingest_into, exact_u64, object, text, GrantRecord, Payload, Record,
+    MAX_EXACT_U64,
 };
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot, StreamEntry};
 use crate::wal::{framed_len, read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
 use crate::{check_format_version, FORMAT_VERSION};
 use exacml_dsms::{StreamHandle, Tuple};
 use exacml_plus::{
-    AuditEvent, Change, CommitLog, DataServer, ExacmlError, GroupKind, NodeServer, ServerConfig,
-    UserQuery,
+    AuditEvent, AuditEventKind, CommitLog, DataServer, ExacmlError, GroupKind, NodeServer,
+    ServerConfig, UserQuery,
 };
 use exacml_simnet::Topology;
 use exacml_telemetry::{Metric, Stage};
@@ -128,10 +130,6 @@ pub struct DurableConfig {
     /// Host name minted into stream-handle URIs. Recovery re-mints handles
     /// under the same host, which is what lets them survive verbatim.
     pub dsms_host: String,
-    /// `ServerConfig::share_plans` of the data server: overlapping
-    /// grants ride one compiled subgraph. Persisted because recovery must
-    /// rebuild the same plan topology the journal was written under.
-    pub share_plans: bool,
     /// fsync every record instead of only flushing to the OS. Survives
     /// power loss, not just process crashes; much slower.
     pub sync_writes: bool,
@@ -148,7 +146,6 @@ impl Default for DurableConfig {
             deploy_on_partial_result: false,
             seed: 42,
             dsms_host: "dsms".to_string(),
-            share_plans: true,
             sync_writes: false,
             snapshot_every: 50_000,
         }
@@ -162,7 +159,7 @@ impl DurableConfig {
         DurableConfig { topology: TopologyPreset::Local, ..DurableConfig::default() }
     }
 
-    /// The data server's configuration.
+    /// The data server's configuration (plan sharing always on).
     #[must_use]
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig {
@@ -170,7 +167,7 @@ impl DurableConfig {
             topology: self.topology.topology(),
             seed: self.seed,
             dsms_host: self.dsms_host.clone(),
-            share_plans: self.share_plans,
+            ..ServerConfig::default()
         }
     }
 }
@@ -204,15 +201,15 @@ pub struct JournalMark {
     pub seq: u64,
 }
 
-/// What one control-plane record group journaled: the records of one
-/// operation, appended under one journal lock hold, so their sequences are
-/// contiguous and end just below `end_seq`. The replicated fabric's barrier
-/// ship waits until every mirror acknowledged `end_seq` and charges its
-/// round trip for `bytes`, whichever ship carried them.
+/// What one control-plane record group journaled: the event record of one
+/// operation, appended under one journal lock hold, ending just below
+/// `end_seq`. The replicated fabric's barrier ship waits until every mirror
+/// acknowledged `end_seq` and charges its round trip for `bytes`, whichever
+/// ship carried them.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ControlGroup {
-    /// WAL bytes the group appended — its operation record and audit
-    /// events; 0 when it journaled nothing.
+    /// WAL bytes the group appended — its event record; 0 when it
+    /// journaled nothing.
     pub(crate) bytes: u64,
     /// The journal sequence after the group's last record: a mirror that
     /// acknowledged it holds the whole group.
@@ -239,11 +236,10 @@ struct Journal {
     /// since released. Recovery adopts live grants' URIs verbatim, so fresh
     /// mints must start above every serial that was ever handed out.
     next_handle_serial: u64,
-    /// The staged record's payload, reused from record to record (the hot
-    /// ingest path allocates nothing once warm).
+    /// The staged ingest record's payload, empty when none is staged,
+    /// reused from record to record (the hot ingest path allocates nothing
+    /// once warm).
     scratch: String,
-    /// Whether `scratch` holds a staged record not yet appended.
-    staged: bool,
     /// The kind of the open (or last) record group.
     kind: GroupKind,
     /// The current (or last) control-plane record group.
@@ -268,7 +264,6 @@ impl Journal {
             next_deployment_id: 0,
             next_handle_serial: 0,
             scratch: String::new(),
-            staged: false,
             kind: GroupKind::Control,
             control_group: ControlGroup::default(),
             failed: None,
@@ -314,11 +309,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Drain everything buffered to the OS in one flush — a control group's
-    /// records land together, so a process crash cannot persist half an
-    /// operation's records (e.g. a live grant with no `Granted` audit
-    /// entry). Only sound when the group started with an empty writer
-    /// buffer — see [`CommitLog::begin`].
+    /// Drain everything buffered to the OS in one flush.
     fn flush(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
         let telemetry = server.telemetry_registry();
         let started = telemetry.is_enabled().then(Instant::now);
@@ -332,17 +323,56 @@ impl Journal {
     }
 
     /// Journal every audit event the server recorded since the last pull
-    /// (including for denied requests — denials are part of the
-    /// accountable trail even though they mutate nothing else).
-    fn journal_audit(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
-        for event in server.audit_events_since(self.next_audit_seq) {
-            self.next_audit_seq = event.sequence + 1;
-            let payload = Record::Audit(event)
-                .encode(self.next_seq)
-                .map_err(|e| durability("encode audit record", e))?;
-            self.write(server, &payload)?;
+    /// as one record each, with what its replay reads from the server now
+    /// (including denials: they are part of the accountable trail even
+    /// though they mutate nothing else), and flush them. Returns without
+    /// a flush when there was nothing to journal: the group's
+    /// [`CommitLog::begin`] left the writer empty.
+    fn journal_events(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        let events = server.audit_events_since(self.next_audit_seq);
+        if events.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        for event in events {
+            self.next_audit_seq = event.sequence + 1;
+            let payload = self.payload_of(server, &event)?;
+            let record = Record::Event { event, payload }
+                .encode(self.next_seq)
+                .map_err(|e| durability("encode event record", e))?;
+            self.write(server, &record)?;
+        }
+        self.flush(server)
+    }
+
+    /// What replay needs for `event`, read from the server the event's
+    /// operation just changed; a grant also advances the id counters.
+    fn payload_of(
+        &mut self,
+        server: &DataServer,
+        event: &AuditEvent,
+    ) -> Result<Payload, ExacmlError> {
+        let unknown = || durability("journal event", format!("no state behind {event:?}"));
+        let subject = event.subject.as_deref().unwrap_or_default();
+        let stream = event.stream.as_deref().unwrap_or_default();
+        Ok(match event.kind {
+            AuditEventKind::StreamRegistered => {
+                Payload::Schema((*server.engine().stream_schema(stream)?).clone())
+            }
+            AuditEventKind::PolicyLoaded | AuditEventKind::PolicyUpdated => {
+                let policy =
+                    event.policy_id.as_deref().and_then(|id| server.policy_store().get(id));
+                Payload::Policy(write_policy(&*policy.ok_or_else(unknown)?))
+            }
+            AuditEventKind::Granted => {
+                let (grant, serial) = server
+                    .with_grant(subject, stream, |g| (GrantRecord::of(g), g.handle.serial()))
+                    .ok_or_else(unknown)?;
+                self.next_deployment_id = self.next_deployment_id.max(grant.deployment + 1);
+                self.next_handle_serial = self.next_handle_serial.max(serial.map_or(0, |s| s + 1));
+                Payload::Grant(grant)
+            }
+            _ => Payload::None,
+        })
     }
 
     /// Fold the journal into a fresh snapshot and reset the WAL. Replay
@@ -378,14 +408,6 @@ impl Journal {
     }
 }
 
-/// The journaled document of a policy the server holds.
-fn stored_policy(server: &DataServer, policy_id: &str) -> Result<String, ExacmlError> {
-    let policy = server.policy_store().get(policy_id);
-    policy
-        .map(|policy| write_policy(&policy))
-        .ok_or_else(|| durability("journal policy", format!("'{policy_id}' is not loaded")))
-}
-
 impl CommitLog for Journal {
     fn backend_kind(&self) -> &'static str {
         "durable-server"
@@ -395,13 +417,11 @@ impl CommitLog for Journal {
         self.failed.clone()
     }
 
-    /// A control group first drains any group-committed ingest backlog.
-    /// Without this, a nearly full writer buffer could auto-drain *between*
-    /// the group's records (persisting, say, a grant without its audit
-    /// event); with it, the whole group fits the empty 256 KiB buffer and
-    /// reaches the OS in the single flush [`CommitLog::finish`] performs.
+    /// A control group first drains any group-committed ingest backlog, so
+    /// a journal that can no longer flush refuses the operation before it
+    /// acts, and the group's own flush moves only its own record.
     fn begin(&mut self, server: &DataServer, kind: GroupKind) -> Result<(), ExacmlError> {
-        self.staged = false;
+        self.scratch.clear();
         self.kind = kind;
         if kind == GroupKind::Ingest {
             return self.check_health();
@@ -411,57 +431,25 @@ impl CommitLog for Journal {
         self.flush(server)
     }
 
-    fn stage(&mut self, server: &DataServer, change: Change<'_>) -> Result<(), ExacmlError> {
-        let seq = self.next_seq;
-        let record = match change {
-            Change::Ingest { stream, tuples } => {
-                encode_ingest_into(&mut self.scratch, seq, stream, tuples)
-                    .map_err(|e| durability("encode ingest record", e))?;
-                self.staged = true;
-                return Ok(());
-            }
-            Change::RegisterStream(name) => {
-                let schema = server.engine().stream_schema(name)?;
-                Record::RegisterStream { name: name.to_string(), schema: (*schema).clone() }
-            }
-            Change::LoadPolicy(id) => Record::LoadPolicy { xml: stored_policy(server, id)? },
-            Change::UpdatePolicy(id) => Record::UpdatePolicy { xml: stored_policy(server, id)? },
-            Change::RemovePolicy(id) => Record::RemovePolicy { id: id.to_string() },
-            Change::Grant(grant) => {
-                self.next_deployment_id = self.next_deployment_id.max(grant.deployment.0 + 1);
-                if let Some(serial) = grant.handle.serial() {
-                    self.next_handle_serial = self.next_handle_serial.max(serial + 1);
-                }
-                Record::Grant(GrantRecord::of(grant))
-            }
-            Change::Release { subject, stream } => {
-                Record::Release { subject: subject.to_string(), stream: stream.to_string() }
-            }
-        };
-        let payload = record
-            .encode(seq)
-            .map_err(|e| durability(&format!("encode {} record", record.op()), e))?;
-        self.scratch.clear();
-        self.scratch.push_str(&payload);
-        self.staged = true;
-        Ok(())
+    fn stage_ingest(&mut self, stream: &str, tuples: &[Tuple]) -> Result<(), ExacmlError> {
+        encode_ingest_into(&mut self.scratch, self.next_seq, stream, tuples)
+            .map_err(|e| durability("encode ingest record", e))
     }
 
-    fn append(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
-        if !std::mem::take(&mut self.staged) {
-            return Ok(());
-        }
-        let payload = std::mem::take(&mut self.scratch);
-        let written = self.write(server, &payload);
-        self.scratch = payload;
-        written
+    fn write_ahead(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
+        self.journal_events(server)
     }
 
     fn finish(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
-        self.append(server)?;
+        if !self.scratch.is_empty() {
+            let payload = std::mem::take(&mut self.scratch);
+            let written = self.write(server, &payload);
+            // Left staged until the next group's `begin` clears it.
+            self.scratch = payload;
+            written?;
+        }
         if self.kind == GroupKind::Control {
-            self.journal_audit(server)?;
-            self.flush(server)?;
+            self.journal_events(server)?;
         }
         if self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every {
             self.snapshot(server)?;
@@ -499,7 +487,6 @@ pub fn encode_meta(config: &DurableConfig) -> String {
         ("deploy_on_partial_result", Content::Bool(config.deploy_on_partial_result)),
         ("seed", Content::U64(config.seed)),
         ("dsms_host", text(&config.dsms_host)),
-        ("share_plans", Content::Bool(config.share_plans)),
         ("sync_writes", Content::Bool(config.sync_writes)),
         ("snapshot_every", Content::U64(config.snapshot_every)),
     ]);
@@ -509,42 +496,32 @@ pub fn encode_meta(config: &DurableConfig) -> String {
 /// Decode a parsed `meta.json` payload written by [`encode_meta`].
 ///
 /// # Errors
-/// Refuses what this build cannot recover before reading anything: another
-/// format version, and the keys of retired settings at any value but the
-/// one the code now fixes. Stores written while the merge rule and ingest
-/// journaling were settings carry those keys; recovering a store that ran
-/// with another value would change what its grants deliver. Otherwise
+/// Refuses another format version before reading anything. Otherwise
 /// describes the first missing or mistyped key, and refuses a seed or
 /// `snapshot_every` no `u64` up to 2^53 writes (see [`exact_u64`]).
 pub fn decode_meta(value: &Value) -> Result<DurableConfig, String> {
     check_format_version(value)?;
-    for (key, fixed) in [("map_union", false), ("simplify_filters", true), ("journal_ingest", true)]
-    {
-        if value.get(key).is_some_and(|found| found.as_bool() != Some(fixed)) {
-            return Err(format!("'{key}' is not {fixed}: this version supports no other value"));
-        }
-    }
+    let str_of = |key: &str| {
+        value.get(key).and_then(Value::as_str).ok_or_else(|| format!("missing string '{key}'"))
+    };
     let bool_of = |key: &str| {
         value.get(key).and_then(Value::as_bool).ok_or_else(|| format!("missing boolean '{key}'"))
     };
-    let u64_or = |key: &str, default: u64| {
-        let number = value.get(key).map_or(Some(default), exact_u64);
-        number.ok_or_else(|| format!("'{key}' is not a whole number in 0..=2^53"))
+    let u64_of = |key: &str| {
+        value
+            .get(key)
+            .and_then(exact_u64)
+            .ok_or_else(|| format!("'{key}' is not a whole number in 0..=2^53"))
     };
-    let topology_name =
-        value.get("topology").and_then(Value::as_str).ok_or("missing 'topology'")?;
+    let topology_name = str_of("topology")?;
     Ok(DurableConfig {
         topology: TopologyPreset::from_name(topology_name)
             .ok_or_else(|| format!("unknown topology preset '{topology_name}'"))?,
         deploy_on_partial_result: bool_of("deploy_on_partial_result")?,
-        seed: u64_or("seed", 42)?,
-        dsms_host: value.get("dsms_host").and_then(Value::as_str).unwrap_or("dsms").to_string(),
-        // Default-tolerant, and deliberately *off* for stores written
-        // before plan sharing: their journals minted one deployment per
-        // grant, and replay must reproduce those deployment ids exactly.
-        share_plans: value.get("share_plans").and_then(Value::as_bool).unwrap_or(false),
+        seed: u64_of("seed")?,
+        dsms_host: str_of("dsms_host")?.to_string(),
         sync_writes: bool_of("sync_writes")?,
-        snapshot_every: u64_or("snapshot_every", 0)?,
+        snapshot_every: u64_of("snapshot_every")?,
     })
 }
 
@@ -686,7 +663,7 @@ impl DurableServer {
             .iter()
             .flat_map(|s| s.grants.iter())
             .chain(tail.iter().filter_map(|r| match r {
-                Record::Grant(grant) => Some(grant),
+                Record::Event { payload: Payload::Grant(grant), .. } => Some(grant),
                 _ => None,
             }))
             .filter_map(|g| StreamHandle::from_uri(g.handle.clone()).serial());
@@ -712,27 +689,32 @@ impl DurableServer {
 
         for decoded in tail {
             match decoded {
-                Record::RegisterStream { name, schema } => {
-                    inner.register_stream(&name, schema)?;
+                // Each event through the call that recorded it; the decision
+                // kinds other than `granted` changed nothing and are skipped.
+                Record::Event { event, payload } => {
+                    let subject = event.subject.as_deref().unwrap_or_default();
+                    let stream = event.stream.as_deref().unwrap_or_default();
+                    match (event.kind, payload) {
+                        (_, Payload::Schema(schema)) => inner.register_stream(stream, schema)?,
+                        (AuditEventKind::PolicyUpdated, Payload::Policy(xml)) => {
+                            inner.update_policy(parse_policy(&xml)?)?;
+                        }
+                        (_, Payload::Policy(xml)) => drop(inner.load_policy(parse_policy(&xml)?)?),
+                        (_, Payload::Grant(grant)) => {
+                            Self::replay_grant(&inner, &grant, None)?;
+                            journal.next_deployment_id =
+                                journal.next_deployment_id.max(grant.deployment + 1);
+                        }
+                        (AuditEventKind::PolicyRemoved, _) => {
+                            inner.remove_policy(event.policy_id.as_deref().unwrap_or_default())?;
+                        }
+                        (AuditEventKind::AccessReleased, _) => {
+                            inner.release_access(subject, stream);
+                        }
+                        _ => {}
+                    }
+                    audit.push(event);
                 }
-                Record::LoadPolicy { xml } => {
-                    inner.load_policy(parse_policy(&xml)?)?;
-                }
-                Record::RemovePolicy { id } => {
-                    inner.remove_policy(&id)?;
-                }
-                Record::UpdatePolicy { xml } => {
-                    inner.update_policy(parse_policy(&xml)?)?;
-                }
-                Record::Grant(grant) => {
-                    Self::replay_grant(&inner, &grant, None)?;
-                    journal.next_deployment_id =
-                        journal.next_deployment_id.max(grant.deployment + 1);
-                }
-                Record::Release { subject, stream } => {
-                    inner.release_access(&subject, &stream);
-                }
-                Record::Audit(event) => audit.push(event),
                 Record::Ingest { stream, rows } => {
                     let schema = inner
                         .engine()
@@ -755,7 +737,7 @@ impl DurableServer {
 
         // The replay ran without a log attached, so it journaled nothing;
         // it did regenerate audit events with fresh timestamps, and the
-        // journaled trail is authoritative.
+        // journaled trail — the events just replayed — is authoritative.
         journal.next_audit_seq = audit.iter().map(|e| e.sequence + 1).max().unwrap_or(0);
         inner.restore_audit(audit);
         inner.engine().resume_ids_at(journal.next_deployment_id);

@@ -169,18 +169,11 @@ pub fn decode_snapshot(value: &Value) -> Result<Snapshot, String> {
         seq_of(value, "grants")?.iter().map(decode_grant).collect::<Result<Vec<_>, _>>()?;
     let audit =
         seq_of(value, "audit")?.iter().map(decode_audit_event).collect::<Result<Vec<_>, _>>()?;
-    let next_deployment_id = u64_of(value, "next_deployment_id")?;
-    // Stores written before plan sharing minted handle serials in lockstep
-    // with deployment ids, so their implied next serial is that counter.
-    let next_handle_serial = match value.get("next_handle_serial") {
-        None => next_deployment_id,
-        Some(_) => u64_of(value, "next_handle_serial")?,
-    };
     Ok(Snapshot {
         wal_horizon: u64_of(value, "wal_horizon")?,
         store_revision: u64_of(value, "store_revision")?,
-        next_deployment_id,
-        next_handle_serial,
+        next_deployment_id: u64_of(value, "next_deployment_id")?,
+        next_handle_serial: u64_of(value, "next_handle_serial")?,
         streams,
         policies,
         grants,
@@ -240,18 +233,6 @@ mod tests {
         assert_eq!(read_snapshot(&path).unwrap(), Some(snapshot));
         // No leftover temporary file.
         assert!(!path.with_extension("json.tmp").exists());
-    }
-
-    #[test]
-    fn old_snapshots_without_a_serial_counter_default_to_the_deployment_counter() {
-        // Stores written before plan sharing carry no next_handle_serial;
-        // their serials ran in lockstep with deployment ids.
-        let (path, _guard) = temp_snapshot("old");
-        let payload = r#"{"version":1,"wal_horizon":0,"store_revision":0,"next_deployment_id":9,"streams":[],"policies":[],"grants":[],"audit":[]}"#;
-        std::fs::write(&path, frame(payload)).unwrap();
-        let read = read_snapshot(&path).unwrap().unwrap();
-        assert_eq!(read.next_deployment_id, 9);
-        assert_eq!(read.next_handle_serial, 9);
     }
 
     #[test]

@@ -188,6 +188,11 @@ pub enum FailMode {
         /// Bytes of the framed record that reach the file before the tear.
         keep: usize,
     },
+    /// Appends go into the writer's buffer as usual; the first flush that
+    /// finds bytes buffered fails and loses them all, as a write-back that
+    /// hit a full disk does, and converts the failpoint to
+    /// [`FailMode::Sticky`].
+    WriteBackLost,
 }
 
 /// The decision [`WalFailpoint::intercept`] takes for one framed record.
@@ -232,14 +237,21 @@ impl WalFailpoint {
         self.armed.load(Ordering::Acquire)
     }
 
-    /// The sticky error message, when the armed mode fails *every* write
-    /// (not just the next append) — flushes must fail too.
-    fn sticky_error(&self) -> Option<String> {
+    /// The error a flush meets, if any, and whether it loses the writer's
+    /// buffer: a sticky mode fails every flush; [`FailMode::WriteBackLost`]
+    /// fails the first flush of a non-empty buffer and turns sticky.
+    fn flush_error(&self, buffered: bool) -> Option<(String, bool)> {
         if !self.is_armed() {
             return None;
         }
-        match &*self.mode.lock().expect("failpoint mode lock") {
-            Some(FailMode::Sticky { message }) => Some(message.clone()),
+        let mut guard = self.mode.lock().expect("failpoint mode lock");
+        match &*guard {
+            Some(FailMode::Sticky { message }) => Some((message.clone(), false)),
+            Some(FailMode::WriteBackLost) if buffered => {
+                let message = "no space left on device at write-back (injected)".to_string();
+                *guard = Some(FailMode::Sticky { message: message.clone() });
+                Some((message, true))
+            }
             _ => None,
         }
     }
@@ -249,27 +261,21 @@ impl WalFailpoint {
     /// to sticky).
     fn intercept(&self, line_len: usize) -> Intercept {
         let mut guard = self.mode.lock().expect("failpoint mode lock");
-        match guard.take() {
-            None => Intercept::Pass,
-            Some(FailMode::DiskFull { remaining }) => {
-                if line_len <= remaining {
-                    *guard = Some(FailMode::DiskFull { remaining: remaining - line_len });
-                    return Intercept::Pass;
-                }
-                let message = "no space left on device (injected)".to_string();
-                *guard = Some(FailMode::Sticky { message: message.clone() });
-                Intercept::WriteTorn { keep: remaining, error: message }
+        let (keep, message) = match &mut *guard {
+            None | Some(FailMode::WriteBackLost) => return Intercept::Pass,
+            Some(FailMode::DiskFull { remaining }) if line_len <= *remaining => {
+                *remaining -= line_len;
+                return Intercept::Pass;
             }
             Some(FailMode::Sticky { message }) => {
-                *guard = Some(FailMode::Sticky { message: message.clone() });
-                Intercept::Fail { error: message }
+                return Intercept::Fail { error: message.clone() }
             }
-            Some(FailMode::TornWrite { keep }) => {
-                let message = "write torn mid-append (injected)".to_string();
-                *guard = Some(FailMode::Sticky { message: message.clone() });
-                Intercept::WriteTorn { keep: keep.min(line_len), error: message }
-            }
-        }
+            Some(FailMode::DiskFull { remaining }) => (*remaining, "no space left on device"),
+            Some(FailMode::TornWrite { keep }) => ((*keep).min(line_len), "write torn mid-append"),
+        };
+        let error = format!("{message} (injected)");
+        *guard = Some(FailMode::Sticky { message: error.clone() });
+        Intercept::WriteTorn { keep, error }
     }
 }
 
@@ -366,10 +372,7 @@ impl WalWriter {
     fn append_through_failpoint(&mut self, payload: &str) -> std::io::Result<()> {
         let line = frame(payload);
         match self.failpoint.intercept(line.len()) {
-            Intercept::Pass => {
-                self.file.write_all(line.as_bytes())?;
-                Ok(())
-            }
+            Intercept::Pass => self.file.write_all(line.as_bytes()),
             Intercept::WriteTorn { keep, error } => {
                 // Drain healthy buffered records first so the torn bytes
                 // land after them, exactly as a real device would order it.
@@ -388,7 +391,17 @@ impl WalWriter {
     /// # Errors
     /// Propagates I/O errors.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(message) = self.failpoint.sticky_error() {
+        if let Some((message, lose_buffer)) =
+            self.failpoint.flush_error(!self.file.buffer().is_empty())
+        {
+            if lose_buffer {
+                // An empty buffer over the same file; `into_parts` hands the
+                // old buffer's bytes back unwritten, and they are dropped.
+                let file = self.file.get_ref().try_clone()?;
+                let empty = BufWriter::with_capacity(self.file.capacity(), file);
+                let lost = std::mem::replace(&mut self.file, empty);
+                drop(lost.into_parts());
+            }
             return Err(std::io::Error::other(message));
         }
         self.file.flush()?;
@@ -578,6 +591,22 @@ mod tests {
         assert!(!failpoint.is_armed());
         writer.append(r#"{"seq":1,"op":"b"}"#).unwrap();
         assert_eq!(read_wal(&path).unwrap().records.len(), 2);
+    }
+
+    #[test]
+    fn write_back_lost_failpoint_buffers_then_loses_the_buffer_at_flush() {
+        let (path, _guard) = temp_wal("fp-write-back");
+        let mut writer = WalWriter::open(&path, false).unwrap();
+        writer.append(r#"{"seq":0,"op":"a"}"#).unwrap();
+        writer.failpoint().arm(FailMode::WriteBackLost);
+        writer.flush().unwrap();
+        writer.append_buffered(r#"{"seq":1,"op":"b"}"#).unwrap();
+        assert!(writer.flush().is_err(), "the first flush of buffered bytes fails");
+        assert!(writer.append_buffered(r#"{"seq":2,"op":"c"}"#).is_err(), "then sticky");
+        drop(writer);
+        let contents = read_wal(&path).unwrap();
+        assert_eq!(contents.records.len(), 1, "the buffered record never reached the file");
+        assert!(contents.tail_error.is_none());
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! encoder must reproduce them byte for byte and every decoder must read
 //! them back to the values they came from: a change to either side that
 //! would alter what an existing store holds on disk fails here first. The
-//! payloads were captured from the encoders that wrote every store so far,
-//! so those stores keep recovering.
+//! payloads were captured from the encoders of format version 2, which
+//! journal one event record per control operation; `ingest_payload.json`
+//! is unchanged since version 1.
 
 use exacml_dsms::{DataType, Schema, Tuple, Value as DsmsValue};
-use exacml_durable::record::{decode, decode_row, encode_ingest, GrantRecord, Record};
+use exacml_durable::record::{decode, decode_row, encode_ingest, GrantRecord, Payload, Record};
 use exacml_durable::server::{decode_meta, encode_meta};
 use exacml_durable::snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Snapshot, StreamEntry,
@@ -58,20 +59,42 @@ fn audit(sequence: u64, kind: AuditEventKind) -> AuditEvent {
     }
 }
 
-/// One record of every op, the grant with and without a user query, and an
-/// audit record for every event kind; line `i` of the golden file is the
-/// record journaled at sequence `i`.
+/// An event record as the journal writes it for an operation of `kind`:
+/// the event with the fields that operation fills, plus its payload.
+fn event(sequence: u64, kind: AuditEventKind, payload: Payload) -> Record {
+    use AuditEventKind as K;
+    let mut event = audit(sequence, kind);
+    match kind {
+        K::StreamRegistered => event.subject = None,
+        K::PolicyLoaded | K::PolicyUpdated | K::PolicyRemoved => {
+            event.subject = None;
+            event.stream = None;
+            event.policy_id = Some("nea-weather-for-lta".into());
+        }
+        _ => {}
+    }
+    Record::Event { event, payload }
+}
+
+/// An event record of every kind, with its payload — the grant with and
+/// without a user query — and an ingest record; line `i` of the golden file
+/// is the record journaled at sequence `i`.
 fn sample_records() -> Vec<Record> {
-    let [granted, later_kinds @ ..] = AuditEventKind::ALL;
-    let mut records = vec![
-        Record::RegisterStream { name: "weather".into(), schema: Schema::weather_example() },
-        Record::LoadPolicy { xml: POLICY_XML.into() },
-        Record::UpdatePolicy { xml: POLICY_XML.into() },
-        Record::RemovePolicy { id: "nea-weather-for-lta".into() },
-        Record::Grant(grant(None, 0)),
-        Record::Audit(audit(1, granted)),
-        Record::Grant(grant(Some("<UserQuery Stream=\"weather\"/>"), 1)),
-        Record::Release { subject: "LTA".into(), stream: "weather".into() },
+    use AuditEventKind as K;
+    let policy = || Payload::Policy(POLICY_XML.into());
+    let granted = |query_xml, deployment| Payload::Grant(grant(query_xml, deployment));
+    vec![
+        event(0, K::StreamRegistered, Payload::Schema(Schema::weather_example())),
+        event(1, K::PolicyLoaded, policy()),
+        event(2, K::PolicyUpdated, policy()),
+        event(3, K::PolicyRemoved, Payload::None),
+        event(4, K::Granted, granted(None, 0)),
+        event(5, K::Granted, granted(Some("<UserQuery Stream=\"weather\"/>"), 1)),
+        event(6, K::Reused, Payload::None),
+        event(7, K::Denied, Payload::None),
+        event(8, K::Conflict, Payload::None),
+        event(9, K::MultipleAccessBlocked, Payload::None),
+        event(10, K::AccessReleased, Payload::None),
         Record::Ingest {
             stream: "weather".into(),
             rows: vec![
@@ -79,9 +102,7 @@ fn sample_records() -> Vec<Record> {
                 vec![Value::Bool(true), Value::String("a\"b\\c\n".into())],
             ],
         },
-    ];
-    records.extend((2..).zip(later_kinds).map(|(seq, kind)| Record::Audit(audit(seq, kind))));
-    records
+    ]
 }
 
 fn sample_snapshot() -> Snapshot {
@@ -116,6 +137,11 @@ fn every_record_encodes_to_its_golden_payload_and_decodes_back() {
     let records = sample_records();
     let golden: Vec<&str> = RECORDS.lines().collect();
     assert_eq!(golden.len(), records.len(), "one golden line per sample record");
+    for kind in AuditEventKind::ALL {
+        let sampled =
+            records.iter().any(|r| matches!(r, Record::Event { event, .. } if event.kind == kind));
+        assert!(sampled, "no golden record of kind {kind}");
+    }
     for ((seq, record), line) in (0..).zip(&records).zip(golden) {
         assert_eq!(record.encode(seq).unwrap(), line, "record {seq} ({})", record.op());
         assert_eq!(&decode(&parse(line)).unwrap(), record, "record {seq} ({})", record.op());

@@ -1,4 +1,4 @@
-//! Clock abstractions.
+//! The virtual clock.
 //!
 //! The fabric's virtual clock is a [`ManualClock`]: it advances only when
 //! the broker or a test moves it, so simulated time is a function of the
@@ -7,17 +7,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A monotonic clock measured in nanoseconds.
-pub trait Clock: Send + Sync {
-    /// Nanoseconds elapsed since the clock's epoch.
-    fn now_nanos(&self) -> u64;
-
-    /// Convenience view in seconds.
-    fn now_secs(&self) -> f64 {
-        self.now_nanos() as f64 / 1e9
-    }
-}
 
 /// A manually advanced clock for tests, and the fabric's virtual clock.
 ///
@@ -36,20 +25,15 @@ impl ManualClock {
         ManualClock::default()
     }
 
+    /// Nanoseconds elapsed since time zero.
+    #[must_use]
+    pub fn now_nanos(&self) -> u64 {
+        self.nanos.load(Ordering::Relaxed)
+    }
+
     /// Advance the clock.
     pub fn advance(&self, by: Duration) {
         self.nanos.fetch_add(by.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Set the absolute time in nanoseconds.
-    pub fn set_nanos(&self, nanos: u64) {
-        self.nanos.store(nanos, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_nanos(&self) -> u64 {
-        self.nanos.load(Ordering::Relaxed)
     }
 }
 
@@ -63,8 +47,7 @@ mod tests {
         assert_eq!(c.now_nanos(), 0);
         c.advance(Duration::from_millis(5));
         assert_eq!(c.now_nanos(), 5_000_000);
-        c.set_nanos(42);
-        assert_eq!(c.now_nanos(), 42);
-        assert!((c.now_secs() - 42e-9).abs() < 1e-15);
+        c.clone().advance(Duration::from_nanos(42));
+        assert_eq!(c.now_nanos(), 5_000_042, "clones share one clock");
     }
 }

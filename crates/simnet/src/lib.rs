@@ -25,7 +25,7 @@ pub mod link;
 pub mod queue;
 pub mod topology;
 
-pub use clock::{Clock, ManualClock};
+pub use clock::ManualClock;
 pub use fault::{Fault, FaultPlan, TimedFault};
 pub use link::{LatencyModel, LinkSpec};
 pub use queue::SimLink;
@@ -33,7 +33,7 @@ pub use topology::{NodeId, Topology};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::clock::{Clock, ManualClock};
+    pub use crate::clock::ManualClock;
     pub use crate::fault::{Fault, FaultPlan, TimedFault};
     pub use crate::link::{LatencyModel, LinkSpec};
     pub use crate::queue::SimLink;

@@ -141,14 +141,27 @@ pub fn escape(text: &str) -> String {
     out
 }
 
-/// Undo [`escape`].
+/// Undo [`escape`] in one left-to-right pass: each of the five entities
+/// becomes its character, and any other `&` is kept as it is. Text with no
+/// `&` is copied once. No replacement produces a `&`, so a pass cannot
+/// form a new entity; the result is the same as replacing the entities one
+/// after another with `&amp;` last.
 #[must_use]
 pub fn unescape(text: &str) -> String {
-    text.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+    const ENTITIES: [(&str, char); 5] =
+        [("&lt;", '<'), ("&gt;", '>'), ("&quot;", '"'), ("&apos;", '\''), ("&amp;", '&')];
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find('&') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        let entity = ENTITIES.iter().find(|(entity, _)| rest.starts_with(entity));
+        let (c, len) = entity.map_or(('&', 1), |(entity, c)| (*c, entity.len()));
+        out.push(c);
+        rest = &rest[len..];
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Parse an XML document into its root element.
@@ -677,6 +690,41 @@ mod tests {
     fn escape_round_trip() {
         let s = "a < b && c > 'd' \"e\"";
         assert_eq!(unescape(&escape(s)), s);
+    }
+
+    #[test]
+    fn one_pass_unescape_agrees_with_the_replace_chain() {
+        let chain = |text: &str| {
+            text.replace("&lt;", "<")
+                .replace("&gt;", ">")
+                .replace("&quot;", "\"")
+                .replace("&apos;", "'")
+                .replace("&amp;", "&")
+        };
+        let mut corpus: Vec<String> = [
+            "",
+            "plain text",
+            "&amp;lt;",
+            "&&lt;",
+            "&lt",
+            "a &lt b",
+            "trailing &",
+            "&",
+            "&nbsp;",
+            "&#60;",
+            "&amp;amp;",
+            "&quot;&apos;&gt;&lt;&amp;",
+            "&;&lt;;",
+            "größer &gt; kleiner, 雨 &amp; 風 ☂",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        corpus.push(escape("a < b && c > 'd' \"e\" &amp; &lt; 雨"));
+        corpus.push(escape(&escape("<&>")));
+        for text in &corpus {
+            assert_eq!(unescape(text), chain(text), "{text:?}");
+        }
     }
 
     fn sample_policy() -> Policy {

@@ -205,83 +205,24 @@ fn meta_numbers_round_trip_exactly_or_are_refused() {
     }
 }
 
-/// Overwrite a store's `meta.json` with one in the eleven-key format stores
-/// were written in while the merge rule and ingest journaling were settings,
-/// framed as the store frames it.
-fn write_eleven_key_meta(
-    store: &std::path::Path,
-    map_union: bool,
-    simplify_filters: bool,
-    journal_ingest: bool,
-) {
-    let payload = format!(
-        "{{\"version\":1,\"topology\":\"local\",\"deploy_on_partial_result\":false,\
-         \"seed\":42,\"dsms_host\":\"dsms\",\"map_union\":{map_union},\
-         \"simplify_filters\":{simplify_filters},\"share_plans\":true,\
-         \"journal_ingest\":{journal_ingest},\"sync_writes\":false,\"snapshot_every\":50000}}"
-    );
-    std::fs::write(store.join("meta.json"), wal::frame(&payload)).unwrap();
-}
-
-/// A store whose `meta.json` still carries `map_union`, `simplify_filters`
-/// and `journal_ingest` recovers when they hold the values the code now
-/// fixes, and is refused, naming the key, when any holds another: recovering
-/// it under the fixed values would change what its grants deliver.
-#[test]
-fn a_store_with_the_retired_meta_keys_recovers_only_at_their_fixed_values() {
-    let (store, _guard) = fresh_store("retired-keys");
-    let schema = Schema::weather_example().shared();
-    let handle_uri = {
-        let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
-        server.register_stream("weather", Schema::weather_example()).unwrap();
-        server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
-        let granted = server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
-        server
-            .push_batch("weather", (0..3).map(|i| weather_tuple(&schema, i, 10.0)).collect())
-            .unwrap();
-        granted.handle().uri().to_string()
-    };
-
-    write_eleven_key_meta(&store, false, true, true);
-    let recovered = DurableServer::recover(&store).unwrap();
-    assert_eq!(recovered.policy_count(), 1);
-    assert!(recovered.inner().handle_is_live(&StreamHandle::from_uri(handle_uri)));
-    assert_eq!(tuples_ingested(&recovered), 3);
-    drop(recovered);
-
-    for (key, map_union, simplify_filters, journal_ingest) in [
-        ("map_union", true, true, true),
-        ("simplify_filters", false, false, true),
-        ("journal_ingest", false, true, false),
-    ] {
-        write_eleven_key_meta(&store, map_union, simplify_filters, journal_ingest);
-        match DurableServer::recover(&store).err() {
-            Some(ExacmlError::Durability(detail)) => {
-                assert!(detail.contains(key), "{key}: {detail}");
-            }
-            other => panic!("{key}: expected a Durability error, got {other:?}"),
-        }
-    }
-}
-
-/// Rewrite the `"version":1` stamp of a framed single-line store file
-/// (`meta.json` or `snapshot.json`) to `"version":2`, reframed so only the
+/// Rewrite the `"version":2` stamp of a framed single-line store file
+/// (`meta.json` or `snapshot.json`) to `"version":1`, reframed so only the
 /// version check can object.
-fn stamp_version_2(file: &std::path::Path) {
+fn stamp_version_1(file: &std::path::Path) {
     let text = std::fs::read_to_string(file).unwrap();
     let payload = wal::unframe(text.trim_end_matches('\n')).unwrap();
-    assert!(payload.starts_with("{\"version\":1,"), "{payload}");
-    let stamped = payload.replacen("{\"version\":1,", "{\"version\":2,", 1);
+    assert!(payload.starts_with("{\"version\":2,"), "{payload}");
+    let stamped = payload.replacen("{\"version\":2,", "{\"version\":1,", 1);
     std::fs::write(file, wal::frame(&stamped)).unwrap();
 }
 
 /// The refusal of a store at another format version: a `Durability` error
 /// naming the file, the version found and the version supported.
-fn assert_refused_as_version_2(store: &std::path::Path, file: &str) {
+fn assert_refused_as_version_1(store: &std::path::Path, file: &str) {
     match DurableServer::recover(store).err() {
         Some(ExacmlError::Durability(detail)) => {
             assert!(detail.contains(file), "names {file}: {detail}");
-            assert!(detail.contains("format version 2"), "names the version found: {detail}");
+            assert!(detail.contains("format version 1"), "names the version found: {detail}");
             assert!(
                 detail.contains(&format!("only version {FORMAT_VERSION}")),
                 "names the version supported: {detail}"
@@ -291,25 +232,26 @@ fn assert_refused_as_version_2(store: &std::path::Path, file: &str) {
     }
 }
 
-/// A `meta.json` stamped with a format version this build does not write is
-/// refused, not recovered as if it were this build's format.
+/// A `meta.json` stamped with a format version this build does not write —
+/// here version 1, whose stores this build no longer reads — is refused,
+/// not recovered as if it were this build's format.
 #[test]
 fn a_meta_json_at_another_format_version_is_refused() {
-    let (store, _guard) = fresh_store("meta-v2");
+    let (store, _guard) = fresh_store("meta-v1");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
         server.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
     }
-    stamp_version_2(&store.join("meta.json"));
-    assert_refused_as_version_2(&store, "meta.json");
+    stamp_version_1(&store.join("meta.json"));
+    assert_refused_as_version_1(&store, "meta.json");
 }
 
-/// A snapshot stamped with a format version this build does not write is
-/// refused, even though `meta.json` is current.
+/// A snapshot stamped with a format version this build does not write
+/// (version 1) is refused, even though `meta.json` is current.
 #[test]
 fn a_snapshot_at_another_format_version_is_refused() {
-    let (store, _guard) = fresh_store("snapshot-v2");
+    let (store, _guard) = fresh_store("snapshot-v1");
     {
         let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
         server.register_stream("weather", Schema::weather_example()).unwrap();
@@ -317,8 +259,8 @@ fn a_snapshot_at_another_format_version_is_refused() {
         server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
         server.snapshot().unwrap();
     }
-    stamp_version_2(&store.join("snapshot.json"));
-    assert_refused_as_version_2(&store, "snapshot.json");
+    stamp_version_1(&store.join("snapshot.json"));
+    assert_refused_as_version_1(&store, "snapshot.json");
 }
 
 /// Recovery writes nothing, so recovering twice (or N times) yields the
@@ -612,16 +554,18 @@ fn torn_write_mid_record_is_cut_on_recovery() {
     assert!(recovered.inner().engine().catalog().contains("weather"));
 }
 
-/// Release is write-ahead: its record is appended before the grant is
-/// withdrawn. When the journal cannot take the record (a disk with less
-/// room than the record, a dead device), nothing is released: the grant
-/// stays live in memory and at its URI after recovery. A release of a pair
+/// Release is write-ahead: its record is appended and flushed before the
+/// grant is withdrawn. When the journal cannot take the record (a disk with
+/// less room than the record, a dead device, a write-back that loses the
+/// buffered record at the flush), nothing is released: the grant stays
+/// live in memory and at its URI after recovery. A release of a pair
 /// nobody holds journals nothing at all.
 #[test]
 fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
     let faults = [
         ("release-disk-full", FailMode::DiskFull { remaining: 8 }),
         ("release-sticky", FailMode::Sticky { message: "I/O error (injected)".into() }),
+        ("release-write-back-lost", FailMode::WriteBackLost),
     ];
     for (tag, fault) in faults {
         let (store, _guard) = fresh_store(tag);
@@ -632,9 +576,11 @@ fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
             let granted =
                 server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
             server.install_wal_failpoint(fault);
+            let trail = server.inner().audit_events();
             assert!(!server.release_access("LTA", "weather"), "{tag}: refused release");
             assert!(server.inner().holds_grant("LTA", "weather"), "{tag}");
             assert!(server.inner().handle_is_live(granted.handle()), "{tag}");
+            assert_eq!(server.inner().audit_events(), trail, "{tag}: no event left behind");
             granted.handle().clone()
         };
         let recovered = DurableServer::recover(&store).unwrap();
@@ -654,6 +600,53 @@ fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
     assert!(!server.release_access("LTA", "wind"));
     assert_eq!((server.journal_seq(), wal_records()), (seq, records));
     drop(server);
+}
+
+/// Every control operation journals exactly one record — its audit event
+/// with what replay needs — and no more framed bytes than its pinned bound.
+/// Counted twice: by the `wal_records` counter and by the journal
+/// sequence; sized by the flushed WAL length around each operation.
+#[test]
+fn every_control_operation_appends_exactly_one_record() {
+    let (store, _guard) = fresh_store("one-record");
+    let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+    let query = UserQuery::for_stream("weather").with_filter("rainrate > 20");
+    let reused = |subject: &str, stream: &str, query: Option<&UserQuery>| {
+        server
+            .handle_request(&Request::subscribe(subject, stream), query)
+            .map(|r| r.response.reused)
+    };
+    let operations: [(&str, u64, &dyn Fn()); 9] = [
+        ("register_stream", 561, &|| {
+            server.register_stream("weather", Schema::weather_example()).unwrap();
+        }),
+        ("load_policy", 1240, &|| {
+            server.load_policy(open_policy("p", "weather", 5.0)).unwrap();
+        }),
+        ("fresh grant", 269, &|| assert!(!reused("LTA", "weather", None).unwrap())),
+        ("grant with a user query", 406, &|| {
+            assert!(!reused("EMA", "weather", Some(&query)).unwrap());
+        }),
+        ("reuse", 201, &|| assert!(reused("LTA", "weather", None).unwrap())),
+        ("denial", 182, &|| assert!(reused("LTA", "wind", None).is_err())),
+        ("release_access", 218, &|| assert!(server.release_access("LTA", "weather"))),
+        ("update_policy", 1261, &|| {
+            assert_eq!(server.update_policy(open_policy("p", "weather", 7.0)).unwrap(), 1);
+        }),
+        ("remove_policy", 198, &|| assert_eq!(server.remove_policy("p").unwrap(), 0)),
+    ];
+    let wal_records = || server.inner().telemetry_registry().counter(Metric::WalRecords);
+    for (name, bound, operation) in operations {
+        let (before, records, seq) =
+            (server.flush_journal().unwrap(), wal_records(), server.journal_seq());
+        operation();
+        let after = server.flush_journal().unwrap();
+        assert_eq!(wal_records() - records, 1, "{name}: wal_records delta");
+        assert_eq!(server.journal_seq() - seq, 1, "{name}: journal_seq delta");
+        let bytes = after.wal_len - before.wal_len;
+        assert!(bytes <= bound, "{name}: {bytes} framed bytes, bound {bound}");
+    }
+    assert!(server.live_grants().is_empty(), "release, update and removal withdrew every grant");
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ mod common;
 use exacml::exacml_dsms::{Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::{DurableConfig, ReplicatedConfig, Replication};
 use exacml::exacml_plus::{rendezvous_owner, Direct};
-use exacml::exacml_simnet::{Clock, LinkSpec};
+use exacml::exacml_simnet::LinkSpec;
 use exacml::exacml_xacml::Decision;
 use exacml::prelude::*;
 use std::collections::{HashMap, HashSet};
