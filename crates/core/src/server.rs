@@ -831,18 +831,10 @@ impl DataServer {
             )
         };
         let dsms_started = Instant::now();
-        let deployment = {
-            if !self.engine.catalog().contains(&parsed.stream) {
-                // A concurrent direct_deploy may have registered the stream
-                // between the check and the call; losing that race is fine —
-                // the stream exists either way.
-                match self.engine.register_stream(&parsed.stream, parsed.schema.clone()) {
-                    Ok(()) | Err(exacml_dsms::DsmsError::StreamAlreadyExists(_)) => {}
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            self.engine.deploy(&parsed.graph)?
-        };
+        // Registering here would bypass the commit point (a durable server
+        // would never journal the stream), so an unknown stream is refused
+        // by `deploy` like any other.
+        let deployment = self.engine.deploy(&parsed.graph)?;
         let dsms_time = dsms_started.elapsed();
         let total = started.elapsed() + network;
         Ok((
@@ -1196,6 +1188,19 @@ mod tests {
         assert!(timing.total >= timing.dsms);
         // A malformed script is rejected.
         assert!(server.direct_deploy("garbage").is_err());
+    }
+
+    #[test]
+    fn direct_deploy_refuses_an_unregistered_stream() {
+        let server = DataServer::new(ServerConfig::local());
+        let graph = exacml_dsms::QueryGraphBuilder::on_stream("weather").build();
+        let script = streamsql::generate(&graph, &Schema::weather_example());
+        assert!(matches!(
+            server.direct_deploy(&script),
+            Err(ExacmlError::Dsms(exacml_dsms::DsmsError::UnknownStream(_)))
+        ));
+        assert!(server.engine().catalog().stream_names().is_empty());
+        assert_eq!(server.live_deployments(), 0);
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //!
 //! * filter conditions become [`CompiledPredicate`] trees whose leaves carry
 //!   the value-row index of their attribute, evaluated a whole batch at a
-//!   time ([`CompiledPredicate::select`]) over per-batch numeric column
-//!   views ([`Columns`]);
+//!   time ([`CompiledPredicate::select`]) over numeric column views
+//!   ([`Columns`]) that every predicate reading the same batch shares — on
+//!   a source batch, every deployment of the stream;
 //! * map projections become a plain `Vec<usize>` of source positions;
 //! * aggregation specs carry the source position of their input attribute.
+//!
+//! Filters move no rows. A filter stage refines a [`Selection`] over the
+//! batch it reads; maps and aggregations read the selected rows by
+//! position; a residual rider ANDs its own flags into the chain's. Flags
+//! become positions in one branch-free pass ([`compact`]), and a row is
+//! cloned only when it is delivered ([`gather`]).
 //!
 //! Compiled evaluation is semantically identical to the interpreted path
 //! (missing attributes and kind mismatches evaluate to `false`), which the
@@ -106,18 +113,26 @@ impl CompiledResidual {
         self.mask.as_ref().map(|(_, schema)| schema)
     }
 
-    /// What this rider receives of one batch of core output tuples: the
-    /// rows its predicate selects (one pass over the batch, reading the
-    /// batch's shared column cache), each cloned or projected, in order.
-    pub(crate) fn apply(&self, columns: &mut Columns<'_>) -> Vec<Tuple> {
+    /// What this rider receives of one batch of core output tuples: of the
+    /// rows `chain` selects (every row when `None`), those its predicate
+    /// also accepts, each cloned or projected, in order. The predicate reads
+    /// the batch's shared column cache; `scratch` holds its flags.
+    pub(crate) fn apply(
+        &self,
+        columns: &mut Columns<'_>,
+        chain: Option<Picked<'_>>,
+        scratch: &mut Selection,
+    ) -> Vec<Tuple> {
         let rows = columns.rows;
         let Some(predicate) = &self.predicate else {
-            return rows.iter().map(|tuple| self.project(tuple)).collect();
+            return gather(rows, chain.map(|c| c.positions), |tuple| self.project(tuple));
         };
-        let keep = predicate.select(columns);
-        let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-        out.extend(selected(rows, &keep).map(|tuple| self.project(tuple)));
-        out
+        scratch.reset();
+        scratch.filter(predicate, columns);
+        if let Some(chain) = chain {
+            scratch.intersect(chain.flags);
+        }
+        gather(rows, scratch.settle().map(|p| p.positions), |tuple| self.project(tuple))
     }
 
     /// One selected row as this rider sees it.
@@ -132,39 +147,152 @@ impl CompiledResidual {
     }
 }
 
-/// The rows of a batch that a selection keeps, in order.
-fn selected<'a>(rows: &'a [Tuple], keep: &'a [bool]) -> impl Iterator<Item = &'a Tuple> + 'a {
-    rows.iter().zip(keep).filter_map(|(tuple, &k)| k.then_some(tuple))
+/// The positions of the set flags, in order, into `positions`. Every
+/// position is written and the cursor advances by the flag, so the loop has
+/// no data-dependent branch: a half-selective predicate costs no
+/// misprediction per row (Ross, "Selection Conditions in Main Memory",
+/// TODS 2004).
+pub(crate) fn compact(keep: &[bool], positions: &mut Vec<usize>) {
+    positions.clear();
+    positions.resize(keep.len(), 0);
+    let mut m = 0;
+    for (i, &k) in keep.iter().enumerate() {
+        positions[m] = i;
+        m += usize::from(k);
+    }
+    positions.truncate(m);
+}
+
+/// The rows at `positions` (every row when `None`), each through `deliver`,
+/// in order: the one place a selection becomes owned rows. The result is
+/// what a subscriber is sent. It stays a `Vec<Tuple>` because consumers
+/// drain a `Vec<Tuple>`: a shared batch type would only move this clone
+/// from the push to the drain.
+pub(crate) fn gather(
+    rows: &[Tuple],
+    positions: Option<&[usize]>,
+    deliver: impl Fn(&Tuple) -> Tuple,
+) -> Vec<Tuple> {
+    match positions {
+        None => rows.iter().map(deliver).collect(),
+        Some(positions) => positions.iter().map(|&i| deliver(&rows[i])).collect(),
+    }
+}
+
+/// Visit the rows `selection` keeps, in order.
+fn for_each_kept(rows: &[Tuple], selection: &mut Selection, mut visit: impl FnMut(&Tuple)) {
+    match selection.settle() {
+        None => rows.iter().for_each(visit),
+        Some(picked) => picked.positions.iter().for_each(|&i| visit(&rows[i])),
+    }
+}
+
+/// Which rows of a batch a chain has kept: every row until a filter runs,
+/// then the rows whose flag every filter since has set. The buffers are
+/// kept between batches.
+#[derive(Debug, Default)]
+pub(crate) struct Selection {
+    filtered: bool,
+    flags: Vec<bool>,
+    positions: Vec<usize>,
+}
+
+/// A settled [`Selection`]: its flags and the same rows as positions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Picked<'a> {
+    pub(crate) flags: &'a [bool],
+    pub(crate) positions: &'a [usize],
+}
+
+impl Selection {
+    /// Select every row of a new batch.
+    pub(crate) fn reset(&mut self) {
+        self.filtered = false;
+    }
+
+    /// Keep only the rows `predicate` also accepts.
+    fn filter(&mut self, predicate: &CompiledPredicate, columns: &mut Columns<'_>) {
+        if self.filtered {
+            self.intersect(&predicate.select(columns));
+        } else {
+            predicate.select_into(columns, &mut self.flags);
+            self.filtered = true;
+        }
+    }
+
+    /// Keep only the rows `flags` also sets.
+    fn intersect(&mut self, flags: &[bool]) {
+        self.flags.iter_mut().zip(flags).for_each(|(k, &f)| *k &= f);
+    }
+
+    /// The kept rows as flags and positions; `None` when every row is kept.
+    pub(crate) fn settle(&mut self) -> Option<Picked<'_>> {
+        if !self.filtered {
+            return None;
+        }
+        compact(&self.flags, &mut self.positions);
+        Some(Picked { flags: &self.flags, positions: &self.positions })
+    }
 }
 
 /// One batch seen column-wise: a lazily filled `f64` view of every
 /// attribute position a predicate over the batch compares with a number
 /// (`NaN` where the value is `Text` or `Null`, which no comparison
-/// accepts). Every predicate evaluated over the same batch — a deployment's
-/// residual riders — shares one cache, so each column is read once per
-/// batch.
+/// accepts). Every predicate evaluated over the same batch shares one
+/// cache, so each column is read once per batch: on a source batch that is
+/// every filter and residual rider of every deployment on the stream.
 pub(crate) struct Columns<'a> {
     rows: &'a [Tuple],
+    /// `(attribute position, view)`: this batch's views are the first
+    /// `live`; the rest are buffers of earlier batches, filled again before
+    /// anything is allocated.
     numeric: Vec<(usize, Vec<f64>)>,
+    live: usize,
 }
+
+/// The buffers of a [`Columns`] between batches: a stream shard keeps one,
+/// so its pushes allocate no column view once it has warmed up.
+#[derive(Default)]
+pub(crate) struct ColumnBuffers(Vec<(usize, Vec<f64>)>);
 
 impl<'a> Columns<'a> {
     pub(crate) fn new(rows: &'a [Tuple]) -> Self {
-        Columns { rows, numeric: Vec::new() }
+        Columns::reusing(rows, ColumnBuffers::default())
+    }
+
+    /// A cache over `rows` that builds its views in `buffers`.
+    pub(crate) fn reusing(rows: &'a [Tuple], buffers: ColumnBuffers) -> Self {
+        Columns { rows, numeric: buffers.0, live: 0 }
+    }
+
+    /// The buffers, for the next batch.
+    pub(crate) fn into_buffers(self) -> ColumnBuffers {
+        ColumnBuffers(self.numeric)
+    }
+
+    /// The rows the views are built from.
+    pub(crate) fn rows(&self) -> &'a [Tuple] {
+        self.rows
     }
 
     /// The numeric view of the values at `index`, built on first use.
     fn numeric(&mut self, index: usize) -> &[f64] {
-        let at = match self.numeric.iter().position(|(i, _)| *i == index) {
+        let at = match self.numeric[..self.live].iter().position(|(i, _)| *i == index) {
             Some(at) => at,
             None => {
-                let column = self
-                    .rows
-                    .iter()
-                    .map(|tuple| tuple.values()[index].as_f64().unwrap_or(f64::NAN))
-                    .collect();
-                self.numeric.push((index, column));
-                self.numeric.len() - 1
+                if self.live == self.numeric.len() {
+                    self.numeric.push((index, Vec::new()));
+                }
+                let (at, column) = &mut self.numeric[self.live];
+                *at = index;
+                column.clear();
+                column.extend(
+                    self.rows
+                        .iter()
+                        .map(|tuple| tuple.values()[index].as_f64().unwrap_or(f64::NAN)),
+                );
+                self.live += 1;
+                self.live - 1
             }
         };
         &self.numeric[at].1
@@ -219,28 +347,34 @@ impl CompiledPredicate {
     /// leaves are one tight loop over the cached column; text leaves, which
     /// no numeric view can answer, fall back to `matches` row by row.
     pub(crate) fn select(&self, columns: &mut Columns<'_>) -> Vec<bool> {
+        let mut keep = Vec::new();
+        self.select_into(columns, &mut keep);
+        keep
+    }
+
+    /// [`CompiledPredicate::select`] into `keep`'s buffer: a single leaf,
+    /// or the left operand of a connective, allocates nothing.
+    fn select_into(&self, columns: &mut Columns<'_>, keep: &mut Vec<bool>) {
+        keep.clear();
         match self {
-            CompiledPredicate::Const(b) => vec![*b; columns.rows.len()],
+            CompiledPredicate::Const(b) => keep.resize(columns.rows.len(), *b),
             CompiledPredicate::Cmp { index, op, literal: Scalar::Number(n) } => {
-                select_numeric(columns.numeric(*index), *op, *n)
+                select_numeric(columns.numeric(*index), *op, *n, keep);
             }
             CompiledPredicate::Cmp { .. } => {
-                columns.rows.iter().map(|tuple| self.matches(tuple.values())).collect()
+                keep.extend(columns.rows.iter().map(|tuple| self.matches(tuple.values())));
             }
             CompiledPredicate::Not(inner) => {
-                let mut keep = inner.select(columns);
+                inner.select_into(columns, keep);
                 keep.iter_mut().for_each(|k| *k = !*k);
-                keep
             }
             CompiledPredicate::And(a, b) => {
-                let mut keep = a.select(columns);
+                a.select_into(columns, keep);
                 keep.iter_mut().zip(b.select(columns)).for_each(|(k, r)| *k &= r);
-                keep
             }
             CompiledPredicate::Or(a, b) => {
-                let mut keep = a.select(columns);
+                a.select_into(columns, keep);
                 keep.iter_mut().zip(b.select(columns)).for_each(|(k, r)| *k |= r);
-                keep
             }
         }
     }
@@ -262,14 +396,14 @@ impl CompiledPredicate {
 /// One number leaf over a column. A `NaN` on either side fails every
 /// operator, as `partial_cmp` does in [`compare_value`]; for `!=` that
 /// takes the explicit guard, since `NaN != n` is `true` in IEEE arithmetic.
-fn select_numeric(column: &[f64], op: CmpOp, n: f64) -> Vec<bool> {
+fn select_numeric(column: &[f64], op: CmpOp, n: f64, keep: &mut Vec<bool>) {
     match op {
-        CmpOp::Lt => column.iter().map(|&x| x < n).collect(),
-        CmpOp::Gt => column.iter().map(|&x| x > n).collect(),
-        CmpOp::Le => column.iter().map(|&x| x <= n).collect(),
-        CmpOp::Ge => column.iter().map(|&x| x >= n).collect(),
-        CmpOp::Eq => column.iter().map(|&x| x == n).collect(),
-        CmpOp::Ne => column.iter().map(|&x| !x.is_nan() && !n.is_nan() && x != n).collect(),
+        CmpOp::Lt => keep.extend(column.iter().map(|&x| x < n)),
+        CmpOp::Gt => keep.extend(column.iter().map(|&x| x > n)),
+        CmpOp::Le => keep.extend(column.iter().map(|&x| x <= n)),
+        CmpOp::Ge => keep.extend(column.iter().map(|&x| x >= n)),
+        CmpOp::Eq => keep.extend(column.iter().map(|&x| x == n)),
+        CmpOp::Ne => keep.extend(column.iter().map(|&x| !x.is_nan() && !n.is_nan() && x != n)),
     }
 }
 
@@ -334,29 +468,36 @@ impl CompiledStage {
         CompiledStage { op, output_schema, window }
     }
 
-    /// Run a batch of input tuples through the stage, appending derived
-    /// tuples to `out` in order. A filter evaluates its predicate once over
-    /// the whole batch ([`CompiledPredicate::select`]) and forwards the
-    /// selected tuples untouched (one reference-count bump each); a map
-    /// builds a new row by position per tuple; an aggregation feeds the
-    /// window buffer tuple by tuple and emits one tuple per closed window.
-    pub(crate) fn process_batch(&mut self, input: &[Tuple], out: &mut Vec<Tuple>) {
+    /// Run the stage over the rows of `columns` that `selection` keeps. A
+    /// filter evaluates its predicate once over the whole batch
+    /// ([`CompiledPredicate::select`]) and only refines `selection`: no row
+    /// moves, and it returns `false`. A map builds a new row by position per
+    /// selected row; an aggregation feeds the selected rows to the window
+    /// buffer one by one and emits one row per closed window. Both append
+    /// to `out` in order and return `true`: `out` is the next stage's batch.
+    pub(crate) fn process_batch(
+        &mut self,
+        columns: &mut Columns<'_>,
+        selection: &mut Selection,
+        out: &mut Vec<Tuple>,
+    ) -> bool {
+        let rows = columns.rows;
         match &self.op {
             CompiledOp::Filter(pred) => {
-                let keep = pred.select(&mut Columns::new(input));
-                out.extend(selected(input, &keep).cloned());
+                selection.filter(pred, columns);
+                return false;
             }
             CompiledOp::Map(indices) => {
-                out.extend(input.iter().map(|tuple| {
+                for_each_kept(rows, selection, |tuple| {
                     let values = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-                    Tuple::from_trusted_parts(Arc::clone(&self.output_schema), values)
-                }));
+                    out.push(Tuple::from_trusted_parts(Arc::clone(&self.output_schema), values));
+                });
             }
             CompiledOp::Aggregate { op, source_indices } => {
                 let buffer =
                     self.window.as_mut().expect("aggregate stages always carry a window buffer");
                 let output_schema = &self.output_schema;
-                for tuple in input {
+                for_each_kept(rows, selection, |tuple| {
                     buffer.push_visit(tuple.clone(), |window| {
                         let values = op
                             .specs
@@ -366,9 +507,11 @@ impl CompiledStage {
                             .collect();
                         out.push(Tuple::from_trusted_parts(Arc::clone(output_schema), values));
                     });
-                }
+                });
             }
         }
+        selection.reset();
+        true
     }
 }
 
@@ -514,6 +657,7 @@ mod tests {
     use super::*;
     use crate::value::DataType;
     use exacml_expr::{eval::eval, parse_expr};
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::from_pairs([("a", DataType::Double), ("b", DataType::Int), ("s", DataType::Text)])
@@ -524,16 +668,23 @@ mod tests {
     }
 
     impl CompiledStage {
-        /// One tuple through the stage, as a batch of one.
+        /// One tuple through the stage, as a batch of one: what a map or an
+        /// aggregation derives, or the row itself when a filter keeps it.
         fn process(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
-            self.process_batch(std::slice::from_ref(tuple), out);
+            let rows = std::slice::from_ref(tuple);
+            let mut selection = Selection::default();
+            if !self.process_batch(&mut Columns::new(rows), &mut selection, out) {
+                let kept = selection.settle().map(|p| p.positions);
+                out.extend(gather(rows, kept, Tuple::clone));
+            }
         }
     }
 
     impl CompiledResidual {
         /// What the rider receives of a batch of one.
         fn apply_one(&self, tuple: &Tuple) -> Option<Tuple> {
-            self.apply(&mut Columns::new(std::slice::from_ref(tuple))).pop()
+            let rows = std::slice::from_ref(tuple);
+            self.apply(&mut Columns::new(rows), None, &mut Selection::default()).pop()
         }
     }
 
@@ -619,12 +770,59 @@ mod tests {
                 ResidualSpec { predicate: Some(parse_expr(cond).unwrap()), projection: None };
             CompiledResidual::compile(&spec, &schema()).unwrap()
         };
-        assert_eq!(over("a > 3").apply(&mut columns), rows[4..].to_vec());
+        let mut scratch = Selection::default();
+        assert_eq!(over("a > 3").apply(&mut columns, None, &mut scratch), rows[4..].to_vec());
         assert_eq!(
-            over("a < 2 OR b = 5").apply(&mut columns),
+            over("a < 2 OR b = 5").apply(&mut columns, None, &mut scratch),
             vec![rows[0].clone(), rows[1].clone(), rows[5].clone()]
         );
-        assert_eq!(columns.numeric.len(), 2, "one cached view per column read");
+        assert_eq!(columns.live, 2, "one cached view per column read");
+    }
+
+    /// A rider of a filter chain receives the rows both the chain and its
+    /// own predicate select, read from the one cache the chain filled.
+    #[test]
+    fn a_rider_refines_the_chain_selection_over_the_shared_columns() {
+        let rows: Vec<Tuple> = (0..8).map(|i| tuple(f64::from(i), i64::from(i), "x")).collect();
+        let mut columns = Columns::new(&rows);
+        let mut filter = CompiledStage::compile(
+            &Operator::Filter(FilterOp::new(parse_expr("a >= 2").unwrap())),
+            &schema(),
+            schema().shared(),
+        );
+        let mut selection = Selection::default();
+        assert!(!filter.process_batch(&mut columns, &mut selection, &mut Vec::new()));
+        let spec = ResidualSpec {
+            predicate: Some(parse_expr("a < 6 AND b != 3").unwrap()),
+            projection: Some(vec!["b".to_string()]),
+        };
+        let rider = CompiledResidual::compile(&spec, &schema()).unwrap();
+        let got = rider.apply(&mut columns, selection.settle(), &mut Selection::default());
+        let ids: Vec<f64> = got.iter().map(|t| t.get_f64("b").unwrap()).collect();
+        assert_eq!(ids, vec![2.0, 4.0, 5.0]);
+        assert_eq!(columns.live, 2, "the rider reuses the chain's view of `a`");
+    }
+
+    #[test]
+    fn compaction_lists_the_set_flags_in_order() {
+        let reference = |keep: &[bool]| -> Vec<usize> {
+            keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| i).collect()
+        };
+        let alternating: Vec<bool> = (0..9).map(|i| i % 2 == 0).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let cases = [
+            Vec::new(),
+            vec![true; 7],
+            vec![false; 7],
+            alternating,
+            (0..256).map(|_| rng.gen_bool(0.5)).collect(),
+        ];
+        // One buffer across cases: a longer earlier result must not leak.
+        let mut positions = vec![99; 300];
+        for keep in &cases {
+            compact(keep, &mut positions);
+            assert_eq!(positions, reference(keep), "flags {keep:?}");
+        }
     }
 
     #[test]

@@ -34,15 +34,29 @@
 //! chain's output sequence depends only on its input sequence, so how a
 //! stream is cut into batches never changes what a subscriber receives.
 //!
-//! Per-tuple work is allocation-light: operator chains are compiled at
-//! deploy time (`compiled.rs`) so attribute positions are resolved
-//! once, and filter stages and per-grant residuals evaluate their predicate
-//! over the whole batch in one pass. A [`Tuple`] is a single `Arc` pointer,
-//! so fan-out to N deployments and M subscribers costs one reference-count
-//! operation per tuple a subscriber actually receives, not copies.
+//! # Filters select, they don't copy
+//!
+//! Operator chains are compiled at deploy time (`compiled.rs`), so
+//! attribute positions are resolved once. Each stream's shard keeps one
+//! column cache: the `f64` view of a column is built once per push, in
+//! buffers kept from the last push, and read by every filter and residual
+//! rider of every deployment on the stream. A filter stage moves no row: it
+//! refines a selection (a flag per row) over the batch it reads. A map or an
+//! aggregation reads the selected rows by position. A rider of a filter
+//! chain ANDs its residual's flags, read from the same source columns, into
+//! the chain's. Flags become positions in one branch-free compaction, and
+//! a row is cloned only when it is delivered: a [`Tuple`] is a single
+//! `Arc` pointer, so fan-out to N deployments and M subscribers costs one
+//! reference-count operation per tuple a subscriber actually receives.
+//!
+//! The delivered type stays `Vec<Tuple>` on purpose. Consumers drain it as
+//! a `Vec<Tuple>`, so a shared delivered-batch type would only move each
+//! clone from the push to the drain.
 
 use crate::catalog::{StreamCatalog, StreamHandle};
-use crate::compiled::{Columns, CompiledResidual, CompiledStage, ResidualSpec};
+use crate::compiled::{
+    gather, ColumnBuffers, Columns, CompiledResidual, CompiledStage, ResidualSpec, Selection,
+};
 use crate::error::DsmsError;
 use crate::graph::QueryGraph;
 use crate::schema::Schema;
@@ -147,70 +161,106 @@ struct DeploymentState {
     attached: Vec<StreamHandle>,
     subscribers: Vec<SubscriberSlot>,
     emitted: u64,
-    /// Reusable stage buffers, empty between batches: the working set
-    /// allocates nothing once the deployment has warmed up.
-    scratch_current: Vec<Tuple>,
-    scratch_next: Vec<Tuple>,
+    /// Reusable buffers, empty or stale between batches: the working set
+    /// allocates little once the deployment has warmed up. `current` holds
+    /// the rows the last map or aggregation derived, `next` receives the
+    /// following one's; `selection` is what the chain keeps of the batch
+    /// it reads, `rider` a residual rider's share of it.
+    current: Vec<Tuple>,
+    next: Vec<Tuple>,
+    selection: Selection,
+    rider: Selection,
 }
 
 impl DeploymentState {
-    /// Push a slice of source tuples through the compiled chain, one stage
-    /// at a time, deliver the derived tuples to the live subscribers, and
-    /// return how many were emitted.
+    /// Push a source batch through the compiled chain, one stage at a time,
+    /// deliver the derived tuples to the live subscribers, and return how
+    /// many were emitted.
+    ///
+    /// `source` is the batch with the column cache every deployment on the
+    /// shard shares. Leading filters select from it without moving a row;
+    /// the first map or aggregation derives rows into `current` from the
+    /// selected ones, and later stages read those. The chain's output is
+    /// therefore a batch plus a selection over it, and each rider's share
+    /// is that selection ANDed with its residual's flags — read from the
+    /// same cache as the chain's, since a filter never changes the schema.
     ///
     /// Disconnected receivers are dropped first, on every batch whether it
     /// emits or not. Each remaining subscriber is sent one `Vec` per batch,
-    /// sized to what it receives: a clone of every output when it has no
-    /// residual, otherwise the outputs its residual's predicate selects in
-    /// one pass over the batch (reading numeric column views built once per
-    /// batch and shared by all riders), cloned or projected. A delivered
-    /// tuple costs one reference-count bump (or one projected row), a
-    /// rejected one nothing beyond its predicate flag, and an empty batch no
-    /// send at all. The shared chain above runs once either way.
-    fn process_and_fan_out(&mut self, tuples: &[Tuple]) -> usize {
+    /// sized to what it receives: a delivered tuple costs one
+    /// reference-count bump (or one projected row), a rejected one nothing
+    /// beyond its flags, and an empty batch no send at all. The shared chain
+    /// above runs once either way.
+    fn process_and_fan_out(&mut self, source: &mut Columns<'_>) -> usize {
         self.subscribers.retain(|slot| !slot.tx.is_disconnected());
 
-        let (current, next) = (&mut self.scratch_current, &mut self.scratch_next);
-        // The first stage reads the caller's slice; later ones ping-pong the
-        // scratch vectors. A chain with no stage emits its input as it is.
-        let outputs: &[Tuple] = match self.stages.split_first_mut() {
-            None => tuples,
-            Some((first, rest)) => {
-                first.process_batch(tuples, current);
-                for stage in rest {
-                    if current.is_empty() {
-                        break;
-                    }
-                    stage.process_batch(current, next);
-                    current.clear();
-                    std::mem::swap(current, next);
-                }
-                current
-            }
-        };
-        let emitted = outputs.len();
-        self.emitted += emitted as u64;
-
-        let mut columns = Columns::new(outputs);
-        for slot in &self.subscribers {
-            let batch: Vec<Tuple> = match &slot.residual {
-                None => outputs.to_vec(),
-                Some(residual) => residual.apply(&mut columns),
+        let DeploymentState { stages, subscribers, current, next, selection, rider, .. } = self;
+        selection.reset();
+        let mut derived = false;
+        for stage in stages.iter_mut() {
+            let moved = if derived {
+                stage.process_batch(&mut Columns::new(current), selection, next)
+            } else {
+                stage.process_batch(source, selection, next)
             };
-            if !batch.is_empty() {
-                let _ = slot.tx.send(batch);
+            if moved {
+                std::mem::swap(current, next);
+                next.clear();
+                derived = true;
+                if current.is_empty() {
+                    break;
+                }
             }
         }
-        self.scratch_current.clear();
+
+        let emitted = if derived {
+            fan_out(subscribers, &mut Columns::new(current), selection, rider)
+        } else {
+            fan_out(subscribers, source, selection, rider)
+        };
+        self.emitted += emitted as u64;
+        current.clear();
         emitted
     }
 }
 
-/// Per-stream shard: the stream's schema plus the deployments attached to
-/// it, in deployment order.
+/// Send each subscriber its share of the rows of `columns` that `selection`
+/// keeps; returns how many rows it keeps.
+fn fan_out(
+    subscribers: &[SubscriberSlot],
+    columns: &mut Columns<'_>,
+    selection: &mut Selection,
+    rider: &mut Selection,
+) -> usize {
+    let chain = selection.settle();
+    let emitted = chain.map_or(columns.rows().len(), |picked| picked.positions.len());
+    if emitted == 0 {
+        return 0;
+    }
+    for slot in subscribers {
+        let batch: Vec<Tuple> = match &slot.residual {
+            None => gather(columns.rows(), chain.map(|p| p.positions), Tuple::clone),
+            Some(residual) => residual.apply(columns, chain, rider),
+        };
+        if !batch.is_empty() {
+            let _ = slot.tx.send(batch);
+        }
+    }
+    emitted
+}
+
+/// Per-stream shard: the stream's schema plus what its lock guards.
 struct Shard {
     schema: Arc<Schema>,
-    deployments: Mutex<Vec<DeploymentState>>,
+    state: Mutex<ShardState>,
+}
+
+/// The deployments attached to a stream, in deployment order, and the
+/// buffers of the column cache they share on every push.
+#[derive(Default)]
+struct ShardState {
+    deployments: Vec<DeploymentState>,
+    columns: ColumnBuffers,
 }
 
 /// What one live handle resolves to: the deployment behind it plus the
@@ -285,10 +335,9 @@ impl StreamEngine {
     /// Fails when the name is taken or the schema invalid.
     pub fn register_stream(&self, name: &str, schema: Schema) -> Result<(), DsmsError> {
         let shared = self.catalog.register(name, schema)?;
-        self.shards.write().insert(
-            name.to_string(),
-            Arc::new(Shard { schema: shared, deployments: Mutex::new(Vec::new()) }),
-        );
+        self.shards
+            .write()
+            .insert(name.to_string(), Arc::new(Shard { schema: shared, state: Mutex::default() }));
         Ok(())
     }
 
@@ -343,12 +392,14 @@ impl StreamEngine {
             attached: Vec::new(),
             subscribers: Vec::new(),
             emitted: 0,
-            scratch_current: Vec::new(),
-            scratch_next: Vec::new(),
+            current: Vec::new(),
+            next: Vec::new(),
+            selection: Selection::default(),
+            rider: Selection::default(),
         };
         self.routes.write().insert(id, graph.stream.clone());
         self.by_handle.write().insert(output_handle.clone(), HandleEntry { id, residual: None });
-        shard.deployments.lock().push(state);
+        shard.state.lock().deployments.push(state);
 
         Ok(Deployment { id, output_handle, output_schema })
     }
@@ -367,7 +418,8 @@ impl StreamEngine {
             .ok_or_else(|| DsmsError::UnknownHandle(format!("{id}")))?;
         let shard = self.shard(&stream)?;
         let state = {
-            let mut deployments = shard.deployments.lock();
+            let mut guard = shard.state.lock();
+            let deployments = &mut guard.deployments;
             let index = deployments
                 .iter()
                 .position(|d| d.id == id)
@@ -447,7 +499,8 @@ impl StreamEngine {
         let unknown = || DsmsError::UnknownHandle(format!("{id}"));
         let stream = self.routes.read().get(&id).cloned().ok_or_else(unknown)?;
         let shard = self.shard(&stream)?;
-        let mut deployments = shard.deployments.lock();
+        let mut guard = shard.state.lock();
+        let deployments = &mut guard.deployments;
         let state = deployments.iter_mut().find(|d| d.id == id).ok_or_else(unknown)?;
         let compiled = match residual {
             Some(spec) if !spec.is_passthrough() => {
@@ -482,7 +535,8 @@ impl StreamEngine {
         let id = self.by_handle.read().get(handle).map(|entry| entry.id).ok_or_else(unknown)?;
         let stream = self.routes.read().get(&id).cloned().ok_or_else(unknown)?;
         let shard = self.shard(&stream)?;
-        let mut deployments = shard.deployments.lock();
+        let mut guard = shard.state.lock();
+        let deployments = &mut guard.deployments;
         let state = deployments.iter_mut().find(|d| d.id == id).ok_or_else(unknown)?;
         let index = state.attached.iter().position(|h| h == handle).ok_or_else(|| {
             DsmsError::UnknownHandle(format!("{} is a primary handle", handle.uri()))
@@ -509,7 +563,8 @@ impl StreamEngine {
         };
         let stream = self.routes.read().get(&id).cloned().ok_or_else(unknown)?;
         let shard = self.shard(&stream)?;
-        let mut deployments = shard.deployments.lock();
+        let mut guard = shard.state.lock();
+        let deployments = &mut guard.deployments;
         let state = deployments.iter_mut().find(|d| d.id == id).ok_or_else(unknown)?;
         let (tx, batches) = unbounded();
         state.subscribers.push(SubscriberSlot { handle: handle.clone(), tx, residual });
@@ -533,7 +588,8 @@ impl StreamEngine {
         }
         let stream = self.routes.read().get(&id).cloned().ok_or_else(unknown)?;
         let shard = self.shard(&stream)?;
-        let deployments = shard.deployments.lock();
+        let guard = shard.state.lock();
+        let deployments = &guard.deployments;
         let state = deployments.iter().find(|d| d.id == id).ok_or_else(unknown)?;
         Ok(Arc::clone(&state.output_schema))
     }
@@ -555,18 +611,21 @@ impl StreamEngine {
         })
     }
 
-    /// Run a slice of tuples through every deployment of a locked shard;
-    /// returns the number of derived tuples emitted.
-    fn process_locked(&self, deployments: &mut [DeploymentState], tuples: &[Tuple]) -> usize {
+    /// Run a slice of tuples through every deployment of a locked shard,
+    /// over one column cache they all read; returns the number of derived
+    /// tuples emitted.
+    fn process_locked(&self, shard: &mut ShardState, tuples: &[Tuple]) -> usize {
         // Telemetry is batch-grained on purpose: three sharded-counter adds
         // and, when stage recording is on, one wall-clock read pair per
         // ingest call, not per tuple — instrumentation costs the hot path
         // next to nothing.
         let started = self.telemetry.is_enabled().then(Instant::now);
         let mut emitted = 0usize;
-        for state in deployments {
-            emitted += state.process_and_fan_out(tuples);
+        let mut columns = Columns::reusing(tuples, std::mem::take(&mut shard.columns));
+        for state in &mut shard.deployments {
+            emitted += state.process_and_fan_out(&mut columns);
         }
+        shard.columns = columns.into_buffers();
         self.telemetry.incr(Metric::BatchesIngested);
         self.telemetry.add(Metric::TuplesIngested, tuples.len() as u64);
         self.telemetry.add(Metric::TuplesDelivered, emitted as u64);
@@ -590,8 +649,8 @@ impl StreamEngine {
     pub fn push(&self, stream: &str, tuple: Tuple) -> Result<usize, DsmsError> {
         let shard = self.shard(stream)?;
         Self::check_schema(&shard, stream, &tuple)?;
-        let mut deployments = shard.deployments.lock();
-        Ok(self.process_locked(&mut deployments, std::slice::from_ref(&tuple)))
+        let emitted = self.process_locked(&mut shard.state.lock(), std::slice::from_ref(&tuple));
+        Ok(emitted)
     }
 
     /// Push a batch of source tuples into a registered stream, resolving the
@@ -622,8 +681,8 @@ impl StreamEngine {
         if batch.is_empty() {
             return Ok(0);
         }
-        let mut deployments = shard.deployments.lock();
-        Ok(self.process_locked(&mut deployments, &batch))
+        let emitted = self.process_locked(&mut shard.state.lock(), &batch);
+        Ok(emitted)
     }
 
     /// Recovery hook: resume deployment-id minting at `next`, and advance
@@ -660,7 +719,7 @@ impl StreamEngine {
     /// Number of live deployments attached to one input stream.
     #[must_use]
     pub fn deployments_on(&self, stream: &str) -> usize {
-        self.shards.read().get(stream).map_or(0, |s| s.deployments.lock().len())
+        self.shards.read().get(stream).map_or(0, |s| s.state.lock().deployments.len())
     }
 
     /// Total derived tuples emitted by one deployment so far.
@@ -668,7 +727,8 @@ impl StreamEngine {
     pub fn emitted_by(&self, id: DeploymentId) -> Option<u64> {
         let stream = self.routes.read().get(&id).cloned()?;
         let shard = self.shards.read().get(&stream).cloned()?;
-        let deployments = shard.deployments.lock();
+        let guard = shard.state.lock();
+        let deployments = &guard.deployments;
         deployments.iter().find(|d| d.id == id).map(|d| d.emitted)
     }
 
@@ -682,7 +742,8 @@ impl StreamEngine {
     #[cfg(test)]
     fn subscriber_slots(&self, id: DeploymentId) -> usize {
         let shard = self.shard(&self.stream_of(id).expect("live deployment")).expect("shard");
-        let deployments = shard.deployments.lock();
+        let guard = shard.state.lock();
+        let deployments = &guard.deployments;
         deployments.iter().find(|d| d.id == id).expect("live deployment").subscribers.len()
     }
 }

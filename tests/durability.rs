@@ -293,6 +293,29 @@ fn double_recovery_is_idempotent() {
     assert_eq!(second.inner().policy_store().revision(), first_state.4);
 }
 
+/// The direct-query baseline cannot register a stream behind the journal's
+/// back: a script over an unknown stream is refused, the catalog is left as
+/// it was, and recovery restores exactly that catalog.
+#[test]
+fn direct_deploy_on_an_unknown_stream_changes_no_catalog() {
+    let (store, _guard) = fresh_store("direct-deploy");
+    let unknown = exacml::exacml_dsms::QueryGraphBuilder::on_stream("traffic").build();
+    let script = exacml::exacml_dsms::streamsql::generate(&unknown, &Schema::weather_example());
+    let before = {
+        let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+        server.register_stream("weather", Schema::weather_example()).unwrap();
+        let before = server.engine().catalog().stream_names();
+        assert!(matches!(
+            server.direct_deploy(&script),
+            Err(ExacmlError::Dsms(exacml::exacml_dsms::DsmsError::UnknownStream(_)))
+        ));
+        assert_eq!(server.engine().catalog().stream_names(), before);
+        before
+    };
+    let recovered = DurableServer::recover(&store).unwrap();
+    assert_eq!(recovered.engine().catalog().stream_names(), before);
+}
+
 /// An open (subject-less) policy: any subject may subscribe, so multiple
 /// users land on the same merged graph and share one compiled plan.
 fn open_policy(id: &str, stream: &str, threshold: f64) -> Policy {

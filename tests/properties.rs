@@ -10,7 +10,8 @@
 //! * the Section 3.4 reconstruction always succeeds against unconstrained
 //!   multi-window access (which is why the guard exists);
 //! * filters and residuals evaluated a batch at a time deliver exactly the
-//!   rows the row-at-a-time interpreter accepts;
+//!   rows the row-at-a-time interpreter accepts, and deployments sharing a
+//!   stream's column cache deliver what each delivers alone;
 //! * a FIFO simulated link drains exactly what a priority queue over its
 //!   arrivals would.
 
@@ -583,6 +584,126 @@ mod batch_predicate_equivalence {
                 shown(via_residual.take_all()), expected,
                 "residual `{}` over {:?}", condition, (ka, kb, kc)
             );
+        }
+    }
+
+    /// A condition that may also compare a column with a text literal,
+    /// which no numeric column view answers.
+    fn arb_condition() -> impl Strategy<Value = Expr> {
+        let text_leaf =
+            (prop_oneof![Just("a"), Just("c")], arb_cmp_op(), prop_oneof![Just("x"), Just("7")])
+                .prop_map(|(attr, op, text)| Expr::Simple(SimpleExpr::new(attr, op, text)));
+        (0u8..4, arb_expr(), text_leaf).prop_map(|(k, e, t)| match k {
+            0 => Expr::Or(Box::new(e), Box::new(t)),
+            _ => e,
+        })
+    }
+
+    /// One deployment: leading filters, then nothing, a map or a tuple
+    /// window, and its residual riders — each an optional condition and a
+    /// projection mask over the deployment's output attributes (0: none).
+    #[derive(Debug, Clone)]
+    struct PlanSpec {
+        filters: Vec<Expr>,
+        tail: u8,
+        riders: Vec<(Option<Expr>, u8)>,
+    }
+
+    fn arb_plan() -> impl Strategy<Value = PlanSpec> {
+        (
+            proptest::collection::vec(arb_condition(), 0..3),
+            0u8..3,
+            proptest::collection::vec(
+                (0u8..3, arb_condition(), 0u8..8).prop_map(|(k, e, m)| ((k != 0).then_some(e), m)),
+                0..4,
+            ),
+        )
+            .prop_map(|(filters, tail, riders)| PlanSpec { filters, tail, riders })
+    }
+
+    /// Deploy `plan` on `engine`'s stream `s`; the receivers of its primary
+    /// handle and of each rider, in that order.
+    fn deploy(engine: &StreamEngine, plan: &PlanSpec) -> Vec<exacml_dsms::TupleReceiver> {
+        let mut graph = QueryGraphBuilder::on_stream("s");
+        for condition in &plan.filters {
+            graph = graph.filter(FilterOp::new(condition.clone()));
+        }
+        graph = match plan.tail {
+            0 => graph,
+            1 => graph.map(["c", "a"]),
+            _ => graph.aggregate(
+                WindowSpec::tuples(3, 2),
+                vec![AggSpec::new("a", AggFunc::Count), AggSpec::new("c", AggFunc::LastValue)],
+            ),
+        };
+        let deployment = engine.deploy(&graph.build()).unwrap();
+        let attrs = deployment.output_schema.field_names();
+        let mut receivers = vec![engine.subscribe(&deployment.output_handle).unwrap()];
+        for (predicate, mask) in &plan.riders {
+            let projection = (*mask != 0).then(|| {
+                let picked = attrs.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0);
+                picked.rev().map(|(_, attr)| attr.to_string()).collect::<Vec<_>>()
+            });
+            let projection = projection.filter(|p| !p.is_empty());
+            let residual = ResidualSpec { predicate: predicate.clone(), projection };
+            let rider = engine.attach_handle(deployment.id, Some(&residual)).unwrap();
+            receivers.push(engine.subscribe(&rider).unwrap());
+        }
+        receivers
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every deployment on a stream reads one column cache per push and
+        /// every rider refines its chain's selection; none of that may leak
+        /// between deployments. Each subscriber of several deployments that
+        /// share a stream receives exactly what it receives when its
+        /// deployment is alone on the stream, however the rows are cut.
+        #[test]
+        fn shared_column_cache_delivers_what_each_deployment_alone_does(
+            kinds in (0usize..4, 0usize..4, 0usize..4),
+            plans in proptest::collection::vec(arb_plan(), 2..5),
+            rows in proptest::collection::vec((0u32..24, 0u32..24, 0u32..24), 0..48),
+            cuts in proptest::collection::vec(1usize..12, 1..8),
+        ) {
+            let (ka, kb, kc) = (KINDS[kinds.0], KINDS[kinds.1], KINDS[kinds.2]);
+            let schema = Schema::from_pairs([("a", ka), ("b", kb), ("c", kc)]);
+            let shared = schema.clone().shared();
+            let tuples: Vec<Tuple> = rows
+                .iter()
+                .map(|&(a, b, c)| {
+                    Tuple::new(Arc::clone(&shared), vec![cell(ka, a), cell(kb, b), cell(kc, c)])
+                        .unwrap()
+                })
+                .collect();
+            let shown = |rows: Vec<Tuple>| rows.iter().map(Tuple::to_string).collect::<Vec<_>>();
+
+            let together = StreamEngine::new();
+            together.register_stream("s", schema.clone()).unwrap();
+            let receivers: Vec<_> = plans.iter().map(|plan| deploy(&together, plan)).collect();
+            let mut rest = tuples.as_slice();
+            for &size in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(size.min(rest.len()));
+                together.push_batch("s", batch.to_vec()).unwrap();
+                rest = tail;
+            }
+
+            for (plan, receivers) in plans.iter().zip(&receivers) {
+                let alone = StreamEngine::new();
+                alone.register_stream("s", schema.clone()).unwrap();
+                let expected = deploy(&alone, plan);
+                alone.push_batch("s", tuples.clone()).unwrap();
+                for (i, (got, want)) in receivers.iter().zip(&expected).enumerate() {
+                    prop_assert_eq!(
+                        shown(got.take_all()), shown(want.take_all()),
+                        "subscriber {} of {:?} over {:?}", i, plan, (ka, kb, kc)
+                    );
+                }
+            }
         }
     }
 }
