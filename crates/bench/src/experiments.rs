@@ -2,15 +2,21 @@
 //!
 //! Each experiment builds a fresh deployment (data server behind the proxy,
 //! over the simulated 100 Mbps testbed), loads the workload policies, replays
-//! a request sequence and records the per-request timing decomposition.
+//! a request sequence and records the per-request timing decomposition. The
+//! direct-query baseline deploys its scripts on a bare DSMS instead: it has
+//! no access control, so it has no data server either.
 
+use exacml_dsms::{streamsql, StreamEngine, StreamHandle};
 use exacml_durable::TopologyPreset;
-use exacml_plus::{DataServer, Proxy, ServerConfig, TimingBreakdown};
+use exacml_plus::{DataServer, ExacmlError, Proxy, RequestTiming, ServerConfig, TimingBreakdown};
+use exacml_simnet::{NodeId, Topology};
 use exacml_workload::{ContinuousQuery, RequestSequence, WorkloadGenerator, WorkloadSpec};
 use exacml_xacml::Request;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fully wired deployment plus the workload corpus.
 pub struct Environment {
@@ -51,16 +57,51 @@ pub fn build_environment(spec: &WorkloadSpec, cache: bool) -> Environment {
     Environment { server, proxy, queries, generator }
 }
 
-/// Replay the direct-query baseline: each StreamSQL script is sent straight
-/// to the DSMS.
+/// Deploy a raw StreamSQL script straight on `engine`, bypassing access
+/// control — the *direct-query* baseline of the evaluation (Section 4.2).
+/// The client → DSMS hop is charged on `topology` with delays drawn from
+/// `rng`. Returns the handle and the timing (DSMS + network only).
+///
+/// # Errors
+/// Fails when the script does not parse or references an unknown stream
+/// (the input stream must already be registered; its `CREATE INPUT
+/// STREAM` declaration is used only for validation).
+pub fn direct_deploy(
+    engine: &StreamEngine,
+    topology: &Topology,
+    rng: &mut StdRng,
+    script: &str,
+) -> Result<(StreamHandle, RequestTiming), ExacmlError> {
+    let started = Instant::now();
+    let parsed = streamsql::parse(script)?;
+    let network = topology.round_trip(NodeId::Client, NodeId::Dsms, script.len(), 96, rng);
+    let dsms_started = Instant::now();
+    let deployment = engine.deploy(&parsed.graph)?;
+    let dsms = dsms_started.elapsed();
+    let total = started.elapsed() + network;
+    Ok((
+        deployment.output_handle,
+        RequestTiming { dsms, network, total, ..RequestTiming::default() },
+    ))
+}
+
+/// Replay the direct-query baseline: each StreamSQL script is deployed
+/// straight on a bare DSMS holding the workload's streams, over the paper
+/// testbed's links, with delays drawn from a generator seeded with `seed`
+/// (as a data server's are).
 #[must_use]
-pub fn run_direct_queries(env: &Environment, scripts: &[String]) -> TimingBreakdown {
+pub fn run_direct_queries(seed: u64, scripts: &[String]) -> TimingBreakdown {
+    let engine = StreamEngine::new();
+    for (name, schema) in WorkloadGenerator::streams() {
+        engine.register_stream(name, schema).expect("stream registration");
+    }
+    let topology = TopologyPreset::PaperTestbed.topology();
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut breakdown = TimingBreakdown::new();
     for script in scripts {
-        match env.server.direct_deploy(script) {
-            Ok((_handle, timing)) => breakdown.record(&timing),
-            Err(e) => panic!("direct query failed: {e}"),
-        }
+        let (_handle, timing) = direct_deploy(&engine, &topology, &mut rng, script)
+            .unwrap_or_else(|e| panic!("direct query failed: {e}"));
+        breakdown.record(&timing);
     }
     breakdown
 }
@@ -97,11 +138,7 @@ pub struct Fig6Result {
 pub fn fig6a(spec: &WorkloadSpec, cdf_points: usize) -> Fig6Result {
     let env = build_environment(spec, false);
     let scripts = env.generator.direct_query_scripts(&env.queries);
-    let direct = run_direct_queries(&env, &scripts);
-
-    // A fresh environment so direct-query deployments do not inflate the
-    // eXACML+ run.
-    let env = build_environment(spec, false);
+    let direct = run_direct_queries(spec.seed, &scripts);
     let sequence = env.generator.unique_sequence(env.queries.len());
     let exacml = run_exacml_sequence(&env, &sequence);
 
@@ -119,11 +156,9 @@ pub fn fig6a(spec: &WorkloadSpec, cdf_points: usize) -> Fig6Result {
 /// proxy cache off and on.
 #[must_use]
 pub fn fig6b(spec: &WorkloadSpec, cdf_points: usize) -> Fig6Result {
-    let env = build_environment(spec, false);
-    let scripts = env.generator.direct_query_scripts(&env.queries);
-    let direct = run_direct_queries(&env, &scripts);
-
     let env_off = build_environment(spec, false);
+    let scripts = env_off.generator.direct_query_scripts(&env_off.queries);
+    let direct = run_direct_queries(spec.seed, &scripts);
     let sequence = env_off.generator.zipf_sequence(env_off.queries.len());
     let cache_off = run_exacml_sequence(&env_off, &sequence);
 
@@ -299,6 +334,38 @@ mod tests {
             cache_on_mean <= cache_off_mean,
             "cache on ({cache_on_mean}) should not be slower than cache off ({cache_off_mean})"
         );
+    }
+
+    #[test]
+    fn direct_deploy_baseline_bypasses_access_control() {
+        let engine = StreamEngine::new();
+        engine.register_stream("weather", exacml_dsms::Schema::weather_example()).unwrap();
+        let graph = exacml_dsms::QueryGraphBuilder::on_stream("weather")
+            .filter_str("rainrate > 5")
+            .unwrap()
+            .build();
+        let script = streamsql::generate(&graph, &exacml_dsms::Schema::weather_example());
+        let (topology, mut rng) = (Topology::local(), StdRng::seed_from_u64(42));
+        let (handle, timing) = direct_deploy(&engine, &topology, &mut rng, &script).unwrap();
+        assert!(engine.catalog().handle_is_live(&handle));
+        assert_eq!(timing.pdp, Duration::ZERO);
+        assert!(timing.total >= timing.dsms);
+        // A malformed script is rejected.
+        assert!(direct_deploy(&engine, &topology, &mut rng, "garbage").is_err());
+    }
+
+    #[test]
+    fn direct_deploy_refuses_an_unregistered_stream() {
+        let engine = StreamEngine::new();
+        let graph = exacml_dsms::QueryGraphBuilder::on_stream("weather").build();
+        let script = streamsql::generate(&graph, &exacml_dsms::Schema::weather_example());
+        let (topology, mut rng) = (Topology::local(), StdRng::seed_from_u64(42));
+        assert!(matches!(
+            direct_deploy(&engine, &topology, &mut rng, &script),
+            Err(ExacmlError::Dsms(exacml_dsms::DsmsError::UnknownStream(_)))
+        ));
+        assert!(engine.catalog().stream_names().is_empty());
+        assert_eq!(engine.deployment_count(), 0);
     }
 
     #[test]

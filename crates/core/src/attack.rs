@@ -15,8 +15,9 @@
 //! ([`crate::grant_table`]) prevents. The `leak_reconstruction` example and
 //! the integration tests use it as the paper's Example 2 evidence.
 
+use crate::error::ExacmlError;
 use exacml_dsms::{
-    AggFunc, AggSpec, QueryGraphBuilder, Schema, StreamEngine, Tuple, Value, WindowSpec,
+    AggFunc, AggSpec, DsmsError, QueryGraphBuilder, Schema, StreamEngine, Tuple, Value, WindowSpec,
 };
 
 /// Reconstruct raw stream values from the outputs of multiple sum windows.
@@ -95,17 +96,24 @@ impl AttackOutcome {
 /// This only succeeds because the engine itself enforces no single-access
 /// rule — exactly the situation eXACML+'s access guard exists to prevent.
 ///
-/// # Panics
-/// Panics on engine errors; this is a demonstration/test helper, not
-/// production API.
-#[must_use]
-pub fn simulate_attack(values: &[f64], base_size: u64, step: u64) -> AttackOutcome {
+/// # Errors
+/// Fails when the windows are not valid: a `step` or `base_size` of 0, or
+/// a `base_size + step` past `u64::MAX`.
+pub fn simulate_attack(
+    values: &[f64],
+    base_size: u64,
+    step: u64,
+) -> Result<AttackOutcome, ExacmlError> {
+    if base_size.checked_add(step).is_none() {
+        let detail = format!("window size {base_size} + {step} overflows u64");
+        return Err(DsmsError::InvalidGraph(detail).into());
+    }
     let schema = Schema::from_pairs([
         ("samplingtime", exacml_dsms::DataType::Timestamp),
         ("a", exacml_dsms::DataType::Double),
     ]);
     let engine = StreamEngine::new();
-    engine.register_stream("s", schema.clone()).expect("stream registration");
+    engine.register_stream("s", schema.clone())?;
 
     let mut receivers = Vec::new();
     for extra in 0..=step {
@@ -115,17 +123,16 @@ pub fn simulate_attack(values: &[f64], base_size: u64, step: u64) -> AttackOutco
                 vec![AggSpec::new("a", AggFunc::Sum)],
             )
             .build();
-        let deployment = engine.deploy(&graph).expect("deployment");
-        receivers.push(engine.subscribe(&deployment.output_handle).expect("subscription"));
+        let deployment = engine.deploy(&graph)?;
+        receivers.push(engine.subscribe(&deployment.output_handle)?);
     }
 
     for (i, v) in values.iter().enumerate() {
         let tuple = Tuple::builder(&schema)
             .set("samplingtime", Value::Timestamp(i as i64))
             .set("a", *v)
-            .finish()
-            .expect("tuple construction");
-        engine.push("s", tuple).expect("push");
+            .finish_with_defaults();
+        engine.push("s", tuple)?;
     }
 
     let window_sums: Vec<Vec<f64>> = receivers
@@ -134,11 +141,11 @@ pub fn simulate_attack(values: &[f64], base_size: u64, step: u64) -> AttackOutco
         .collect();
     let reconstructed = reconstruct_from_sums(&window_sums, base_size as usize, step as usize);
 
-    AttackOutcome {
+    Ok(AttackOutcome {
         original: values.to_vec(),
         reconstructed,
         first_recovered_index: base_size as usize,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -151,7 +158,7 @@ mod tests {
         // S2 − S1 yields a3, a5, a7, ...; S3 − S2 yields a4, a6, a8, ...
         // Interleaving recovers a3, a4, a5, ... exactly as Example 2 claims.
         let values: Vec<f64> = (0..20).map(|i| f64::from(i) * 1.5 + 0.25).collect();
-        let outcome = simulate_attack(&values, 3, 2);
+        let outcome = simulate_attack(&values, 3, 2).unwrap();
         assert_eq!(outcome.first_recovered_index, 3);
         assert!(!outcome.reconstructed.is_empty());
         for (k, reconstructed) in outcome.reconstructed.iter().enumerate() {
@@ -168,9 +175,17 @@ mod tests {
     fn reconstruction_matches_for_other_parameters() {
         // N = 4, M = 3 → windows of sizes 4, 5, 6, 7.
         let values: Vec<f64> = (0..30).map(|i| (f64::from(i) * 0.7).sin() * 10.0).collect();
-        let outcome = simulate_attack(&values, 4, 3);
+        let outcome = simulate_attack(&values, 4, 3).unwrap();
         for (k, reconstructed) in outcome.reconstructed.iter().enumerate() {
             assert!((reconstructed - values[4 + k]).abs() < 1e-9, "mismatch at {k}");
+        }
+    }
+
+    #[test]
+    fn invalid_windows_are_errors_not_panics() {
+        let values = [1.0, 2.0, 3.0];
+        for (base_size, step) in [(3, 0), (0, 2), (u64::MAX, 2)] {
+            assert!(simulate_attack(&values, base_size, step).is_err(), "{base_size}, {step}");
         }
     }
 
@@ -185,7 +200,7 @@ mod tests {
     #[test]
     fn reconstruction_rate_is_high_even_for_random_like_data() {
         let values: Vec<f64> = (0..50).map(|i| f64::from((i * 7919 + 13) % 101) / 3.0).collect();
-        let outcome = simulate_attack(&values, 5, 2);
+        let outcome = simulate_attack(&values, 5, 2).unwrap();
         assert!(outcome.recovery_rate() > 0.8, "rate = {}", outcome.recovery_rate());
     }
 }

@@ -220,29 +220,7 @@ impl AuditLog {
     /// Retained events involving a subject.
     #[must_use]
     pub fn by_subject(&self, subject: &str) -> Vec<AuditEvent> {
-        self.filtered(|e| e.subject.as_deref() == Some(subject))
-    }
-
-    /// Retained events involving a stream.
-    #[must_use]
-    pub fn by_stream(&self, stream: &str) -> Vec<AuditEvent> {
-        self.filtered(|e| e.stream.as_deref() == Some(stream))
-    }
-
-    /// Retained events involving a policy.
-    #[must_use]
-    pub fn by_policy(&self, policy_id: &str) -> Vec<AuditEvent> {
-        self.filtered(|e| e.policy_id.as_deref() == Some(policy_id))
-    }
-
-    /// Retained events of one kind.
-    #[must_use]
-    pub fn by_kind(&self, kind: AuditEventKind) -> Vec<AuditEvent> {
-        self.filtered(|e| e.kind == kind)
-    }
-
-    fn filtered(&self, keep: impl Fn(&AuditEvent) -> bool) -> Vec<AuditEvent> {
-        self.events.iter().filter(|e| keep(e)).cloned().collect()
+        self.events.iter().filter(|e| e.subject.as_deref() == Some(subject)).cloned().collect()
     }
 }
 
@@ -258,9 +236,7 @@ mod tests {
         log.record(AuditEventKind::Denied, Some("EMA"), Some("weather"), None, "no policy");
         assert_eq!(log.len(), 3);
         assert_eq!(log.by_subject("LTA").len(), 1);
-        assert_eq!(log.by_stream("weather").len(), 3);
-        assert_eq!(log.by_policy("p1").len(), 2);
-        assert_eq!(log.by_kind(AuditEventKind::Denied).len(), 1);
+        assert_eq!(log.by_subject("EMA")[0].kind, AuditEventKind::Denied);
         // Sequence numbers increase monotonically.
         let events = log.events();
         assert!(events.windows(2).all(|w| w[1].sequence > w[0].sequence));

@@ -463,7 +463,7 @@ impl<S: NodeServer> Backend for S {
     }
 
     fn backend_kind(&self) -> String {
-        let kind = self.data_server().with_commit_log(|log| log.backend_kind());
+        let kind = self.data_server().read_commit_log(|log| log.backend_kind());
         kind.unwrap_or("data-server").to_string()
     }
 
@@ -484,7 +484,7 @@ impl<S: NodeServer> Backend for S {
     }
 
     fn health(&self) -> BackendHealth {
-        let journal_failure = self.data_server().with_commit_log(|log| log.failure()).flatten();
+        let journal_failure = self.data_server().read_commit_log(|log| log.failure()).flatten();
         BackendHealth { journal_failure, ..BackendHealth::healthy() }
     }
 

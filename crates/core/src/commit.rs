@@ -17,6 +17,19 @@
 //! so records reach the log in the order their operations were applied.
 //! Lock order: commit log → grant table → engine shard. A server without a
 //! log — every in-memory shape — skips all of this.
+//!
+//! **One door.** The commit point sees every state change because there is
+//! no other way to make one: each mutation is a method of [`DataServer`]
+//! that opens a group, and a `&DataServer` lends only read-only views — no
+//! engine, no policy store, no recovery hook. Only the rebuild type,
+//! [`Replay`], attaches a log ([`Replay::finish`]): it owns the fresh
+//! server it replays a journal into, so a log is never attached to a
+//! server anyone else already holds, and the owner of a log type reaches
+//! it again only through [`DataServer::with_commit_log`], which needs the
+//! concrete type.
+//!
+//! [`Replay`]: crate::Replay
+//! [`Replay::finish`]: crate::Replay::finish
 
 use crate::error::ExacmlError;
 use crate::server::DataServer;
@@ -32,16 +45,17 @@ pub enum GroupKind {
     Ingest,
 }
 
-/// A durability sink attached to a [`DataServer`]
-/// ([`DataServer::attach_commit_log`]). The server calls it under its own
-/// lock, in this order per operation: [`CommitLog::begin`], then
-/// [`CommitLog::stage_ingest`] for an ingest batch or
-/// [`CommitLog::write_ahead`] for a write-ahead event, then
+/// A durability sink attached to a [`DataServer`] by [`Replay::finish`].
+/// The server calls it under its own lock, in this order per operation:
+/// [`CommitLog::begin`], then [`CommitLog::stage_ingest`] for an ingest
+/// batch or [`CommitLog::write_ahead`] for a write-ahead event, then
 /// [`CommitLog::finish`]. An operation that fails before `finish` leaves
 /// the group unclosed, and its staged batch is never appended.
 ///
 /// A log reads what replay needs for an event (a stream's schema, a policy
 /// document, a grant) from the server it is given, under its own lock.
+///
+/// [`Replay::finish`]: crate::Replay::finish
 pub trait CommitLog: Any + Send {
     /// The backend kind a server with this log reports.
     fn backend_kind(&self) -> &'static str;

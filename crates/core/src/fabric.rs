@@ -1146,17 +1146,12 @@ mod tests {
             per_node[i as usize] += 1;
             // The stream exists exactly on its owner.
             for (node, server) in fabric.nodes().iter().zip(fabric.layer().servers()) {
-                let has = server.engine().stream_schema(name).is_ok();
+                let has = server.stream_schema(name).is_ok();
                 assert_eq!(has, node.id() == owner, "stream {name} misplaced on {}", node.id());
             }
         }
         assert!(per_node.iter().all(|&c| c > 0), "rendezvous spread: {per_node:?}");
-        let placed: usize = fabric
-            .layer()
-            .servers()
-            .iter()
-            .map(|s| s.engine().catalog().stream_names().len())
-            .sum();
+        let placed: usize = fabric.layer().servers().iter().map(|s| s.stream_names().len()).sum();
         assert_eq!(placed, 64);
         // Case-insensitive, like the rest of the stack's stream handling.
         assert_eq!(fabric.owner_of("STREAM7"), fabric.owner_of("stream7"));
@@ -1242,11 +1237,11 @@ mod tests {
         let policy =
             StreamPolicyBuilder::new("p", "weather").subject("LTA").filter("rainrate > 5").build();
         let before: Vec<u64> =
-            fabric.layer().servers().iter().map(|s| s.policy_store().revision()).collect();
+            fabric.layer().servers().iter().map(|s| s.policy_revision()).collect();
         fabric.load_policy(policy).unwrap();
         for (server, revision) in fabric.layer().servers().iter().zip(&before) {
             assert_eq!(server.policy_count(), 1);
-            assert!(server.policy_store().revision() > *revision);
+            assert!(server.policy_revision() > *revision);
         }
         let propagations = |fabric: &Fabric| -> u64 {
             let counts = fabric.audit_kind_counts();

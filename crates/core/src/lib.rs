@@ -73,7 +73,7 @@ pub use merge::{merge_graphs, MergeOptions, MergeOutcome};
 pub use metrics::{RequestTiming, TimingBreakdown};
 pub use obligations::{graph_from_obligations, obligations_from_graph, StreamPolicyBuilder};
 pub use proxy::{Proxy, ProxyStats};
-pub use server::{AccessResponse, DataServer, ServerConfig};
+pub use server::{AccessResponse, DataServer, Replay, ServerConfig};
 pub use user_query::{UserAggregation, UserQuery};
 pub use warnings::{Warning, WarningKind, WarningSource};
 

@@ -25,10 +25,14 @@
 //! Every mutating operation passes one commit point ([`crate::commit`]): a
 //! server with a [`CommitLog`] attached journals each operation's audit
 //! event there, so a durable server is this server with a write-ahead log
-//! attached. Lock order: commit log → grant table → engine shard; the audit
-//! log and the delay-sampling RNG are leaf locks.
+//! attached. There is no other way in: a `&DataServer` lends read-only
+//! views (stream names and schemas, policies, the policy revision, grants,
+//! the audit trail), never its engine or policy store, and the recovery
+//! hooks live on [`Replay`], which owns the server it rebuilds. Lock order:
+//! commit log → grant table → engine shard; the audit log and the
+//! delay-sampling RNG are leaf locks.
 
-use crate::audit::{AuditEventKind, AuditLog};
+use crate::audit::{AuditEvent, AuditEventKind, AuditLog};
 use crate::commit::{CommitLog, GroupKind};
 use crate::error::ExacmlError;
 use crate::grant_table::{Grant, GrantTable, PlanId};
@@ -47,6 +51,8 @@ use exacml_xacml::{Decision, Pdp, Policy, PolicyStore, Request, XacmlError};
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,6 +127,64 @@ pub struct AccessResponse {
 }
 
 /// The data server.
+///
+/// # One door
+///
+/// Every state change is one of this type's own methods and passes the
+/// commit point; a `&DataServer` lends no mutator. Each of the old side
+/// doors fails to compile — the engine:
+///
+/// ```compile_fail
+/// # use exacml_plus::{DataServer, ServerConfig};
+/// let server = DataServer::new(ServerConfig::local());
+/// let _ = server.engine();
+/// ```
+///
+/// the policy store:
+///
+/// ```compile_fail
+/// # use exacml_plus::{DataServer, ServerConfig};
+/// let server = DataServer::new(ServerConfig::local());
+/// let _ = server.policy_store();
+/// ```
+///
+/// the policy store behind the PDP:
+///
+/// ```compile_fail
+/// # use exacml_plus::{DataServer, ServerConfig};
+/// let server = DataServer::new(ServerConfig::local());
+/// let _ = server.pdp().store();
+/// ```
+///
+/// a deployment no PDP decided (the direct-query baseline runs on a bare
+/// engine in `exacml-bench`):
+///
+/// ```compile_fail
+/// # use exacml_plus::{DataServer, ServerConfig};
+/// let server = DataServer::new(ServerConfig::local());
+/// let _ = server.direct_deploy("CREATE INPUT STREAM s (a DOUBLE);");
+/// ```
+///
+/// a grant re-minted outside the workflow (only [`Replay`] restores one):
+///
+/// ```compile_fail
+/// # use exacml_plus::{DataServer, ServerConfig};
+/// # use exacml_dsms::StreamHandle;
+/// # use exacml_xacml::Request;
+/// let server = DataServer::new(ServerConfig::local());
+/// let handle = StreamHandle::from_uri("exacml://dsms/streams/0");
+/// let _ = server.restore_grant(&Request::subscribe("u", "s"), None, &handle, None);
+/// ```
+///
+/// and a commit log attached to a live server (only [`Replay::finish`]
+/// attaches one):
+///
+/// ```compile_fail
+/// # use exacml_plus::{CommitLog, DataServer, ServerConfig};
+/// let server = DataServer::new(ServerConfig::local());
+/// let log: Box<dyn CommitLog> = todo!();
+/// let _ = server.attach_commit_log(log);
+/// ```
 pub struct DataServer {
     config: ServerConfig,
     store: Arc<PolicyStore>,
@@ -184,19 +248,18 @@ impl DataServer {
         }
     }
 
-    /// Attach a commit log: from now on every mutation is journaled to it
-    /// (see [`crate::commit`]). A recovering server replays its journal
-    /// into a server without a log and attaches the log afterwards.
-    #[must_use]
-    pub fn attach_commit_log(mut self, log: Box<dyn CommitLog>) -> Self {
-        self.log = Some(Mutex::new(log));
-        self
+    /// Run `f` on the attached commit log under its lock, when it is an
+    /// `L` (`None` otherwise, and without a log). Naming `L` is the key: a
+    /// log type its crate keeps private is reachable from that crate only.
+    pub fn with_commit_log<L: CommitLog, R>(&self, f: impl FnOnce(&mut L) -> R) -> Option<R> {
+        let mut log = self.log.as_ref()?.lock();
+        (&mut **log as &mut dyn Any).downcast_mut().map(f)
     }
 
-    /// Run `f` on the attached commit log under its lock (`None` when the
-    /// server has no log).
-    pub fn with_commit_log<R>(&self, f: impl FnOnce(&mut dyn CommitLog) -> R) -> Option<R> {
-        self.log.as_ref().map(|log| f(&mut **log.lock()))
+    /// Read the attached commit log — its [`CommitLog::backend_kind`] and
+    /// [`CommitLog::failure`]; `None` without a log.
+    pub fn read_commit_log<R>(&self, f: impl FnOnce(&dyn CommitLog) -> R) -> Option<R> {
+        self.log.as_ref().map(|log| f(&**log.lock()))
     }
 
     /// Open the commit group of one operation.
@@ -216,25 +279,44 @@ impl DataServer {
         result
     }
 
-    /// The policy store (for inspection in tests and tools).
-    #[must_use]
-    pub fn policy_store(&self) -> &Arc<PolicyStore> {
-        &self.store
-    }
-
-    /// The server's PDP (read-only access: direct evaluation in tests,
-    /// fabric propagation checks).
+    /// The server's PDP: direct evaluation in tests, fabric propagation
+    /// checks. It lends only `evaluate*`.
     #[must_use]
     pub fn pdp(&self) -> &Pdp {
         &self.pdp
     }
 
-    /// The back-end stream engine. Shared: the engine is internally
-    /// synchronized, so data-owner feeds can push into it directly and
-    /// concurrently with the request workflow.
+    /// Names of the registered input streams, sorted.
     #[must_use]
-    pub fn engine(&self) -> &Arc<StreamEngine> {
-        &self.engine
+    pub fn stream_names(&self) -> Vec<String> {
+        self.engine.catalog().stream_names()
+    }
+
+    /// Schema of a registered input stream.
+    ///
+    /// # Errors
+    /// Fails when the stream is unknown.
+    pub fn stream_schema(&self, name: &str) -> Result<Arc<Schema>, ExacmlError> {
+        Ok(self.engine.stream_schema(name)?)
+    }
+
+    /// The loaded policy `policy_id`, if any.
+    #[must_use]
+    pub fn policy(&self, policy_id: &str) -> Option<Arc<Policy>> {
+        self.store.get(policy_id)
+    }
+
+    /// The loaded policies in evaluation order.
+    #[must_use]
+    pub fn policies(&self) -> Vec<Arc<Policy>> {
+        self.store.snapshot()
+    }
+
+    /// The policy store's revision: bumped by every load, update and
+    /// removal.
+    #[must_use]
+    pub fn policy_revision(&self) -> u64 {
+        self.store.revision()
     }
 
     /// The telemetry registry this server and its engine record into: the
@@ -266,15 +348,6 @@ impl DataServer {
     #[must_use]
     pub fn audit_events_since(&self, from: u64) -> Vec<crate::audit::AuditEvent> {
         self.audit.lock().events_since(from)
-    }
-
-    /// Recovery hook: replace the audit trail with journaled events,
-    /// preserving their original sequence numbers and timestamps. Recovery
-    /// replays the journaled operations through the normal workflow (which
-    /// re-records them with fresh timestamps) and then restores the
-    /// authoritative pre-crash trail with this.
-    pub fn restore_audit(&self, events: Vec<crate::audit::AuditEvent>) {
-        self.audit.lock().restore(events);
     }
 
     // --- stream management -------------------------------------------------
@@ -538,29 +611,6 @@ impl DataServer {
         result
     }
 
-    /// Recovery hook: re-run a granted request through the normal workflow,
-    /// pinning the per-grant handle to the exact URI the consumer held
-    /// before the crash and the grant to its original position in grant
-    /// order (`None`: after every grant recorded so far). A commit log
-    /// journals each grant's handle URI with its `granted` event; replaying
-    /// through minting arithmetic cannot reproduce pre-crash serials once
-    /// released grants have been pruned from the journal, so the recorded
-    /// URI is adopted verbatim instead. Unjournaled and unaudited — recovery restores the
-    /// journaled audit trail afterwards via [`DataServer::restore_audit`].
-    ///
-    /// # Errors
-    /// As [`DataServer::handle_request`], plus when the pinned URI is
-    /// already live.
-    pub fn restore_grant(
-        &self,
-        request: &Request,
-        user_query: Option<&UserQuery>,
-        handle: &StreamHandle,
-        sequence: Option<u64>,
-    ) -> Result<AccessResponse, ExacmlError> {
-        self.handle_request_inner(request, user_query, Some((handle, sequence)))
-    }
-
     fn handle_request_inner(
         &self,
         request: &Request,
@@ -806,49 +856,6 @@ impl DataServer {
         true
     }
 
-    /// Deploy a raw StreamSQL script directly on the DSMS, bypassing access
-    /// control — the *direct-query* baseline of the evaluation (Section 4.2).
-    /// Returns the handle and the timing (DSMS + network only).
-    ///
-    /// # Errors
-    /// Fails when the script does not parse or references an unknown stream
-    /// (the input stream must already be registered; its `CREATE INPUT
-    /// STREAM` declaration is used only for validation).
-    pub fn direct_deploy(
-        &self,
-        script: &str,
-    ) -> Result<(StreamHandle, RequestTiming), ExacmlError> {
-        let started = Instant::now();
-        let parsed = streamsql::parse(script)?;
-        let network = {
-            let mut rng = self.rng.lock();
-            self.config.topology.round_trip(
-                NodeId::Client,
-                NodeId::Dsms,
-                script.len(),
-                96,
-                &mut *rng,
-            )
-        };
-        let dsms_started = Instant::now();
-        // Registering here would bypass the commit point (a durable server
-        // would never journal the stream), so an unknown stream is refused
-        // by `deploy` like any other.
-        let deployment = self.engine.deploy(&parsed.graph)?;
-        let dsms_time = dsms_started.elapsed();
-        let total = started.elapsed() + network;
-        Ok((
-            deployment.output_handle,
-            RequestTiming {
-                pdp: Duration::ZERO,
-                query_graph: Duration::ZERO,
-                dsms: dsms_time,
-                network,
-                total,
-            },
-        ))
-    }
-
     /// Number of live deployments on the DSMS.
     #[must_use]
     pub fn live_deployments(&self) -> usize {
@@ -876,12 +883,6 @@ impl DataServer {
         self.grants.lock().live()
     }
 
-    /// Whether `subject` holds a live grant on `stream`.
-    #[must_use]
-    pub fn holds_grant(&self, subject: &str, stream: &str) -> bool {
-        self.grants.lock().held(subject, stream).is_some()
-    }
-
     /// Run `f` on the live grant `subject` holds on `stream`, if any — how
     /// a commit log reads what a `granted` event's replay needs.
     pub fn with_grant<R>(
@@ -891,6 +892,98 @@ impl DataServer {
         f: impl FnOnce(&Grant) -> R,
     ) -> Option<R> {
         self.grants.lock().held(subject, stream).map(f)
+    }
+}
+
+/// A data server being rebuilt from a journal: the only way to a server
+/// with a [`CommitLog`] attached, and the only holder of the recovery
+/// hooks. It owns a fresh server nobody else holds, runs the journaled
+/// operations through its ordinary methods (it dereferences to it), re-mints
+/// grants where the journal recorded them, and hands the server out only
+/// from [`Replay::finish`], with the log attached. Replay itself journals
+/// nothing.
+pub struct Replay {
+    server: DataServer,
+}
+
+impl Deref for Replay {
+    type Target = DataServer;
+
+    fn deref(&self) -> &DataServer {
+        &self.server
+    }
+}
+
+impl Replay {
+    /// Start rebuilding a server with the given configuration.
+    #[must_use]
+    pub fn new(config: ServerConfig) -> Self {
+        Replay { server: DataServer::new(config) }
+    }
+
+    /// Re-run one journaled grant through the real workflow, adopting its
+    /// recorded handle URI verbatim and recording it at `sequence` in grant
+    /// order (`None`: after every grant so far). Serial arithmetic cannot
+    /// reproduce the URI: released grants are pruned from a journal, so the
+    /// serials they consumed are invisible to replay. The deployment-id
+    /// counter *is* resumed at the recorded `deployment` first: replay
+    /// visits deploying grants in minting order, so the workflow re-mints
+    /// the same id, and a sharer of a live plan simply cache-hits it.
+    /// Unjournaled and unaudited: [`Replay::finish`] restores the journaled
+    /// trail.
+    ///
+    /// # Errors
+    /// [`ExacmlError::Durability`] when the workflow refuses the grant or
+    /// diverges from the record (another URI or deployment, or a reuse):
+    /// then the journal and the workflow disagree and the store cannot be
+    /// trusted.
+    pub fn restore_grant(
+        &self,
+        request: &Request,
+        user_query: Option<&UserQuery>,
+        handle: &StreamHandle,
+        deployment: DeploymentId,
+        sequence: Option<u64>,
+    ) -> Result<(), ExacmlError> {
+        let subject = request.subject_id().unwrap_or_default();
+        let stream = request.resource_id().unwrap_or_default();
+        self.server.engine.resume_ids_at(deployment.0);
+        let response = self
+            .server
+            .handle_request_inner(request, user_query, Some((handle, sequence)))
+            .map_err(|e| {
+                ExacmlError::Durability(format!("replay grant {subject} on '{stream}': {e}"))
+            })?;
+        if response.reused || response.handle != *handle || response.deployment != deployment {
+            return Err(ExacmlError::Durability(format!(
+                "journal replay diverged: grant for '{subject}' on '{stream}' re-minted {} on \
+                 deployment {} (reused: {}), journal says {handle} on deployment {}",
+                response.handle, response.deployment.0, response.reused, deployment.0
+            )));
+        }
+        Ok(())
+    }
+
+    /// Resume minting past what the journal recorded: deployment ids at
+    /// `next_deployment`, handle serials at `next_handle_serial` and the
+    /// policy store's revision at `policy_revision`. Each counter only
+    /// moves forward, so a counter already past its value stays.
+    pub fn resume(&self, next_deployment: u64, next_handle_serial: u64, policy_revision: u64) {
+        self.server.engine.resume_ids_at(next_deployment);
+        self.server.engine.resume_handle_serial_at(next_handle_serial);
+        self.server.store.resume_revision_at(policy_revision);
+    }
+
+    /// Finish the rebuild: replace the audit trail the replay regenerated
+    /// (fresh timestamps) with the journaled `audit`, keeping its sequence
+    /// numbers and timestamps, and attach `log`, which journals every
+    /// mutation from now on.
+    #[must_use]
+    pub fn finish(self, audit: Vec<AuditEvent>, log: impl CommitLog) -> DataServer {
+        let mut server = self.server;
+        server.audit.lock().restore(audit);
+        server.log = Some(Mutex::new(Box::new(log)));
+        server
     }
 }
 
@@ -1171,36 +1264,6 @@ mod tests {
         let loaded =
             server.audit_events().into_iter().filter(|e| e.kind == AuditEventKind::PolicyLoaded);
         assert_eq!(loaded.count(), 20);
-    }
-
-    #[test]
-    fn direct_deploy_baseline_bypasses_access_control() {
-        let server = DataServer::new(ServerConfig::local());
-        server.register_stream("weather", Schema::weather_example()).unwrap();
-        let graph = exacml_dsms::QueryGraphBuilder::on_stream("weather")
-            .filter_str("rainrate > 5")
-            .unwrap()
-            .build();
-        let script = streamsql::generate(&graph, &Schema::weather_example());
-        let (handle, timing) = server.direct_deploy(&script).unwrap();
-        assert!(server.handle_is_live(&handle));
-        assert_eq!(timing.pdp, Duration::ZERO);
-        assert!(timing.total >= timing.dsms);
-        // A malformed script is rejected.
-        assert!(server.direct_deploy("garbage").is_err());
-    }
-
-    #[test]
-    fn direct_deploy_refuses_an_unregistered_stream() {
-        let server = DataServer::new(ServerConfig::local());
-        let graph = exacml_dsms::QueryGraphBuilder::on_stream("weather").build();
-        let script = streamsql::generate(&graph, &Schema::weather_example());
-        assert!(matches!(
-            server.direct_deploy(&script),
-            Err(ExacmlError::Dsms(exacml_dsms::DsmsError::UnknownStream(_)))
-        ));
-        assert!(server.engine().catalog().stream_names().is_empty());
-        assert_eq!(server.live_deployments(), 0);
     }
 
     #[test]

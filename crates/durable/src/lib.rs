@@ -213,7 +213,7 @@ mod tests {
         assert!(report.snapshot_loaded);
         assert_eq!(report.snapshot_grants, 1);
         assert_eq!(report.wal_records_replayed, 1);
-        assert!(recovered.inner().engine().catalog().contains("gps"));
+        assert!(recovered.inner().stream_names().contains(&"gps".to_string()));
         assert_eq!(recovered.policy_count(), 1);
     }
 

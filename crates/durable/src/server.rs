@@ -55,9 +55,9 @@ use crate::record::{
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot, StreamEntry};
 use crate::wal::{framed_len, read_wal, truncate_to, unframe, FailMode, WalFailpoint, WalWriter};
 use crate::{check_format_version, FORMAT_VERSION};
-use exacml_dsms::{StreamHandle, Tuple};
+use exacml_dsms::{DeploymentId, StreamHandle, Tuple};
 use exacml_plus::{
-    AuditEvent, AuditEventKind, CommitLog, DataServer, ExacmlError, GroupKind, NodeServer,
+    AuditEvent, AuditEventKind, CommitLog, DataServer, ExacmlError, GroupKind, NodeServer, Replay,
     ServerConfig, UserQuery,
 };
 use exacml_simnet::Topology;
@@ -66,7 +66,6 @@ use exacml_xacml::xml::{parse_policy, write_policy};
 use exacml_xacml::Request;
 use serde::Content;
 use serde_json::Value;
-use std::any::Any;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -356,11 +355,10 @@ impl Journal {
         let stream = event.stream.as_deref().unwrap_or_default();
         Ok(match event.kind {
             AuditEventKind::StreamRegistered => {
-                Payload::Schema((*server.engine().stream_schema(stream)?).clone())
+                Payload::Schema((*server.stream_schema(stream)?).clone())
             }
             AuditEventKind::PolicyLoaded | AuditEventKind::PolicyUpdated => {
-                let policy =
-                    event.policy_id.as_deref().and_then(|id| server.policy_store().get(id));
+                let policy = event.policy_id.as_deref().and_then(|id| server.policy(id));
                 Payload::Policy(write_policy(&*policy.ok_or_else(unknown)?))
             }
             AuditEventKind::Granted => {
@@ -379,24 +377,23 @@ impl Journal {
     /// cost after a crash is then bounded by the live state plus whatever
     /// lands in the WAL afterwards.
     fn snapshot(&mut self, server: &DataServer) -> Result<(), ExacmlError> {
-        let catalog = server.engine().catalog();
-        let streams = catalog
+        let streams = server
             .stream_names()
             .into_iter()
             .map(|name| {
-                catalog
-                    .schema_of(&name)
+                server
+                    .stream_schema(&name)
                     .map(|schema| StreamEntry { name, schema: (*schema).clone() })
             })
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| durability("snapshot streams", e))?;
         let snapshot = Snapshot {
             wal_horizon: self.next_seq,
-            store_revision: server.policy_store().revision(),
+            store_revision: server.policy_revision(),
             next_deployment_id: self.next_deployment_id,
             next_handle_serial: self.next_handle_serial,
             streams,
-            policies: server.policy_store().snapshot().iter().map(|p| write_policy(p)).collect(),
+            policies: server.policies().iter().map(|p| write_policy(p)).collect(),
             grants: server.live_grants().iter().map(GrantRecord::of).collect(),
             audit: server.audit_events(),
         };
@@ -549,6 +546,23 @@ fn read_meta(path: &Path) -> Result<DurableConfig, ExacmlError> {
         .map_err(|e| durability(&file, e))
 }
 
+/// Re-execute one journaled grant at its recorded URI, deployment id and
+/// position in grant order ([`Replay::restore_grant`]).
+fn replay_grant(
+    replay: &Replay,
+    grant: &GrantRecord,
+    sequence: Option<u64>,
+) -> Result<(), ExacmlError> {
+    let query = grant.query_xml.as_deref().map(UserQuery::from_xml).transpose()?;
+    replay.restore_grant(
+        &Request::subscribe(&grant.subject, &grant.stream),
+        query.as_ref(),
+        &StreamHandle::from_uri(grant.handle.clone()),
+        DeploymentId(grant.deployment),
+        sequence,
+    )
+}
+
 impl DurableServer {
     /// Create a fresh store at `path` (the directory is created if needed)
     /// and the server over it.
@@ -621,22 +635,23 @@ impl DurableServer {
         }
 
         // The journal's counters are rebuilt below; nothing is written to it
-        // until the log is attached after replay.
+        // until the replay finishes and attaches it.
         let mut journal = Journal::open(&path, &config)?;
-        let inner = DataServer::new(config.server_config());
+        let replay = Replay::new(config.server_config());
         let mut audit: Vec<AuditEvent> = Vec::new();
         let mut horizon = 0u64;
+        let mut store_revision = 0u64;
 
         if let Some(snapshot) = &snapshot {
             report.snapshot_loaded = true;
             report.snapshot_grants = snapshot.grants.len();
             for entry in &snapshot.streams {
-                inner.register_stream(&entry.name, entry.schema.clone())?;
+                replay.register_stream(&entry.name, entry.schema.clone())?;
             }
             for xml in &snapshot.policies {
-                inner.load_policy(parse_policy(xml)?)?;
+                replay.load_policy(parse_policy(xml)?)?;
             }
-            inner.policy_store().resume_revision_at(snapshot.store_revision);
+            store_revision = snapshot.store_revision;
             audit.clone_from(&snapshot.audit);
             journal.next_deployment_id = snapshot.next_deployment_id;
             journal.next_handle_serial = snapshot.next_handle_serial;
@@ -670,7 +685,7 @@ impl DurableServer {
         for serial in journaled_serials {
             journal.next_handle_serial = journal.next_handle_serial.max(serial + 1);
         }
-        inner.engine().resume_handle_serial_at(journal.next_handle_serial);
+        replay.resume(0, journal.next_handle_serial, store_revision);
 
         if let Some(snapshot) = &snapshot {
             // Released grants are pruned from the snapshot, so a plan's
@@ -683,7 +698,7 @@ impl DurableServer {
             let mut by_deployment: Vec<(u64, &GrantRecord)> = (0..).zip(&snapshot.grants).collect();
             by_deployment.sort_by_key(|(_, g)| g.deployment);
             for (sequence, grant) in by_deployment {
-                Self::replay_grant(&inner, grant, Some(sequence))?;
+                replay_grant(&replay, grant, Some(sequence))?;
             }
         }
 
@@ -695,29 +710,28 @@ impl DurableServer {
                     let subject = event.subject.as_deref().unwrap_or_default();
                     let stream = event.stream.as_deref().unwrap_or_default();
                     match (event.kind, payload) {
-                        (_, Payload::Schema(schema)) => inner.register_stream(stream, schema)?,
+                        (_, Payload::Schema(schema)) => replay.register_stream(stream, schema)?,
                         (AuditEventKind::PolicyUpdated, Payload::Policy(xml)) => {
-                            inner.update_policy(parse_policy(&xml)?)?;
+                            replay.update_policy(parse_policy(&xml)?)?;
                         }
-                        (_, Payload::Policy(xml)) => drop(inner.load_policy(parse_policy(&xml)?)?),
+                        (_, Payload::Policy(xml)) => drop(replay.load_policy(parse_policy(&xml)?)?),
                         (_, Payload::Grant(grant)) => {
-                            Self::replay_grant(&inner, &grant, None)?;
+                            replay_grant(&replay, &grant, None)?;
                             journal.next_deployment_id =
                                 journal.next_deployment_id.max(grant.deployment + 1);
                         }
                         (AuditEventKind::PolicyRemoved, _) => {
-                            inner.remove_policy(event.policy_id.as_deref().unwrap_or_default())?;
+                            replay.remove_policy(event.policy_id.as_deref().unwrap_or_default())?;
                         }
                         (AuditEventKind::AccessReleased, _) => {
-                            inner.release_access(subject, stream);
+                            replay.release_access(subject, stream);
                         }
                         _ => {}
                     }
                     audit.push(event);
                 }
                 Record::Ingest { stream, rows } => {
-                    let schema = inner
-                        .engine()
+                    let schema = replay
                         .stream_schema(&stream)
                         .map_err(|e| durability("ingest replay", e))?;
                     let tuples = rows
@@ -728,7 +742,7 @@ impl DurableServer {
                         })
                         .collect::<Result<Vec<_>, _>>()
                         .map_err(|e| durability("ingest replay", e))?;
-                    inner.push_batch(&stream, tuples)?;
+                    replay.push_batch(&stream, tuples)?;
                 }
             }
             report.wal_records_replayed += 1;
@@ -739,10 +753,8 @@ impl DurableServer {
         // it did regenerate audit events with fresh timestamps, and the
         // journaled trail — the events just replayed — is authoritative.
         journal.next_audit_seq = audit.iter().map(|e| e.sequence + 1).max().unwrap_or(0);
-        inner.restore_audit(audit);
-        inner.engine().resume_ids_at(journal.next_deployment_id);
-        inner.engine().resume_handle_serial_at(journal.next_handle_serial);
-        let server = inner.attach_commit_log(Box::new(journal));
+        replay.resume(journal.next_deployment_id, journal.next_handle_serial, 0);
+        let server = replay.finish(audit, journal);
         Ok(DurableServer { server, config, path, recovery: report })
     }
 
@@ -758,55 +770,6 @@ impl DurableServer {
         } else {
             DurableServer::create(path, config)
         }
-    }
-
-    /// Re-execute one journaled grant through the real workflow, adopting
-    /// the journaled handle URI verbatim ([`DataServer::restore_grant`]).
-    /// Serial arithmetic cannot reproduce the URI: released grants are
-    /// pruned from the journal, so the serials they consumed are invisible
-    /// to replay. The engine's deployment-id counter *is* resumed at the
-    /// recorded id first — replay visits deploying grants in minting order
-    /// (the WAL tail is chronological and snapshot grants are sorted by
-    /// deployment id), so the workflow re-mints the same ids, and a shared
-    /// grant's recorded id is the deployment its plan already rides — a
-    /// sharer simply cache-hits the live plan. Divergence on
-    /// either the URI or the deployment id means the journal and the
-    /// workflow disagree and the store cannot be trusted.
-    fn replay_grant(
-        inner: &DataServer,
-        grant: &GrantRecord,
-        sequence: Option<u64>,
-    ) -> Result<(), ExacmlError> {
-        inner.engine().resume_ids_at(grant.deployment);
-        let query = grant.query_xml.as_deref().map(UserQuery::from_xml).transpose()?;
-        let handle = StreamHandle::from_uri(grant.handle.clone());
-        let response = inner
-            .restore_grant(
-                &Request::subscribe(&grant.subject, &grant.stream),
-                query.as_ref(),
-                &handle,
-                sequence,
-            )
-            .map_err(|e| {
-                durability(&format!("replay grant {} on '{}'", grant.subject, grant.stream), e)
-            })?;
-        if response.reused
-            || response.handle.uri() != grant.handle
-            || response.deployment.0 != grant.deployment
-        {
-            return Err(ExacmlError::Durability(format!(
-                "journal replay diverged: grant for '{}' on '{}' re-minted {} on deployment {} \
-                 (reused: {}), journal says {} on deployment {}",
-                grant.subject,
-                grant.stream,
-                response.handle,
-                response.deployment.0,
-                response.reused,
-                grant.handle,
-                grant.deployment
-            )));
-        }
-        Ok(())
     }
 
     // --- observability ------------------------------------------------------
@@ -845,12 +808,8 @@ impl DurableServer {
 
     /// Run `f` on the journal under the commit-log lock.
     fn journal<R>(&self, f: impl FnOnce(&mut Journal, &DataServer) -> R) -> R {
-        let server = &self.server;
-        let journaled = server.with_commit_log(|log| {
-            let journal = (log as &mut dyn Any).downcast_mut::<Journal>();
-            f(journal.expect("a durable server's commit log is its journal"), server)
-        });
-        journaled.expect("a durable server has a commit log")
+        let journaled = self.server.with_commit_log(|journal| f(journal, &self.server));
+        journaled.expect("a durable server is built by `Replay::finish` with its journal")
     }
 
     /// Journal records appended since the last snapshot (the WAL tail a

@@ -406,12 +406,6 @@ impl Pdp {
         Pdp { store }
     }
 
-    /// The underlying store.
-    #[must_use]
-    pub fn store(&self) -> &Arc<PolicyStore> {
-        &self.store
-    }
-
     /// Evaluate a request against the loaded policies, using the target
     /// index to narrow the candidate set. The store is read as it is at the
     /// call, so a decision is never served across a policy change.

@@ -84,7 +84,7 @@ fn main() {
         println!(
             "  {}: {} streams, {} requests, {} tuples in {} frames",
             node.id(),
-            server.engine().catalog().stream_names().len(),
+            server.stream_names().len(),
             part.counter(Metric::Requests),
             part.counter(Metric::TuplesIngested),
             part.counter(Metric::BrokerFrames),

@@ -19,7 +19,7 @@ fn main() {
     println!("original (secret) stream: {secret:?}\n");
 
     // The attacker opens sum windows of sizes 3, 4 and 5 (advance step 2).
-    let outcome = simulate_attack(&secret, 3, 2);
+    let outcome = simulate_attack(&secret, 3, 2).expect("windows of sizes 3..=5, step 2");
     println!(
         "attacker reconstructs {} of the hidden values starting at a{} (recovery rate {:.0}%):",
         outcome.reconstructed.len(),

@@ -98,8 +98,8 @@
 //! ([`Request::canonical_key`](exacml_xacml::Request::canonical_key)) plus
 //! the query, so it never answers a request the PDP would refuse. The
 //! Figure 6/7 experiments in [`exacml_bench`] replay their subjects through
-//! it; the direct-query baseline is
-//! [`DataServer::direct_deploy`](exacml_plus::DataServer::direct_deploy).
+//! it; the direct-query baseline, which has no access control, deploys on a
+//! bare engine: [`exacml_bench::direct_deploy`].
 //!
 //! # Workspace map
 //!

@@ -3,14 +3,13 @@
 //! N producer threads push batches into their own streams while another
 //! thread continuously grants accesses (deploying query graphs) and removes
 //! the spawning policies (withdrawing the graphs, Section 3.3). The stable
-//! identity deployments — deployed and subscribed before any producer starts
-//! and never withdrawn — must observe **every pushed tuple exactly once**,
-//! and the engine counters must reconcile with what the threads did.
+//! observers — unfiltered grants, subscribed before any producer starts and
+//! never withdrawn — must observe **every pushed tuple exactly once**, and
+//! the telemetry counters must reconcile with what the threads did.
 //!
 //! Producers and the churn thread drive the server exclusively through the
 //! unified `Arc<dyn Backend>` surface (the trait layer is `Send + Sync`, so
-//! it is what concurrent callers actually share); the engine-level counters
-//! stay visible through the concrete `DataServer` next to it.
+//! it is what concurrent callers actually share).
 //!
 //! The race tests below it pin the two guarantees that are statements about
 //! the set of live grants, under real concurrency: barrier-started threads
@@ -27,7 +26,7 @@
 //! there as JSON so the nightly workflow can upload it as a build artifact.
 
 use exacml::prelude::*;
-use exacml_dsms::{AggFunc, AggSpec, QueryGraph, Schema, Tuple, Value, WindowSpec};
+use exacml_dsms::{AggFunc, AggSpec, Schema, Tuple, Value, WindowSpec};
 use exacml_plus::{DataServer, ServerConfig};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,22 +63,21 @@ fn producers_and_policy_churn_race_without_losing_tuples() {
     let batch_size = knob("STRESS_BATCH_SIZE", 25);
     let churn_rounds = knob("STRESS_CHURN_ROUNDS", 30);
 
-    let server = Arc::new(DataServer::new(ServerConfig::local()));
-    // The unified surface the threads share; the concrete server stays
-    // around for engine-level observability.
-    let backend: Arc<dyn Backend> = Arc::clone(&server) as Arc<dyn Backend>;
+    let backend: Arc<dyn Backend> = Arc::new(DataServer::new(ServerConfig::local()));
     let schema = Schema::weather_example();
     for i in 0..streams {
         backend.register_stream(&format!("s{i}"), schema.clone()).unwrap();
     }
 
-    // Stable observers: one identity deployment per stream, subscribed
-    // before any producer starts and never withdrawn.
-    let engine = Arc::clone(server.engine());
-    let receivers: Vec<_> = (0..streams)
+    // Stable observers: one unfiltered grant per stream, subscribed before
+    // any producer starts and never withdrawn.
+    let mut receivers: Vec<_> = (0..streams)
         .map(|i| {
-            let d = engine.deploy(&QueryGraph::identity(format!("s{i}"))).unwrap();
-            (d.id, engine.subscribe(&d.output_handle).unwrap())
+            let (stream, observer) = (format!("s{i}"), format!("observer-{i}"));
+            let policy = StreamPolicyBuilder::new(&observer, &stream).subject(&observer).build();
+            backend.load_policy(policy).unwrap();
+            let granted = backend.handle_request(&Request::subscribe(&observer, &stream), None);
+            backend.subscribe(granted.unwrap().handle()).unwrap()
         })
         .collect();
 
@@ -144,17 +142,18 @@ fn producers_and_policy_churn_race_without_losing_tuples() {
 
     // Every stable observer saw every tuple of its stream exactly once.
     let per_stream = batches_per_stream * batch_size;
-    for (i, (id, rx)) in receivers.iter().enumerate() {
-        let received: Vec<i64> =
-            rx.try_iter().map(|t| t.event_time().expect("marker timestamp")).collect();
+    for (i, subscription) in receivers.iter_mut().enumerate() {
+        let received: Vec<i64> = subscription
+            .drain()
+            .iter()
+            .map(|t| t.event_time().expect("marker timestamp"))
+            .collect();
         assert_eq!(received.len(), per_stream, "stream s{i} lost or duplicated tuples");
         let unique: HashSet<i64> = received.iter().copied().collect();
         assert_eq!(unique.len(), per_stream, "stream s{i} delivered duplicates");
         let expected: HashSet<i64> =
             (0..per_stream).map(|k| (i as i64) * 1_000_000_000 + k as i64).collect();
         assert_eq!(unique, expected, "stream s{i} delivered the wrong tuple set");
-        // The engine's per-deployment counter agrees with the subscriber.
-        assert_eq!(engine.emitted_by(*id), Some(per_stream as u64));
     }
 
     // The telemetry registry reconciles with the work performed under full
@@ -163,16 +162,17 @@ fn producers_and_policy_churn_race_without_losing_tuples() {
     let total_pushed = (streams * per_stream) as u64;
     assert_eq!(snapshot.counter(Metric::TuplesIngested), total_pushed);
     assert_eq!(snapshot.counter(Metric::BatchesIngested), (streams * batches_per_stream) as u64);
-    // The stable deployments alone account for one emission per pushed
-    // tuple; churn deployments can only add to that.
+    // The stable observers alone account for one delivery per pushed
+    // tuple; churn grants can only add to that.
     assert!(snapshot.counter(Metric::TuplesDelivered) >= total_pushed);
-    // Every churn grant compiled a fresh plan, and every one was withdrawn
-    // again: only the stable deployments are left.
-    assert_eq!(snapshot.counter(Metric::PlanCacheMisses), churn_deployed as u64);
+    // Every observer and every churn grant compiled a fresh plan, and every
+    // churn grant was withdrawn again: only the observers' deployments are
+    // left.
+    assert_eq!(snapshot.counter(Metric::PlanCacheMisses), (streams + churn_deployed) as u64);
     assert_eq!(backend.live_deployments(), streams);
-    // All churn policies were removed again.
-    assert_eq!(backend.policy_count(), 0);
-    assert_eq!(snapshot.counter(Metric::Requests), churn_deployed as u64);
+    // All churn policies were removed again: only the observers' are left.
+    assert_eq!(backend.policy_count(), streams);
+    assert_eq!(snapshot.counter(Metric::Requests), (streams + churn_deployed) as u64);
     dump_telemetry_snapshot(&snapshot);
 }
 

@@ -9,7 +9,9 @@ mod common;
 use exacml::exacml_dsms::{DataType, Schema, StreamHandle, Tuple, Value};
 use exacml::exacml_durable::record::{decode, decode_row, encode_ingest};
 use exacml::exacml_durable::wal;
-use exacml::exacml_durable::{DurableServer, Record, FORMAT_VERSION};
+use exacml::exacml_durable::{DurableServer, GrantRecord, Record, FORMAT_VERSION};
+use exacml::exacml_plus::AuditEvent;
+use exacml::exacml_xacml::xml::write_policy;
 use exacml::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -282,7 +284,7 @@ fn double_recovery_is_idempotent() {
         first.inner().live_deployments(),
         first.live_grants(),
         first.inner().audit_events(),
-        first.inner().policy_store().revision(),
+        first.inner().policy_revision(),
     );
     drop(first);
     let second = DurableServer::recover(&store).unwrap();
@@ -290,30 +292,105 @@ fn double_recovery_is_idempotent() {
     assert_eq!(second.inner().live_deployments(), first_state.1);
     assert_eq!(second.live_grants(), first_state.2);
     assert_eq!(second.inner().audit_events(), first_state.3);
-    assert_eq!(second.inner().policy_store().revision(), first_state.4);
+    assert_eq!(second.inner().policy_revision(), first_state.4);
 }
 
-/// The direct-query baseline cannot register a stream behind the journal's
-/// back: a script over an unknown stream is refused, the catalog is left as
-/// it was, and recovery restores exactly that catalog.
+/// What a recovery must reproduce: stream names, policy ids and revision,
+/// live grants at their URIs, and the audit trail.
+type Observed = (Vec<String>, Vec<String>, u64, Vec<GrantRecord>, Vec<AuditEvent>);
+
+fn observed(server: &DurableServer) -> Observed {
+    let inner = server.inner();
+    let policy_ids = inner.policies().iter().map(|p| p.id.clone()).collect();
+    (
+        inner.stream_names(),
+        policy_ids,
+        inner.policy_revision(),
+        server.live_grants(),
+        inner.audit_events(),
+    )
+}
+
+/// One mutator call on a durable server.
+type Step = Box<dyn Fn(&DurableServer)>;
+
+/// Every public mutator of a durable server in turn, each followed by a
+/// drop and a recovery: the recovery succeeds and shows exactly the state
+/// the server showed before the drop.
 #[test]
-fn direct_deploy_on_an_unknown_stream_changes_no_catalog() {
-    let (store, _guard) = fresh_store("direct-deploy");
-    let unknown = exacml::exacml_dsms::QueryGraphBuilder::on_stream("traffic").build();
-    let script = exacml::exacml_dsms::streamsql::generate(&unknown, &Schema::weather_example());
-    let before = {
-        let server = DurableServer::create(&store, DurableConfig::local()).unwrap();
-        server.register_stream("weather", Schema::weather_example()).unwrap();
-        let before = server.engine().catalog().stream_names();
-        assert!(matches!(
-            server.direct_deploy(&script),
-            Err(ExacmlError::Dsms(exacml::exacml_dsms::DsmsError::UnknownStream(_)))
-        ));
-        assert_eq!(server.engine().catalog().stream_names(), before);
-        before
+fn recovery_after_each_public_mutator_restores_the_pre_drop_state() {
+    let (store, _guard) = fresh_store("each-mutator");
+    let grant = |subject: &str, reused: bool| {
+        let subject = subject.to_string();
+        Box::new(move |server: &DurableServer| {
+            let granted = server.handle_request(&Request::subscribe(&subject, "weather"), None);
+            assert_eq!(granted.unwrap().response.reused, reused);
+        }) as Step
     };
-    let recovered = DurableServer::recover(&store).unwrap();
-    assert_eq!(recovered.engine().catalog().stream_names(), before);
+    let steps: Vec<(&str, Step)> = vec![
+        (
+            "register_stream",
+            Box::new(|s| {
+                s.register_stream("weather", Schema::weather_example()).unwrap();
+            }),
+        ),
+        (
+            "load_policy",
+            Box::new(|s| {
+                s.load_policy(rain_policy("p", "weather", "LTA", 5.0)).unwrap();
+            }),
+        ),
+        (
+            "load_policy_xml",
+            Box::new(|s| {
+                let xml = write_policy(&rain_policy("q", "weather", "EMA", 50.0));
+                s.load_policy_xml(&xml).unwrap();
+            }),
+        ),
+        ("granted handle_request", grant("LTA", false)),
+        ("reused handle_request", grant("LTA", true)),
+        (
+            "denied handle_request",
+            Box::new(|s| {
+                assert!(s.handle_request(&Request::subscribe("nobody", "weather"), None).is_err())
+            }),
+        ),
+        (
+            "push",
+            Box::new(|s| {
+                let schema = Schema::weather_example().shared();
+                s.push("weather", weather_tuple(&schema, 0, 60.0)).unwrap();
+            }),
+        ),
+        (
+            "push_batch",
+            Box::new(|s| {
+                let schema = Schema::weather_example().shared();
+                let batch = (1..=10).map(|i| weather_tuple(&schema, i, 60.0)).collect();
+                s.push_batch("weather", batch).unwrap();
+            }),
+        ),
+        ("second granted handle_request", grant("EMA", false)),
+        (
+            "update_policy",
+            Box::new(|s| {
+                assert_eq!(s.update_policy(rain_policy("p", "weather", "LTA", 6.0)).unwrap(), 1)
+            }),
+        ),
+        ("release_access", Box::new(|s| assert!(s.release_access("EMA", "weather")))),
+        ("granted handle_request after the update", grant("LTA", false)),
+        ("remove_policy", Box::new(|s| assert_eq!(s.remove_policy("p").unwrap(), 1))),
+    ];
+    let mut server = DurableServer::create(&store, DurableConfig::local()).unwrap();
+    for (name, step) in &steps {
+        step(&server);
+        let before = observed(&server);
+        drop(server);
+        server = DurableServer::recover(&store).unwrap_or_else(|e| panic!("after {name}: {e}"));
+        assert_eq!(observed(&server), before, "after {name}");
+    }
+    assert_eq!(server.live_grants().len(), 0);
+    assert_eq!(server.inner().policies().len(), 1);
 }
 
 /// An open (subject-less) policy: any subject may subscribe, so multiple
@@ -574,7 +651,7 @@ fn torn_write_mid_record_is_cut_on_recovery() {
     assert!(recovered.recovery_report().torn_tail.is_some());
     assert_eq!(recovered.policy_count(), 0, "the torn policy record must not replay");
     // The stream registration before the torn record survived.
-    assert!(recovered.inner().engine().catalog().contains("weather"));
+    assert!(recovered.inner().stream_names().contains(&"weather".to_string()));
 }
 
 /// Release is write-ahead: its record is appended and flushed before the
@@ -601,7 +678,7 @@ fn a_release_the_journal_refuses_keeps_the_grant_live_across_recovery() {
             server.install_wal_failpoint(fault);
             let trail = server.inner().audit_events();
             assert!(!server.release_access("LTA", "weather"), "{tag}: refused release");
-            assert!(server.inner().holds_grant("LTA", "weather"), "{tag}");
+            assert!(server.inner().with_grant("LTA", "weather", |_| ()).is_some(), "{tag}");
             assert!(server.inner().handle_is_live(granted.handle()), "{tag}");
             assert_eq!(server.inner().audit_events(), trail, "{tag}: no event left behind");
             granted.handle().clone()

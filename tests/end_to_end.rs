@@ -4,11 +4,15 @@
 //! scenario here runs identically on a single `DataServer` and on a 3-node
 //! brokering `Fabric` (the backend is one builder line).
 
-use exacml::exacml_dsms::{streamsql, AggFunc, AggSpec, Schema, Value, WindowSpec};
+use exacml::exacml_bench::direct_deploy;
+use exacml::exacml_dsms::{streamsql, AggFunc, AggSpec, Schema, StreamEngine, Value, WindowSpec};
 use exacml::exacml_plus::Proxy;
+use exacml::exacml_simnet::Topology;
 use exacml::exacml_workload::{WorkloadGenerator, WorkloadSpec};
 use exacml::exacml_xacml::{AttributeCategory, AttributeMatch, AttributeValue};
 use exacml::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn example1_policy() -> Policy {
@@ -188,21 +192,22 @@ fn multi_consumer_isolation_across_streams() {
 
 #[test]
 fn direct_query_scripts_from_the_workload_deploy_and_run() {
-    let server = DataServer::new(ServerConfig::local());
+    let engine = StreamEngine::new();
     for (name, schema) in WorkloadGenerator::streams() {
-        server.register_stream(name, schema).unwrap();
+        engine.register_stream(name, schema).unwrap();
     }
     let mut spec = WorkloadSpec::small();
     spec.n_policies = 20;
     spec.n_direct_queries = 20;
     let generator = WorkloadGenerator::new(spec);
     let queries = generator.generate_queries();
+    let (topology, mut rng) = (Topology::local(), StdRng::seed_from_u64(42));
     for script in generator.direct_query_scripts(&queries) {
-        let (handle, timing) = server.direct_deploy(&script).unwrap();
-        assert!(server.handle_is_live(&handle));
+        let (handle, timing) = direct_deploy(&engine, &topology, &mut rng, &script).unwrap();
+        assert!(engine.catalog().handle_is_live(&handle));
         assert!(timing.total >= timing.dsms);
     }
-    assert_eq!(server.live_deployments(), 20);
+    assert_eq!(engine.deployment_count(), 20);
 }
 
 /// A caching proxy in front of `backend`, on the paper's testbed links.

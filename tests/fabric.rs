@@ -76,7 +76,7 @@ fn stream_ownership_routing_is_exact() {
             .nodes()
             .iter()
             .zip(fabric.layer().servers())
-            .filter(|(_, server)| server.engine().stream_schema(name).is_ok())
+            .filter(|(_, server)| server.stream_schema(name).is_ok())
             .map(|(node, _)| node.id())
             .collect();
         assert_eq!(hosting, vec![owner], "stream {name} must live exactly on its owner");
@@ -115,7 +115,7 @@ fn policy_update_invalidates_every_nodes_pdp_cache() {
         assert!(server.pdp().evaluate(&request).is_permit());
     }
     let revisions: Vec<u64> =
-        fabric.layer().servers().iter().map(|s| s.policy_store().revision()).collect();
+        fabric.layer().servers().iter().map(|s| s.policy_revision()).collect();
 
     // A policy update at the broker must advance every node's revision
     // counter and produce the *new* decision on every node (never a stale
@@ -128,7 +128,7 @@ fn policy_update_invalidates_every_nodes_pdp_cache() {
     let servers = fabric.nodes().iter().zip(fabric.layer().servers());
     for ((node, server), old_revision) in servers.clone().zip(&revisions) {
         assert!(
-            server.policy_store().revision() > *old_revision,
+            server.policy_revision() > *old_revision,
             "node {} revision did not advance",
             node.id()
         );

@@ -81,7 +81,7 @@ fn example2_reconstruction_and_single_access_prevention() {
     // The attack numbers of Example 2: S = a0, a1, a2, ... with windows of
     // sizes 3, 4, 5 and advance 2. S1 = (a0+a1+a2), (a2+a3+a4), ...
     let values: Vec<f64> = (0..16).map(f64::from).collect();
-    let outcome = simulate_attack(&values, 3, 2);
+    let outcome = simulate_attack(&values, 3, 2).unwrap();
     // The attacker recovers a3, a4, a5, ... exactly.
     assert!(outcome.reconstructed.len() >= 8);
     for (k, v) in outcome.reconstructed.iter().enumerate() {

@@ -247,7 +247,7 @@ proptest! {
         step in 1u64..4,
     ) {
         let step = step.min(base);
-        let outcome = exacml_plus::attack::simulate_attack(&values, base, step);
+        let outcome = exacml_plus::attack::simulate_attack(&values, base, step).unwrap();
         for (k, reconstructed) in outcome.reconstructed.iter().enumerate() {
             let original = values[base as usize + k];
             prop_assert!((reconstructed - original).abs() < 1e-6,

@@ -130,7 +130,7 @@ fn attack_guard_blocks_reconstruction_on_every_shape() {
     // The unguarded baseline: with both series the attack recovers a3, a4, …
     let values: Vec<f64> = (0..16).map(f64::from).collect();
     assert!(
-        simulate_attack(&values, 3, 2).reconstructed.len() >= 8,
+        simulate_attack(&values, 3, 2).unwrap().reconstructed.len() >= 8,
         "the bare-engine attack must succeed, or the guard is pointless"
     );
 
