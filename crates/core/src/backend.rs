@@ -24,7 +24,7 @@
 //! fabric's routing misses surface as [`ExacmlError::UnknownHandle`] exactly
 //! like a withdrawn handle on a single server. Subscriptions are unified
 //! behind [`Subscription`], which hides whether derived tuples arrive on an
-//! in-process channel or through simulated links driven by a virtual clock.
+//! in-process inbox or through simulated links driven by a virtual clock.
 //!
 //! Scenario code written against `&dyn Backend` (or a generic
 //! `B: Backend`) therefore runs unchanged on one node or N nodes; the
@@ -127,13 +127,13 @@ impl BackendHealth {
 
 /// A subscription to a granted handle, independent of the backend shape.
 ///
-/// A single server hands derived tuples straight to an in-process channel; a
+/// A single server hands derived tuples straight to an in-process inbox; a
 /// fabric stamps them with simulated arrival times and releases them as its
 /// virtual clock advances. [`Subscription::drain`] hides the difference:
 /// it returns every tuple derived so far, advancing the fabric's virtual
 /// clock until nothing remains in flight.
 pub enum Subscription {
-    /// In-process delivery straight off the engine's fan-out queue.
+    /// In-process delivery straight from the subscriber's engine inbox.
     Local(TupleReceiver),
     /// Delivery through the fabric's simulated links and virtual clock.
     Fabric(FabricSubscription),
@@ -156,7 +156,7 @@ impl Subscription {
 
     /// Every delivery settled so far, **with** its arrival metadata: pull
     /// everything derived, then (on a fabric) advance the shared virtual
-    /// clock until nothing remains in flight. In-process channels have no
+    /// clock until nothing remains in flight. In-process inboxes have no
     /// network to settle — each tuple reports zero latency — so callers
     /// flush in-flight delivery identically on every backend shape instead
     /// of matching on the enum to find a fabric.

@@ -499,7 +499,7 @@ impl FabricSubscription {
         delivered
     }
 
-    /// Drain **everything** derived so far: pull the node-local channel into
+    /// Drain **everything** derived so far: pull the node-local inbox into
     /// the link, then advance the shared virtual clock in small steps until
     /// no delivery remains in flight. This is what
     /// [`crate::backend::Subscription::drain`] uses so scenario code written
@@ -528,7 +528,7 @@ impl FabricSubscription {
     }
 
     /// [`FabricSubscription::poll`], appending each delivery to `out` as
-    /// `deliver` shapes it: one pass from the node's channel through the
+    /// `deliver` shapes it: one pass from the node's inbox through the
     /// link, and one histogram update for the frame's latencies.
     pub(crate) fn poll_into<D>(&mut self, out: &mut Vec<D>, deliver: impl Fn(DeliveredTuple) -> D) {
         let now = self.clock.now_nanos();
@@ -553,7 +553,7 @@ impl FabricSubscription {
     }
 
     /// Tuples queued on the link, not yet past their arrival time. (Tuples
-    /// still in the node-local channel are not counted until the next
+    /// still in the node-local inbox are not counted until the next
     /// [`FabricSubscription::poll`].)
     #[must_use]
     pub fn in_flight(&self) -> usize {

@@ -45,14 +45,6 @@ impl StreamHandle {
     pub fn serial(&self) -> Option<u64> {
         self.0.rsplit('/').next()?.parse().ok()
     }
-
-    /// Approximate wire size of the handle in bytes (used by the simulated
-    /// network — handles are tiny compared to data, which is why the proxy
-    /// cache helps less here than in the archived-data eXACML system).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        self.0.len()
-    }
 }
 
 impl fmt::Display for StreamHandle {
@@ -95,17 +87,6 @@ impl StreamCatalog {
         let shared = schema.shared();
         streams.insert(name.to_string(), Arc::clone(&shared));
         Ok(shared)
-    }
-
-    /// Remove an input stream registration.
-    ///
-    /// # Errors
-    /// Fails when the stream is unknown.
-    pub fn unregister(&self, name: &str) -> Result<(), DsmsError> {
-        if self.streams.write().remove(name).is_none() {
-            return Err(DsmsError::UnknownStream(name.to_string()));
-        }
-        Ok(())
     }
 
     /// Schema of a registered stream.
@@ -197,16 +178,14 @@ mod tests {
     use crate::value::DataType;
 
     #[test]
-    fn register_lookup_unregister() {
+    fn register_and_lookup() {
         let catalog = StreamCatalog::new("dsms-host");
         catalog.register("weather", Schema::weather_example()).unwrap();
         assert!(catalog.contains("weather"));
         assert_eq!(catalog.schema_of("weather").unwrap().len(), 8);
         assert_eq!(catalog.stream_names(), vec!["weather".to_string()]);
-        catalog.unregister("weather").unwrap();
-        assert!(!catalog.contains("weather"));
-        assert!(matches!(catalog.schema_of("weather"), Err(DsmsError::UnknownStream(_))));
-        assert!(matches!(catalog.unregister("weather"), Err(DsmsError::UnknownStream(_))));
+        assert!(!catalog.contains("rain"));
+        assert!(matches!(catalog.schema_of("rain"), Err(DsmsError::UnknownStream(_))));
     }
 
     #[test]
@@ -241,9 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn handle_wire_size_is_its_length() {
+    fn a_handle_displays_as_its_uri() {
         let h = StreamHandle::from_uri("exacml://h/streams/1");
-        assert_eq!(h.wire_size(), "exacml://h/streams/1".len());
         assert_eq!(h.to_string(), "exacml://h/streams/1");
+        assert_eq!(h.serial(), Some(1));
     }
 }

@@ -27,12 +27,15 @@
 //! A push — one tuple or a batch — runs each deployment **stage-at-a-time**
 //! over the whole input slice, then hands every subscriber **one**
 //! `Vec<Tuple>` holding what its residual let through (nothing at all when
-//! that is empty): one channel send per subscriber per batch, not per tuple.
-//! The consumer's half is a [`TupleReceiver`], which reads tuple by tuple
-//! ([`TupleReceiver::try_recv`], [`TupleReceiver::try_iter`]) or takes
-//! everything queued in one move ([`TupleReceiver::take_all`]). A linear
-//! chain's output sequence depends only on its input sequence, so how a
-//! stream is cut into batches never changes what a subscriber receives.
+//! that is empty): one inbox append per subscriber per batch, not per tuple.
+//! The inbox is a `Vec<Tuple>` the engine and the subscriber's
+//! [`TupleReceiver`] share; the receiver takes everything waiting in one
+//! move ([`TupleReceiver::take_all`], [`TupleReceiver::try_iter`]). Because
+//! the engine holds the inbox, withdrawing or retiring a handle empties it:
+//! nothing a revoked grant had not yet taken stays readable (Section 3.3).
+//! A linear chain's output sequence depends only on its input sequence, so
+//! how a stream is cut into batches never changes what a subscriber
+//! receives.
 //!
 //! # Filters select, they don't copy
 //!
@@ -61,12 +64,10 @@ use crate::error::DsmsError;
 use crate::graph::QueryGraph;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use exacml_telemetry::{Metric, Stage, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::TryRecvError;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,63 +92,48 @@ pub struct Deployment {
     pub output_schema: Arc<Schema>,
 }
 
+/// The derived tuples waiting for one subscriber, in emission order. The
+/// engine's slot and the subscriber's [`TupleReceiver`] hold the only two
+/// references, so a strong count of 1 means the other side has gone.
+type Inbox = Arc<Mutex<Vec<Tuple>>>;
+
 /// The receiving half of a subscription: derived tuples in emission order.
 ///
-/// The engine queues one `Vec<Tuple>` per batch it processed; this type
-/// hides the batching from callers that read tuple by tuple and offers
-/// [`TupleReceiver::take_all`] to those that want everything at once.
 /// Dropping it unsubscribes: the engine prunes the slot on the next push.
+/// Once its handle is withdrawn or retired the receiver stays empty.
 pub struct TupleReceiver {
-    batches: Receiver<Vec<Tuple>>,
-    /// The unread rest of a batch [`TupleReceiver::try_recv`] has started on.
-    front: Mutex<std::vec::IntoIter<Tuple>>,
+    inbox: Inbox,
 }
 
 impl TupleReceiver {
-    /// The next derived tuple, if one is queued.
-    ///
-    /// # Errors
-    /// `Empty` when nothing is queued; `Disconnected` when nothing is queued
-    /// *and* the handle was withdrawn or retired (what was queued before
-    /// that stays readable).
-    pub fn try_recv(&self) -> Result<Tuple, TryRecvError> {
-        let mut front = self.front.lock();
-        loop {
-            if let Some(tuple) = front.next() {
-                return Ok(tuple);
-            }
-            *front = self.batches.try_recv()?.into_iter();
-        }
+    /// Every tuple queued now, one at a time: [`TupleReceiver::take_all`]
+    /// as an iterator.
+    pub fn try_iter(&self) -> impl Iterator<Item = Tuple> {
+        self.take_all().into_iter()
     }
 
-    /// Every tuple that is immediately available, one at a time.
-    pub fn try_iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        std::iter::from_fn(|| self.try_recv().ok())
-    }
-
-    /// Everything queued, in order. A lone queued batch is moved out as the
-    /// engine built it, without touching its tuples.
+    /// Everything queued, in order, leaving the inbox empty. A batch that
+    /// found the inbox empty is moved out as the engine built it.
     pub fn take_all(&self) -> Vec<Tuple> {
-        let mut front = self.front.lock();
-        let mut all: Vec<Tuple> = std::mem::take(&mut *front).collect();
-        for batch in self.batches.try_iter() {
-            if all.is_empty() {
-                all = batch;
-            } else {
-                all.extend(batch);
-            }
-        }
-        all
+        std::mem::take(&mut *self.inbox.lock())
     }
 }
 
 /// One subscriber of a deployment's output: the handle it subscribed
-/// through, the delivery channel, and the per-grant residual (if the handle
-/// was attached with one) applied to each tuple before sending.
+/// through, its inbox, and the per-grant residual (if the handle was
+/// attached with one) applied to each batch before delivery.
 struct SubscriberSlot {
     handle: StreamHandle,
-    tx: Sender<Vec<Tuple>>,
+    inbox: Inbox,
     residual: Option<Arc<CompiledResidual>>,
+}
+
+impl SubscriberSlot {
+    /// Empty the inbox of a slot that is being removed; returns how many
+    /// tuples it held.
+    fn discard(&self) -> usize {
+        std::mem::take(&mut *self.inbox.lock()).len()
+    }
 }
 
 /// Runtime state of one deployed query graph.
@@ -185,14 +171,14 @@ impl DeploymentState {
     /// is that selection ANDed with its residual's flags — read from the
     /// same cache as the chain's, since a filter never changes the schema.
     ///
-    /// Disconnected receivers are dropped first, on every batch whether it
-    /// emits or not. Each remaining subscriber is sent one `Vec` per batch,
-    /// sized to what it receives: a delivered tuple costs one
+    /// Slots whose receiver was dropped are removed first, on every batch
+    /// whether it emits or not. Each remaining subscriber gets one `Vec` per
+    /// batch, sized to what it receives: a delivered tuple costs one
     /// reference-count bump (or one projected row), a rejected one nothing
-    /// beyond its flags, and an empty batch no send at all. The shared chain
-    /// above runs once either way.
+    /// beyond its flags, and an empty batch no inbox access at all. The
+    /// shared chain above runs once either way.
     fn process_and_fan_out(&mut self, source: &mut Columns<'_>) -> usize {
-        self.subscribers.retain(|slot| !slot.tx.is_disconnected());
+        self.subscribers.retain(|slot| Arc::strong_count(&slot.inbox) > 1);
 
         let DeploymentState { stages, subscribers, current, next, selection, rider, .. } = self;
         selection.reset();
@@ -224,8 +210,9 @@ impl DeploymentState {
     }
 }
 
-/// Send each subscriber its share of the rows of `columns` that `selection`
-/// keeps; returns how many rows it keeps.
+/// Append each subscriber's share of the rows of `columns` that `selection`
+/// keeps to its inbox: moved into an empty inbox, extending a non-empty
+/// one. Returns how many rows the selection keeps.
 fn fan_out(
     subscribers: &[SubscriberSlot],
     columns: &mut Columns<'_>,
@@ -243,7 +230,12 @@ fn fan_out(
             Some(residual) => residual.apply(columns, chain, rider),
         };
         if !batch.is_empty() {
-            let _ = slot.tx.send(batch);
+            let mut inbox = slot.inbox.lock();
+            if inbox.is_empty() {
+                *inbox = batch;
+            } else {
+                inbox.extend(batch);
+            }
         }
     }
     emitted
@@ -405,8 +397,9 @@ impl StreamEngine {
     }
 
     /// Withdraw a deployment by id, releasing its primary output handle
-    /// **and** every per-grant handle attached to it. Subscribers see their
-    /// channel disconnect.
+    /// **and** every per-grant handle attached to it. Every subscriber's
+    /// inbox is emptied and stays empty; the tuples it held are counted as
+    /// [`Metric::TuplesDiscarded`].
     ///
     /// # Errors
     /// Fails when the deployment is unknown.
@@ -426,6 +419,8 @@ impl StreamEngine {
                 .expect("routes and shard deployments are kept consistent");
             deployments.remove(index)
         };
+        let discarded: usize = state.subscribers.iter().map(SubscriberSlot::discard).sum();
+        self.telemetry.add(Metric::TuplesDiscarded, discarded as u64);
         let mut by_handle = self.by_handle.write();
         self.catalog.release_handle(&state.output_handle);
         by_handle.remove(&state.output_handle);
@@ -434,20 +429,6 @@ impl StreamEngine {
             by_handle.remove(handle);
         }
         Ok(())
-    }
-
-    /// Withdraw the deployment behind an output-stream handle.
-    ///
-    /// # Errors
-    /// Fails when the handle is unknown.
-    pub fn withdraw_handle(&self, handle: &StreamHandle) -> Result<(), DsmsError> {
-        let id = self
-            .by_handle
-            .read()
-            .get(handle)
-            .map(|entry| entry.id)
-            .ok_or_else(|| DsmsError::UnknownHandle(handle.uri().to_string()))?;
-        self.withdraw(id)
     }
 
     /// Attach a per-grant handle to a live deployment, optionally carrying a
@@ -521,11 +502,11 @@ impl StreamEngine {
     }
 
     /// Retire one per-grant handle attached via
-    /// [`StreamEngine::attach_handle`]: the handle dies, its subscribers
-    /// disconnect, and the shared deployment (and every other attached
-    /// handle) lives on. Returns the deployment the handle belonged to so
-    /// callers tracking plan refcounts can decide whether to
-    /// [`StreamEngine::withdraw`] it.
+    /// [`StreamEngine::attach_handle`]: the handle dies, its subscribers'
+    /// inboxes are emptied as on [`StreamEngine::withdraw`], and the shared
+    /// deployment (and every other attached handle) lives on. Returns the
+    /// deployment the handle belonged to so callers tracking plan refcounts
+    /// can decide whether to [`StreamEngine::withdraw`] it.
     ///
     /// # Errors
     /// Fails when the handle is unknown or is a deployment's *primary*
@@ -542,9 +523,14 @@ impl StreamEngine {
             DsmsError::UnknownHandle(format!("{} is a primary handle", handle.uri()))
         })?;
         state.attached.remove(index);
-        state.subscribers.retain(|slot| slot.handle != *handle);
+        let discarded: usize = state
+            .subscribers
+            .extract_if(.., |slot| slot.handle == *handle)
+            .map(|slot| slot.discard())
+            .sum();
         self.catalog.release_handle(handle);
         self.by_handle.write().remove(handle);
+        self.telemetry.add(Metric::TuplesDiscarded, discarded as u64);
         Ok(id)
     }
 
@@ -566,9 +552,13 @@ impl StreamEngine {
         let mut guard = shard.state.lock();
         let deployments = &mut guard.deployments;
         let state = deployments.iter_mut().find(|d| d.id == id).ok_or_else(unknown)?;
-        let (tx, batches) = unbounded();
-        state.subscribers.push(SubscriberSlot { handle: handle.clone(), tx, residual });
-        Ok(TupleReceiver { batches, front: Mutex::new(Vec::new().into_iter()) })
+        let inbox = Inbox::default();
+        state.subscribers.push(SubscriberSlot {
+            handle: handle.clone(),
+            inbox: Arc::clone(&inbox),
+            residual,
+        });
+        Ok(TupleReceiver { inbox })
     }
 
     /// Schema of the output stream behind a handle: the deployment's output
@@ -850,20 +840,11 @@ mod tests {
         assert_eq!(engine.deployment_count(), 0);
         // Pushing more data does not reach the old subscriber.
         engine.push("weather", weather_tuple(&schema, 0, 1.0, 1.0)).unwrap();
-        assert!(rx.try_recv().is_err());
+        assert!(rx.take_all().is_empty());
         // Subscribing to the withdrawn handle now fails.
         assert!(matches!(engine.subscribe(&d.output_handle), Err(DsmsError::UnknownHandle(_))));
         // Double-withdraw fails.
         assert!(engine.withdraw(d.id).is_err());
-    }
-
-    #[test]
-    fn withdraw_by_handle() {
-        let (engine, _schema) = engine_with_weather();
-        let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
-        engine.withdraw_handle(&d.output_handle).unwrap();
-        assert_eq!(engine.deployment_count(), 0);
-        assert!(engine.withdraw_handle(&d.output_handle).is_err());
     }
 
     #[test]
@@ -1084,9 +1065,9 @@ mod tests {
         assert!(!engine.catalog().handle_is_live(&ha));
         assert!(engine.catalog().handle_is_live(&hb));
         assert_eq!(engine.deployment_count(), 1);
-        // The retired grant's subscriber is disconnected, the other lives.
+        // The retired grant's subscriber receives nothing, the other lives.
         engine.push("weather", weather_tuple(&schema, 0, 1.0, 1.0)).unwrap();
-        assert!(rx_a.try_recv().is_err());
+        assert!(rx_a.take_all().is_empty());
         assert_eq!(rx_b.try_iter().count(), 1);
 
         // Retiring again, retiring the primary, or a foreign handle fails.
@@ -1163,7 +1144,7 @@ mod tests {
     }
 
     #[test]
-    fn tuple_wise_and_whole_batch_reads_interleave_in_order() {
+    fn iterated_and_whole_inbox_reads_interleave_in_order() {
         let (engine, schema) = engine_with_weather();
         let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
         let rx = engine.subscribe(&d.output_handle).unwrap();
@@ -1171,22 +1152,20 @@ mod tests {
             range.map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect()
         };
 
-        // `try_recv` part-way into a batch, then `take_all` across the rest
-        // of it and the next batch.
+        // Two batches wait in one inbox: `take_all` returns both, in order,
+        // and only once.
         engine.push_batch("weather", batch(0..4)).unwrap();
         engine.push_batch("weather", batch(4..6)).unwrap();
-        assert_eq!(timestamps(&[rx.try_recv().unwrap()]), vec![0]);
-        assert_eq!(timestamps(&rx.take_all()), vec![30_000, 60_000, 90_000, 120_000, 150_000]);
+        assert_eq!(timestamps(&rx.take_all()), vec![0, 30_000, 60_000, 90_000, 120_000, 150_000]);
         assert!(rx.take_all().is_empty());
 
-        // The reverse: `take_all`, then tuple-wise reads of later batches.
+        // `take_all`, then `try_iter` across a batch and a single push.
         engine.push_batch("weather", batch(6..8)).unwrap();
         assert_eq!(timestamps(&rx.take_all()), vec![180_000, 210_000]);
         engine.push_batch("weather", batch(8..10)).unwrap();
         engine.push("weather", weather_tuple(&schema, 10, 1.0, 1.0)).unwrap();
-        assert_eq!(timestamps(&[rx.try_recv().unwrap()]), vec![240_000]);
-        assert_eq!(timestamps(&rx.try_iter().collect::<Vec<_>>()), vec![270_000, 300_000]);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(timestamps(&rx.try_iter().collect::<Vec<_>>()), vec![240_000, 270_000, 300_000]);
+        assert_eq!(rx.try_iter().count(), 0);
     }
 
     #[test]
@@ -1205,7 +1184,6 @@ mod tests {
 
         let calm: Vec<Tuple> = (0..8).map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect();
         assert_eq!(engine.push_batch("weather", calm).unwrap(), 8);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         assert!(rx.take_all().is_empty());
         // Nothing was queued, not an empty batch: the next batch is the
         // first thing the receiver holds.
@@ -1214,26 +1192,34 @@ mod tests {
     }
 
     #[test]
-    fn queued_tuples_outlive_withdrawal_then_the_receiver_disconnects() {
+    fn retirement_and_withdrawal_discard_what_the_subscriber_has_not_taken() {
         let (engine, schema) = engine_with_weather();
         let d = engine.deploy(&QueryGraph::identity("weather")).unwrap();
         let attached = engine.attach_handle(d.id, None).unwrap();
         let rx_attached = engine.subscribe(&attached).unwrap();
         let rx_primary = engine.subscribe(&d.output_handle).unwrap();
-        let batch: Vec<Tuple> = (0..3).map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect();
-        engine.push_batch("weather", batch).unwrap();
+        let rx_dropped = engine.subscribe(&d.output_handle).unwrap();
+        let batch = |range: std::ops::Range<i64>| -> Vec<Tuple> {
+            range.map(|i| weather_tuple(&schema, i, 1.0, 1.0)).collect()
+        };
+        engine.push_batch("weather", batch(0..3)).unwrap();
+        drop(rx_dropped);
 
-        // Start reading a batch, then retire the handle under the reader.
-        assert_eq!(timestamps(&[rx_attached.try_recv().unwrap()]), vec![0]);
+        // Retiring the attached handle discards its three queued tuples; the
+        // push after it reaches only the primary. The dropped receiver's slot
+        // is pruned by that push, and its tuples are not counted.
         engine.retire_handle(&attached).unwrap();
         engine.push("weather", weather_tuple(&schema, 3, 1.0, 1.0)).unwrap();
-        assert_eq!(timestamps(&rx_attached.try_iter().collect::<Vec<_>>()), vec![30_000, 60_000]);
-        assert_eq!(rx_attached.try_recv(), Err(TryRecvError::Disconnected));
         assert!(rx_attached.take_all().is_empty());
-
-        engine.withdraw(d.id).unwrap();
+        assert_eq!(counter(&engine, Metric::TuplesDiscarded), 3);
+        assert_eq!(engine.subscriber_slots(d.id), 1);
         assert_eq!(timestamps(&rx_primary.take_all()), vec![0, 30_000, 60_000, 90_000]);
-        assert_eq!(rx_primary.try_recv(), Err(TryRecvError::Disconnected));
+
+        // Withdrawal discards what the primary has not taken since.
+        engine.push_batch("weather", batch(4..6)).unwrap();
+        engine.withdraw(d.id).unwrap();
+        assert!(rx_primary.take_all().is_empty());
+        assert_eq!(counter(&engine, Metric::TuplesDiscarded), 5);
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //!     .set("samplingtime", Value::Timestamp(0))
 //!     .set("rainrate", Value::Double(9.0))
 //!     .finish_with_defaults()).unwrap();
-//! assert_eq!(rx.try_recv().unwrap().get("rainrate").unwrap(), &Value::Double(9.0));
+//! let derived = rx.take_all();
+//! assert_eq!(derived.len(), 1);
+//! assert_eq!(derived[0].get("rainrate").unwrap(), &Value::Double(9.0));
 //! ```
 
 pub mod catalog;

@@ -42,7 +42,7 @@
 //!   refused, so the store on disk never silently falls behind the state
 //!   in memory.
 //!
-//! Subscriptions are deliberately *not* journaled: a subscriber channel
+//! Subscriptions are deliberately *not* journaled: a subscriber inbox
 //! cannot outlive its process, so consumers re-subscribe with their
 //! (recovered) handle after a restart. In-flight window contents are
 //! restored only while their ingest records are still in the WAL tail —

@@ -119,6 +119,9 @@ pub enum Metric {
     BatchesIngested,
     /// Derived tuples emitted to subscribers.
     TuplesDelivered,
+    /// Derived tuples a withdrawn or retired handle's subscribers had not
+    /// taken, discarded with the handle.
+    TuplesDiscarded,
     /// Access requests that entered the Section 3.2 workflow.
     Requests,
     /// Requests that ended in a granted (or reused) handle.
@@ -150,10 +153,11 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in declaration order (also the counter index order).
-    pub const ALL: [Metric; 16] = [
+    pub const ALL: [Metric; 17] = [
         Metric::TuplesIngested,
         Metric::BatchesIngested,
         Metric::TuplesDelivered,
+        Metric::TuplesDiscarded,
         Metric::Requests,
         Metric::RequestsGranted,
         Metric::RequestsDenied,
@@ -176,6 +180,7 @@ impl Metric {
             Metric::TuplesIngested => "tuples_ingested",
             Metric::BatchesIngested => "batches_ingested",
             Metric::TuplesDelivered => "tuples_delivered",
+            Metric::TuplesDiscarded => "tuples_discarded",
             Metric::Requests => "requests",
             Metric::RequestsGranted => "requests_granted",
             Metric::RequestsDenied => "requests_denied",

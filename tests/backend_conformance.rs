@@ -89,7 +89,7 @@ fn register_push_subscribe_lifecycle() {
 /// uniform surface: one `push_batches` call spanning several streams lands
 /// on every shape, and `Subscription::drain_settled` reports delivery
 /// records with consistent ordering invariants whether the tuples crossed
-/// a simulated link (fabric) or an in-process channel (single server).
+/// a simulated link (fabric) or an in-process inbox (single server).
 #[test]
 fn batched_fan_out_and_settled_drain_are_uniform() {
     let (shapes, _stores) = backends();
@@ -397,10 +397,10 @@ fn overlapping_subscribers_share_one_plan_on_every_shape() {
 }
 
 /// Section 3.3 at batch grain: a policy change withdraws exactly its own
-/// grant between two batches. The withdrawn subscription keeps what the
-/// first batch queued (still readable after withdrawal) and sees nothing of
-/// the second; its co-rider on the shared plan and a grant on another plan
-/// see both batches, in order.
+/// grant between two batches. The withdrawn subscription reads nothing:
+/// what the first batch queued for it is discarded with the grant, and the
+/// second never reaches it. Its co-rider on the shared plan and a grant on
+/// another plan see both batches, in order.
 #[test]
 fn a_policy_update_between_two_batches_cuts_only_its_own_grant() {
     let (shapes, _stores) = backends();
@@ -444,7 +444,9 @@ fn a_policy_update_between_two_batches_cuts_only_its_own_grant() {
         assert!(!backend.handle_is_live(ema.handle()), "{kind}: withdrawn when the update returns");
         backend.push_batch("weather", batch(6..12)).unwrap();
 
-        assert_eq!(markers(&mut ema_sub), (0..6).collect::<Vec<_>>(), "{kind}: withdrawn grant");
+        assert_eq!(markers(&mut ema_sub), Vec::<i64>::new(), "{kind}: withdrawn grant");
+        let discarded = backend.telemetry().counter(Metric::TuplesDiscarded);
+        assert_eq!(discarded, 6, "{kind}: the first batch, discarded with the grant");
         assert_eq!(markers(&mut lta_sub), (0..12).collect::<Vec<_>>(), "{kind}: co-rider");
         assert_eq!(markers(&mut pub_sub), (0..12).collect::<Vec<_>>(), "{kind}: other plan");
     }

@@ -16,7 +16,9 @@
 //! ask for *different* windows for one subject on one stream (Section 3.4:
 //! at most one is ever granted), and a request races the removal or update
 //! of the policy that authorises it (Section 3.3: no grant outlives its
-//! policy revision).
+//! policy revision). A last one races a release against ingest and a
+//! draining consumer (Section 3.3 on the tuple path: once the release
+//! returns, the grant has nothing left to read).
 //!
 //! The workload size is overridable through environment variables so the
 //! nightly CI soak job can run the same invariants at a much larger scale:
@@ -29,7 +31,7 @@ use exacml::prelude::*;
 use exacml_dsms::{AggFunc, AggSpec, Schema, Tuple, Value, WindowSpec};
 use exacml_plus::{DataServer, ServerConfig};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 
 fn knob(name: &str, default: usize) -> usize {
@@ -366,4 +368,71 @@ fn a_request_racing_update_policy_keeps_only_a_grant_of_the_new_revision() {
         },
         |_| {},
     );
+}
+
+/// Section 3.3 on the tuple path: a producer pushes marker batches, a
+/// consumer drains the grant, and this thread releases it once a round's
+/// share of the batches has begun. The consumer must read each marker once
+/// and in order, none whose push began after the release returned, and a
+/// drain after the release must find nothing: what the grant had not taken
+/// was discarded with it.
+#[test]
+fn a_release_racing_ingest_and_a_consumer_leaves_nothing_to_read() {
+    const BATCHES: usize = 8;
+    const BATCH: usize = 16;
+    let server = DataServer::new(ServerConfig::local());
+    server.register_stream("weather", Schema::weather_example()).unwrap();
+    server.load_policy(race_policy(5)).unwrap();
+    let schema = server.stream_schema("weather").unwrap();
+    let marker = |tuple: &Tuple| tuple.event_time().expect("marker timestamp") as usize;
+
+    let verdict = (0..knob("STRESS_RACE_ROUNDS", 5_000)).try_for_each(|round| {
+        let granted = server.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        let rx = server.subscribe(&granted.handle).unwrap();
+        // Markers below `begun` belong to pushes that have begun; `done`
+        // counts the producer's end and the release.
+        let (begun, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (read, limit, left) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for b in 0..BATCHES {
+                    let batch: Vec<Tuple> =
+                        (b * BATCH..(b + 1) * BATCH).map(|m| marker_tuple(&schema, 0, m)).collect();
+                    begun.store((b + 1) * BATCH, Ordering::SeqCst);
+                    server.push_batch("weather", batch).unwrap();
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+            let consumer = scope.spawn(|| {
+                let mut read = Vec::new();
+                loop {
+                    let last = done.load(Ordering::SeqCst) == 2;
+                    read.extend(rx.take_all().iter().map(marker));
+                    if last {
+                        return read;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+            while begun.load(Ordering::SeqCst) < BATCH * (1 + round % (BATCHES / 2)) {
+                std::thread::yield_now();
+            }
+            assert!(server.release_access("LTA", "weather"));
+            let limit = begun.load(Ordering::SeqCst);
+            let left = rx.take_all().len();
+            done.fetch_add(1, Ordering::SeqCst);
+            (consumer.join().unwrap(), limit, left)
+        });
+        if let Some(pair) = read.windows(2).find(|pair| pair[0] >= pair[1]) {
+            return Err(format!("round {round}: marker {} read after {}", pair[1], pair[0]));
+        }
+        if let Some(late) = read.iter().find(|&&m| m >= limit) {
+            return Err(format!("round {round}: marker {late} was pushed after the release"));
+        }
+        if left > 0 {
+            return Err(format!("round {round}: {left} tuple(s) readable after the release"));
+        }
+        Ok(())
+    });
+    assert_eq!(verdict, Ok(()));
+    assert_eq!(server.live_deployments(), 0);
 }
