@@ -36,6 +36,14 @@
 # whatever runs next. Its set-up is several hundred fsynced control records,
 # so without the sync `setup_s` bills the previous run's dirty pages to this
 # one (0.15 to 1.12 s was read on identical code).
+#
+# `setup_s` can sit at one of two levels for a whole process, whatever the
+# code. One build, `city_requests`, seed 2, six processes of nine set-ups
+# each (`--seconds 3`), read after each process's first set-up: three at
+# 10.1-12.2 ms throughout, one at 6.8-8.2 ms throughout, one switched from
+# 11.2 to 7.0-8.3 ms partway, one read 10.7-11.4 ms and then 15.3 ms. So at
+# 4-5 pairs, read a `setup_s` REGRESSION beside an `--aa` run of the same
+# pairs before believing it. The verdict rules above are unchanged.
 set -euo pipefail
 
 usage() {

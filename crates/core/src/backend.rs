@@ -148,7 +148,7 @@ impl Subscription {
             Subscription::Local(rx) => rx.take_all(),
             Subscription::Fabric(sub) => {
                 let mut tuples = Vec::new();
-                sub.drain_settled_into(&mut tuples, |d| d.tuple);
+                sub.drain_settled_into(|_, _, frame| append(&mut tuples, frame));
                 tuples
             }
         }
@@ -176,7 +176,7 @@ impl Subscription {
             Subscription::Local(rx) => rx.take_all(),
             Subscription::Fabric(sub) => {
                 let mut tuples = Vec::new();
-                sub.poll_into(&mut tuples, |d| d.tuple);
+                sub.poll_into(|_, _, frame| append(&mut tuples, frame));
                 tuples
             }
         }
@@ -189,6 +189,16 @@ impl Subscription {
             Subscription::Local(_) => None,
             Subscription::Fabric(sub) => Some(sub),
         }
+    }
+}
+
+/// Append a delivered frame to `tuples`, moving it whole when `tuples` is
+/// still empty.
+fn append(tuples: &mut Vec<Tuple>, frame: Vec<Tuple>) {
+    if tuples.is_empty() {
+        *tuples = frame;
+    } else {
+        tuples.extend(frame);
     }
 }
 
@@ -209,13 +219,6 @@ impl StreamBatch {
     #[must_use]
     pub fn new(stream: impl Into<String>, tuples: Vec<Tuple>) -> Self {
         StreamBatch { stream: stream.into(), tuples }
-    }
-
-    /// Approximate wire size of the batch: its tuples plus a small framing
-    /// overhead for the stream name.
-    #[must_use]
-    pub fn wire_bytes(&self) -> usize {
-        self.tuples.iter().map(Tuple::approx_size_bytes).sum::<usize>() + self.stream.len() + 16
     }
 }
 

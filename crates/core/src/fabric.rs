@@ -18,11 +18,16 @@
 //!   policy — the Section 3.3 coupling between policy-change events and
 //!   withdrawn state holds on every shard.
 //! * **Subscriber delivery** fans back through a per-subscription
-//!   [`SimLink`]: derived tuples are stamped with a simulated arrival time
-//!   (propagation + jitter + serialisation for the tuple's wire size) and
-//!   are only handed to the consumer once the fabric's virtual clock passes
-//!   it, FIFO per link — end-to-end latency therefore includes the network,
-//!   as two thirds of the paper's measured latency did.
+//!   [`SimLink`]: each poll sends what the engine gathered into the
+//!   subscriber's inbox as one frame, the inbox's `Vec` itself, stamped with
+//!   a simulated arrival time per tuple (propagation + jitter +
+//!   serialisation for the tuple's wire size). A tuple is handed to the
+//!   consumer only once the fabric's virtual clock passes its arrival, FIFO
+//!   per link, and a frame that has wholly arrived is handed over as the
+//!   `Vec` it was sent as — end-to-end latency therefore includes the
+//!   network, as two thirds of the paper's measured latency did. Once the
+//!   grant behind a subscription is released or withdrawn, its link drops
+//!   what it still carries.
 //!
 //! How logical node `i` *keeps answering* is not the broker's business: it
 //! asks a [`Placement`] layer. The plain fabric's layer ([`Direct`]) pins
@@ -48,7 +53,7 @@ use crate::backend::{
 use crate::error::ExacmlError;
 use crate::server::{DataServer, ServerConfig};
 use crate::user_query::UserQuery;
-use exacml_dsms::{Schema, StreamHandle, Tuple, TupleReceiver};
+use exacml_dsms::{DataType, Schema, StreamHandle, Tuple, TupleReceiver};
 use exacml_simnet::{FaultPlan, ManualClock, NodeId, SimLink, Topology};
 use exacml_telemetry::{Metric, Stage, Telemetry, TelemetrySnapshot};
 use exacml_xacml::{Policy, Request};
@@ -364,11 +369,12 @@ pub struct FabricNode {
     /// Samples this node's broker ↔ node request/response delays. Per-node,
     /// so routing to different nodes never serialises on a shared RNG.
     rng: Mutex<StdRng>,
-    /// The node's ingest queue: a [`SimLink`] carrying whole [`StreamBatch`]
-    /// frames. The `Mutex` **is** the node's single-threaded apply loop — a
-    /// real node applies its ingest RPCs in arrival order, one at a time,
-    /// while other nodes' pipelines drain concurrently.
-    ingest: Mutex<SimLink<StreamBatch>>,
+    /// The node's ingest queue: a [`SimLink`] carrying frames of whole
+    /// [`StreamBatch`]es, and the memo that sizes their tuples. The `Mutex`
+    /// **is** the node's single-threaded apply loop — a real node applies
+    /// its ingest RPCs in arrival order, one at a time, while other nodes'
+    /// pipelines drain concurrently.
+    ingest: Mutex<(SimLink<StreamBatch>, WireSize)>,
 }
 
 impl FabricNode {
@@ -386,7 +392,7 @@ impl FabricNode {
     /// bounded by, and what the scaling bench divides tuple counts by.
     #[must_use]
     pub fn ingest_frontier_nanos(&self) -> u64 {
-        self.ingest.lock().service_frontier_nanos()
+        self.ingest.lock().0.service_frontier_nanos()
     }
 
     /// Ship a group of stream batches to this node as **one frame** on its
@@ -411,21 +417,33 @@ impl FabricNode {
         now_nanos: u64,
         batches: Vec<StreamBatch>,
     ) -> (u64, Result<usize, ExacmlError>) {
-        let mut link = self.ingest.lock();
-        let items: Vec<(usize, StreamBatch)> =
-            batches.into_iter().map(|batch| (batch.wire_bytes(), batch)).collect();
-        link.send_batch_queued(now_nanos, items);
-        let queued = link.drain_ready(u64::MAX);
-        let mut applied = 0;
-        let mut emitted = 0;
+        let mut pipe = self.ingest.lock();
+        let (link, sizes) = &mut *pipe;
+        // A batch's wire size: its tuples plus a small framing overhead for
+        // the stream name.
+        link.send_queued(now_nanos, batches, |batch| {
+            batch.tuples.iter().map(|tuple| sizes.of(tuple)).sum::<usize>()
+                + batch.stream.len()
+                + 16
+        });
+        let (mut applied, mut emitted) = (0, 0);
         let mut last_arrival = now_nanos;
-        for (arrival, batch) in queued {
-            match server.push_batch(&batch.stream, batch.tuples) {
-                Ok(derived) => emitted += derived,
-                Err(error) => return (applied, Err(error)),
+        let mut failed = None;
+        link.deliver_ready(u64::MAX, |_, arrivals, batches| {
+            for (&arrival, batch) in arrivals.iter().zip(batches) {
+                match server.push_batch(&batch.stream, batch.tuples) {
+                    Ok(derived) => emitted += derived,
+                    Err(error) => {
+                        failed = Some(error);
+                        return;
+                    }
+                }
+                applied += 1;
+                last_arrival = arrival;
             }
-            applied += 1;
-            last_arrival = last_arrival.max(arrival);
+        });
+        if let Some(error) = failed {
+            return (applied, Err(error));
         }
         let frame_nanos = last_arrival.saturating_sub(now_nanos);
         // Frame time is *virtual* (sampled propagation + serialisation), so
@@ -466,17 +484,55 @@ impl DeliveredTuple {
     }
 }
 
+/// The wire size of a tuple ([`Tuple::approx_size_bytes`]), remembered per
+/// schema. Without a `Text` field a row's size depends only on its arity, so
+/// a tuple of the schema last seen is answered with one pointer compare;
+/// rows of a text schema are walked every time. The memo holds a clone of
+/// the schema's `Arc`, so the address it compares cannot be reused by
+/// another schema.
+#[derive(Default)]
+struct WireSize {
+    schema: Option<Arc<Schema>>,
+    /// Every row's size when `schema` has no `Text` field, else 0 (no row
+    /// is smaller than its 16-byte header).
+    fixed: usize,
+}
+
+impl WireSize {
+    fn of(&mut self, tuple: &Tuple) -> usize {
+        let schema = tuple.schema();
+        if !self.schema.as_ref().is_some_and(|seen| Arc::ptr_eq(seen, schema)) {
+            let text = schema.fields().iter().any(|field| field.data_type == DataType::Text);
+            self.fixed = if text { 0 } else { tuple.approx_size_bytes() };
+            self.schema = Some(Arc::clone(schema));
+        }
+        match self.fixed {
+            0 => tuple.approx_size_bytes(),
+            fixed => fixed,
+        }
+    }
+}
+
 /// A subscription whose deliveries travel the node → subscriber link of the
 /// simulated topology. Owned by the consumer; poll it after advancing the
 /// fabric's virtual clock.
+///
+/// Each poll moves whatever the node's engine has gathered into the
+/// subscriber's inbox onto the link as one frame — the inbox's `Vec`, not a
+/// copy — and hands back every tuple whose arrival time has passed. Once the
+/// grant behind the subscription is released or withdrawn (the engine has
+/// dropped its side of the inbox), a poll drops whatever the link still
+/// carries instead, counted as [`Metric::TuplesDiscarded`] on the broker.
 pub struct FabricSubscription {
     node: NodeId,
     rx: TupleReceiver,
-    link: SimLink<(u64, Tuple)>,
+    link: SimLink<Tuple>,
+    sizes: WireSize,
     clock: ManualClock,
     delivered: u64,
     /// The broker's registry: per-tuple virtual delivery latency is recorded
-    /// here under [`Stage::Delivery`].
+    /// here under [`Stage::Delivery`], and tuples a release dropped from the
+    /// link under [`Metric::TuplesDiscarded`].
     telemetry: Arc<Telemetry>,
 }
 
@@ -495,7 +551,7 @@ impl FabricSubscription {
     /// advance the fabric clock and poll again to receive them.
     pub fn poll(&mut self) -> Vec<DeliveredTuple> {
         let mut delivered = Vec::new();
-        self.poll_into(&mut delivered, |d| d);
+        self.poll_into(|sent, arrivals, tuples| stamp(&mut delivered, sent, arrivals, tuples));
         delivered
     }
 
@@ -509,47 +565,54 @@ impl FabricSubscription {
     /// subscriptions share it), exactly as waiting on a real network would.
     pub fn drain_settled(&mut self) -> Vec<DeliveredTuple> {
         let mut delivered = Vec::new();
-        self.drain_settled_into(&mut delivered, |d| d);
+        self.drain_settled_into(|sent, arrivals, tuples| {
+            stamp(&mut delivered, sent, arrivals, tuples);
+        });
         delivered
     }
 
-    /// [`FabricSubscription::drain_settled`], appending each delivery to
-    /// `out` as `deliver` shapes it.
-    pub(crate) fn drain_settled_into<D>(
-        &mut self,
-        out: &mut Vec<D>,
-        deliver: impl Fn(DeliveredTuple) -> D + Copy,
-    ) {
-        self.poll_into(out, deliver);
-        while self.in_flight() > 0 {
+    /// [`FabricSubscription::drain_settled`], handing each delivered frame
+    /// to `deliver` as [`FabricSubscription::poll_into`] does.
+    pub(crate) fn drain_settled_into(&mut self, mut deliver: impl FnMut(u64, &[u64], Vec<Tuple>)) {
+        self.poll_into(&mut deliver);
+        while self.link.next_arrival().is_some() {
             self.clock.advance(Duration::from_millis(1));
-            self.poll_into(out, deliver);
+            self.poll_into(&mut deliver);
         }
     }
 
-    /// [`FabricSubscription::poll`], appending each delivery to `out` as
-    /// `deliver` shapes it: one pass from the node's inbox through the
-    /// link, and one histogram update for the frame's latencies.
-    pub(crate) fn poll_into<D>(&mut self, out: &mut Vec<D>, deliver: impl Fn(DeliveredTuple) -> D) {
+    /// [`FabricSubscription::poll`], handing each delivered frame to
+    /// `deliver` as `(sent at, arrival of each tuple, the tuples)`: the
+    /// node's inbox crosses the link as one frame, and each delivered frame
+    /// costs one histogram update for its latencies.
+    pub(crate) fn poll_into(&mut self, mut deliver: impl FnMut(u64, &[u64], Vec<Tuple>)) {
         let now = self.clock.now_nanos();
+        let frame = self.rx.take_all();
+        if !self.rx.is_attached() {
+            // Released or withdrawn: nothing more may arrive.
+            let discarded = frame.len() + self.link.clear();
+            if discarded > 0 {
+                self.telemetry.add(Metric::TuplesDiscarded, discarded as u64);
+            }
+            return;
+        }
         // Everything derived since the last poll leaves the node as one
         // frame: a single sampled propagation delay for the group, each
         // tuple paying its own serialisation on top (batched fan-back,
         // mirroring the broker→node ingest frames).
-        let frame = self.rx.take_all();
         if !frame.is_empty() {
-            let stamped = frame.into_iter().map(|tuple| (tuple.approx_size_bytes(), (now, tuple)));
-            self.link.send_batch(now, stamped);
+            let sizes = &mut self.sizes;
+            self.link.send(now, frame, |tuple| sizes.of(tuple));
         }
-        self.telemetry.record_nanos_all(
-            Stage::Delivery,
-            self.link.peek_ready(now).map(|(arrived, (sent, _))| arrived.saturating_sub(*sent)),
-        );
-        let before = out.len();
-        out.extend(self.link.take_ready(now).map(|(arrived_at_nanos, (sent_at_nanos, tuple))| {
-            deliver(DeliveredTuple { tuple, sent_at_nanos, arrived_at_nanos })
-        }));
-        self.delivered += (out.len() - before) as u64;
+        let (telemetry, delivered) = (&self.telemetry, &mut self.delivered);
+        self.link.deliver_ready(now, |sent, arrivals, tuples| {
+            telemetry.record_nanos_all(
+                Stage::Delivery,
+                arrivals.iter().map(|arrived| arrived.saturating_sub(sent)),
+            );
+            *delivered += tuples.len() as u64;
+            deliver(sent, arrivals, tuples);
+        });
     }
 
     /// Tuples queued on the link, not yet past their arrival time. (Tuples
@@ -565,6 +628,15 @@ impl FabricSubscription {
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
+}
+
+/// Append a delivered frame to `out`, one [`DeliveredTuple`] per tuple.
+fn stamp(out: &mut Vec<DeliveredTuple>, sent: u64, arrivals: &[u64], tuples: Vec<Tuple>) {
+    out.extend(arrivals.iter().zip(tuples).map(|(&arrived_at_nanos, tuple)| DeliveredTuple {
+        tuple,
+        sent_at_nanos: sent,
+        arrived_at_nanos,
+    }));
 }
 
 /// The routing broker plus its logical nodes, over a [`Placement`] layer
@@ -628,9 +700,12 @@ impl<L: Placement> Fabric<L> {
                     rng: Mutex::new(StdRng::seed_from_u64(
                         seed.wrapping_mul(0x9e37_79b9).wrapping_add(shape_salt) ^ i as u64,
                     )),
-                    ingest: Mutex::new(SimLink::new(
-                        net.topology.link(NodeId::DataServer, id),
-                        salted.wrapping_add(0xbeef + i as u64),
+                    ingest: Mutex::new((
+                        SimLink::new(
+                            net.topology.link(NodeId::DataServer, id),
+                            salted.wrapping_add(0xbeef + i as u64),
+                        ),
+                        WireSize::default(),
                     )),
                 }
             })
@@ -776,6 +851,7 @@ impl<L: Placement> Fabric<L> {
             node,
             rx,
             link: SimLink::new(self.net.topology.link(node, NodeId::DataServer), seed),
+            sizes: WireSize::default(),
             clock: self.net.clock.clone(),
             delivered: 0,
             telemetry: Arc::clone(&self.net.telemetry),
@@ -1124,6 +1200,45 @@ mod tests {
     /// node order.
     fn node_parts(fabric: &Fabric) -> Vec<TelemetrySnapshot> {
         fabric.telemetry().nodes.split_off(1)
+    }
+
+    /// The memo sizes every tuple of a mixed sequence exactly as
+    /// `approx_size_bytes` does: text rows of varying length, a projection,
+    /// and two equal schemas behind different `Arc`s, interleaved so each
+    /// schema change misses.
+    #[test]
+    fn the_wire_size_memo_agrees_with_approx_size_bytes() {
+        let weather = Schema::weather_example().shared();
+        let twin = Schema::weather_example().shared();
+        let gps = Schema::gps_example().shared();
+        let projected = Schema::from_pairs([
+            ("samplingtime", DataType::Timestamp),
+            ("rainrate", DataType::Double),
+        ])
+        .shared();
+        let gps_tuple = |i: usize| {
+            Tuple::builder_shared(&gps)
+                .set("samplingtime", Value::Timestamp(i as i64))
+                .set("deviceid", Value::Text("d".repeat(i % 7)))
+                .set("speed", i as f64)
+                .finish_with_defaults()
+        };
+        let mut tuples = Vec::new();
+        for i in 0..40 {
+            let rain = weather_tuple(&weather, i, i as f64);
+            tuples.push(rain.project(Arc::clone(&projected)));
+            tuples.push(rain);
+            tuples.push(weather_tuple(&twin, i, 1.5));
+            tuples.push(gps_tuple(i as usize));
+            tuples.push(gps_tuple(i as usize * 3));
+        }
+        let mut sizes = WireSize::default();
+        for (i, tuple) in tuples.iter().enumerate() {
+            assert_eq!(sizes.of(tuple), tuple.approx_size_bytes(), "tuple {i}: {tuple:?}");
+        }
+        let distinct: std::collections::BTreeSet<usize> =
+            tuples.iter().map(Tuple::approx_size_bytes).collect();
+        assert!(distinct.len() > 3, "the sequence mixes sizes: {distinct:?}");
     }
 
     fn fabric_with_streams(nodes: usize, streams: usize) -> (Fabric, Vec<String>) {

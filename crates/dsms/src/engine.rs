@@ -117,6 +117,14 @@ impl TupleReceiver {
     pub fn take_all(&self) -> Vec<Tuple> {
         std::mem::take(&mut *self.inbox.lock())
     }
+
+    /// Whether the engine still holds this subscriber's slot: `false` once
+    /// the handle was withdrawn or retired (or the engine dropped), after
+    /// which nothing more is delivered here.
+    #[must_use]
+    pub fn is_attached(&self) -> bool {
+        Arc::strong_count(&self.inbox) > 1
+    }
 }
 
 /// One subscriber of a deployment's output: the handle it subscribed

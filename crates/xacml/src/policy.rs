@@ -16,14 +16,20 @@ pub enum Effect {
 
 impl fmt::Display for Effect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Effect::Permit => f.write_str("Permit"),
-            Effect::Deny => f.write_str("Deny"),
-        }
+        f.write_str(self.keyword())
     }
 }
 
 impl Effect {
+    /// The XACML effect keyword (`Permit` or `Deny`).
+    #[must_use]
+    pub(crate) fn keyword(self) -> &'static str {
+        match self {
+            Effect::Permit => "Permit",
+            Effect::Deny => "Deny",
+        }
+    }
+
     /// Parse the XACML effect keyword.
     #[must_use]
     pub fn from_str_opt(s: &str) -> Option<Effect> {

@@ -79,48 +79,115 @@ impl XmlElement {
     /// Serialize to pretty-printed XML (two-space indentation).
     #[must_use]
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        self.write_into(&mut out, 0);
-        out
+        let mut doc = DocumentWriter::default();
+        doc.element(self);
+        doc.out
+    }
+}
+
+/// A one-pass writer of pretty-printed XML — two-space indentation, an
+/// element with neither children nor text self-closed — straight into one
+/// `String`. An element's start tag is left open until its first child or
+/// its end shows whether it is empty.
+#[derive(Default)]
+struct DocumentWriter {
+    out: String,
+    depth: usize,
+    tag_open: bool,
+}
+
+impl DocumentWriter {
+    /// A writer of a whole document: the XML declaration comes first.
+    fn document() -> Self {
+        let mut out = String::with_capacity(1024);
+        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
+        DocumentWriter { out, ..DocumentWriter::default() }
     }
 
-    fn write_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        out.push_str(&pad);
-        out.push('<');
-        out.push_str(&self.name);
-        for (name, value) in &self.attributes {
-            out.push(' ');
-            out.push_str(name);
-            out.push_str("=\"");
-            out.push_str(&escape(value));
-            out.push('"');
+    fn indent(&mut self) {
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
         }
-        if self.children.is_empty() && self.text.is_empty() {
-            out.push_str("/>\n");
+    }
+
+    /// End the open start tag, if there is one: its element has content.
+    fn close_start_tag(&mut self) {
+        if std::mem::take(&mut self.tag_open) {
+            self.out.push_str(">\n");
+        }
+    }
+
+    /// Open an element inside the current one.
+    fn start<'a>(&mut self, name: &str, attributes: impl IntoIterator<Item = (&'a str, &'a str)>) {
+        self.close_start_tag();
+        self.indent();
+        self.out.push('<');
+        self.out.push_str(name);
+        for (attribute, value) in attributes {
+            self.out.push(' ');
+            self.out.push_str(attribute);
+            self.out.push_str("=\"");
+            escape_into(&mut self.out, value);
+            self.out.push('"');
+        }
+        self.tag_open = true;
+        self.depth += 1;
+    }
+
+    /// Close the element `name` opened last.
+    fn end(&mut self, name: &str) {
+        self.depth -= 1;
+        if std::mem::take(&mut self.tag_open) {
+            self.out.push_str("/>\n");
+        } else {
+            self.indent();
+            self.end_tag(name);
+        }
+    }
+
+    fn end_tag(&mut self, name: &str) {
+        self.out.push_str("</");
+        self.out.push_str(name);
+        self.out.push_str(">\n");
+    }
+
+    /// An element holding only `text`.
+    fn text_element<'a>(
+        &mut self,
+        name: &str,
+        attributes: impl IntoIterator<Item = (&'a str, &'a str)>,
+        text: &str,
+    ) {
+        self.start(name, attributes);
+        if text.is_empty() {
+            return self.end(name);
+        }
+        self.tag_open = false;
+        self.depth -= 1;
+        self.out.push('>');
+        escape_into(&mut self.out, text);
+        self.end_tag(name);
+    }
+
+    /// `element` and everything inside it; text beside children goes on a
+    /// line of its own before them.
+    fn element(&mut self, element: &XmlElement) {
+        let attributes = element.attributes.iter().map(|(name, value)| (&**name, &**value));
+        if element.children.is_empty() {
+            self.text_element(&element.name, attributes, &element.text);
             return;
         }
-        out.push('>');
-        if self.children.is_empty() {
-            out.push_str(&escape(&self.text));
-            out.push_str("</");
-            out.push_str(&self.name);
-            out.push_str(">\n");
-            return;
+        self.start(&element.name, attributes);
+        if !element.text.is_empty() {
+            self.close_start_tag();
+            self.indent();
+            escape_into(&mut self.out, &element.text);
+            self.out.push('\n');
         }
-        out.push('\n');
-        if !self.text.is_empty() {
-            out.push_str(&"  ".repeat(indent + 1));
-            out.push_str(&escape(&self.text));
-            out.push('\n');
+        for child in &element.children {
+            self.element(child);
         }
-        for child in &self.children {
-            child.write_into(out, indent + 1);
-        }
-        out.push_str(&pad);
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push_str(">\n");
+        self.end(&element.name);
     }
 }
 
@@ -128,17 +195,26 @@ impl XmlElement {
 #[must_use]
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(&mut out, text);
     out
+}
+
+/// [`escape`], appending to `out`: the runs between entities are copied
+/// whole.
+fn escape_into(out: &mut String, text: &str) {
+    let mut rest = text;
+    while let Some(at) = rest.find(['&', '<', '>', '"', '\'']) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => "&apos;",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Undo [`escape`] in one left-to-right pass: each of the five entities
@@ -401,41 +477,54 @@ fn find_from(haystack: &[u8], from: usize, needle: &str) -> Option<usize> {
 // Policy documents
 // ---------------------------------------------------------------------------
 
-fn target_to_xml(target: &Target) -> XmlElement {
-    let mut el = XmlElement::new("Target");
-    for (category, outer, inner, match_name) in [
-        (AttributeCategory::Subject, "Subjects", "Subject", "SubjectMatch"),
-        (AttributeCategory::Resource, "Resources", "Resource", "ResourceMatch"),
-        (AttributeCategory::Action, "Actions", "Action", "ActionMatch"),
-        (AttributeCategory::Environment, "Environments", "Environment", "EnvironmentMatch"),
-    ] {
-        let matches: Vec<&AttributeMatch> =
-            target.matches.iter().filter(|m| m.category == category).collect();
-        if matches.is_empty() {
-            continue;
+/// A target's category groups: the category, its outer and inner element
+/// and the element of each match.
+const TARGET_ELEMENTS: [(AttributeCategory, &str, &str, &str); 4] = [
+    (AttributeCategory::Subject, "Subjects", "Subject", "SubjectMatch"),
+    (AttributeCategory::Resource, "Resources", "Resource", "ResourceMatch"),
+    (AttributeCategory::Action, "Actions", "Action", "ActionMatch"),
+    (AttributeCategory::Environment, "Environments", "Environment", "EnvironmentMatch"),
+];
+
+/// The one match function a written target uses.
+const STRING_EQUAL: &str = "urn:oasis:names:tc:xacml:1.0:function:string-equal";
+
+impl DocumentWriter {
+    fn target(&mut self, target: &Target) {
+        self.start("Target", []);
+        for (category, outer, inner, match_name) in TARGET_ELEMENTS {
+            let mut matches = target.matches.iter().filter(|m| m.category == category).peekable();
+            if matches.peek().is_none() {
+                continue;
+            }
+            self.start(outer, []);
+            self.start(inner, []);
+            for m in matches {
+                let attributes = [("MatchId", STRING_EQUAL), ("AttributeId", &*m.attribute_id)];
+                self.text_element(match_name, attributes, &m.value);
+            }
+            self.end(inner);
+            self.end(outer);
         }
-        let mut inner_el = XmlElement::new(inner);
-        for m in matches {
-            inner_el = inner_el.child(
-                XmlElement::new(match_name)
-                    .attr("MatchId", "urn:oasis:names:tc:xacml:1.0:function:string-equal")
-                    .attr("AttributeId", m.attribute_id.clone())
-                    .with_text(m.value.clone()),
-            );
-        }
-        el = el.child(XmlElement::new(outer).child(inner_el));
+        self.end("Target");
     }
-    el
+
+    fn obligation(&mut self, obligation: &Obligation) {
+        let attributes =
+            [("ObligationId", &*obligation.id), ("FulfillOn", obligation.fulfill_on.keyword())];
+        self.start("Obligation", attributes);
+        for a in &obligation.assignments {
+            let attributes =
+                [("AttributeId", &*a.attribute_id), ("DataType", a.value.data_type.uri())];
+            self.text_element("AttributeAssignment", attributes, &a.value.text);
+        }
+        self.end("Obligation");
+    }
 }
 
 fn target_from_xml(el: &XmlElement) -> Result<Target, XacmlError> {
     let mut matches = Vec::new();
-    for (category, outer, inner, match_name) in [
-        (AttributeCategory::Subject, "Subjects", "Subject", "SubjectMatch"),
-        (AttributeCategory::Resource, "Resources", "Resource", "ResourceMatch"),
-        (AttributeCategory::Action, "Actions", "Action", "ActionMatch"),
-        (AttributeCategory::Environment, "Environments", "Environment", "EnvironmentMatch"),
-    ] {
+    for (category, outer, inner, match_name) in TARGET_ELEMENTS {
         for outer_el in el.children_named(outer) {
             for inner_el in outer_el.children_named(inner) {
                 for m in inner_el.children_named(match_name) {
@@ -448,21 +537,6 @@ fn target_from_xml(el: &XmlElement) -> Result<Target, XacmlError> {
         }
     }
     Ok(Target::new(matches))
-}
-
-fn obligation_to_xml(obligation: &Obligation) -> XmlElement {
-    let mut el = XmlElement::new("Obligation")
-        .attr("ObligationId", obligation.id.clone())
-        .attr("FulfillOn", obligation.fulfill_on.to_string());
-    for a in &obligation.assignments {
-        el = el.child(
-            XmlElement::new("AttributeAssignment")
-                .attr("AttributeId", a.attribute_id.clone())
-                .attr("DataType", a.value.data_type.uri())
-                .with_text(a.value.text.clone()),
-        );
-    }
-    el
 }
 
 fn obligation_from_xml(el: &XmlElement) -> Result<Obligation, XacmlError> {
@@ -497,30 +571,30 @@ fn obligation_from_xml(el: &XmlElement) -> Result<Obligation, XacmlError> {
 /// Serialize a policy to an XML document.
 #[must_use]
 pub fn write_policy(policy: &Policy) -> String {
-    let mut root = XmlElement::new("Policy")
-        .attr("PolicyId", policy.id.clone())
-        .attr("RuleCombiningAlgId", policy.rule_combining.urn());
+    let mut doc = DocumentWriter::document();
+    let attributes =
+        [("PolicyId", &*policy.id), ("RuleCombiningAlgId", policy.rule_combining.urn())];
+    doc.start("Policy", attributes);
     if !policy.description.is_empty() {
-        root = root.child(XmlElement::new("Description").with_text(policy.description.clone()));
+        doc.text_element("Description", [], &policy.description);
     }
-    root = root.child(target_to_xml(&policy.target));
+    doc.target(&policy.target);
     for rule in &policy.rules {
-        let mut rule_el = XmlElement::new("Rule")
-            .attr("RuleId", rule.id.clone())
-            .attr("Effect", rule.effect.to_string());
+        doc.start("Rule", [("RuleId", &*rule.id), ("Effect", rule.effect.keyword())]);
         if !rule.target.matches.is_empty() {
-            rule_el = rule_el.child(target_to_xml(&rule.target));
+            doc.target(&rule.target);
         }
-        root = root.child(rule_el);
+        doc.end("Rule");
     }
     if !policy.obligations.is_empty() {
-        let mut obligations = XmlElement::new("Obligations");
-        for o in &policy.obligations {
-            obligations = obligations.child(obligation_to_xml(o));
+        doc.start("Obligations", []);
+        for obligation in &policy.obligations {
+            doc.obligation(obligation);
         }
-        root = root.child(obligations);
+        doc.end("Obligations");
     }
-    format!("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n{}", root.to_xml())
+    doc.end("Policy");
+    doc.out
 }
 
 /// Parse a policy from an XML document produced by [`write_policy`]
@@ -579,24 +653,27 @@ pub fn parse_policy(xml: &str) -> Result<Policy, XacmlError> {
 /// Serialize a request to an XML document.
 #[must_use]
 pub fn write_request(request: &Request) -> String {
-    let mut root = XmlElement::new("Request");
+    let mut doc = DocumentWriter::document();
+    doc.start("Request", []);
     for category in AttributeCategory::all() {
-        let attrs: Vec<_> = request.attributes.iter().filter(|a| a.category == category).collect();
-        if attrs.is_empty() {
+        let mut attributes =
+            request.attributes.iter().filter(|a| a.category == category).peekable();
+        if attributes.peek().is_none() {
             continue;
         }
-        let mut cat_el = XmlElement::new(category.element_name());
-        for a in attrs {
-            cat_el = cat_el.child(
-                XmlElement::new("Attribute")
-                    .attr("AttributeId", a.attribute_id.clone())
-                    .attr("DataType", a.value.data_type.uri())
-                    .child(XmlElement::new("AttributeValue").with_text(a.value.text.clone())),
+        doc.start(category.element_name(), []);
+        for a in attributes {
+            doc.start(
+                "Attribute",
+                [("AttributeId", &*a.attribute_id), ("DataType", a.value.data_type.uri())],
             );
+            doc.text_element("AttributeValue", [], &a.value.text);
+            doc.end("Attribute");
         }
-        root = root.child(cat_el);
+        doc.end(category.element_name());
     }
-    format!("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n{}", root.to_xml())
+    doc.end("Request");
+    doc.out
 }
 
 /// Parse a request from an XML document produced by [`write_request`].
@@ -656,6 +733,17 @@ mod tests {
         assert!(xml.contains("<B>hello &lt;world&gt;</B>"));
         assert!(xml.contains("<C/>"));
         assert!(xml.trim_end().ends_with("</A>"));
+
+        // Text beside children, nesting and attribute escapes, byte for byte.
+        let mixed =
+            XmlElement::new("R").attr("q", "a\"b'<&>").with_text("lead & in").child(el).child(
+                XmlElement::new("D").attr("y", "").child(XmlElement::new("E").with_text("e")),
+            );
+        assert_eq!(
+            mixed.to_xml(),
+            "<R q=\"a&quot;b&apos;&lt;&amp;&gt;\">\n  lead &amp; in\n  <A x=\"1\">\n    \
+             <B>hello &lt;world&gt;</B>\n    <C/>\n  </A>\n  <D y=\"\">\n    <E>e</E>\n  </D>\n</R>\n"
+        );
     }
 
     #[test]

@@ -411,3 +411,82 @@ fn corpus_files_and_policy_repository_integrate_with_the_server() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// FNV-1a over `bytes`, continuing from `hash`: a hash that is the same on
+/// every platform and toolchain, so a pinned value stays meaningful.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The policies and requests the repository's corpora build: every built-in
+/// scenario pack (its corpus, its replacement policies and its request
+/// steps), the running example, a hand-built policy and request that reach
+/// every element and escape, and the Table 3 and small workload corpora.
+fn writer_corpus() -> (Vec<Policy>, Vec<Request>) {
+    use exacml::exacml_xacml::{Obligation, Rule, RuleCombiningAlg, Target};
+
+    let mut policies = vec![example1_policy()];
+    let mut requests = vec![Request::subscribe("LTA", "weather")];
+    for pack in exacml::exacml_workload::packs::all() {
+        policies.extend(pack.policies.iter().map(|spec| spec.build().unwrap()));
+        for step in &pack.script {
+            if let Some(spec) = &step.policy {
+                policies.push(spec.build().unwrap());
+            }
+            if step.op == "request" {
+                requests.push(Request::subscribe(&step.subject, &step.stream));
+            }
+        }
+    }
+    let mut rule = Rule::permit_all("scoped");
+    rule.target = Target::new(vec![AttributeMatch::new(
+        AttributeCategory::Environment,
+        "time-of-day",
+        "after <18:00> & \"before\" 'dawn'",
+    )]);
+    policies.push(
+        Policy::new("edge & <escapes>")
+            .with_description("a \"quoted\" <description> & 'more'")
+            .with_target(Target::subject_resource_action("EMA", "gps", "subscribe"))
+            .with_rule(rule)
+            .with_rule(Rule::deny_all("rest"))
+            .with_rule_combining(RuleCombiningAlg::DenyOverrides)
+            .with_obligation(Obligation::on_deny("audit").with_integer("level", 3))
+            .with_obligation(Obligation::on_permit("note").with_string("why", "a < b && c > d")),
+    );
+    policies.push(Policy::new("bare"));
+    requests.push(
+        Request::subscribe("EMA & co", "gps")
+            .with_attribute(
+                AttributeCategory::Environment,
+                "time-of-day",
+                AttributeValue::string("<19:00>"),
+            )
+            .with_attribute(AttributeCategory::Subject, "clearance", AttributeValue::integer(4))
+            .with_attribute(AttributeCategory::Resource, "ratio", AttributeValue::double(0.5))
+            .with_attribute(AttributeCategory::Action, "live", AttributeValue::boolean(true)),
+    );
+    for spec in [WorkloadSpec::table3(), WorkloadSpec::small()] {
+        for query in WorkloadGenerator::new(spec).generate_queries() {
+            policies.push(query.policy);
+            requests.push(query.request);
+        }
+    }
+    (policies, requests)
+}
+
+/// The XML writers' bytes are pinned: stored stores, the WAL and the
+/// simulated upload sizes all read them, so a rewrite of a writer must
+/// emit every document of every corpus byte for byte as before.
+#[test]
+fn xml_writers_emit_the_pinned_bytes_for_every_corpus() {
+    use exacml::exacml_xacml::xml::{write_policy, write_request};
+
+    let (policies, requests) = writer_corpus();
+    let policy_hash =
+        policies.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| fnv1a(h, write_policy(p).as_bytes()));
+    let request_hash =
+        requests.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| fnv1a(h, write_request(r).as_bytes()));
+    assert_eq!((policies.len(), policy_hash), (1_117, 0x726f_decf_4195_1642));
+    assert_eq!((requests.len(), request_hash), (1_124, 0x0513_201f_d0f1_c825));
+}

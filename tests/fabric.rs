@@ -627,6 +627,43 @@ fn released_and_withdrawn_handles_are_unknown_to_the_broker() {
     on::<Replicated>();
 }
 
+/// A release reaches the subscriber's link: tuples the subscription pulled
+/// onto its simulated link before the release never arrive after it. They
+/// are counted as discarded on the broker, and a grant still live on the
+/// same stream keeps receiving its own.
+#[test]
+fn a_release_drops_what_the_link_still_carries() {
+    fn on<S: Shape>() {
+        let fabric = S::build(FabricConfig::paper_testbed(2));
+        fabric.register_stream("weather", Schema::weather_example()).unwrap();
+        fabric.load_policy(rain_policy("p", "weather")).unwrap();
+        fabric
+            .load_policy(StreamPolicyBuilder::new("q", "weather").subject("EMA").build())
+            .unwrap();
+        let subscribe = |subject: &str| {
+            let granted =
+                fabric.handle_request(&Request::subscribe(subject, "weather"), None).unwrap();
+            fabric.subscribe(granted.handle()).unwrap()
+        };
+        let (mut released, mut kept) = (subscribe("LTA"), subscribe("EMA"));
+        let schema = Schema::weather_example().shared();
+        let tuples = (0..10).map(|i| marker_tuple(&schema, 0, i)).collect();
+        fabric.push_batches(vec![StreamBatch::new("weather", tuples)]).unwrap();
+        for subscription in [&mut released, &mut kept] {
+            assert!(subscription.poll().is_empty(), "nothing has arrived yet");
+            assert_eq!(subscription.in_flight(), 10);
+        }
+
+        assert!(fabric.release_access("LTA", "weather"));
+        assert!(released.drain_settled().is_empty(), "a released grant receives nothing");
+        assert_eq!(released.in_flight(), 0);
+        assert_eq!(broker_counter(&fabric, Metric::TuplesDiscarded), 10);
+        assert_eq!(kept.drain_settled().len(), 10, "a live grant keeps its deliveries");
+    }
+    on::<Plain>();
+    on::<Replicated>();
+}
+
 #[test]
 fn multi_node_push_touches_no_node_when_one_owner_is_unreachable() {
     const PER_STREAM: usize = 4;

@@ -917,23 +917,36 @@ mod link_fifo_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Whatever mix of single sends, frames and queued frames a link
-        /// carries, and wherever its drains cut, the link yields exactly
-        /// the `(arrival, item)` sequence a priority queue over the same
-        /// arrivals would, and a peek shows what the drain then takes: a
-        /// FIFO deque loses nothing by not sorting.
+        /// Whatever mix of one-message frames, frames and queued frames a
+        /// link carries, and wherever its drains cut (at random, or at an
+        /// arrival inside the last frame sent), the link yields exactly the `(arrival, item)`
+        /// sequence a priority queue over the same arrivals would, and each
+        /// delivered piece of a frame carries one arrival per item, all
+        /// arrived and none before its send: a FIFO link of frames loses
+        /// nothing by not sorting.
         #[test]
         fn a_link_drains_what_a_heap_of_its_arrivals_drains(
             spec in 0usize..3,
             seed in 0u64..1_000,
             ops in proptest::collection::vec(
-                (0u8..4, 0u64..3_000_000, proptest::collection::vec(0usize..3_000, 0..24)),
+                (0u8..5, 0u64..3_000_000, proptest::collection::vec(0usize..3_000, 0..24)),
                 1..48,
             ),
         ) {
             let mut link = SimLink::new(SPECS[spec](), seed);
             let mut model = HeapModel::default();
             let (mut now, mut next_item) = (0u64, 0u64);
+            let mut last_frame: Vec<u64> = Vec::new();
+            let drain = |link: &mut SimLink<(usize, u64)>, cut: u64| {
+                let mut drained = Vec::new();
+                let mut pieces_hold = true;
+                link.deliver_ready(cut, |sent, arrivals, items| {
+                    pieces_hold &= arrivals.len() == items.len()
+                        && arrivals.iter().all(|&arrival| sent <= arrival && arrival <= cut);
+                    drained.extend(arrivals.iter().zip(items).map(|(&a, (_, item))| (a, item)));
+                });
+                (drained, pieces_hold)
+            };
             for (kind, step, sizes) in ops {
                 now += step / 4;
                 let items: Vec<(usize, u64)> = sizes
@@ -943,23 +956,25 @@ mod link_fifo_equivalence {
                         (bytes, next_item)
                     })
                     .collect();
+                let size = |&(bytes, _): &(usize, u64)| bytes;
                 let (arrivals, sent) = match (kind, items.first()) {
-                    (0, Some(&(bytes, item))) => (vec![link.send(now, bytes, item)], &items[..1]),
+                    (0, Some(&first)) => (link.send(now, vec![first], size).to_vec(), &items[..1]),
                     (0, None) => continue,
-                    (1, _) => (link.send_batch(now, items.iter().copied()).to_vec(), &items[..]),
-                    (2, _) => {
-                        (link.send_batch_queued(now, items.iter().copied()).to_vec(), &items[..])
-                    }
+                    (1, _) => (link.send(now, items.clone(), size).to_vec(), &items[..]),
+                    (2, _) => (link.send_queued(now, items.clone(), size).to_vec(), &items[..]),
                     _ => {
-                        let cut = (now + step).saturating_sub(1_500_000);
-                        let peeked: Vec<(u64, u64)> = link.peek_ready(cut).copied().collect();
-                        let drained = link.drain_ready(cut);
-                        prop_assert_eq!(&peeked, &drained);
+                        let cut = match kind {
+                            3 => (now + step).saturating_sub(1_500_000),
+                            _ => last_frame.get(last_frame.len() / 2).copied().unwrap_or(now),
+                        };
+                        let (drained, pieces_hold) = drain(&mut link, cut);
+                        prop_assert!(pieces_hold);
                         prop_assert_eq!(drained, model.drain_ready(cut));
                         continue;
                     }
                 };
                 prop_assert_eq!(arrivals.len(), sent.len());
+                last_frame.clone_from(&arrivals);
                 for (arrival, &(_, item)) in arrivals.into_iter().zip(sent) {
                     model.enqueue(arrival, item);
                 }
@@ -969,7 +984,9 @@ mod link_fifo_equivalence {
                     model.heap.peek().map(|Reverse((arrival, _, _))| *arrival)
                 );
             }
-            prop_assert_eq!(link.drain_ready(u64::MAX), model.drain_ready(u64::MAX));
+            let (drained, pieces_hold) = drain(&mut link, u64::MAX);
+            prop_assert!(pieces_hold);
+            prop_assert_eq!(drained, model.drain_ready(u64::MAX));
             prop_assert_eq!(link.in_flight(), 0);
         }
     }
