@@ -1,7 +1,7 @@
 //! Figure 6(a): CDF of request-fulfilment time, unique query/request
 //! sequence — direct query vs eXACML+.
 
-use exacml_bench::report::CliOptions;
+use exacml_bench::CliOptions;
 use exacml_bench::{cdf_table, fig6a_result, write_json};
 use exacml_workload::WorkloadSpec;
 

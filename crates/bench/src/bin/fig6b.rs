@@ -1,7 +1,7 @@
 //! Figure 6(b): CDF of request-fulfilment time, Zipf-distributed sequence —
 //! direct query vs eXACML+ with the proxy cache off and on.
 
-use exacml_bench::report::CliOptions;
+use exacml_bench::CliOptions;
 use exacml_bench::{cdf_table, fig6b_result, write_json};
 use exacml_workload::WorkloadSpec;
 

@@ -2,7 +2,7 @@
 //! Defaults to the 7(b) set-up (1500 requests / 1000 policies); pass
 //! `--requests 100 --policies 50` for 7(a).
 
-use exacml_bench::report::CliOptions;
+use exacml_bench::CliOptions;
 use exacml_bench::{fig7_result, series_table, write_json};
 
 fn main() {

@@ -2,7 +2,7 @@
 //! small, constant amount of time irrespective of the number of policies
 //! already loaded (the paper reports 0.25 s ± 0.06 s on its Java prototype).
 
-use exacml_bench::report::CliOptions;
+use exacml_bench::CliOptions;
 use exacml_bench::{policy_loading_experiment, write_json};
 
 fn main() {

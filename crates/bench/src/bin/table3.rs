@@ -1,7 +1,7 @@
 //! Table 3: the workload parameters, plus a summary of the generated corpus
 //! (proving the generated composition matches the requested distribution).
 
-use exacml_bench::report::CliOptions;
+use exacml_bench::CliOptions;
 use exacml_workload::{WorkloadGenerator, WorkloadSpec};
 use std::collections::BTreeMap;
 

@@ -19,12 +19,14 @@
 //! `--json <path>` to dump the raw series; `fig7` and `policy_loading` also
 //! take `--requests N` / `--policies N`. Anything else is an error.
 
-pub mod experiments;
-pub mod report;
+#![warn(unreachable_pub)]
+
+mod experiments;
+mod report;
 
 pub use experiments::{
     build_environment, direct_deploy, fig6a as fig6a_result, fig6b as fig6b_result,
     fig7 as fig7_result, policy_loading_experiment, run_direct_queries, run_exacml_sequence,
     Environment, Fig6Result, Fig7Result, PolicyLoadingResult,
 };
-pub use report::{cdf_table, series_table, write_json};
+pub use report::{cdf_table, series_table, write_json, CliOptions};

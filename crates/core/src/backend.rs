@@ -135,8 +135,9 @@ impl BackendHealth {
 pub enum Subscription {
     /// In-process delivery straight from the subscriber's engine inbox.
     Local(TupleReceiver),
-    /// Delivery through the fabric's simulated links and virtual clock.
-    Fabric(FabricSubscription),
+    /// Delivery through the fabric's simulated links and virtual clock;
+    /// boxed, so an in-process subscription stays one pointer wide.
+    Fabric(Box<FabricSubscription>),
 }
 
 impl Subscription {

@@ -660,7 +660,10 @@ impl Fabric {
     /// a node-specific seed, pinned to its host by the [`Direct`] layer.
     #[must_use]
     pub fn new(config: FabricConfig) -> Self {
-        let servers = (0..config.nodes)
+        // `nodes` is a public field, so a literal config can bypass
+        // `FabricConfig::new`'s clamp.
+        let nodes = config.nodes.max(1);
+        let servers = (0..nodes)
             .map(|i| {
                 Arc::new(DataServer::new(ServerConfig {
                     topology: config.topology.clone(),
@@ -670,13 +673,8 @@ impl Fabric {
                 }))
             })
             .collect();
-        let alive = (0..config.nodes).map(|_| AtomicBool::new(true)).collect();
-        Fabric::assemble(
-            config.nodes,
-            config.seed,
-            FabricNet::new(&config),
-            Direct { servers, alive },
-        )
+        let alive = (0..nodes).map(|_| AtomicBool::new(true)).collect();
+        Fabric::assemble(nodes, config.seed, FabricNet::new(&config), Direct { servers, alive })
     }
 }
 
@@ -997,7 +995,7 @@ impl<L: Placement> Backend for Fabric<L> {
     }
 
     fn subscribe(&self, handle: &StreamHandle) -> Result<Subscription, ExacmlError> {
-        Fabric::subscribe(self, handle).map(Subscription::Fabric)
+        Fabric::subscribe(self, handle).map(|sub| Subscription::Fabric(Box::new(sub)))
     }
 
     // --- request plane: routed to the stream's owner ------------------------

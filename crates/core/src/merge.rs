@@ -58,14 +58,6 @@ pub struct MergeOutcome {
     pub filter_report: Option<ConflictReport>,
 }
 
-impl MergeOutcome {
-    /// Whether any warning was raised.
-    #[must_use]
-    pub fn has_warnings(&self) -> bool {
-        !self.warnings.is_empty()
-    }
-}
-
 /// Merge the policy-derived graph with the user-query graph.
 ///
 /// # Errors
@@ -286,7 +278,7 @@ mod tests {
         assert!(sql.contains("avg(rainrate) AS avgrainrate"));
         // A PR warning is raised: the user query's map asks only for a subset
         // (and the policy filter narrows nothing here, since 50 > 5).
-        assert!(outcome.has_warnings());
+        assert!(!outcome.warnings.is_empty());
         // The merged graph is still valid against the stream schema.
         g.validate(&Schema::weather_example()).unwrap();
     }
@@ -297,7 +289,7 @@ mod tests {
         let user = QueryGraphBuilder::on_stream("s").map(["a", "b"]).build();
         let outcome = merge_graphs(&policy, &user, MergeOptions::default()).unwrap();
         assert_eq!(outcome.graph.composition(), "FB+MB");
-        assert!(!outcome.has_warnings());
+        assert!(outcome.warnings.is_empty());
     }
 
     #[test]
@@ -432,7 +424,7 @@ mod tests {
         let outcome = merge_graphs(&policy, &user, MergeOptions::default()).unwrap();
         assert_eq!(outcome.graph.composition(), "FB+AB");
         assert_eq!(outcome.graph.aggregate().unwrap().window, WindowSpec::tuples(5, 2));
-        assert!(!outcome.has_warnings());
+        assert!(outcome.warnings.is_empty());
     }
 
     #[test]
@@ -451,6 +443,6 @@ mod tests {
         let user = QueryGraph::identity("weather");
         let outcome = merge_graphs(&policy, &user, MergeOptions::default()).unwrap();
         assert_eq!(outcome.graph, policy);
-        assert!(!outcome.has_warnings());
+        assert!(outcome.warnings.is_empty());
     }
 }

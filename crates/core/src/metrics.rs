@@ -41,29 +41,6 @@ impl RequestTiming {
             .saturating_sub(self.dsms)
             .saturating_sub(self.network)
     }
-
-    /// The fraction of the total spent on the network, the quantity the
-    /// paper estimates at roughly two thirds.
-    #[must_use]
-    pub fn network_share(&self) -> f64 {
-        if self.total.is_zero() {
-            return 0.0;
-        }
-        self.network.as_secs_f64() / self.total.as_secs_f64()
-    }
-
-    /// Element-wise sum of two timings (used when a proxy adds its own hops
-    /// on top of the server-side timing).
-    #[must_use]
-    pub fn merged_with(&self, other: &RequestTiming) -> RequestTiming {
-        RequestTiming {
-            pdp: self.pdp + other.pdp,
-            query_graph: self.query_graph + other.query_graph,
-            dsms: self.dsms + other.dsms,
-            network: self.network + other.network,
-            total: self.total + other.total,
-        }
-    }
 }
 
 /// Aggregated statistics over many request timings.
@@ -184,18 +161,6 @@ impl TimingBreakdown {
         Self::mean_of(&self.network)
     }
 
-    /// Standard deviation of the total response time in seconds.
-    #[must_use]
-    pub fn stddev_total(&self) -> f64 {
-        if self.totals.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean_total();
-        let var = self.totals.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-            / self.totals.len() as f64;
-        var.sqrt()
-    }
-
     /// A percentile of the total response time in seconds. `q` is clamped
     /// into [0.0, 1.0] — an out-of-range quantile (a caller-computed
     /// 1.0000001, a negative, or NaN) degrades to the nearest recorded
@@ -229,21 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn other_and_network_share() {
+    fn other_is_what_the_components_leave() {
         let t = timing(20, 10);
         assert_eq!(t.other(), Duration::from_millis(4));
-        assert!((t.network_share() - 0.5).abs() < 1e-12);
-        assert_eq!(RequestTiming::default().network_share(), 0.0);
-    }
-
-    #[test]
-    fn merged_with_adds_componentwise() {
-        let a = timing(20, 10);
-        let b = timing(5, 1);
-        let m = a.merged_with(&b);
-        assert_eq!(m.total, Duration::from_millis(25));
-        assert_eq!(m.network, Duration::from_millis(11));
-        assert_eq!(m.pdp, Duration::from_millis(2));
     }
 
     #[test]
@@ -256,7 +209,6 @@ mod tests {
         assert!((b.mean_total() - 0.025).abs() < 1e-12);
         assert!((b.percentile_total(0.5) - 0.020).abs() < 1e-12);
         assert!((b.percentile_total(1.0) - 0.040).abs() < 1e-12);
-        assert!(b.stddev_total() > 0.0);
         assert!((b.mean_pdp() - 0.001).abs() < 1e-12);
         assert_eq!(b.series_at(0).unwrap().0, 0.010);
         assert!(b.series_at(10).is_none());

@@ -315,7 +315,7 @@ impl StreamPolicyBuilder {
         let target = match &self.subject {
             Some(subject) => Target::subject_resource_action(subject, &self.stream, &self.action),
             None => {
-                use exacml_xacml::request::ids as req_ids;
+                use exacml_xacml::request_ids as req_ids;
                 use exacml_xacml::{AttributeCategory, AttributeMatch};
                 Target::new(vec![
                     AttributeMatch::new(

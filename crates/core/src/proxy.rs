@@ -40,8 +40,8 @@ pub struct ProxyStats {
 
 impl ProxyStats {
     /// Cache hit rate in [0, 1].
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn hit_rate(&self) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
@@ -106,14 +106,9 @@ impl Proxy {
         *self.stats.lock()
     }
 
-    /// Drop every cached handle.
-    pub fn clear_cache(&self) {
-        self.cache.lock().clear();
-    }
-
     /// Number of cached entries.
-    #[must_use]
-    pub fn cached_entries(&self) -> usize {
+    #[cfg(test)]
+    fn cached_entries(&self) -> usize {
         self.cache.lock().len()
     }
 
@@ -302,16 +297,5 @@ mod tests {
         let request = Request::subscribe("UNKNOWN", "weather");
         assert!(matches!(proxy.request(&request, None), Err(ExacmlError::AccessDenied { .. })));
         assert_eq!(proxy.cached_entries(), 0);
-    }
-
-    #[test]
-    fn clear_cache_forces_forwarding() {
-        let proxy = proxy_setup(true);
-        let request = Request::subscribe("LTA", "weather");
-        proxy.request(&request, None).unwrap();
-        proxy.clear_cache();
-        proxy.request(&request, None).unwrap();
-        assert_eq!(proxy.stats().hits, 0);
-        assert_eq!(proxy.stats().misses, 2);
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::error::ExacmlError;
 use exacml_dsms::{AggFunc, AggSpec, QueryGraph, QueryGraphBuilder, WindowKind, WindowSpec};
-use exacml_xacml::xml::{parse_document, XmlElement};
+use exacml_xacml::xml::{parse_document, DocumentWriter};
 
 /// The aggregation part of a user query.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,39 +134,37 @@ impl UserQuery {
         parts.join(";")
     }
 
-    /// Serialize to the Figure 4(a) XML form.
+    /// Serialize to the Figure 4(a) XML form, in one pass.
     #[must_use]
     pub fn to_xml(&self) -> String {
-        let mut root = XmlElement::new("UserQuery")
-            .child(XmlElement::new("Stream").attr("name", self.stream.clone()));
+        let mut doc = DocumentWriter::default();
+        doc.start("UserQuery", []);
+        doc.text_element("Stream", [("name", &*self.stream)], "");
         if let Some(filter) = &self.filter {
-            root = root.child(
-                XmlElement::new("Filter")
-                    .child(XmlElement::new("FilterCondition").with_text(filter.clone())),
-            );
+            doc.start("Filter", []);
+            doc.text_element("FilterCondition", [], filter);
+            doc.end("Filter");
         }
         if !self.map.is_empty() {
-            let mut map_el = XmlElement::new("Map");
+            doc.start("Map", []);
             for attr in &self.map {
-                map_el = map_el.child(XmlElement::new("Attribute").with_text(attr.clone()));
+                doc.text_element("Attribute", [], attr);
             }
-            root = root.child(map_el);
+            doc.end("Map");
         }
         if let Some(agg) = &self.aggregation {
-            let mut agg_el = XmlElement::new("Aggregation")
-                .child(XmlElement::new("WindowType").with_text(agg.window.kind.keyword()))
-                .child(XmlElement::new("WindowSize").with_text(agg.window.size.to_string()))
-                .child(XmlElement::new("WindowStep").with_text(agg.window.advance.to_string()));
+            doc.start("Aggregation", []);
+            doc.text_element("WindowType", [], agg.window.kind.keyword());
+            doc.text_element("WindowSize", [], &agg.window.size.to_string());
+            doc.text_element("WindowStep", [], &agg.window.advance.to_string());
             for spec in &agg.specs {
-                agg_el = agg_el.child(XmlElement::new("Attribute").with_text(format!(
-                    "{}({})",
-                    spec.function.keyword(),
-                    spec.attribute
-                )));
+                let pair = format!("{}({})", spec.function.keyword(), spec.attribute);
+                doc.text_element("Attribute", [], &pair);
             }
-            root = root.child(agg_el);
+            doc.end("Aggregation");
         }
-        root.to_xml()
+        doc.end("UserQuery");
+        doc.finish()
     }
 
     /// Parse the Figure 4(a) XML form.

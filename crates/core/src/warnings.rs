@@ -95,13 +95,13 @@ impl fmt::Display for Warning {
 
 /// Whether a set of warnings contains an empty-result warning.
 #[must_use]
-pub fn has_empty_result(warnings: &[Warning]) -> bool {
+pub(crate) fn has_empty_result(warnings: &[Warning]) -> bool {
     warnings.iter().any(|w| w.kind == WarningKind::EmptyResult)
 }
 
 /// Whether a set of warnings contains a partial-result warning.
 #[must_use]
-pub fn has_partial_result(warnings: &[Warning]) -> bool {
+pub(crate) fn has_partial_result(warnings: &[Warning]) -> bool {
     warnings.iter().any(|w| w.kind == WarningKind::PartialResult)
 }
 
@@ -110,7 +110,7 @@ pub fn has_partial_result(warnings: &[Warning]) -> bool {
 /// attributes — if `S1 ∩ S2 = ∅` alert NR, otherwise alert PR when
 /// `S1 ≠ S2`.
 #[must_use]
-pub fn check_map_merge(policy: &MapOp, user: &MapOp) -> Option<Warning> {
+pub(crate) fn check_map_merge(policy: &MapOp, user: &MapOp) -> Option<Warning> {
     let policy_set: Vec<&str> = policy.attributes().iter().map(String::as_str).collect();
     let user_set: Vec<&str> = user.attributes().iter().map(String::as_str).collect();
     let intersection: Vec<&str> = user_set
@@ -158,7 +158,7 @@ pub fn check_map_merge(policy: &MapOp, user: &MapOp) -> Option<Warning> {
 /// 5. attribute present in both with the same function → no alert
 /// 6. all other cases (attribute requested but absent from the policy) → PR
 #[must_use]
-pub fn check_aggregate_merge(policy: &AggregateOp, user: &AggregateOp) -> Option<Warning> {
+pub(crate) fn check_aggregate_merge(policy: &AggregateOp, user: &AggregateOp) -> Option<Warning> {
     if policy.window.kind != user.window.kind {
         return Some(Warning::empty(
             WarningSource::Aggregate,

@@ -166,8 +166,8 @@ impl StreamCatalog {
     }
 
     /// Number of live handles.
-    #[must_use]
-    pub fn live_handles(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_handles(&self) -> usize {
         self.handles.read().len()
     }
 }

@@ -56,12 +56,6 @@ pub struct ResidualSpec {
 }
 
 impl ResidualSpec {
-    /// A residual that forwards every core output tuple unchanged.
-    #[must_use]
-    pub fn passthrough() -> Self {
-        ResidualSpec::default()
-    }
-
     /// Whether this residual does nothing (no predicate, no projection).
     #[must_use]
     pub fn is_passthrough(&self) -> bool {
@@ -72,7 +66,7 @@ impl ResidualSpec {
 /// A [`ResidualSpec`] with attribute names resolved against the shared
 /// deployment's output schema, applied per subscriber at fan-out time.
 #[derive(Debug)]
-pub struct CompiledResidual {
+pub(crate) struct CompiledResidual {
     predicate: Option<CompiledPredicate>,
     /// Source positions + projected schema, mirroring a compiled map box.
     mask: Option<(Vec<usize>, Arc<Schema>)>,
@@ -408,7 +402,7 @@ fn select_numeric(column: &[f64], op: CmpOp, n: f64, keep: &mut Vec<bool>) {
 }
 
 /// Compare a tuple value against a literal, mirroring
-/// `Value::to_scalar` + `exacml_expr::eval::compare` without the string
+/// `Value::to_scalar` + `exacml_expr::eval`'s comparison without the string
 /// clone `to_scalar` pays for text values.
 fn compare_value(value: &Value, op: CmpOp, literal: &Scalar) -> bool {
     match literal {
@@ -656,7 +650,7 @@ fn compile_aggregate(op: &AggregateOp, input: &Schema) -> CompiledOp {
 mod tests {
     use super::*;
     use crate::value::DataType;
-    use exacml_expr::{eval::eval, parse_expr};
+    use exacml_expr::{eval, parse_expr};
     use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
@@ -857,7 +851,7 @@ mod tests {
 
     #[test]
     fn passthrough_residual_forwards_unchanged() {
-        let spec = ResidualSpec::passthrough();
+        let spec = ResidualSpec::default();
         assert!(spec.is_passthrough());
         let residual = CompiledResidual::compile(&spec, &schema()).unwrap();
         assert!(residual.masked_schema().is_none());

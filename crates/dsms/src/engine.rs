@@ -715,14 +715,14 @@ impl StreamEngine {
     }
 
     /// Number of live deployments attached to one input stream.
-    #[must_use]
-    pub fn deployments_on(&self, stream: &str) -> usize {
+    #[cfg(test)]
+    fn deployments_on(&self, stream: &str) -> usize {
         self.shards.read().get(stream).map_or(0, |s| s.state.lock().deployments.len())
     }
 
     /// Total derived tuples emitted by one deployment so far.
-    #[must_use]
-    pub fn emitted_by(&self, id: DeploymentId) -> Option<u64> {
+    #[cfg(test)]
+    fn emitted_by(&self, id: DeploymentId) -> Option<u64> {
         let stream = self.routes.read().get(&id).cloned()?;
         let shard = self.shards.read().get(&stream).cloned()?;
         let guard = shard.state.lock();
@@ -912,7 +912,8 @@ mod tests {
         engine.push("weather", weather_tuple(&schema, 9, 1.0, 1.0)).unwrap();
         assert_eq!(counter(&engine, Metric::TuplesIngested), 6);
         assert_eq!(counter(&engine, Metric::BatchesIngested), 3);
-        assert_eq!(engine.telemetry_handle().stage_count(Stage::Ingest), 2);
+        let ingest = engine.telemetry_handle().snapshot().stage(Stage::Ingest).map(|s| s.count);
+        assert_eq!(ingest, Some(2));
     }
 
     #[test]

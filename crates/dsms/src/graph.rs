@@ -173,7 +173,7 @@ impl fmt::Display for QueryGraph {
 /// Fluent construction of query graphs.
 ///
 /// ```
-/// use exacml_dsms::prelude::*;
+/// use exacml_dsms::{AggFunc, AggSpec, QueryGraphBuilder, WindowSpec};
 /// let graph = QueryGraphBuilder::on_stream("weather")
 ///     .filter_str("rainrate > 5").unwrap()
 ///     .map(["samplingtime", "rainrate", "windspeed"])

@@ -12,23 +12,23 @@
 //! StreamBase is proprietary, so this crate is a from-scratch substitute
 //! that implements exactly the model surface the paper depends on:
 //!
-//! * typed schemas, tuples and append-only streams ([`schema`], [`mod@tuple`]),
+//! * typed schemas, tuples and append-only streams ([`Schema`], [`Tuple`]),
 //! * the three operator boxes with tuple- and time-based sliding windows
-//!   ([`ops`], [`window`]),
+//!   ([`FilterOp`], [`MapOp`], [`AggregateOp`], [`WindowSpec`]),
 //! * query graphs with schema validation and output-schema inference
-//!   ([`graph`]),
+//!   ([`QueryGraph`]),
 //! * a continuous-query engine that registers input streams, deploys and
 //!   withdraws query graphs, pushes tuples and delivers derived tuples to
-//!   subscribers ([`engine`]) — internally synchronized and sharded by
+//!   subscribers ([`StreamEngine`]) — internally synchronized and sharded by
 //!   stream, so every operation takes `&self` and pushes to different
 //!   streams run in parallel,
 //! * a StreamSQL dialect writer/parser matching Figure 4(b) of the paper
 //!   ([`streamsql`]),
 //! * a catalog of stream handles (URIs) that the framework returns to
-//!   clients instead of raw data ([`catalog`]).
+//!   clients instead of raw data ([`StreamCatalog`]).
 //!
 //! ```
-//! use exacml_dsms::prelude::*;
+//! use exacml_dsms::{QueryGraphBuilder, Schema, StreamEngine, Tuple, Value};
 //!
 //! // The weather schema of the paper's Example 1.
 //! let schema = Schema::weather_example();
@@ -52,17 +52,19 @@
 //! assert_eq!(derived[0].get("rainrate").unwrap(), &Value::Double(9.0));
 //! ```
 
-pub mod catalog;
+#![warn(unreachable_pub)]
+
+mod catalog;
 mod compiled;
-pub mod engine;
-pub mod error;
-pub mod graph;
-pub mod ops;
-pub mod schema;
+mod engine;
+mod error;
+mod graph;
+mod ops;
+mod schema;
 pub mod streamsql;
-pub mod tuple;
-pub mod value;
-pub mod window;
+mod tuple;
+mod value;
+mod window;
 
 pub use catalog::{StreamCatalog, StreamHandle};
 pub use compiled::ResidualSpec;
@@ -74,24 +76,6 @@ pub use ops::filter::FilterOp;
 pub use ops::map::MapOp;
 pub use ops::Operator;
 pub use schema::{Field, Schema};
-pub use tuple::Tuple;
+pub use tuple::{Tuple, TupleBuilder};
 pub use value::{DataType, Value};
-pub use window::{WindowKind, WindowSpec};
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::catalog::{StreamCatalog, StreamHandle};
-    pub use crate::compiled::ResidualSpec;
-    pub use crate::engine::{Deployment, DeploymentId, StreamEngine};
-    pub use crate::error::DsmsError;
-    pub use crate::graph::{GraphNode, QueryGraph, QueryGraphBuilder};
-    pub use crate::ops::aggregate::{AggFunc, AggSpec, AggregateOp};
-    pub use crate::ops::filter::FilterOp;
-    pub use crate::ops::map::MapOp;
-    pub use crate::ops::Operator;
-    pub use crate::schema::{Field, Schema};
-    pub use crate::streamsql;
-    pub use crate::tuple::Tuple;
-    pub use crate::value::{DataType, Value};
-    pub use crate::window::{WindowKind, WindowSpec};
-}
+pub use window::{SlidingBuffer, WindowKind, WindowSpec};

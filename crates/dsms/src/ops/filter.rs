@@ -3,7 +3,7 @@
 use crate::error::DsmsError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use exacml_expr::{eval::eval, parse_expr, Expr};
+use exacml_expr::{eval, parse_expr, Expr};
 
 /// A filter operator: tuples pass through only when the condition holds.
 ///

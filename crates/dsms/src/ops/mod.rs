@@ -6,9 +6,9 @@
 //! practice every graph the framework generates is a chain
 //! `filter? → map? → aggregate?` (Figure 1).
 
-pub mod aggregate;
-pub mod filter;
-pub mod map;
+pub(crate) mod aggregate;
+pub(crate) mod filter;
+pub(crate) mod map;
 
 use crate::error::DsmsError;
 use crate::schema::Schema;
@@ -29,16 +29,6 @@ pub enum Operator {
 }
 
 impl Operator {
-    /// Short operator-kind name for error messages and StreamSQL comments.
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Operator::Filter(_) => "filter",
-            Operator::Map(_) => "map",
-            Operator::Aggregate(_) => "aggregate",
-        }
-    }
-
     /// Validate the operator against the schema of its input stream.
     ///
     /// # Errors
@@ -82,16 +72,13 @@ mod tests {
     use aggregate::{AggFunc, AggSpec};
 
     #[test]
-    fn kind_names() {
+    fn operators_display_their_parameters() {
         let f = Operator::Filter(FilterOp::parse("a > 1").unwrap());
         let m = Operator::Map(MapOp::new(["a"]));
         let a = Operator::Aggregate(AggregateOp::new(
             WindowSpec::tuples(5, 2),
             vec![AggSpec::new("a", AggFunc::Avg)],
         ));
-        assert_eq!(f.kind_name(), "filter");
-        assert_eq!(m.kind_name(), "map");
-        assert_eq!(a.kind_name(), "aggregate");
         assert!(f.to_string().contains("a > 1"));
         assert!(m.to_string().contains('a'));
         assert!(a.to_string().contains("avg"));

@@ -282,9 +282,9 @@ mod tests {
     fn tuples_are_filter_bindings() {
         let t = weather_tuple(9.0, 3.0);
         let cond = parse_expr("rainrate > 5 AND windspeed < 10").unwrap();
-        assert!(exacml_expr::eval::eval(&cond, &t));
+        assert!(exacml_expr::eval(&cond, &t));
         let cond = parse_expr("rainrate > 50").unwrap();
-        assert!(!exacml_expr::eval::eval(&cond, &t));
+        assert!(!exacml_expr::eval(&cond, &t));
     }
 
     #[test]

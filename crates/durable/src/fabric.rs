@@ -193,7 +193,10 @@ impl Replication {
     /// # Errors
     /// Fails when `root` already holds stores, on I/O errors, or when the
     /// pump thread cannot be started.
-    pub fn create(config: ReplicatedConfig) -> Result<ReplicatedFabric, ExacmlError> {
+    pub fn create(mut config: ReplicatedConfig) -> Result<ReplicatedFabric, ExacmlError> {
+        // `nodes` is a public field, so a literal config can bypass
+        // `FabricConfig::new`'s clamp; every later read sees the clamped count.
+        config.fabric.nodes = config.fabric.nodes.max(1);
         let nodes = config.fabric.nodes;
         let mut slots = Vec::with_capacity(nodes);
         let mut shippers = Vec::with_capacity(nodes);

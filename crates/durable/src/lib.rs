@@ -11,18 +11,18 @@
 //! * [`record`] — the record vocabulary: one record per state-mutating
 //!   operation — a control operation's audit event with what its replay
 //!   needs (a schema, a policy document, a grant), or an ingest batch;
-//! * [`snapshot`] — compaction: the journal folds into a snapshot of the
+//! * [`Snapshot`] — compaction: the journal folds into a snapshot of the
 //!   *live* state, so recovery cost is bounded by what still matters plus
 //!   the WAL tail, not by the server's lifetime;
-//! * [`server`] — [`DurableServer`]: a [`DataServer`](exacml_plus::DataServer)
+//! * [`DurableServer`]: a [`DataServer`](exacml_plus::DataServer)
 //!   with the WAL attached as its [`CommitLog`](exacml_plus::CommitLog), so
 //!   every operation journals at the data server's one commit point, plus
 //!   the store management around it — create, snapshot, and
 //!   [`DurableServer::recover`], which re-mints the *same* handle URIs by
 //!   replaying grants at their recorded deployment ids;
-//! * [`replication`] — WAL shipping: file-level mirroring of one store onto
+//! * [`ReplicaMirror`] — WAL shipping: file-level mirroring of one store onto
 //!   peer hosts, incremental past an acknowledged offset;
-//! * [`fabric`] — [`ReplicatedFabric`], a brokering fabric of durable nodes
+//! * [`ReplicatedFabric`], a brokering fabric of durable nodes
 //!   with replication and owner failover: killing a host loses no
 //!   acknowledged grant, the surviving peer replays the shipped journal and
 //!   re-mints the dead node's handles at their recorded URIs.
@@ -44,18 +44,25 @@
 //! are documented in `docs/RECOVERY.md`; where the layer sits in the stack
 //! is `docs/ARCHITECTURE.md`.
 
-pub mod fabric;
+#![warn(unreachable_pub)]
+
+mod fabric;
 pub mod record;
-pub mod replication;
-pub mod server;
-pub mod snapshot;
+mod replication;
+mod server;
+mod snapshot;
 pub mod wal;
 
 pub use fabric::{ReplicatedConfig, ReplicatedFabric, Replication};
 pub use record::{GrantRecord, Record};
 pub use replication::{ReplicaMirror, ShipOutcome};
-pub use server::{DurableConfig, DurableServer, JournalMark, RecoveryReport, TopologyPreset};
-pub use snapshot::Snapshot;
+pub use server::{
+    decode_meta, encode_meta, DurableConfig, DurableServer, JournalMark, RecoveryReport,
+    TopologyPreset,
+};
+pub use snapshot::{
+    decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Snapshot, StreamEntry,
+};
 pub use wal::{FailMode, WalFailpoint};
 
 use serde_json::Value;
@@ -64,8 +71,8 @@ use serde_json::Value;
 /// recovers. [`DurableServer::create`] stamps it into `meta.json`, every
 /// snapshot carries it, and [`DurableServer::recover`] refuses a store whose
 /// `meta.json` or snapshot holds any other value. The encoders that define
-/// the format live in [`record`] and [`snapshot`]; `meta.json`'s is in
-/// [`server`]. Version 2 journals one record per control operation.
+/// the format are [`record`]'s, [`encode_snapshot`] and, for `meta.json`,
+/// [`encode_meta`]. Version 2 journals one record per control operation.
 pub const FORMAT_VERSION: u64 = 2;
 
 /// Refuse a `meta.json` or snapshot document not stamped [`FORMAT_VERSION`].

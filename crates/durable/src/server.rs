@@ -814,8 +814,8 @@ impl DurableServer {
 
     /// Journal records appended since the last snapshot (the WAL tail a
     /// crash right now would replay).
-    #[must_use]
-    pub fn wal_tail_len(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn wal_tail_len(&self) -> u64 {
         self.journal(|journal, _| journal.records_since_snapshot)
     }
 

@@ -226,7 +226,8 @@ impl WalFailpoint {
     }
 
     /// Disarm the failpoint; subsequent writes behave normally.
-    pub fn disarm(&self) {
+    #[cfg(test)]
+    fn disarm(&self) {
         *self.mode.lock().expect("failpoint mode lock") = None;
         self.armed.store(false, Ordering::Release);
     }

@@ -12,11 +12,10 @@
 
 use exacml_dsms::{DataType, Schema, Tuple, Value as DsmsValue};
 use exacml_durable::record::{decode, decode_row, encode_ingest, GrantRecord, Payload, Record};
-use exacml_durable::server::{decode_meta, encode_meta};
-use exacml_durable::snapshot::{
-    decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Snapshot, StreamEntry,
+use exacml_durable::{
+    decode_meta, decode_snapshot, encode_meta, encode_snapshot, read_snapshot, wal, write_snapshot,
+    DurableConfig, DurableServer, Snapshot, StreamEntry,
 };
-use exacml_durable::{wal, DurableConfig, DurableServer};
 use exacml_plus::{AuditEvent, AuditEventKind};
 use serde_json::Value;
 use std::path::PathBuf;

@@ -51,7 +51,7 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Detailed outcome of [`analyze_merge`] / [`check_dnf`].
+/// Detailed outcome of [`analyze_merge`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConflictReport {
     /// The overall alert raised to the user.
@@ -244,7 +244,7 @@ pub fn check_two_simple(policy: &SimpleExpr, user: &SimpleExpr) -> Verdict {
 /// [`Origin`] tags). Pairs with the same origin can still raise NR, because a
 /// contradiction makes the whole conjunct unsatisfiable regardless of origin.
 #[must_use]
-pub fn check_conjunct(conjunct: &Conjunct) -> (Verdict, usize) {
+pub(crate) fn check_conjunct(conjunct: &Conjunct) -> (Verdict, usize) {
     let terms = &conjunct.terms;
     let mut verdict = Verdict::Compatible;
     let mut calls = 0usize;
@@ -280,7 +280,7 @@ pub fn check_conjunct(conjunct: &Conjunct) -> (Verdict, usize) {
 /// rule: alert NR only when *all* conjuncts are NR; alert PR when all
 /// conjuncts are marked (PR or NR) but not all NR; otherwise no alert.
 #[must_use]
-pub fn check_dnf(dnf: &Dnf) -> ConflictReport {
+pub(crate) fn check_dnf(dnf: &Dnf) -> ConflictReport {
     let mut clause_verdicts = Vec::with_capacity(dnf.conjuncts.len());
     let mut pair_checks = 0usize;
     for conjunct in &dnf.conjuncts {

@@ -161,18 +161,6 @@ impl Dnf {
         self.conjuncts.iter().map(Conjunct::len).max().unwrap_or(0)
     }
 
-    /// Whether this DNF is the constant FALSE.
-    #[must_use]
-    pub fn is_never(&self) -> bool {
-        self.conjuncts.is_empty()
-    }
-
-    /// Whether this DNF is trivially TRUE (contains an empty clause).
-    #[must_use]
-    pub fn is_trivially_true(&self) -> bool {
-        self.conjuncts.iter().any(Conjunct::is_empty)
-    }
-
     /// Convert back into an [`Expr`] (an OR of AND-chains).
     #[must_use]
     pub fn to_expr(&self) -> Expr {
@@ -247,8 +235,9 @@ mod tests {
 
     #[test]
     fn constants() {
-        assert!(dnf("FALSE").is_never());
-        assert!(dnf("TRUE").is_trivially_true());
+        // FALSE has no clause; TRUE has an empty one.
+        assert!(dnf("FALSE").conjuncts.is_empty());
+        assert!(dnf("TRUE").conjuncts.iter().any(Conjunct::is_empty));
         // FALSE OR x  →  just x (after parser constant folding).
         assert_eq!(dnf("FALSE OR a > 1").clause_count(), 1);
     }

@@ -66,7 +66,7 @@ impl Bindings for HashMap<String, Scalar> {
 /// `false`, matching the DSMS behaviour of dropping tuples a predicate
 /// cannot be decided for.
 #[must_use]
-pub fn eval_simple(simple: &SimpleExpr, bindings: &dyn Bindings) -> bool {
+pub(crate) fn eval_simple(simple: &SimpleExpr, bindings: &dyn Bindings) -> bool {
     let Some(actual) = bindings.lookup(&simple.attr) else {
         return false;
     };
@@ -75,7 +75,7 @@ pub fn eval_simple(simple: &SimpleExpr, bindings: &dyn Bindings) -> bool {
 
 /// Compare a bound value against the literal of a simple expression.
 #[must_use]
-pub fn compare(actual: &Scalar, op: CmpOp, literal: &Scalar) -> bool {
+pub(crate) fn compare(actual: &Scalar, op: CmpOp, literal: &Scalar) -> bool {
     match actual.partial_cmp_same_kind(literal) {
         Some(ord) => op.apply_ord(ord),
         None => false,

@@ -9,7 +9,7 @@ use crate::error::ExprError;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// An attribute name, e.g. `rainrate`.
     Ident(String),
     /// A numeric literal.
@@ -46,7 +46,7 @@ pub enum Token {
 
 /// A token together with the byte offset where it started, for error messages.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token itself.
     pub token: Token,
     /// Byte offset in the source string.
@@ -58,7 +58,7 @@ pub struct Spanned {
 /// # Errors
 /// Returns an error on unknown characters, unterminated strings or malformed
 /// numbers.
-pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ExprError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Spanned>, ExprError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -11,7 +11,7 @@ use crate::ast::{Expr, SimpleExpr};
 
 /// One element of a postfix sequence.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PostfixTok {
+pub(crate) enum PostfixTok {
     /// A simple-expression operand.
     Operand(SimpleExpr),
     /// Constant true operand.
@@ -31,7 +31,7 @@ pub enum PostfixTok {
 /// [`crate::normalize::eliminate_not`] first. (This is an internal invariant;
 /// the public entry point [`crate::dnf::Dnf::from_expr`] always does so.)
 #[must_use]
-pub fn to_postfix(expr: &Expr) -> Vec<PostfixTok> {
+pub(crate) fn to_postfix(expr: &Expr) -> Vec<PostfixTok> {
     let mut out = Vec::with_capacity(expr.leaf_count() * 2);
     emit(expr, &mut out);
     out
@@ -56,23 +56,6 @@ fn emit(expr: &Expr, out: &mut Vec<PostfixTok>) {
             panic!("to_postfix requires a NOT-free expression; run eliminate_not first")
         }
     }
-}
-
-/// Render the postfix sequence in the compact textual form the paper uses in
-/// Example 4 (e.g. `A B & C | D E & &`), mainly for debugging and docs.
-#[must_use]
-pub fn postfix_to_string(tokens: &[PostfixTok]) -> String {
-    let mut parts = Vec::with_capacity(tokens.len());
-    for t in tokens {
-        match t {
-            PostfixTok::Operand(s) => parts.push(format!("[{s}]")),
-            PostfixTok::True => parts.push("TRUE".to_string()),
-            PostfixTok::False => parts.push("FALSE".to_string()),
-            PostfixTok::And => parts.push("&".to_string()),
-            PostfixTok::Or => parts.push("|".to_string()),
-        }
-    }
-    parts.join(" ")
 }
 
 #[cfg(test)]
@@ -102,9 +85,7 @@ mod tests {
         assert_eq!(pf.len(), 9);
         // Last operator must be the top-level AND.
         assert_eq!(*pf.last().unwrap(), PostfixTok::And);
-        let rendered = postfix_to_string(&pf);
-        assert!(rendered.ends_with('&'));
-        assert!(rendered.contains('|'));
+        assert!(ops.contains(&&PostfixTok::Or));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn simplify(expr: &Expr) -> Expr {
 /// Simplify every conjunct of a DNF, dropping unsatisfiable ones and
 /// duplicate clauses.
 #[must_use]
-pub fn simplify_dnf(dnf: &Dnf) -> Dnf {
+pub(crate) fn simplify_dnf(dnf: &Dnf) -> Dnf {
     let mut out: Vec<Conjunct> = Vec::with_capacity(dnf.conjuncts.len());
     for conjunct in &dnf.conjuncts {
         match simplify_conjunct(conjunct) {
@@ -215,7 +215,7 @@ impl TextConstraints {
 /// Simplify a single conjunct. Returns `None` when the conjunct is
 /// unsatisfiable (and should be dropped from the DNF).
 #[must_use]
-pub fn simplify_conjunct(conjunct: &Conjunct) -> Option<Conjunct> {
+pub(crate) fn simplify_conjunct(conjunct: &Conjunct) -> Option<Conjunct> {
     // Group terms per attribute, preserving first-seen attribute order so the
     // simplified output is stable and readable.
     let mut order: Vec<String> = Vec::new();

@@ -145,8 +145,8 @@ impl LinkSpec {
 
     /// The mean one-way delay for a message of `bytes` bytes (ignoring the
     /// heavy tail), useful for analytical sanity checks.
-    #[must_use]
-    pub fn expected_delay(&self, bytes: usize) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn expected_delay(&self, bytes: usize) -> Duration {
         Duration::from_secs_f64(self.base_latency_us / 1e6) + self.serialisation_delay(bytes)
     }
 }

@@ -31,6 +31,8 @@
 //! clock fed it — the stage taxonomy documents which stages are wall and
 //! which are virtual (see `docs/OBSERVABILITY.md`).
 
+#![warn(unreachable_pub)]
+
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -443,12 +445,6 @@ impl Telemetry {
         }
     }
 
-    /// Observations recorded for a stage so far.
-    #[must_use]
-    pub fn stage_count(&self, stage: Stage) -> u64 {
-        self.stages[stage.index()].count()
-    }
-
     /// A consistent-enough point-in-time copy of every counter and
     /// histogram (counters and buckets are read individually; recording
     /// continues concurrently).
@@ -518,18 +514,6 @@ impl StageSnapshot {
             }
         }
         self.max_nanos
-    }
-
-    /// Median (p50) bucket upper bound, nanoseconds.
-    #[must_use]
-    pub fn p50_nanos(&self) -> u64 {
-        self.percentile_nanos(0.50)
-    }
-
-    /// p99 bucket upper bound, nanoseconds.
-    #[must_use]
-    pub fn p99_nanos(&self) -> u64 {
-        self.percentile_nanos(0.99)
     }
 
     /// The highest non-empty bucket index, when any observation exists.
@@ -756,8 +740,8 @@ mod tests {
         assert_eq!(snapshot.buckets[9], 2);
         assert_eq!(snapshot.buckets[19], 1);
         assert_eq!(snapshot.max_bucket(), Some(19));
-        assert!(snapshot.p50_nanos() <= 1023);
-        assert!(snapshot.p99_nanos() >= 524_288);
+        assert!(snapshot.percentile_nanos(0.50) <= 1023);
+        assert!(snapshot.percentile_nanos(0.99) >= 524_288);
         // Out-of-range quantiles clamp instead of panicking.
         assert_eq!(snapshot.percentile_nanos(-3.0), snapshot.percentile_nanos(0.0));
         assert_eq!(snapshot.percentile_nanos(7.5), snapshot.percentile_nanos(1.0));
@@ -789,7 +773,6 @@ mod tests {
     fn a_disabled_registry_records_no_batch() {
         let telemetry = Telemetry::disabled();
         telemetry.record_nanos_all(Stage::Delivery, [5, 50, 500]);
-        assert_eq!(telemetry.stage_count(Stage::Delivery), 0);
         assert!(telemetry.snapshot().stages.is_empty());
         telemetry.set_enabled(true);
         telemetry.record_nanos_all(Stage::Delivery, [5, 50, 500]);
@@ -810,7 +793,7 @@ mod tests {
         telemetry.incr(Metric::Requests);
         telemetry.record(Stage::Pdp, Duration::from_micros(5));
         assert_eq!(telemetry.counter(Metric::Requests), 2);
-        assert_eq!(telemetry.stage_count(Stage::Pdp), 1);
+        assert_eq!(telemetry.snapshot().stage(Stage::Pdp).map(|s| s.count), Some(1));
     }
 
     #[test]

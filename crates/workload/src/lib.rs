@@ -12,48 +12,44 @@
 //!
 //! This crate reproduces those generators deterministically (seeded RNG):
 //!
-//! * [`spec`] — the Table 3 parameter set;
-//! * [`zipf`] — the Zipf rank sampler;
-//! * [`streams`] — synthetic weather / GPS feeds matching the paper's
-//!   real-time data sources;
-//! * [`generator`] — the continuous-query corpus (script + policy + request
-//!   triples) and the request sequences;
-//! * [`scenario`] — the declarative [`scenario::ScenarioPack`] model: streams
-//!   with seeded synthetic feeds, a policy corpus, a request/ingest script
-//!   and expected-outcome oracles, loadable from JSON;
-//! * [`runner`] — executes any pack against any [`Backend`] shape and checks
-//!   its oracles;
-//! * [`packs`] — the four built-in packs (`smart-city`, `financial-ticks`,
-//!   `iot-fleet`, `adversarial`): the `packs/*.json` documents, embedded.
+//! * [`WorkloadSpec`] — the Table 3 parameter set;
+//! * [`Zipf`] — the Zipf rank sampler;
+//! * [`WeatherFeed`] / [`GpsFeed`] — synthetic weather / GPS feeds matching
+//!   the paper's real-time data sources;
+//! * [`WorkloadGenerator`] — the continuous-query corpus (script + policy +
+//!   request triples) and the request sequences;
+//! * [`ScenarioPack`] — the declarative scenario model: streams with seeded
+//!   synthetic feeds, a policy corpus, a request/ingest script and
+//!   expected-outcome oracles, loadable from JSON;
+//! * [`run_pack`] — executes any pack against any [`Backend`] shape and
+//!   checks its oracles;
+//! * [`builtin_packs`] — the four built-in packs (`smart-city`,
+//!   `financial-ticks`, `iot-fleet`, `adversarial`): the `packs/*.json`
+//!   documents, embedded.
 //!
 //! [`Backend`]: exacml_plus::Backend
 
-pub mod files;
-pub mod generator;
-pub mod packs;
-pub mod runner;
-pub mod scenario;
-pub mod spec;
-pub mod streams;
-pub mod zipf;
+#![warn(unreachable_pub)]
+
+mod files;
+mod generator;
+mod packs;
+mod runner;
+mod scenario;
+mod spec;
+mod streams;
+mod zipf;
 
 pub use files::{export_corpus, import_corpus, ImportedQuery, QueryFiles};
-pub use generator::{ContinuousQuery, RequestSequence, WorkloadGenerator};
-pub use runner::{run_pack, run_pack_checked, PackCounts, PackOutcome, PackRun, StageTelemetry};
+pub use generator::{ContinuousQuery, RequestSequence, SequenceKind, WorkloadGenerator};
+pub use packs::{builtin_pack, builtin_packs};
+pub use runner::{
+    normalized_audit, run_pack, run_pack_checked, PackCounts, PackOutcome, PackRun, StageTelemetry,
+};
 pub use scenario::{
-    Expectations, FieldGen, FieldSpec, PolicySpec, QuerySpec, ScenarioPack, ScriptStep, StreamSpec,
-    SyntheticFeed, WindowData,
+    AuditExpectation, DeliveryExpectation, Expectations, FieldGen, FieldSpec, PolicySpec,
+    QuerySpec, ScenarioPack, ScriptStep, StreamSpec, SyntheticFeed, WindowData,
 };
 pub use spec::{CompositionMix, WorkloadSpec};
 pub use streams::{GpsFeed, WeatherFeed};
 pub use zipf::Zipf;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::generator::{ContinuousQuery, RequestSequence, WorkloadGenerator};
-    pub use crate::runner::{run_pack, run_pack_checked, PackOutcome, PackRun};
-    pub use crate::scenario::ScenarioPack;
-    pub use crate::spec::{CompositionMix, WorkloadSpec};
-    pub use crate::streams::{GpsFeed, WeatherFeed};
-    pub use crate::zipf::Zipf;
-}

@@ -27,8 +27,8 @@ const BUILTIN: [(&str, &str); 4] = [
 
 /// Every built-in pack, in presentation order.
 #[must_use]
-pub fn all() -> Vec<ScenarioPack> {
-    BUILTIN.iter().map(|(name, _)| by_name(name).expect("name taken from BUILTIN")).collect()
+pub fn builtin_packs() -> Vec<ScenarioPack> {
+    BUILTIN.iter().map(|(name, _)| builtin_pack(name).expect("name taken from BUILTIN")).collect()
 }
 
 /// Look a built-in pack up by name.
@@ -37,7 +37,7 @@ pub fn all() -> Vec<ScenarioPack> {
 /// Panics when the embedded document is not a valid pack — a defect in this
 /// repository's own data, which `builtin_packs_validate` keeps out.
 #[must_use]
-pub fn by_name(name: &str) -> Option<ScenarioPack> {
+pub fn builtin_pack(name: &str) -> Option<ScenarioPack> {
     let (_, document) = BUILTIN.iter().find(|(builtin, _)| *builtin == name)?;
     let pack = ScenarioPack::from_json_str(document)
         .unwrap_or_else(|problem| panic!("built-in pack '{name}' is invalid: {problem}"));
@@ -51,7 +51,7 @@ mod tests {
 
     #[test]
     fn builtin_packs_validate() {
-        for pack in all() {
+        for pack in builtin_packs() {
             pack.validate().unwrap_or_else(|problems| {
                 panic!("pack '{}' is invalid: {}", pack.name, problems.join("; "))
             });
@@ -71,12 +71,13 @@ mod tests {
             .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
             .collect();
         stems.sort();
-        let mut registered: Vec<String> = all().into_iter().map(|pack| pack.name).collect();
+        let mut registered: Vec<String> =
+            builtin_packs().into_iter().map(|pack| pack.name).collect();
         registered.sort();
         assert_eq!(registered, stems);
         for (name, _) in BUILTIN {
-            assert_eq!(by_name(name).unwrap().name, name);
+            assert_eq!(builtin_pack(name).unwrap().name, name);
         }
-        assert!(by_name("no-such-world").is_none());
+        assert!(builtin_pack("no-such-world").is_none());
     }
 }

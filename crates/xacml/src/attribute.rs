@@ -97,12 +97,6 @@ impl AttributeValue {
         self.text.trim().parse().ok()
     }
 
-    /// Double view, if the value parses as one.
-    #[must_use]
-    pub fn as_double(&self) -> Option<f64> {
-        self.text.trim().parse().ok()
-    }
-
     /// Boolean view, if the value parses as one.
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {
@@ -197,7 +191,6 @@ mod tests {
     #[test]
     fn typed_views() {
         assert_eq!(AttributeValue::integer(5).as_integer(), Some(5));
-        assert_eq!(AttributeValue::double(2.5).as_double(), Some(2.5));
         assert_eq!(AttributeValue::boolean(true).as_bool(), Some(true));
         assert_eq!(AttributeValue::string("x").as_integer(), None);
         assert_eq!(AttributeValue::string(" 7 ").as_integer(), Some(7));

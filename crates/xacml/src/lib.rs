@@ -13,20 +13,23 @@
 //! The original prototype extends Sun's Java XACML implementation; this crate
 //! is a from-scratch Rust implementation of the subset the framework needs:
 //!
-//! * the attribute / target / rule / policy model ([`attribute`], [`policy`]),
-//! * requests carrying subject, resource and action attributes ([`request`]),
-//! * obligations with attribute assignments ([`obligation`]),
-//! * a first-applicable PDP with a thread-safe policy store ([`pdp`]),
+//! * the attribute / target / rule / policy model ([`AttributeValue`],
+//!   [`Policy`]),
+//! * requests carrying subject, resource and action attributes ([`Request`]),
+//! * obligations with attribute assignments ([`Obligation`]),
+//! * a first-applicable PDP with a thread-safe policy store ([`Pdp`]),
 //! * an XML reader/writer for policy and request documents in the same shape
 //!   as the paper's Figure 2 ([`xml`]).
 
-pub mod attribute;
-pub mod error;
-pub mod obligation;
-pub mod pdp;
-pub mod policy;
-pub mod repository;
-pub mod request;
+#![warn(unreachable_pub)]
+
+mod attribute;
+mod error;
+mod obligation;
+mod pdp;
+mod policy;
+mod repository;
+mod request;
 pub mod xml;
 
 pub use attribute::{AttributeCategory, AttributeValue, XmlDataType};
@@ -35,14 +38,4 @@ pub use obligation::{AttributeAssignment, Obligation};
 pub use pdp::{Decision, DecisionResponse, Pdp, PolicyStore};
 pub use policy::{AttributeMatch, Effect, Policy, Rule, RuleCombiningAlg, Target};
 pub use repository::{PolicyRepository, RepositoryError};
-pub use request::Request;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::attribute::{AttributeCategory, AttributeValue, XmlDataType};
-    pub use crate::error::XacmlError;
-    pub use crate::obligation::{AttributeAssignment, Obligation};
-    pub use crate::pdp::{Decision, DecisionResponse, Pdp, PolicyStore};
-    pub use crate::policy::{AttributeMatch, Effect, Policy, Rule, RuleCombiningAlg, Target};
-    pub use crate::request::Request;
-}
+pub use request::{ids as request_ids, Request, RequestAttribute};

@@ -3,12 +3,11 @@
 //! The paper's prototype stores each policy as an XACML XML file that is
 //! "loaded into eXACML+ to provide access control policies to the PDP"
 //! (Section 4.2). This module provides that on-disk layer: a directory of
-//! `<policy-id>.xml` documents that can be listed, loaded into a
-//! [`PolicyStore`], saved and removed, so data owners can manage policies
+//! `<policy-id>.xml` documents that can be listed, loaded, saved and
+//! removed, so data owners can manage policies
 //! with ordinary file tools and the server can (re)load them at start-up.
 
 use crate::error::XacmlError;
-use crate::pdp::PolicyStore;
 use crate::policy::Policy;
 use crate::xml::{parse_policy, write_policy};
 use std::fs;
@@ -148,40 +147,6 @@ impl PolicyRepository {
         Ok(policies)
     }
 
-    /// Load every stored policy into a [`PolicyStore`], skipping ids that are
-    /// already present. Returns the number of policies added.
-    ///
-    /// # Errors
-    /// Fails on the first unreadable or invalid document, or on a policy the
-    /// store rejects for a reason other than a duplicate id.
-    pub fn load_into(&self, store: &PolicyStore) -> Result<usize, RepositoryError> {
-        let mut added = 0usize;
-        for policy in self.load_all()? {
-            if store.contains(&policy.id) {
-                continue;
-            }
-            store
-                .add(policy)
-                .map_err(|error| RepositoryError::Policy { file: self.root.clone(), error })?;
-            added += 1;
-        }
-        Ok(added)
-    }
-
-    /// Persist every policy of a store into the repository. Returns the
-    /// number of documents written.
-    ///
-    /// # Errors
-    /// Fails on I/O errors.
-    pub fn save_store(&self, store: &PolicyStore) -> Result<usize, RepositoryError> {
-        let mut written = 0usize;
-        for policy in store.snapshot() {
-            self.save(&policy)?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
     fn sorted_xml_files(&self) -> Result<Vec<PathBuf>, RepositoryError> {
         let mut files: Vec<PathBuf> = fs::read_dir(&self.root)?
             .filter_map(Result::ok)
@@ -243,29 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn load_all_and_load_into_store() {
+    fn load_all_reads_every_saved_policy() {
         let repo = temp_repo("store");
         for i in 0..5 {
             repo.save(&sample_policy(&format!("p{i}"))).unwrap();
         }
         assert_eq!(repo.load_all().unwrap().len(), 5);
-        let store = PolicyStore::new();
-        assert_eq!(repo.load_into(&store).unwrap(), 5);
-        assert_eq!(store.len(), 5);
-        // Loading again adds nothing (duplicates are skipped).
-        assert_eq!(repo.load_into(&store).unwrap(), 0);
-        let _ = fs::remove_dir_all(repo.root());
-    }
-
-    #[test]
-    fn save_store_persists_everything() {
-        let repo = temp_repo("save-store");
-        let store = PolicyStore::new();
-        for i in 0..3 {
-            store.add(sample_policy(&format!("s{i}"))).unwrap();
-        }
-        assert_eq!(repo.save_store(&store).unwrap(), 3);
-        assert_eq!(repo.list().unwrap().len(), 3);
         let _ = fs::remove_dir_all(repo.root());
     }
 

@@ -4,7 +4,8 @@
 //! (Figure 2 shows the obligations portion of one). This module provides a
 //! small, dependency-free XML reader/writer sufficient for those documents:
 //!
-//! * [`XmlElement`] — a generic element tree with attributes and text,
+//! * [`XmlElement`] — the parser's element tree, attributes and text,
+//! * [`DocumentWriter`] — a one-pass pretty-printing writer,
 //! * [`parse_document`] — a strict, non-validating parser (no namespaces,
 //!   no DTDs; supports comments, the XML declaration, entity escapes and
 //!   self-closing tags),
@@ -37,27 +38,6 @@ impl XmlElement {
         XmlElement { name: name.into(), ..Default::default() }
     }
 
-    /// Add an attribute (builder style).
-    #[must_use]
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attributes.push((name.into(), value.into()));
-        self
-    }
-
-    /// Add a child element (builder style).
-    #[must_use]
-    pub fn child(mut self, child: XmlElement) -> Self {
-        self.children.push(child);
-        self
-    }
-
-    /// Set the text content (builder style).
-    #[must_use]
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.text = text.into();
-        self
-    }
-
     /// Value of an attribute by name.
     #[must_use]
     pub fn attribute(&self, name: &str) -> Option<&str> {
@@ -75,22 +55,15 @@ impl XmlElement {
     pub fn first_child(&self, name: &str) -> Option<&XmlElement> {
         self.children.iter().find(|c| c.name == name)
     }
-
-    /// Serialize to pretty-printed XML (two-space indentation).
-    #[must_use]
-    pub fn to_xml(&self) -> String {
-        let mut doc = DocumentWriter::default();
-        doc.element(self);
-        doc.out
-    }
 }
 
 /// A one-pass writer of pretty-printed XML — two-space indentation, an
 /// element with neither children nor text self-closed — straight into one
 /// `String`. An element's start tag is left open until its first child or
-/// its end shows whether it is empty.
+/// its end shows whether it is empty. [`DocumentWriter::default`] writes a
+/// fragment with no XML declaration.
 #[derive(Default)]
-struct DocumentWriter {
+pub struct DocumentWriter {
     out: String,
     depth: usize,
     tag_open: bool,
@@ -102,6 +75,12 @@ impl DocumentWriter {
         let mut out = String::with_capacity(1024);
         out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
         DocumentWriter { out, ..DocumentWriter::default() }
+    }
+
+    /// The written text.
+    #[must_use]
+    pub fn finish(self) -> String {
+        self.out
     }
 
     fn indent(&mut self) {
@@ -118,7 +97,11 @@ impl DocumentWriter {
     }
 
     /// Open an element inside the current one.
-    fn start<'a>(&mut self, name: &str, attributes: impl IntoIterator<Item = (&'a str, &'a str)>) {
+    pub fn start<'a>(
+        &mut self,
+        name: &str,
+        attributes: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) {
         self.close_start_tag();
         self.indent();
         self.out.push('<');
@@ -135,7 +118,7 @@ impl DocumentWriter {
     }
 
     /// Close the element `name` opened last.
-    fn end(&mut self, name: &str) {
+    pub fn end(&mut self, name: &str) {
         self.depth -= 1;
         if std::mem::take(&mut self.tag_open) {
             self.out.push_str("/>\n");
@@ -151,8 +134,8 @@ impl DocumentWriter {
         self.out.push_str(">\n");
     }
 
-    /// An element holding only `text`.
-    fn text_element<'a>(
+    /// An element holding only `text`; self-closed when `text` is empty.
+    pub fn text_element<'a>(
         &mut self,
         name: &str,
         attributes: impl IntoIterator<Item = (&'a str, &'a str)>,
@@ -167,27 +150,6 @@ impl DocumentWriter {
         self.out.push('>');
         escape_into(&mut self.out, text);
         self.end_tag(name);
-    }
-
-    /// `element` and everything inside it; text beside children goes on a
-    /// line of its own before them.
-    fn element(&mut self, element: &XmlElement) {
-        let attributes = element.attributes.iter().map(|(name, value)| (&**name, &**value));
-        if element.children.is_empty() {
-            self.text_element(&element.name, attributes, &element.text);
-            return;
-        }
-        self.start(&element.name, attributes);
-        if !element.text.is_empty() {
-            self.close_start_tag();
-            self.indent();
-            escape_into(&mut self.out, &element.text);
-            self.out.push('\n');
-        }
-        for child in &element.children {
-            self.element(child);
-        }
-        self.end(&element.name);
     }
 }
 
@@ -723,26 +685,20 @@ mod tests {
     use crate::request::ids;
 
     #[test]
-    fn element_builder_and_serialization() {
-        let el = XmlElement::new("A")
-            .attr("x", "1")
-            .child(XmlElement::new("B").with_text("hello <world>"))
-            .child(XmlElement::new("C"));
-        let xml = el.to_xml();
-        assert!(xml.contains("<A x=\"1\">"));
-        assert!(xml.contains("<B>hello &lt;world&gt;</B>"));
-        assert!(xml.contains("<C/>"));
-        assert!(xml.trim_end().ends_with("</A>"));
-
-        // Text beside children, nesting and attribute escapes, byte for byte.
-        let mixed =
-            XmlElement::new("R").attr("q", "a\"b'<&>").with_text("lead & in").child(el).child(
-                XmlElement::new("D").attr("y", "").child(XmlElement::new("E").with_text("e")),
-            );
+    fn writer_nests_self_closes_and_escapes() {
+        let mut doc = DocumentWriter::default();
+        doc.start("R", [("q", "a\"b'<&>")]);
+        doc.start("A", [("x", "1")]);
+        doc.text_element("B", [], "hello <world>");
+        doc.text_element("C", [], "");
+        doc.end("A");
+        doc.start("D", [("y", "")]);
+        doc.end("D");
+        doc.end("R");
         assert_eq!(
-            mixed.to_xml(),
-            "<R q=\"a&quot;b&apos;&lt;&amp;&gt;\">\n  lead &amp; in\n  <A x=\"1\">\n    \
-             <B>hello &lt;world&gt;</B>\n    <C/>\n  </A>\n  <D y=\"\">\n    <E>e</E>\n  </D>\n</R>\n"
+            doc.finish(),
+            "<R q=\"a&quot;b&apos;&lt;&amp;&gt;\">\n  <A x=\"1\">\n    \
+             <B>hello &lt;world&gt;</B>\n    <C/>\n  </A>\n  <D y=\"\"/>\n</R>\n"
         );
     }
 

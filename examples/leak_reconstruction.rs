@@ -9,7 +9,7 @@
 //! Run with `cargo run --example leak_reconstruction`.
 
 use exacml::exacml_dsms::{AggFunc, AggSpec, DataType, Schema, WindowSpec};
-use exacml::exacml_plus::attack::simulate_attack;
+use exacml::exacml_plus::simulate_attack;
 use exacml::prelude::*;
 
 fn main() {

@@ -10,13 +10,11 @@
 //!
 //! Run with `cargo run --example scenario_pack`.
 
-use exacml::exacml_workload::packs;
-use exacml::exacml_workload::runner::run_pack_checked;
-use exacml::exacml_workload::scenario::ScenarioPack;
+use exacml::exacml_workload::{builtin_pack, run_pack_checked, ScenarioPack};
 use exacml::prelude::*;
 
 fn main() {
-    let pack = packs::by_name("adversarial").expect("built-in pack");
+    let pack = builtin_pack("adversarial").expect("built-in pack");
     println!("pack '{}': {}\n", pack.name, pack.description);
 
     // The JSON round trip is lossless — what ships in packs/*.json is the

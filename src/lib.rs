@@ -2,9 +2,9 @@
 //!
 //! This crate is the front door of the reproduction of *"Cloud and the
 //! City: Facilitating Flexible Access Control over Data Streams"* (Wang,
-//! Dinh, Lim, Datta — SDMW 2012). It re-exports every subsystem of the
-//! workspace **and** carries the ergonomic entry layer most code should
-//! start from:
+//! Dinh, Lim, Datta — SDMW 2012). It re-exports the root of every member
+//! crate of the workspace **and** carries the ergonomic entry layer most
+//! code should start from:
 //!
 //! ```
 //! use exacml::prelude::*;
@@ -66,7 +66,7 @@
 //!
 //! [`exacml_durable`] adds the persistence layer: `BackendBuilder::
 //! durable(path)` builds a data server with a write-ahead log attached at
-//! its one commit point ([`exacml_plus::commit`]), plus a snapshot store
+//! its one commit point ([`exacml_plus::CommitLog`]), plus a snapshot store
 //! over plain `std::fs`, and the same builder line *recovers* the
 //! store after a crash — policies, live handles (same URIs), guard state
 //! and the audit trail come back; `examples/durable_restart.rs` shows the
@@ -103,7 +103,11 @@
 //!
 //! # Workspace map
 //!
-//! The member crates keep their own identities:
+//! The member crates keep their own identities, and each is sealed: its
+//! modules are private, and its root's `pub use` list is the one place its
+//! API is named, so every public item has one path —
+//! `exacml::exacml_dsms::StreamEngine`. This crate re-exports each member's
+//! root as it is, plus the [`prelude`].
 //!
 //! * [`exacml_plus`] — the framework core: obligation ⇄ query-graph
 //!   translation, NR/PR merge analysis, graph management, proxy, data
@@ -120,8 +124,10 @@
 //!   simplification, and the NR/PR pairwise check (package `exacml-expr`).
 //! * [`exacml_simnet`] — the simulated network used by the experiments
 //!   (package `exacml-simnet`).
-//! * [`exacml_workload`] — Section 4.2 workload generation (package
-//!   `exacml-workload`).
+//! * [`exacml_workload`] — Section 4.2 workload generation and the scenario
+//!   packs (package `exacml-workload`).
+//! * [`exacml_telemetry`] — the stage histograms and counters every backend
+//!   records (package `exacml-telemetry`).
 //! * [`exacml_bench`] — the harness for the paper's Section 4.2 figures and
 //!   tables, and nothing else (package `exacml-bench`). Performance is
 //!   measured by the standalone `benchmark/` package (`BENCHMARK.json`),
@@ -129,6 +135,33 @@
 //!
 //! Package names are hyphenated; the re-exports use the underscore form
 //! rustc gives each library target.
+//!
+//! Four modules stay public, because the standalone benchmark names paths
+//! inside them: `exacml_dsms::streamsql`, `exacml_durable::record`,
+//! `exacml_durable::wal` and `exacml_xacml::xml`. A path through any other
+//! module does not compile, nor does a per-crate prelude — the engine's
+//! module:
+//!
+//! ```compile_fail
+//! use exacml::exacml_dsms::engine::StreamEngine;
+//! let _ = StreamEngine::new();
+//! ```
+//!
+//! the data server's module:
+//!
+//! ```compile_fail
+//! use exacml::exacml_plus::server::DataServer;
+//! let _ = DataServer::new(exacml::exacml_plus::ServerConfig::local());
+//! ```
+//!
+//! and the expression crate's old prelude:
+//!
+//! ```compile_fail
+//! use exacml::exacml_expr::prelude::*;
+//! let _ = parse_expr("rainrate > 5");
+//! ```
+
+#![warn(unreachable_pub)]
 
 pub use exacml_bench;
 pub use exacml_dsms;
@@ -140,9 +173,9 @@ pub use exacml_telemetry;
 pub use exacml_workload;
 pub use exacml_xacml;
 
-pub mod builder;
-pub mod query;
-pub mod session;
+mod builder;
+mod query;
+mod session;
 
 pub use builder::BackendBuilder;
 pub use query::{Query, QuerySubscription};

@@ -1,26 +1,7 @@
 //! The typed query layer: describe what you want from a stream without
 //! writing wire-form XML.
 //!
-//! [`Query`] is the front-door type [`Session::subscribe`] accepts (via
-//! `impl Into<Query>`). It comes in three shapes:
-//!
-//! * **Bare stream name** — `session.subscribe("weather")` attaches to the
-//!   grant the session *already* holds on that stream and never issues a
-//!   new access request ([`ExacmlError::UnknownHandle`] when there is
-//!   none). This is the pre-existing `Session::subscribe` contract,
-//!   preserved verbatim.
-//! * **Structured** — `Query::on("weather").filter("rainrate > 30")`
-//!   requests access (the Section 3.2 workflow: PDP decision, NR/PR merge
-//!   analysis, shared-plan deployment) and subscribes in one step.
-//! * **Wire form** — [`Query::from_xml`] parses the `<Query>` document a
-//!   remote client ships (the same encoding the durable WAL journals), for
-//!   callers that really do hold raw XML. Everything else should use the
-//!   builder.
-//!
-//! The result is a [`QuerySubscription`]: the transport
-//! [`Subscription`] plus the grant's identity —
-//! which shared plan it rides ([`QuerySubscription::plan`]) and the NR/PR
-//! [`Warning`]s the merge raised.
+//! [`Query`] lists its three shapes.
 //!
 //! ```
 //! use exacml::prelude::*;
@@ -59,9 +40,26 @@ enum Shape {
 
 /// A typed description of what a consumer wants from a stream.
 ///
-/// Built with [`Query::on`] and the chainable refinements, converted from a
-/// bare stream name (lookup-only), or parsed from wire form with
-/// [`Query::from_xml`]. See the [module docs](self) for the three shapes.
+/// It is the front-door type [`Session::subscribe`] accepts (via
+/// `impl Into<Query>`), and it comes in three shapes:
+///
+/// * **Bare stream name** — `session.subscribe("weather")` attaches to the
+///   grant the session *already* holds on that stream and never issues a
+///   new access request ([`ExacmlError::UnknownHandle`] when there is
+///   none). This is the pre-existing `Session::subscribe` contract,
+///   preserved verbatim.
+/// * **Structured** — `Query::on("weather").filter("rainrate > 30")`
+///   requests access (the Section 3.2 workflow: PDP decision, NR/PR merge
+///   analysis, shared-plan deployment) and subscribes in one step.
+/// * **Wire form** — [`Query::from_xml`] parses the `<Query>` document a
+///   remote client ships (the same encoding the durable WAL journals), for
+///   callers that really do hold raw XML. Everything else should use the
+///   builder.
+///
+/// The result is a [`QuerySubscription`]: the transport
+/// [`Subscription`] plus the grant's identity —
+/// which shared plan it rides ([`QuerySubscription::plan`]) and the NR/PR
+/// [`Warning`]s the merge raised.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     stream: String,
@@ -260,7 +258,7 @@ impl std::ops::DerefMut for QuerySubscription {
 /// itself all work.
 impl Session {
     /// Subscribe this session to a [`Query`] (or anything convertible into
-    /// one — see the [module docs](self) for the three shapes).
+    /// one — see [`Query`] for the three shapes).
     ///
     /// A structured query runs the full Section 3.2 workflow first; the
     /// granted handle joins the session's RAII-released grants exactly as

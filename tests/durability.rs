@@ -170,7 +170,7 @@ fn a_sync_writes_store_journals_and_recovers_with_the_setting_kept() {
 /// (negative, fractional, above 2^53) instead of casting it.
 #[test]
 fn meta_numbers_round_trip_exactly_or_are_refused() {
-    use exacml::exacml_durable::server::{decode_meta, encode_meta};
+    use exacml::exacml_durable::{decode_meta, encode_meta};
     const EXACT: u64 = 1 << 53;
     let decode = |text: &str| decode_meta(&serde_json::from_str(text).unwrap());
     for seed in [0, EXACT] {

@@ -427,7 +427,7 @@ fn writer_corpus() -> (Vec<Policy>, Vec<Request>) {
 
     let mut policies = vec![example1_policy()];
     let mut requests = vec![Request::subscribe("LTA", "weather")];
-    for pack in exacml::exacml_workload::packs::all() {
+    for pack in exacml::exacml_workload::builtin_packs() {
         policies.extend(pack.policies.iter().map(|spec| spec.build().unwrap()));
         for step in &pack.script {
             if let Some(spec) = &step.policy {
@@ -489,4 +489,64 @@ fn xml_writers_emit_the_pinned_bytes_for_every_corpus() {
         requests.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| fnv1a(h, write_request(r).as_bytes()));
     assert_eq!((policies.len(), policy_hash), (1_117, 0x726f_decf_4195_1642));
     assert_eq!((requests.len(), request_hash), (1_124, 0x0513_201f_d0f1_c825));
+
+    let queries = user_query_corpus();
+    let query_hash =
+        queries.iter().fold(0xcbf2_9ce4_8422_2325, |h, q| fnv1a(h, q.to_xml().as_bytes()));
+    assert_eq!((queries.len(), query_hash), (14, 0xb8bb_49db_c766_1b68));
+}
+
+/// The user queries the repository builds: every query step of every
+/// built-in scenario pack, the examples' queries, and a hand-built query
+/// that reaches every element and escape.
+fn user_query_corpus() -> Vec<UserQuery> {
+    let mut queries = Vec::new();
+    for pack in exacml::exacml_workload::builtin_packs() {
+        for step in &pack.script {
+            if let Some(spec) = &step.query {
+                queries.push(spec.to_user_query(&step.stream).unwrap());
+            }
+        }
+    }
+    let last_and_avg = || {
+        vec![
+            AggSpec::new("samplingtime", AggFunc::LastValue),
+            AggSpec::new("rainrate", AggFunc::Avg),
+        ]
+    };
+    for threshold in ["50", "30"] {
+        queries.push(
+            UserQuery::for_stream("weather")
+                .with_filter(format!("rainrate > {threshold}"))
+                .with_map(["samplingtime", "rainrate"])
+                .with_aggregation(WindowSpec::tuples(10, 2), last_and_avg()),
+        );
+    }
+    for filter in ["rainrate < 4", "rainrate > 5"] {
+        queries.push(
+            UserQuery::for_stream("weather")
+                .with_filter(filter)
+                .with_map(["samplingtime", "rainrate"]),
+        );
+    }
+    queries.push(UserQuery::for_stream("weather").with_filter("rainrate > 70"));
+    for size in [3, 4, 5] {
+        queries.push(
+            UserQuery::for_stream("readings").with_aggregation(
+                WindowSpec::tuples(size, 2),
+                vec![AggSpec::new("a", AggFunc::Sum)],
+            ),
+        );
+    }
+    queries.push(UserQuery::for_stream("bare"));
+    queries.push(
+        UserQuery::for_stream("gps & \"co\"")
+            .with_filter("speed < 5 && note = 'a > b'")
+            .with_map(["<id>", "speed"])
+            .with_aggregation(
+                WindowSpec::time(60_000, 15_000),
+                vec![AggSpec::new("speed", AggFunc::Max), AggSpec::new("id", AggFunc::Count)],
+            ),
+    );
+    queries
 }

@@ -210,7 +210,7 @@ fn delivery_is_exactly_once_with_latency_ordered_timestamps() {
     }
 
     // Drain in steps so in-flight tuples arrive across several polls.
-    let mut delivered: Vec<Vec<exacml::exacml_plus::fabric::DeliveredTuple>> =
+    let mut delivered: Vec<Vec<exacml::exacml_plus::DeliveredTuple>> =
         (0..STREAMS).map(|_| Vec::new()).collect();
     for _ in 0..50 {
         fabric.advance(Duration::from_millis(2));
@@ -627,6 +627,28 @@ fn released_and_withdrawn_handles_are_unknown_to_the_broker() {
     on::<Replicated>();
 }
 
+/// `nodes` is a public field, so a literal config can ask for zero nodes.
+/// Both constructors clamp it to one, as `FabricConfig::new` does, so the
+/// fabric serves rather than panicking on first use.
+#[test]
+fn a_zero_node_config_builds_a_one_node_fabric() {
+    fn on<S: Shape>() -> String {
+        let fabric = S::build(FabricConfig { nodes: 0, ..FabricConfig::local(1) });
+        assert_eq!(fabric.nodes().len(), 1);
+        fabric.register_stream("weather", Schema::weather_example()).unwrap();
+        fabric.load_policy(rain_policy("p", "weather")).unwrap();
+        let granted = fabric.handle_request(&Request::subscribe("LTA", "weather"), None).unwrap();
+        let mut subscription = fabric.subscribe(granted.handle()).unwrap();
+        let schema = Schema::weather_example().shared();
+        let tuples = (0..4).map(|i| marker_tuple(&schema, 0, i)).collect();
+        fabric.push_batches(vec![StreamBatch::new("weather", tuples)]).unwrap();
+        assert_eq!(subscription.drain_settled().len(), 4);
+        fabric.backend_kind()
+    }
+    assert_eq!(on::<Plain>(), "fabric-1");
+    assert_eq!(on::<Replicated>(), "fabric-replicated");
+}
+
 /// A release reaches the subscriber's link: tuples the subscription pulled
 /// onto its simulated link before the release never arrive after it. They
 /// are counted as discarded on the broker, and a grant still live on the
@@ -808,7 +830,7 @@ fn fabric_delivery_stamps_match_the_golden() {
         if k < STREAMS {
             delivered.extend(subscription.drain_settled());
         } else {
-            drained.extend(Subscription::Fabric(subscription).drain());
+            drained.extend(Subscription::Fabric(Box::new(subscription)).drain());
         }
     }
 

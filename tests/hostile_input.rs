@@ -16,11 +16,10 @@ mod common;
 
 use exacml::exacml_dsms::Schema;
 use exacml::exacml_durable::record::{self, Record};
-use exacml::exacml_durable::server::{decode_meta, encode_meta};
-use exacml::exacml_durable::snapshot::{decode_snapshot, encode_snapshot};
+use exacml::exacml_durable::{decode_meta, decode_snapshot, encode_meta, encode_snapshot};
 use exacml::exacml_expr::{parse_expr, ExprError};
 use exacml::exacml_plus::AuditEventKind;
-use exacml::exacml_workload::scenario::ScenarioPack;
+use exacml::exacml_workload::ScenarioPack;
 use exacml::exacml_xacml::{xml, XacmlError};
 use exacml::prelude::*;
 use rand::rngs::StdRng;

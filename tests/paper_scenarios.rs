@@ -10,8 +10,8 @@
 use exacml::prelude::*;
 use exacml_dsms::{AggFunc, AggSpec, Schema, Tuple, Value, WindowSpec};
 use exacml_expr::{analyze_merge, parse_expr, CmpOp, Verdict};
-use exacml_plus::obligations::ids;
-use exacml_plus::{attack::simulate_attack, graph_from_obligations, merge_graphs, MergeOptions};
+use exacml_plus::obligation_ids as ids;
+use exacml_plus::{graph_from_obligations, merge_graphs, simulate_attack, MergeOptions};
 
 fn example1_policy() -> Policy {
     StreamPolicyBuilder::new("nea-weather-for-lta", "weather")

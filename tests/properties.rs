@@ -17,11 +17,10 @@
 
 use exacml_dsms::{AggFunc, AggSpec, FilterOp, QueryGraph, QueryGraphBuilder, WindowSpec};
 use exacml_expr::{
-    check_two_simple, eval::eval, normalize::eliminate_not, normalize::is_not_free, parse_expr,
-    simplify, CmpOp, Dnf, Expr, MapBindings, SimpleExpr, Verdict,
+    check_two_simple, eliminate_not, eval, is_not_free, parse_expr, simplify, CmpOp, Dnf, Expr,
+    MapBindings, SimpleExpr, Verdict,
 };
-use exacml_plus::attack::reconstruct_from_sums;
-use exacml_plus::{graph_from_obligations, obligations_from_graph};
+use exacml_plus::{graph_from_obligations, obligations_from_graph, reconstruct_from_sums};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ proptest! {
         size in 1u64..12, advance in 1u64..12, n in 0usize..80
     ) {
         use exacml_dsms::{Schema, Tuple, Value, DataType};
-        use exacml_dsms::window::SlidingBuffer;
+        use exacml_dsms::SlidingBuffer;
         let advance = advance.min(size);
         let schema = Schema::from_pairs([("samplingtime", DataType::Timestamp), ("v", DataType::Double)]);
         let mut buffer = SlidingBuffer::new(WindowSpec::tuples(size, advance));
@@ -247,7 +246,7 @@ proptest! {
         step in 1u64..4,
     ) {
         let step = step.min(base);
-        let outcome = exacml_plus::attack::simulate_attack(&values, base, step).unwrap();
+        let outcome = exacml_plus::simulate_attack(&values, base, step).unwrap();
         for (k, reconstructed) in outcome.reconstructed.iter().enumerate() {
             let original = values[base as usize + k];
             prop_assert!((reconstructed - original).abs() < 1e-6,
@@ -755,7 +754,7 @@ mod pdp_equivalence {
     }
 
     fn build_policy(index: usize, spec: &PolicySpec) -> Policy {
-        use exacml_xacml::request::ids;
+        use exacml_xacml::request_ids as ids;
         let target = match spec.target_shape {
             0 => Target::subject_resource_action(
                 SUBJECTS[spec.subject],
@@ -787,7 +786,7 @@ mod pdp_equivalence {
     }
 
     fn arb_request() -> impl Strategy<Value = Request> {
-        use exacml_xacml::request::ids;
+        use exacml_xacml::request_ids as ids;
         // Optional picks are encoded as `index == pool size` (the vendored
         // proptest stand-in has no `option::of`).
         (

@@ -20,11 +20,10 @@
 //!   `FaultPlan` crash window.
 
 use exacml::exacml_durable::{ReplicatedConfig, Replication};
-use exacml::exacml_workload::packs;
-use exacml::exacml_workload::runner::{normalized_audit, run_pack_checked, PackRun};
-use exacml::exacml_workload::scenario::ScenarioPack;
+use exacml::exacml_workload::{builtin_pack, builtin_packs};
+use exacml::exacml_workload::{normalized_audit, run_pack_checked, PackRun, ScenarioPack};
 use exacml::prelude::*;
-use exacml_plus::attack::{reconstruct_from_sums, simulate_attack};
+use exacml_plus::{reconstruct_from_sums, simulate_attack};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,7 +74,7 @@ fn pack_matrix(pack: &ScenarioPack) {
 }
 
 fn builtin(name: &str) -> ScenarioPack {
-    packs::by_name(name).unwrap_or_else(|| panic!("no built-in pack '{name}'"))
+    builtin_pack(name).unwrap_or_else(|| panic!("no built-in pack '{name}'"))
 }
 
 #[test]
@@ -102,7 +101,7 @@ fn adversarial_pack_on_all_shapes() {
 /// same matrix as the copies `packs` embedded at compile time.
 #[test]
 fn pack_files_run_green_on_local_shape() {
-    for pack in packs::all() {
+    for pack in builtin_packs() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("crates/workload/packs")
             .join(format!("{}.json", pack.name));
@@ -227,14 +226,14 @@ proptest! {
     /// seed — the JSON form loses nothing the runtime can observe.
     #[test]
     fn pack_json_round_trip_is_deterministic(pack_index in 0usize..4, seed in 0u64..1_000_000) {
-        let pack = packs::all().swap_remove(pack_index).with_seed(seed);
+        let pack = builtin_packs().swap_remove(pack_index).with_seed(seed);
         let json = pack.to_json_string().unwrap();
         let reloaded = ScenarioPack::from_json_str(&json).unwrap();
         prop_assert_eq!(&reloaded, &pack);
 
         let run = |p: &ScenarioPack| {
             let backend = BackendBuilder::local().build();
-            let outcome = exacml_workload::runner::run_pack(backend.as_ref(), p).unwrap();
+            let outcome = exacml_workload::run_pack(backend.as_ref(), p).unwrap();
             (outcome.semantic_fingerprint(), normalized_audit(&backend.audit_events()))
         };
         let (fingerprint_a, audit_a) = run(&pack);
@@ -300,7 +299,7 @@ fn durable_pack_survives_crash_and_recovery() {
 #[test]
 #[ignore = "nightly soak: every pack at 8x ingest volume"]
 fn packs_at_eight_times_volume_on_all_shapes() {
-    for pack in packs::all() {
+    for pack in builtin_packs() {
         pack_matrix(&pack.scaled(8));
     }
 }
